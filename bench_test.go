@@ -299,9 +299,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 // anti-entropy to convergence and reports the wall-clock and dial cost
 // per round. Every link write pays a fixed simulated latency, so the
 // measurement is dominated by deterministic protocol round trips, not
-// CPU: the metric compares how many serialized latency waits each
-// transport generation needs per round.
-func benchClusterRound(b *testing.B, disableMux bool, pipeline int) {
+// CPU: the metric counts the serialized latency waits a round needs.
+func benchClusterRound(b *testing.B, pipeline int) {
 	sc := scenario.Scenario{
 		Name:  "bench-rtt",
 		Nodes: 2,
@@ -312,7 +311,6 @@ func benchClusterRound(b *testing.B, disableMux bool, pipeline int) {
 		Rounds:      10,
 		ChurnRounds: 2,
 		Streak:      1,
-		DisableMux:  disableMux,
 		Pipeline:    pipeline,
 		LatencyMin:  50 * time.Millisecond,
 		LatencyMax:  50 * time.Millisecond,
@@ -338,12 +336,9 @@ func benchClusterRound(b *testing.B, disableMux bool, pipeline int) {
 	}
 }
 
-// BenchmarkClusterRoundRTT is the latency-bound before/after for RSYN
-// v3: the v2 shape dials one connection per session and reconciles
-// strictly sequentially; the v3 shape rides pooled carriers and
-// pipelines both sets' sessions per round. CI gates ns/round and
-// dials/round against BENCH_PR6.json.
+// BenchmarkClusterRoundRTT is the latency-bound mesh round: pooled
+// carriers with both sets' sessions pipelined per round. CI gates
+// ns/round and dials/round against BENCH_PR6.json.
 func BenchmarkClusterRoundRTT(b *testing.B) {
-	b.Run("v2-plain", func(b *testing.B) { benchClusterRound(b, true, 1) })
-	b.Run("v3-mux", func(b *testing.B) { benchClusterRound(b, false, 2) })
+	b.Run("v3-mux", func(b *testing.B) { benchClusterRound(b, 2) })
 }

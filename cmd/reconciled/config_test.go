@@ -15,7 +15,7 @@ func testFlagSet() (*flag.FlagSet, map[string]any) {
 	vals := map[string]any{
 		"listen":   fs.String("listen", "", ""),
 		"n":        fs.Int("n", 64, ""),
-		"mux":      fs.Bool("mux", true, ""),
+		"verbose":  fs.Bool("verbose", true, ""),
 		"noise":    fs.Float64("noise", 2, ""),
 		"interval": fs.Duration("interval", time.Second, ""),
 		"seed":     fs.Uint64("seed", 1, ""),
@@ -43,7 +43,7 @@ func TestConfigFileYAML(t *testing.T) {
 # deployment config
 listen: 127.0.0.1:7441
 n: 256            # ignored: -n was passed explicitly
-mux: false
+verbose: false
 noise: 3.5
 interval: 250ms
 seed: 42
@@ -58,8 +58,8 @@ data-dir: "/var/lib/reconciled"
 	if got := *vals["n"].(*int); got != 999 {
 		t.Errorf("n = %d, want the explicit 999 to beat the file's 256", got)
 	}
-	if *vals["mux"].(*bool) {
-		t.Error("mux not overridden to false")
+	if *vals["verbose"].(*bool) {
+		t.Error("verbose not overridden to false")
 	}
 	if got := *vals["noise"].(*float64); got != 3.5 {
 		t.Errorf("noise = %v", got)
@@ -80,7 +80,7 @@ func TestConfigFileJSON(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	path := writeConfig(t, `{"listen": ":7441", "n": 128, "mux": false, "noise": 1.25}`)
+	path := writeConfig(t, `{"listen": ":7441", "n": 128, "verbose": false, "noise": 1.25}`)
 	if err := applyConfigFile(path, fs); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestConfigFileJSON(t *testing.T) {
 	if got := *vals["n"].(*int); got != 128 {
 		t.Errorf("n = %d", got)
 	}
-	if *vals["mux"].(*bool) {
-		t.Error("mux not overridden")
+	if *vals["verbose"].(*bool) {
+		t.Error("verbose not overridden")
 	}
 	if got := *vals["noise"].(*float64); got != 1.25 {
 		t.Errorf("noise = %v", got)

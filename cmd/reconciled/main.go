@@ -32,14 +32,14 @@
 //	                                              # takes the delta path
 //
 // With -cluster the daemon becomes an anti-entropy mesh member: a
-// multi-tenant store of named sets (-sets), served under RSYN v2
+// multi-tenant store of named sets (-sets), served under their
 // namespaces, converging continuously with the listed peers via
 // power-of-two-choices probing and escalating repair (see
 // internal/cluster). Every member must run the same workload flags and
 // the same -sets list; each member's sets start with divergent extra
 // points derived from its own -listen address, so a fresh mesh visibly
-// converges. The default namespace stays a plain Sync set, so v1
-// clients (-connect ... -proto sync) interoperate unchanged.
+// converges. The default namespace stays a plain Sync set, so
+// single-set clients (-connect ... -proto sync) reconcile against it.
 //
 //	reconciled -listen :7441 -cluster :7442,:7443 -sets alpha,beta
 //	reconciled -cluster-demo 3                    # in-process 3-node mesh:
@@ -152,9 +152,6 @@ type config struct {
 	// anti-entropy rounds (cluster modes); 0 disables eligibility
 	// filtering while still tracking per-peer scores and RTTs.
 	quarantine int
-	// mux pools one RSYN v3 carrier connection per peer (cluster modes)
-	// and serves v3 carrier hellos; false emulates a pre-v3 daemon.
-	mux bool
 }
 
 // fixture is the deterministic two-party state both endpoints derive
@@ -335,7 +332,6 @@ func main() {
 	mutate := flag.Int("mutate", 0, "live-set churn: demo mutation count, or server mutations/sec")
 
 	workers := flag.Int("workers", 0, "sketch-construction workers (0 = GOMAXPROCS)")
-	mux := flag.Bool("mux", true, "pool one RSYN v3 carrier per peer (cluster modes) and serve v3 carriers; -mux=false emulates a pre-v3 daemon")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
 	quarantine := flag.Int("quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
@@ -380,7 +376,7 @@ func main() {
 		d: *d, n: *n, k: *k, noise: *noise, r1: *r1, r2: *r2,
 		diff: *diff, seed: *seed, mutate: *mutate,
 		workers: *workers, maxSessions: *maxSessions, timeout: *timeout,
-		mux: *mux, quarantine: *quarantine,
+		quarantine: *quarantine,
 	}
 	if cfg.r2 == 0 {
 		cfg.r2 = float64(cfg.d)
@@ -446,7 +442,6 @@ func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Serv
 	srv := session.NewServer(session.Config{
 		MaxSessions:    cfg.maxSessions,
 		SessionTimeout: cfg.timeout,
-		DisableMux:     !cfg.mux,
 		Logf:           logf,
 	})
 	srv.Handle(func() netproto.Handler { return netproto.NewSetSetsResponder(f.ssParams, f.serverKids) })
@@ -520,7 +515,7 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 	drainCh := make(chan struct{})
 	var adm *admin.Server
 	if ops.adminAddr != "" {
-		// v1 server mode hosts no multi-tenant store, so the set
+		// Single-set server mode hosts no multi-tenant store, so the set
 		// endpoints answer 503; session stats and /metrics still work.
 		adm = admin.New(admin.Config{
 			Session: srv,
@@ -599,9 +594,9 @@ func churnBudget(cfg config) int {
 }
 
 // newClusterStore builds one member's multi-tenant store: the default
-// set (plain Sync over the fixture's canonical EMD points — the v1
-// surface), and each named set with shared base content plus
-// nodeTag-derived divergent extras. All parameters derive from the
+// set (plain Sync over the fixture's canonical EMD points — what
+// single-set clients reach), and each named set with shared base
+// content plus nodeTag-derived divergent extras. All parameters derive from the
 // shared flags, so every member computes identical digests; the first
 // named set also maintains an EMD sketch to exercise the live-emd tier.
 func newClusterStore(cfg config, f *fixture, names []string, nodes int, nodeTag uint64) (*store.Store, error) {
@@ -681,7 +676,7 @@ func populateClusterStore(cfg config, f *fixture, names []string, nodes int, nod
 const gossipCapacityNodes = 64
 
 // populateGossipStore seeds a gossip-mode member's store: the default
-// v1 set always (skipped if durable recovery restored it), plus
+// set always (skipped if durable recovery restored it), plus
 // fresh-start content for the named sets the bootstrap ring — self
 // plus the seed members — assigns to this member. The authoritative
 // hosted roster follows the gossiped membership once rounds run:
@@ -771,13 +766,12 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 		dur = openDurable(dataDir, fsyncPolicy, st, logger.Printf)
 	}
 	ccfg := cluster.Config{
-		Store:      st,
-		Peers:      peers,
-		Network:    network,
-		Interval:   interval,
-		Seed:       cfg.seed ^ hashAddr(addr),
-		DisableMux: !cfg.mux,
-		Logf:       logger.Printf,
+		Store:    st,
+		Peers:    peers,
+		Network:  network,
+		Interval: interval,
+		Seed:     cfg.seed ^ hashAddr(addr),
+		Logf:     logger.Printf,
 		Session: session.Config{
 			MaxSessions:    cfg.maxSessions,
 			SessionTimeout: cfg.timeout,
@@ -950,9 +944,9 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 
 // runClusterDemo is the in-process mesh: count nodes with divergent
 // stores, a churn phase racing anti-entropy, then settle rounds until
-// every set is fingerprint-identical on every node — plus one v1 client
-// session against the default namespace to prove interop survived the
-// multi-tenant refactor. With -data-dir every node journals under
+// every set is fingerprint-identical on every node — plus one
+// single-session Dialer sync against the default namespace, the path
+// a plain client takes. With -data-dir every node journals under
 // <dir>/node<i>, and after the drain the demo reopens node 0's
 // directory and verifies recovery reproduces its fingerprints exactly
 // (use a fresh directory per demo run). Exit status reports
@@ -980,10 +974,9 @@ func runClusterDemo(cfg config, f *fixture, count int, setsCSV string, drain tim
 		}
 		stores[i] = st
 		node, err := cluster.New(cluster.Config{
-			Store:      st,
-			Interval:   -1, // demo drives rounds manually
-			Seed:       cfg.seed + uint64(i),
-			DisableMux: !cfg.mux,
+			Store:    st,
+			Interval: -1, // demo drives rounds manually
+			Seed:     cfg.seed + uint64(i),
 		})
 		if err != nil {
 			fail("cluster node %d: %v", i, err)
@@ -1074,25 +1067,20 @@ func runClusterDemo(cfg config, f *fixture, count int, setsCSV string, drain tim
 		fmt.Fprintf(os.Stderr, "cluster-demo: NOT converged after %d settle rounds\n", maxRounds)
 		os.Exit(1)
 	}
-	// v1 interop: a plain (v1 hello) sync session against node 0's
+	// A single-session client: one Dialer sync session against node 0's
 	// default namespace.
 	ids := live.IDsOf(f.syncParams.Seed, f.emdSB)
 	h := netproto.NewSyncInitiator(f.syncParams, ids)
 	if _, err := (session.Dialer{Addr: addrs[0]}).Do(h); err != nil {
-		fail("v1 default-namespace sync: %v", err)
+		fail("default-namespace sync: %v", err)
 	}
-	fmt.Printf("cluster-demo: v1 client vs default namespace: %d server-only / %d client-only IDs\n",
+	fmt.Printf("cluster-demo: single-session client vs default namespace: %d server-only / %d client-only IDs\n",
 		len(h.TheirsOnly), len(h.MinesOnly))
-	// Dial economy: with pooled v3 carriers the mesh reuses one
-	// connection per peer across every session; without (-mux=false)
-	// dials equal sessions.
+	// Dial economy: the mesh reuses one pooled carrier per peer across
+	// every session.
 	var net session.PoolStats
 	for _, n := range nodes {
-		ns := n.NetStats()
-		net.Dials += ns.Dials
-		net.Reuses += ns.Reuses
-		net.Fallbacks += ns.Fallbacks
-		net.Sessions += ns.Sessions
+		net = net.Add(n.NetStats())
 	}
 	fmt.Printf("cluster-demo: net: %s\n", net)
 	if dataDir != "" {

@@ -14,7 +14,6 @@
 //	simulate -list
 //	simulate -scenario partition-rejoin -seed 42
 //	simulate -scenario flaky-link-soak -seed 7 -trace trace.txt
-//	simulate -scenario mesh-10-latency -mux=false   # per-session dialing baseline
 package main
 
 import (
@@ -33,7 +32,6 @@ func main() {
 		list     = flag.Bool("list", false, "list available scenarios and exit")
 		traceOut = flag.String("trace", "-", "write the event trace here (- = stdout)")
 		quiet    = flag.Bool("q", false, "suppress the stdout trace (a -trace file is still written)")
-		mux      = flag.Bool("mux", true, "pool one RSYN v3 carrier per peer; -mux=false dials a connection per session (v2 behavior)")
 	)
 	flag.Parse()
 
@@ -48,9 +46,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "simulate: unknown scenario %q (try -list)\n", *name)
 		os.Exit(2)
-	}
-	if !*mux {
-		sc.DisableMux = true
 	}
 	res, err := scenario.Run(sc, *seed)
 	if err != nil {

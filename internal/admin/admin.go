@@ -390,10 +390,9 @@ type peerHealthInfo struct {
 }
 
 type netInfo struct {
-	Sessions  uint64 `json:"sessions"`
-	Dials     uint64 `json:"dials"`
-	Reuses    uint64 `json:"reuses"`
-	Fallbacks uint64 `json:"fallbacks"`
+	Sessions uint64 `json:"sessions"`
+	Dials    uint64 `json:"dials"`
+	Reuses   uint64 `json:"reuses"`
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
@@ -434,9 +433,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	ns := n.NetStats()
-	view.Net = netInfo{
-		Sessions: ns.Sessions, Dials: ns.Dials, Reuses: ns.Reuses, Fallbacks: ns.Fallbacks,
-	}
+	view.Net = netInfo{Sessions: ns.Sessions, Dials: ns.Dials, Reuses: ns.Reuses}
 	writeJSON(w, http.StatusOK, view)
 }
 

@@ -233,8 +233,6 @@ func (s *Server) writeClusterMetrics(e *expo) {
 	e.sample("rsyn_pool_dials_total", float64(ns.Dials))
 	e.family("rsyn_pool_reuses_total", "counter", "Sessions that reused a pooled carrier.")
 	e.sample("rsyn_pool_reuses_total", float64(ns.Reuses))
-	e.family("rsyn_pool_fallbacks_total", "counter", "Sessions that fell back to a fresh connection.")
-	e.sample("rsyn_pool_fallbacks_total", float64(ns.Fallbacks))
 	e.family("rsyn_pool_sessions_total", "counter", "Outbound sessions opened through the pool.")
 	e.sample("rsyn_pool_sessions_total", float64(ns.Sessions))
 

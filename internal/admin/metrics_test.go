@@ -223,7 +223,6 @@ func TestMetricsExposition(t *testing.T) {
 		`rsyn_recon_last_estimate{set="alpha"}`,
 		`rsyn_pool_dials_total`,
 		`rsyn_pool_reuses_total`,
-		`rsyn_pool_fallbacks_total`,
 		`rsyn_pool_sessions_total`,
 		`rsyn_peers{state="healthy"}`,
 		`rsyn_peers{state="probation"}`,

@@ -82,21 +82,17 @@ type Config struct {
 	// resolver.
 	Session session.Config
 	// DialTimeout / SessionTimeout bound outbound reconciliation
-	// sessions (defaults as in session.Dialer).
+	// sessions (defaults as in session.Dialer). Outbound sessions share
+	// one pooled multiplexed carrier per peer, so a round over S sets
+	// costs O(peers) dials instead of O(S×choices).
 	DialTimeout    time.Duration
 	SessionTimeout time.Duration
-	// DisableMux reverts the node to RSYN v2 networking: one dedicated
-	// connection per outbound session, and the embedded server refuses
-	// v3 carrier hellos. By default outbound sessions share one pooled
-	// multiplexed connection per peer, so a round over S sets costs
-	// O(peers) dials instead of O(S×choices).
-	DisableMux bool
 	// Pipeline is how many sets reconcile concurrently within one
 	// ReconcileOnce round (default 1 = strictly sequential, the
-	// deterministic-trace mode). With the mux pool, pipelined sets ride
-	// the same carrier: stream k+1's hello is in flight while stream
-	// k's repair drains, so a latency-bound round costs RTTs of the
-	// deepest set, not the sum over sets. Peer selection still happens
+	// deterministic-trace mode). Pipelined sets ride the same carrier:
+	// stream k+1's hello is in flight while stream k's repair drains, so
+	// a latency-bound round costs RTTs of the deepest set, not the sum
+	// over sets. Peer selection still happens
 	// sequentially in set order before any session starts, so the
 	// probe schedule for a given seed is Pipeline-independent.
 	Pipeline int
@@ -213,15 +209,8 @@ type Node struct {
 	cfg   Config
 	store *store.Store
 	srv   *session.Server
-	// pool is the outbound RSYN v3 carrier pool (nil with DisableMux).
+	// pool is the outbound carrier pool every session rides.
 	pool *session.MuxPool
-	// dialBase is the outbound dialer template with every config
-	// default resolved once at construction; per-session dialers are
-	// copies with only Addr and Set filled in.
-	dialBase session.Dialer
-	// plainDials counts dedicated-connection sessions when the pool is
-	// disabled, so NetStats stays meaningful in both modes.
-	plainDials atomic.Uint64
 
 	// catalog / catalogNames mirror Config.Catalog for placement mode.
 	catalog      map[string]live.Config
@@ -253,7 +242,7 @@ type Node struct {
 
 // New builds a node over the store. The embedded server serves every
 // store set under its namespace (probe, repair, and the set's live
-// protocols), with the default set answering v1 peers.
+// protocols), the default set included.
 func New(cfg Config) (*Node, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("cluster: Config.Store is required")
@@ -293,9 +282,6 @@ func New(cfg Config) (*Node, error) {
 		res = cfg.WrapResolver(res)
 	}
 	cfg.Session.Resolver = res
-	// One mux knob for the whole node: disabling it reverts both
-	// directions (outbound pool and inbound carrier acceptance) to v2.
-	cfg.Session.DisableMux = cfg.Session.DisableMux || cfg.DisableMux
 	// The node and its embedded server must agree on one network, or
 	// anti-entropy would dial a different fabric than it serves. Either
 	// field may name the transport; Config.Transport wins when both set.
@@ -307,7 +293,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:   cfg,
 		store: cfg.Store,
 		srv:   session.NewServer(cfg.Session),
-		dialBase: session.Dialer{
+		pool: &session.MuxPool{
 			Network:        cfg.Network,
 			DialTimeout:    cfg.DialTimeout,
 			SessionTimeout: cfg.SessionTimeout,
@@ -332,14 +318,6 @@ func New(cfg Config) (*Node, error) {
 			n.catalogNames = append(n.catalogNames, cs.Name)
 		}
 		sort.Strings(n.catalogNames)
-	}
-	if !cfg.DisableMux {
-		n.pool = &session.MuxPool{
-			Network:        cfg.Network,
-			DialTimeout:    cfg.DialTimeout,
-			SessionTimeout: cfg.SessionTimeout,
-			Transport:      cfg.Transport,
-		}
 	}
 	return n, nil
 }
@@ -424,9 +402,7 @@ func (n *Node) Close(drain time.Duration) error {
 		close(cancel)
 		<-done
 	}
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 	return n.srv.Shutdown(drain)
 }
 
@@ -531,9 +507,9 @@ func (n *Node) ReconcileOnce() (repaired int, err error) {
 	}
 
 	// Execution phase: probe + escalate per set. Pipeline > 1 overlaps
-	// sets' sessions — over the mux pool they share per-peer carriers,
-	// so stream k+1's hello is in flight while stream k drains and the
-	// round's wall clock is the deepest set's RTTs, not the sum.
+	// sets' sessions — they share per-peer carriers, so stream k+1's
+	// hello is in flight while stream k drains and the round's wall
+	// clock is the deepest set's RTTs, not the sum.
 	type setResult struct {
 		exchanged bool
 		err       error
@@ -747,59 +723,28 @@ func (n *Node) reconcile(name string, ls *live.Set, m *SetMetrics, addr string, 
 	return nil
 }
 
-// do runs one outbound session for h against addr's set namespace:
-// over the pooled v3 carrier by default, or a dedicated per-session
-// connection when mux is disabled (the pool itself also falls back per
-// peer when the remote end predates v3).
+// do runs one outbound session for h against addr's set namespace
+// over the pooled carrier to addr.
 func (n *Node) do(addr, set string, h netproto.Handler) error {
 	// The deadline is per-peer: 8× the peer's EWMA session RTT
 	// (floored, and never looser than the configured SessionTimeout),
 	// so one slow peer times out on its own history instead of holding
 	// the global two-minute budget (health.go).
-	to := n.health.deadline(addr, n.cfg.SessionTimeout)
-	if n.pool != nil {
-		_, err := n.pool.DoTimeout(addr, set, h, to)
-		return err
-	}
-	n.plainDials.Add(1)
-	d := n.dialerFor(addr, set)
-	d.SessionTimeout = to
-	_, err := d.Do(h)
+	_, err := n.pool.DoTimeout(addr, set, h, n.health.deadline(addr, n.cfg.SessionTimeout))
 	return err
 }
 
-// dialerFor stamps the target onto the node's pre-resolved dialer
-// template (the template is built once in New; the old per-call
-// construction re-derived every default for every probe).
-func (n *Node) dialerFor(addr, set string) session.Dialer {
-	d := n.dialBase
-	d.Addr = addr
-	d.Set = set
-	return d
-}
-
 // NetStats reports the node's outbound connection economy: sessions
-// attempted, connections actually dialed, carrier reuses, and plain
-// fallbacks against pre-v3 peers. With mux disabled every session is
-// its own dial.
-func (n *Node) NetStats() session.PoolStats {
-	if n.pool != nil {
-		return n.pool.Stats()
-	}
-	d := n.plainDials.Load()
-	return session.PoolStats{Dials: d, Sessions: d}
-}
+// attempted, carriers actually dialed, and carrier reuses.
+func (n *Node) NetStats() session.PoolStats { return n.pool.Stats() }
 
 // Prewarm establishes the pooled carrier to every current peer,
 // sequentially and in peer order, so a following burst of pipelined
 // sessions shares settled connections instead of racing the dials —
 // the deterministic harness prewarms before pipelined rounds to keep
-// dial traces stable. No-op when mux is disabled; unreachable or
-// pre-v3 peers are not an error here (sessions surface that later).
+// dial traces stable. Unreachable peers are not an error here
+// (sessions surface that later).
 func (n *Node) Prewarm() {
-	if n.pool == nil {
-		return
-	}
 	for _, addr := range n.Peers() {
 		if err := n.pool.Warm(addr); err != nil {
 			n.cfg.Logf("cluster: prewarm %s: %v", addr, err)
@@ -811,12 +756,8 @@ func (n *Node) Prewarm() {
 // peer dials fresh (session.MuxPool.Reset). Deterministic harnesses call
 // it right after changing connectivity — a severed carrier is otherwise
 // detected asynchronously, and detection racing the next use makes the
-// dial trace nondeterministic. No-op when mux is disabled.
-func (n *Node) ResetPool() {
-	if n.pool != nil {
-		n.pool.Reset()
-	}
-}
+// dial trace nondeterministic.
+func (n *Node) ResetPool() { n.pool.Reset() }
 
 // metricsFor returns (creating if needed) the set's metrics struct.
 func (n *Node) metricsFor(name string) *SetMetrics {

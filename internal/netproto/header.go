@@ -14,41 +14,33 @@ import (
 // parameter-digest validation now happen in one negotiated exchange
 // before any protocol traffic flows.
 //
-// Hello frame (initiator → peer):
+// Session hello (initiator → peer):
 //
 //	magic   32 bits  0x5253594E ("RSYN")
-//	version uvarint  wire format version (1 or 2)
+//	version uvarint  2
 //	proto   uvarint  Proto ID
 //	role    uvarint  the initiator's Role
 //	digest  64 bits  parameter digest (per-protocol fold of Params)
-//	set     bytes    v2 only: set namespace (uvarint length + bytes)
+//	set     bytes    set namespace (uvarint length + bytes; empty is
+//	                 the default set)
 //
 // Accept frame (peer → initiator):
 //
 //	status  uvarint  Status code (0 = OK)
 //	digest  64 bits  the peer's own digest, echoed for diagnostics
 //
-// Version negotiation is by construction: a v1 frame IS a v2 frame for
-// the default (empty) namespace, and SendHello only emits version 2
-// when a non-default set is named. A v1 peer therefore interoperates
-// unchanged — it serves and dials the default set and never sees a v2
-// frame unless the operator explicitly asks for a named set, in which
-// case it fails fast with an unsupported-version error instead of
-// silently reconciling against the wrong tenant.
+// There is one session-hello layout: every session names its set, and
+// a version other than 2 or 3 fails the hello.
 //
-// RSYN v3 (the multiplexed carrier) reuses the same first frame: a v3
-// hello is magic + version 3 and nothing else — it opens a carrier
-// connection, not a session, so it names no protocol or set. The
-// accept frame answering it is the standard one (status + digest 0).
-// A pre-v3 server rejects the version and drops the connection without
-// an accept; a v3 dialer treats any failed carrier negotiation as "old
-// peer" and falls back to dialing per-session v1/v2 connections whose
-// bytes are identical to a pre-v3 dialer's.
+// The carrier hello reuses the same first frame: magic + version 3 and
+// nothing else. It opens a multiplexed carrier connection, not a
+// session, so it names no protocol or set; each stream on the carrier
+// then opens with its own session hello. The accept frame answering it
+// is the standard one (status + digest 0).
 const (
-	helloMagic   = 0x5253_594E // "RSYN"
-	wireVersion  = 1
-	wireVersion2 = 2
-	wireVersion3 = 3
+	helloMagic     = 0x5253_594E // "RSYN"
+	sessionVersion = 2
+	carrierVersion = 3
 )
 
 // Status is the peer's verdict on a session hello.
@@ -63,11 +55,11 @@ const (
 	StatusRoleUnavailable Status = 2
 	// StatusDigestMismatch rejects disagreeing parameter digests.
 	StatusDigestMismatch Status = 3
-	// StatusUnknownSet rejects a v2 hello naming a set namespace the
-	// peer does not host.
+	// StatusUnknownSet rejects a hello naming a set namespace the peer
+	// does not host.
 	StatusUnknownSet Status = 4
-	// StatusMuxUnavailable rejects a multiplexed-carrier hello (RSYN
-	// v3) on an endpoint that only runs one session per connection.
+	// StatusMuxUnavailable rejects a carrier hello on an endpoint that
+	// only runs one session per connection.
 	StatusMuxUnavailable Status = 5
 )
 
@@ -95,25 +87,23 @@ type Hello struct {
 	Proto  Proto
 	Role   Role // the initiator's role
 	Digest uint64
-	// Set is the named-set namespace (RSYN v2). Empty is the default
-	// set — the only namespace a v1 peer can address.
+	// Set is the named-set namespace. Empty is the default set.
 	Set string
-	// Mux marks an RSYN v3 carrier hello: the connection will carry
-	// many multiplexed session streams rather than one session, so
-	// Proto, Role, Digest, and Set are all zero.
+	// Mux marks a carrier hello: the connection will carry many
+	// multiplexed session streams rather than one session, so Proto,
+	// Role, Digest, and Set are all zero.
 	Mux bool
 }
 
-// ValidSetName reports whether s may be carried in a v2 hello. The rule
-// is the registry's (store.ValidName: at most 255 bytes, no control
+// ValidSetName reports whether s may be carried in a hello. The rule is
+// the registry's (store.ValidName: at most 255 bytes, no control
 // characters), so a name that can be created can be addressed and vice
-// versa. The empty name is valid — it is the default namespace and
-// travels as a v1 frame.
+// versa. The empty name is valid — it is the default namespace.
 func ValidSetName(s string) bool { return store.ValidName(s) }
 
-// SendHello writes the session header frame: a v1 frame for the default
-// set, a v2 frame carrying the namespace otherwise, and a bare v3 frame
-// (magic + version, nothing else) for a carrier hello.
+// SendHello writes the session header frame: the session layout
+// carrying the namespace, or a bare carrier frame (magic + version,
+// nothing else) for a carrier hello.
 func SendHello(w *Wire, h Hello) error {
 	if h.Mux {
 		if h.Proto != 0 || h.Role != 0 || h.Digest != 0 || h.Set != "" {
@@ -121,7 +111,7 @@ func SendHello(w *Wire, h Hello) error {
 		}
 		e := transport.NewEncoder()
 		e.WriteBits(helloMagic, 32)
-		e.WriteUvarint(wireVersion3)
+		e.WriteUvarint(carrierVersion)
 		return w.Send(e)
 	}
 	if !ValidSetName(h.Set) {
@@ -129,17 +119,11 @@ func SendHello(w *Wire, h Hello) error {
 	}
 	e := transport.NewEncoder()
 	e.WriteBits(helloMagic, 32)
-	if h.Set == "" {
-		e.WriteUvarint(wireVersion)
-	} else {
-		e.WriteUvarint(wireVersion2)
-	}
+	e.WriteUvarint(sessionVersion)
 	e.WriteUvarint(uint64(h.Proto))
 	e.WriteUvarint(uint64(h.Role))
 	e.WriteUint64(h.Digest)
-	if h.Set != "" {
-		e.WriteBytes([]byte(h.Set))
-	}
+	e.WriteBytes([]byte(h.Set))
 	return w.Send(e)
 }
 
@@ -160,7 +144,7 @@ func ReadHello(w *Wire) (Hello, error) {
 	if err != nil {
 		return Hello{}, err
 	}
-	if ver == wireVersion3 {
+	if ver == carrierVersion {
 		// A carrier hello is magic + version and nothing else; trailing
 		// bytes mean a corrupt or hostile frame, not a future extension.
 		if d.Remaining() != 0 {
@@ -168,7 +152,7 @@ func ReadHello(w *Wire) (Hello, error) {
 		}
 		return Hello{Mux: true}, nil
 	}
-	if ver != wireVersion && ver != wireVersion2 {
+	if ver != sessionVersion {
 		return Hello{}, fmt.Errorf("netproto: unsupported wire version %d", ver)
 	}
 	proto, err := d.ReadUvarint()
@@ -190,20 +174,14 @@ func ReadHello(w *Wire) (Hello, error) {
 	if err != nil {
 		return Hello{}, err
 	}
-	h := Hello{Proto: Proto(proto), Role: Role(role), Digest: digest}
-	if ver == wireVersion2 {
-		set, err := d.ReadBytes()
-		if err != nil {
-			return Hello{}, err
-		}
-		h.Set = string(set)
-		if h.Set == "" || !ValidSetName(h.Set) {
-			// An empty v2 namespace must travel as a v1 frame — allowing
-			// both would give the default set two wire spellings.
-			return Hello{}, fmt.Errorf("netproto: bad set name %q in v2 hello", h.Set)
-		}
+	set, err := d.ReadBytes()
+	if err != nil {
+		return Hello{}, err
 	}
-	return h, nil
+	if !ValidSetName(string(set)) {
+		return Hello{}, fmt.Errorf("netproto: bad set name %q in hello", set)
+	}
+	return Hello{Proto: Proto(proto), Role: Role(role), Digest: digest, Set: string(set)}, nil
 }
 
 // SendAccept writes the accept frame answering a hello.
@@ -244,9 +222,7 @@ func Initiate(w *Wire, h Handler) error {
 }
 
 // InitiateSet opens a session for h against the named set on the peer
-// (empty = default). Naming a set emits an RSYN v2 hello; a v1 peer
-// rejects it with an unsupported-version failure rather than serving
-// the wrong tenant.
+// (empty = default).
 func InitiateSet(w *Wire, h Handler, set string) error {
 	if err := SendHello(w, Hello{Proto: h.Proto(), Role: h.Role(), Digest: h.Digest(), Set: set}); err != nil {
 		return err
@@ -262,11 +238,9 @@ func InitiateSet(w *Wire, h Handler, set string) error {
 	return nil
 }
 
-// InitiateMux negotiates an RSYN v3 carrier over w: it sends the bare
-// v3 hello and waits for the peer's accept. Any failure — a pre-v3
-// peer errors on the version and drops the connection without an
-// accept — means the connection cannot carry multiplexed streams; the
-// caller falls back to per-session dialing.
+// InitiateMux negotiates a carrier over w: it sends the bare carrier
+// hello and waits for the peer's accept. Any failure means the
+// connection cannot carry multiplexed streams.
 func InitiateMux(w *Wire) error {
 	if err := SendHello(w, Hello{Mux: true}); err != nil {
 		return err

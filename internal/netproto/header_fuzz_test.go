@@ -34,18 +34,18 @@ func (readOnly) Write(p []byte) (int, error) { return len(p), nil }
 // FuzzReadHello hardens the session-header parser: arbitrary bytes must
 // produce either a clean error or a Hello that survives a re-encode /
 // re-read round trip unchanged. The checked-in corpus
-// (testdata/fuzz/FuzzReadHello) covers v1 and v2 negotiation, junk
-// magic, bad versions, oversized namespaces, and truncated frames; CI
-// runs the fuzzer briefly on top.
+// (testdata/fuzz/FuzzReadHello) covers default-set and named-set
+// hellos, retired version-1 frames, junk magic, bad versions, oversized
+// namespaces, and truncated frames; CI runs the fuzzer briefly on top.
 func FuzzReadHello(f *testing.F) {
-	// Valid v1 hellos (all four classic protocols, both roles).
+	// Valid default-set hellos.
 	f.Add(frameHello(Hello{Proto: ProtoEMD, Role: RoleAlice, Digest: 0xdeadbeef}))
 	f.Add(frameHello(Hello{Proto: ProtoSync, Role: RoleBob, Digest: 0}))
-	// Valid v2 hellos with namespaces.
+	// Valid named-set hellos.
 	f.Add(frameHello(Hello{Proto: ProtoLiveEMD, Role: RoleAlice, Digest: 1, Set: "tenant-a"}))
 	f.Add(frameHello(Hello{Proto: ProtoRepair, Role: RoleAlice, Digest: 42, Set: strings.Repeat("n", 255)}))
-	// Valid v3 carrier hello (magic + version, nothing else), and a v3
-	// frame with trailing bytes (must be rejected).
+	// Valid carrier hello (magic + version 3, nothing else), and a
+	// carrier frame with trailing bytes (must be rejected).
 	f.Add(frameHello(Hello{Mux: true}))
 	f.Add(frame(append(frameHello(Hello{Mux: true})[4:], 0x01)))
 	// Junk: bad magic, empty frame, garbage payload.
@@ -66,7 +66,7 @@ func FuzzReadHello(f *testing.F) {
 		}
 		// Parsed hellos must satisfy the documented invariants...
 		if h.Mux {
-			// A v3 carrier hello names no session: every session field
+			// A carrier hello names no session: every session field
 			// must be zero (the stream hellos that follow carry them).
 			if h.Proto != 0 || h.Role != 0 || h.Digest != 0 || h.Set != "" {
 				t.Fatalf("carrier hello with session fields: %+v", h)

@@ -6,29 +6,28 @@ import (
 	"testing"
 )
 
-// TestHelloV1ByteCompat pins the wire bytes of a default-set hello to
-// the exact v1 encoding: the multi-tenant header change must not move a
-// single bit for v1 peers.
-func TestHelloV1ByteCompat(t *testing.T) {
+// TestHelloByteGolden pins the wire bytes of a session hello: magic,
+// version 2, proto, role, 64-bit digest, and the set namespace — always
+// written, empty for the default set.
+func TestHelloByteGolden(t *testing.T) {
 	got := frameHello(Hello{Proto: ProtoEMD, Role: RoleAlice, Digest: 0x0123456789abcdef})
-	// 4-byte length, then: RSYN magic, version 1, proto 1, role 0,
-	// 64-bit digest — the layout served since PR 1.
 	want := []byte{
-		0x00, 0x00, 0x00, 0x0f, // frame length 15
+		0x00, 0x00, 0x00, 0x10, // frame length 16
 		0x52, 0x53, 0x59, 0x4e, // "RSYN"
-		0x01,                   // version 1
+		0x02,                   // version 2
 		0x01,                   // proto emd
 		0x00,                   // role alice
 		0x01, 0x23, 0x45, 0x67, // digest (big-endian bit order)
 		0x89, 0xab, 0xcd, 0xef,
+		0x00, // set length 0: the default set
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v1 hello bytes changed:\n got %x\nwant %x", got, want)
+		t.Fatalf("hello bytes changed:\n got %x\nwant %x", got, want)
 	}
 }
 
 func TestHelloV2RoundTrip(t *testing.T) {
-	for _, set := range []string{"a", "tenant-a", strings.Repeat("x", 255)} {
+	for _, set := range []string{"", "a", "tenant-a", strings.Repeat("x", 255)} {
 		in := Hello{Proto: ProtoRepair, Role: RoleAlice, Digest: 42, Set: set}
 		var buf bytes.Buffer
 		if err := SendHello(NewWire(&buf), in); err != nil {
@@ -52,20 +51,19 @@ func TestHelloRejectsBadSetNames(t *testing.T) {
 			t.Fatalf("SendHello accepted set %q", set)
 		}
 	}
-	// A hand-built v2 frame smuggling an empty namespace must be
-	// rejected: the default set has exactly one wire spelling (v1).
+	// The retired version-1 layout (no namespace field) is refused: a
+	// session hello has exactly one spelling.
 	raw := []byte{
-		0x00, 0x00, 0x00, 0x10, // frame length 16
+		0x00, 0x00, 0x00, 0x0f, // frame length 15
 		0x52, 0x53, 0x59, 0x4e, // "RSYN"
-		0x02,                   // version 2
+		0x01,                   // version 1
 		0x03,                   // proto sync
 		0x00,                   // role alice
 		0, 0, 0, 0, 0, 0, 0, 0, // digest
-		0x00, // set length 0
 	}
 	h, err := ReadHello(NewWire(readOnly{bytes.NewReader(raw)}))
 	if err == nil {
-		t.Fatalf("v2 hello with empty namespace accepted: %+v", h)
+		t.Fatalf("version-1 hello accepted: %+v", h)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Store-aware handler factories: a session server configured with a
-// Resolver serves every set in a store under its RSYN v2 namespace,
-// with the store's default ("") set answering v1 peers. Sets created
+// Resolver serves every set in a store under its namespace, the
+// store's default ("") set included. Sets created
 // after the server started are served immediately — resolution happens
 // per hello, not at registration time.
 

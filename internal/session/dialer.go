@@ -17,9 +17,8 @@ type Dialer struct {
 	Network string
 	// Addr is the server address (host:port, or a socket path).
 	Addr string
-	// Set names the server-side set namespace to reconcile against
-	// (RSYN v2). Empty dials the default set with a v1 hello, so a zero
-	// Dialer interoperates with v1 servers.
+	// Set names the server-side set namespace to reconcile against.
+	// Empty dials the default set.
 	Set string
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration

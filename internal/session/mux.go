@@ -13,7 +13,7 @@ import (
 	"repro/internal/transport"
 )
 
-// RSYN v3 carrier framing: after the carrier hello/accept exchange,
+// Carrier framing (RSYN v3): after the carrier hello/accept exchange,
 // the connection carries mux frames, each a 4-byte big-endian length
 // prefix followed by a payload of
 //
@@ -24,7 +24,7 @@ import (
 //	                extending exactly to the end of the frame
 //
 // A stream's concatenated data chunks are byte-identical to the byte
-// stream of a dedicated v1/v2 session connection: the session hello,
+// stream of a dedicated session connection: the session hello,
 // accept, and every protocol frame, in netproto.Wire's framing. Each
 // inner wire frame is written as exactly one mux data frame, so frame
 // boundaries — the flush points fault injection keys on — survive
@@ -68,7 +68,7 @@ const (
 // stream.
 var errMuxStreamClosed = errors.New("session: mux stream closed")
 
-// muxConn is one endpoint of an RSYN v3 carrier. Both sides run the
+// muxConn is one endpoint of a carrier. Both sides run the
 // same demux read loop; the side that accepts peer-opened streams
 // (the server) sets onStream, the dialing side opens streams with
 // OpenStream. The read loop must always be draining — that is what

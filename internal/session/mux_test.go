@@ -71,8 +71,7 @@ func (t *recTransport) dialed() []*recorded {
 
 // TestMuxCarrierHelloGolden pins the v3 carrier hello to its exact wire
 // image: one frame of magic "RSYN" plus uvarint version 3, nothing
-// else. Any drift here breaks cross-version interop, so the bytes are
-// asserted literally rather than via the encoder.
+// else. The bytes are asserted literally rather than via the encoder.
 func TestMuxCarrierHelloGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := netproto.SendHello(netproto.NewWire(&buf), netproto.Hello{Mux: true}); err != nil {
@@ -140,10 +139,11 @@ func muxDataPayloads(t *testing.T, raw []byte, stream uint64) []byte {
 	return out.Bytes()
 }
 
-// TestMuxStreamBytesMatchPlainSession is the v3 compat golden test: the
+// TestMuxStreamBytesMatchPlainSession is the carrier golden test: the
 // concatenated data payloads of a multiplexed session's stream must be
-// byte-identical to the byte stream a dedicated v1 connection carries
-// for the same session — mux framing adds routing, never rewrites.
+// byte-identical to the byte stream a dedicated Dialer connection
+// carries for the same session — mux framing adds routing, never
+// rewrites.
 func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 	f := newFixture(t)
 	srv := newTestServer(f, Config{})
@@ -154,7 +154,7 @@ func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 	defer srv.Close()
 	addr := l.Addr().String()
 
-	// Plain v1 session, recorded.
+	// Dedicated-connection session, recorded.
 	plainTr := &recTransport{}
 	h1 := syncHandler(f)
 	if _, err := (Dialer{Addr: addr, Transport: plainTr}).Do(h1); err != nil {
@@ -189,57 +189,73 @@ func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 	}
 }
 
-// TestMuxFallbackBytesIdenticalToPlain pins the downgrade path: against
-// a pre-v3 server (DisableMux), the pool's fallback session must put
-// exactly the bytes of a plain v1/v2 dial on the wire — old servers
-// cannot tell a downgraded v3 client from a v2 one.
-func TestMuxFallbackBytesIdenticalToPlain(t *testing.T) {
+// refuseFirst drops the first connection it accepts without answering
+// — what a dialer sees when a peer garbles or refuses carrier
+// negotiation — and hands every later one to the server.
+type refuseFirst struct {
+	net.Listener
+	refused bool
+}
+
+func (l *refuseFirst) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil || l.refused {
+			return c, err
+		}
+		l.refused = true
+		c.Close()
+	}
+}
+
+// TestMuxFailedNegotiationRedials pins what a failed carrier
+// negotiation costs: the session that needed the carrier fails, and the
+// next session to the same address dials a fresh carrier and rides it —
+// the pool never downgrades a peer to per-session dialing.
+func TestMuxFailedNegotiationRedials(t *testing.T) {
 	f := newFixture(t)
-	srv := newTestServer(f, Config{DisableMux: true})
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
+	srv := newTestServer(f, Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(&refuseFirst{Listener: l}) //nolint:errcheck
 	defer srv.Close()
 	addr := l.Addr().String()
 
 	tr := &recTransport{}
 	pool := &MuxPool{Transport: tr}
 	defer pool.Close()
+	if _, err := pool.Do(addr, "", syncHandler(f)); err == nil {
+		t.Fatal("session over a refused carrier negotiation succeeded")
+	}
 	h := syncHandler(f)
 	if _, err := pool.Do(addr, "", h); err != nil {
-		t.Fatal(err)
+		t.Fatalf("session after the refused negotiation: %v", err)
 	}
 	if err := checkSync(f, h); err != nil {
 		t.Fatal(err)
 	}
-	// Second session: the pool remembers the peer is pre-v3 and must not
-	// retry the carrier.
-	h = syncHandler(f)
-	if _, err := pool.Do(addr, "", h); err != nil {
-		t.Fatal(err)
+	if st := pool.Stats(); st.Dials != 2 || st.Sessions != 2 || st.Reuses != 0 {
+		t.Fatalf("pool stats = %v, want 2 dials, 2 sessions, 0 reuses", st)
 	}
-
-	plainTr := &recTransport{}
-	hp := syncHandler(f)
-	if _, err := (Dialer{Addr: addr, Transport: plainTr}).Do(hp); err != nil {
-		t.Fatal(err)
-	}
-
 	conns := tr.dialed()
-	if len(conns) != 3 {
-		t.Fatalf("pool dialed %d conns, want 3 (carrier attempt + 2 fallbacks)", len(conns))
+	if len(conns) != 2 {
+		t.Fatalf("pool dialed %d conns, want 2", len(conns))
 	}
-	plainBytes := plainTr.dialed()[0].bytes()
-	if !bytes.Equal(conns[1].bytes(), plainBytes) {
-		t.Fatalf("fallback session bytes differ from plain dial")
+	// The re-dialed connection is a carrier, not a plain session: it
+	// opens with the bare carrier hello and carries the session as a
+	// stream.
+	var hello bytes.Buffer
+	if err := netproto.SendHello(netproto.NewWire(&hello), netproto.Hello{Mux: true}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(conns[2].bytes(), plainBytes) {
-		t.Fatalf("memoized fallback session bytes differ from plain dial")
+	raw := conns[1].bytes()
+	if !bytes.HasPrefix(raw, hello.Bytes()) {
+		t.Fatalf("re-dialed conn opens with %x, want the carrier hello %x", raw[:min(len(raw), 16)], hello.Bytes())
 	}
-	st := pool.Stats()
-	if st.Fallbacks != 2 || st.Sessions != 2 || st.Dials != 3 {
-		t.Fatalf("pool stats = %v, want 2 fallbacks, 2 sessions, 3 dials", st)
+	if len(muxDataPayloads(t, raw, 1)) == 0 {
+		t.Fatal("re-dialed carrier carried no session stream")
 	}
 }
 

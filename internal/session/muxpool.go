@@ -14,17 +14,11 @@ import (
 // ErrPoolClosed is returned by MuxPool.Do after Close.
 var ErrPoolClosed = errors.New("session: mux pool closed")
 
-// errMuxUnsupported marks a peer that did not complete RSYN v3 carrier
-// negotiation; the pool remembers it and dials that address plain.
-var errMuxUnsupported = errors.New("session: peer does not speak RSYN v3")
-
-// MuxPool runs client sessions over pooled RSYN v3 carriers: one live
+// MuxPool runs client sessions over pooled carriers: one live
 // multiplexed connection per address, dialed lazily, health-checked on
-// every use, and re-dialed after a cut. Peers that fail carrier
-// negotiation (pre-v3 servers drop the hello without an accept; v3
-// servers with mux disabled do the same) are remembered and dialed with
-// a plain per-session connection — literally Dialer.Do, so the fallback
-// is byte-identical to RSYN v2/v1.
+// every use, and re-dialed after a cut. A failed carrier dial or
+// negotiation fails only the session that needed it; the next session
+// to that address dials a fresh carrier.
 //
 // Concurrent Do calls against one address share the carrier: each runs
 // on its own stream, and a session's opening flight (hello plus first
@@ -50,47 +44,50 @@ type MuxPool struct {
 	entries map[string]*poolEntry
 	closed  bool
 
-	dials     atomic.Uint64
-	reuses    atomic.Uint64
-	fallbacks atomic.Uint64
-	sessions  atomic.Uint64
+	dials    atomic.Uint64
+	reuses   atomic.Uint64
+	sessions atomic.Uint64
 }
 
 // poolEntry is the per-address slot. Its lock single-flights the dial:
 // concurrent sessions to a cold address queue behind one carrier dial
 // instead of racing their own.
 type poolEntry struct {
-	mu        sync.Mutex
-	m         *muxConn // live carrier, nil before first dial; replaced when dead
-	plainOnly bool     // peer failed v3 negotiation; dial plain from now on
+	mu sync.Mutex
+	m  *muxConn // live carrier, nil before first dial; replaced when dead
 }
 
 // PoolStats counts the pool's work since creation.
 type PoolStats struct {
-	// Dials is the number of connections actually dialed: carriers plus
-	// plain-fallback sessions. The dial-amortization win is Sessions -
-	// Dials.
+	// Dials is the number of carrier connections actually dialed. The
+	// dial-amortization win is Sessions - Dials.
 	Dials uint64
 	// Reuses counts sessions that rode an already-live carrier.
 	Reuses uint64
-	// Fallbacks counts sessions dialed plain against non-v3 peers.
-	Fallbacks uint64
 	// Sessions counts all sessions attempted through the pool.
 	Sessions uint64
 }
 
 func (st PoolStats) String() string {
-	return fmt.Sprintf("%d sessions over %d dials (%d reused, %d plain fallback)",
-		st.Sessions, st.Dials, st.Reuses, st.Fallbacks)
+	return fmt.Sprintf("%d sessions over %d dials (%d reused)", st.Sessions, st.Dials, st.Reuses)
+}
+
+// Add returns the field-wise sum of two tallies, for totals across
+// pools.
+func (st PoolStats) Add(o PoolStats) PoolStats {
+	return PoolStats{
+		Dials:    st.Dials + o.Dials,
+		Reuses:   st.Reuses + o.Reuses,
+		Sessions: st.Sessions + o.Sessions,
+	}
 }
 
 // Stats snapshots the pool's counters.
 func (p *MuxPool) Stats() PoolStats {
 	return PoolStats{
-		Dials:     p.dials.Load(),
-		Reuses:    p.reuses.Load(),
-		Fallbacks: p.fallbacks.Load(),
-		Sessions:  p.sessions.Load(),
+		Dials:    p.dials.Load(),
+		Reuses:   p.reuses.Load(),
+		Sessions: p.sessions.Load(),
 	}
 }
 
@@ -122,10 +119,9 @@ func (p *MuxPool) transport() Transport {
 	return p.Transport
 }
 
-// Do runs one session for h against the named set at addr, reusing the
-// pooled carrier when the peer speaks v3 and falling back to a plain
-// dial when it does not. Results are read from h afterwards, exactly as
-// with Dialer.Do.
+// Do runs one session for h against the named set at addr on the
+// pooled carrier, dialing one first if none is live. Results are read
+// from h afterwards, exactly as with Dialer.Do.
 func (p *MuxPool) Do(addr, set string, h netproto.Handler) (transport.Stats, error) {
 	return p.DoTimeout(addr, set, h, 0)
 }
@@ -136,31 +132,26 @@ func (p *MuxPool) Do(addr, set string, h netproto.Handler) (transport.Stats, err
 // the pool default.
 func (p *MuxPool) DoTimeout(addr, set string, h netproto.Handler, timeout time.Duration) (transport.Stats, error) {
 	p.sessions.Add(1)
-	m, plain, err := p.carrier(addr)
+	m, err := p.carrier(addr)
 	if err != nil {
 		return transport.Stats{}, err
-	}
-	if plain {
-		return p.plainDo(addr, set, h, timeout)
 	}
 	return p.runStream(m, set, h, timeout)
 }
 
 // Warm establishes the carrier for addr if none is live, so later
-// concurrent sessions share it instead of racing the dial. Warming a
-// plain-only peer is a no-op.
+// concurrent sessions share it instead of racing the dial.
 func (p *MuxPool) Warm(addr string) error {
-	_, _, err := p.carrier(addr)
+	_, err := p.carrier(addr)
 	return err
 }
 
-// carrier returns a live carrier for addr, dialing one if needed, or
-// plain=true for peers that must be dialed per-session.
-func (p *MuxPool) carrier(addr string) (m *muxConn, plain bool, err error) {
+// carrier returns a live carrier for addr, dialing one if needed.
+func (p *MuxPool) carrier(addr string) (*muxConn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, false, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 	if p.entries == nil {
 		p.entries = make(map[string]*poolEntry)
@@ -174,32 +165,19 @@ func (p *MuxPool) carrier(addr string) (m *muxConn, plain bool, err error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.plainOnly {
-		p.fallbacks.Add(1)
-		return nil, true, nil
-	}
 	if e.m != nil && e.m.alive() {
 		p.reuses.Add(1)
-		return e.m, false, nil
+		return e.m, nil
 	}
-	m, err = p.dialCarrier(addr)
+	m, err := p.dialCarrier(addr)
 	if err != nil {
-		if errors.Is(err, errMuxUnsupported) {
-			// Memoized: every later session to this peer dials plain
-			// without re-probing. (A connection cut during negotiation
-			// lands here too — the cost is plain dialing against a v3
-			// peer, which remains correct, just unpooled.)
-			e.plainOnly = true
-			p.fallbacks.Add(1)
-			return nil, true, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
 	e.m = m
-	return m, false, nil
+	return m, nil
 }
 
-// dialCarrier dials addr and negotiates an RSYN v3 carrier on it.
+// dialCarrier dials addr and negotiates a carrier on it.
 func (p *MuxPool) dialCarrier(addr string) (*muxConn, error) {
 	network := p.network()
 	conn, err := p.transport().DialTimeout(network, addr, p.dialTimeout())
@@ -215,11 +193,7 @@ func (p *MuxPool) dialCarrier(addr string) (*muxConn, error) {
 	w.Release()
 	if err != nil {
 		conn.Close()
-		// A pre-v3 server fails version negotiation and drops the
-		// connection without an accept; a v3 server with mux disabled
-		// does the same, and one that serves carriers elsewhere answers
-		// StatusMuxUnavailable. All mean: dial this peer plain.
-		return nil, fmt.Errorf("%w: %v", errMuxUnsupported, err)
+		return nil, fmt.Errorf("session: carrier negotiation with %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
 	m := newMuxConn(conn, nil)
@@ -266,37 +240,18 @@ func (p *MuxPool) runStream(m *muxConn, set string, h netproto.Handler, timeout 
 	return w.Stats(), nil
 }
 
-// plainDo runs one session over its own connection, exactly as the
-// pre-mux client would (the wire bytes are identical to Dialer.Do).
-func (p *MuxPool) plainDo(addr, set string, h netproto.Handler, timeout time.Duration) (transport.Stats, error) {
-	p.dials.Add(1)
-	if timeout == 0 {
-		timeout = p.SessionTimeout
-	}
-	d := Dialer{
-		Network:        p.Network,
-		Addr:           addr,
-		Set:            set,
-		DialTimeout:    p.DialTimeout,
-		SessionTimeout: timeout,
-		Transport:      p.Transport,
-	}
-	return d.Do(h)
-}
-
 // errPoolReset fails whatever streams are still live on a carrier the
 // pool dropped via Reset.
 var errPoolReset = errors.New("session: pool reset")
 
 // Reset drops every pooled carrier: each is shut down and forgotten, so
-// the next session per address dials fresh. The pool stays open and the
-// plain-only memo survives (v3 support is a peer property, not a
-// connection one). The point is determinism around network faults: a
-// carrier severed by a partition is detected asynchronously by its read
-// loop, so whether the next session sees "carrier failed" or a fresh
-// dial is a race — a caller that knows connectivity just changed (the
-// scenario harness applying a fault round) resets instead, making every
-// post-fault session start from the same cold state.
+// the next session per address dials fresh. The pool stays open. The
+// point is determinism around network faults: a carrier severed by a
+// partition is detected asynchronously by its read loop, so whether
+// the next session sees "carrier failed" or a fresh dial is a race — a
+// caller that knows connectivity just changed (the scenario harness
+// applying a fault round) resets instead, making every post-fault
+// session start from the same cold state.
 func (p *MuxPool) Reset() {
 	p.mu.Lock()
 	entries := make([]*poolEntry, 0, len(p.entries))

@@ -39,17 +39,11 @@ type Config struct {
 	// (successfully or not), from the session's goroutine. Use it to
 	// harvest typed results from the session's Handler.
 	OnSession func(*Session)
-	// DisableMux makes the server behave like a pre-v3 peer: an RSYN v3
-	// carrier hello is dropped without an accept (byte-identically to an
-	// old server failing version negotiation), so v3 dialers fall back
-	// to one plain connection per session. Plain v1/v2 hellos are served
-	// either way.
-	DisableMux bool
-	// Resolver, when set, resolves named-set hellos (RSYN v2) that no
-	// statically registered factory covers — typically
-	// netproto.StoreResolver over a multi-tenant store. It is consulted
-	// for the default set too, so a store's "" set serves v1 peers.
-	// Static registrations win when both exist.
+	// Resolver, when set, resolves set hellos that no statically
+	// registered factory covers — typically netproto.StoreResolver over
+	// a multi-tenant store. It is consulted for the default set too, so
+	// a store's "" set is served. Static registrations win when both
+	// exist.
 	Resolver netproto.Resolver
 	// Logf, when set, receives one line per session and per accept
 	// error (e.g. log.Printf).
@@ -125,10 +119,9 @@ func (s *Server) Handle(factory func() netproto.Handler) {
 }
 
 // HandleSet registers a handler factory under a set namespace: only
-// hellos naming that set (RSYN v2; the empty name is the default set v1
-// peers address) are dispatched to it. For serving a whole store of
-// named sets, Config.Resolver scales better than enumerating
-// registrations.
+// hellos naming that set (the empty name is the default set) are
+// dispatched to it. For serving a whole store of named sets,
+// Config.Resolver scales better than enumerating registrations.
 func (s *Server) HandleSet(set string, factory func() netproto.Handler) {
 	probe := factory()
 	s.mu.Lock()
@@ -306,9 +299,9 @@ func (s *Server) ListenAndServe(network, addr string) error {
 	return s.Serve(l)
 }
 
-// serveConn negotiates and runs one connection: a plain v1/v2 hello is
-// one session, an RSYN v3 carrier hello turns the connection into a
-// long-lived mux whose streams are the sessions.
+// serveConn negotiates and runs one connection: a session hello is one
+// session, a carrier hello turns the connection into a long-lived mux
+// whose streams are the sessions.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	// billed: this connection counts as one in-flight session unit. A
@@ -370,13 +363,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	if hello.Mux {
-		if s.cfg.DisableMux {
-			// Byte-identical to a pre-v3 server, which fails version
-			// negotiation and drops the connection without an accept;
-			// the dialer's pool falls back to plain per-session dials.
-			s.finish(sess, fmt.Errorf("session: v3 carrier hello refused (mux disabled)"))
-			return
-		}
 		if err := netproto.SendAccept(w, netproto.StatusOK, 0); err != nil {
 			s.finish(sess, err)
 			return
@@ -401,8 +387,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.runHello(w, hello, sess)
 }
 
-// runHello dispatches and runs one session whose (plain v1/v2) hello
-// has been read from w; it always routes through finish, and returns
+// runHello dispatches and runs one session whose session hello has
+// been read from w; it always routes through finish, and returns
 // the session's terminal error for the caller's teardown decisions.
 func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session) error {
 	sess.proto = hello.Proto
@@ -451,7 +437,7 @@ func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session)
 	return err
 }
 
-// serveMux demultiplexes a negotiated RSYN v3 carrier until the
+// serveMux demultiplexes a negotiated carrier until the
 // connection dies. Each peer-opened stream is billed as a session unit
 // synchronously from the carrier's read loop — before any of the
 // stream's bytes are readable — so a Quiesce barrier that has observed
@@ -492,7 +478,7 @@ func (s *Server) serveMux(conn net.Conn) {
 }
 
 // serveStream runs one multiplexed session: the stream carries exactly
-// the byte stream a dedicated v1/v2 connection would.
+// the byte stream a dedicated session connection would.
 func (s *Server) serveStream(m *muxConn, st *muxStream) {
 	defer s.wg.Done()
 	// Clean exits close quietly: the protocol's terminal frame already

@@ -47,8 +47,7 @@ func (s *Session) Peer() string { return s.peer }
 // Proto is the negotiated protocol.
 func (s *Session) Proto() netproto.Proto { return s.proto }
 
-// Set is the negotiated set namespace (empty for the default set, which
-// is all a v1 peer can address).
+// Set is the negotiated set namespace (empty for the default set).
 func (s *Session) Set() string { return s.set }
 
 // Role is the role this endpoint played in the session.

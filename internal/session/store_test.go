@@ -61,13 +61,13 @@ func probeVia(t *testing.T, addr, set string, local *live.Set) error {
 }
 
 func TestNamedSetDispatch(t *testing.T) {
-	_, st, l := newStoreServer(t, Config{})
+	srv, st, l := newStoreServer(t, Config{})
 	space := metric.HammingCube(32)
 	local, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: 99}}, randomPoints(space, 4, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default set via v1 hello, named sets via v2.
+	// The default set and named sets, all through the one hello layout.
 	for _, set := range []string{"", "tenant-a", "tenant-b"} {
 		if err := probeVia(t, l.Addr().String(), set, local); err != nil {
 			t.Fatalf("probe of set %q: %v", set, err)
@@ -84,6 +84,8 @@ func TestNamedSetDispatch(t *testing.T) {
 	if _, err := (Dialer{Addr: l.Addr().String(), Set: "tenant-a"}).Do(init); err != nil {
 		t.Fatalf("repair of tenant-a: %v", err)
 	}
+	// The responder merges after its final frame; settle it first.
+	srv.Quiesce()
 	if local.IDFingerprint() != a.IDFingerprint() {
 		t.Fatal("repair did not converge client with tenant-a")
 	}

@@ -116,12 +116,6 @@ type Scenario struct {
 	// Streak is how many consecutive all-converged rounds end the run
 	// (default 1).
 	Streak int
-	// DisableMux runs the whole mesh on RSYN v2 networking — one
-	// dedicated connection per session — instead of the default pooled
-	// v3 carriers. It is the before-side of the dial-amortization
-	// comparison: same scenario, same seed, only the transport economy
-	// differs.
-	DisableMux bool
 	// Pipeline is each node's in-round reconcile concurrency
 	// (cluster.Config.Pipeline; default 1 = strictly sequential). When
 	// > 1, the harness prewarms every node's carrier pool before
@@ -196,9 +190,8 @@ type Result struct {
 	// is also a trace line, so trace diffs catch them too).
 	Failures []string
 	// Dials / Sessions total the mesh's outbound connection economy
-	// over the driven rounds (canary excluded): connections actually
-	// dialed vs. sessions run. With pooled carriers Sessions >> Dials;
-	// with DisableMux they are equal.
+	// over the driven rounds (canary excluded): carriers actually
+	// dialed vs. sessions run (Sessions >> Dials).
 	Dials    uint64
 	Sessions uint64
 	// Probes totals the mesh's outbound probe sessions over the driven
@@ -207,9 +200,8 @@ type Result struct {
 	Probes uint64
 	// DialsByRound breaks Dials down per driven round (round 0 includes
 	// any prewarm dials). Pooled carriers front-load dialing — steady
-	// rounds after the first dial little to nothing — while DisableMux
-	// dials every round; the per-round shape is what the
-	// dial-amortization gate asserts on.
+	// rounds after the first dial little to nothing; the per-round
+	// shape is what the dial-amortization gate asserts on.
 	DialsByRound []uint64
 	trace        []string
 }
@@ -523,7 +515,7 @@ func (r *run) buildMesh() error {
 	for i, n := range r.nodes {
 		n.SetPeers(r.peersOf(i))
 	}
-	if r.sc.Pipeline > 1 && !r.sc.DisableMux {
+	if r.sc.Pipeline > 1 {
 		// Pipelined rounds overlap sessions; establishing every carrier
 		// now, sequentially and in node order, keeps the dial events in
 		// the trace deterministic when the overlapped sessions start.
@@ -595,7 +587,6 @@ func (r *run) startNode(i int, st *store.Store, seeds []string) error {
 		Choices:        r.sc.Choices,
 		DialTimeout:    5 * time.Second,
 		SessionTimeout: 30 * time.Second,
-		DisableMux:     r.sc.DisableMux,
 		Pipeline:       r.sc.Pipeline,
 		Transport:      r.net.Host(host(i)),
 	}
@@ -754,18 +745,16 @@ func (r *run) killNode(i int) {
 		}
 	}
 	r.killFP[i] = fps
-	// Fold the dead incarnation's connection economy into the run
-	// totals before its pool disappears.
-	st := n.NetStats()
-	r.netBase.Dials += st.Dials
-	r.netBase.Sessions += st.Sessions
-	r.netBase.Reuses += st.Reuses
-	r.netBase.Fallbacks += st.Fallbacks
+	r.retireNet(n)
 	n.Close(0) //nolint:errcheck
 	r.durables[i].Crash()
 	r.nodes[i] = nil
 	r.tracef("fault: kill %s", host(i))
 }
+
+// retireNet folds a departing incarnation's connection economy into
+// the run totals before its pool disappears.
+func (r *run) retireNet(n *cluster.Node) { r.netBase = r.netBase.Add(n.NetStats()) }
 
 // restartNode brings node i back from its data directory: recover the
 // store, assert every set's fingerprint equals the kill-time value
@@ -823,13 +812,7 @@ func (r *run) leaveNode(i int) {
 	if err := n.Leave(2 * time.Second); err != nil {
 		r.failf("leave node %d: %v", i, err)
 	}
-	// Fold the departed incarnation's connection economy into the run
-	// totals before its pool disappears.
-	st := n.NetStats()
-	r.netBase.Dials += st.Dials
-	r.netBase.Sessions += st.Sessions
-	r.netBase.Reuses += st.Reuses
-	r.netBase.Fallbacks += st.Fallbacks
+	r.retireNet(n)
 	r.nodes[i] = nil
 	r.gossips[i] = nil
 	r.departed[i] = true
@@ -1160,24 +1143,18 @@ func (r *run) drive() {
 	}
 	// Connection economy across the mesh: under pooled carriers the
 	// dial count stays near the peer-pair count while sessions grow
-	// with rounds × sets; with DisableMux every session is a dial. The
-	// line is part of the trace, so a regression in reuse (an
-	// accidentally re-dialing pool, a carrier dropped per round) shows
-	// up as a trace diff, not just a slower run.
-	dials, sessions := r.netBase.Dials, r.netBase.Sessions
-	reuses, fallbacks := r.netBase.Reuses, r.netBase.Fallbacks
+	// with rounds × sets. The line is part of the trace, so a
+	// regression in reuse (an accidentally re-dialing pool, a carrier
+	// dropped per round) shows up as a trace diff, not just a slower
+	// run.
+	total := r.netBase
 	for _, n := range r.nodes {
-		if n == nil {
-			continue
+		if n != nil {
+			total = total.Add(n.NetStats())
 		}
-		st := n.NetStats()
-		dials += st.Dials
-		sessions += st.Sessions
-		reuses += st.Reuses
-		fallbacks += st.Fallbacks
 	}
-	r.res.Dials, r.res.Sessions = dials, sessions
-	r.tracef("net: %d sessions over %d dials (%d reused, %d plain fallback)", sessions, dials, reuses, fallbacks)
+	r.res.Dials, r.res.Sessions = total.Dials, total.Sessions
+	r.tracef("net: %s", total)
 }
 
 // checkRecovered asserts the durable-recovery convergence economy:

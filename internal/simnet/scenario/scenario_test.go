@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -217,5 +218,43 @@ func TestKillRequiresDurable(t *testing.T) {
 	sc.Durable = false
 	if _, err := Run(sc, 1); err == nil {
 		t.Fatal("kill fault accepted without Durable")
+	}
+}
+
+// TestPoisonedPeerRedialsCarrier pins poisoned-peer's round-0 flip: the
+// garbled carrier hello on node1->node2 fails that one session and the
+// next session re-dials a carrier, so the whole run stays on pooled
+// carriers (fewer than 20 dials) while every byzantine invariant —
+// honest convergence, zero corrupt points accepted, the byzantine peer
+// quarantined on every honest ledger — still holds (Ok covers them).
+func TestPoisonedPeerRedialsCarrier(t *testing.T) {
+	sc, _ := Lookup("poisoned-peer")
+	res, err := Run(sc, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Fatalf("invariants failed: %v\ntrace:\n%s", res.Failures, res.TraceText())
+	}
+	trace := res.TraceText()
+	for _, want := range []string{"net: flip node1->node2", "carrier negotiation with node2"} {
+		if !strings.Contains(trace, want) {
+			t.Fatalf("trace is missing %q; the flip fault never bit the carrier hello", want)
+		}
+	}
+	var sessions, dials, reuses uint64
+	found := false
+	for _, line := range res.Trace() {
+		if strings.HasPrefix(line, "net: ") {
+			if _, err := fmt.Sscanf(line, "net: %d sessions over %d dials (%d reused)", &sessions, &dials, &reuses); err == nil {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no net: summary line in trace:\n%s", trace)
+	}
+	if dials >= 20 || dials != res.Dials {
+		t.Fatalf("net: %d sessions over %d dials (result %d): want fewer than 20 dials", sessions, dials, res.Dials)
 	}
 }

@@ -122,7 +122,7 @@ func Builtin() []Scenario {
 		},
 		{
 			Name:      "poisoned-peer",
-			Desc:      "4-node mesh with one byzantine member (node 3) that serves corrupted repair payloads and never initiates; a flip fault also garbles carrier negotiation on an honest link at round 0. Honest nodes must verify-before-merge (zero corrupt points accepted), converge to the honest ground truth anyway, and every honest health ledger must end with the byzantine peer quarantined.",
+			Desc:      "4-node mesh with one byzantine member (node 3) that serves corrupted repair payloads and never initiates; a flip fault also garbles the carrier hello on an honest link at round 0, failing that one session (the next one re-dials a fresh carrier). Honest nodes must verify-before-merge (zero corrupt points accepted), converge to the honest ground truth anyway, and every honest health ledger must end with the byzantine peer quarantined.",
 			Nodes:     4,
 			Byzantine: []int{3},
 			Choices:   3,

@@ -1,7 +1,7 @@
 // Package store is the multi-tenant set registry: one server process
 // hosting many named live.Sets, each with its own protocol parameters,
 // lifecycle, and epoch'd snapshot caching. It replaces the session
-// server's single-set assumption — the RSYN v2 session header names a
+// server's single-set assumption — the RSYN session hello names a
 // set, and the store is what that name resolves against.
 //
 // The registry itself is a read-mostly map under an RWMutex: session
@@ -12,8 +12,7 @@
 // holds its lock across set operations, so a slow sketch rebuild on one
 // tenant cannot stall lookups of another.
 //
-// The empty name "" is the default set: the namespace v1 peers (whose
-// hellos cannot carry a set) are served from.
+// The empty name "" is the default set.
 package store
 
 import (
@@ -25,7 +24,7 @@ import (
 	"repro/internal/metric"
 )
 
-// MaxNameLen bounds set names; the RSYN v2 session header enforces the
+// MaxNameLen bounds set names; the RSYN session hello enforces the
 // same bound on the wire (netproto.ValidSetName delegates to ValidName).
 const MaxNameLen = 255
 

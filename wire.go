@@ -215,13 +215,12 @@ func NewLiveSyncResponderFactory(p SyncWireParams, ls *LiveSet) (func() SessionH
 
 // ---------------------------------------------------------------------------
 // Multi-tenant set store and the anti-entropy cluster (internal/store,
-// internal/cluster): one server hosting many named live sets under RSYN
-// v2 namespaces, and mesh nodes converging those sets with their peers
+// internal/cluster): one server hosting many named live sets under
+// session-hello namespaces, and mesh nodes converging those sets with their peers
 // continuously.
 
 // SetStore is a concurrent registry of named LiveSets, each with its
-// own protocol parameters. The empty name is the default set, which v1
-// peers (whose hellos carry no namespace) are served from.
+// own protocol parameters. The empty name is the default set.
 type SetStore = store.Store
 
 // NewSetStore builds an empty store; serve it by setting
