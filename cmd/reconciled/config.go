@@ -1,27 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 )
 
 // Config-file support: every flag can instead come from a file, so a
 // deployment ships one reviewed config instead of a 20-flag command
-// line. Two formats, detected by the first non-space byte:
+// line. The format is flat "flag-name: value" lines (comments with #,
+// values optionally quoted) — a YAML subset, without pulling in a YAML
+// dependency. Values reach flag.Set as text, so a uint64 seed loads
+// exactly:
 //
-//   - a JSON object of flag-name → scalar:  {"listen": ":7441", "n": 256}
-//   - a YAML subset of "flag-name: value" lines (comments with #,
-//     values optionally quoted) — enough for flat key/value configs
-//     without pulling in a YAML dependency:
-//
-//     # reconciled.yaml
-//     listen: :7441
-//     sets: alpha,beta
-//     data-dir: /var/lib/reconciled
+//	# reconciled.yaml
+//	listen: :7441
+//	sets: alpha,beta
+//	data-dir: /var/lib/reconciled
 //
 // Precedence is strict: a flag passed explicitly on the command line
 // always beats the file; the file beats built-in defaults. Keys must
@@ -58,46 +54,16 @@ func applyConfigFile(path string, fs *flag.FlagSet) error {
 	return nil
 }
 
-// parseConfig dispatches on the document's first non-space byte.
+// parseConfig reads the flat "flag: value" lines into a key → value map.
 func parseConfig(raw []byte) (map[string]string, error) {
-	trimmed := strings.TrimSpace(string(raw))
-	if strings.HasPrefix(trimmed, "{") {
-		return parseJSONConfig(raw)
-	}
-	return parseYAMLConfig(trimmed)
-}
-
-func parseJSONConfig(raw []byte) (map[string]string, error) {
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(doc))
-	for key, v := range doc {
-		switch val := v.(type) {
-		case string:
-			out[key] = val
-		case bool:
-			out[key] = strconv.FormatBool(val)
-		case float64:
-			if val == float64(int64(val)) {
-				out[key] = strconv.FormatInt(int64(val), 10)
-			} else {
-				out[key] = strconv.FormatFloat(val, 'g', -1, 64)
-			}
-		default:
-			return nil, fmt.Errorf("key %q: value must be a string, number or bool", key)
-		}
-	}
-	return out, nil
-}
-
-func parseYAMLConfig(doc string) (map[string]string, error) {
 	out := make(map[string]string)
-	for i, line := range strings.Split(doc, "\n") {
+	for i, line := range strings.Split(string(raw), "\n") {
 		s := strings.TrimSpace(line)
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue
+		}
+		if strings.HasPrefix(s, "{") {
+			return nil, fmt.Errorf("line %d: JSON is not supported; write one \"flag: value\" per line", i+1)
 		}
 		key, value, ok := strings.Cut(s, ":")
 		if !ok {

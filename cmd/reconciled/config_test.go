@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,7 +48,7 @@ n: 256            # ignored: -n was passed explicitly
 verbose: false
 noise: 3.5
 interval: 250ms
-seed: 42
+seed: 18446744073709551615
 data-dir: "/var/lib/reconciled"
 `)
 	if err := applyConfigFile(path, fs); err != nil {
@@ -67,7 +69,7 @@ data-dir: "/var/lib/reconciled"
 	if got := *vals["interval"].(*time.Duration); got != 250*time.Millisecond {
 		t.Errorf("interval = %v", got)
 	}
-	if got := *vals["seed"].(*uint64); got != 42 {
+	if got := *vals["seed"].(*uint64); got != math.MaxUint64 {
 		t.Errorf("seed = %d", got)
 	}
 	if got := *vals["data-dir"].(*string); got != "/var/lib/reconciled" {
@@ -75,26 +77,26 @@ data-dir: "/var/lib/reconciled"
 	}
 }
 
-func TestConfigFileJSON(t *testing.T) {
-	fs, vals := testFlagSet()
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	path := writeConfig(t, `{"listen": ":7441", "n": 128, "verbose": false, "noise": 1.25}`)
-	if err := applyConfigFile(path, fs); err != nil {
-		t.Fatal(err)
-	}
-	if got := *vals["listen"].(*string); got != ":7441" {
-		t.Errorf("listen = %q", got)
-	}
-	if got := *vals["n"].(*int); got != 128 {
-		t.Errorf("n = %d", got)
-	}
-	if *vals["verbose"].(*bool) {
-		t.Error("verbose not overridden")
-	}
-	if got := *vals["noise"].(*float64); got != 1.25 {
-		t.Errorf("noise = %v", got)
+// TestConfigFileRejectsJSON: the file format is flat "flag: value"
+// lines only. A JSON document must fail startup with an error naming
+// that format — a JSON number decodes through float64, which would
+// silently round a uint64 -seed.
+func TestConfigFileRejectsJSON(t *testing.T) {
+	for _, body := range []string{
+		`{"seed": 9007199254740993}`,
+		"\n{\n  \"listen\": \":7441\"\n}\n",
+	} {
+		fs, vals := testFlagSet()
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		err := applyConfigFile(writeConfig(t, body), fs)
+		if err == nil || !strings.Contains(err.Error(), `"flag: value"`) {
+			t.Errorf("%q: err = %v, want a rejection naming the \"flag: value\" format", body, err)
+		}
+		if got := *vals["seed"].(*uint64); got != 1 {
+			t.Errorf("%q: seed = %d, want the default 1 left untouched", body, got)
+		}
 	}
 }
 
@@ -105,8 +107,6 @@ func TestConfigFileErrors(t *testing.T) {
 		{"bad value for typed flag", "n: not-a-number\n"},
 		{"structure line", "cluster:\n  peers: a\n"},
 		{"duplicate key", "n: 1\nn: 2\n"},
-		{"malformed JSON", `{"listen": }`},
-		{"non-scalar JSON", `{"listen": [1,2]}`},
 	}
 	for _, tc := range cases {
 		fs, _ := testFlagSet()

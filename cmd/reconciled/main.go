@@ -14,8 +14,6 @@
 //	reconciled -listen unix:/tmp/reconciled.sock  # same, unix socket
 //	reconciled -connect :7444 -proto emd          # one client session
 //	reconciled -connect :7444 -proto gap
-//	reconciled -demo 12                           # in-process server + 12
-//	                                              # concurrent mixed clients
 //
 // With -mutate M the server's sets become live sets (robustsync
 // epoch-tagged mutable state): the EMD sketch, Gap key payloads and
@@ -27,9 +25,6 @@
 //	                                              # replacements per second
 //	reconciled -connect :7444 -proto live-emd -mutate 1  # two sessions on
 //	                                              # one cache: full, delta
-//	reconciled -demo 12 -mutate 50                # wave of peers, 50
-//	                                              # mutations, second wave
-//	                                              # takes the delta path
 //
 // With -cluster the daemon becomes an anti-entropy mesh member: a
 // multi-tenant store of named sets (-sets), served under their
@@ -42,8 +37,6 @@
 // single-set clients (-connect ... -proto sync) reconcile against it.
 //
 //	reconciled -listen :7441 -cluster :7442,:7443 -sets alpha,beta
-//	reconciled -cluster-demo 3                    # in-process 3-node mesh:
-//	                                              # diverge, churn, converge
 //
 // With -data-dir the cluster modes become crash-recoverable: every
 // named set keeps a write-ahead journal plus epoch snapshots under the
@@ -55,8 +48,6 @@
 // with the mesh through the ordinary delta tiers.
 //
 //	reconciled -listen :7441 -cluster :7442 -data-dir /var/lib/reconciled
-//	reconciled -cluster-demo 3 -data-dir /tmp/rd  # converge, drain, then
-//	                                              # verify recovery matches
 //
 // With -join the mesh becomes self-organising: the daemon gossips a
 // SWIM-style member table with the listed seed members (any -cluster
@@ -81,8 +72,8 @@
 // reconciliation stats, cluster membership/placement/health views, a
 // graceful-drain trigger, a Prometheus /metrics endpoint, and pprof —
 // see internal/admin and the README's Operations section. -config
-// loads any flag from a file (JSON object or flat YAML lines);
-// explicit flags win over file values.
+// loads any flag from a file of flat "flag: value" lines; explicit
+// flags win over file values.
 //
 //	reconciled -listen :7441 -cluster h2:7441 -admin localhost:7470
 //	reconciled -config /etc/reconciled.yaml -listen :7441
@@ -107,7 +98,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -140,9 +130,9 @@ type config struct {
 	r2    float64
 	diff  int
 	seed  uint64
-	// mutate enables live sets: demo churn count, or server-side
-	// mutations per second. Zero vs nonzero must agree between server
-	// and client (it selects the sync ID derivation).
+	// mutate enables live sets: server-side mutations per second. Zero
+	// vs nonzero must agree between server and client (it selects the
+	// sync ID derivation).
 	mutate int
 	// local tuning
 	workers     int
@@ -241,7 +231,6 @@ type liveState struct {
 	gapSpace  metric.Space
 	emdMirror metric.PointSet
 	gapMirror metric.PointSet
-	mutations int
 }
 
 func newLiveState(cfg config, f *fixture) (*liveState, error) {
@@ -300,7 +289,6 @@ func (st *liveState) churn(n int) error {
 			return err
 		}
 		st.gapMirror[gi] = gpt
-		st.mutations++
 	}
 	return nil
 }
@@ -309,12 +297,10 @@ func main() {
 	listen := flag.String("listen", "", "serve on this address (host:port, or unix:/path)")
 	connect := flag.String("connect", "", "run one client session against this address")
 	proto := flag.String("proto", "emd", "client protocol: emd | gap | sync | setsets | live-emd (with -mutate)")
-	demo := flag.Int("demo", 0, "in-process demo: serve and run N concurrent mixed clients")
 	clusterPeers := flag.String("cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
 	join := flag.String("join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
 	advertise := flag.String("advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
 	replication := flag.Int("replication", 3, "owners per shard on the placement ring (gossip mode)")
-	clusterDemo := flag.Int("cluster-demo", 0, "in-process anti-entropy demo: N nodes diverge, churn, converge")
 	setNames := flag.String("sets", "alpha,beta", "named sets hosted in cluster mode (comma-separated)")
 	interval := flag.Duration("interval", time.Second, "anti-entropy round period (cluster mode)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
@@ -329,7 +315,7 @@ func main() {
 	r2 := flag.Float64("r2", 0, "far radius (gap; default d)")
 	diff := flag.Int("diff", 16, "per-side exclusive IDs/children (sync, setsets)")
 	seed := flag.Uint64("seed", 1, "shared public-coin seed")
-	mutate := flag.Int("mutate", 0, "live-set churn: demo mutation count, or server mutations/sec")
+	mutate := flag.Int("mutate", 0, "live-set churn in mutations/sec (server and cluster modes)")
 
 	workers := flag.Int("workers", 0, "sketch-construction workers (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
@@ -337,7 +323,7 @@ func main() {
 	quarantine := flag.Int("quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	adminAddr := flag.String("admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
-	configPath := flag.String("config", "", "config file (YAML key: value lines or a JSON object); explicit flags win")
+	configPath := flag.String("config", "", "config file of flat \"flag: value\" lines; explicit flags win")
 	flag.Parse()
 
 	if *configPath != "" {
@@ -387,21 +373,17 @@ func main() {
 	}
 
 	switch {
-	case *clusterDemo > 0:
-		runClusterDemo(cfg, f, *clusterDemo, *setNames, *drain, *dataDir, *fsyncPolicy)
 	case *listen != "" && (*clusterPeers != "" || *join != ""):
 		runCluster(cfg, f, *listen, *clusterPeers, *join, *advertise, *setNames, *interval, *drain, *dataDir, *fsyncPolicy, *replication, ops)
 	case *listen != "":
 		runServer(cfg, f, *listen, *drain, ops)
 	case *connect != "":
 		network, host := splitAddr(*connect)
-		if err := runClient(cfg, f, network, host, *proto, true); err != nil {
+		if err := runClient(cfg, f, network, host, *proto); err != nil {
 			fail("%v", err)
 		}
-	case *demo > 0:
-		runDemo(cfg, f, *demo)
 	default:
-		fmt.Fprintln(os.Stderr, "reconciled: need -listen, -connect, -demo or -cluster-demo (see -help)")
+		fmt.Fprintln(os.Stderr, "reconciled: need -listen or -connect (see -help)")
 		os.Exit(2)
 	}
 }
@@ -582,29 +564,14 @@ func clusterPoints(space metric.Space, n int, seed uint64) metric.PointSet {
 }
 
 // churnBudget is the bounded number of churn adds per set a cluster
-// member may apply (ticker mode and the in-process demo both stay
-// within it); newClusterStore's capacity formula reserves this headroom
-// for every member.
+// member's -mutate ticker may apply; clusterCatalog's capacity formula
+// reserves this headroom for every member.
 func churnBudget(cfg config) int {
 	m := cfg.mutate
 	if m < 2 {
 		m = 2
 	}
 	return 4 * m
-}
-
-// newClusterStore builds one member's multi-tenant store: the default
-// set (plain Sync over the fixture's canonical EMD points — what
-// single-set clients reach), and each named set with shared base
-// content plus nodeTag-derived divergent extras. All parameters derive from the
-// shared flags, so every member computes identical digests; the first
-// named set also maintains an EMD sketch to exercise the live-emd tier.
-func newClusterStore(cfg config, f *fixture, names []string, nodes int, nodeTag uint64) (*store.Store, error) {
-	st := store.New()
-	if err := populateClusterStore(cfg, f, names, nodes, nodeTag, st); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // clusterCatalog is the mesh-wide set catalog every member derives
@@ -942,206 +909,14 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 	ops.stop(adm, drain, logger.Printf)
 }
 
-// runClusterDemo is the in-process mesh: count nodes with divergent
-// stores, a churn phase racing anti-entropy, then settle rounds until
-// every set is fingerprint-identical on every node — plus one
-// single-session Dialer sync against the default namespace, the path
-// a plain client takes. With -data-dir every node journals under
-// <dir>/node<i>, and after the drain the demo reopens node 0's
-// directory and verifies recovery reproduces its fingerprints exactly
-// (use a fresh directory per demo run). Exit status reports
-// convergence.
-func runClusterDemo(cfg config, f *fixture, count int, setsCSV string, drain time.Duration, dataDir, fsyncPolicy string) {
-	names := parseSets(setsCSV)
-	if len(names) == 0 {
-		fail("-cluster-demo needs at least one set in -sets")
-	}
-	if count < 2 {
-		fail("-cluster-demo needs at least 2 nodes")
-	}
-	logf := func(string, ...any) {}
-	nodes := make([]*cluster.Node, count)
-	stores := make([]*store.Store, count)
-	durables := make([]*durable.Store, count)
-	addrs := make([]string, count)
-	for i := range nodes {
-		st := store.New()
-		if dataDir != "" {
-			durables[i] = openDurable(filepath.Join(dataDir, fmt.Sprintf("node%d", i)), fsyncPolicy, st, logf)
-		}
-		if err := populateClusterStore(cfg, f, names, count, uint64(i+1)*0x9e3779b9, st); err != nil {
-			fail("cluster store %d: %v", i, err)
-		}
-		stores[i] = st
-		node, err := cluster.New(cluster.Config{
-			Store:    st,
-			Interval: -1, // demo drives rounds manually
-			Seed:     cfg.seed + uint64(i),
-		})
-		if err != nil {
-			fail("cluster node %d: %v", i, err)
-		}
-		l, err := node.Start("127.0.0.1:0")
-		if err != nil {
-			fail("cluster listen %d: %v", i, err)
-		}
-		nodes[i] = node
-		addrs[i] = l.Addr().String()
-	}
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close(drain) //nolint:errcheck
-			}
-		}
-	}()
-	for i, n := range nodes {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		n.SetPeers(peers)
-	}
-	fmt.Printf("cluster-demo: %d nodes, sets %v, %d divergent points each\n", count, names, cfg.diff)
-
-	converged := func() bool {
-		for _, name := range names {
-			var fp uint64
-			for i, st := range stores {
-				ls, _ := st.Get(name)
-				if i == 0 {
-					fp = ls.IDFingerprint()
-				} else if ls.IDFingerprint() != fp {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	start := time.Now()
-	space := metric.HammingCube(cfg.d)
-	churn := cfg.mutate
-	if churn == 0 {
-		churn = 2
-	}
-	// Phase 1: churn races anti-entropy.
-	for round := 0; round < 3; round++ {
-		for i, n := range nodes {
-			src := rng.New(cfg.seed + uint64(round*100+i))
-			for _, name := range names {
-				ls, _ := stores[i].Get(name)
-				for c := 0; c < churn; c++ {
-					if err := ls.Add(randomPoint(space, src)); err != nil {
-						fail("churn: %v", err)
-					}
-				}
-			}
-			if _, err := n.ReconcileOnce(); err != nil {
-				fail("round %d node %d: %v", round, i, err)
-			}
-		}
-	}
-	// Phase 2: settle.
-	const maxRounds = 30
-	rounds := -1
-	for round := 0; round < maxRounds; round++ {
-		for i, n := range nodes {
-			if _, err := n.ReconcileOnce(); err != nil {
-				fail("settle round %d node %d: %v", round, i, err)
-			}
-		}
-		if converged() {
-			rounds = round + 1
-			break
-		}
-	}
-	for i, n := range nodes {
-		for _, name := range names {
-			m := n.Metrics()[name]
-			fmt.Printf("cluster-demo: node %d set %s: %v\n", i, name, m)
-		}
-	}
-	if rounds < 0 {
-		fmt.Fprintf(os.Stderr, "cluster-demo: NOT converged after %d settle rounds\n", maxRounds)
-		os.Exit(1)
-	}
-	// A single-session client: one Dialer sync session against node 0's
-	// default namespace.
-	ids := live.IDsOf(f.syncParams.Seed, f.emdSB)
-	h := netproto.NewSyncInitiator(f.syncParams, ids)
-	if _, err := (session.Dialer{Addr: addrs[0]}).Do(h); err != nil {
-		fail("default-namespace sync: %v", err)
-	}
-	fmt.Printf("cluster-demo: single-session client vs default namespace: %d server-only / %d client-only IDs\n",
-		len(h.TheirsOnly), len(h.MinesOnly))
-	// Dial economy: the mesh reuses one pooled carrier per peer across
-	// every session.
-	var net session.PoolStats
-	for _, n := range nodes {
-		net = net.Add(n.NetStats())
-	}
-	fmt.Printf("cluster-demo: net: %s\n", net)
-	if dataDir != "" {
-		// Drain the mesh, then prove durability end to end: reopening
-		// node 0's directory must reproduce its converged fingerprints
-		// from snapshots alone (the drain sealed every journal).
-		for i, n := range nodes {
-			n.Close(drain) //nolint:errcheck
-			nodes[i] = nil
-		}
-		for i, d := range durables {
-			if err := d.Close(); err != nil {
-				fail("durable close node%d: %v", i, err)
-			}
-		}
-		reopened, err := durable.Open(filepath.Join(dataDir, "node0"), durable.Options{Fsync: durable.FsyncOff})
-		if err != nil {
-			fail("reopen: %v", err)
-		}
-		rst := store.New()
-		stats, err := reopened.Recover(rst)
-		if err != nil {
-			fail("recovery: %v", err)
-		}
-		if stats.Replayed != 0 {
-			fail("drain left %d unsnapshotted records in the journal", stats.Replayed)
-		}
-		for _, name := range append([]string{""}, names...) {
-			want, _ := stores[0].Get(name)
-			got, ok := rst.Get(name)
-			if !ok || got.IDFingerprint() != want.IDFingerprint() || got.Epoch() != want.Epoch() {
-				fail("recovery mismatch for set %q", name)
-			}
-		}
-		if err := reopened.Close(); err != nil {
-			fail("reopened close: %v", err)
-		}
-		fmt.Printf("cluster-demo: recovery verified: %d sets reopened from %s with matching fingerprints (%s)\n",
-			1+len(names), dataDir, stats)
-	}
-	fmt.Printf("cluster-demo: converged in %d settle rounds, %v total\n",
-		rounds, time.Since(start).Round(time.Millisecond))
-}
-
 // runClient runs one session of the named protocol and reports the
 // outcome. It returns an error both on transport failure and on a
 // result that violates the protocol's guarantee, so the exit status is
-// an end-to-end check. For live-emd, cache carries the sketch across
-// sessions (nil runs a standalone two-session full-then-delta
-// demonstration).
-func runClient(cfg config, f *fixture, network, addr, proto string, verbose bool) error {
-	return runClientCached(cfg, f, network, addr, proto, verbose, nil)
-}
-
-func runClientCached(cfg config, f *fixture, network, addr, proto string, verbose bool, cache *netproto.EMDCache) error {
+// an end-to-end check. live-emd runs two sessions on one sketch cache,
+// so the second takes the delta path (an empty delta if the server did
+// not churn in between).
+func runClient(cfg config, f *fixture, network, addr, proto string) error {
 	dial := session.Dialer{Network: network, Addr: addr}
-	sayf := func(format string, args ...any) {
-		if verbose {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
 	id, ok := netproto.ProtoByName(proto)
 	if !ok {
 		names := make([]string, 0, 5)
@@ -1153,15 +928,8 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 	start := time.Now()
 	switch id {
 	case netproto.ProtoLiveEMD:
-		sessions := 1
-		if cache == nil {
-			// Standalone invocation: run two sessions on one cache so
-			// the second demonstrates the delta path (empty delta if
-			// the server did not churn in between).
-			cache = &netproto.EMDCache{}
-			sessions = 2
-		}
-		for i := 0; i < sessions; i++ {
+		cache := &netproto.EMDCache{}
+		for i := 0; i < 2; i++ {
 			h := netproto.NewLiveEMDReceiver(f.emdParams, f.emdSB, cache)
 			st, err := dial.Do(h)
 			if err != nil {
@@ -1174,7 +942,7 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 			if h.UsedDelta {
 				mode = "delta"
 			}
-			sayf("live-emd: epoch %d via %s transfer, %d points reconciled in %v; %s",
+			fmt.Printf("live-emd: epoch %d via %s transfer, %d points reconciled in %v; %s\n",
 				h.Epoch, mode, len(h.Result.SPrime), time.Since(start).Round(time.Millisecond), st)
 		}
 	case netproto.ProtoEMD:
@@ -1183,13 +951,13 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 			return err
 		}
 		if h.Result.Failed {
-			sayf("emd: protocol reported failure (Theorem 3.4 allows prob <= 1/8)")
+			fmt.Println("emd: protocol reported failure (Theorem 3.4 allows prob <= 1/8)")
 			return nil
 		}
 		if len(h.Result.SPrime) != len(f.emdSB) {
 			return fmt.Errorf("emd: |S'B| = %d, want %d", len(h.Result.SPrime), len(f.emdSB))
 		}
-		sayf("emd: reconciled %d points at level %d/%d in %v; %s",
+		fmt.Printf("emd: reconciled %d points at level %d/%d in %v; %s\n",
 			len(h.Result.SPrime), h.Result.Level, h.Result.Levels,
 			time.Since(start).Round(time.Millisecond), h.Result.Stats)
 	case netproto.ProtoGap:
@@ -1206,7 +974,7 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 				}
 			}
 		}
-		sayf("gap: received %d elements in %v; %s",
+		fmt.Printf("gap: received %d elements in %v; %s\n",
 			len(h.Result.TA), time.Since(start).Round(time.Millisecond), h.Result.Stats)
 	case netproto.ProtoSync:
 		ids := f.clientIDs
@@ -1220,7 +988,7 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 		if err != nil {
 			return err
 		}
-		sayf("sync: learned %d server-only and reported %d client-only IDs in %v; %s",
+		fmt.Printf("sync: learned %d server-only and reported %d client-only IDs in %v; %s\n",
 			len(h.TheirsOnly), len(h.MinesOnly), time.Since(start).Round(time.Millisecond), st)
 	case netproto.ProtoSetSets:
 		h := netproto.NewSetSetsInitiator(f.ssParams, f.clientKids)
@@ -1228,109 +996,11 @@ func runClientCached(cfg config, f *fixture, network, addr, proto string, verbos
 		if err != nil {
 			return err
 		}
-		sayf("setsets: %d server-only / %d client-only children in %d rounds, %v; %s",
+		fmt.Printf("setsets: %d server-only / %d client-only children in %d rounds, %v; %s\n",
 			len(h.Result.BobOnly), len(h.Result.AliceOnly), h.Result.Rounds,
 			time.Since(start).Round(time.Millisecond), st)
 	}
 	return nil
-}
-
-// runDemo spins up the server in-process and drives peers concurrent
-// client sessions cycling through every protocol — the end-to-end proof
-// that the whole stack reconciles over real sockets. With cfg.mutate >
-// 0 the demo runs two waves around a churn burst: wave one fills every
-// peer's sketch cache (full transfers), then cfg.mutate point
-// replacements land, and wave two's returning peers take the delta
-// path while churn keeps racing the sessions.
-func runDemo(cfg config, f *fixture, peers int) {
-	srv, st := newServer(cfg, f, func(string, ...any) {})
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail("demo listen: %v", err)
-	}
-	defer srv.Close()
-	start := time.Now()
-	var bad int
-	if st == nil {
-		protos := []string{"emd", "gap", "sync", "setsets"}
-		fmt.Printf("demo: %d concurrent peers against %s\n", peers, l.Addr())
-		bad = demoWave(cfg, f, l.Addr().String(), peers, func(i int) ([]string, *netproto.EMDCache) {
-			return []string{protos[i%len(protos)]}, nil
-		})
-	} else {
-		fmt.Printf("demo: %d concurrent peers against %s, %d mutations between waves\n",
-			peers, l.Addr(), cfg.mutate)
-		caches := make([]*netproto.EMDCache, peers)
-		for i := range caches {
-			caches[i] = &netproto.EMDCache{}
-		}
-		extras := []string{"gap", "sync", "setsets"}
-		pick := func(i int) ([]string, *netproto.EMDCache) {
-			// Every peer runs live-emd (cache warm-up is what wave two
-			// demonstrates); odd peers add a second protocol session.
-			if i%2 == 1 {
-				return []string{"live-emd", extras[(i/2)%len(extras)]}, caches[i]
-			}
-			return []string{"live-emd"}, caches[i]
-		}
-		bad = demoWave(cfg, f, l.Addr().String(), peers, pick)
-		if err := st.churn(cfg.mutate); err != nil {
-			fail("churn: %v", err)
-		}
-		// Wave two races further churn against returning peers.
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < cfg.mutate; i++ {
-				if err := st.churn(1); err != nil {
-					return
-				}
-			}
-		}()
-		bad += demoWave(cfg, f, l.Addr().String(), peers, pick)
-		<-done
-		fmt.Printf("demo: live epoch %d after %d mutations (emd size %d)\n",
-			st.emdSet.Epoch(), st.mutations, st.emdSet.Size())
-	}
-	elapsed := time.Since(start)
-	srv.Close()
-	total, nSessions := srv.Stats()
-	fmt.Printf("demo: %d/%d sessions ok in %v; server total: %s (%d sessions, %.2f MB)\n",
-		nSessions-bad, nSessions, elapsed.Round(time.Millisecond),
-		total, nSessions, float64(total.TotalBytes())/1e6)
-	if bad > 0 {
-		os.Exit(1)
-	}
-}
-
-// demoWave runs one concurrent wave of client sessions; pick names each
-// peer's protocol sequence and (for live-emd) its persistent cache. It
-// returns the number of failed peers.
-func demoWave(cfg config, f *fixture, addr string, peers int, pick func(int) ([]string, *netproto.EMDCache)) int {
-	errs := make([]error, peers)
-	var wg sync.WaitGroup
-	for i := 0; i < peers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			protos, cache := pick(i)
-			for _, proto := range protos {
-				if err := runClientCached(cfg, f, "tcp", addr, proto, false, cache); err != nil {
-					errs[i] = fmt.Errorf("%s: %w", proto, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	bad := 0
-	for i, err := range errs {
-		if err != nil {
-			bad++
-			fmt.Fprintf(os.Stderr, "demo: peer %d: %v\n", i, err)
-		}
-	}
-	return bad
 }
 
 func fail(format string, args ...interface{}) {

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/rng"
+	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/store/durable"
 )
@@ -257,4 +259,74 @@ func TestCrashKillRecovery(t *testing.T) {
 			m.PointsReceived, len(extras), m)
 	}
 	t.Logf("re-converged: %v", m)
+}
+
+// TestServeEveryProtocol drives the daemon's paired server/client
+// fixture over loopback TCP: every protocol against the static server,
+// the live protocols against a server churning between sessions, and
+// a client configured with another -seed, whose hello must fail the
+// parameter-digest check before any protocol traffic.
+func TestServeEveryProtocol(t *testing.T) {
+	base := config{
+		d: 64, n: 32, k: 2, noise: 2, r1: 8, r2: 64, diff: 8, seed: 1,
+		maxSessions: 8, timeout: 30 * time.Second,
+	}
+	serve := func(cfg config) (*session.Server, *fixture, *liveState, string) {
+		t.Helper()
+		f, err := newFixture(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, st := newServer(cfg, f, t.Logf)
+		l, err := srv.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv, f, st, l.Addr().String()
+	}
+
+	srv, f, _, addr := serve(base)
+	protos := []string{"emd", "gap", "sync", "setsets"}
+	for _, proto := range protos {
+		if err := runClient(base, f, "tcp", addr, proto); err != nil {
+			t.Errorf("static %s: %v", proto, err)
+		}
+	}
+	other := base
+	other.seed = 2
+	of, err := newFixture(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range protos {
+		err := runClient(other, of, "tcp", addr, proto)
+		if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Errorf("%s with -seed 2: err = %v, want a digest mismatch", proto, err)
+		}
+	}
+	srv.Close()
+	if ok, bad := srv.Served(), srv.Failed(); ok != 4 || bad != 4 {
+		t.Errorf("static server: %d ok / %d failed sessions, want 4 / 4", ok, bad)
+	}
+
+	churning := base
+	churning.mutate = 10
+	srv, f, st, addr := serve(churning)
+	if st == nil {
+		t.Fatal("mutate > 0 served no live state")
+	}
+	for _, proto := range []string{"live-emd", "gap", "sync"} {
+		if err := runClient(churning, f, "tcp", addr, proto); err != nil {
+			t.Errorf("live %s: %v", proto, err)
+		}
+		if err := st.churn(churning.mutate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	// live-emd runs two sessions (full, then delta) on one cache.
+	if ok, bad := srv.Served(), srv.Failed(); ok != 4 || bad != 0 {
+		t.Errorf("live server: %d ok / %d failed sessions, want 4 / 0", ok, bad)
+	}
 }
