@@ -18,6 +18,7 @@ package emd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/hashx"
@@ -149,14 +150,17 @@ func (p *Params) family() (lsh.MLSH, error) {
 
 // plan holds the derived per-level structure shared by both parties.
 type plan struct {
-	params  Params
-	mlsh    lsh.MLSH
-	levels  int   // t
-	s       int   // total MLSH functions drawn
-	prefix  []int // prefix[i] = number of g functions used at level i (0-based)
-	cfgs    []riblt.Config
-	vec     *lsh.Vector
-	keyHash hashx.KeyHasher
+	params Params
+	levels int   // t
+	s      int   // total MLSH functions drawn
+	prefix []int // prefix[i] = number of g functions used at level i (0-based)
+	cfgs   []riblt.Config
+	// active holds, in draw order, the MLSH draws that read the point.
+	// The others are constant (padding draws of coordinate sampling —
+	// all but a handful under DefaultParams on Hamming sets), and keyHash
+	// folds their terms into per-level constants at plan build.
+	active  []lsh.Func
+	keyHash hashx.PrefixHasher
 }
 
 // newPlan derives the full shared plan from Params. Both parties call it
@@ -207,6 +211,24 @@ func newPlan(p Params) (*plan, error) {
 	famSrc := src.Split()
 	keySrc := src.Split()
 	tblSrc := src.Split()
+	// Draw all s functions in order, exactly as lsh.DrawVector does, so
+	// the public coins are those of the dense vector. The key hasher folds
+	// in the constant draws; the plan keeps only the draws that read the
+	// point, in an array of their own when that drops any.
+	funcs := make([]lsh.Func, s)
+	for j := range funcs {
+		funcs[j] = m.Family.Draw(famSrc)
+	}
+	keyHash := hashx.NewKeyHasher(keySrc, p.KeyBits).Compile(prefix, func(j int) (uint64, bool) {
+		return lsh.Constant(funcs[j])
+	})
+	active := slices.DeleteFunc(funcs, func(f lsh.Func) bool {
+		_, ok := lsh.Constant(f)
+		return ok
+	})
+	if len(active) < s {
+		active = slices.Clone(active)
+	}
 	cfgs := make([]riblt.Config, t)
 	for i := range cfgs {
 		cfgs[i] = riblt.Config{
@@ -222,24 +244,28 @@ func newPlan(p Params) (*plan, error) {
 	}
 	return &plan{
 		params:  p,
-		mlsh:    m,
 		levels:  t,
 		s:       s,
 		prefix:  prefix,
 		cfgs:    cfgs,
-		vec:     lsh.DrawVector(m.Family, famSrc, s),
-		keyHash: hashx.NewKeyHasher(keySrc, p.KeyBits),
+		active:  active,
+		keyHash: keyHash,
 	}, nil
 }
 
 // keysInto computes a point's key at every level into dst (length >=
-// levels): one evaluation of all s MLSH functions into scratch (length
-// >= s), then one incremental pass compressing every level prefix —
-// the prefixes are nondecreasing, so hashx.KeyHasher.HashPrefixes
-// derives all t keys from a single polynomial sweep. No allocation.
+// levels): the active MLSH draws are evaluated into scratch (length >=
+// len(active)), then one pass over the nondecreasing level prefixes
+// adds their terms to the folded constants of the rest. The cost is
+// O(active draws), not O(s), and the keys are exactly those of the
+// dense evaluation (lsh.Vector.HashPrefixInto, then
+// hashx.KeyHasher.HashPrefixes). No allocation.
 func (pl *plan) keysInto(dst []uint64, pt metric.Point, scratch []uint64) []uint64 {
-	vals := pl.vec.HashPrefixInto(scratch, pt, pl.s)
-	return pl.keyHash.HashPrefixes(dst, vals, pl.prefix)
+	vals := scratch[:len(pl.active)]
+	for i, f := range pl.active {
+		vals[i] = f.Hash(pt)
+	}
+	return pl.keyHash.HashPrefixes(dst, vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -387,12 +413,22 @@ func bob(pl *plan, sb metric.PointSet, ch *transport.Channel, workers int) (Resu
 // bobDecode is bob over an already-positioned decoder — the zero-copy
 // path ApplyMessage and the wire handlers use.
 func bobDecode(pl *plan, sb metric.PointSet, d *transport.Decoder, workers int) (Result, error) {
-	nLevels, err := d.ReadUvarint()
+	tables, err := decodeTables(pl, d)
 	if err != nil {
 		return Result{}, err
 	}
+	return applyTables(pl, sb, tables, workers)
+}
+
+// decodeTables reads a protocol message's level tables. On a decode
+// error the tables already decoded go back to the riblt pool.
+func decodeTables(pl *plan, d *transport.Decoder) ([]*riblt.Table, error) {
+	nLevels, err := d.ReadUvarint()
+	if err != nil {
+		return nil, err
+	}
 	if int(nLevels) != pl.levels {
-		return Result{}, fmt.Errorf("emd: message has %d levels, plan has %d", nLevels, pl.levels)
+		return nil, fmt.Errorf("emd: message has %d levels, plan has %d", nLevels, pl.levels)
 	}
 	tables := make([]*riblt.Table, pl.levels)
 	for i := range tables {
@@ -400,10 +436,10 @@ func bobDecode(pl *plan, sb metric.PointSet, d *transport.Decoder, workers int) 
 			for _, t := range tables[:i] {
 				t.Release()
 			}
-			return Result{}, err
+			return nil, err
 		}
 	}
-	return applyTables(pl, sb, tables, workers)
+	return tables, nil
 }
 
 // applyTables is Bob's core: delete his pairs from Alice's tables, find

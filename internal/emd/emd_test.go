@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/hashx"
+	"repro/internal/lsh"
 	"repro/internal/matching"
 	"repro/internal/metric"
 	"repro/internal/rng"
@@ -73,11 +75,131 @@ func TestPlanSharedBetweenParties(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := metric.Point{17, 900}
-	ka := pa.keysInto(make([]uint64, pa.levels), pt, make([]uint64, pa.s))
-	kb := pb.keysInto(make([]uint64, pb.levels), pt, make([]uint64, pb.s))
+	ka := pa.keysInto(make([]uint64, pa.levels), pt, make([]uint64, len(pa.active)))
+	kb := pb.keysInto(make([]uint64, pb.levels), pt, make([]uint64, len(pb.active)))
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Fatalf("parties disagree on key at level %d", i)
+		}
+	}
+}
+
+// denseKeys is the reference keying of Algorithm 1: every one of the s
+// MLSH draws evaluated on the point (lsh.Vector), then every level prefix
+// compressed by one polynomial sweep (hashx.KeyHasher.HashPrefixes),
+// drawn from the same public-coin streams newPlan splits off.
+type denseKeys struct {
+	vec *lsh.Vector
+	kh  hashx.KeyHasher
+}
+
+func newDenseKeys(t *testing.T, pl *plan) denseKeys {
+	t.Helper()
+	m, err := pl.params.family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(pl.params.Seed)
+	famSrc := src.Split()
+	keySrc := src.Split()
+	return denseKeys{
+		vec: lsh.DrawVector(m.Family, famSrc, pl.s),
+		kh:  hashx.NewKeyHasher(keySrc, pl.params.KeyBits),
+	}
+}
+
+func (r denseKeys) keys(pl *plan, pt metric.Point) []uint64 {
+	vals := r.vec.HashPrefixInto(make([]uint64, pl.s), pt, pl.s)
+	return r.kh.HashPrefixes(make([]uint64, pl.levels), vals, pl.prefix)
+}
+
+// TestSparseKeysMatchDense: the plan's keys, which evaluate only the
+// draws that read the point and fold the constant ones in at plan build,
+// equal the dense reference for every point, level and shape — including
+// the benchmark's Hamming shapes (a handful of active draws among tens of
+// thousands), Hamming with w = d (every draw active), ℓ1 and ℓ2.
+func TestSparseKeysMatchDense(t *testing.T) {
+	shapes := []struct {
+		name    string
+		p       Params
+		noConst bool // every draw reads the point
+	}{
+		{"churn-serve", DefaultParams(metric.HammingCube(64), 256, 4, 0), false},
+		{"mesh-churn", DefaultParams(metric.HammingCube(32), 256, 4, 0), false},
+		{"hamming-w=d", Params{Space: metric.HammingCube(64), N: 64, K: 32, D1: 1, D2: 32}, true},
+		{"l1-grid", Params{Space: metric.Grid(255, 4, metric.L1), N: 32, K: 4, D1: 4, D2: 256}, true},
+		{"l2-pstable", Params{Space: metric.Grid(4095, 16, metric.L2), N: 512, K: 8, D1: 512, D2: 16384}, true},
+	}
+	const points = 300
+	for _, sh := range shapes {
+		for _, seed := range []uint64{1, 2, 3} {
+			p := sh.p
+			p.Seed = seed
+			pl, err := newPlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.noConst && len(pl.active) != pl.s {
+				t.Fatalf("%s: %d of %d draws active, want all", sh.name, len(pl.active), pl.s)
+			}
+			ref := newDenseKeys(t, pl)
+			src := rng.New(seed + 100)
+			dst := make([]uint64, pl.levels)
+			scratch := make([]uint64, len(pl.active))
+			for i := 0; i < points; i++ {
+				pt := randomPoint(pl.params.Space, src)
+				want := ref.keys(pl, pt)
+				got := pl.keysInto(dst, pt, scratch)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d: %d keys, want %d", sh.name, seed, len(got), len(want))
+				}
+				for l := range want {
+					if got[l] != want[l] {
+						t.Fatalf("%s seed %d point %d level %d: key %#x, dense %#x", sh.name, seed, i, l, got[l], want[l])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSparseKeysConstantLevels: at the churn-serve shape the coarse
+// levels hash only constant draws, so every point's key there is the
+// folded constant alone — the dense key of the all-zero vector.
+func TestSparseKeysConstantLevels(t *testing.T) {
+	pl, err := newPlan(DefaultParams(metric.HammingCube(64), 256, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newDenseKeys(t, pl)
+	// A draw is active iff it tells the all-zero and all-one points apart.
+	zeros, ones := make(metric.Point, 64), make(metric.Point, 64)
+	for i := range ones {
+		ones[i] = 1
+	}
+	v0 := ref.vec.Hash(zeros)
+	v1 := ref.vec.Hash(ones)
+	first := 0
+	for first < pl.s && v0[first] == v1[first] {
+		first++
+	}
+	coarse := 0
+	for coarse < pl.levels && pl.prefix[coarse] <= first {
+		coarse++
+	}
+	if coarse == 0 {
+		t.Fatalf("first active draw %d lies in level 0 (prefix %v); pick another seed", first, pl.prefix)
+	}
+	src := rng.New(6)
+	dst := make([]uint64, pl.levels)
+	scratch := make([]uint64, len(pl.active))
+	for i := 0; i < 300; i++ {
+		keys := pl.keysInto(dst, randomPoint(pl.params.Space, src), scratch)
+		for l := 0; l < coarse; l++ {
+			if want := ref.kh.Hash(make([]uint64, pl.prefix[l])); keys[l] != want {
+				t.Fatalf("point %d level %d (prefix %d, first active draw %d): key %#x, want constant %#x",
+					i, l, pl.prefix[l], first, keys[l], want)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Sharded sketch construction. The two hot loops of Algorithm 1 — MLSH
-// key-vector evaluation (s function applications per point) and RIBLT
+// key evaluation (one application per active draw per point) and RIBLT
 // insertion (q cell updates per level per point) — are both
 // order-independent: keys depend only on the point and the shared draw,
 // and RIBLT cells hold sums, which commute. Points are therefore sharded
@@ -17,7 +17,8 @@ import (
 // bit-identical for any worker count — asserted by TestShardedBuildGolden.
 
 // minBlock is the smallest point block worth a goroutine (each point
-// costs s LSH evaluations, far heavier than one IBLT key insert).
+// costs its active LSH evaluations plus t key steps and q·t cell updates,
+// heavier than one IBLT key insert).
 const minBlock = 16
 
 // levelKeys computes every point's per-level keys into one flat
@@ -33,14 +34,14 @@ func (pl *plan) levelKeys(pts metric.PointSet, workers int) []uint64 {
 	out := make([]uint64, len(pts)*t)
 	w := parallel.Workers(workers, len(pts), minBlock)
 	if w == 1 {
-		scratch := make([]uint64, pl.s)
+		scratch := make([]uint64, len(pl.active))
 		for i, p := range pts {
 			pl.keysInto(out[i*t:(i+1)*t], p, scratch)
 		}
 		return out
 	}
 	parallel.Shard(len(pts), w, func(_, lo, hi int) {
-		scratch := make([]uint64, pl.s)
+		scratch := make([]uint64, len(pl.active))
 		for i := lo; i < hi; i++ {
 			pl.keysInto(out[i*t:(i+1)*t], pts[i], scratch)
 		}
@@ -61,7 +62,7 @@ func (pl *plan) buildTables(sa metric.PointSet, workers int) ([]*riblt.Table, er
 	w := parallel.Workers(workers, len(sa), minBlock)
 	if w == 1 {
 		tables := newTables()
-		scratch := make([]uint64, pl.s)
+		scratch := make([]uint64, len(pl.active))
 		keys := make([]uint64, pl.levels)
 		for _, a := range sa {
 			pl.keysInto(keys, a, scratch)
@@ -74,7 +75,7 @@ func (pl *plan) buildTables(sa metric.PointSet, workers int) ([]*riblt.Table, er
 	shards := make([][]*riblt.Table, w)
 	parallel.Shard(len(sa), w, func(b, lo, hi int) {
 		ts := newTables()
-		scratch := make([]uint64, pl.s)
+		scratch := make([]uint64, len(pl.active))
 		keys := make([]uint64, pl.levels)
 		for _, a := range sa[lo:hi] {
 			pl.keysInto(keys, a, scratch)

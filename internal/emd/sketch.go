@@ -12,11 +12,13 @@ import (
 // Sketch is Alice's EMD protocol state as a long-lived, incrementally
 // maintained object: the t level-RIBLTs of her current point set. RIBLT
 // cells hold sums, so inserting and retracting a point are exact
-// inverses, and a point mutation costs one MLSH key-vector evaluation
-// plus q cell updates per level — O(hashes) instead of the O(n·s) full
-// rebuild. After any mutation sequence the sketch is field-identical,
-// and therefore bit-identical on the wire, to a from-scratch build over
-// the same multiset (asserted by TestSketchIncrementalGolden).
+// inverses, and a point mutation costs one evaluation of the plan's
+// active MLSH draws (a handful under DefaultParams on Hamming sets, all
+// s on ℓ1/ℓ2) plus q cell updates per level, instead of a rebuild over
+// all n points. After any mutation sequence the sketch is
+// field-identical, and therefore bit-identical on the wire, to a
+// from-scratch build over the same multiset (asserted by
+// TestSketchIncrementalGolden).
 //
 // A Sketch is not safe for concurrent use; internal/live serializes
 // mutations and serves immutable clones.
@@ -24,7 +26,7 @@ type Sketch struct {
 	pl      *plan
 	workers int // local Params.Workers (plans are shared, so not in pl)
 	tables  []*riblt.Table
-	scratch []uint64  // MLSH value scratch (s wide)
+	scratch []uint64  // MLSH value scratch (one per active draw)
 	keys    []uint64  // per-level key scratch (t wide)
 	refs    []CellRef // churn scratch, reused across mutations
 }
@@ -35,7 +37,7 @@ func newSketch(pl *plan, tables []*riblt.Table, workers int) *Sketch {
 		pl:      pl,
 		workers: workers,
 		tables:  tables,
-		scratch: make([]uint64, pl.s),
+		scratch: make([]uint64, len(pl.active)),
 		keys:    make([]uint64, pl.levels),
 	}
 }
@@ -90,19 +92,9 @@ func DecodeSketch(p Params, msg []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := transport.NewDecoder(msg)
-	nLevels, err := d.ReadUvarint()
+	tables, err := decodeTables(pl, transport.NewDecoder(msg))
 	if err != nil {
 		return nil, err
-	}
-	if int(nLevels) != pl.levels {
-		return nil, fmt.Errorf("emd: message has %d levels, plan has %d", nLevels, pl.levels)
-	}
-	tables := make([]*riblt.Table, pl.levels)
-	for i := range tables {
-		if tables[i], err = riblt.DecodeFrom(d, pl.cfgs[i]); err != nil {
-			return nil, err
-		}
 	}
 	return newSketch(pl, tables, p.Workers), nil
 }
@@ -113,7 +105,7 @@ func (s *Sketch) Levels() int { return s.pl.levels }
 // Cells returns the per-level cell count (identical across levels).
 func (s *Sketch) Cells() int { return s.tables[0].Cells() }
 
-// Add inserts one point: one evaluation of the s MLSH functions, then q
+// Add inserts one point: one evaluation of the active MLSH draws, then q
 // cell updates per level. It returns the churned cells in a scratch
 // slice owned by the sketch — valid only until the next mutation;
 // callers that retain the refs (a journal) copy them out first.

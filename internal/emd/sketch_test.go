@@ -2,6 +2,7 @@ package emd
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/metric"
@@ -85,6 +86,93 @@ func TestSketchIncrementalGolden(t *testing.T) {
 	}
 	if direct.Failed != viaSketch.Failed || direct.Level != viaSketch.Level {
 		t.Fatalf("Apply diverges from ApplyMessage: %+v vs %+v", direct.Failed, viaSketch.Failed)
+	}
+}
+
+// pinShapes are the benchmark's three EMD shapes at fixed seeds: the
+// churn-serve set (Hamming d=64, capacity 256, k=4, 128 points), a
+// mesh-churn set (Hamming d=32, 64 points) and the emd-oneshot instance
+// (ℓ2 d=16, n=512, k=8, informed bounds).
+var pinShapes = []struct {
+	name string
+	p    Params
+	n    int
+	want uint64
+}{
+	{"churn-serve", DefaultParams(metric.HammingCube(64), 256, 4, 11), 128, 0x2efdca94d5e00eb5},
+	{"mesh-churn", DefaultParams(metric.HammingCube(32), 256, 4, 12), 64, 0xd08f6893ba6c7344},
+	{"emd-oneshot", Params{Space: metric.Grid(4095, 16, metric.L2), N: 512, K: 8, D1: 512, D2: 16384, Seed: 13}, 512, 0x5a7797b68a966bef},
+}
+
+// TestSketchWireBytesPinned pins the wire bytes of a from-scratch build
+// at each benchmark shape to fingerprints captured once. Every other
+// sketch golden compares two code paths of the same commit and would not
+// notice a change that moves keys identically on both sides; this one
+// fails on any change to the keys, cells or codec.
+func TestSketchWireBytesPinned(t *testing.T) {
+	for _, c := range pinShapes {
+		src := rng.New(c.p.Seed ^ 0x5eed)
+		pts := make(metric.PointSet, c.n)
+		for i := range pts {
+			pts[i] = randomPoint(c.p.Space, src)
+		}
+		sk, err := BuildSketch(c.p, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FingerprintMessage(sk.Encode()); got != c.want {
+			t.Errorf("%s: wire fingerprint %#x, pinned %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// bytesPerRun reports the heap bytes one call of f allocates, averaged
+// over runs calls. Two collections first empty the riblt pool, so pooled
+// table memory cannot favour one measurement over another.
+func bytesPerRun(runs int, f func()) uint64 {
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestSketchMutationAllocs: at the churn-serve shape a point mutation
+// allocates nothing, and a clone (what every live snapshot takes) costs
+// its tables plus a few level-wide slices — no scratch as wide as the s
+// MLSH draws.
+func TestSketchMutationAllocs(t *testing.T) {
+	p := pinShapes[0].p
+	src := rng.New(3)
+	pts := make(metric.PointSet, 128)
+	for i := range pts {
+		pts[i] = randomPoint(p.Space, src)
+	}
+	sk, err := BuildSketch(p, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := randomPoint(p.Space, src)
+	if n := testing.AllocsPerRun(50, func() {
+		sk.Add(extra)
+		sk.Remove(extra)
+	}); n != 0 {
+		t.Errorf("Add+Remove allocates %v times per call", n)
+	}
+
+	const runs = 20
+	clone := bytesPerRun(runs, func() { sk.Clone() })
+	tables := bytesPerRun(runs, func() {
+		for _, tb := range sk.tables {
+			tb.Clone()
+		}
+	})
+	if limit := uint64(8 * sk.pl.s); clone > tables && clone-tables >= limit {
+		t.Errorf("Clone allocates %d bytes beyond its tables' %d; want < 8·s = %d", clone-tables, tables, limit)
 	}
 }
 

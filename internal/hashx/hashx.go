@@ -201,9 +201,9 @@ func (k KeyHasher) Hash(vs []uint64) uint64 {
 // returning dst[:len(ns)]. dst[j] equals Hash(vs[:ns[j]]): the
 // polynomial accumulator is carried across the sorted prefixes, so the
 // whole family of keys costs one pass over vs instead of one pass per
-// prefix. This is the EMD protocol's inner loop — every point derives
-// one key per resolution level from a doubling prefix of its MLSH
-// vector.
+// prefix. Every EMD point derives one key per resolution level from a
+// doubling prefix of its MLSH vector; the protocol itself runs the
+// compiled form (PrefixHasher), and this dense form is its reference.
 func (k KeyHasher) HashPrefixes(dst []uint64, vs []uint64, ns []int) []uint64 {
 	var acc uint64
 	pow := uint64(1)
@@ -220,4 +220,79 @@ func (k KeyHasher) HashPrefixes(dst []uint64, vs []uint64, ns []int) []uint64 {
 		pow = mulMod61(pow, k.alpha)
 	}
 	return dst[:j]
+}
+
+// PrefixHasher is HashPrefixes compiled for vectors whose values at most
+// positions are known in advance. The term (c(v_j)|1)·α^j of a fixed
+// position does not depend on the point, and field addition commutes, so
+// Compile sums the fixed terms of each prefix step into one constant and
+// keeps α^j only for the free positions. A point then costs one field
+// step per free value instead of one per position, and gets exactly the
+// keys HashPrefixes would give its full vector.
+type PrefixHasher struct {
+	coeff, outer Pairwise
+	steps        []prefixStep
+	pows         []uint64 // α^j of each free position j, ascending
+}
+
+// prefixStep is one compiled prefix: the fixed terms at positions from
+// the previous prefix up to this one, and how many free positions lie
+// below it.
+type prefixStep struct {
+	base uint64
+	end  int
+}
+
+// Compile returns the PrefixHasher for the prefixes ns (nondecreasing,
+// each >= 0) of vectors whose position j holds a value known in advance
+// wherever constant(j) reports one, and a per-point value elsewhere.
+func (k KeyHasher) Compile(ns []int, constant func(j int) (uint64, bool)) PrefixHasher {
+	last := 0
+	if len(ns) > 0 {
+		last = ns[len(ns)-1]
+	}
+	free := 0
+	for j := 0; j < last; j++ {
+		if _, ok := constant(j); !ok {
+			free++
+		}
+	}
+	h := PrefixHasher{
+		coeff: k.coeff,
+		outer: k.outer,
+		steps: make([]prefixStep, len(ns)),
+		pows:  make([]uint64, 0, free),
+	}
+	pow := uint64(1)
+	j := 0
+	for i, n := range ns {
+		var base uint64
+		for ; j < n; j++ {
+			if v, ok := constant(j); ok {
+				base = addMod61(base, mulMod61(k.coeff.Hash(v)|1, pow))
+			} else {
+				h.pows = append(h.pows, pow)
+			}
+			pow = mulMod61(pow, k.alpha)
+		}
+		h.steps[i] = prefixStep{base: base, end: len(h.pows)}
+	}
+	return h
+}
+
+// HashPrefixes writes one key per compiled prefix into dst (at least that
+// long) for the vector whose free positions hold vals, in order, and
+// returns the filled part of dst. The accumulator is carried across the
+// prefixes, as in KeyHasher.HashPrefixes.
+func (h *PrefixHasher) HashPrefixes(dst, vals []uint64) []uint64 {
+	var acc uint64
+	j := 0
+	for i, st := range h.steps {
+		acc = addMod61(acc, st.base)
+		for ; j < st.end; j++ {
+			acc = addMod61(acc, mulMod61(h.coeff.Hash(vals[j])|1, h.pows[j]))
+		}
+		dst[i] = h.outer.Hash(acc)
+	}
+	return dst[:len(h.steps)]
 }

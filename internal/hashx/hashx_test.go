@@ -2,6 +2,7 @@ package hashx
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,44 @@ func TestKeyHasherPrefixSensitivity(t *testing.T) {
 	}
 	if k.Hash([]uint64{}) == k.Hash([]uint64{0}) {
 		t.Error("empty vs single-zero collision")
+	}
+}
+
+// TestPrefixHasherMatchesHashPrefixes: a compiled hasher fed only the
+// free values returns exactly HashPrefixes of the full vector, for any
+// mix of fixed and free positions — none free, all free, repeated and
+// empty prefixes, free positions past the last prefix.
+func TestPrefixHasherMatchesHashPrefixes(t *testing.T) {
+	src := rng.New(37)
+	for trial := 0; trial < 200; trial++ {
+		k := NewKeyHasher(src, 40)
+		n := int(src.Uint64n(64))
+		full := make([]uint64, n)
+		var free []int
+		share := src.Uint64n(3) // 0: none free, 1: some, 2: all
+		for j := range full {
+			full[j] = src.Uint64n(4)
+			if share == 2 || share == 1 && src.Uint64n(4) == 0 {
+				free = append(free, j)
+			}
+		}
+		ns := make([]int, 1+src.Uint64n(8))
+		for i := range ns {
+			ns[i] = int(src.Uint64n(uint64(n) + 1))
+		}
+		sort.Ints(ns)
+		isFree := make([]bool, n)
+		vals := make([]uint64, len(free))
+		for i, j := range free {
+			isFree[j] = true
+			vals[i] = full[j]
+		}
+		h := k.Compile(ns, func(j int) (uint64, bool) { return full[j], !isFree[j] })
+		want := k.HashPrefixes(make([]uint64, len(ns)), full, ns)
+		got := h.HashPrefixes(make([]uint64, len(ns)), vals)
+		if !equalVec(got, want) {
+			t.Fatalf("trial %d (n=%d, free %v, ns %v): compiled %v, dense %v", trial, n, free, ns, got, want)
+		}
 	}
 }
 

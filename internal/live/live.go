@@ -1,11 +1,11 @@
 // Package live maintains mutable reconciliation state: a Set wraps a
 // point multiset with Add/Remove/ApplyBatch and keeps every enabled
 // protocol structure incrementally up to date — the EMD sketch (RIBLT
-// cells are sums, so a point mutation is one MLSH evaluation plus
-// O(q·levels) cell updates), the Gap protocol's per-element key
-// payloads (each depends only on its point and the public coins), and
-// the exact-ID state (a strata estimator over point fingerprints, whose
-// cells XOR and therefore delete exactly).
+// cells are sums, so a point mutation is one evaluation of the plan's
+// active MLSH draws plus O(q·levels) cell updates), the Gap protocol's
+// per-element key payloads (each depends only on its point and the
+// public coins), and the exact-ID state (a strata estimator over point
+// fingerprints, whose cells XOR and therefore delete exactly).
 //
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that

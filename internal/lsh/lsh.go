@@ -142,11 +142,26 @@ func NewCoordSampling(space metric.Space, w float64) Family {
 	return coordSample{dim: space.Dim, w: w}
 }
 
+// padDraw is the constant draw, boxed once: padded families draw it for
+// almost every function, and Draw would otherwise allocate each time.
+var padDraw Func = coordSampleFunc{idx: -1}
+
 func (c coordSample) Draw(src *rng.Source) Func {
 	if src.Float64() < float64(c.dim)/c.w {
 		return coordSampleFunc{idx: src.Intn(c.dim)}
 	}
-	return coordSampleFunc{idx: -1}
+	return padDraw
+}
+
+// Constant reports whether the drawn function f ignores its input and,
+// if so, the value it returns for every point. Only the padding draws of
+// coordinate sampling do; callers that hash many points with one vector
+// of draws can evaluate those once instead of once per point.
+func Constant(f Func) (uint64, bool) {
+	if c, ok := f.(coordSampleFunc); ok && c.idx < 0 {
+		return 0, true
+	}
+	return 0, false
 }
 
 func (c coordSample) String() string {
@@ -346,14 +361,16 @@ func GridL1Params(space metric.Space, r1, r2, w float64) Params {
 // ---------------------------------------------------------------------------
 // Vectors of drawn functions.
 
-// Vector is an ordered list of functions drawn from one family. The EMD
-// protocol hashes each point with a *prefix* of the vector whose length
-// grows with the resolution level, so prefix evaluation is the primitive.
+// Vector is an ordered list of functions drawn from one family,
+// evaluated densely: every function on every point. The EMD protocol
+// hashes each point with a *prefix* of the vector whose length grows
+// with the resolution level; its plan draws the same functions but
+// evaluates only the non-Constant ones, so for EMD a Vector is the
+// reference its sparse keys are tested against and the path the
+// benchmark's per-layer replay times.
 //
 // A Vector is immutable after DrawVector, and drawn Funcs are pure, so
-// concurrent evaluation from many goroutines is safe — the sharded
-// sketch builders (emd, gap) rely on this to spread key evaluation
-// across point blocks.
+// concurrent evaluation from many goroutines is safe.
 type Vector struct {
 	funcs []Func
 }
