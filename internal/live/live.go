@@ -10,10 +10,12 @@
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
 // started mid-churn serves one consistent generation while new sessions
-// see the latest. A bounded journal records which EMD cells each epoch
-// churned; DeltaCells answers "what changed since epoch e" for the
-// delta-sync fast path in internal/netproto, falling back to a full
-// transfer when e has aged out of the journal.
+// see the latest. Encodings derive from the snapshot once: the full EMD
+// message when it is built, the strata estimator's wire bits
+// (StrataWire) on first use. A bounded journal records which EMD cells
+// each epoch churned; DeltaCells answers "what changed since epoch e"
+// for the delta-sync fast path in internal/netproto, falling back to a
+// full transfer when e has aged out of the journal.
 package live
 
 import (
@@ -25,6 +27,7 @@ import (
 	"repro/internal/hashx"
 	"repro/internal/iblt"
 	"repro/internal/metric"
+	"repro/internal/transport"
 )
 
 // SyncConfig enables exact-ID reconciliation state over point
@@ -141,6 +144,31 @@ type Snapshot struct {
 	// Strata is the estimator over IDs (nil when Sync disabled);
 	// treat as read-only (Estimate clones internally).
 	Strata *iblt.Strata
+
+	strataOnce sync.Once
+	strataWire []byte
+	strataBits int64
+}
+
+// StrataWire returns Strata's wire encoding — the bits Strata.Encode
+// writes, packed MSB first from bit 0 — and its exact bit length, or
+// nil and 0 when Sync is disabled. It is encoded on first use and
+// shared by every later caller, so an epoch's estimator is packed at
+// most once however many probe and repair frames carry it: senders
+// splice it with transport.Encoder.WriteBitString, and a receiver can
+// recognise a peer estimator equal to this one with
+// transport.Decoder.ConsumeIfEqual instead of decoding it. Safe for
+// concurrent use; the returned bytes must not be modified.
+func (snap *Snapshot) StrataWire() ([]byte, int64) {
+	snap.strataOnce.Do(func() {
+		if snap.Strata == nil {
+			return
+		}
+		var e transport.Encoder
+		snap.Strata.Encode(&e)
+		snap.strataWire, snap.strataBits = e.Pack()
+	})
+	return snap.strataWire, snap.strataBits
 }
 
 // NewSet builds a live set over the initial points, using the sharded

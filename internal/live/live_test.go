@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/emd"
@@ -267,5 +268,57 @@ func TestLiveSetDuplicates(t *testing.T) {
 	}
 	if ls.Size() != 0 || len(ls.Snapshot().IDs) != 0 {
 		t.Fatal("set not empty after removing both copies")
+	}
+}
+
+// TestSnapshotStrataWireConcurrent has many goroutines ask one fresh
+// snapshot for its strata encoding at once: every caller must get the
+// same bytes, equal to encoding the estimator directly, and later
+// epochs get their own. Run under -race, it also checks the lazy
+// memoization is properly synchronized.
+func TestSnapshotStrataWireConcurrent(t *testing.T) {
+	space := metric.HammingCube(64)
+	src := rng.New(5)
+	var pts metric.PointSet
+	for i := 0; i < 24; i++ {
+		pts = append(pts, randomPoint(space, src))
+	}
+	s, err := NewSet(Config{Sync: &SyncConfig{Seed: 9}}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		snap := s.Snapshot()
+		want := encodeStrata(snap.Strata)
+		const callers = 16
+		wires := make([][]byte, callers)
+		bits := make([]int64, callers)
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				wires[i], bits[i] = snap.StrataWire()
+			}(i)
+		}
+		wg.Wait()
+		for i := range wires {
+			if !bytes.Equal(wires[i], want) || bits[i] != int64(len(want))*8 {
+				t.Fatalf("round %d caller %d: %d-bit wire differs from Strata.Encode (%d bytes)", round, i, bits[i], len(want))
+			}
+			if &wires[i][0] != &wires[0][0] {
+				t.Fatalf("round %d caller %d: encoding not shared", round, i)
+			}
+		}
+		if err := s.Add(randomPoint(space, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noSync, err := NewSet(Config{EMD: testConfig().EMD}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire, bits := noSync.Snapshot().StrataWire(); wire != nil || bits != 0 {
+		t.Fatalf("set without Sync has a strata encoding of %d bits", bits)
 	}
 }

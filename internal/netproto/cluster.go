@@ -25,6 +25,16 @@ import (
 //	initiator → peer: summary
 //	peer → initiator: summary
 //
+// Most probes find the sets identical, and then the two strata
+// estimators are identical bits: the session digest pins their seed and
+// geometry, so equal cells encode to equal bytes. Neither side does
+// strata codec work for that case. Each writes its snapshot's cached
+// encoding (live.Snapshot.StrataWire), and each compares the peer's
+// strata bits with that encoding before decoding them. Equal bits stand
+// for the local estimator itself, whose difference estimate against
+// itself is 0; any other bits are decoded and validated in full. The
+// wire bytes are the same either way.
+//
 // Repair (ProtoRepair) converges the sets exactly: classic strata+IBLT
 // ID reconciliation followed by a point-payload exchange, after which
 // both sides hold the union of distinct points (add-wins anti-entropy
@@ -82,16 +92,26 @@ type ProbeSummary struct {
 	// EMDFingerprint hashes the full EMD message (0 when EMD is off).
 	EMDFingerprint uint64
 	// Strata is the ID-difference estimator (nil when Sync is off).
+	// After a probe it is the local estimator itself when the peer's
+	// strata bits equalled ours.
 	Strata *iblt.Strata
+
+	// strataWire/strataBits are Strata's cached encoding when the
+	// summary describes a local snapshot (nil for a decoded one).
+	strataWire []byte
+	strataBits int64
 }
 
 func summaryOf(snap *live.Snapshot) ProbeSummary {
+	wire, bits := snap.StrataWire()
 	return ProbeSummary{
 		Epoch:          snap.Epoch,
 		Distinct:       len(snap.IDs),
 		IDFingerprint:  snap.IDFingerprint,
 		EMDFingerprint: snap.EMDFingerprint,
 		Strata:         snap.Strata,
+		strataWire:     wire,
+		strataBits:     bits,
 	}
 }
 
@@ -101,12 +121,19 @@ func encodeSummary(e *transport.Encoder, s ProbeSummary) {
 	e.WriteUint64(s.IDFingerprint)
 	e.WriteUint64(s.EMDFingerprint)
 	e.WriteBool(s.Strata != nil)
-	if s.Strata != nil {
+	switch {
+	case s.Strata != nil && s.strataWire != nil:
+		e.WriteBitString(s.strataWire, s.strataBits)
+	case s.Strata != nil:
 		s.Strata.Encode(e)
 	}
 }
 
-func decodeSummary(d *transport.Decoder, strataSeed uint64) (ProbeSummary, error) {
+// decodeSummary reads a peer's summary. local is this side's summary
+// (the zero value when there is none): a peer strata whose bits equal
+// local's cached encoding is not decoded, and the result's Strata is
+// local.Strata, read-only.
+func decodeSummary(d *transport.Decoder, strataSeed uint64, local ProbeSummary) (ProbeSummary, error) {
 	var s ProbeSummary
 	var err error
 	if s.Epoch, err = d.ReadUvarint(); err != nil {
@@ -131,7 +158,9 @@ func decodeSummary(d *transport.Decoder, strataSeed uint64) (ProbeSummary, error
 		return s, err
 	}
 	if hasStrata {
-		if s.Strata, err = iblt.DecodeStrata(d, strataSeed); err != nil {
+		if local.strataWire != nil && d.ConsumeIfEqual(local.strataWire, local.strataBits) {
+			s.Strata = local.Strata
+		} else if s.Strata, err = iblt.DecodeStrata(d, strataSeed); err != nil {
 			return s, err
 		}
 	}
@@ -190,13 +219,18 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	seed := h.strataSeed()
-	if h.Remote, err = decodeSummary(d, seed); err != nil {
+	sc, _ := h.set.SyncConfig()
+	if h.Remote, err = decodeSummary(d, sc.Seed, h.Local); err != nil {
 		return err
 	}
 	h.Matched = h.Local.Match(h.Remote)
 	h.Estimate = -1
-	if h.Local.Strata != nil && h.Remote.Strata != nil {
+	switch {
+	case h.Local.Strata != nil && h.Remote.Strata == h.Local.Strata:
+		// The peer's strata bits equalled ours; an estimator minus
+		// itself peels to nothing.
+		h.Estimate = 0
+	case h.Local.Strata != nil && h.Remote.Strata != nil:
 		est, err := h.Local.Strata.Estimate(h.Remote.Strata)
 		if err != nil {
 			return fmt.Errorf("netproto: probe estimate: %w", err)
@@ -204,11 +238,6 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 		h.Estimate = est
 	}
 	return nil
-}
-
-func (h *ProbeInitiator) strataSeed() uint64 {
-	sc, _ := h.set.SyncConfig()
-	return sc.Seed
 }
 
 // ProbeResponder answers probe sessions from a live set's snapshot.
@@ -234,18 +263,21 @@ func (h *ProbeResponder) Role() Role { return RoleBob }
 // Digest implements Handler.
 func (h *ProbeResponder) Digest() uint64 { return DigestLiveSet(h.set) }
 
-// Run implements Handler: read the prober's summary (it is not used
-// server-side, but must be drained), answer with our own.
+// Run implements Handler: read the prober's summary, answer with our
+// own. The prober's summary is not used server-side, but it is still
+// parsed and validated. Its strata is compared with ours before it is
+// decoded, so on the common identical-sets probe the check is a byte
+// comparison rather than a strata decode.
 func (h *ProbeResponder) Run(conn transport.Conn) error {
 	d, err := conn.Recv()
 	if err != nil {
 		return err
 	}
+	h.Served = summaryOf(h.set.Snapshot())
 	sc, _ := h.set.SyncConfig()
-	if _, err := decodeSummary(d, sc.Seed); err != nil {
+	if _, err := decodeSummary(d, sc.Seed, h.Served); err != nil {
 		return err
 	}
-	h.Served = summaryOf(h.set.Snapshot())
 	e := transport.NewEncoder()
 	encodeSummary(e, h.Served)
 	return conn.Send(e)
@@ -441,7 +473,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 		e.WriteUvarint(uint64(h.Hint))
 	} else {
 		e.WriteUvarint(0)
-		snap.Strata.Encode(e)
+		e.WriteBitString(snap.StrataWire())
 	}
 	if err := conn.Send(e); err != nil {
 		return err

@@ -23,21 +23,36 @@ import (
 
 const fuzzStrataSeed = 0xf00d
 
-// fuzzSummaryBytes encodes a valid probe summary frame payload.
-func fuzzSummaryBytes(withStrata bool) []byte {
+// fuzzLocalSummary is the local side's summary the probe decoders
+// compare peer strata against.
+func fuzzLocalSummary() ProbeSummary {
 	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: fuzzStrataSeed}},
 		metric.PointSet{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	if err != nil {
 		panic(err)
 	}
-	s := summaryOf(ls.Snapshot())
+	return summaryOf(ls.Snapshot())
+}
+
+// fuzzSummaryBytes encodes a valid probe summary frame payload; with
+// strata, its strata bits equal fuzzLocalSummary's.
+func fuzzSummaryBytes(withStrata bool) []byte {
+	s := fuzzLocalSummary()
 	if !withStrata {
 		s.Strata = nil
 	}
-	e := transport.NewEncoder()
-	encodeSummary(e, s)
-	data, _ := e.Pack()
-	return append([]byte(nil), data...)
+	return reencodeSummary(s)
+}
+
+// fuzzSummaryFlippedStrata is fuzzSummaryBytes(true) with the low bit
+// of the strata's last byte flipped: the last checksum's final uvarint
+// group changes value, so the strata still decodes, but no longer
+// equals the local one.
+func fuzzSummaryFlippedStrata() []byte {
+	s := fuzzLocalSummary()
+	s.strataWire = append([]byte(nil), s.strataWire...)
+	s.strataWire[len(s.strataWire)-1] ^= 0x01
+	return reencodeSummary(s)
 }
 
 // reencodeSummary packs a summary back to wire bytes.
@@ -51,9 +66,15 @@ func reencodeSummary(s ProbeSummary) []byte {
 // FuzzProbeSummary hardens the probe-frame reader: arbitrary bytes must
 // either fail cleanly or decode to a summary that survives an
 // encode/decode round trip bit-identically (strata cells included).
+// Every input is decoded twice, against a real local summary (so strata
+// bits equal to it take the no-decode shortcut) and against none (a
+// full decode); both must accept or reject alike and re-encode to the
+// same bytes.
 func FuzzProbeSummary(f *testing.F) {
+	local := fuzzLocalSummary()
 	f.Add(fuzzSummaryBytes(true))
 	f.Add(fuzzSummaryBytes(false))
+	f.Add(fuzzSummaryFlippedStrata())
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	// Uvarint distinct-count bomb: epoch 0 then 2^60.
@@ -61,7 +82,11 @@ func FuzzProbeSummary(f *testing.F) {
 	f.Add(fuzzSummaryBytes(true)[:9])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeSummary(transport.NewDecoder(data), fuzzStrataSeed)
+		s, err := decodeSummary(transport.NewDecoder(data), fuzzStrataSeed, local)
+		full, fullErr := decodeSummary(transport.NewDecoder(data), fuzzStrataSeed, ProbeSummary{})
+		if (err == nil) != (fullErr == nil) {
+			t.Fatalf("shortcut decode err = %v, full decode err = %v", err, fullErr)
+		}
 		if err != nil {
 			return // rejected cleanly
 		}
@@ -69,7 +94,10 @@ func FuzzProbeSummary(f *testing.F) {
 			t.Fatalf("accepted negative distinct count: %+v", s)
 		}
 		enc1 := reencodeSummary(s)
-		s2, err := decodeSummary(transport.NewDecoder(enc1), fuzzStrataSeed)
+		if encFull := reencodeSummary(full); !bytes.Equal(enc1, encFull) {
+			t.Fatalf("shortcut and full decodes re-encode differently:\n%x\n%x", enc1, encFull)
+		}
+		s2, err := decodeSummary(transport.NewDecoder(enc1), fuzzStrataSeed, local)
 		if err != nil {
 			t.Fatalf("re-decode of accepted summary failed: %v", err)
 		}
@@ -267,6 +295,8 @@ func TestGenerateClusterFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzProbeSummary", "valid-with-strata", fuzzSummaryBytes(true))
 	write("FuzzProbeSummary", "valid-no-strata", fuzzSummaryBytes(false))
+	write("FuzzProbeSummary", "strata-equals-local", fuzzSummaryBytes(true))
+	write("FuzzProbeSummary", "strata-last-byte-flipped", fuzzSummaryFlippedStrata())
 	write("FuzzProbeSummary", "truncated", fuzzSummaryBytes(true)[:9])
 	write("FuzzProbeSummary", "distinct-bomb", []byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10})
 	write("FuzzRepairFrames", "valid", fuzzRepairAckBytes([]uint64{1, 2, 3}, metric.PointSet{{1, 2}, {3, 4}}))

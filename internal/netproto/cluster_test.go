@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/emd"
+	"repro/internal/iblt"
 	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/rng"
+	"repro/internal/transport"
 )
 
 func clusterPoints(space metric.Space, n int, seed uint64) metric.PointSet {
@@ -89,6 +91,66 @@ func TestProbeMatchAndEstimate(t *testing.T) {
 	}
 	if probe.Remote.Distinct != 62 {
 		t.Fatalf("remote distinct = %d, want 62", probe.Remote.Distinct)
+	}
+}
+
+// TestProbeIdenticalSetsSkipsStrataCodec pins the identical-sets probe
+// to a byte comparison: each side splices its snapshot's cached strata
+// encoding and recognises the peer's equal bits without decoding them,
+// so the remote estimator is the local one and a probe allocates far
+// less than two 32-table strata decodes would. Diverged sets still
+// decode, and their estimate is the one a full decode gives.
+func TestProbeIdenticalSetsSkipsStrataCodec(t *testing.T) {
+	space := metric.HammingCube(64)
+	shared := clusterPoints(space, 64, 3)
+	a := newSyncSet(t, space, shared, 9)
+	b := newSyncSet(t, space, shared, 9)
+
+	probe := NewProbeInitiator(a)
+	runPair(t, probe, NewProbeResponderFactory(b)())
+	if !probe.Matched || probe.Estimate != 0 {
+		t.Fatalf("identical sets: matched %v, estimate %d; want true, 0", probe.Matched, probe.Estimate)
+	}
+	if probe.Remote.Strata != probe.Local.Strata {
+		t.Fatal("identical sets: remote strata was decoded instead of recognised as the local one")
+	}
+	// A strata decode allocates a table per level, so even one of them
+	// would exceed this bound; the pipe, frames and summaries take
+	// about half of it.
+	const maxAllocs = 2 * iblt.StrataLevels
+	allocs := testing.AllocsPerRun(20, func() {
+		runPair(t, NewProbeInitiator(a), NewProbeResponderFactory(b)())
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("identical-sets probe allocates %.0f times, want ≤ %d", allocs, maxAllocs)
+	}
+
+	for seed := uint64(10); seed < 15; seed++ {
+		c := newSyncSet(t, space, shared, 9)
+		for _, pt := range clusterPoints(space, int(seed), seed) {
+			if err := c.Add(pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		probe := NewProbeInitiator(a)
+		runPair(t, probe, NewProbeResponderFactory(c)())
+		if probe.Matched || probe.Remote.Strata == probe.Local.Strata {
+			t.Fatalf("seed %d: diverged sets matched or shared the local strata", seed)
+		}
+		e := transport.NewEncoder()
+		c.Snapshot().Strata.Encode(e)
+		data, _ := e.Pack()
+		remote, err := iblt.DecodeStrata(transport.NewDecoder(data), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := a.Snapshot().Strata.Estimate(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.Estimate != want {
+			t.Fatalf("seed %d: probe estimate %d, full decode gives %d", seed, probe.Estimate, want)
+		}
 	}
 }
 

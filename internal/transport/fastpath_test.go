@@ -223,3 +223,150 @@ func TestEncoderRecycle(t *testing.T) {
 		t.Fatalf("recycled encoder produced %x (%d bits), want 2a (8 bits)", got, bits)
 	}
 }
+
+// writeBitString appends the first n bits of the packed string p, one
+// bit at a time.
+func (r *refBitWriter) writeBitString(p []byte, n int64) {
+	for i := int64(0); i < n; i++ {
+		r.bits = append(r.bits, p[i/8]>>(7-uint(i%8))&1 == 1)
+	}
+}
+
+// bitStringCase writes a prefix of the given bit length, then the bit
+// string, then a short trailer, through both the Encoder and the
+// reference, and returns the encoded payload and the bit offset of
+// the string. It fails the test unless the two streams are identical.
+func bitStringCase(t testing.TB, prefixBits uint, prefix uint64, p []byte, n int64) ([]byte, int64) {
+	t.Helper()
+	e := NewEncoder()
+	var ref refBitWriter
+	e.WriteBits(prefix, prefixBits)
+	ref.writeBits(prefix, prefixBits)
+	e.WriteBitString(p, n)
+	ref.writeBitString(p, n)
+	e.WriteBits(0x5, 3)
+	ref.writeBits(0x5, 3)
+	got, bits := e.Pack()
+	if bits != int64(len(ref.bits)) {
+		t.Fatalf("prefix %d, %d-bit string: encoder wrote %d bits, reference %d", prefixBits, n, bits, len(ref.bits))
+	}
+	if want := ref.pack(); !bytes.Equal(got, want) {
+		t.Fatalf("prefix %d, %d-bit string: stream mismatch\n got %x\nwant %x", prefixBits, n, got, want)
+	}
+	return got, int64(prefixBits)
+}
+
+// TestBitStringMatchesReference pins WriteBitString to the bitwise
+// reference at every prefix alignment and at lengths from 0 bits to
+// more than 64 bytes, and checks that ConsumeIfEqual accepts exactly
+// the spliced string: it consumes it on a match, rejects a copy with
+// any single bit flipped (trailing partial byte included) or a
+// truncated stream, and leaves the position unchanged on a reject.
+func TestBitStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := []int64{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 511, 512, 520, 64*8 + 13, 1000}
+	for prefixBits := uint(0); prefixBits < 8; prefixBits++ {
+		for _, n := range lengths {
+			p := make([]byte, (n+7)/8)
+			rng.Read(p)
+			prefix := rng.Uint64() & (1<<prefixBits - 1)
+			data, off := bitStringCase(t, prefixBits, prefix, p, n)
+
+			consume := func(q []byte, buf []byte) (bool, int64) {
+				d := NewDecoder(buf)
+				if _, err := d.ReadBits(prefixBits); err != nil {
+					t.Fatal(err)
+				}
+				ok := d.ConsumeIfEqual(q, n)
+				return ok, d.pos
+			}
+			if ok, pos := consume(p, data); !ok || pos != off+n {
+				t.Fatalf("prefix %d, %d bits: ConsumeIfEqual = %v at pos %d, want match at %d", prefixBits, n, ok, pos, off+n)
+			}
+			d := NewDecoder(data)
+			d.ReadBits(prefixBits)
+			d.ConsumeIfEqual(p, n)
+			if v, err := d.ReadBits(3); err != nil || v != 0x5 {
+				t.Fatalf("prefix %d, %d bits: trailer after match = %d, %v", prefixBits, n, v, err)
+			}
+
+			// One flipped bit anywhere in the string, in the local copy
+			// or in the stream, is a mismatch that consumes nothing.
+			flips := []int64{0, n - 1, n / 2}
+			if n > 8 {
+				flips = append(flips, n&^7) // first bit of a trailing partial byte
+			}
+			for _, f := range flips {
+				if f < 0 || f >= n {
+					continue
+				}
+				q := append([]byte(nil), p...)
+				q[f/8] ^= 1 << (7 - uint(f%8))
+				if ok, pos := consume(q, data); ok || pos != off {
+					t.Fatalf("prefix %d, %d bits, flip %d: ConsumeIfEqual = %v at pos %d, want reject at %d", prefixBits, n, f, ok, pos, off)
+				}
+				bad := append([]byte(nil), data...)
+				bit := off + f
+				bad[bit/8] ^= 1 << (7 - uint(bit%8))
+				if ok, pos := consume(p, bad); ok || pos != off {
+					t.Fatalf("prefix %d, %d bits, stream flip %d: ConsumeIfEqual = %v at pos %d, want reject at %d", prefixBits, n, f, ok, pos, off)
+				}
+			}
+
+			// Bits of p past n are not part of the string.
+			if n%8 != 0 {
+				q := append([]byte(nil), p...)
+				q[len(q)-1] ^= 1
+				if ok, _ := consume(q, data); !ok {
+					t.Fatalf("prefix %d, %d bits: padding bit changed the comparison", prefixBits, n)
+				}
+			}
+
+			// Truncation: a stream that ends inside the string is
+			// rejected without moving.
+			if n > 0 {
+				short := data[:(off+n-1)/8]
+				d := NewDecoder(short)
+				if _, err := d.ReadBits(prefixBits); err != nil {
+					continue // the prefix itself no longer fits
+				}
+				if d.ConsumeIfEqual(p, n) || d.pos != off {
+					t.Fatalf("prefix %d, %d bits: truncated stream accepted or moved to %d", prefixBits, n, d.pos)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBitString round-trips a random bit string through WriteBitString
+// and ConsumeIfEqual behind a prefix of random width, and requires a
+// single flipped bit to be rejected without consuming anything.
+func FuzzBitString(f *testing.F) {
+	f.Add(uint8(1), uint64(1), []byte("strata cells spliced at bit offset one"), uint16(300), uint16(17))
+	f.Add(uint8(0), uint64(0), []byte{}, uint16(0), uint16(0))
+	f.Add(uint8(7), uint64(0x55), bytes.Repeat([]byte{0xa5}, 70), uint16(560), uint16(559))
+	f.Fuzz(func(t *testing.T, prefixBits uint8, prefix uint64, p []byte, n, flip uint16) {
+		pw := uint(prefixBits % 65)
+		prefix &= 1<<pw - 1
+		nbits := int64(n) % (int64(len(p))*8 + 1)
+		data, off := bitStringCase(t, pw, prefix, p, nbits)
+		d := NewDecoder(data)
+		if _, err := d.ReadBits(pw); err != nil {
+			t.Fatal(err)
+		}
+		if !d.ConsumeIfEqual(p, nbits) || d.pos != off+nbits {
+			t.Fatalf("round trip of %d bits at offset %d not consumed (pos %d)", nbits, off, d.pos)
+		}
+		if nbits == 0 {
+			return
+		}
+		q := append([]byte(nil), p...)
+		fb := int64(flip) % nbits
+		q[fb/8] ^= 1 << (7 - uint(fb%8))
+		d = NewDecoder(data)
+		d.ReadBits(pw)
+		if d.ConsumeIfEqual(q, nbits) || d.pos != off {
+			t.Fatalf("bit %d of %d flipped: accepted or moved to %d", fb, nbits, d.pos)
+		}
+	})
+}

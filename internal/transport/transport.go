@@ -11,6 +11,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -215,6 +216,38 @@ func (e *Encoder) WriteBytes(p []byte) {
 	}
 }
 
+// WriteBitString appends the first nbits of p, a bit string packed MSB
+// first as Pack returns it, at the encoder's current bit alignment.
+// The stream is exactly what re-encoding the structure that produced p
+// would write here, so a sender can cache a structure's encoding once
+// and splice it into many frames. Bits of p past nbits are ignored.
+func (e *Encoder) WriteBitString(p []byte, nbits int64) {
+	if nbits < 0 || nbits > int64(len(p))*8 {
+		panic("transport: WriteBitString length out of range")
+	}
+	// One 64-bit word per step: the curN pending bits lead the output
+	// word, and the word's low curN bits become the new pending byte.
+	// Aligned (curN = 0) this degenerates to appending the word.
+	for ; nbits >= 64; nbits -= 64 {
+		v := binary.BigEndian.Uint64(p)
+		e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(e.cur)<<56|v>>e.curN)
+		e.cur = byte(v << (8 - e.curN))
+		e.bitsUse += 64
+		p = p[8:]
+	}
+	if nbits > 0 {
+		e.WriteBits(leadingBits(p, uint(nbits)), uint(nbits))
+	}
+}
+
+// leadingBits returns the first n ≤ 64 bits of the packed string p,
+// right-aligned; p must hold at least n bits.
+func leadingBits(p []byte, n uint) uint64 {
+	var w [8]byte
+	copy(w[:], p)
+	return binary.BigEndian.Uint64(w[:]) >> (64 - n)
+}
+
 // Bits returns the exact number of payload bits written so far.
 func (e *Encoder) Bits() int64 { return e.bitsUse }
 
@@ -297,6 +330,45 @@ func (d *Decoder) ReadBits(n uint) (uint64, error) {
 		n -= take
 	}
 	return v, nil
+}
+
+// ConsumeIfEqual reports whether the next nbits of the stream equal the
+// first nbits of the packed bit string p (as WriteBitString takes it).
+// On a match it consumes them; otherwise, and when fewer than nbits
+// remain, the position is left unchanged. A receiver uses it to
+// recognise a peer structure whose encoding equals one it already
+// holds, without decoding it.
+func (d *Decoder) ConsumeIfEqual(p []byte, nbits int64) bool {
+	if nbits < 0 || nbits > int64(len(p))*8 {
+		panic("transport: ConsumeIfEqual length out of range")
+	}
+	if nbits > int64(len(d.buf))*8-d.pos {
+		return false
+	}
+	start := d.pos
+	// Compare a 64-bit word per step. The stream's word starting at
+	// bit pos spans bytes i..i+8 when misaligned; the length check
+	// above guarantees byte i+8 exists whenever off > 0.
+	for ; nbits >= 64; nbits -= 64 {
+		i, off := d.pos>>3, uint(d.pos&7)
+		got := binary.BigEndian.Uint64(d.buf[i:])
+		if off > 0 {
+			got = got<<off | uint64(d.buf[i+8])>>(8-off)
+		}
+		if got != binary.BigEndian.Uint64(p) {
+			d.pos = start
+			return false
+		}
+		d.pos += 64
+		p = p[8:]
+	}
+	if nbits > 0 {
+		if got, _ := d.ReadBits(uint(nbits)); got != leadingBits(p, uint(nbits)) {
+			d.pos = start
+			return false
+		}
+	}
+	return true
 }
 
 // ReadBool reads one bit.
