@@ -191,8 +191,6 @@ type reconInfo struct {
 	Probes          uint64 `json:"probes"`
 	ProbeFailures   uint64 `json:"probe_failures"`
 	Noops           uint64 `json:"noops"`
-	Deltas          uint64 `json:"deltas"`
-	Fulls           uint64 `json:"fulls"`
 	Repairs         uint64 `json:"repairs"`
 	RepairFailures  uint64 `json:"repair_failures"`
 	PointsSent      uint64 `json:"points_sent"`
@@ -207,8 +205,7 @@ func reconFrom(m cluster.SetMetrics) *reconInfo {
 	return &reconInfo{
 		Rounds: m.Rounds, Skipped: m.Skipped,
 		Probes: m.Probes, ProbeFailures: m.ProbeFailures,
-		Noops: m.Noops, Deltas: m.Deltas, Fulls: m.Fulls,
-		Repairs: m.Repairs, RepairFailures: m.RepairFailures,
+		Noops: m.Noops, Repairs: m.Repairs, RepairFailures: m.RepairFailures,
 		PointsSent: m.PointsSent, PointsReceived: m.PointsReceived,
 		CorruptRejected: m.CorruptRejected,
 		LastEstimate:    m.LastEstimate,

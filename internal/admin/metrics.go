@@ -189,8 +189,6 @@ func (s *Server) writeReconMetrics(e *expo) {
 	for _, n := range names {
 		m := metrics[n]
 		e.sample("rsyn_recon_tier_total", float64(m.Noops), "set", setLabel(n), "tier", "noop")
-		e.sample("rsyn_recon_tier_total", float64(m.Deltas), "set", setLabel(n), "tier", "delta")
-		e.sample("rsyn_recon_tier_total", float64(m.Fulls), "set", setLabel(n), "tier", "full")
 		e.sample("rsyn_recon_tier_total", float64(m.Repairs), "set", setLabel(n), "tier", "repair")
 	}
 	e.family("rsyn_recon_repair_failures_total", "counter", "Repair attempts that failed for one set.")

@@ -213,8 +213,6 @@ func TestMetricsExposition(t *testing.T) {
 		`rsyn_recon_rounds_total{set="alpha"}`,
 		`rsyn_recon_probes_total{set="alpha"}`,
 		`rsyn_recon_tier_total{set="alpha",tier="noop"}`,
-		`rsyn_recon_tier_total{set="alpha",tier="delta"}`,
-		`rsyn_recon_tier_total{set="alpha",tier="full"}`,
 		`rsyn_recon_tier_total{set="alpha",tier="repair"}`,
 		`rsyn_recon_points_total{set="alpha",direction="sent"}`,
 		`rsyn_recon_points_total{set="alpha",direction="received"}`,
@@ -235,6 +233,13 @@ func TestMetricsExposition(t *testing.T) {
 	for _, key := range stable {
 		if _, ok := samples[key]; !ok {
 			t.Errorf("stable metric %s missing from scrape", key)
+		}
+	}
+	// The mesh runs two tiers only: a matched probe (noop) or repair.
+	for key := range samples {
+		if strings.HasPrefix(key, `rsyn_recon_tier_total{`) &&
+			!strings.HasSuffix(key, `tier="noop"}`) && !strings.HasSuffix(key, `tier="repair"}`) {
+			t.Errorf("unexpected tier sample %s", key)
 		}
 	}
 

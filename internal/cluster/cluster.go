@@ -14,17 +14,14 @@
 //
 // Each reconciliation runs the cheapest sufficient protocol:
 //
-//	fingerprints match          → no-op (the common steady-state round)
-//	diverged, EMD maintained    → live-emd pull first: a returning node
-//	                              announces the epoch it last saw, so an
-//	                              unchanged peer ships only churned
-//	                              cells (delta) rather than the full
-//	                              sketch — divergence telemetry and a
-//	                              warm sketch cache for nearly free
-//	diverged                    → exact repair (ProtoRepair): strata-
-//	                              hinted IBLT ID sync plus point payload
-//	                              exchange; both sides converge to the
-//	                              union of their distinct points
+//	fingerprints match → no-op (the common steady-state round)
+//	diverged           → exact repair (ProtoRepair): strata-hinted IBLT
+//	                     ID sync plus point payload exchange; both sides
+//	                     converge to the union of their distinct points
+//
+// The mesh pulls no EMD sketch: repair converges every set, so a
+// decoded sketch would go unused. Live-emd stays a protocol the node
+// serves to clients (StoreResolver).
 //
 // The probe's strata estimate is passed to repair as a sizing hint, so
 // the repair session skips its own strata round. Failures back off
@@ -34,7 +31,7 @@
 // Convergence is add-wins: points flow toward the union; removals are
 // local until every member has removed (no tombstones — the semantics a
 // grow-set anti-entropy mesh provides). The metrics expose per-set
-// round counters, protocol-tier counts, payload totals, and the
+// round counters, no-op and repair counts, payload totals, and the
 // consecutive-converged streak operators alert on.
 package cluster
 
@@ -151,21 +148,6 @@ type CatalogSet struct {
 	Config live.Config
 }
 
-// Tier labels which protocol a reconciliation round ran.
-type Tier int
-
-const (
-	// TierNoop: fingerprints matched, nothing exchanged.
-	TierNoop Tier = iota
-	// TierDelta: live-emd pull took the churned-cells fast path.
-	TierDelta
-	// TierFull: live-emd pull shipped the full sketch.
-	TierFull
-	// TierRepair: exact repair ran (always follows TierDelta/TierFull
-	// when EMD is maintained; alone otherwise).
-	TierRepair
-)
-
 // SetMetrics counts one hosted set's anti-entropy activity on one node.
 type SetMetrics struct {
 	// Rounds is how many reconciliation rounds considered the set
@@ -178,9 +160,6 @@ type SetMetrics struct {
 	ProbeFailures uint64
 	// Noops counts rounds where every probed peer matched.
 	Noops uint64
-	// Deltas / Fulls count live-emd pulls by transfer mode.
-	Deltas uint64
-	Fulls  uint64
 	// Repairs / RepairFailures count exact repair sessions.
 	Repairs        uint64
 	RepairFailures uint64
@@ -225,7 +204,6 @@ type Node struct {
 	peers   []string
 	src     *rng.Source
 	metrics map[string]*SetMetrics
-	caches  map[string]map[string]*netproto.EMDCache // set → peer addr → sketch cache
 	// owners maps each catalog set to its current co-owners (self
 	// excluded); relinquish flags sets awaiting handoff confirmation.
 	// Both are maintained by ApplyPlacement (membership.go).
@@ -303,7 +281,6 @@ func New(cfg Config) (*Node, error) {
 		peers:      append([]string(nil), cfg.Peers...),
 		src:        rng.New(cfg.Seed),
 		metrics:    make(map[string]*SetMetrics),
-		caches:     make(map[string]map[string]*netproto.EMDCache),
 		owners:     make(map[string][]string),
 		relinquish: make(map[string]bool),
 	}
@@ -666,29 +643,10 @@ func (m *SetMetrics) applyBackoff(maxRounds int) {
 	m.Streak = 0
 }
 
-// reconcile runs the escalation against one diverged peer: live-emd
-// pull when the set maintains an EMD sketch (delta for returning nodes,
-// full otherwise — refreshing telemetry and the sketch cache), then the
-// exact repair that actually converges state, hinted with the probe's
-// estimate.
+// reconcile converges the set with one diverged peer: the exact
+// repair, hinted with the probe's estimate so it skips its own strata
+// round.
 func (n *Node) reconcile(name string, ls *live.Set, m *SetMetrics, addr string, probe *netproto.ProbeInitiator) error {
-	if p, ok := ls.EMDParams(); ok {
-		cache := n.cacheFor(name, addr)
-		recv := netproto.NewLiveEMDReceiver(p, ls.Snapshot().Points, cache)
-		if err := n.do(addr, name, recv); err != nil {
-			// The pull is telemetry + cache warming; repair below is what
-			// converges. Log and continue.
-			n.cfg.Logf("cluster: set %q live-emd %s: %v", name, addr, err)
-		} else {
-			n.mu.Lock()
-			if recv.UsedDelta {
-				m.Deltas++
-			} else {
-				m.Fulls++
-			}
-			n.mu.Unlock()
-		}
-	}
 	hint := probe.Estimate
 	if hint < 0 {
 		hint = 0
@@ -771,24 +729,6 @@ func (n *Node) metricsFor(name string) *SetMetrics {
 	return m
 }
 
-// cacheFor returns (creating if needed) the per-(set, peer) EMD sketch
-// cache.
-func (n *Node) cacheFor(set, addr string) *netproto.EMDCache {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	byPeer := n.caches[set]
-	if byPeer == nil {
-		byPeer = make(map[string]*netproto.EMDCache)
-		n.caches[set] = byPeer
-	}
-	c := byPeer[addr]
-	if c == nil {
-		c = &netproto.EMDCache{}
-		byPeer[addr] = c
-	}
-	return c
-}
-
 // pickFromLocked draws up to d distinct random peers from the pool
 // (the whole mesh, or one set's co-owner group in placement mode). No
 // RNG is consumed when the pool already fits within d, so the draw
@@ -825,8 +765,8 @@ func (n *Node) pickFromLocked(pool []string, d int) []string {
 // only appears when nonzero, so healthy-mesh log and trace lines are
 // unchanged from ledger-free builds.
 func (m SetMetrics) String() string {
-	s := fmt.Sprintf("rounds=%d noops=%d repairs=%d (fail=%d) delta/full=%d/%d pts=%d↑/%d↓ streak=%d",
-		m.Rounds, m.Noops, m.Repairs, m.RepairFailures, m.Deltas, m.Fulls,
+	s := fmt.Sprintf("rounds=%d noops=%d repairs=%d (fail=%d) pts=%d↑/%d↓ streak=%d",
+		m.Rounds, m.Noops, m.Repairs, m.RepairFailures,
 		m.PointsSent, m.PointsReceived, m.Streak)
 	if m.CorruptRejected > 0 {
 		s += fmt.Sprintf(" corrupt=%d", m.CorruptRejected)

@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/emd"
 	"repro/internal/live"
 	"repro/internal/metric"
+	"repro/internal/netproto"
 	"repro/internal/rng"
+	"repro/internal/session"
 	"repro/internal/simnet"
 	"repro/internal/store"
 )
@@ -34,8 +37,9 @@ func testPoints(n int, seed uint64) metric.PointSet {
 }
 
 // testStore hosts three sets with identical cross-node configs but
-// node-specific extra points: "alpha" maintains EMD+Sync (exercising
-// the live-emd tier), "beta" and the default set Sync only.
+// node-specific extra points: "alpha" maintains EMD+Sync (so the mesh
+// must converge a set whose live-emd protocol it serves but never
+// pulls), "beta" and the default set Sync only.
 func testStore(t *testing.T, node int) *store.Store {
 	t.Helper()
 	st := store.New()
@@ -55,24 +59,68 @@ func testStore(t *testing.T, node int) *store.Store {
 	return st
 }
 
+// servedCounter tallies the sessions a mesh's servers created, per
+// protocol, across every node whose resolver it wraps.
+type servedCounter struct {
+	mu sync.Mutex
+	n  map[netproto.Proto]int
+}
+
+func newServedCounter() *servedCounter {
+	return &servedCounter{n: make(map[netproto.Proto]int)}
+}
+
+// wrap is a Config.WrapResolver that counts each served session.
+func (c *servedCounter) wrap(res netproto.Resolver) netproto.Resolver {
+	return func(set string, proto netproto.Proto, peerRole netproto.Role) (func() netproto.Handler, bool) {
+		f, exists := res(set, proto, peerRole)
+		if f == nil {
+			return nil, exists
+		}
+		return func() netproto.Handler {
+			c.mu.Lock()
+			c.n[proto]++
+			c.mu.Unlock()
+			return f()
+		}, exists
+	}
+}
+
+func (c *servedCounter) get(proto netproto.Proto) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[proto]
+}
+
 // startMesh builds and starts n manual-round nodes over a deterministic
 // simnet (hermetic: no real ports or timers) and installs the full peer
 // mesh. The returned network is the fault-injection handle.
 func startMesh(t *testing.T, count int) ([]*Node, *simnet.Network) {
+	t.Helper()
+	return startCountedMesh(t, count, nil)
+}
+
+// startCountedMesh is startMesh with every node's served sessions
+// tallied in served (nil counts nothing).
+func startCountedMesh(t *testing.T, count int, served *servedCounter) ([]*Node, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(uint64(7 + count))
 	nodes := make([]*Node, count)
 	addrs := make([]string, count)
 	for i := range nodes {
 		host := fmt.Sprintf("node%d", i)
-		n, err := New(Config{
+		cfg := Config{
 			Store:     testStore(t, i),
 			Network:   "sim",
 			Interval:  -1, // manual rounds
 			Seed:      uint64(1000 + i),
 			Logf:      t.Logf,
 			Transport: net.Host(host),
-		})
+		}
+		if served != nil {
+			cfg.WrapResolver = served.wrap
+		}
+		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,12 +200,39 @@ func churn(t *testing.T, n *Node, seed uint64) {
 	}
 }
 
+// settleUntilConverged runs manual rounds on every node until every
+// set is fingerprint-identical across the mesh, failing the test after
+// maxRounds. It returns the number of rounds taken.
+func settleUntilConverged(t *testing.T, nodes []*Node, maxRounds int) int {
+	t.Helper()
+	for round := 0; round < maxRounds; round++ {
+		for i, n := range nodes {
+			if _, err := n.ReconcileOnce(); err != nil {
+				t.Fatalf("settle round %d node %d: %v", round, i, err)
+			}
+		}
+		settle(nodes)
+		if meshConverged(t, nodes) {
+			return round + 1
+		}
+	}
+	for i, n := range nodes {
+		for name, m := range n.Metrics() {
+			t.Logf("node %d set %q: %v", i, name, m)
+		}
+	}
+	t.Fatalf("mesh not converged after %d settle rounds", maxRounds)
+	return 0
+}
+
 // TestClusterConvergenceUnderChurn is the acceptance test: 3 nodes with
 // divergent stores, concurrent ApplyBatch churn during the first
 // rounds, then convergence to fingerprint-identical state for every
-// named set within a bounded number of anti-entropy rounds.
+// named set within a bounded number of anti-entropy rounds — by probe
+// and repair alone: the mesh serves no live-emd session to itself.
 func TestClusterConvergenceUnderChurn(t *testing.T) {
-	nodes, _ := startMesh(t, 3)
+	served := newServedCounter()
+	nodes, _ := startCountedMesh(t, 3, served)
 
 	// Phase 1: anti-entropy racing churn.
 	for round := 0; round < 3; round++ {
@@ -173,33 +248,9 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 	// Phase 2: churn stops; the mesh must converge within a bounded
 	// number of rounds. 2 choices of 2 peers probe everyone, so each
 	// round strictly propagates the union; 10 rounds is generous.
-	const maxRounds = 10
-	converged := -1
-	for round := 0; round < maxRounds; round++ {
-		for i, n := range nodes {
-			if _, err := n.ReconcileOnce(); err != nil {
-				t.Fatalf("settle round %d node %d: %v", round, i, err)
-			}
-		}
-		settle(nodes)
-		if meshConverged(t, nodes) {
-			converged = round
-			break
-		}
-	}
-	if converged < 0 {
-		for i, n := range nodes {
-			for name, m := range n.Metrics() {
-				t.Logf("node %d set %q: %v", i, name, m)
-			}
-		}
-		t.Fatalf("mesh not converged after %d settle rounds", maxRounds)
-	}
-	t.Logf("converged after %d settle rounds", converged+1)
+	t.Logf("converged after %d settle rounds", settleUntilConverged(t, nodes, 10))
 
-	// One more round: every node must now see all-matched probes, and
-	// the live-emd tier must have been exercised on the EMD set.
-	var deltas, fulls, repairs uint64
+	// One more round: every node must now see all-matched probes.
 	for i, n := range nodes {
 		if _, err := n.ReconcileOnce(); err != nil {
 			t.Fatalf("final round node %d: %v", i, err)
@@ -208,18 +259,80 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 		if !n.Converged(1) {
 			t.Fatalf("node %d does not report convergence: %v", i, n.Metrics())
 		}
-		for _, m := range n.Metrics() {
-			repairs += m.Repairs
+	}
+	if got := served.get(netproto.ProtoRepair); got == 0 {
+		t.Fatal("mesh converged without serving a single repair session")
+	}
+	if got := served.get(netproto.ProtoLiveEMD); got != 0 {
+		t.Fatalf("mesh served %d live-emd sessions to itself, want 0", got)
+	}
+	// The EMD set converged as a whole: equal distinct points give an
+	// equal ID fingerprint and, through the same sketch seed, an equal
+	// EMD fingerprint on every node.
+	var want *live.Snapshot
+	for i, n := range nodes {
+		ls, _ := n.store.Get("alpha")
+		snap := ls.Snapshot()
+		if i == 0 {
+			want = snap
+			continue
 		}
-		alpha := n.Metrics()["alpha"]
-		deltas += alpha.Deltas
-		fulls += alpha.Fulls
+		if snap.IDFingerprint != want.IDFingerprint || snap.EMDFingerprint != want.EMDFingerprint {
+			t.Fatalf("node %d alpha fingerprints id=%#x emd=%#x, node 0 has id=%#x emd=%#x",
+				i, snap.IDFingerprint, snap.EMDFingerprint, want.IDFingerprint, want.EMDFingerprint)
+		}
 	}
-	if repairs == 0 {
-		t.Fatal("mesh converged without a single repair session")
+}
+
+// TestClusterServesLiveEMD: a mesh node no longer pulls EMD sketches,
+// but it still serves live-emd to clients — a full transfer first,
+// then a delta once the client's cache holds the previous epoch.
+func TestClusterServesLiveEMD(t *testing.T) {
+	served := newServedCounter()
+	nodes, net := startCountedMesh(t, 3, served)
+	settleUntilConverged(t, nodes, 10)
+
+	ls, _ := nodes[0].store.Get("alpha")
+	p, ok := ls.EMDParams()
+	if !ok {
+		t.Fatal("alpha maintains no EMD sketch")
 	}
-	if deltas+fulls == 0 {
-		t.Fatal("EMD set converged without a single live-emd pull")
+	d := session.Dialer{
+		Network:   "sim",
+		Addr:      "node0:1",
+		Set:       "alpha",
+		Transport: net.Host("client"),
+	}
+	// One client sketch cache (a receiver's fresh one) across both
+	// sessions.
+	cache := netproto.NewLiveEMDReceiver(p, nil, nil).Cache
+	pull := func(wantDelta bool) {
+		t.Helper()
+		snap := ls.Snapshot()
+		recv := netproto.NewLiveEMDReceiver(p, snap.Points, cache)
+		// Run verifies the served sketch against the server's EMD
+		// fingerprint and fails on a mismatch.
+		if _, err := d.Do(recv); err != nil {
+			t.Fatalf("live-emd session: %v", err)
+		}
+		if recv.UsedDelta != wantDelta {
+			t.Fatalf("UsedDelta = %v, want %v", recv.UsedDelta, wantDelta)
+		}
+		if recv.Epoch != snap.Epoch {
+			t.Fatalf("served epoch %d, want %d", recv.Epoch, snap.Epoch)
+		}
+		if recv.Result.Failed || len(recv.Result.SPrime) != len(snap.Points) {
+			t.Fatalf("result: failed=%v |S'B|=%d, want %d points", recv.Result.Failed, len(recv.Result.SPrime), len(snap.Points))
+		}
+	}
+	pull(false)
+	if err := ls.Add(testPoints(1, 4242)[0]); err != nil {
+		t.Fatal(err)
+	}
+	pull(true)
+	nodes[0].Quiesce()
+	if got := served.get(netproto.ProtoLiveEMD); got != 2 {
+		t.Fatalf("served %d live-emd sessions, want the client's 2", got)
 	}
 }
 

@@ -172,7 +172,6 @@ func (n *Node) dropHandedOff(name string) {
 	}
 	n.mu.Lock()
 	delete(n.metrics, name)
-	delete(n.caches, name)
 	delete(n.relinquish, name)
 	n.placeStats.Dropped++
 	n.mu.Unlock()

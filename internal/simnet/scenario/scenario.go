@@ -53,8 +53,8 @@ type SetSpec struct {
 	// PerNode is the number of node-private extra points (the initial
 	// divergence anti-entropy must repair).
 	PerNode int
-	// EMD, when true, maintains the live EMD sketch (exercising the
-	// delta/full pull tier on top of exact repair).
+	// EMD, when true, maintains the live EMD sketch too: the mesh must
+	// keep its EMD fingerprint converged by exact repair alone.
 	EMD bool
 	// Capacity bounds the set (default 4096; EMD sketch capacity).
 	Capacity int
