@@ -1,9 +1,10 @@
-// Benchmarks regenerating the evaluation artifacts: one testing.B target
-// per experiment in EXPERIMENTS.md. Each iteration executes the
-// experiment's Quick configuration (the full tables are produced by
-// cmd/experiments); ns/op therefore measures the cost of regenerating
-// that artifact end to end, including workload generation, both parties'
-// computation, serialization and ground-truth matching.
+// Benchmarks of the whole stack from the public package: one
+// Algorithm 1 and one Theorem 4.2 run in-process, exact ID sync, live-set
+// mutation, live-emd delta sessions and full sessions over loopback TCP,
+// and a latency-bound two-node mesh round. CI gates
+// BenchmarkServerThroughput and BenchmarkClusterRoundRTT against the
+// checked-in BENCH_PR4.json and BENCH_PR6.json. The paper's claims are
+// asserted by the package tests, not measured here.
 package robustsync
 
 import (
@@ -12,78 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/matching"
 	"repro/internal/netproto"
 	"repro/internal/session"
 	"repro/internal/simnet/scenario"
 	"repro/internal/workload"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(experiments.Config{Seed: uint64(i) + 1, Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tbl.Rows() == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE1IBLTDecode regenerates the Theorem 2.6 decode-threshold table.
-func BenchmarkE1IBLTDecode(b *testing.B) { benchExperiment(b, "E1") }
-
-// BenchmarkE2MLSHCollision regenerates the Definition 2.2 sandwich table.
-func BenchmarkE2MLSHCollision(b *testing.B) { benchExperiment(b, "E2") }
-
-// BenchmarkE3ErrorPropagation regenerates the Figure 1 / Lemma 3.10 table.
-func BenchmarkE3ErrorPropagation(b *testing.B) { benchExperiment(b, "E3") }
-
-// BenchmarkE4Branching regenerates the Appendix D λ_t table.
-func BenchmarkE4Branching(b *testing.B) { benchExperiment(b, "E4") }
-
-// BenchmarkE5EMDHamming regenerates the Corollary 3.5 table.
-func BenchmarkE5EMDHamming(b *testing.B) { benchExperiment(b, "E5") }
-
-// BenchmarkE6EMDL2 regenerates the Corollary 3.6 table.
-func BenchmarkE6EMDL2(b *testing.B) { benchExperiment(b, "E6") }
-
-// BenchmarkE7VsQuadtree regenerates the ours-vs-[7] dimension sweep.
-func BenchmarkE7VsQuadtree(b *testing.B) { benchExperiment(b, "E7") }
-
-// BenchmarkE8GapHamming regenerates the Corollary 4.3 table.
-func BenchmarkE8GapHamming(b *testing.B) { benchExperiment(b, "E8") }
-
-// BenchmarkE9GapL1 regenerates the Corollary 4.4 table.
-func BenchmarkE9GapL1(b *testing.B) { benchExperiment(b, "E9") }
-
-// BenchmarkE10GapOneSided regenerates the Theorem 4.5 comparison.
-func BenchmarkE10GapOneSided(b *testing.B) { benchExperiment(b, "E10") }
-
-// BenchmarkE11OneRoundLB regenerates the Theorem 4.6 contrast table.
-func BenchmarkE11OneRoundLB(b *testing.B) { benchExperiment(b, "E11") }
-
-// BenchmarkE12SetsOfSets regenerates the Theorem E.1 scaling table.
-func BenchmarkE12SetsOfSets(b *testing.B) { benchExperiment(b, "E12") }
-
-// BenchmarkE13GapRho regenerates the ρ-dependence sweep.
-func BenchmarkE13GapRho(b *testing.B) { benchExperiment(b, "E13") }
-
-// BenchmarkE14DSBF regenerates the distance-sensitive filter curve.
-func BenchmarkE14DSBF(b *testing.B) { benchExperiment(b, "E14") }
-
-// BenchmarkA1RIBLTDensity regenerates the cell-density ablation.
-func BenchmarkA1RIBLTDensity(b *testing.B) { benchExperiment(b, "A1") }
-
-// BenchmarkA2QSweep regenerates the hash-count ablation.
-func BenchmarkA2QSweep(b *testing.B) { benchExperiment(b, "A2") }
 
 // BenchmarkProtocolEMDHamming measures one end-to-end Algorithm 1 run
 // (n=64, k=4, d=128, informed bounds) without ground-truth scoring —

@@ -31,7 +31,7 @@ import (
 )
 
 // Params configures one run of Algorithm 1. Zero values are filled by
-// ApplyDefaults; construct with DefaultParams unless an experiment is
+// ApplyDefaults; construct with DefaultParams unless a test is
 // deliberately off-spec.
 type Params struct {
 	Space metric.Space
@@ -57,7 +57,7 @@ type Params struct {
 	// Seed is the shared public-coin seed.
 	Seed uint64
 	// PeelOrder is forwarded to the RIBLTs (BFS per the paper; LIFO
-	// exists for the ablation experiment).
+	// exists only as an ablation).
 	PeelOrder riblt.PeelOrder
 	// Workers shards sketch construction (LSH key evaluation and RIBLT
 	// insertion) across goroutines: 0 means GOMAXPROCS, 1 forces the
@@ -274,7 +274,7 @@ func (pl *plan) keysInto(dst []uint64, pt metric.Point, scratch []uint64) []uint
 // function of Params. Server and client paths construct handlers with
 // identical Params for every peer, so plans are cached (a plan is
 // immutable after construction and safe to share across goroutines).
-// The cache is a small LRU: experiment sweeps that vary the seed per
+// The cache is a small LRU: sweeps that vary the seed per
 // run churn through it without growing it.
 
 const planCacheSize = 32

@@ -8,7 +8,7 @@ import (
 )
 
 // The split-party API. Reconcile drives both parties in one process for
-// experiments; deployments instead call BuildMessage on Alice's side,
+// tests; deployments instead call BuildMessage on Alice's side,
 // ship the bytes however they like, and call ApplyMessage on Bob's. Both
 // sides must construct identical Params (same Seed — the shared public
 // coins).

@@ -84,7 +84,9 @@ func TestGapGuaranteeHamming(t *testing.T) {
 }
 
 // TestGapDoesNotFloodCloseElements checks the communication side: with a
-// comfortable gap, the number of transmitted elements stays near k, not n.
+// comfortable gap, the number of transmitted elements stays near k, not n,
+// and widening the gap lowers total communication, the ρ-dependence of
+// Theorem 4.2's (k + ρn)·polylog term.
 func TestGapDoesNotFloodCloseElements(t *testing.T) {
 	space := metric.HammingCube(512)
 	const n, k = 80, 4
@@ -102,6 +104,28 @@ func TestGapDoesNotFloodCloseElements(t *testing.T) {
 	}
 	if len(res.TA) < k {
 		t.Errorf("transmitted %d elements, fewer than k=%d planted", len(res.TA), k)
+	}
+
+	// r2/r1 = 4 → 16 at d = 2048. Single runs vary by ±10% (at seed 1
+	// the order flips), so compare totals over four instances.
+	space = metric.HammingCube(2048)
+	var bits [2]int64
+	for i, ratio := range []float64{4, 16} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			inst, err := workload.NewGapInstance(space, 64, 4, 1, 8, 8*ratio, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := Params{Space: space, N: 68, R1: inst.R1, R2: inst.R2, Seed: seed + 7}
+			res, err := Reconcile(p, inst.SA, inst.SB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits[i] += res.Stats.TotalBits()
+		}
+	}
+	if bits[1] >= bits[0] {
+		t.Errorf("%d bits over four runs at r2/r1=16, not below %d at r2/r1=4", bits[1], bits[0])
 	}
 }
 
@@ -149,6 +173,44 @@ func TestOneSidedL2(t *testing.T) {
 	}
 }
 
+// TestOneSidedShortensKeysInLowDimension is Theorem 4.5's point: in low
+// dimension with r2 ≫ r1·d, the p2 = 0 family needs only
+// h = Θ(log n / log(1/ρ̂)) entries where the general protocol uses
+// Θ(log n), so keys are shorter and total communication falls, with the
+// same guarantee.
+func TestOneSidedShortensKeysInLowDimension(t *testing.T) {
+	space := metric.Grid(1<<20, 2, metric.L1)
+	const n, k = 48, 3
+	for seed := uint64(1); seed <= 2; seed++ {
+		inst, err := workload.NewGapInstance(space, n, k, 1, 50, 50000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{Space: space, N: n + k, R1: inst.R1, R2: inst.R2, Seed: seed + 3}
+		general, err := Reconcile(p, inst.SA, inst.SB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneSided, err := ReconcileOneSided(p, 1, inst.SA, inst.SB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []Result{general, oneSided} {
+			for _, a := range inst.SA {
+				if d, _ := res.SPrime.MinDistanceTo(space, a); d > inst.R2 {
+					t.Errorf("seed %d, h=%d: point %v uncovered at distance %v", seed, res.H, a, d)
+				}
+			}
+		}
+		if oneSided.H >= general.H {
+			t.Errorf("seed %d: one-sided h=%d not below general h=%d", seed, oneSided.H, general.H)
+		}
+		if ob, gb := oneSided.Stats.TotalBits(), general.Stats.TotalBits(); ob >= gb {
+			t.Errorf("seed %d: one-sided sent %d bits, general %d", seed, ob, gb)
+		}
+	}
+}
+
 func TestOneSidedRejectsTinyGap(t *testing.T) {
 	space := metric.Grid(1000, 8, metric.L2)
 	p := Params{Space: space, N: 10, R1: 10, R2: 20, Seed: 1} // ρ̂ = 4 > 1
@@ -171,6 +233,59 @@ func TestRoundsMatchTheorem42(t *testing.T) {
 	// 3 rounds of key reconciliation + 1 element round (absent retries).
 	if res.Stats.Rounds != 4 {
 		t.Errorf("rounds = %d, want 4", res.Stats.Rounds)
+	}
+}
+
+// TestTheorem46IndexInstance runs the Appendix F instance behind Theorem
+// 4.6. Alice holds codeword j with her index bit x_j appended, for
+// j < 48; Bob holds codewords 0..48 except i, each with 0 appended. With
+// codewords ≥ 64 apart and R1 = 1, R2 = 63, every Alice point but the i-th
+// is close to Bob's set and the i-th is far from all of it, so the
+// 4-round protocol must hand Bob codeword i together with x_i. The other
+// half of the theorem, that every one-round protocol of O(n) bits fails
+// with probability ≥ 1/3, quantifies over all protocols and so is not
+// something a test of this one can check.
+func TestTheorem46IndexInstance(t *testing.T) {
+	const nIdx, d = 48, 256
+	words, err := workload.SpreadCodewords(d-1, nIdx+1, 64, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := metric.HammingCube(d)
+	src := rng.New(4242)
+	for trial := 0; trial < 24; trial++ {
+		i := src.Intn(nIdx)
+		var xi int32
+		sa := make(metric.PointSet, nIdx)
+		for j := range sa {
+			x := int32(src.Intn(2))
+			if j == i {
+				xi = x
+			}
+			sa[j] = append(words[j].Clone(), x)
+		}
+		sb := make(metric.PointSet, 0, nIdx)
+		for j, w := range words {
+			if j != i {
+				sb = append(sb, append(w.Clone(), 0))
+			}
+		}
+		p := Params{Space: space, N: nIdx + 1, R1: 1, R2: 63, Seed: uint64(trial) * 7}
+		res, err := Reconcile(p, sa, sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Rounds != 4 {
+			t.Errorf("trial %d: %d rounds, want 4", trial, res.Stats.Rounds)
+		}
+		want := append(words[i].Clone(), xi)
+		found := false
+		for _, pt := range res.TA {
+			found = found || pt.Equal(want)
+		}
+		if !found {
+			t.Errorf("trial %d: codeword %d with bit %d not delivered (%d points sent)", trial, i, xi, len(res.TA))
+		}
 	}
 }
 

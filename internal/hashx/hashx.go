@@ -142,17 +142,6 @@ func (m Mixer) HashBytes(p []byte) uint64 {
 	return mix64(h)
 }
 
-// HashInts hashes a vector of int32 (a metric point's coordinates).
-// Folding coordinate-by-coordinate with position-dependent mixing keeps
-// permuted vectors from colliding.
-func (m Mixer) HashInts(v []int32) uint64 {
-	h := m.seed ^ (uint64(len(v)) * 0xd1b54a32d192ed03)
-	for _, x := range v {
-		h = mix64(h ^ uint64(uint32(x)))
-	}
-	return mix64(h)
-}
-
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
 	z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53

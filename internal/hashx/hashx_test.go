@@ -168,21 +168,6 @@ func TestHashBytes(t *testing.T) {
 	}
 }
 
-func TestHashIntsOrderSensitivity(t *testing.T) {
-	m := MixerFromSeed(17)
-	a := []int32{1, 2, 3}
-	b := []int32{3, 2, 1}
-	if m.HashInts(a) == m.HashInts(b) {
-		t.Error("permutation collision")
-	}
-	if m.HashInts([]int32{0}) == m.HashInts([]int32{0, 0}) {
-		t.Error("length collision")
-	}
-	if m.HashInts([]int32{-1}) == m.HashInts([]int32{1}) {
-		t.Error("sign ignored")
-	}
-}
-
 func TestKeyHasherDistinctVectors(t *testing.T) {
 	src := rng.New(19)
 	k := NewKeyHasher(src, 40)

@@ -416,7 +416,7 @@ func (v *Vector) HashPrefixInto(dst []uint64, p metric.Point, n int) []uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Empirical collision measurement (used by tests and experiment E2).
+// Empirical collision measurement (used by the MLSH sandwich tests).
 
 // EstimateCollision draws `trials` functions from family (seeded by seed)
 // and returns the fraction under which a and b collide.

@@ -105,7 +105,7 @@ func Grid(delta int32, d int, norm Norm) Space {
 	return Space{Delta: delta, Dim: d, Norm: norm}
 }
 
-// String identifies the space in experiment output.
+// String identifies the space in logs and test output.
 func (s Space) String() string {
 	return fmt.Sprintf("[%d]^%d,%s", s.Delta, s.Dim, s.Norm)
 }

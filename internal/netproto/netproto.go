@@ -2,7 +2,7 @@
 // streams (net.Conn, pipes, files). Messages are length-prefixed frames;
 // a Wire adapts any io.ReadWriter to the transport.Conn interface the
 // protocol state machines are written against, so the same party code
-// that runs in-process in the experiments runs across a network here.
+// that runs in-process in the package tests runs across a network here.
 //
 // The protocols themselves are registered Handlers (see registry.go):
 // each handler binds one party's state machine to its parameters and

@@ -2,8 +2,10 @@ package quadtree
 
 import (
 	"math"
+	"sort"
 	"testing"
 
+	"repro/internal/emd"
 	"repro/internal/matching"
 	"repro/internal/metric"
 	"repro/internal/rng"
@@ -136,6 +138,49 @@ func TestQuantizationGrowsWithDimension(t *testing.T) {
 	e16 := errAtDim(16)
 	if e16 < e2*2 {
 		t.Errorf("quantization error did not grow with d: d=2 → %v, d=16 → %v", e2, e16)
+	}
+}
+
+// TestAlgorithm1BeatsQuadtreeInHighDimension is §1's comparison with [7]:
+// the quadtree is an O(d) approximation and Algorithm 1 an O(log n) one,
+// so at d = 32 Algorithm 1's median EMD ratio EMD(SA, S′B)/EMD_k must be
+// the lower (measured ≈ 1.05 against ≈ 10). A failed run scores +Inf.
+func TestAlgorithm1BeatsQuadtreeInHighDimension(t *testing.T) {
+	space := metric.Grid(255, 32, metric.L1)
+	const n, k, trials = 32, 3, 5
+	var ours, qt []float64
+	for trial := 0; trial < trials; trial++ {
+		seed := uint64(trial) + 32001
+		inst := workload.NewEMDInstance(space, n, k, 4, seed)
+		emdK := math.Max(matching.EMDk(space, inst.SA, inst.SB, k), 1)
+		ratio := func(failed bool, sPrime metric.PointSet) float64 {
+			if failed {
+				return math.Inf(1)
+			}
+			return matching.EMD(space, inst.SA, sPrime) / emdK
+		}
+
+		p := emd.DefaultParams(space, n, k, seed+7)
+		p.D1 = math.Max(1, emdK/4)
+		p.D2 = math.Max(emdK*4, p.D1*2)
+		res, err := emd.Reconcile(p, inst.SA, inst.SB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ours = append(ours, ratio(res.Failed, res.SPrime))
+
+		qres, err := Reconcile(Params{Space: space, N: n, K: k, Seed: seed + 11}, inst.SA, inst.SB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt = append(qt, ratio(qres.Failed, qres.SPrime))
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	if mo, mq := median(ours), median(qt); mo >= mq {
+		t.Errorf("d=32: Algorithm 1 median EMD ratio %v not below the quadtree's %v", mo, mq)
 	}
 }
 

@@ -368,7 +368,7 @@ type Result struct {
 	// un-canceled pairs, the paper's XB).
 	Deleted []Pair
 	// Peels counts peeling steps (cells extracted), for the error
-	// propagation experiments.
+	// propagation tests.
 	Peels int
 }
 

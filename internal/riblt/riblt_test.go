@@ -360,8 +360,8 @@ func sortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
 }
 
-// TestLIFOAblationStillDecodes checks the ablation order functions (the
-// error-spread comparison lives in the experiments package).
+// TestLIFOAblationStillDecodes checks the ablation order decodes (the
+// error-spread comparison is TestErrorPropagationBounded).
 func TestLIFOAblationStillDecodes(t *testing.T) {
 	cfg := testCfg(300)
 	cfg.Order = LIFO
@@ -382,25 +382,23 @@ func TestLIFOAblationStillDecodes(t *testing.T) {
 	}
 }
 
-// TestErrorPropagationBounded reproduces in miniature the Lemma 3.10
-// situation: many matched-but-noisy pairs, a few clean differences, and
-// the requirement that total recovered-value error stays comparable to
-// the injected error rather than blowing up.
-func TestErrorPropagationBounded(t *testing.T) {
-	const trials = 30
-	var totalErr, totalInjected float64
-	for trial := 0; trial < trials; trial++ {
+// propagation runs 30 trials of the Lemma 3.10 situation: k clean
+// differences plus 50k/8 matched-but-noisy pairs (same key, values ±1 in
+// one coordinate) in a table of the given size, peeled in the given
+// order. It returns the total ℓ1 error of the recovered clean values and
+// the total injected error. Trial seeds do not depend on the order, so
+// BFS and LIFO peel the same tables.
+func propagation(t *testing.T, k, cells int, order PeelOrder) (recovered, injected float64) {
+	t.Helper()
+	for trial := 0; trial < 30; trial++ {
 		src := rng.New(uint64(trial) + 100)
-		k := 8
 		cfg := Config{
-			Cells: 4 * 9 * k, Q: 3, Dim: 4, Delta: 1000,
-			KeyBits: 40, MaxItems: 1 << 14, Seed: uint64(trial),
+			Cells: cells, Q: 3, Dim: 4, Delta: 1000,
+			KeyBits: 40, MaxItems: 1 << 14, Seed: uint64(trial), Order: order,
 		}
 		tb := New(cfg)
 		space := metric.Grid(cfg.Delta, cfg.Dim, metric.L1)
-		// 50 noisy matched pairs: same key, values differ by ±1 in one
-		// coordinate (injected error 1 each).
-		for i := 0; i < 50; i++ {
+		for i := 0; i < 50*k/8; i++ {
 			key := src.Uint64n(1 << 40)
 			v := metric.Point{int32(src.Intn(900) + 50), int32(src.Intn(900) + 50),
 				int32(src.Intn(900) + 50), int32(src.Intn(900) + 50)}
@@ -408,9 +406,8 @@ func TestErrorPropagationBounded(t *testing.T) {
 			w[src.Intn(4)]++
 			tb.Insert(key, v)
 			tb.Delete(key, w)
-			totalInjected++
+			injected++
 		}
-		// k clean differences.
 		want := map[uint64]metric.Point{}
 		for i := 0; i < k; i++ {
 			key := src.Uint64n(1 << 40)
@@ -421,20 +418,51 @@ func TestErrorPropagationBounded(t *testing.T) {
 		}
 		res, err := tb.Peel(rng.New(uint64(trial) + 999))
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("k=%d cells=%d order=%d trial %d: %v", k, cells, order, trial, err)
 		}
 		for _, p := range res.Inserted {
 			if w, ok := want[p.Key]; ok {
-				totalErr += space.Distance(p.Value, w)
+				recovered += space.Distance(p.Value, w)
 			}
 		}
 	}
-	// Lemma 3.10: each injected error reaches O(1) extracted values in
-	// expectation, so total recovered error is O(totalInjected). Allow a
-	// generous constant.
-	if totalErr > 3*totalInjected {
-		t.Errorf("recovered error %v vs injected %v: propagation too large",
-			totalErr, totalInjected)
+	return recovered, injected
+}
+
+// TestErrorPropagationBounded reproduces Lemma 3.10: at the paper's
+// density c = 1/q² < 1/(q(q−1)), m = 4q²k cells, each injected error
+// reaches O(1) extracted values in expectation, independent of the table
+// size, and breadth-first peeling (§2.2 item 1) spreads less of it than
+// LIFO. Denser tables leave the regime the lemma covers and spread more.
+func TestErrorPropagationBounded(t *testing.T) {
+	// Density at k = 8: 36k cells is the paper's 4q²k.
+	var prev float64
+	for _, cells := range []int{36 * 8, 18 * 8, 9 * 8} {
+		rec, _ := propagation(t, 8, cells, BFS)
+		if cells < 36*8 && rec <= prev {
+			t.Errorf("k=8: error %v at %d cells does not exceed %v at %d: denser tables must spread more",
+				rec, cells, prev, 2*cells)
+		}
+		prev = rec
+	}
+	var base float64
+	for _, k := range []int{8, 32, 128} {
+		rec, inj := propagation(t, k, 36*k, BFS)
+		lifo, _ := propagation(t, k, 36*k, LIFO)
+		// Total recovered error is O(injected); allow a generous constant.
+		if rec > 3*inj {
+			t.Errorf("k=%d: recovered error %v vs injected %v: propagation too large", k, rec, inj)
+		}
+		// Error per injected unit must not grow with m (measured ≈ 0.085
+		// at every k); 20% covers trial noise.
+		if k == 8 {
+			base = rec / inj
+		} else if rec/inj > 1.2*base {
+			t.Errorf("k=%d: error per injected unit %.3f grew from %.3f at k=8", k, rec/inj, base)
+		}
+		if rec >= lifo {
+			t.Errorf("k=%d: BFS error %v not below LIFO error %v", k, rec, lifo)
+		}
 	}
 }
 

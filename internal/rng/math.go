@@ -8,4 +8,3 @@ import "math"
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func ln(x float64) float64   { return math.Log(x) }
-func exp(x float64) float64  { return math.Exp(x) }

@@ -131,44 +131,6 @@ func sqrtNeg2LogOver(s float64) float64 {
 	return sqrt(-2 * ln(s) / s)
 }
 
-// Exp returns an Exponential(1) variate.
-func (r *Source) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}
-
-// Poisson returns a Poisson(lambda) variate. For small lambda it uses
-// Knuth's product-of-uniforms method; for large lambda it falls back to a
-// normal approximation with continuity correction, which is adequate for
-// the branching-process simulations (App D) where lambda = cq ≤ ~3.
-func (r *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation for large lambda.
-	v := lambda + sqrt(lambda)*r.NormFloat64() + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // Perm returns a uniform permutation of [0, n) via Fisher–Yates.
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -132,49 +132,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := New(13)
-	for _, lambda := range []float64{0.3, 1, 2.5, 8, 50} {
-		const n = 100000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			v := float64(r.Poisson(lambda))
-			sum += v
-			sumSq += v * v
-		}
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.1*lambda+0.1 {
-			t.Errorf("Poisson(%v) variance = %v", lambda, variance)
-		}
-	}
-}
-
-func TestPoissonNonPositive(t *testing.T) {
-	r := New(1)
-	if got := r.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := r.Poisson(-2); got != 0 {
-		t.Fatalf("Poisson(-2) = %d, want 0", got)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("Exp mean = %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1

@@ -7,12 +7,12 @@
 // communication proportional to the number of differing children (plus a
 // difference-estimation sketch), not to the multiset size.
 //
-// Faithfulness note (recorded in DESIGN.md): [22]'s full protocol also
+// Faithfulness note: [22]'s full protocol also
 // charges sub-child granularity for children that differ only slightly;
 // we reconcile whole differing children. For the Gap protocol's keys,
 // where a child is Θ(log² n) bits and z counts child-level differences,
 // this preserves the (k + ρn)·polylog(n) communication shape Theorem 4.2
-// measures, which is what our experiments check.
+// measures, which is what our tests check.
 //
 // Wire structure (between 3 and 3+2·maxRetries messages):
 //
@@ -24,7 +24,7 @@
 //
 // The parties are independent state machines (RunAlice, RunBob) over a
 // transport.Conn, so the protocol runs unchanged in-process or across a
-// network; Reconcile wires both ends together for tests and experiments.
+// network; Reconcile wires both ends together for tests.
 package setsets
 
 import (

@@ -18,7 +18,7 @@ type Conn interface {
 }
 
 // PipeConn is one end of an in-process message pipe. Both ends share a
-// Stats tally so experiments read exact bidirectional traffic.
+// Stats tally so callers read exact bidirectional traffic.
 type PipeConn struct {
 	out   chan []byte
 	in    chan []byte

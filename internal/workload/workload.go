@@ -4,7 +4,7 @@
 // a mostly shared object set, plus a few points the other party lacks.
 // Generators here produce exactly that structure for each metric space,
 // with the ground truth (which points are "far", what the planted noise
-// was) retained so experiments can score protocol output.
+// was) retained so tests can score protocol output.
 package workload
 
 import (
@@ -208,7 +208,7 @@ func NewGapInstance(space metric.Space, nShared, kAlice, kBob int, r1, r2 float6
 }
 
 // Verify checks the planted invariants of the instance (used by tests
-// and by experiments before trusting a configuration): every Alice point
+// before trusting a configuration): every Alice point
 // is either within r1 of SB or a planted far point at distance ≥ r2.
 func (g GapInstance) Verify() error {
 	farSet := map[string]bool{}
