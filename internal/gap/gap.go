@@ -10,7 +10,16 @@
 // in about half whp. The parties reconcile the multisets of keys through
 // the sets-of-sets substrate ([22], package setsets); Alice then sends
 // every element whose key matches no key of Bob's in at least
-// h·(1/2 + ε/6) entries, where ε = 1 − ρ.
+// T = ⌈h·(1/2 + ε/6)⌉ entries, where ε = 1 − ρ.
+//
+// Alice applies that rule exactly without scanning all of Bob's keys. A
+// pair agreeing in at least T of h entries disagrees in at most h−T, so
+// it agrees in at least one of any P = h−T+1 fixed positions
+// (pigeonhole). She indexes Bob's keys by their entries in positions
+// 0..P−1 and checks in full only the keys sharing one of those entries
+// with hers; every other key agrees in fewer than T entries, so the
+// verdict is the scan's. Because T > h/2, P < h/2 + 1; for the one-sided
+// plan (T = 1) every position is indexed.
 //
 // Theorem 4.5's low-dimension variant uses the one-sided grid family
 // (p2 = 0): keys shrink to h = Θ(log n / log(1/ρ̂)) entries and a single
@@ -18,8 +27,10 @@
 package gap
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hashx"
 	"repro/internal/lsh"
@@ -126,7 +137,7 @@ type Result struct {
 	Rho float64
 }
 
-// keyOf builds one element's key: h entries, each a pairwise hash of m
+// keyer builds one element's key: h entries, each a pairwise hash of m
 // LSH values.
 type keyer struct {
 	h, m    int
@@ -147,42 +158,67 @@ func newKeyer(family lsh.Family, h, m int, bits uint, src *rng.Source) *keyer {
 	return &keyer{h: h, m: m, funcs: funcs, entryKH: khs, bits: bits}
 }
 
-func (k *keyer) key(p metric.Point) []uint64 {
-	out := make([]uint64, k.h)
-	batch := make([]uint64, k.m)
-	for j := 0; j < k.h; j++ {
-		for i := 0; i < k.m; i++ {
+// keyInto writes p's key (h entries) into dst, using batch (m entries)
+// as scratch.
+func (k *keyer) keyInto(dst, batch []uint64, p metric.Point) {
+	for j := range dst {
+		for i := range batch {
 			batch[i] = k.funcs[j*k.m+i].Hash(p)
 		}
-		out[j] = k.entryKH[j].Hash(batch)
+		dst[j] = k.entryKH[j].Hash(batch)
 	}
-	return out
 }
 
-// encodeKey serializes a key as h fixed-width entries.
-func encodeKey(key []uint64, bits uint) []byte {
-	e := transport.NewEncoder()
+// writeKey writes a key as fixed-width entries, zero-padded to a whole
+// byte: one setsets child payload.
+func writeKey(e *transport.Encoder, key []uint64, bits uint) {
 	for _, v := range key {
 		e.WriteBits(v, bits)
 	}
-	// Use the encoder purely as a bit packer.
+	if r := uint(len(key)) * bits % 8; r != 0 {
+		e.WriteBits(0, 8-r)
+	}
+}
+
+// encodeKey serializes a key into one allocation sized in advance.
+func encodeKey(key []uint64, bits uint) []byte {
+	var e transport.Encoder
+	e.Grow((len(key)*int(bits) + 7) / 8)
+	writeKey(&e, key, bits)
 	data, _ := e.Pack()
 	return data
 }
 
-func decodeKey(payload []byte, h int, bits uint) []uint64 {
-	d := transport.NewDecoder(payload)
-	out := make([]uint64, h)
-	for j := range out {
-		v, err := d.ReadBits(bits)
-		if err != nil {
-			// Payload sizes are fixed by construction; a short read is
-			// a protocol bug, not an input condition.
-			panic(fmt.Sprintf("gap: short key payload: %v", err))
-		}
-		out[j] = v
+// encodeKeys serializes flat keys (h entries each) back to back into one
+// backing array. Payload i equals encodeKey of key i and is
+// capacity-capped, so no payload can grow into the next.
+func encodeKeys(keys []uint64, h int, bits uint) [][]byte {
+	n, size := len(keys)/h, (h*int(bits)+7)/8
+	var e transport.Encoder
+	e.Grow(n * size)
+	for i := 0; i < n; i++ {
+		writeKey(&e, keys[i*h:(i+1)*h], bits)
+	}
+	data, _ := e.Pack()
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = data[i*size : (i+1)*size : (i+1)*size]
 	}
 	return out
+}
+
+// decodeKey reads a payload written by encodeKey into dst (h entries).
+func decodeKey(dst []uint64, payload []byte, bits uint) {
+	d := transport.NewDecoder(payload)
+	for j := range dst {
+		v, err := d.ReadBits(bits)
+		if err != nil {
+			// Payload sizes are fixed by construction and checked at
+			// every entry point; a short read is a protocol bug.
+			panic(fmt.Sprintf("gap: short key payload: %v", err))
+		}
+		dst[j] = v
+	}
 }
 
 // matches counts equal entries between two keys.
@@ -270,20 +306,12 @@ func newOneSidedPlan(p Params, pExp float64) (*plan, error) {
 	}, nil
 }
 
-// isClose reports whether an Alice key matches some Bob key in at least
-// threshold entries.
-func (pl *plan) isClose(aKey []uint64, bobKeys [][]uint64) bool {
-	for _, bk := range bobKeys {
-		if matches(aKey, bk) >= pl.threshold {
-			return true
-		}
-	}
-	return false
-}
+// payloadBytes is the size of one encoded key.
+func (pl *plan) payloadBytes() int { return (pl.h*int(pl.params.EntryBits) + 7) / 8 }
 
 func (pl *plan) setsetsParams() setsets.Params {
 	ss := pl.params.SetSets
-	ss.PayloadBytes = (pl.h*int(pl.params.EntryBits) + 7) / 8
+	ss.PayloadBytes = pl.payloadBytes()
 	ss.Seed = pl.ssSeed
 	return ss
 }
@@ -302,73 +330,38 @@ func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, e
 	if len(sa) > pl.params.N {
 		return AliceReport{}, fmt.Errorf("gap: |SA|=%d exceeds N=%d", len(sa), pl.params.N)
 	}
-	aliceKeys := pl.keyBatch(sa)
-	return runAliceKeyed(pl, conn, sa, aliceKeys)
+	keys := pl.keyBatch(sa)
+	return runAliceKeyed(pl, conn, sa, keys, encodeKeys(keys, pl.h, pl.params.EntryBits))
 }
 
 // runAliceKeyed is runAlice past key construction, for callers that
 // maintain per-element keys incrementally (live sets): the h·m LSH
 // evaluations per element — the dominant cost of Alice's side — are
-// skipped.
-func runAliceKeyed(pl *plan, conn transport.Conn, sa metric.PointSet, aliceKeys [][]uint64) (AliceReport, error) {
+// skipped. keys holds element i's key at [i·h, (i+1)·h) and payloads[i]
+// is its encoding.
+//
+// Classification applies §4.1's rule exactly: an element is far when its
+// key agrees with no key of Bob's in T = threshold or more of its h
+// entries. Since such a pair disagrees in at most h−T entries, it must
+// agree in at least one of any P = h−T+1 fixed positions (pigeonhole), so
+// only Bob keys sharing an entry with Alice's in positions 0..P−1 can be
+// close, and checking just those (closeIndex) gives the same verdict as
+// scanning all of Bob's keys.
+func runAliceKeyed(pl *plan, conn transport.Conn, sa metric.PointSet, keys []uint64, payloads [][]byte) (AliceReport, error) {
 	p := pl.params
-	aliceChildren := make([]setsets.Child, len(sa))
-	for i := range sa {
-		aliceChildren[i] = setsets.Child{Payload: encodeKey(aliceKeys[i], p.EntryBits)}
+	children := make([]setsets.Child, len(payloads))
+	for i, pay := range payloads {
+		children[i] = setsets.Child{Payload: pay}
 	}
-
-	rec, err := setsets.RunAlice(pl.setsetsParams(), conn, aliceChildren)
+	rec, err := setsets.RunAlice(pl.setsetsParams(), conn, children)
 	if err != nil {
 		return AliceReport{}, fmt.Errorf("gap: key reconciliation: %w", err)
 	}
 
-	// Reconstruct Bob's multiset: her keys, minus her unmatched ones,
-	// plus Bob's unmatched ones. For classification only distinct keys
-	// matter.
-	aliceOnlyCount := map[string]int{}
-	for _, c := range rec.AliceOnly {
-		aliceOnlyCount[string(c.Payload)]++
-	}
-	sharedKeys := map[string]bool{}
-	for _, c := range aliceChildren {
-		s := string(c.Payload)
-		if aliceOnlyCount[s] > 0 {
-			aliceOnlyCount[s]--
-			continue
-		}
-		sharedKeys[s] = true
-	}
-	bobKeySet := map[string]bool{}
-	for s := range sharedKeys {
-		bobKeySet[s] = true
-	}
-	for _, c := range rec.BobOnly {
-		bobKeySet[string(c.Payload)] = true
-	}
-	bobKeys := make([][]uint64, 0, len(bobKeySet))
-	for s := range bobKeySet {
-		bobKeys = append(bobKeys, decodeKey([]byte(s), pl.h, p.EntryBits))
-	}
-
-	// Classify Alice's distinct keys; collect elements of far keys.
-	farKeyCache := map[string]bool{}
+	far, farKeys := pl.classify(keys, payloads, rec)
 	var ta metric.PointSet
-	farKeys := 0
-	for i := range sa {
-		s := string(aliceChildren[i].Payload)
-		far, seen := farKeyCache[s]
-		if !seen {
-			if bobKeySet[s] {
-				far = false // identical key exists on Bob's side
-			} else {
-				far = !pl.isClose(aliceKeys[i], bobKeys)
-			}
-			farKeyCache[s] = far
-			if far {
-				farKeys++
-			}
-		}
-		if far {
+	for i, f := range far {
+		if f {
 			ta = append(ta, sa[i])
 		}
 	}
@@ -388,6 +381,140 @@ func runAliceKeyed(pl *plan, conn transport.Conn, sa metric.PointSet, aliceKeys 
 	return AliceReport{TA: ta, FarKeys: farKeys}, nil
 }
 
+// classify reports which of Alice's elements have far keys, and how
+// many distinct keys are far. Bob's keys are Alice's multiset minus
+// rec.AliceOnly plus rec.BobOnly; an Alice key Bob also holds is close
+// without a search.
+func (pl *plan) classify(keys []uint64, payloads [][]byte, rec setsets.Result) (far []bool, farKeys int) {
+	h, n := pl.h, len(payloads)
+	// Sort element indices by payload so equal keys sit together; each
+	// run is one distinct key, and left[g] at a run's first position g
+	// counts the copies Bob still shares once rec.AliceOnly is removed.
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(payloads[a], payloads[b]) })
+	left := make([]int32, n)
+	for g := 0; g < n; {
+		e := g + 1
+		for e < n && bytes.Equal(payloads[order[e]], payloads[order[g]]) {
+			e++
+		}
+		left[g] = int32(e - g)
+		g = e
+	}
+	for _, c := range rec.AliceOnly {
+		g, ok := slices.BinarySearchFunc(order, c.Payload, func(i int32, t []byte) int {
+			return bytes.Compare(payloads[i], t)
+		})
+		if ok && left[g] > 0 {
+			left[g]--
+		}
+	}
+
+	bob := make([]uint64, 0, (n+len(rec.BobOnly))*h)
+	for g := 0; g < n; g++ {
+		if left[g] > 0 {
+			i := int(order[g])
+			bob = append(bob, keys[i*h:(i+1)*h]...)
+		}
+	}
+	for _, c := range rec.BobOnly {
+		bob = bob[:len(bob)+h]
+		decodeKey(bob[len(bob)-h:], c.Payload, pl.params.EntryBits)
+	}
+
+	idx := newCloseIndex(bob, h, pl.threshold)
+	far = make([]bool, n)
+	for g := 0; g < n; {
+		lead := int(order[g])
+		isFar := left[g] == 0 && !idx.close(keys[lead*h:(lead+1)*h])
+		if isFar {
+			farKeys++
+		}
+		for ; g < n && bytes.Equal(payloads[order[g]], payloads[lead]); g++ {
+			far[order[g]] = isFar
+		}
+	}
+	return far, farKeys
+}
+
+// closeIndex answers "does some indexed key agree with this one in at
+// least t of h entries?" exactly, by the pigeonhole rule in the package
+// doc: only keys sharing an entry in the first p = h−t+1 positions are
+// candidates. Keys are bucketed by (position, entry) for those p
+// positions in one counting-sorted array, and each candidate is checked
+// in full at most once per query.
+type closeIndex struct {
+	keys    []uint64 // indexed keys, h entries each
+	h, t, p int
+	shift   uint    // bucket of a hash is hash >> shift
+	start   []int32 // bucket b holds ids[start[b]:start[b+1]]
+	ids     []int32 // key numbers, grouped by bucket, ascending within one
+	stamp   []int32 // stamp[k] == query once key k was checked this query
+	query   int32
+}
+
+func newCloseIndex(keys []uint64, h, t int) *closeIndex {
+	n, p := len(keys)/h, h-t+1
+	nb, shift := 1, uint(64)
+	for nb < n*p {
+		nb, shift = nb<<1, shift-1
+	}
+	x := &closeIndex{
+		keys: keys, h: h, t: t, p: p, shift: shift,
+		start: make([]int32, nb+1),
+		ids:   make([]int32, n*p),
+		stamp: make([]int32, n),
+	}
+	// Counting sort: start[b] first counts bucket b, then (prefix sums)
+	// ends it; filling backwards moves each start[b] to its bucket's
+	// first slot and keeps ids ascending within a bucket.
+	for k := 0; k < n; k++ {
+		for j := 0; j < p; j++ {
+			x.start[x.bucket(j, keys[k*h+j])]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		x.start[b] += x.start[b-1]
+	}
+	for k := n - 1; k >= 0; k-- {
+		for j := p - 1; j >= 0; j-- {
+			b := x.bucket(j, keys[k*h+j])
+			x.start[b]--
+			x.ids[x.start[b]] = int32(k)
+		}
+	}
+	return x
+}
+
+func (x *closeIndex) bucket(j int, v uint64) int {
+	return int((v ^ uint64(j)<<48) * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// close reports whether some indexed key agrees with a in at least t
+// entries.
+func (x *closeIndex) close(a []uint64) bool {
+	x.query++
+	h := x.h
+	for j := 0; j < x.p; j++ {
+		v := a[j]
+		b := x.bucket(j, v)
+		for _, k := range x.ids[x.start[b]:x.start[b+1]] {
+			bk := x.keys[int(k)*h : int(k+1)*h]
+			if x.stamp[k] == x.query || bk[j] != v {
+				continue // checked already, or another bucket's entry
+			}
+			x.stamp[k] = x.query
+			if matches(a, bk) >= x.t {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // runBob executes Bob's side: key construction, sets-of-sets (he is the
 // setsets Bob), then receive the far elements and union them in.
 func runBob(pl *plan, conn transport.Conn, sb metric.PointSet) (Result, error) {
@@ -395,10 +522,10 @@ func runBob(pl *plan, conn transport.Conn, sb metric.PointSet) (Result, error) {
 	if len(sb) > p.N {
 		return Result{}, fmt.Errorf("gap: |SB|=%d exceeds N=%d", len(sb), p.N)
 	}
-	bobKeys := pl.keyBatch(sb)
+	payloads := encodeKeys(pl.keyBatch(sb), pl.h, p.EntryBits)
 	bobChildren := make([]setsets.Child, len(sb))
-	for i := range sb {
-		bobChildren[i] = setsets.Child{Payload: encodeKey(bobKeys[i], p.EntryBits)}
+	for i, pay := range payloads {
+		bobChildren[i] = setsets.Child{Payload: pay}
 	}
 	if err := setsets.RunBob(pl.setsetsParams(), conn, bobChildren); err != nil {
 		return Result{}, fmt.Errorf("gap: key reconciliation: %w", err)

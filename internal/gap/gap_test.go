@@ -341,7 +341,8 @@ func TestMatchesCounting(t *testing.T) {
 func TestEncodeDecodeKeyRoundTrip(t *testing.T) {
 	key := []uint64{5, 1023, 0, 77}
 	payload := encodeKey(key, 10)
-	got := decodeKey(payload, 4, 10)
+	got := make([]uint64, 4)
+	decodeKey(got, payload, 10)
 	for i := range key {
 		if got[i] != key[i] {
 			t.Fatalf("entry %d: %d != %d", i, got[i], key[i])
@@ -350,3 +351,121 @@ func TestEncodeDecodeKeyRoundTrip(t *testing.T) {
 }
 
 func rngFor(seed uint64) *rng.Source { return rng.New(seed) }
+
+// isClose is the reference classification closeIndex replaces: a linear
+// scan reporting whether aKey matches some Bob key in at least threshold
+// entries.
+func (pl *plan) isClose(aKey []uint64, bobKeys [][]uint64) bool {
+	for _, bk := range bobKeys {
+		if matches(aKey, bk) >= pl.threshold {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCloseIndexMatchesScan checks the pigeonhole index against the
+// reference scan, verdict by verdict, on the benchmark's plan shape, a
+// small-N plan and a one-sided plan (threshold 1, so every position is
+// indexed). Alice's keys are planted at exactly T and T−1 entries from a
+// Bob key, including keys whose only agreement inside the first P =
+// h−T+1 positions is at position P−1, and keys that agree only outside
+// them: an index over too few positions misses the first kind.
+func TestCloseIndexMatchesScan(t *testing.T) {
+	bench, err := newPlan(Params{Space: metric.HammingCube(1024), N: 512, R1: 8, R2: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := newPlan(Params{Space: metric.HammingCube(64), N: 4, R1: 2, R2: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneSided, err := newOneSidedPlan(Params{Space: metric.Grid(1<<20, 2, metric.L2), N: 50, R1: 50, R2: 30000, Seed: 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pl   *plan
+	}{{"bench", bench}, {"small", small}, {"one-sided", oneSided}} {
+		name, pl := c.name, c.pl
+		h, T := pl.h, pl.threshold
+		P := h - T + 1
+		t.Logf("%s: h=%d T=%d P=%d", name, h, T, P)
+		src := rng.New(uint64(h))
+		var verdicts [2]int
+		for trial := 0; trial < 12; trial++ {
+			// Entries drawn from a small alphabet make many Bob keys
+			// share entries (crowded buckets, partial agreements); the
+			// full entry width makes them nearly all distinct.
+			alphabet := []uint64{2, 8, 1 << pl.params.EntryBits}[trial%3]
+			nBob := []int{0, 1, 7, 60, 300}[trial%5]
+			bob := make([]uint64, nBob*h)
+			for i := range bob {
+				bob[i] = src.Uint64() % alphabet
+			}
+			if nBob > 1 { // a duplicate Bob key
+				copy(bob[h:2*h], bob[:h])
+			}
+			bobRows := make([][]uint64, nBob)
+			for k := range bobRows {
+				bobRows[k] = bob[k*h : (k+1)*h]
+			}
+			idx := newCloseIndex(bob, h, T)
+
+			// plant copies Bob key k on the given positions and puts an
+			// entry no Bob key holds everywhere else.
+			plant := func(k int, keep []int) []uint64 {
+				a := make([]uint64, h)
+				for j := range a {
+					a[j] = alphabet + 1 + src.Uint64()%1000
+				}
+				for _, j := range keep {
+					a[j] = bobRows[k][j]
+				}
+				return a
+			}
+			span := func(lo, hi int) []int {
+				var s []int
+				for j := lo; j < hi; j++ {
+					s = append(s, j)
+				}
+				return s
+			}
+			var alice [][]uint64
+			for q := 0; q < 40; q++ {
+				a := make([]uint64, h)
+				for j := range a {
+					a[j] = src.Uint64() % alphabet
+				}
+				alice = append(alice, a)
+				if nBob == 0 {
+					continue
+				}
+				k := src.Intn(nBob)
+				perm := src.Perm(h)
+				alice = append(alice,
+					plant(k, perm[:T]),     // exactly T, anywhere
+					plant(k, perm[:T-1]),   // exactly T−1, anywhere
+					plant(k, span(P-1, h)), // T; the window's last position only
+					plant(k, span(P, h)),   // T−1, all outside the window
+					append([]uint64(nil), bobRows[k]...),
+				)
+			}
+			for i, a := range alice {
+				want := pl.isClose(a, bobRows)
+				if got := idx.close(a); got != want {
+					t.Fatalf("%s trial %d key %d: index says close=%v, scan says %v", name, trial, i, got, want)
+				}
+				if want {
+					verdicts[1]++
+				} else {
+					verdicts[0]++
+				}
+			}
+		}
+		if verdicts[0] == 0 || verdicts[1] == 0 {
+			t.Fatalf("%s: verdicts far/close = %v; the test must exercise both", name, verdicts)
+		}
+	}
+}

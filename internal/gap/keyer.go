@@ -30,37 +30,39 @@ func NewKeyer(p Params) (*Keyer, error) {
 
 // Payload computes one element's encoded key — the setsets child
 // payload that goes on the wire (h·m LSH evaluations plus h pairwise
-// hashes, the per-mutation cost of live maintenance).
+// hashes, the per-mutation cost of live maintenance). It allocates the
+// payload and one scratch array.
 func (k *Keyer) Payload(pt metric.Point) []byte {
-	return encodeKey(k.pl.ky.key(pt), k.pl.params.EntryBits)
+	ky := k.pl.ky
+	scratch := make([]uint64, ky.h+ky.m)
+	ky.keyInto(scratch[:ky.h], scratch[ky.h:], pt)
+	return encodeKey(scratch[:ky.h], k.pl.params.EntryBits)
 }
 
 // Payloads computes every element's payload, sharding the LSH
 // evaluation across Params.Workers (the from-scratch path live sets use
-// at construction).
+// at construction). The payloads share one backing array.
 func (k *Keyer) Payloads(pts metric.PointSet) [][]byte {
-	keys := k.pl.keyBatch(pts)
-	out := make([][]byte, len(pts))
-	for i := range keys {
-		out[i] = encodeKey(keys[i], k.pl.params.EntryBits)
-	}
-	return out
+	return encodeKeys(k.pl.keyBatch(pts), k.pl.h, k.pl.params.EntryBits)
 }
 
 // RunAlice executes Alice's side of the protocol over conn using cached
 // payloads (aligned with sa) instead of recomputing keys — the live
 // serving path. Payloads must have been produced by this Keyer.
 func (k *Keyer) RunAlice(conn transport.Conn, sa metric.PointSet, payloads [][]byte) (AliceReport, error) {
-	p := k.pl.params
+	p, h, size := k.pl.params, k.pl.h, k.pl.payloadBytes()
 	if len(sa) != len(payloads) {
 		return AliceReport{}, fmt.Errorf("gap: %d elements, %d cached payloads", len(sa), len(payloads))
 	}
 	if len(sa) > p.N {
 		return AliceReport{}, fmt.Errorf("gap: |SA|=%d exceeds N=%d", len(sa), p.N)
 	}
-	keys := make([][]uint64, len(payloads))
+	keys := make([]uint64, len(payloads)*h)
 	for i, pay := range payloads {
-		keys[i] = decodeKey(pay, k.pl.h, p.EntryBits)
+		if len(pay) != size {
+			return AliceReport{}, fmt.Errorf("gap: cached payload %d has %d bytes, want %d", i, len(pay), size)
+		}
+		decodeKey(keys[i*h:(i+1)*h], pay, p.EntryBits)
 	}
-	return runAliceKeyed(k.pl, conn, sa, keys)
+	return runAliceKeyed(k.pl, conn, sa, keys, payloads)
 }

@@ -34,7 +34,7 @@ func TestKeyerPayloadsMatchProtocol(t *testing.T) {
 	batch := ky.Payloads(pts)
 	keys := pl.keyBatch(pts)
 	for i, pt := range pts {
-		want := encodeKey(keys[i], pl.params.EntryBits)
+		want := encodeKey(keys[i*pl.h:(i+1)*pl.h], pl.params.EntryBits)
 		if !bytes.Equal(ky.Payload(pt), want) {
 			t.Fatalf("point %d: single payload differs from protocol key", i)
 		}
@@ -110,7 +110,8 @@ func TestKeyerRunAliceMatchesRunAlice(t *testing.T) {
 	}
 }
 
-// TestKeyerRunAliceValidates: misaligned payload caches are rejected.
+// TestKeyerRunAliceValidates: misaligned payload caches, and cached
+// payloads of the wrong size, are rejected before any message is sent.
 func TestKeyerRunAliceValidates(t *testing.T) {
 	p := Params{Space: metric.HammingCube(32), N: 4, R1: 2, R2: 12, Seed: 2}
 	ky, err := NewKeyer(p)
@@ -121,5 +122,28 @@ func TestKeyerRunAliceValidates(t *testing.T) {
 	sa := metric.PointSet{make(metric.Point, 32)}
 	if _, err := ky.RunAlice(aConn, sa, nil); err == nil {
 		t.Fatal("payload/element count mismatch accepted")
+	}
+	short := ky.Payload(sa[0])
+	short = short[:len(short)-1]
+	if _, err := ky.RunAlice(aConn, sa, [][]byte{short}); err == nil {
+		t.Fatal("short cached payload accepted")
+	}
+}
+
+// TestKeyerPayloadAllocs: a live set's per-mutation key costs one
+// scratch array and the payload itself.
+func TestKeyerPayloadAllocs(t *testing.T) {
+	p := Params{Space: metric.HammingCube(1024), N: 512, R1: 8, R2: 256, Seed: 5}
+	ky, err := NewKeyer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(6)
+	pt := make(metric.Point, 1024)
+	for j := range pt {
+		pt[j] = int32(src.Uint64() % 2)
+	}
+	if n := testing.AllocsPerRun(50, func() { ky.Payload(pt) }); n > 2 {
+		t.Fatalf("Keyer.Payload allocates %v times, want <= 2", n)
 	}
 }

@@ -17,7 +17,7 @@ func TestKeyBatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{Space: space, N: 52, R1: 8, R2: 64, Seed: 9}
-	mk := func(workers int) [][]uint64 {
+	mk := func(workers int) []uint64 {
 		pw := p
 		pw.Workers = workers
 		pl, err := newPlan(pw)
@@ -30,16 +30,11 @@ func TestKeyBatchGolden(t *testing.T) {
 	for _, workers := range []int{0, 2, 7} {
 		got := mk(workers)
 		if len(got) != len(seq) {
-			t.Fatalf("workers=%d: %d keys, want %d", workers, len(got), len(seq))
+			t.Fatalf("workers=%d: %d key entries, want %d", workers, len(got), len(seq))
 		}
 		for i := range seq {
-			if len(got[i]) != len(seq[i]) {
-				t.Fatalf("workers=%d: key %d length differs", workers, i)
-			}
-			for j := range seq[i] {
-				if got[i][j] != seq[i][j] {
-					t.Fatalf("workers=%d: key %d entry %d differs", workers, i, j)
-				}
+			if got[i] != seq[i] {
+				t.Fatalf("workers=%d: flat key entry %d differs", workers, i)
 			}
 		}
 	}

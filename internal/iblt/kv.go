@@ -190,6 +190,14 @@ func DecodeKVFrom(d *transport.Decoder, seed uint64) (*KVTable, error) {
 	if q < 2 || q > 16 || cellsPerQ == 0 || cellsPerQ > 1<<30 || valBytes > 1<<20 {
 		return nil, fmt.Errorf("iblt: implausible kv geometry q=%d cells/q=%d val=%dB", q, cellsPerQ, valBytes)
 	}
+	// Every encoded cell costs at least 17 + valBytes bytes (count
+	// varint, two 64-bit sums, the value), so a table the rest of the
+	// frame cannot hold is rejected before its cells are allocated, as
+	// in DecodeFrom. The product stays below 2^55: no overflow.
+	if cells := q * cellsPerQ; cells*(17+valBytes) > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("iblt: kv table of %d cells of %dB values exceeds remaining frame (%d bytes)",
+			cells, valBytes, d.Remaining())
+	}
 	t := NewKV(int(q*cellsPerQ), int(q), int(valBytes), seed)
 	for i := range t.counts {
 		if t.counts[i], err = d.ReadVarint(); err != nil {

@@ -173,6 +173,12 @@ func RunAlice(p Params, conn transport.Conn, aliceChildren []Child) (Result, err
 		if err != nil {
 			return Result{}, err
 		}
+		if got.ValBytes() != p.PayloadBytes {
+			// Deleting Alice's children from it would panic on the
+			// width mismatch; the peer's table is simply malformed.
+			return Result{}, fmt.Errorf("setsets: peer table holds %d-byte values, expected %d",
+				got.ValBytes(), p.PayloadBytes)
+		}
 		for i, k := range aKeys {
 			got.Delete(k, aVals[i])
 		}

@@ -5,7 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/iblt"
 	"repro/internal/rng"
+	"repro/internal/transport"
 )
 
 func mkChild(src *rng.Source, size int) Child {
@@ -180,6 +182,29 @@ func TestPayloadSizeMismatch(t *testing.T) {
 		[]Child{{Payload: []byte{1, 2, 3}}}, nil)
 	if err == nil {
 		t.Error("mismatched payload size accepted")
+	}
+}
+
+// TestAliceRejectsPeerValueWidth: a peer table whose values are not
+// PayloadBytes wide is a malformed frame, so Alice returns an error
+// instead of panicking when she deletes her children from it.
+func TestAliceRejectsPeerValueWidth(t *testing.T) {
+	p := Params{PayloadBytes: 4, Seed: 9}
+	aConn, bConn := transport.NewPipe()
+	go func() {
+		defer bConn.Close()
+		if _, err := bConn.Recv(); err != nil { // Alice's strata
+			return
+		}
+		e := transport.NewEncoder()
+		e.WriteUvarint(0) // attempt tag
+		iblt.NewKV(2, 2, 1, 1).Encode(e)
+		bConn.Send(e)
+	}()
+	_, err := RunAlice(p, aConn, []Child{{Payload: []byte{1, 2, 3, 4}}})
+	aConn.Close()
+	if err == nil {
+		t.Fatal("peer table with 1-byte values accepted for 4-byte children")
 	}
 }
 

@@ -60,7 +60,8 @@ func (r *refBitWriter) pack() []byte {
 // misaligned writes — and requires byte-identical output, then decodes
 // the stream back and requires value-identical reads. This pins the
 // fast paths (bulk WriteBytes, byte-group varints, aligned ReadBits) to
-// the historical bit format.
+// the historical bit format. Grow is one more op kind: it must leave the
+// stream untouched.
 func TestEncoderMatchesBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -75,7 +76,7 @@ func TestEncoderMatchesBitReference(t *testing.T) {
 		}
 		var script []op
 		for i := 0; i < 30; i++ {
-			o := op{kind: rng.Intn(5)}
+			o := op{kind: rng.Intn(6)}
 			switch o.kind {
 			case 0: // WriteBits with random width (often misaligning)
 				o.n = uint(1 + rng.Intn(64))
@@ -99,6 +100,8 @@ func TestEncoderMatchesBitReference(t *testing.T) {
 				o.v = rng.Uint64()
 				e.WriteUint64(o.v)
 				ref.writeBits(o.v, 64)
+			case 5: // Grow writes nothing
+				e.Grow(rng.Intn(64))
 			}
 			script = append(script, o)
 		}

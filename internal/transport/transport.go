@@ -108,7 +108,7 @@ var ErrShortMessage = errors.New("transport: message truncated")
 
 // Encoder writes a message payload with exact bit accounting. Values are
 // bit-packed; WriteBits is the primitive, with varint and length-prefixed
-// helpers on top.
+// helpers on top. The zero value is an empty encoder, ready to use.
 type Encoder struct {
 	buf     []byte
 	bitsUse int64 // exact logical bits written (may trail the byte buffer)
@@ -136,6 +136,17 @@ func NewEncoder() *Encoder { return encPool.Get().(*Encoder) }
 func Recycle(e *Encoder, buf []byte) {
 	e.buf, e.cur, e.curN, e.bitsUse = buf[:0], 0, 0, 0
 	encPool.Put(e)
+}
+
+// Grow makes room for nbytes more payload bytes, so a caller that knows
+// a message's size packs it into one allocation. The stream is unchanged.
+// (slices.Grow would allocate twice in race-detector builds.)
+func (e *Encoder) Grow(nbytes int) {
+	if cap(e.buf)-len(e.buf) < nbytes {
+		buf := make([]byte, len(e.buf), len(e.buf)+nbytes)
+		copy(buf, e.buf)
+		e.buf = buf
+	}
 }
 
 // WriteBits appends the low n bits of v, most significant bit first.
