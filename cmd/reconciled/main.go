@@ -85,7 +85,7 @@
 //
 // Workload flags (-d, -n, -k, -noise, -r1, -r2, -diff, -seed, and
 // whether -mutate is zero) must match between server and client;
-// -workers, -max-sessions and timeouts are local tuning.
+// -max-sessions and timeouts are local tuning.
 package main
 
 import (
@@ -135,7 +135,6 @@ type config struct {
 	// sync ID derivation).
 	mutate int
 	// local tuning
-	workers     int
 	maxSessions int
 	timeout     time.Duration
 	// quarantine is the health ledger's base quarantine span in
@@ -171,7 +170,6 @@ func newFixture(c config) (*fixture, error) {
 	emdSpace := metric.HammingCube(c.d)
 	inst := workload.NewEMDInstance(emdSpace, c.n, c.k, c.noise, c.seed)
 	f.emdParams = emd.DefaultParams(emdSpace, c.n, c.k, c.seed+1)
-	f.emdParams.Workers = c.workers
 	f.emdSA, f.emdSB = inst.SA, inst.SB
 
 	f.gapSpace = metric.HammingCube(4 * c.d)
@@ -183,7 +181,7 @@ func newFixture(c config) (*fixture, error) {
 	// instance plants one Bob-only point), so budget n+k+1.
 	f.gapParams = gap.Params{
 		Space: f.gapSpace, N: c.n + c.k + 1, R1: c.r1, R2: c.r2,
-		Seed: c.seed + 2, Workers: c.workers,
+		Seed: c.seed + 2,
 	}
 	f.gapSA, f.gapSB = ginst.SA, ginst.SB
 
@@ -192,7 +190,7 @@ func newFixture(c config) (*fixture, error) {
 	for i := range shared {
 		shared[i] = src.Uint64()
 	}
-	f.syncParams = netproto.SyncParams{Seed: c.seed + 4, Workers: c.workers}
+	f.syncParams = netproto.SyncParams{Seed: c.seed + 4}
 	f.serverIDs = append([]uint64{}, shared...)
 	f.clientIDs = append([]uint64{}, shared...)
 	for i := 0; i < c.diff; i++ {
@@ -317,7 +315,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "shared public-coin seed")
 	mutate := flag.Int("mutate", 0, "live-set churn in mutations/sec (server and cluster modes)")
 
-	workers := flag.Int("workers", 0, "sketch-construction workers (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
 	quarantine := flag.Int("quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
@@ -361,7 +358,7 @@ func main() {
 	cfg := config{
 		d: *d, n: *n, k: *k, noise: *noise, r1: *r1, r2: *r2,
 		diff: *diff, seed: *seed, mutate: *mutate,
-		workers: *workers, maxSessions: *maxSessions, timeout: *timeout,
+		maxSessions: *maxSessions, timeout: *timeout,
 		quarantine: *quarantine,
 	}
 	if cfg.r2 == 0 {
@@ -594,7 +591,6 @@ func clusterCatalog(cfg config, f *fixture, names []string, nodes int) []cluster
 		c := live.Config{Sync: sync}
 		if i == 0 {
 			p := emd.DefaultParams(space, capacity, cfg.k, cfg.seed+9)
-			p.Workers = cfg.workers
 			c.EMD = &p
 		}
 		out[i] = cluster.CatalogSet{Name: name, Config: c}

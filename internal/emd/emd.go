@@ -59,12 +59,6 @@ type Params struct {
 	// PeelOrder is forwarded to the RIBLTs (BFS per the paper; LIFO
 	// exists only as an ablation).
 	PeelOrder riblt.PeelOrder
-	// Workers shards sketch construction (LSH key evaluation and RIBLT
-	// insertion) across goroutines: 0 means GOMAXPROCS, 1 forces the
-	// sequential path. Purely local — the sharded build merges
-	// deterministically, so wire bytes are identical for any value —
-	// hence not part of the parameter digest.
-	Workers int
 }
 
 // DefaultParams returns the no-prior-knowledge parameterization of §3:
@@ -291,14 +285,9 @@ var (
 )
 
 // planFor returns the shared plan for p, deriving and caching it on
-// first use. The key is the defaulted Params value with the purely
-// local Workers knob zeroed — it shapes no derived state (the digest
-// excludes it for the same reason), so sessions differing only in
-// worker count share one plan; callers thread their worker count to
-// the builders explicitly.
+// first use. The key is the defaulted Params value.
 func planFor(p Params) (*plan, error) {
 	p.ApplyDefaults()
-	p.Workers = 0
 	planMu.Lock()
 	if e, ok := planCache[p]; ok {
 		planGen++
@@ -361,12 +350,12 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 		return Result{}, fmt.Errorf("emd: |SA|=%d |SB|=%d, params.N=%d", len(sa), len(sb), pl.params.N)
 	}
 	var ch transport.Channel
-	e, err := alice(pl, sa, p.Workers)
+	e, err := alice(pl, sa)
 	if err != nil {
 		return Result{}, err
 	}
 	ch.Send(transport.AliceToBob, e)
-	res, err := bob(pl, sb, &ch, p.Workers)
+	res, err := bob(pl, sb, &ch)
 	if err != nil {
 		return Result{}, err
 	}
@@ -376,12 +365,12 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 	return res, nil
 }
 
-// alice builds the t RIBLTs (sharded across workers, see parallel.go)
+// alice builds the t RIBLTs (sharded by point block, see parallel.go)
 // and encodes them as the protocol's single message. Encoding itself is
 // sequential over the merged cells, so the wire bytes are identical for
-// any worker count.
-func alice(pl *plan, sa metric.PointSet, workers int) (*transport.Encoder, error) {
-	tables, err := pl.buildTables(sa, workers)
+// any block count.
+func alice(pl *plan, sa metric.PointSet) (*transport.Encoder, error) {
+	tables, err := pl.buildTables(sa)
 	if err != nil {
 		return nil, err
 	}
@@ -402,22 +391,22 @@ func encodeTables(levels int, tables []*riblt.Table) *transport.Encoder {
 
 // bob receives the tables, deletes his pairs, finds i*, and assembles
 // S′B.
-func bob(pl *plan, sb metric.PointSet, ch *transport.Channel, workers int) (Result, error) {
+func bob(pl *plan, sb metric.PointSet, ch *transport.Channel) (Result, error) {
 	d, err := ch.Recv(transport.AliceToBob)
 	if err != nil {
 		return Result{}, err
 	}
-	return bobDecode(pl, sb, d, workers)
+	return bobDecode(pl, sb, d)
 }
 
 // bobDecode is bob over an already-positioned decoder — the zero-copy
 // path ApplyMessage and the wire handlers use.
-func bobDecode(pl *plan, sb metric.PointSet, d *transport.Decoder, workers int) (Result, error) {
+func bobDecode(pl *plan, sb metric.PointSet, d *transport.Decoder) (Result, error) {
 	tables, err := decodeTables(pl, d)
 	if err != nil {
 		return Result{}, err
 	}
-	return applyTables(pl, sb, tables, workers)
+	return applyTables(pl, sb, tables)
 }
 
 // decodeTables reads a protocol message's level tables. On a decode
@@ -446,14 +435,14 @@ func decodeTables(pl *plan, d *transport.Decoder) ([]*riblt.Table, error) {
 // i*, assemble S′B. It consumes tables (deletion and peeling mutate
 // them, and their memory returns to the riblt pool on return); callers
 // holding a cached sketch clone first.
-func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table, workers int) (Result, error) {
+func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table) (Result, error) {
 	defer func() {
 		for _, t := range tables {
 			t.Release()
 		}
 	}()
 	t := pl.levels
-	allKeys := pl.levelKeys(sb, workers)
+	allKeys := pl.levelKeys(sb)
 	for j, b := range sb {
 		for i, key := range allKeys[j*t : (j+1)*t] {
 			tables[i].Delete(key, b)

@@ -23,7 +23,7 @@ func BuildMessage(p Params, sa metric.PointSet) ([]byte, error) {
 	if len(sa) != pl.params.N {
 		return nil, fmt.Errorf("emd: |SA|=%d, params.N=%d", len(sa), pl.params.N)
 	}
-	e, err := alice(pl, sa, p.Workers)
+	e, err := alice(pl, sa)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func ApplyMessage(p Params, sb metric.PointSet, msg []byte) (Result, error) {
 	// the tally below is the exact Stats that round trip produced.
 	var d transport.Decoder
 	d.Reset(msg)
-	res, err := bobDecode(pl, sb, &d, p.Workers)
+	res, err := bobDecode(pl, sb, &d)
 	if err != nil {
 		return Result{}, err
 	}

@@ -24,7 +24,6 @@ import (
 // mutations and serves immutable clones.
 type Sketch struct {
 	pl      *plan
-	workers int // local Params.Workers (plans are shared, so not in pl)
 	tables  []*riblt.Table
 	scratch []uint64  // MLSH value scratch (one per active draw)
 	keys    []uint64  // per-level key scratch (t wide)
@@ -32,10 +31,9 @@ type Sketch struct {
 }
 
 // newSketch wraps tables in a Sketch with its mutation scratch.
-func newSketch(pl *plan, tables []*riblt.Table, workers int) *Sketch {
+func newSketch(pl *plan, tables []*riblt.Table) *Sketch {
 	return &Sketch{
 		pl:      pl,
-		workers: workers,
 		tables:  tables,
 		scratch: make([]uint64, len(pl.active)),
 		keys:    make([]uint64, pl.levels),
@@ -62,13 +60,13 @@ func NewSketch(p Params) (*Sketch, error) {
 	for i := range tables {
 		tables[i] = riblt.New(pl.cfgs[i])
 	}
-	return newSketch(pl, tables, p.Workers), nil
+	return newSketch(pl, tables), nil
 }
 
 // BuildSketch builds a sketch over pts from scratch, sharding the MLSH
-// evaluation and insertions across Params.Workers. Unlike BuildMessage
-// it does not require len(pts) == Params.N — N is the capacity bound,
-// and a live set churns below it.
+// evaluation and insertions by point block (see parallel.go). Unlike
+// BuildMessage it does not require len(pts) == Params.N — N is the
+// capacity bound, and a live set churns below it.
 func BuildSketch(p Params, pts metric.PointSet) (*Sketch, error) {
 	pl, err := planFor(p)
 	if err != nil {
@@ -77,11 +75,11 @@ func BuildSketch(p Params, pts metric.PointSet) (*Sketch, error) {
 	if len(pts) > pl.params.N {
 		return nil, fmt.Errorf("emd: %d points exceed capacity N=%d", len(pts), pl.params.N)
 	}
-	tables, err := pl.buildTables(pts, p.Workers)
+	tables, err := pl.buildTables(pts)
 	if err != nil {
 		return nil, err
 	}
-	return newSketch(pl, tables, p.Workers), nil
+	return newSketch(pl, tables), nil
 }
 
 // DecodeSketch reconstructs a sketch from a full protocol message (the
@@ -96,7 +94,7 @@ func DecodeSketch(p Params, msg []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSketch(pl, tables, p.Workers), nil
+	return newSketch(pl, tables), nil
 }
 
 // Levels returns t, the number of resolution levels.
@@ -169,7 +167,7 @@ func (s *Sketch) Clone() *Sketch {
 	for i, t := range s.tables {
 		tables[i] = t.Clone()
 	}
-	return newSketch(s.pl, tables, s.workers)
+	return newSketch(s.pl, tables)
 }
 
 // SortCellRefs orders refs by (level, cell) and drops duplicates, the
@@ -245,7 +243,7 @@ func (s *Sketch) Apply(sb metric.PointSet) (Result, error) {
 	for i, t := range s.tables {
 		tables[i] = t.Clone()
 	}
-	res, err := applyTables(s.pl, sb, tables, s.workers)
+	res, err := applyTables(s.pl, sb, tables)
 	if err != nil {
 		return Result{}, err
 	}

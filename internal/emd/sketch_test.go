@@ -13,7 +13,7 @@ func sketchTestParams() Params {
 	return Params{
 		Space: metric.HammingCube(64),
 		N:     32, K: 3, D1: 2, D2: 64,
-		Seed: 7, Workers: 1,
+		Seed: 7,
 	}
 }
 

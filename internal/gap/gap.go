@@ -59,11 +59,6 @@ type Params struct {
 	Seed uint64
 	// SetSets forwards tuning to the substrate (zero values = defaults).
 	SetSets setsets.Params
-	// Workers shards key construction (h·m LSH evaluations per element)
-	// across goroutines: 0 means GOMAXPROCS, 1 forces the sequential
-	// path. Purely local — key vectors are positionally deterministic —
-	// so it is not part of the parameter digest.
-	Workers int
 }
 
 // ApplyDefaults fills zero fields with the documented defaults, so a
@@ -167,6 +162,18 @@ func (k *keyer) keyInto(dst, batch []uint64, p metric.Point) {
 		}
 		dst[j] = k.entryKH[j].Hash(batch)
 	}
+}
+
+// keyBatch computes every element's key into one flat slice: element
+// i's key is out[i·h : (i+1)·h], sharing one batch scratch.
+func (pl *plan) keyBatch(pts metric.PointSet) []uint64 {
+	h := pl.h
+	out := make([]uint64, len(pts)*h)
+	batch := make([]uint64, pl.ky.m)
+	for i, p := range pts {
+		pl.ky.keyInto(out[i*h:(i+1)*h], batch, p)
+	}
+	return out
 }
 
 // writeKey writes a key as fixed-width entries, zero-padded to a whole

@@ -1,6 +1,7 @@
 package gap
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/metric"
@@ -466,6 +467,34 @@ func TestCloseIndexMatchesScan(t *testing.T) {
 		}
 		if verdicts[0] == 0 || verdicts[1] == 0 {
 			t.Fatalf("%s: verdicts far/close = %v; the test must exercise both", name, verdicts)
+		}
+	}
+}
+
+// TestKeyBatchGolden pins keyBatch's flat layout: row i is exactly
+// keyInto of point i, so the setsets children built from the rows hit
+// the wire unchanged.
+func TestKeyBatchGolden(t *testing.T) {
+	space := metric.HammingCube(256)
+	inst, err := workload.NewGapInstance(space, 48, 3, 1, 8, 64, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := newPlan(Params{Space: space, N: 52, R1: 8, R2: 64, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := pl.h
+	keys := pl.keyBatch(inst.SA)
+	if len(keys) != len(inst.SA)*h {
+		t.Fatalf("%d key entries, want %d", len(keys), len(inst.SA)*h)
+	}
+	want := make([]uint64, h)
+	batch := make([]uint64, pl.ky.m)
+	for i, pt := range inst.SA {
+		pl.ky.keyInto(want, batch, pt)
+		if !slices.Equal(keys[i*h:(i+1)*h], want) {
+			t.Fatalf("point %d: key differs from keyInto", i)
 		}
 	}
 }

@@ -39,9 +39,8 @@ func (k *Keyer) Payload(pt metric.Point) []byte {
 	return encodeKey(scratch[:ky.h], k.pl.params.EntryBits)
 }
 
-// Payloads computes every element's payload, sharding the LSH
-// evaluation across Params.Workers (the from-scratch path live sets use
-// at construction). The payloads share one backing array.
+// Payloads computes every element's payload (the from-scratch path
+// live sets use at construction). The payloads share one backing array.
 func (k *Keyer) Payloads(pts metric.PointSet) [][]byte {
 	return encodeKeys(k.pl.keyBatch(pts), k.pl.h, k.pl.params.EntryBits)
 }

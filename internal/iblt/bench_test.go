@@ -17,7 +17,7 @@ func BenchmarkNewFromKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewFromKeys(CellsForDiff(128, 3), 3, uint64(i)+1, keys, 1)
+		NewFromKeys(CellsForDiff(128, 3), 3, uint64(i)+1, keys)
 	}
 }
 
@@ -27,6 +27,6 @@ func BenchmarkNewStrataFromKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewStrataFromKeys(80, uint64(i)+1, keys, 1)
+		NewStrataFromKeys(80, uint64(i)+1, keys)
 	}
 }

@@ -82,6 +82,14 @@ func New(m, q int, seed uint64) *Table {
 	}
 }
 
+// NewFromKeys builds a table with q hash functions and at least m cells
+// holding every key.
+func NewFromKeys(m, q int, seed uint64, keys []uint64) *Table {
+	t := New(m, q, seed)
+	t.InsertAll(keys)
+	return t
+}
+
 // Cells returns the total number of cells.
 func (t *Table) Cells() int { return len(t.cells) }
 
@@ -98,8 +106,8 @@ func (t *Table) Insert(key uint64) { t.update(key, 1) }
 
 // InsertAll adds every key of keys, batching the per-key checksum
 // hashing through hashx.Mixer.HashInto over a fixed scratch block — the
-// bulk-construction path the sharded builders use. Cell state after
-// InsertAll is identical to inserting the keys one at a time.
+// bulk-construction path. Cell state after InsertAll is identical to
+// inserting the keys one at a time.
 func (t *Table) InsertAll(keys []uint64) {
 	var checks [256]uint64
 	for len(keys) > 0 {

@@ -42,6 +42,15 @@ func NewStrata(cellsPerLevel int, seed uint64) *Strata {
 	return s
 }
 
+// NewStrataFromKeys builds an estimator over every key. Trailing ints
+// are ignored; they keep the benchmark harness's four-argument call
+// (bench/sut.go) compiling.
+func NewStrataFromKeys(cellsPerLevel int, seed uint64, keys []uint64, _ ...int) *Strata {
+	s := NewStrata(cellsPerLevel, seed)
+	s.InsertAll(keys)
+	return s
+}
+
 // Insert adds a key to its stratum.
 func (s *Strata) Insert(key uint64) {
 	lvl := bits.TrailingZeros64(s.assign.Hash(key) | 1<<(StrataLevels-1))

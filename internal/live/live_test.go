@@ -17,10 +17,10 @@ func testConfig() Config {
 	space := metric.HammingCube(64)
 	return Config{
 		EMD: &emd.Params{
-			Space: space, N: 32, K: 3, D1: 2, D2: 64, Seed: 7, Workers: 1,
+			Space: space, N: 32, K: 3, D1: 2, D2: 64, Seed: 7,
 		},
 		Gap: &gap.Params{
-			Space: space, N: 32, R1: 2, R2: 16, Seed: 8, Workers: 1,
+			Space: space, N: 32, R1: 2, R2: 16, Seed: 8,
 		},
 		Sync: &SyncConfig{Seed: 9},
 	}
@@ -105,7 +105,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		if !ok {
 			t.Fatal("sync state not enabled")
 		}
-		wantStrata := iblt.NewStrataFromKeys(sc.StrataCells, sc.Seed, snap.IDs, 1)
+		wantStrata := iblt.NewStrataFromKeys(sc.StrataCells, sc.Seed, snap.IDs)
 		if !bytes.Equal(encodeStrata(snap.Strata), encodeStrata(wantStrata)) {
 			t.Fatalf("op %d: live strata differs from rebuild over %d ids", op, len(snap.IDs))
 		}

@@ -635,7 +635,7 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 			return fmt.Errorf("netproto: repair IBLT bound %d exceeds limit %d", diffBound, repairMaxDiff)
 		}
 		seed := sc.Seed + 0x4e9a + uint64(attempt)*0x9e37
-		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, snap.IDs, 1)
+		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, snap.IDs)
 		e := transport.NewEncoder()
 		e.WriteUvarint(uint64(attempt))
 		tbl.Encode(e)

@@ -24,8 +24,8 @@ func init() {
 // for their sketches to align: the space, the protocol scalars, and the
 // geometry knobs (KeyBits, CellsPerLevel) that shape keys and RIBLT
 // cells. Defaults are applied first, so a zero and an explicit default
-// configuration agree. Purely local fields (Workers, MaxDecoded,
-// PeelOrder) are deliberately excluded.
+// configuration agree. Purely local fields (MaxDecoded, PeelOrder) are
+// deliberately excluded.
 func DigestEMD(p emd.Params) uint64 {
 	p.ApplyDefaults()
 	m := hashx.MixerFromSeed(0x1807_09694)
@@ -137,8 +137,7 @@ func (h *EMDSender) Role() Role { return RoleAlice }
 func (h *EMDSender) Digest() uint64 { return DigestEMD(h.Params) }
 
 // Run implements Handler: send the single protocol message, building
-// the sketch (sharded across workers when Params.Workers allows) unless
-// the factory already did.
+// the sketch unless the factory already did.
 func (h *EMDSender) Run(conn transport.Conn) error {
 	msg := h.msg
 	if msg == nil {

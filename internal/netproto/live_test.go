@@ -15,8 +15,8 @@ import (
 
 func liveFixtureParams() (emd.Params, gap.Params, SyncParams, live.Config) {
 	space := metric.HammingCube(64)
-	emdP := emd.Params{Space: space, N: 32, K: 3, D1: 2, D2: 64, Seed: 7, Workers: 1}
-	gapP := gap.Params{Space: space, N: 32, R1: 2, R2: 16, Seed: 8, Workers: 1}
+	emdP := emd.Params{Space: space, N: 32, K: 3, D1: 2, D2: 64, Seed: 7}
+	gapP := gap.Params{Space: space, N: 32, R1: 2, R2: 16, Seed: 8}
 	syncP := SyncParams{Seed: 9}
 	cfg := live.Config{EMD: &emdP, Gap: &gapP, Sync: &live.SyncConfig{Seed: 9}}
 	return emdP, gapP, syncP, cfg

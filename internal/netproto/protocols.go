@@ -64,10 +64,6 @@ type SyncParams struct {
 	StrataCells int
 	// MaxRetries bounds the doubling rounds (default 6).
 	MaxRetries int
-	// Workers shards local IBLT construction (0 = GOMAXPROCS, 1 =
-	// sequential). Purely local: it never changes wire bytes, so the
-	// parties need not agree on it and it is not part of the digest.
-	Workers int
 }
 
 func (p *SyncParams) applyDefaults() {
@@ -108,7 +104,7 @@ func SyncResponderFunc(rw io.ReadWriter, p SyncParams, ids []uint64) (theirsOnly
 // on nack with doubled size).
 func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly, minesOnly []uint64, err error) {
 	p.applyDefaults()
-	st := iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids, p.Workers)
+	st := iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids)
 	e := transport.NewEncoder()
 	st.Encode(e)
 	if err := conn.Send(e); err != nil {
@@ -155,7 +151,7 @@ func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOn
 func runSyncResponder(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly []uint64, err error) {
 	p.applyDefaults()
 	return runSyncResponderWith(conn, p, ids,
-		iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids, p.Workers))
+		iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids))
 }
 
 // runSyncResponderWith is runSyncResponder with the local strata
@@ -180,7 +176,7 @@ func runSyncResponderWith(conn transport.Conn, p SyncParams, ids []uint64, local
 	diffBound := est*2 + 8
 	for attempt := 0; ; attempt++ {
 		seed := p.Seed + 0x51ab + uint64(attempt)*0x9e37
-		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, ids, p.Workers)
+		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, ids)
 		e := transport.NewEncoder()
 		e.WriteUvarint(uint64(attempt))
 		tbl.Encode(e)

@@ -255,11 +255,8 @@ func decodeSnapshot(d *transport.Decoder) (epoch uint64, entries []snapEntry, er
 
 // ---- set configuration ----
 
-// encodeConfig persists the wire-relevant live.Config. Workers fields
-// are deliberately dropped (persisted as absent): they tune local
-// sharding only, and a snapshot restored on different hardware must
-// not inherit the crashed machine's parallelism. The Logger hook is
-// runtime state, never persisted.
+// encodeConfig persists the wire-relevant live.Config. The Logger hook
+// is runtime state, never persisted.
 func encodeConfig(e *transport.Encoder, cfg live.Config) {
 	e.WriteBits(configMagic, 32)
 	e.WriteUvarint(uint64(cfg.JournalEpochs))
