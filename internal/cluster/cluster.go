@@ -69,9 +69,6 @@ type Config struct {
 	// Choices is the d of power-of-d-choices probing (default 2,
 	// clamped to the peer count).
 	Choices int
-	// MaxBackoff caps the exponential per-set failure backoff, in
-	// skipped rounds (default 8).
-	MaxBackoff int
 	// Seed feeds the peer-selection RNG (default 1).
 	Seed uint64
 	// Session configures the embedded server (MaxSessions, timeouts,
@@ -233,9 +230,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Choices <= 0 {
 		cfg.Choices = 2
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 8
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -582,7 +576,7 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 	n.mu.Lock()
 	if failures == len(peers) {
 		// Every candidate unreachable: back off this set.
-		m.applyBackoff(n.cfg.MaxBackoff)
+		m.applyBackoff()
 		n.mu.Unlock()
 		return false, err
 	}
@@ -614,7 +608,7 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 	if rerr := n.reconcile(name, ls, m, worst.addr, worst.probe); rerr != nil {
 		n.mu.Lock()
 		m.RepairFailures++
-		m.applyBackoff(n.cfg.MaxBackoff)
+		m.applyBackoff()
 		n.mu.Unlock()
 		n.cfg.Logf("cluster: set %q repair %s: %v", name, worst.addr, rerr)
 		if err == nil {
@@ -628,16 +622,14 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 	return true, err
 }
 
-// applyBackoff doubles (capped) and arms the skip counter. Caller holds
-// n.mu.
-func (m *SetMetrics) applyBackoff(maxRounds int) {
-	next := m.backoff * 2
-	if next == 0 {
-		next = 1
-	}
-	if next > maxRounds {
-		next = maxRounds
-	}
+// maxBackoff caps the exponential per-set failure backoff, in skipped
+// rounds.
+const maxBackoff = 8
+
+// applyBackoff doubles (capped at maxBackoff) and arms the skip counter.
+// Caller holds n.mu.
+func (m *SetMetrics) applyBackoff() {
+	next := min(max(m.backoff*2, 1), maxBackoff)
 	m.backoff = next
 	m.Backoff = next
 	m.Streak = 0

@@ -448,7 +448,7 @@ func TestClusterNetworkPartitionHeals(t *testing.T) {
 	}
 
 	net.Heal()
-	// Backoff from the partition drains within MaxBackoff (8) rounds.
+	// Backoff from the partition drains within maxBackoff (8) rounds.
 	for round := 0; round < 20; round++ {
 		for _, n := range nodes {
 			n.ReconcileOnce() //nolint:errcheck

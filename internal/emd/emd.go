@@ -50,16 +50,12 @@ type Params struct {
 	// KeyBits is the width of the pairwise-independent keys
 	// (Θ(log n) in the paper; default 40 covers every n we run).
 	KeyBits uint
-	// MaxDecoded is Algorithm 1's decode cap (default 4K).
-	MaxDecoded int
-	// MaxFuncs caps s, the number of MLSH draws, as a runtime guard.
-	MaxFuncs int
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// PeelOrder is forwarded to the RIBLTs (BFS per the paper; LIFO
-	// exists only as an ablation).
-	PeelOrder riblt.PeelOrder
 }
+
+// maxFuncs caps s, the number of MLSH draws, as a runtime guard.
+const maxFuncs = 1 << 20
 
 // DefaultParams returns the no-prior-knowledge parameterization of §3:
 // D1 = 1, D2 = n·diameter, with the corollaries' MLSH width choices.
@@ -82,12 +78,6 @@ func (p *Params) ApplyDefaults() {
 	}
 	if p.KeyBits == 0 {
 		p.KeyBits = 40
-	}
-	if p.MaxDecoded == 0 {
-		p.MaxDecoded = 4 * p.K
-	}
-	if p.MaxFuncs == 0 {
-		p.MaxFuncs = 1 << 20
 	}
 }
 
@@ -180,8 +170,8 @@ func newPlan(p Params) (*plan, error) {
 	if s < 1 {
 		s = 1
 	}
-	if s > p.MaxFuncs {
-		return nil, fmt.Errorf("emd: s=%d MLSH functions exceed MaxFuncs=%d; raise D1 or K", s, p.MaxFuncs)
+	if s > maxFuncs {
+		return nil, fmt.Errorf("emd: s=%d MLSH functions exceed MaxFuncs=%d; raise D1 or K", s, maxFuncs)
 	}
 	prefix := make([]int, t)
 	for i := 0; i < t; i++ {
@@ -233,7 +223,6 @@ func newPlan(p Params) (*plan, error) {
 			KeyBits:  p.KeyBits,
 			MaxItems: 2*p.N + 2,
 			Seed:     tblSrc.Uint64(),
-			Order:    p.PeelOrder,
 		}
 	}
 	return &plan{
@@ -448,15 +437,15 @@ func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table) (Result, e
 			tables[i].Delete(key, b)
 		}
 	}
-	// Find i*: the largest level that peels fully to at most MaxDecoded
-	// pairs. Bob's rounding randomness is private.
+	// Find i*: the largest level that peels fully to at most 4k pairs
+	// (Algorithm 1's decode cap). Bob's rounding randomness is private.
 	round := rng.New(pl.params.Seed ^ 0xb0b)
 	for i := pl.levels - 1; i >= 0; i-- {
 		res, err := tables[i].Peel(round)
 		if err != nil {
 			continue
 		}
-		if len(res.Inserted)+len(res.Deleted) > pl.params.MaxDecoded {
+		if len(res.Inserted)+len(res.Deleted) > 4*pl.params.K {
 			continue
 		}
 		xa := make(metric.PointSet, len(res.Inserted))

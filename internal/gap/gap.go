@@ -52,9 +52,6 @@ type Params struct {
 	// default 6. The constant inside Θ(log n) — larger sharpens the
 	// Chernoff separation at linear cost in communication.
 	HFactor int
-	// EntryBits is the width of one key entry (Θ(log n) in the paper;
-	// default 2·ceil(log2(N+2))+6, capped at 40).
-	EntryBits uint
 	// Seed is the shared public-coin seed.
 	Seed uint64
 	// SetSets forwards tuning to the substrate (zero values = defaults).
@@ -68,13 +65,12 @@ func (p *Params) ApplyDefaults() {
 	if p.HFactor == 0 {
 		p.HFactor = 6
 	}
-	if p.EntryBits == 0 {
-		b := 2*uint(math.Ceil(math.Log2(float64(p.N)+2))) + 6
-		if b > 40 {
-			b = 40
-		}
-		p.EntryBits = b
-	}
+}
+
+// EntryBits is the width of one key entry for sets of at most n points:
+// Θ(log n) as the paper asks, 2·ceil(log2(n+2))+6 bits capped at 40.
+func EntryBits(n int) uint {
+	return min(2*uint(math.Ceil(math.Log2(float64(n)+2)))+6, 40)
 }
 
 // Validate reports an error for unusable parameters.
@@ -278,7 +274,7 @@ func newPlan(p Params) (*plan, error) {
 	src := rng.New(p.Seed)
 	return &plan{
 		params:    p,
-		ky:        newKeyer(family, h, m, p.EntryBits, src.Split()),
+		ky:        newKeyer(family, h, m, EntryBits(p.N), src.Split()),
 		threshold: threshold,
 		h:         h,
 		rho:       rho,
@@ -305,7 +301,7 @@ func newOneSidedPlan(p Params, pExp float64) (*plan, error) {
 	src := rng.New(p.Seed)
 	return &plan{
 		params:    p,
-		ky:        newKeyer(g, h, 1, p.EntryBits, src.Split()),
+		ky:        newKeyer(g, h, 1, EntryBits(p.N), src.Split()),
 		threshold: 1, // one matching entry certifies closeness (p2 = 0)
 		h:         h,
 		rho:       g.RhoHat,
@@ -314,7 +310,7 @@ func newOneSidedPlan(p Params, pExp float64) (*plan, error) {
 }
 
 // payloadBytes is the size of one encoded key.
-func (pl *plan) payloadBytes() int { return (pl.h*int(pl.params.EntryBits) + 7) / 8 }
+func (pl *plan) payloadBytes() int { return (pl.h*int(pl.ky.bits) + 7) / 8 }
 
 func (pl *plan) setsetsParams() setsets.Params {
 	ss := pl.params.SetSets
@@ -338,7 +334,7 @@ func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, e
 		return AliceReport{}, fmt.Errorf("gap: |SA|=%d exceeds N=%d", len(sa), pl.params.N)
 	}
 	keys := pl.keyBatch(sa)
-	return runAliceKeyed(pl, conn, sa, keys, encodeKeys(keys, pl.h, pl.params.EntryBits))
+	return runAliceKeyed(pl, conn, sa, keys, encodeKeys(keys, pl.h, pl.ky.bits))
 }
 
 // runAliceKeyed is runAlice past key construction, for callers that
@@ -429,7 +425,7 @@ func (pl *plan) classify(keys []uint64, payloads [][]byte, rec setsets.Result) (
 	}
 	for _, c := range rec.BobOnly {
 		bob = bob[:len(bob)+h]
-		decodeKey(bob[len(bob)-h:], c.Payload, pl.params.EntryBits)
+		decodeKey(bob[len(bob)-h:], c.Payload, pl.ky.bits)
 	}
 
 	idx := newCloseIndex(bob, h, pl.threshold)
@@ -529,7 +525,7 @@ func runBob(pl *plan, conn transport.Conn, sb metric.PointSet) (Result, error) {
 	if len(sb) > p.N {
 		return Result{}, fmt.Errorf("gap: |SB|=%d exceeds N=%d", len(sb), p.N)
 	}
-	payloads := encodeKeys(pl.keyBatch(sb), pl.h, p.EntryBits)
+	payloads := encodeKeys(pl.keyBatch(sb), pl.h, pl.ky.bits)
 	bobChildren := make([]setsets.Child, len(sb))
 	for i, pay := range payloads {
 		bobChildren[i] = setsets.Child{Payload: pay}
@@ -585,24 +581,6 @@ func RunAlice(p Params, conn transport.Conn, sa metric.PointSet) (AliceReport, e
 // RunBob executes Bob's side of the general protocol over conn.
 func RunBob(p Params, conn transport.Conn, sb metric.PointSet) (Result, error) {
 	pl, err := newPlan(p)
-	if err != nil {
-		return Result{}, err
-	}
-	return runBob(pl, conn, sb)
-}
-
-// RunAliceOneSided and RunBobOneSided are the Theorem 4.5 counterparts.
-func RunAliceOneSided(p Params, pExp float64, conn transport.Conn, sa metric.PointSet) (AliceReport, error) {
-	pl, err := newOneSidedPlan(p, pExp)
-	if err != nil {
-		return AliceReport{}, err
-	}
-	return runAlice(pl, conn, sa)
-}
-
-// RunBobOneSided executes Bob's side of the one-sided variant over conn.
-func RunBobOneSided(p Params, pExp float64, conn transport.Conn, sb metric.PointSet) (Result, error) {
-	pl, err := newOneSidedPlan(p, pExp)
 	if err != nil {
 		return Result{}, err
 	}

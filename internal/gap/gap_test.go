@@ -399,7 +399,7 @@ func TestCloseIndexMatchesScan(t *testing.T) {
 			// Entries drawn from a small alphabet make many Bob keys
 			// share entries (crowded buckets, partial agreements); the
 			// full entry width makes them nearly all distinct.
-			alphabet := []uint64{2, 8, 1 << pl.params.EntryBits}[trial%3]
+			alphabet := []uint64{2, 8, 1 << pl.ky.bits}[trial%3]
 			nBob := []int{0, 1, 7, 60, 300}[trial%5]
 			bob := make([]uint64, nBob*h)
 			for i := range bob {

@@ -36,13 +36,13 @@ func (k *Keyer) Payload(pt metric.Point) []byte {
 	ky := k.pl.ky
 	scratch := make([]uint64, ky.h+ky.m)
 	ky.keyInto(scratch[:ky.h], scratch[ky.h:], pt)
-	return encodeKey(scratch[:ky.h], k.pl.params.EntryBits)
+	return encodeKey(scratch[:ky.h], ky.bits)
 }
 
 // Payloads computes every element's payload (the from-scratch path
 // live sets use at construction). The payloads share one backing array.
 func (k *Keyer) Payloads(pts metric.PointSet) [][]byte {
-	return encodeKeys(k.pl.keyBatch(pts), k.pl.h, k.pl.params.EntryBits)
+	return encodeKeys(k.pl.keyBatch(pts), k.pl.h, k.pl.ky.bits)
 }
 
 // RunAlice executes Alice's side of the protocol over conn using cached
@@ -61,7 +61,7 @@ func (k *Keyer) RunAlice(conn transport.Conn, sa metric.PointSet, payloads [][]b
 		if len(pay) != size {
 			return AliceReport{}, fmt.Errorf("gap: cached payload %d has %d bytes, want %d", i, len(pay), size)
 		}
-		decodeKey(keys[i*h:(i+1)*h], pay, p.EntryBits)
+		decodeKey(keys[i*h:(i+1)*h], pay, k.pl.ky.bits)
 	}
 	return runAliceKeyed(k.pl, conn, sa, keys, payloads)
 }

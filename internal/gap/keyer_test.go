@@ -34,7 +34,7 @@ func TestKeyerPayloadsMatchProtocol(t *testing.T) {
 	batch := ky.Payloads(pts)
 	keys := pl.keyBatch(pts)
 	for i, pt := range pts {
-		want := encodeKey(keys[i*pl.h:(i+1)*pl.h], pl.params.EntryBits)
+		want := encodeKey(keys[i*pl.h:(i+1)*pl.h], pl.ky.bits)
 		if !bytes.Equal(ky.Payload(pt), want) {
 			t.Fatalf("point %d: single payload differs from protocol key", i)
 		}

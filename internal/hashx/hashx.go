@@ -78,17 +78,6 @@ func (h Pairwise) Hash(x uint64) uint64 {
 // Bits returns the output width of the function.
 func (h Pairwise) Bits() uint { return h.bits }
 
-// HashMany hashes every element of xs into dst (which must be at least
-// as long) and returns dst[:len(xs)]. Batch variant for hot loops that
-// hash whole vectors: no per-element call overhead, no allocation.
-func (h Pairwise) HashMany(dst, xs []uint64) []uint64 {
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = h.Hash(x)
-	}
-	return dst
-}
-
 // Mixer is a seeded 64→64-bit finalizer (splitmix64-style). It is not
 // pairwise independent; it is the "random oracle"-style hash used for
 // IBLT cell indexing and checksums, where the paper's analyses assume

@@ -283,6 +283,14 @@ func Diff(bob, alice []uint64, dmax, q int, seed uint64) (onlyBob, onlyAlice []u
 	return t.Decode()
 }
 
+// MaxDiff bounds the difference size a responder sizes an IBLT for,
+// whether the bound comes from a peer's strata estimate, a peer-supplied
+// hint, or doubling after a failed decode. Without it one hostile
+// estimator, hint or runaway retry loop could demand a multi-gigabyte
+// table before any payload flows; with it the worst-case table stays
+// tens of megabytes.
+const MaxDiff = 1 << 20
+
 // CellsForDiff returns a cell count that decodes a difference of d keys
 // with high probability. The constant 1.35·q/(q−1)-ish overhead follows
 // the peeling-threshold literature; we use a simple affine rule with a

@@ -30,8 +30,12 @@ type Strata struct {
 // ~2^32 elements.
 const StrataLevels = 32
 
+// StrataCells is the per-stratum table size of every estimator the
+// protocols ship: the customary 80 cells of [10].
+const StrataCells = 80
+
 // NewStrata builds an estimator whose per-stratum tables have cellsPerLevel
-// cells (80 is the customary size from [10]).
+// cells (StrataCells on every wire protocol).
 func NewStrata(cellsPerLevel int, seed uint64) *Strata {
 	src := rng.New(seed)
 	assign := hashx.NewMixer(src)

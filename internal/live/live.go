@@ -31,12 +31,8 @@ import (
 )
 
 // SyncConfig enables exact-ID reconciliation state over point
-// fingerprints. The fields must match the netproto.SyncParams every
-// session is served with (the strata estimator is part of the wire
-// protocol).
+// fingerprints: an estimator of iblt.StrataCells cells per stratum.
 type SyncConfig struct {
-	// StrataCells sizes the estimator (default 80, as in SyncParams).
-	StrataCells int
 	// Seed is the shared public-coin seed; point fingerprints derive
 	// from it too, so both parties map equal points to equal IDs.
 	Seed uint64
@@ -53,10 +49,6 @@ type Config struct {
 	Gap *gap.Params
 	// Sync, when set, maintains the ID list and strata estimator.
 	Sync *SyncConfig
-	// JournalEpochs bounds how many epochs of churned-cell history are
-	// retained for delta sync (default 256). A peer whose last synced
-	// epoch has aged out receives a full transfer.
-	JournalEpochs int
 	// Logger, when set, receives every mutation write-ahead (see
 	// Logger). The initial point set is NOT logged — persistence layers
 	// snapshot it at creation instead.
@@ -177,9 +169,6 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if cfg.EMD == nil && cfg.Gap == nil && cfg.Sync == nil {
 		return nil, fmt.Errorf("live: config enables no protocol structure")
 	}
-	if cfg.JournalEpochs <= 0 {
-		cfg.JournalEpochs = 256
-	}
 	s := &Set{
 		cfg:     cfg,
 		logger:  cfg.Logger,
@@ -207,11 +196,8 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	}
 	if cfg.Sync != nil {
 		sync := *cfg.Sync // defensive copy, like the EMD/Gap params
-		if sync.StrataCells == 0 {
-			sync.StrataCells = 80
-		}
 		s.cfg.Sync = &sync
-		s.strata = iblt.NewStrata(sync.StrataCells, sync.Seed)
+		s.strata = iblt.NewStrata(iblt.StrataCells, sync.Seed)
 		s.idMix = idMixer(sync.Seed)
 		s.byID = make(map[uint64]*entry, len(initial))
 	}
@@ -482,6 +468,11 @@ func (s *Set) remove(pt metric.Point) []emd.CellRef {
 	return refs
 }
 
+// journalEpochs bounds how many epochs of churned-cell history are
+// retained for delta sync. A peer whose last synced epoch has aged out
+// receives a full transfer.
+const journalEpochs = 256
+
 // bump closes the current mutation into a new epoch: journal the
 // churned cells, prune history past the horizon, invalidate the
 // snapshot cache. The journal entry is a compact copy — refs may be (and
@@ -495,7 +486,7 @@ func (s *Set) bump(refs []emd.CellRef) {
 		copy(entry, sorted)
 		s.journal[s.epoch] = entry
 	}
-	if old := s.epoch - uint64(s.cfg.JournalEpochs); old > 0 {
+	if old := s.epoch - journalEpochs; old > 0 {
 		delete(s.journal, old)
 	}
 	s.snap = nil

@@ -105,7 +105,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		if !ok {
 			t.Fatal("sync state not enabled")
 		}
-		wantStrata := iblt.NewStrataFromKeys(sc.StrataCells, sc.Seed, snap.IDs)
+		wantStrata := iblt.NewStrataFromKeys(iblt.StrataCells, sc.Seed, snap.IDs)
 		if !bytes.Equal(encodeStrata(snap.Strata), encodeStrata(wantStrata)) {
 			t.Fatalf("op %d: live strata differs from rebuild over %d ids", op, len(snap.IDs))
 		}
@@ -137,7 +137,6 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 func TestLiveSetDeltaJournal(t *testing.T) {
 	cfg := testConfig()
 	cfg.Gap, cfg.Sync = nil, nil
-	cfg.JournalEpochs = 8
 	emdP := *cfg.EMD
 	src := rng.New(5)
 	var initial metric.PointSet
@@ -152,7 +151,7 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 	cached, from := stale.EMD.Clone(), stale.Epoch
 
 	live := append(metric.PointSet{}, initial...)
-	for i := 0; i < 3; i++ { // 6 epochs of churn, within the 8-epoch horizon
+	for i := 0; i < 3; i++ { // 6 epochs of churn, within the horizon
 		if err := ls.Remove(live[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +164,7 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 	now := ls.Snapshot()
 	refs, ok := ls.DeltaCells(from, now.Epoch)
 	if !ok {
-		t.Fatal("journal should cover 6 epochs of churn with horizon 8")
+		t.Fatalf("journal should cover 6 epochs of churn with horizon %d", journalEpochs)
 	}
 	if err := cached.ApplyCells(now.EMD.EncodeCells(refs)); err != nil {
 		t.Fatal(err)
@@ -177,23 +176,29 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 		t.Fatal("fingerprint mismatch after patch")
 	}
 
-	// Age the stale epoch out of the journal: horizon is 8 epochs.
-	for i := 0; i < 12; i++ {
-		pt := randomPoint(emdP.Space, src)
-		if err := ls.Add(pt); err == nil {
-			if err := ls.Remove(pt); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			// At capacity: remove then re-add instead.
-			if err := ls.Remove(live[0]); err != nil {
-				t.Fatal(err)
-			}
-			if err := ls.Add(live[0]); err != nil {
-				t.Fatal(err)
-			}
+	// Age the stale epoch out of the journal. The set is at capacity,
+	// so each epoch removes or re-adds one point. A peer exactly
+	// journalEpochs behind still gets a delta; one epoch more forces a
+	// full transfer.
+	removed := false
+	churn := func() {
+		t.Helper()
+		err := ls.Remove(live[0])
+		if removed {
+			err = ls.Add(live[0])
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		removed = !removed
 	}
+	for ls.Epoch()-from < journalEpochs {
+		churn()
+	}
+	if _, ok := ls.DeltaCells(from, ls.Epoch()); !ok {
+		t.Fatalf("journal should cover a peer %d epochs behind", journalEpochs)
+	}
+	churn()
 	if _, ok := ls.DeltaCells(from, ls.Epoch()); ok {
 		t.Fatal("journal should have aged out the stale epoch")
 	}

@@ -74,7 +74,7 @@ func DigestLiveSet(ls *live.Set) uint64 {
 	}
 	if sc, ok := ls.SyncConfig(); ok {
 		h = m.Hash(h ^ sc.Seed)
-		h = m.Hash(h ^ uint64(sc.StrataCells))
+		h = m.Hash(h ^ iblt.StrataCells)
 	}
 	return h
 }
@@ -286,9 +286,6 @@ func (h *ProbeResponder) Run(conn transport.Conn) error {
 // ---------------------------------------------------------------------------
 // Repair: exact convergence.
 
-// repairMaxRetries bounds the IBLT doubling rounds.
-const repairMaxRetries = 6
-
 // CorruptPayloadError reports a repair point payload that failed
 // verify-before-merge: the peer shipped points that do not hash to the
 // IDs the IBLT decode asked for (or more points than were asked for at
@@ -337,13 +334,6 @@ func verifyRepairPayload(seed uint64, wanted []uint64, pts metric.PointSet) *Cor
 	}
 	return nil
 }
-
-// repairMaxDiff bounds the difference size a repair session will size
-// an IBLT for, whether the bound arrives as a peer-supplied hint or
-// grows by doubling. Without it a single hostile uvarint (or a runaway
-// retry loop) could demand a multi-gigabyte table before any payload
-// flows; with it the worst-case table stays tens of megabytes.
-const repairMaxDiff = 1 << 20
 
 // writePointList writes a self-describing point list: uvarint count, then
 // per point a uvarint dimension and varint coordinates. Self-describing
@@ -469,7 +459,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 	sc, _ := h.set.SyncConfig()
 	snap := h.set.Snapshot()
 	e := transport.NewEncoder()
-	if h.Hint > 0 && h.Hint <= repairMaxDiff {
+	if h.Hint > 0 && h.Hint <= iblt.MaxDiff {
 		e.WriteUvarint(uint64(h.Hint))
 	} else {
 		e.WriteUvarint(0)
@@ -505,7 +495,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 		if err := conn.Send(e); err != nil {
 			return err
 		}
-		if attempt >= repairMaxRetries {
+		if attempt >= maxRetries {
 			return fmt.Errorf("netproto: repair ID sync failed after %d attempts", attempt+1)
 		}
 	}
@@ -622,17 +612,17 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 		if est, err = snap.Strata.Estimate(remote); err != nil {
 			return err
 		}
-	} else if hint > repairMaxDiff {
-		return fmt.Errorf("netproto: repair hint %d exceeds limit %d", hint, repairMaxDiff)
+	} else if hint > iblt.MaxDiff {
+		return fmt.Errorf("netproto: repair hint %d exceeds limit %d", hint, iblt.MaxDiff)
 	}
-	if est > repairMaxDiff {
-		return fmt.Errorf("netproto: repair difference estimate %d exceeds limit %d", est, repairMaxDiff)
+	if est > iblt.MaxDiff {
+		return fmt.Errorf("netproto: repair difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
 	}
 	diffBound := est*2 + 8
 	var d2 *transport.Decoder
 	for attempt := 0; ; attempt++ {
-		if diffBound > repairMaxDiff {
-			return fmt.Errorf("netproto: repair IBLT bound %d exceeds limit %d", diffBound, repairMaxDiff)
+		if diffBound > iblt.MaxDiff {
+			return fmt.Errorf("netproto: repair IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
 		}
 		seed := sc.Seed + 0x4e9a + uint64(attempt)*0x9e37
 		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, snap.IDs)
@@ -652,7 +642,7 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 		if ok {
 			break
 		}
-		if attempt >= repairMaxRetries {
+		if attempt >= maxRetries {
 			return fmt.Errorf("netproto: repair ID sync failed after %d attempts", attempt+1)
 		}
 		diffBound *= 2

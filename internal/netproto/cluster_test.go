@@ -221,7 +221,7 @@ func TestRepairConvergesWithHint(t *testing.T) { testRepairConverges(t, 12) }
 // An absurd hint (beyond the IBLT sizing limit) must not be sent as-is:
 // the initiator falls back to the strata round and the session still
 // converges.
-func TestRepairConvergesWithOversizedHint(t *testing.T) { testRepairConverges(t, repairMaxDiff+1) }
+func TestRepairConvergesWithOversizedHint(t *testing.T) { testRepairConverges(t, iblt.MaxDiff+1) }
 
 func TestRepairIdenticalSetsIsNoop(t *testing.T) {
 	space := metric.HammingCube(32)

@@ -4,6 +4,7 @@ import (
 	"repro/internal/emd"
 	"repro/internal/gap"
 	"repro/internal/hashx"
+	"repro/internal/iblt"
 	"repro/internal/metric"
 	"repro/internal/setsets"
 	"repro/internal/transport"
@@ -24,8 +25,7 @@ func init() {
 // for their sketches to align: the space, the protocol scalars, and the
 // geometry knobs (KeyBits, CellsPerLevel) that shape keys and RIBLT
 // cells. Defaults are applied first, so a zero and an explicit default
-// configuration agree. Purely local fields (MaxDecoded, PeelOrder) are
-// deliberately excluded.
+// configuration agree.
 func DigestEMD(p emd.Params) uint64 {
 	p.ApplyDefaults()
 	m := hashx.MixerFromSeed(0x1807_09694)
@@ -58,7 +58,7 @@ func DigestGap(p gap.Params) uint64 {
 	h = m.Hash(h ^ uint64(int64(p.R1*1000)))
 	h = m.Hash(h ^ uint64(int64(p.R2*1000)))
 	h = m.Hash(h ^ uint64(p.HFactor))
-	h = m.Hash(h ^ uint64(p.EntryBits))
+	h = m.Hash(h ^ uint64(gap.EntryBits(p.N)))
 	h = m.Hash(h ^ p.Seed)
 	// PayloadBytes and Seed are derived by the gap plan itself; the
 	// remaining setsets knobs come from the caller and must match.
@@ -71,14 +71,13 @@ func DigestGap(p gap.Params) uint64 {
 	return h
 }
 
-// DigestSync folds SyncParams (after defaulting, so a zero and an
-// explicit default configuration agree).
+// DigestSync folds SyncParams with the strata geometry and retry bound
+// every sync session runs.
 func DigestSync(p SyncParams) uint64 {
-	p.applyDefaults()
 	m := hashx.MixerFromSeed(0x51ab)
 	h := m.Hash(p.Seed)
-	h = m.Hash(h ^ uint64(p.StrataCells))
-	h = m.Hash(h ^ uint64(p.MaxRetries))
+	h = m.Hash(h ^ iblt.StrataCells)
+	h = m.Hash(h ^ maxRetries)
 	return h
 }
 
@@ -280,7 +279,6 @@ type SyncInitiator struct {
 
 // NewSyncInitiator binds the initiating side of ID reconciliation.
 func NewSyncInitiator(p SyncParams, ids []uint64) *SyncInitiator {
-	p.applyDefaults()
 	return &SyncInitiator{Params: p, IDs: ids}
 }
 
@@ -313,7 +311,6 @@ type SyncResponder struct {
 
 // NewSyncResponder binds the answering side of ID reconciliation.
 func NewSyncResponder(p SyncParams, ids []uint64) *SyncResponder {
-	p.applyDefaults()
 	return &SyncResponder{Params: p, IDs: ids}
 }
 

@@ -299,17 +299,14 @@ type LiveSyncResponder struct {
 
 // NewLiveSyncResponderFactory returns a factory serving sync sessions
 // from the set's fingerprint state. p must agree with the set's
-// SyncConfig (same seed and strata geometry) — the estimator is part of
-// the wire protocol.
+// SyncConfig (same seed) — the estimator is part of the wire protocol.
 func NewLiveSyncResponderFactory(p SyncParams, ls *live.Set) (func() Handler, error) {
 	sc, ok := ls.SyncConfig()
 	if !ok {
 		return nil, fmt.Errorf("netproto: live set maintains no sync state")
 	}
-	p.applyDefaults()
-	if p.Seed != sc.Seed || p.StrataCells != sc.StrataCells {
-		return nil, fmt.Errorf("netproto: sync params (seed %#x, %d cells) disagree with live set (seed %#x, %d cells)",
-			p.Seed, p.StrataCells, sc.Seed, sc.StrataCells)
+	if p.Seed != sc.Seed {
+		return nil, fmt.Errorf("netproto: sync params (seed %#x) disagree with live set (seed %#x)", p.Seed, sc.Seed)
 	}
 	return func() Handler {
 		return &LiveSyncResponder{params: p, snap: ls.Snapshot()}

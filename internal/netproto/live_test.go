@@ -134,7 +134,6 @@ func TestLiveEMDDeltaSync(t *testing.T) {
 func TestLiveEMDJournalAgedOut(t *testing.T) {
 	emdP, _, _, cfg := liveFixtureParams()
 	cfg.Gap, cfg.Sync = nil, nil
-	cfg.JournalEpochs = 2
 	sa := liveRandomSet(emdP.Space, emdP.N, 51)
 	ls, err := live.NewSet(cfg, sa)
 	if err != nil {
@@ -148,11 +147,14 @@ func TestLiveEMDJournalAgedOut(t *testing.T) {
 	cache := &EMDCache{}
 	runLiveEMDSession(t, factory, NewLiveEMDReceiver(emdP, sb, cache))
 
-	for i := 0; i < 4; i++ { // 8 epochs > horizon 2
-		if err := ls.Remove(sa[i]); err != nil {
+	// 258 epochs of churn outlast the set's 256-epoch journal.
+	pt := sa[0]
+	for i := 0; i < 129; i++ {
+		if err := ls.Remove(pt); err != nil {
 			t.Fatal(err)
 		}
-		if err := ls.Add(liveRandomSet(emdP.Space, 1, uint64(200+i))[0]); err != nil {
+		pt = liveRandomSet(emdP.Space, 1, uint64(200+i))[0]
+		if err := ls.Add(pt); err != nil {
 			t.Fatal(err)
 		}
 	}

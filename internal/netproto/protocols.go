@@ -56,24 +56,16 @@ func GapBob(rw io.ReadWriter, p gap.Params, sb metric.PointSet) (gap.Result, err
 // ---------------------------------------------------------------------------
 // Classic exact reconciliation over the wire: strata + IBLT + repair.
 
-// SyncParams tunes the wire-level ID synchronization.
+// SyncParams tunes the wire-level ID synchronization. The estimator has
+// iblt.StrataCells cells per stratum, and a failed decode doubles the
+// table at most maxRetries times.
 type SyncParams struct {
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// StrataCells sizes the estimator (default 80).
-	StrataCells int
-	// MaxRetries bounds the doubling rounds (default 6).
-	MaxRetries int
 }
 
-func (p *SyncParams) applyDefaults() {
-	if p.StrataCells == 0 {
-		p.StrataCells = 80
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 6
-	}
-}
+// maxRetries bounds the IBLT doubling rounds of sync and repair.
+const maxRetries = 6
 
 // SyncInitiatorFunc reconciles its ID set against a responder: afterwards
 // both sides know the full symmetric difference. theirsOnly holds IDs
@@ -103,8 +95,7 @@ func SyncResponderFunc(rw io.ReadWriter, p SyncParams, ids []uint64) (theirsOnly
 // Wire: [strata] → ; ← [IBLT, attempt i] ; [ack + minesOnly] → (repeat
 // on nack with doubled size).
 func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly, minesOnly []uint64, err error) {
-	p.applyDefaults()
-	st := iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids)
+	st := iblt.NewStrataFromKeys(iblt.StrataCells, p.Seed, ids)
 	e := transport.NewEncoder()
 	st.Encode(e)
 	if err := conn.Send(e); err != nil {
@@ -141,7 +132,7 @@ func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOn
 		if decErr == nil {
 			return added, removed, nil
 		}
-		if attempt >= p.MaxRetries {
+		if attempt >= maxRetries {
 			return nil, nil, fmt.Errorf("netproto: sync failed after %d attempts", attempt+1)
 		}
 	}
@@ -149,17 +140,17 @@ func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOn
 
 // runSyncResponder is the responder state machine.
 func runSyncResponder(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly []uint64, err error) {
-	p.applyDefaults()
 	return runSyncResponderWith(conn, p, ids,
-		iblt.NewStrataFromKeys(p.StrataCells, p.Seed, ids))
+		iblt.NewStrataFromKeys(iblt.StrataCells, p.Seed, ids))
 }
 
 // runSyncResponderWith is runSyncResponder with the local strata
 // estimator supplied by the caller — the live serving path, where a Set
 // maintains the estimator incrementally instead of rebuilding it from
 // every ID each session. local must cover exactly ids with geometry
-// (p.StrataCells, p.Seed); it is only read (Estimate clones). p must
-// already be defaulted.
+// (iblt.StrataCells, p.Seed); it is only read (Estimate clones). A
+// peer's estimator that asks for more than iblt.MaxDiff differences is
+// refused before any table is allocated.
 func runSyncResponderWith(conn transport.Conn, p SyncParams, ids []uint64, local *iblt.Strata) (theirsOnly []uint64, err error) {
 	d, err := conn.Recv()
 	if err != nil {
@@ -173,8 +164,14 @@ func runSyncResponderWith(conn transport.Conn, p SyncParams, ids []uint64, local
 	if err != nil {
 		return nil, err
 	}
+	if est > iblt.MaxDiff {
+		return nil, fmt.Errorf("netproto: sync difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
+	}
 	diffBound := est*2 + 8
 	for attempt := 0; ; attempt++ {
+		if diffBound > iblt.MaxDiff {
+			return nil, fmt.Errorf("netproto: sync IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
+		}
 		seed := p.Seed + 0x51ab + uint64(attempt)*0x9e37
 		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, ids)
 		e := transport.NewEncoder()
@@ -207,7 +204,7 @@ func runSyncResponderWith(conn transport.Conn, p SyncParams, ids []uint64, local
 			}
 			return out, nil
 		}
-		if attempt >= p.MaxRetries {
+		if attempt >= maxRetries {
 			return nil, fmt.Errorf("netproto: sync failed after %d attempts", attempt+1)
 		}
 		diffBound *= 2

@@ -97,15 +97,6 @@ func (p Proto) String() string {
 	return fmt.Sprintf("proto(%d)", uint8(p))
 }
 
-// Registered reports whether the protocol ID has a registered handler
-// family.
-func (p Proto) Registered() bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := protoNames[p]
-	return ok
-}
-
 // ProtoByName resolves a registered protocol name (as used by CLI
 // flags).
 func ProtoByName(name string) (Proto, bool) {

@@ -57,7 +57,7 @@ func liveFactory(ls *live.Set, proto Proto, localRole Role) func() Handler {
 		if !ok {
 			return nil
 		}
-		f, err := NewLiveSyncResponderFactory(SyncParams{Seed: sc.Seed, StrataCells: sc.StrataCells}, ls)
+		f, err := NewLiveSyncResponderFactory(SyncParams{Seed: sc.Seed}, ls)
 		if err != nil {
 			return nil
 		}

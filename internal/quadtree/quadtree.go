@@ -30,36 +30,22 @@ import (
 	"repro/internal/transport"
 )
 
-// Params configures the baseline protocol.
+// Params configures the baseline protocol. Its table geometry is
+// Algorithm 1's default, keeping the comparison apples-to-apples: q = 3
+// cell hashes, 4q²k cells per level, 40-bit keys, and at most 4k
+// recovered pairs per decoded level.
 type Params struct {
 	Space metric.Space
 	N     int
 	K     int
-	// Q, KeyBits, CellsPerLevel mirror the RIBLT sizing; zero values
-	// default to the same geometry Algorithm 1 uses (4q²k cells, q=3),
-	// keeping the comparison apples-to-apples.
-	Q             int
-	KeyBits       uint
-	CellsPerLevel int
-	// MaxDecoded caps the per-level recovered pairs (default 4K).
-	MaxDecoded int
-	Seed       uint64
+	Seed  uint64
 }
 
-func (p *Params) applyDefaults() {
-	if p.Q == 0 {
-		p.Q = 3
-	}
-	if p.KeyBits == 0 {
-		p.KeyBits = 40
-	}
-	if p.CellsPerLevel == 0 {
-		p.CellsPerLevel = 4 * p.Q * p.Q * p.K
-	}
-	if p.MaxDecoded == 0 {
-		p.MaxDecoded = 4 * p.K
-	}
-}
+// q and keyBits are the per-level tables' cell hashes and key width.
+const (
+	q       = 3
+	keyBits = 40
+)
 
 // Validate reports an error for unusable parameters.
 func (p *Params) Validate() error {
@@ -150,13 +136,6 @@ func (g grid) cellAndCenterInto(p, center metric.Point) (uint64, metric.Point) {
 	return h, center
 }
 
-// occurrenceKeys assigns, per party, stable occurrence indices to points
-// sharing a cell so duplicates become distinct table keys that still
-// cancel across parties.
-func occurrenceKeys(cells []uint64, keyBits uint, mix hashx.Mixer) []uint64 {
-	return occurrenceKeysInto(make([]uint64, len(cells)), cells, keyBits, mix, &occScratch{})
-}
-
 // occScratch is the reusable working state of occurrenceKeysInto; one
 // instance serves a whole multi-level build instead of per-level maps.
 type occScratch struct {
@@ -164,11 +143,12 @@ type occScratch struct {
 	occ   map[uint64]uint64
 }
 
-// occurrenceKeysInto is occurrenceKeys into caller-provided output and
-// scratch — the per-level hot loop of the multi-level builders, which
-// would otherwise allocate an order slice and an occurrence map per
-// level.
-func occurrenceKeysInto(out []uint64, cells []uint64, keyBits uint, mix hashx.Mixer, sc *occScratch) []uint64 {
+// occurrenceKeysInto assigns, per party, stable occurrence indices to
+// points sharing a cell so duplicates become distinct table keys that
+// still cancel across parties. It writes into caller-provided output and
+// scratch — the per-level hot loop of both parties, which would
+// otherwise allocate an order slice and an occurrence map per level.
+func occurrenceKeysInto(out []uint64, cells []uint64, mix hashx.Mixer, sc *occScratch) []uint64 {
 	if cap(sc.order) < len(cells) {
 		sc.order = make([]int, len(cells))
 	}
@@ -186,18 +166,9 @@ func occurrenceKeysInto(out []uint64, cells []uint64, keyBits uint, mix hashx.Mi
 		c := cells[i]
 		n := sc.occ[c] + 1
 		sc.occ[c] = n
-		out[i] = occurrenceKey(mix, keyBits, c, n)
+		out[i] = mix.Hash(c^n*0x9e3779b97f4a7c15) & (1<<keyBits - 1)
 	}
 	return out[:len(cells)]
-}
-
-// occurrenceKey is the table key of the occ-th point (1-based) of cell
-// c. A cell's key multiset depends only on its population count, and
-// every point of a cell carries the same value (the cell center), which
-// is what makes incremental Add/Remove exact: the Sketch below removes
-// the top occurrence key of the departing point's cell.
-func occurrenceKey(mix hashx.Mixer, keyBits uint, c, occ uint64) uint64 {
-	return mix.Hash(c^occ*0x9e3779b97f4a7c15) & (1<<keyBits - 1)
 }
 
 // plan is the seed-derived state shared by both parties: the offset
@@ -211,7 +182,6 @@ type plan struct {
 }
 
 func newPlan(p Params) (*plan, error) {
-	p.applyDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,8 +195,8 @@ func newPlan(p Params) (*plan, error) {
 	cfgs := make([]riblt.Config, len(widths))
 	for i := range cfgs {
 		cfgs[i] = riblt.Config{
-			Cells: p.CellsPerLevel, Q: p.Q, Dim: p.Space.Dim, Delta: p.Space.Delta,
-			KeyBits: p.KeyBits, MaxItems: 2*p.N + 2, Seed: src.Uint64(),
+			Cells: 4 * q * q * p.K, Q: q, Dim: p.Space.Dim, Delta: p.Space.Delta,
+			KeyBits: keyBits, MaxItems: 2*p.N + 2, Seed: src.Uint64(),
 		}
 	}
 	return &plan{params: p, widths: widths, grids: grids, occMix: occMix, cfgs: cfgs}, nil
@@ -250,7 +220,7 @@ func (pl *plan) aliceEncode(sa metric.PointSet) *transport.Encoder {
 		for i, a := range sa {
 			cells[i], _ = pl.grids[lvl].cellAndCenterInto(a, centers[i])
 		}
-		for i, key := range occurrenceKeysInto(keys, cells, p.KeyBits, pl.occMix, &sc) {
+		for i, key := range occurrenceKeysInto(keys, cells, pl.occMix, &sc) {
 			tbl.Insert(key, centers[i])
 		}
 		tbl.Encode(e)
@@ -306,7 +276,7 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 		for i, b := range sb {
 			cells[i], _ = grids[lvl].cellAndCenterInto(b, centers[i])
 		}
-		for i, key := range occurrenceKeysInto(keys, cells, p.KeyBits, pl.occMix, &sc) {
+		for i, key := range occurrenceKeysInto(keys, cells, pl.occMix, &sc) {
 			tables[lvl].Delete(key, centers[i])
 		}
 	}
@@ -316,7 +286,7 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 		if err != nil {
 			continue
 		}
-		if len(res.Inserted)+len(res.Deleted) > p.MaxDecoded {
+		if len(res.Inserted)+len(res.Deleted) > 4*p.K {
 			continue
 		}
 		xa := make(metric.PointSet, len(res.Inserted))
@@ -334,116 +304,6 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 		}, nil
 	}
 	return Result{Failed: true, Stats: ch.Stats(), Levels: len(widths)}, nil
-}
-
-// Sketch is Alice's quadtree message state maintained incrementally
-// under churn, mirroring emd.Sketch for the baseline protocol. Each
-// level keeps a cell-population map; adding a point inserts occurrence
-// key count+1 of its cell, removing one retracts occurrence key count —
-// exact, because every point of a cell carries the same value (the cell
-// center). Encode is bit-identical to the from-scratch Alice build over
-// the same multiset.
-type Sketch struct {
-	pl     *plan
-	tables []*riblt.Table
-	counts []map[uint64]uint64 // per level: cell id → live population
-	// Mutation scratch, reused across Add/Remove: one cell id and one
-	// center buffer per level (Remove rounds at every level before
-	// mutating any).
-	cellScratch   []uint64
-	centerScratch metric.PointSet
-}
-
-// NewSketch builds an empty sketch; Params.N bounds the live set size.
-func NewSketch(p Params) (*Sketch, error) {
-	pl, err := newPlan(p)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sketch{
-		pl:            pl,
-		tables:        make([]*riblt.Table, len(pl.widths)),
-		counts:        make([]map[uint64]uint64, len(pl.widths)),
-		cellScratch:   make([]uint64, len(pl.widths)),
-		centerScratch: newCenters(len(pl.widths), pl.params.Space.Dim),
-	}
-	for i := range s.tables {
-		s.tables[i] = riblt.New(pl.cfgs[i])
-		s.counts[i] = make(map[uint64]uint64)
-	}
-	return s, nil
-}
-
-// BuildSketch builds a sketch over pts.
-func BuildSketch(p Params, pts metric.PointSet) (*Sketch, error) {
-	s, err := NewSketch(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range pts {
-		s.Add(pt)
-	}
-	return s, nil
-}
-
-// Add inserts one point (one grid rounding plus q cell updates per
-// level). Allocation-free: rounding reuses the sketch's scratch.
-func (s *Sketch) Add(pt metric.Point) {
-	kb := s.pl.params.KeyBits
-	for lvl := range s.tables {
-		c, center := s.pl.grids[lvl].cellAndCenterInto(pt, s.centerScratch[lvl])
-		n := s.counts[lvl][c] + 1
-		s.counts[lvl][c] = n
-		s.tables[lvl].Insert(occurrenceKey(s.pl.occMix, kb, c, n), center)
-	}
-}
-
-// Remove retracts one point previously added. It returns an error —
-// without mutating any level — if the point's cell is empty at some
-// level (the point was never added).
-func (s *Sketch) Remove(pt metric.Point) error {
-	kb := s.pl.params.KeyBits
-	cells := s.cellScratch
-	for lvl := range s.tables {
-		cells[lvl], _ = s.pl.grids[lvl].cellAndCenterInto(pt, s.centerScratch[lvl])
-		if s.counts[lvl][cells[lvl]] == 0 {
-			return fmt.Errorf("quadtree: remove from empty cell at level %d", lvl)
-		}
-	}
-	for lvl := range s.tables {
-		c := cells[lvl]
-		n := s.counts[lvl][c]
-		s.tables[lvl].Retract(occurrenceKey(s.pl.occMix, kb, c, n), s.centerScratch[lvl])
-		if n == 1 {
-			delete(s.counts[lvl], c)
-		} else {
-			s.counts[lvl][c] = n - 1
-		}
-	}
-	return nil
-}
-
-// Encode serializes the sketch as Alice's protocol message.
-func (s *Sketch) Encode() []byte {
-	e := transport.NewEncoder()
-	e.WriteUvarint(uint64(len(s.tables)))
-	for _, t := range s.tables {
-		t.Encode(e)
-	}
-	data, _ := e.Pack()
-	return data
-}
-
-// EncodeReference builds the from-scratch Alice message over pts with
-// identical params — the golden reference incremental maintenance is
-// tested against.
-func EncodeReference(p Params, pts metric.PointSet) ([]byte, error) {
-	pl, err := newPlan(p)
-	if err != nil {
-		return nil, err
-	}
-	data, _ := pl.aliceEncode(pts).Pack()
-	return data, nil
 }
 
 // assemble mirrors the Algorithm 1 output step: S′B = (SB \ YB) ∪ XA with

@@ -14,7 +14,6 @@ import (
 
 func TestParamsValidate(t *testing.T) {
 	p := Params{Space: metric.Grid(255, 2, metric.L1), N: 10, K: 2}
-	p.applyDefaults()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -36,18 +36,6 @@ import (
 	"repro/internal/transport"
 )
 
-// PeelOrder selects the traversal order of the peeling process. The paper
-// requires breadth-first (item 1); LIFO is provided only as an ablation
-// to demonstrate why (see the riblt tests and bench E3).
-type PeelOrder int
-
-const (
-	// BFS peels first-come first-served, as the paper requires.
-	BFS PeelOrder = iota
-	// LIFO peels most-recently-discovered first (ablation only).
-	LIFO
-)
-
 // Config fixes the geometry of a table. Both parties must use identical
 // configs (including Seed) for their tables to align.
 type Config struct {
@@ -67,8 +55,6 @@ type Config struct {
 	MaxItems int
 	// Seed derives the cell-index hashes and the checksum function.
 	Seed uint64
-	// Order is the peel order; zero value is the paper's BFS.
-	Order PeelOrder
 }
 
 // Validate reports an error for unusable configurations, including any
@@ -377,7 +363,8 @@ type Result struct {
 // became pure.
 var ErrStalled = errors.New("riblt: peeling stalled")
 
-// Peel inverts the table using the configured order. Random rounding of
+// Peel inverts the table breadth-first, first-come first-served (§2.2
+// item 1). Random rounding of
 // averaged values consumes from src (the decoder's private randomness —
 // it does not need to be shared). Peel consumes the table; value-only
 // residue (count 0, key 0, checksum 0, nonzero value sum) is expected
@@ -398,15 +385,8 @@ func (t *Table) Peel(src *rng.Source) (Result, error) {
 	avg := make([]float64, t.cfg.Dim)
 	snapVal := make([]int64, t.cfg.Dim)
 	for len(queue) > 0 {
-		var i int
-		switch t.cfg.Order {
-		case LIFO:
-			i = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-		default: // BFS, the paper's order
-			i = queue[0]
-			queue = queue[1:]
-		}
+		i := queue[0]
+		queue = queue[1:]
 		inQueue[i] = false
 		c := &t.cells[i]
 		key, count, ok := t.peelable(c)

@@ -360,12 +360,11 @@ func sortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
 }
 
-// TestLIFOAblationStillDecodes checks the ablation order decodes (the
-// error-spread comparison is TestErrorPropagationBounded).
+// TestLIFOAblationStillDecodes checks the reference peel's ablation
+// order decodes (the error-spread comparison is
+// TestErrorPropagationBounded).
 func TestLIFOAblationStillDecodes(t *testing.T) {
-	cfg := testCfg(300)
-	cfg.Order = LIFO
-	tb := New(cfg)
+	tb := New(testCfg(300))
 	src := rng.New(12)
 	want := map[uint64]bool{}
 	for i := 0; i < 30; i++ {
@@ -373,7 +372,7 @@ func TestLIFOAblationStillDecodes(t *testing.T) {
 		want[k] = true
 		tb.Insert(k, metric.Point{9, 9, 9, 9})
 	}
-	res, err := tb.Peel(rng.New(13))
+	res, err := refPeel(tb, rng.New(13), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,17 +383,18 @@ func TestLIFOAblationStillDecodes(t *testing.T) {
 
 // propagation runs 30 trials of the Lemma 3.10 situation: k clean
 // differences plus 50k/8 matched-but-noisy pairs (same key, values ±1 in
-// one coordinate) in a table of the given size, peeled in the given
-// order. It returns the total ℓ1 error of the recovered clean values and
-// the total injected error. Trial seeds do not depend on the order, so
-// BFS and LIFO peel the same tables.
-func propagation(t *testing.T, k, cells int, order PeelOrder) (recovered, injected float64) {
+// one coordinate) in a table of the given size, peeled by Peel or, with
+// lifo, by the reference peel's LIFO ablation. It returns the total ℓ1
+// error of the recovered clean values and the total injected error.
+// Trial seeds do not depend on the order, so BFS and LIFO peel the same
+// tables.
+func propagation(t *testing.T, k, cells int, lifo bool) (recovered, injected float64) {
 	t.Helper()
 	for trial := 0; trial < 30; trial++ {
 		src := rng.New(uint64(trial) + 100)
 		cfg := Config{
 			Cells: cells, Q: 3, Dim: 4, Delta: 1000,
-			KeyBits: 40, MaxItems: 1 << 14, Seed: uint64(trial), Order: order,
+			KeyBits: 40, MaxItems: 1 << 14, Seed: uint64(trial),
 		}
 		tb := New(cfg)
 		space := metric.Grid(cfg.Delta, cfg.Dim, metric.L1)
@@ -416,9 +416,13 @@ func propagation(t *testing.T, k, cells int, order PeelOrder) (recovered, inject
 			want[key] = v
 			tb.Insert(key, v)
 		}
-		res, err := tb.Peel(rng.New(uint64(trial) + 999))
+		peel := tb.Peel
+		if lifo {
+			peel = func(src *rng.Source) (Result, error) { return refPeel(tb, src, true) }
+		}
+		res, err := peel(rng.New(uint64(trial) + 999))
 		if err != nil {
-			t.Fatalf("k=%d cells=%d order=%d trial %d: %v", k, cells, order, trial, err)
+			t.Fatalf("k=%d cells=%d lifo=%v trial %d: %v", k, cells, lifo, trial, err)
 		}
 		for _, p := range res.Inserted {
 			if w, ok := want[p.Key]; ok {
@@ -438,7 +442,7 @@ func TestErrorPropagationBounded(t *testing.T) {
 	// Density at k = 8: 36k cells is the paper's 4q²k.
 	var prev float64
 	for _, cells := range []int{36 * 8, 18 * 8, 9 * 8} {
-		rec, _ := propagation(t, 8, cells, BFS)
+		rec, _ := propagation(t, 8, cells, false)
 		if cells < 36*8 && rec <= prev {
 			t.Errorf("k=8: error %v at %d cells does not exceed %v at %d: denser tables must spread more",
 				rec, cells, prev, 2*cells)
@@ -447,8 +451,8 @@ func TestErrorPropagationBounded(t *testing.T) {
 	}
 	var base float64
 	for _, k := range []int{8, 32, 128} {
-		rec, inj := propagation(t, k, 36*k, BFS)
-		lifo, _ := propagation(t, k, 36*k, LIFO)
+		rec, inj := propagation(t, k, 36*k, false)
+		lifo, _ := propagation(t, k, 36*k, true)
 		// Total recovered error is O(injected); allow a generous constant.
 		if rec > 3*inj {
 			t.Errorf("k=%d: recovered error %v vs injected %v: propagation too large", k, rec, inj)

@@ -68,7 +68,7 @@ type Params struct {
 // digest — identically.
 func (p *Params) ApplyDefaults() {
 	if p.StrataCells == 0 {
-		p.StrataCells = 80
+		p.StrataCells = iblt.StrataCells
 	}
 	if p.Q == 0 {
 		p.Q = 3
@@ -207,7 +207,9 @@ func RunAlice(p Params, conn transport.Conn, aliceChildren []Child) (Result, err
 }
 
 // RunBob executes Bob's side: receive the sketch, estimate the
-// difference, and send tables (doubling on nack) until Alice acks.
+// difference, and send tables (doubling on nack) until Alice acks. A
+// peer's sketch that asks for more than iblt.MaxDiff differences is
+// refused before any table is allocated.
 func RunBob(p Params, conn transport.Conn, bobChildren []Child) error {
 	p.ApplyDefaults()
 	sh := deriveShared(p)
@@ -232,9 +234,15 @@ func RunBob(p Params, conn transport.Conn, bobChildren []Child) error {
 	if err != nil {
 		return err
 	}
+	if est > iblt.MaxDiff {
+		return fmt.Errorf("setsets: difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
+	}
 
 	diffBound := int(float64(est)*p.SafetyFactor) + 8
 	for attempt := 0; ; attempt++ {
+		if diffBound > iblt.MaxDiff {
+			return fmt.Errorf("setsets: IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
+		}
 		cells := iblt.CellsForDiff(diffBound, p.Q)
 		seed := sh.tblSeedBase + uint64(attempt)*0x1000193
 		tbl := iblt.NewKV(cells, p.Q, p.PayloadBytes, seed)

@@ -3,8 +3,10 @@ package setsets
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/hashx"
 	"repro/internal/iblt"
 	"repro/internal/rng"
 	"repro/internal/transport"
@@ -233,5 +235,35 @@ func TestRetryOnUnderestimate(t *testing.T) {
 	}
 	if !equalChildSets(res.BobOnly, want) {
 		t.Errorf("after retries recovered %d/%d children", len(res.BobOnly), len(want))
+	}
+}
+
+// TestRunBobRefusesHostileStrata feeds Bob a strata estimator whose
+// levels 31 and 30 each peel 40 keys while level 29 holds 2,000 and
+// cannot peel: an estimate of 80·2³⁰ differences. Bob must fail with the
+// limit error before he allocates a table.
+func TestRunBobRefusesHostileStrata(t *testing.T) {
+	p := Params{PayloadBytes: 8, Seed: 5}
+	p.ApplyDefaults()
+	src := rng.New(deriveShared(p).strataSeed)
+	hashx.NewMixer(src) // the stratum-assignment hash
+	keys := rng.New(77)
+	e := transport.NewEncoder()
+	e.WriteUvarint(iblt.StrataCells)
+	for lvl := range iblt.StrataLevels {
+		tbl := iblt.New(iblt.StrataCells, 3, src.Uint64())
+		for range map[int]int{31: 40, 30: 40, 29: 2000}[lvl] {
+			tbl.Insert(keys.Uint64())
+		}
+		tbl.Encode(e)
+	}
+	alice, bob := transport.NewPipe()
+	if err := alice.Send(e); err != nil {
+		t.Fatal(err)
+	}
+	children := []Child{mkChild(rng.New(3), 8), mkChild(rng.New(4), 8)}
+	err := RunBob(p, bob, children)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("err = %v, want the difference limit", err)
 	}
 }

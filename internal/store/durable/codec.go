@@ -27,7 +27,6 @@ import (
 	"repro/internal/gap"
 	"repro/internal/live"
 	"repro/internal/metric"
-	"repro/internal/riblt"
 	"repro/internal/setsets"
 	"repro/internal/transport"
 )
@@ -45,7 +44,7 @@ const (
 	// decoding garbage.
 	journalMagic  = 0x52575301 // "RWS" + format version 1
 	snapshotMagic = 0x52534e01 // "RSN" + 1
-	configMagic   = 0x52434601 // "RCF" + 1
+	configMagic   = 0x52434602 // "RCF" + 2
 
 	// maxSnapshotPoints bounds the multiset cardinality a snapshot may
 	// expand to; a hostile count field is rejected before the rebuild
@@ -259,7 +258,6 @@ func decodeSnapshot(d *transport.Decoder) (epoch uint64, entries []snapEntry, er
 // is runtime state, never persisted.
 func encodeConfig(e *transport.Encoder, cfg live.Config) {
 	e.WriteBits(configMagic, 32)
-	e.WriteUvarint(uint64(cfg.JournalEpochs))
 	e.WriteBool(cfg.EMD != nil)
 	if cfg.EMD != nil {
 		p := *cfg.EMD
@@ -271,10 +269,7 @@ func encodeConfig(e *transport.Encoder, cfg live.Config) {
 		e.WriteUvarint(uint64(p.Q))
 		e.WriteUvarint(uint64(p.CellsPerLevel))
 		e.WriteUvarint(uint64(p.KeyBits))
-		e.WriteUvarint(uint64(p.MaxDecoded))
-		e.WriteUvarint(uint64(p.MaxFuncs))
 		e.WriteUint64(p.Seed)
-		e.WriteUvarint(uint64(p.PeelOrder))
 	}
 	e.WriteBool(cfg.Gap != nil)
 	if cfg.Gap != nil {
@@ -284,7 +279,6 @@ func encodeConfig(e *transport.Encoder, cfg live.Config) {
 		e.WriteUint64(math.Float64bits(p.R1))
 		e.WriteUint64(math.Float64bits(p.R2))
 		e.WriteUvarint(uint64(p.HFactor))
-		e.WriteUvarint(uint64(p.EntryBits))
 		e.WriteUint64(p.Seed)
 		ss := p.SetSets
 		e.WriteUvarint(uint64(ss.PayloadBytes))
@@ -296,7 +290,6 @@ func encodeConfig(e *transport.Encoder, cfg live.Config) {
 	}
 	e.WriteBool(cfg.Sync != nil)
 	if cfg.Sync != nil {
-		e.WriteUvarint(uint64(cfg.Sync.StrataCells))
 		e.WriteUint64(cfg.Sync.Seed)
 	}
 }
@@ -308,11 +301,6 @@ func decodeConfig(d *transport.Decoder) (live.Config, error) {
 	if err := expectMagic(d, configMagic); err != nil {
 		return cfg, err
 	}
-	je, err := readInt(d)
-	if err != nil {
-		return cfg, fmt.Errorf("%w: journal epochs: %v", errCorrupt, err)
-	}
-	cfg.JournalEpochs = je
 	hasEMD, err := d.ReadBool()
 	if err != nil {
 		return cfg, fmt.Errorf("%w: %v", errCorrupt, err)
@@ -343,19 +331,8 @@ func decodeConfig(d *transport.Decoder) (live.Config, error) {
 		}
 		p.KeyBits = uint(kb)
 		if err == nil {
-			p.MaxDecoded, err = readInt(d)
-		}
-		if err == nil {
-			p.MaxFuncs, err = readInt(d)
-		}
-		if err == nil {
 			p.Seed, err = d.ReadUint64()
 		}
-		var po int
-		if err == nil {
-			po, err = readInt(d)
-		}
-		p.PeelOrder = riblt.PeelOrder(po)
 		if err != nil {
 			return cfg, fmt.Errorf("%w: emd params: %v", errCorrupt, err)
 		}
@@ -379,11 +356,6 @@ func decodeConfig(d *transport.Decoder) (live.Config, error) {
 		if err == nil {
 			p.HFactor, err = readInt(d)
 		}
-		var eb int
-		if err == nil {
-			eb, err = readInt(d)
-		}
-		p.EntryBits = uint(eb)
 		if err == nil {
 			p.Seed, err = d.ReadUint64()
 		}
@@ -418,10 +390,7 @@ func decodeConfig(d *transport.Decoder) (live.Config, error) {
 	}
 	if hasSync {
 		var sc live.SyncConfig
-		if sc.StrataCells, err = readInt(d); err == nil {
-			sc.Seed, err = d.ReadUint64()
-		}
-		if err != nil {
+		if sc.Seed, err = d.ReadUint64(); err != nil {
 			return cfg, fmt.Errorf("%w: sync config: %v", errCorrupt, err)
 		}
 		cfg.Sync = &sc

@@ -775,28 +775,6 @@ func replayRecord(ls *live.Set, ops []live.Op) error {
 	return ls.ApplyBatch(ops)
 }
 
-// SnapshotAll compacts every open set at its current epoch, bounding
-// the next recovery's replay to zero for quiescent sets.
-func (d *Store) SnapshotAll() error {
-	d.mu.Lock()
-	sets := make([]*setFiles, 0, len(d.sets))
-	for _, sf := range d.sets {
-		sets = append(sets, sf)
-	}
-	d.mu.Unlock()
-	var firstErr error
-	for _, sf := range sets {
-		sf.mu.Lock()
-		if !sf.closed && sf.recs > 0 {
-			if err := sf.compactLocked(sf.epoch); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("durable: set %q: %w", sf.name, err)
-			}
-		}
-		sf.mu.Unlock()
-	}
-	return firstErr
-}
-
 // Close drains the store: snapshot-on-drain for every set, then close
 // all journals. Further journaled mutations fail.
 func (d *Store) Close() error {

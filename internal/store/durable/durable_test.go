@@ -3,14 +3,15 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/emd"
 	"repro/internal/live"
 	"repro/internal/metric"
-	"repro/internal/quadtree"
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -93,8 +94,7 @@ func churn(t testing.TB, ls *live.Set, seed uint64, n int) int {
 }
 
 // requireWireIdentical asserts that two sets serve bit-identical wire
-// state: EMD message bytes, ID fingerprints and lists, epoch, and the
-// quadtree reference message over their snapshot points.
+// state: EMD message bytes, ID fingerprints and lists, and epoch.
 func requireWireIdentical(t *testing.T, want, got *live.Set) {
 	t.Helper()
 	ws, gs := want.Snapshot(), got.Snapshot()
@@ -117,18 +117,6 @@ func requireWireIdentical(t *testing.T, want, got *live.Set) {
 		if ws.IDs[i] != gs.IDs[i] {
 			t.Fatalf("ID order diverged at %d", i)
 		}
-	}
-	qp := quadtree.Params{Space: testSpace(), N: len(ws.Points) + 1, K: 4, Seed: 7}
-	wq, err := quadtree.EncodeReference(qp, ws.Points)
-	if err != nil {
-		t.Fatalf("quadtree reference: %v", err)
-	}
-	gq, err := quadtree.EncodeReference(qp, gs.Points)
-	if err != nil {
-		t.Fatalf("quadtree recovered: %v", err)
-	}
-	if !bytes.Equal(wq, gq) {
-		t.Fatalf("quadtree message diverged (%d vs %d bytes)", len(gq), len(wq))
 	}
 }
 
@@ -465,12 +453,13 @@ func TestJournalErrorAbortsMutation(t *testing.T) {
 }
 
 // TestConfigRoundTrip checks the persisted-config codec over the
-// structure combinations the daemons actually create.
+// structure combinations the daemons actually create, and that a config
+// in the previous layout is refused by its magic.
 func TestConfigRoundTrip(t *testing.T) {
 	p := emd.DefaultParams(testSpace(), 512, 4, 7)
 	cfgs := []live.Config{
-		{Sync: &live.SyncConfig{StrataCells: 80, Seed: 42}},
-		{EMD: &p, Sync: &live.SyncConfig{Seed: testSyncSeed}, JournalEpochs: 128},
+		{Sync: &live.SyncConfig{Seed: 42}},
+		{EMD: &p, Sync: &live.SyncConfig{Seed: testSyncSeed}},
 	}
 	for i, cfg := range cfgs {
 		e := transport.NewEncoder()
@@ -480,7 +469,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: decode: %v", i, err)
 		}
-		if (got.EMD == nil) != (cfg.EMD == nil) || (got.Sync == nil) != (cfg.Sync == nil) || got.JournalEpochs != cfg.JournalEpochs {
+		if (got.EMD == nil) != (cfg.EMD == nil) || (got.Sync == nil) != (cfg.Sync == nil) {
 			t.Fatalf("cfg %d: shape mismatch", i)
 		}
 		if cfg.EMD != nil && (*got.EMD != *cfg.EMD) {
@@ -489,6 +478,22 @@ func TestConfigRoundTrip(t *testing.T) {
 		if cfg.Sync != nil && *got.Sync != *cfg.Sync {
 			t.Fatalf("cfg %d: sync mismatch", i)
 		}
+	}
+
+	// The previous layout of {Sync: {Seed: 42}}: magic "RCF" + 1, a
+	// journal horizon of 256, no EMD, no gap, then 80 strata cells.
+	e := transport.NewEncoder()
+	e.WriteBits(0x52434601, 32)
+	e.WriteUvarint(256)
+	e.WriteBool(false)
+	e.WriteBool(false)
+	e.WriteBool(true)
+	e.WriteUvarint(80)
+	e.WriteUint64(42)
+	old, _ := e.Pack()
+	_, err := decodeConfig(transport.NewDecoder(old))
+	if !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "52434601") || !strings.Contains(err.Error(), "52434602") {
+		t.Fatalf("old-layout config: err = %v, want a magic mismatch naming both magics", err)
 	}
 }
 
