@@ -167,9 +167,7 @@ func (t *KVTable) Encode(e *transport.Encoder) {
 		e.WriteVarint(t.counts[i])
 		e.WriteUint64(t.keySums[i])
 		e.WriteUint64(t.checkSums[i])
-		for _, b := range t.valSums[i*t.valBytes : (i+1)*t.valBytes] {
-			e.WriteBits(uint64(b), 8)
-		}
+		e.WriteBitString(t.valSums[i*t.valBytes:(i+1)*t.valBytes], int64(t.valBytes)*8)
 	}
 }
 
@@ -209,13 +207,8 @@ func DecodeKVFrom(d *transport.Decoder, seed uint64) (*KVTable, error) {
 		if t.checkSums[i], err = d.ReadUint64(); err != nil {
 			return nil, err
 		}
-		row := t.valSums[i*t.valBytes : (i+1)*t.valBytes]
-		for b := range row {
-			v, err := d.ReadBits(8)
-			if err != nil {
-				return nil, err
-			}
-			row[b] = byte(v)
+		if err := d.ReadBitString(t.valSums[i*t.valBytes:(i+1)*t.valBytes], int64(t.valBytes)*8); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil

@@ -2,15 +2,16 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
 
 // refBitWriter is an independent reference implementation of the wire
 // bit format: every value is appended bit by bit (MSB first) to a bool
-// slice, then packed. The Encoder's byte-aligned fast paths must produce
-// exactly this stream — the golden property every sketch's wire bytes
-// rest on.
+// slice, then packed. The Encoder's word-at-a-time accumulator must
+// produce exactly this stream — the golden property every sketch's wire
+// bytes rest on.
 type refBitWriter struct {
 	bits []bool
 }
@@ -55,98 +56,279 @@ func (r *refBitWriter) pack() []byte {
 	return out
 }
 
-// TestEncoderMatchesBitReference drives the Encoder and the bitwise
-// reference through identical randomized scripts — mixing aligned and
-// misaligned writes — and requires byte-identical output, then decodes
-// the stream back and requires value-identical reads. This pins the
-// fast paths (bulk WriteBytes, byte-group varints, aligned ReadBits) to
-// the historical bit format. Grow is one more op kind: it must leave the
-// stream untouched.
-func TestEncoderMatchesBitReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		e := NewEncoder()
-		var ref refBitWriter
-		type op struct {
-			kind  int
-			v     uint64
-			sv    int64
-			n     uint
-			bytes []byte
+// refReadBits returns the n bits of the packed stream p at bit pos,
+// right-aligned, one bit at a time.
+func refReadBits(p []byte, pos int64, n uint) uint64 {
+	var v uint64
+	for i := pos; i < pos+int64(n); i++ {
+		v = v<<1 | uint64(p[i/8]>>(7-uint(i%8))&1)
+	}
+	return v
+}
+
+// Codec script op kinds.
+const (
+	opBits = iota
+	opUvarint
+	opVarint
+	opBytes
+	opUint64
+	opGrow
+	opBitString
+	numOps
+)
+
+// codecOp is one write of a codec script, and the read that must
+// return its value.
+type codecOp struct {
+	kind int
+	v    uint64
+	sv   int64
+	n    uint   // opBits width, opGrow size
+	p    []byte // opBytes payload, opBitString packed string
+	nbit int64  // opBitString length
+}
+
+func (o codecOp) write(e *Encoder, ref *refBitWriter) {
+	switch o.kind {
+	case opBits:
+		e.WriteBits(o.v, o.n)
+		ref.writeBits(o.v, o.n)
+	case opUvarint:
+		e.WriteUvarint(o.v)
+		ref.writeUvarint(o.v)
+	case opVarint:
+		e.WriteVarint(o.sv)
+		ref.writeVarint(o.sv)
+	case opBytes:
+		e.WriteBytes(o.p)
+		ref.writeBytes(o.p)
+	case opUint64:
+		e.WriteUint64(o.v)
+		ref.writeBits(o.v, 64)
+	case opGrow: // writes nothing
+		e.Grow(int(o.n))
+	case opBitString:
+		e.WriteBitString(o.p, o.nbit)
+		ref.writeBitString(o.p, o.nbit)
+	}
+}
+
+// read reads the op's value back and reports a mismatch or read error.
+func (o codecOp) read(d *Decoder) error {
+	var (
+		got uint64
+		err error
+	)
+	switch o.kind {
+	case opBits:
+		got, err = d.ReadBits(o.n)
+	case opUvarint:
+		got, err = d.ReadUvarint()
+	case opVarint:
+		var sv int64
+		sv, err = d.ReadVarint()
+		got = uint64(sv)
+		o.v = uint64(o.sv)
+	case opBytes:
+		p, err := d.ReadBytes()
+		if err == nil && !bytes.Equal(p, o.p) {
+			return errors.New("ReadBytes value differs")
 		}
-		var script []op
-		for i := 0; i < 30; i++ {
-			o := op{kind: rng.Intn(6)}
-			switch o.kind {
-			case 0: // WriteBits with random width (often misaligning)
-				o.n = uint(1 + rng.Intn(64))
-				o.v = rng.Uint64() & (1<<o.n - 1)
-				e.WriteBits(o.v, o.n)
-				ref.writeBits(o.v, o.n)
-			case 1:
-				o.v = rng.Uint64() >> uint(rng.Intn(64))
-				e.WriteUvarint(o.v)
-				ref.writeUvarint(o.v)
-			case 2:
-				o.sv = int64(rng.Uint64()) >> uint(rng.Intn(64))
-				e.WriteVarint(o.sv)
-				ref.writeVarint(o.sv)
-			case 3:
-				o.bytes = make([]byte, rng.Intn(40))
-				rng.Read(o.bytes)
-				e.WriteBytes(o.bytes)
-				ref.writeBytes(o.bytes)
-			case 4:
-				o.v = rng.Uint64()
-				e.WriteUint64(o.v)
-				ref.writeBits(o.v, 64)
-			case 5: // Grow writes nothing
-				e.Grow(rng.Intn(64))
-			}
-			script = append(script, o)
+		return err
+	case opUint64:
+		got, err = d.ReadUint64()
+	case opGrow:
+		return nil
+	case opBitString:
+		// The string's whole bytes, then its last partial byte with the
+		// padding zeroed; a sentinel byte after it must survive.
+		whole, rem := o.nbit/8, o.nbit%8
+		want := append([]byte(nil), o.p[:whole]...)
+		if rem > 0 {
+			want = append(want, o.p[whole]&^(0xff>>rem))
 		}
-		got, bits := e.Pack()
-		want := ref.pack()
-		if int64(len(ref.bits)) != bits {
-			t.Fatalf("trial %d: bit count %d, reference %d", trial, bits, len(ref.bits))
+		q := bytes.Repeat([]byte{0xa5}, len(want)+1)
+		if err := d.ReadBitString(q, o.nbit); err != nil {
+			return err
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: stream mismatch\n got %x\nwant %x", trial, got, want)
+		if !bytes.Equal(q[:len(want)], want) || q[len(want)] != 0xa5 {
+			return errors.New("ReadBitString value differs")
 		}
-		d := NewDecoder(got)
-		for i, o := range script {
-			switch o.kind {
-			case 0:
-				v, err := d.ReadBits(o.n)
-				if err != nil || v != o.v {
-					t.Fatalf("trial %d op %d: ReadBits = %d, %v; want %d", trial, i, v, err, o.v)
-				}
-			case 1:
-				v, err := d.ReadUvarint()
-				if err != nil || v != o.v {
-					t.Fatalf("trial %d op %d: ReadUvarint = %d, %v; want %d", trial, i, v, err, o.v)
-				}
-			case 2:
-				v, err := d.ReadVarint()
-				if err != nil || v != o.sv {
-					t.Fatalf("trial %d op %d: ReadVarint = %d, %v; want %d", trial, i, v, err, o.sv)
-				}
-			case 3:
-				p, err := d.ReadBytes()
-				if err != nil || !bytes.Equal(p, o.bytes) {
-					t.Fatalf("trial %d op %d: ReadBytes = %x, %v; want %x", trial, i, p, err, o.bytes)
-				}
-			case 4:
-				v, err := d.ReadUint64()
-				if err != nil || v != o.v {
-					t.Fatalf("trial %d op %d: ReadUint64 = %d, %v; want %d", trial, i, v, err, o.v)
+		return nil
+	}
+	if err == nil && got != o.v {
+		return errors.New("value differs")
+	}
+	return err
+}
+
+// checkScript writes ops through the Encoder and the bitwise reference
+// and requires identical streams, reads every value back, checks reads
+// that end anywhere in the payload's last 8 bytes (the decoder's tail
+// load) against the reference, and requires the stream cut short by
+// one byte to fail some read.
+func checkScript(t testing.TB, ops []codecOp) {
+	t.Helper()
+	e := NewEncoder()
+	var ref refBitWriter
+	for _, o := range ops {
+		o.write(e, &ref)
+	}
+	got, bits := e.Pack()
+	want := ref.pack()
+	if int64(len(ref.bits)) != bits {
+		t.Fatalf("bit count %d, reference %d", bits, len(ref.bits))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream mismatch\n got %x\nwant %x", got, want)
+	}
+
+	d := NewDecoder(got)
+	for i, o := range ops {
+		if err := o.read(d); err != nil {
+			t.Fatalf("op %d (kind %d): %v", i, o.kind, err)
+		}
+	}
+	if d.pos != bits {
+		t.Fatalf("read back %d bits of %d", d.pos, bits)
+	}
+	if _, err := d.ReadBits(uint(int64(len(got))*8-bits) + 1); err != ErrShortMessage {
+		t.Fatalf("read past the payload: %v, want ErrShortMessage", err)
+	}
+
+	end := int64(len(got)) * 8
+	for stop := max(end-64, 0); stop <= end; stop++ {
+		for _, n := range []uint{0, 1, 7, 8, 9, 33, 56, 57, 63, 64} {
+			if pos := stop - int64(n); pos >= 0 {
+				d.pos = pos
+				if v, err := d.ReadBits(n); err != nil || v != refReadBits(want, pos, n) {
+					t.Fatalf("%d bits at %d of %d: %#x, %v; want %#x", n, pos, end, v, err, refReadBits(want, pos, n))
 				}
 			}
 		}
 	}
+
+	if len(got) == 0 {
+		return
+	}
+	d = NewDecoder(got[:len(got)-1])
+	for _, o := range ops {
+		if o.read(d) != nil {
+			return
+		}
+	}
+	t.Fatalf("stream cut to %d of %d bytes read back without error", len(got)-1, len(got))
 }
 
-// TestReadBytesBorrowAliasing documents the borrow contract: an aligned
+// TestEncoderMatchesBitReference drives the Encoder and the bitwise
+// reference through identical randomized scripts mixing every write,
+// at every alignment, and requires byte-identical output and
+// value-identical reads (see checkScript). Grow is one more op kind: it
+// must leave the stream untouched.
+func TestEncoderMatchesBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var stringAligns [8]bool
+	for trial := 0; trial < 200; trial++ {
+		var ops []codecOp
+		var align int64 // stream length mod 8: only opBits and opBitString move it
+		for i := 0; i < 30; i++ {
+			o := codecOp{kind: rng.Intn(numOps)}
+			switch o.kind {
+			case opBits: // random width, 0 included (often misaligning)
+				o.n = uint(rng.Intn(65))
+				o.v = rng.Uint64() & (1<<o.n - 1)
+				align = (align + int64(o.n)) % 8
+			case opUvarint:
+				o.v = rng.Uint64() >> uint(rng.Intn(64))
+			case opVarint:
+				o.sv = int64(rng.Uint64()) >> uint(rng.Intn(64))
+			case opBytes:
+				o.p = make([]byte, rng.Intn(40))
+				rng.Read(o.p)
+			case opUint64:
+				o.v = rng.Uint64()
+			case opGrow:
+				o.n = uint(rng.Intn(64))
+			case opBitString:
+				o.p = make([]byte, rng.Intn(40))
+				rng.Read(o.p)
+				o.nbit = rng.Int63n(int64(len(o.p))*8 + 1)
+				stringAligns[align] = true
+				align = (align + o.nbit) % 8
+			}
+			ops = append(ops, o)
+		}
+		checkScript(t, ops)
+	}
+	for a, seen := range stringAligns {
+		if !seen {
+			t.Fatalf("no bit string written at alignment %d", a)
+		}
+	}
+}
+
+// FuzzCodecScript reads a codec script from the fuzz input — each op
+// a kind byte and its arguments — and checks it as
+// TestEncoderMatchesBitReference does (see checkScript).
+func FuzzCodecScript(f *testing.F) {
+	f.Add([]byte{})
+	// 3 bits, a uint64 (the accumulator fills with 3 bits to carry), a
+	// 13-bit field, an 8-byte varint, bytes.
+	f.Add([]byte("\x00\x03\x00\x00\x00\x00\x00\x00\x00\x05\x04\x01\x23\x45\x67\x89\xab\xcd\xef" +
+		"\x00\x0d\x00\x00\x00\x00\x00\x00\x1f\xff\x01\x81\x82\x83\x84\x85\x86\x87\x88\x00\x03\x05abcde"))
+	// 5 bits, then a 157-bit string spliced misaligned.
+	f.Add([]byte("\x00\x05\x00\x00\x00\x00\x00\x00\x00\x1b\x06\x14a spliced bit string\x00\x9d"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		word := func() uint64 {
+			var v uint64
+			for i := 0; i < 8; i++ {
+				v = v<<8 | uint64(next())
+			}
+			return v
+		}
+		take := func(n int) []byte {
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = next()
+			}
+			return p
+		}
+		var ops []codecOp
+		for len(in) > 0 && len(ops) < 64 {
+			o := codecOp{kind: int(next()) % numOps}
+			switch o.kind {
+			case opBits:
+				o.n = uint(next()) % 65
+				o.v = word() & (1<<o.n - 1)
+			case opUvarint:
+				o.v = word() >> (next() % 64)
+			case opVarint:
+				o.sv = int64(word()) >> (next() % 64)
+			case opBytes:
+				o.p = take(int(next() % 48))
+			case opUint64:
+				o.v = word()
+			case opGrow:
+				o.n = uint(next())
+			case opBitString:
+				o.p = take(int(next() % 48))
+				o.nbit = (int64(next())<<8 | int64(next())) % (int64(len(o.p))*8 + 1)
+			}
+			ops = append(ops, o)
+		}
+		checkScript(t, ops)
+	})
+}
+
 // borrow aliases the decoder's backing buffer (no copy), while ReadBytes
 // always returns an independent copy.
 func TestReadBytesBorrowAliasing(t *testing.T) {
@@ -372,4 +554,26 @@ func FuzzBitString(f *testing.F) {
 			t.Fatalf("bit %d of %d flipped: accepted or moved to %d", fb, nbits, d.pos)
 		}
 	})
+}
+
+// TestReadBitStringShort: a bit string longer than what remains is
+// rejected before anything is written into the destination, and the
+// position stays where it was.
+func TestReadBitStringShort(t *testing.T) {
+	e := NewEncoder()
+	e.WriteBits(0x5, 3)
+	e.WriteBitString([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}, 37)
+	data, _ := e.Pack()
+	d := NewDecoder(data)
+	d.ReadBits(3)
+	q := bytes.Repeat([]byte{0xa5}, 6)
+	if err := d.ReadBitString(q, 45); err != ErrShortMessage {
+		t.Fatalf("45-bit read of 37 remaining: %v, want ErrShortMessage", err)
+	}
+	if d.pos != 3 || !bytes.Equal(q, bytes.Repeat([]byte{0xa5}, 6)) {
+		t.Fatalf("rejected read moved to %d or wrote %x", d.pos, q)
+	}
+	if err := d.ReadBitString(q, 37); err != nil || !bytes.Equal(q, []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0xa5}) {
+		t.Fatalf("37-bit read = %x, %v", q, err)
+	}
 }

@@ -107,13 +107,16 @@ func (c *Channel) Stats() Stats { return c.stats }
 var ErrShortMessage = errors.New("transport: message truncated")
 
 // Encoder writes a message payload with exact bit accounting. Values are
-// bit-packed; WriteBits is the primitive, with varint and length-prefixed
-// helpers on top. The zero value is an empty encoder, ready to use.
+// bit-packed, most significant bit first; WriteBits is the primitive,
+// with varint, length-prefixed and bit-string helpers on top. Written
+// bits collect in a 64-bit accumulator, left-aligned, and reach the
+// payload buffer one big-endian word at a time; Pack flushes the rest.
+// The zero value is an empty encoder, ready to use.
 type Encoder struct {
 	buf     []byte
-	bitsUse int64 // exact logical bits written (may trail the byte buffer)
-	cur     byte
-	curN    uint // bits currently occupied in cur
+	bitsUse int64  // exact logical bits written (may trail the byte buffer)
+	acc     uint64 // the accN bits written after buf, left-aligned
+	accN    uint   // < 64
 }
 
 // encPool recycles Encoders (with their payload buffers attached) so the
@@ -134,7 +137,7 @@ func NewEncoder() *Encoder { return encPool.Get().(*Encoder) }
 // fully consuming the bytes; retaining buf afterwards aliases a future
 // encoder's scratch.
 func Recycle(e *Encoder, buf []byte) {
-	e.buf, e.cur, e.curN, e.bitsUse = buf[:0], 0, 0, 0
+	e.buf, e.acc, e.accN, e.bitsUse = buf[:0], 0, 0, 0
 	encPool.Put(e)
 }
 
@@ -156,30 +159,15 @@ func (e *Encoder) WriteBits(v uint64, n uint) {
 		panic("transport: WriteBits width > 64")
 	}
 	e.bitsUse += int64(n)
-	if e.curN == 0 {
-		// Byte-aligned fast path: emit whole bytes directly. The bit
-		// stream is identical to the generic path — MSB first.
-		for n >= 8 {
-			n -= 8
-			e.buf = append(e.buf, byte(v>>n))
-		}
-		if n == 0 {
-			return
-		}
-	}
-	for n > 0 {
-		take := 8 - e.curN
-		if take > n {
-			take = n
-		}
-		chunk := byte(v >> (n - take) & (1<<take - 1))
-		e.cur |= chunk << (8 - e.curN - take)
-		e.curN += take
-		n -= take
-		if e.curN == 8 {
-			e.buf = append(e.buf, e.cur)
-			e.cur, e.curN = 0, 0
-		}
+	v <<= 64 - n // left-align, dropping the bits above n
+	e.acc |= v >> e.accN
+	e.accN += n
+	if e.accN >= 64 {
+		// The word is full: emit it and carry the accN bits of v that
+		// did not fit.
+		e.buf = binary.BigEndian.AppendUint64(e.buf, e.acc)
+		e.accN -= 64
+		e.acc = v << (n - e.accN)
 	}
 }
 
@@ -194,8 +182,7 @@ func (e *Encoder) WriteBool(b bool) {
 
 // WriteUvarint writes v in a bitwise varint: groups of 7 bits, each
 // preceded by a continue flag, costing 8 bits per 7 payload bits. Each
-// group is one 8-bit write (flag in the high bit), so the bit stream is
-// the historical one while aligned encoders emit one byte per group.
+// group is one 8-bit write (flag in the high bit).
 func (e *Encoder) WriteUvarint(v uint64) {
 	for v >= 0x80 {
 		e.WriteBits(0x80|v&0x7f, 8)
@@ -215,16 +202,7 @@ func (e *Encoder) WriteUint64(v uint64) { e.WriteBits(v, 64) }
 // WriteBytes writes a length-prefixed byte string.
 func (e *Encoder) WriteBytes(p []byte) {
 	e.WriteUvarint(uint64(len(p)))
-	if e.curN == 0 {
-		// Aligned: the payload is appended wholesale instead of a bit at
-		// a time. Identical bytes either way.
-		e.buf = append(e.buf, p...)
-		e.bitsUse += int64(len(p)) * 8
-		return
-	}
-	for _, b := range p {
-		e.WriteBits(uint64(b), 8)
-	}
+	e.WriteBitString(p, int64(len(p))*8)
 }
 
 // WriteBitString appends the first nbits of p, a bit string packed MSB
@@ -236,14 +214,16 @@ func (e *Encoder) WriteBitString(p []byte, nbits int64) {
 	if nbits < 0 || nbits > int64(len(p))*8 {
 		panic("transport: WriteBitString length out of range")
 	}
-	// One 64-bit word per step: the curN pending bits lead the output
-	// word, and the word's low curN bits become the new pending byte.
-	// Aligned (curN = 0) this degenerates to appending the word.
+	if e.accN&7 == 0 {
+		// Byte-aligned: flush the accumulator and append whole bytes.
+		e.flush()
+		whole := nbits / 8
+		e.buf = append(e.buf, p[:whole]...)
+		e.bitsUse += whole * 8
+		p, nbits = p[whole:], nbits-whole*8
+	}
 	for ; nbits >= 64; nbits -= 64 {
-		v := binary.BigEndian.Uint64(p)
-		e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(e.cur)<<56|v>>e.curN)
-		e.cur = byte(v << (8 - e.curN))
-		e.bitsUse += 64
+		e.WriteBits(binary.BigEndian.Uint64(p), 64)
 		p = p[8:]
 	}
 	if nbits > 0 {
@@ -262,24 +242,32 @@ func leadingBits(p []byte, n uint) uint64 {
 // Bits returns the exact number of payload bits written so far.
 func (e *Encoder) Bits() int64 { return e.bitsUse }
 
-// Pack flushes the trailing partial byte and returns the payload bytes
-// and exact bit count, resetting the encoder. Use it when the encoder
-// serves as a local bit packer rather than a channel message (e.g.
-// serializing LSH keys for hashing); Channel.Send uses the same path.
+// Pack flushes the accumulator and returns the payload bytes and exact
+// bit count, resetting the encoder. Use it when the encoder serves as a
+// local bit packer rather than a channel message (e.g. serializing LSH
+// keys for hashing); Channel.Send uses the same path.
 func (e *Encoder) Pack() ([]byte, int64) { return e.finish() }
 
-// finish flushes the trailing partial byte and returns payload and size.
+// finish flushes the accumulator and returns payload and size.
 func (e *Encoder) finish() ([]byte, int64) {
-	buf := e.buf
-	if e.curN > 0 {
-		buf = append(buf, e.cur)
-	}
-	bits := e.bitsUse
-	e.buf, e.cur, e.curN, e.bitsUse = nil, 0, 0, 0
+	e.flush()
+	buf, bits := e.buf, e.bitsUse
+	e.buf, e.bitsUse = nil, 0
 	return buf, bits
 }
 
+// flush moves the accumulator's bytes to the buffer, the last one
+// zero-padded.
+func (e *Encoder) flush() {
+	for i := uint(0); i < e.accN; i += 8 {
+		e.buf = append(e.buf, byte(e.acc>>(56-i)))
+	}
+	e.acc, e.accN = 0, 0
+}
+
 // Decoder reads a payload produced by an Encoder, in the same order.
+// Every read of up to 64 bits is one big-endian load of the 64-bit
+// window at the current byte, shifted to the current bit.
 type Decoder struct {
 	buf []byte
 	pos int64 // bit position
@@ -305,42 +293,70 @@ func (d *Decoder) Remaining() int {
 	return int(rem)
 }
 
+// remainingBits returns how many bits are left to read.
+func (d *Decoder) remainingBits() int64 { return int64(len(d.buf))*8 - d.pos }
+
+// window returns the 64 bits of the stream at the current position,
+// left-aligned: one 8-byte load shifted to the bit offset, with the
+// 9th byte's leading bits shifted in behind it. In the payload's last
+// 8 bytes the word is assembled from the bytes left; there is no 9th
+// byte to straddle, and bits past the payload read as zero.
+func (d *Decoder) window() uint64 {
+	i, off := d.pos>>3, uint(d.pos&7)
+	if i+9 <= int64(len(d.buf)) {
+		b := d.buf[i : i+9]
+		return binary.BigEndian.Uint64(b)<<off | uint64(b[8])>>(8-off)
+	}
+	var w uint64
+	for j, c := range d.buf[i:] {
+		w |= uint64(c) << (56 - 8*j)
+	}
+	return w << off
+}
+
 // ReadBits reads n bits written by WriteBits.
 func (d *Decoder) ReadBits(n uint) (uint64, error) {
 	if n > 64 {
 		panic("transport: ReadBits width > 64")
 	}
-	if d.pos+int64(n) > int64(len(d.buf))*8 {
+	if int64(n) > d.remainingBits() {
 		return 0, ErrShortMessage
 	}
-	var v uint64
-	if d.pos&7 == 0 {
-		// Byte-aligned fast path: consume whole bytes (MSB first, the
-		// same bit order as the generic path).
-		i := d.pos >> 3
-		for n >= 8 {
-			v = v<<8 | uint64(d.buf[i])
-			i++
-			n -= 8
-		}
-		d.pos = i << 3
-		if n == 0 {
-			return v, nil
-		}
-	}
-	for n > 0 {
-		byteIdx := d.pos >> 3
-		bitOff := uint(d.pos & 7)
-		take := 8 - bitOff
-		if take > n {
-			take = n
-		}
-		chunk := uint64(d.buf[byteIdx]>>(8-bitOff-take)) & (1<<take - 1)
-		v = v<<take | chunk
-		d.pos += int64(take)
-		n -= take
-	}
+	v := d.window() >> (64 - n)
+	d.pos += int64(n)
 	return v, nil
+}
+
+// ReadBitString reads nbits written by WriteBitString into p, packed
+// MSB first; the bits of p's last partial byte past nbits are zeroed
+// and bytes after it are untouched. p must hold at least nbits. When
+// fewer than nbits remain it returns ErrShortMessage, leaving p and the
+// position unchanged.
+func (d *Decoder) ReadBitString(p []byte, nbits int64) error {
+	if nbits < 0 || nbits > int64(len(p))*8 {
+		panic("transport: ReadBitString length out of range")
+	}
+	if nbits > d.remainingBits() {
+		return ErrShortMessage
+	}
+	if d.pos&7 == 0 {
+		whole := copy(p[:nbits/8], d.buf[d.pos>>3:])
+		d.pos += int64(whole) * 8
+		p, nbits = p[whole:], nbits-int64(whole)*8
+	}
+	for ; nbits >= 64; nbits -= 64 {
+		binary.BigEndian.PutUint64(p, d.window())
+		d.pos += 64
+		p = p[8:]
+	}
+	if nbits > 0 {
+		v := d.window() >> (64 - nbits) << (64 - nbits)
+		for i := range (nbits + 7) / 8 {
+			p[i] = byte(v >> (56 - 8*i))
+		}
+		d.pos += nbits
+	}
+	return nil
 }
 
 // ConsumeIfEqual reports whether the next nbits of the stream equal the
@@ -353,32 +369,23 @@ func (d *Decoder) ConsumeIfEqual(p []byte, nbits int64) bool {
 	if nbits < 0 || nbits > int64(len(p))*8 {
 		panic("transport: ConsumeIfEqual length out of range")
 	}
-	if nbits > int64(len(d.buf))*8-d.pos {
+	if nbits > d.remainingBits() {
 		return false
 	}
 	start := d.pos
-	// Compare a 64-bit word per step. The stream's word starting at
-	// bit pos spans bytes i..i+8 when misaligned; the length check
-	// above guarantees byte i+8 exists whenever off > 0.
 	for ; nbits >= 64; nbits -= 64 {
-		i, off := d.pos>>3, uint(d.pos&7)
-		got := binary.BigEndian.Uint64(d.buf[i:])
-		if off > 0 {
-			got = got<<off | uint64(d.buf[i+8])>>(8-off)
-		}
-		if got != binary.BigEndian.Uint64(p) {
+		if d.window() != binary.BigEndian.Uint64(p) {
 			d.pos = start
 			return false
 		}
 		d.pos += 64
 		p = p[8:]
 	}
-	if nbits > 0 {
-		if got, _ := d.ReadBits(uint(nbits)); got != leadingBits(p, uint(nbits)) {
-			d.pos = start
-			return false
-		}
+	if nbits > 0 && d.window()>>(64-nbits) != leadingBits(p, uint(nbits)) {
+		d.pos = start
+		return false
 	}
+	d.pos += nbits
 	return true
 }
 
@@ -388,25 +395,33 @@ func (d *Decoder) ReadBool() (bool, error) {
 	return v == 1, err
 }
 
-// ReadUvarint reads a value written by WriteUvarint. Each group is one
-// 8-bit read (continue flag in the high bit) — the same bit stream the
-// historical 1+7 split consumed, at a fraction of the cost.
+// errUvarintOverflow rejects a varint whose value does not fit in 64
+// bits.
+var errUvarintOverflow = errors.New("transport: uvarint overflow")
+
+// ReadUvarint reads a value written by WriteUvarint: 8-bit groups,
+// continue flag in the high bit, taken eight at a time from one window.
+// As in encoding/binary, a 10th group greater than 1 overflows 64 bits
+// and is an error.
 func (d *Decoder) ReadUvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := d.ReadBits(8)
-		if err != nil {
-			return 0, err
+	var v, w uint64
+	for g := uint(0); ; g++ {
+		if d.remainingBits() < 8 {
+			return 0, ErrShortMessage
 		}
-		if shift >= 64 {
-			return 0, errors.New("transport: uvarint overflow")
+		if g%8 == 0 {
+			w = d.window()
 		}
-		v |= (b & 0x7f) << shift
+		b := w >> 56
+		w <<= 8
+		d.pos += 8
+		if g == 9 && b > 1 {
+			return 0, errUvarintOverflow
+		}
+		v |= (b & 0x7f) << (7 * g)
 		if b < 0x80 {
 			return v, nil
 		}
-		shift += 7
 	}
 }
 
@@ -432,12 +447,11 @@ func (d *Decoder) ReadBytes() ([]byte, error) {
 	// Compare against the payload length before multiplying: a crafted
 	// length near 2^61 would overflow int64(n)*8 and slip past the
 	// remaining-bits check into a panicking allocation.
-	if n > uint64(len(d.buf)) || int64(n)*8 > int64(len(d.buf))*8-d.pos {
+	if n > uint64(len(d.buf)) || int64(n)*8 > d.remainingBits() {
 		return nil, ErrShortMessage
 	}
 	p := make([]byte, n)
-	d.readBytesInto(p)
-	return p, nil
+	return p, d.ReadBitString(p, int64(n)*8)
 }
 
 // ReadBytesBorrow reads a length-prefixed byte string without copying
@@ -453,7 +467,7 @@ func (d *Decoder) ReadBytesBorrow() ([]byte, error) {
 		return nil, err
 	}
 	// Overflow-safe bound, as in ReadBytes.
-	if n > uint64(len(d.buf)) || int64(n)*8 > int64(len(d.buf))*8-d.pos {
+	if n > uint64(len(d.buf)) || int64(n)*8 > d.remainingBits() {
 		return nil, ErrShortMessage
 	}
 	if d.pos&7 == 0 {
@@ -462,20 +476,5 @@ func (d *Decoder) ReadBytesBorrow() ([]byte, error) {
 		return d.buf[i : i+int64(n) : i+int64(n)], nil
 	}
 	p := make([]byte, n)
-	d.readBytesInto(p)
-	return p, nil
-}
-
-// readBytesInto fills p from the stream; the caller has bounds-checked.
-func (d *Decoder) readBytesInto(p []byte) {
-	if d.pos&7 == 0 {
-		i := d.pos >> 3
-		copy(p, d.buf[i:])
-		d.pos += int64(len(p)) * 8
-		return
-	}
-	for i := range p {
-		v, _ := d.ReadBits(8)
-		p[i] = byte(v)
-	}
+	return p, d.ReadBitString(p, int64(n)*8)
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +236,26 @@ func TestStatsString(t *testing.T) {
 	s := Stats{Rounds: 2, BitsAtoB: 9, BitsBtoA: 7}
 	if got := s.String(); got == "" {
 		t.Error("empty Stats string")
+	}
+}
+
+// TestReadUvarintOverflow: ten groups carry 9·7 + 1 = 64 value bits,
+// so a 10th group greater than 1 overflows and must be rejected (the
+// rule encoding/binary.Uvarint uses) rather than silently truncated to
+// the same value as the one valid 10-group encoding of 2^64 − 1.
+func TestReadUvarintOverflow(t *testing.T) {
+	ff9 := bytes.Repeat([]byte{0xff}, 9)
+	if v, err := NewDecoder(append(ff9, 0x01)).ReadUvarint(); err != nil || v != math.MaxUint64 {
+		t.Fatalf("9×ff 01 = %#x, %v; want %#x", v, err, uint64(math.MaxUint64))
+	}
+	for _, last := range []byte{0x02, 0x7f, 0x81, 0xff} {
+		if v, err := NewDecoder(append(ff9, last, 0x00)).ReadUvarint(); err == nil {
+			t.Fatalf("9×ff %02x decoded to %#x, want an overflow error", last, v)
+		}
+	}
+	e := NewEncoder()
+	e.WriteUvarint(math.MaxUint64)
+	if got, _ := e.Pack(); !bytes.Equal(got, append(ff9, 0x01)) {
+		t.Fatalf("WriteUvarint(2^64-1) = %x", got)
 	}
 }
