@@ -1,30 +1,31 @@
 // Command reconciled is the reconciliation daemon: it serves the
-// paper's protocols (EMD, Gap, exact ID sync, multiset-of-sets) to many
-// concurrent peers over TCP or unix sockets through the session engine,
-// and doubles as the matching client.
+// paper's protocols (EMD, Gap, exact ID sync) to many concurrent peers
+// over TCP or unix sockets through the session engine, and doubles as
+// the matching client.
 //
 // Server and client derive their synthetic two-party workload — and,
 // critically, their protocol Params — from the same flags, standing in
 // for two deployments that share configuration out of band. The session
 // header's parameter digest enforces the agreement on every connection.
 //
+// The server holds its sets as live sets (robustsync epoch-tagged
+// mutable state): an EMD+Sync set and a Gap set. It serves EMD over the
+// live-emd protocol, so returning peers that announce their last synced
+// epoch receive only the churned cells, Gap from the set's cached key
+// payloads, and exact ID sync from the EMD set's point fingerprints.
+// With -mutate M the server churns M point replacements per second; the
+// sketch, key payloads and fingerprints follow incrementally.
+//
 // Usage:
 //
-//	reconciled -listen :7444                      # serve all protocols
+//	reconciled -listen :7444                      # serve live-emd, gap, sync
 //	reconciled -listen unix:/tmp/reconciled.sock  # same, unix socket
-//	reconciled -connect :7444 -proto emd          # one client session
-//	reconciled -connect :7444 -proto gap
-//
-// With -mutate M the server's sets become live sets (robustsync
-// epoch-tagged mutable state): the EMD sketch, Gap key payloads and
-// exact-ID fingerprints are maintained incrementally under churn, and
-// EMD is served over the live-emd protocol so returning peers that
-// announce their last synced epoch receive only the churned cells.
-//
 //	reconciled -listen :7444 -mutate 10           # churn 10 point
 //	                                              # replacements per second
-//	reconciled -connect :7444 -proto live-emd -mutate 1  # two sessions on
-//	                                              # one cache: full, delta
+//	reconciled -connect :7444 -proto live-emd     # two sessions on one
+//	                                              # cache: full, then delta
+//	reconciled -connect :7444 -proto gap -mutate 1  # against a churning
+//	                                              # server: no coverage check
 //
 // With -cluster the daemon becomes an anti-entropy mesh member: a
 // multi-tenant store of named sets (-sets), served under their
@@ -83,9 +84,9 @@
 // to -drain, force-closes stragglers, shuts the operator listeners
 // down, and prints final stats before exiting.
 //
-// Workload flags (-d, -n, -k, -noise, -r1, -r2, -diff, -seed, and
-// whether -mutate is zero) must match between server and client;
-// -max-sessions and timeouts are local tuning.
+// Workload flags (-d, -n, -k, -noise, -r1, -r2, -seed) must match
+// between server and client; -max-sessions and timeouts are local
+// tuning.
 package main
 
 import (
@@ -114,7 +115,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/session"
-	"repro/internal/setsets"
 	"repro/internal/store"
 	"repro/internal/store/durable"
 	"repro/internal/workload"
@@ -130,9 +130,9 @@ type config struct {
 	r2    float64
 	diff  int
 	seed  uint64
-	// mutate enables live sets: server-side mutations per second. Zero
-	// vs nonzero must agree between server and client (it selects the
-	// sync ID derivation).
+	// mutate is the server's churn in mutations per second. A client
+	// passes nonzero against a churning server: Gap coverage against
+	// the fixture is checkable only while the server does not churn.
 	mutate int
 	// local tuning
 	maxSessions int
@@ -156,12 +156,6 @@ type fixture struct {
 	gapSB     metric.PointSet
 
 	syncParams netproto.SyncParams
-	serverIDs  []uint64
-	clientIDs  []uint64
-
-	ssParams   setsets.Params
-	serverKids []setsets.Child
-	clientKids []setsets.Child
 }
 
 func newFixture(c config) (*fixture, error) {
@@ -185,41 +179,12 @@ func newFixture(c config) (*fixture, error) {
 	}
 	f.gapSA, f.gapSB = ginst.SA, ginst.SB
 
-	src := rng.New(c.seed + 3)
-	shared := make([]uint64, 20*c.n)
-	for i := range shared {
-		shared[i] = src.Uint64()
-	}
 	f.syncParams = netproto.SyncParams{Seed: c.seed + 4}
-	f.serverIDs = append([]uint64{}, shared...)
-	f.clientIDs = append([]uint64{}, shared...)
-	for i := 0; i < c.diff; i++ {
-		f.serverIDs = append(f.serverIDs, src.Uint64())
-		f.clientIDs = append(f.clientIDs, src.Uint64())
-	}
-
-	f.ssParams = setsets.Params{PayloadBytes: 16, Seed: c.seed + 5}
-	child := func(tag uint64) setsets.Child {
-		p := make([]byte, 16)
-		for i := 0; i < 8; i++ {
-			p[i] = byte(tag >> (8 * i))
-		}
-		return setsets.Child{Payload: p}
-	}
-	for i := 0; i < c.n; i++ {
-		cc := child(uint64(i))
-		f.serverKids = append(f.serverKids, cc)
-		f.clientKids = append(f.clientKids, cc)
-	}
-	for i := 0; i < c.diff; i++ {
-		f.serverKids = append(f.serverKids, child(1<<32+uint64(i)))
-		f.clientKids = append(f.clientKids, child(1<<33+uint64(i)))
-	}
 	return f, nil
 }
 
-// liveState owns the server's live sets in mutate mode and the mirrors
-// the churner replaces points through.
+// liveState owns the server's live sets and the mirrors the churner
+// replaces points through.
 type liveState struct {
 	mu        sync.Mutex
 	src       *rng.Source
@@ -294,7 +259,7 @@ func (st *liveState) churn(n int) error {
 func main() {
 	listen := flag.String("listen", "", "serve on this address (host:port, or unix:/path)")
 	connect := flag.String("connect", "", "run one client session against this address")
-	proto := flag.String("proto", "emd", "client protocol: emd | gap | sync | setsets | live-emd (with -mutate)")
+	proto := flag.String("proto", "live-emd", "client protocol: live-emd | gap | sync")
 	clusterPeers := flag.String("cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
 	join := flag.String("join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
 	advertise := flag.String("advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
@@ -311,9 +276,9 @@ func main() {
 	noise := flag.Float64("noise", 2, "per-point noise radius (emd)")
 	r1 := flag.Float64("r1", 8, "close radius (gap)")
 	r2 := flag.Float64("r2", 0, "far radius (gap; default d)")
-	diff := flag.Int("diff", 16, "per-side exclusive IDs/children (sync, setsets)")
+	diff := flag.Int("diff", 16, "divergent extra points per member in each cluster set")
 	seed := flag.Uint64("seed", 1, "shared public-coin seed")
-	mutate := flag.Int("mutate", 0, "live-set churn in mutations/sec (server and cluster modes)")
+	mutate := flag.Int("mutate", 0, "live-set churn in mutations/sec (server and cluster modes; a client passes nonzero against a churning server)")
 
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
@@ -410,50 +375,38 @@ func (o opsServers) stop(adm *admin.Server, drain time.Duration, logf func(strin
 	}
 }
 
-// newServer builds the daemon's session server: it plays Alice for the
-// point-set protocols (it owns the canonical set and ships sketches)
-// and the responder for sync and setsets. With cfg.mutate > 0 the
-// point-set state lives in live sets: EMD is served as live-emd (epoch
-// tagging plus delta sync), Gap from cached key payloads, and sync from
-// incrementally maintained point fingerprints; the returned liveState
-// drives churn.
+// newServer builds the daemon's session server over its live sets: it
+// plays Alice for the point-set protocols (it owns the canonical set and
+// ships sketches) and the responder for sync. EMD is served as live-emd
+// (epoch tagging plus delta sync), Gap from cached key payloads, and
+// sync from incrementally maintained point fingerprints; the returned
+// liveState drives churn.
 func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Server, *liveState) {
 	srv := session.NewServer(session.Config{
 		MaxSessions:    cfg.maxSessions,
 		SessionTimeout: cfg.timeout,
 		Logf:           logf,
 	})
-	srv.Handle(func() netproto.Handler { return netproto.NewSetSetsResponder(f.ssParams, f.serverKids) })
-	if cfg.mutate > 0 {
-		st, err := newLiveState(cfg, f)
-		if err != nil {
-			fail("%v", err)
-		}
-		emdFactory, err := netproto.NewLiveEMDSenderFactory(st.emdSet)
-		if err != nil {
-			fail("live emd: %v", err)
-		}
-		gapFactory, err := netproto.NewLiveGapSenderFactory(st.gapSet)
-		if err != nil {
-			fail("live gap: %v", err)
-		}
-		syncFactory, err := netproto.NewLiveSyncResponderFactory(f.syncParams, st.emdSet)
-		if err != nil {
-			fail("live sync: %v", err)
-		}
-		srv.Handle(emdFactory)
-		srv.Handle(gapFactory)
-		srv.Handle(syncFactory)
-		return srv, st
-	}
-	emdFactory, err := netproto.NewEMDSenderFactory(f.emdParams, f.emdSA)
+	st, err := newLiveState(cfg, f)
 	if err != nil {
-		fail("emd sketch: %v", err)
+		fail("%v", err)
+	}
+	emdFactory, err := netproto.NewLiveEMDSenderFactory(st.emdSet)
+	if err != nil {
+		fail("live emd: %v", err)
+	}
+	gapFactory, err := netproto.NewLiveGapSenderFactory(st.gapSet)
+	if err != nil {
+		fail("live gap: %v", err)
+	}
+	syncFactory, err := netproto.NewLiveSyncResponderFactory(f.syncParams, st.emdSet)
+	if err != nil {
+		fail("live sync: %v", err)
 	}
 	srv.Handle(emdFactory)
-	srv.Handle(func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
-	srv.Handle(func() netproto.Handler { return netproto.NewSyncResponder(f.syncParams, f.serverIDs) })
-	return srv, nil
+	srv.Handle(gapFactory)
+	srv.Handle(syncFactory)
+	return srv, st
 }
 
 func splitAddr(addr string) (network, host string) {
@@ -507,9 +460,9 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 		}
 		logger.Printf("admin API on http://%s/ (Prometheus on /metrics)", aaddr)
 	}
-	if st != nil {
-		logger.Printf("serving live-emd, gap, sync, setsets on %s %s (max %d sessions, %d mutations/s)",
-			network, l.Addr(), cfg.maxSessions, cfg.mutate)
+	logger.Printf("serving live-emd, gap, sync on %s %s (max %d sessions, %d mutations/s)",
+		network, l.Addr(), cfg.maxSessions, cfg.mutate)
+	if cfg.mutate > 0 {
 		go func() {
 			tick := time.NewTicker(time.Second / time.Duration(cfg.mutate))
 			defer tick.Stop()
@@ -520,9 +473,6 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 				}
 			}
 		}()
-	} else {
-		logger.Printf("serving emd, gap, sync, setsets on %s %s (max %d sessions)",
-			network, l.Addr(), cfg.maxSessions)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
@@ -913,14 +863,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 // not churn in between).
 func runClient(cfg config, f *fixture, network, addr, proto string) error {
 	dial := session.Dialer{Network: network, Addr: addr}
-	id, ok := netproto.ProtoByName(proto)
-	if !ok {
-		names := make([]string, 0, 5)
-		for _, p := range netproto.Protos() {
-			names = append(names, p.String())
-		}
-		return fmt.Errorf("unknown protocol %q (want %s)", proto, strings.Join(names, " | "))
-	}
+	id, _ := netproto.ProtoByName(proto)
 	start := time.Now()
 	switch id {
 	case netproto.ProtoLiveEMD:
@@ -941,29 +884,14 @@ func runClient(cfg config, f *fixture, network, addr, proto string) error {
 			fmt.Printf("live-emd: epoch %d via %s transfer, %d points reconciled in %v; %s\n",
 				h.Epoch, mode, len(h.Result.SPrime), time.Since(start).Round(time.Millisecond), st)
 		}
-	case netproto.ProtoEMD:
-		h := netproto.NewEMDReceiver(f.emdParams, f.emdSB)
-		if _, err := dial.Do(h); err != nil {
-			return err
-		}
-		if h.Result.Failed {
-			fmt.Println("emd: protocol reported failure (Theorem 3.4 allows prob <= 1/8)")
-			return nil
-		}
-		if len(h.Result.SPrime) != len(f.emdSB) {
-			return fmt.Errorf("emd: |S'B| = %d, want %d", len(h.Result.SPrime), len(f.emdSB))
-		}
-		fmt.Printf("emd: reconciled %d points at level %d/%d in %v; %s\n",
-			len(h.Result.SPrime), h.Result.Level, h.Result.Levels,
-			time.Since(start).Round(time.Millisecond), h.Result.Stats)
 	case netproto.ProtoGap:
 		h := netproto.NewGapReceiver(f.gapParams, f.gapSB)
 		if _, err := dial.Do(h); err != nil {
 			return err
 		}
 		if cfg.mutate == 0 {
-			// Against a live server the canonical set has churned past
-			// the fixture, so coverage is only checkable when static.
+			// A churning server's canonical set has moved past the
+			// fixture, so coverage is only checkable against a still one.
 			for _, pt := range f.gapSA {
 				if dist, _ := h.Result.SPrime.MinDistanceTo(f.gapSpace, pt); dist > f.gapParams.R2 {
 					return fmt.Errorf("gap: uncovered point at distance %v > r2=%v", dist, f.gapParams.R2)
@@ -973,28 +901,17 @@ func runClient(cfg config, f *fixture, network, addr, proto string) error {
 		fmt.Printf("gap: received %d elements in %v; %s\n",
 			len(h.Result.TA), time.Since(start).Round(time.Millisecond), h.Result.Stats)
 	case netproto.ProtoSync:
-		ids := f.clientIDs
-		if cfg.mutate > 0 {
-			// Live servers reconcile point fingerprints, not the static
-			// ID workload; derive ours the same way.
-			ids = live.IDsOf(f.syncParams.Seed, f.emdSB)
-		}
-		h := netproto.NewSyncInitiator(f.syncParams, ids)
+		// The server reconciles its EMD set's point fingerprints;
+		// derive ours the same way.
+		h := netproto.NewSyncInitiator(f.syncParams, live.IDsOf(f.syncParams.Seed, f.emdSB))
 		st, err := dial.Do(h)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("sync: learned %d server-only and reported %d client-only IDs in %v; %s\n",
 			len(h.TheirsOnly), len(h.MinesOnly), time.Since(start).Round(time.Millisecond), st)
-	case netproto.ProtoSetSets:
-		h := netproto.NewSetSetsInitiator(f.ssParams, f.clientKids)
-		st, err := dial.Do(h)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("setsets: %d server-only / %d client-only children in %d rounds, %v; %s\n",
-			len(h.Result.BobOnly), len(h.Result.AliceOnly), h.Result.Rounds,
-			time.Since(start).Round(time.Millisecond), st)
+	default:
+		return fmt.Errorf("unknown protocol %q (the daemon serves live-emd | gap | sync)", proto)
 	}
 	return nil
 }

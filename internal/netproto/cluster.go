@@ -35,16 +35,17 @@ import (
 // itself is 0; any other bits are decoded and validated in full. The
 // wire bytes are the same either way.
 //
-// Repair (ProtoRepair) converges the sets exactly: classic strata+IBLT
-// ID reconciliation followed by a point-payload exchange, after which
-// both sides hold the union of distinct points (add-wins anti-entropy
-// merge; MergeAbsent makes application idempotent). A probe's estimate
-// can be passed as a hint, skipping the strata round entirely —
-// power-of-two-choices probing already paid for it.
+// Repair (ProtoRepair) converges the sets exactly: the exact-ID
+// difference exchange it shares with sync (protocols.go), followed by a
+// point-payload exchange, after which both sides hold the union of
+// distinct points (add-wins anti-entropy merge; MergeAbsent makes
+// application idempotent). A probe's estimate can be passed as a hint,
+// skipping the strata estimator entirely — power-of-two-choices probing
+// already paid for it.
 //
 //	initiator → peer: uvarint hint (0 = none; strata follows when 0)
-//	peer → initiator: uvarint attempt, IBLT of peer's IDs   ─┐ repeat on
-//	initiator → peer: ok bool; on ok: wanted IDs + points   ─┘ decode fail
+//	                  the difference exchange, salt repairSalt
+//	initiator → peer: ack: true, wanted IDs, points for its own IDs
 //	peer → initiator: points for the wanted IDs
 const (
 	// ProtoProbe is the divergence-estimate exchange.
@@ -393,13 +394,23 @@ func readPointList(d *transport.Decoder) (metric.PointSet, error) {
 	return out, nil
 }
 
+// writeIDList writes a uvarint count, then each ID as 64 bits.
+func writeIDList(e *transport.Encoder, ids []uint64) {
+	e.WriteUvarint(uint64(len(ids)))
+	for _, id := range ids {
+		e.WriteUint64(id)
+	}
+}
+
+// readIDList reads what writeIDList wrote, refusing a count the rest of
+// the frame cannot back.
 func readIDList(d *transport.Decoder) ([]uint64, error) {
 	n, err := d.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n > uint64(maxFrame/8) {
-		return nil, fmt.Errorf("netproto: implausible ID count %d in repair", n)
+		return nil, fmt.Errorf("netproto: implausible ID count %d", n)
 	}
 	// Each ID costs exactly 8 bytes on the wire, so a count the rest of
 	// the frame cannot back is rejected before the slice is allocated —
@@ -468,36 +479,9 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 	if err := conn.Send(e); err != nil {
 		return err
 	}
-	var peerOnly, mineOnly []uint64
-	for attempt := 0; ; attempt++ {
-		d, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		if _, err := d.ReadUvarint(); err != nil {
-			return err
-		}
-		seed := sc.Seed + 0x4e9a + uint64(attempt)*0x9e37
-		tbl, err := iblt.DecodeFrom(d, seed)
-		if err != nil {
-			return err
-		}
-		for _, id := range snap.IDs {
-			tbl.Delete(id)
-		}
-		added, removed, decErr := tbl.Decode()
-		if decErr == nil {
-			peerOnly, mineOnly = added, removed
-			break
-		}
-		e := transport.NewEncoder()
-		e.WriteBool(false)
-		if err := conn.Send(e); err != nil {
-			return err
-		}
-		if attempt >= maxRetries {
-			return fmt.Errorf("netproto: repair ID sync failed after %d attempts", attempt+1)
-		}
+	peerOnly, mineOnly, err := diffInitiate(conn, sc.Seed, repairSalt, snap.IDs)
+	if err != nil {
+		return err
 	}
 	// Ack frame: the peer-only IDs whose points we want, plus the points
 	// for our exclusive IDs (the peer cannot name what it has never
@@ -505,10 +489,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 	pts, _ := h.set.PointsForIDs(mineOnly)
 	ack := transport.NewEncoder()
 	ack.WriteBool(true)
-	ack.WriteUvarint(uint64(len(peerOnly)))
-	for _, id := range peerOnly {
-		ack.WriteUint64(id)
-	}
+	writeIDList(ack, peerOnly)
 	writePointList(ack, pts)
 	if err := conn.Send(ack); err != nil {
 		return err
@@ -605,49 +586,17 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	}
 	est := int(hint)
 	if hint == 0 {
-		remote, err := iblt.DecodeStrata(d, sc.Seed)
-		if err != nil {
-			return err
-		}
-		if est, err = snap.Strata.Estimate(remote); err != nil {
+		if est, err = diffEstimate(d, sc.Seed, snap.Strata); err != nil {
 			return err
 		}
 	} else if hint > iblt.MaxDiff {
 		return fmt.Errorf("netproto: repair hint %d exceeds limit %d", hint, iblt.MaxDiff)
 	}
-	if est > iblt.MaxDiff {
-		return fmt.Errorf("netproto: repair difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
+	ack, diffBound, err := diffRespond(conn, sc.Seed, repairSalt, snap.IDs, est)
+	if err != nil {
+		return err
 	}
-	diffBound := est*2 + 8
-	var d2 *transport.Decoder
-	for attempt := 0; ; attempt++ {
-		if diffBound > iblt.MaxDiff {
-			return fmt.Errorf("netproto: repair IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
-		}
-		seed := sc.Seed + 0x4e9a + uint64(attempt)*0x9e37
-		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, snap.IDs)
-		e := transport.NewEncoder()
-		e.WriteUvarint(uint64(attempt))
-		tbl.Encode(e)
-		if err := conn.Send(e); err != nil {
-			return err
-		}
-		if d2, err = conn.Recv(); err != nil {
-			return err
-		}
-		ok, err := d2.ReadBool()
-		if err != nil {
-			return err
-		}
-		if ok {
-			break
-		}
-		if attempt >= maxRetries {
-			return fmt.Errorf("netproto: repair ID sync failed after %d attempts", attempt+1)
-		}
-		diffBound *= 2
-	}
-	wanted, err := readIDList(d2)
+	wanted, err := readIDList(ack)
 	if err != nil {
 		return err
 	}
@@ -658,7 +607,7 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	if len(wanted) > diffBound {
 		return fmt.Errorf("netproto: repair wanted-ID count %d exceeds negotiated bound %d", len(wanted), diffBound)
 	}
-	theirPts, err := readPointList(d2)
+	theirPts, err := readPointList(ack)
 	if err != nil {
 		return err
 	}

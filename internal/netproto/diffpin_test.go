@@ -1,0 +1,184 @@
+package netproto
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"sync"
+	"testing"
+
+	"repro/internal/live"
+	"repro/internal/metric"
+	"repro/internal/transport"
+)
+
+// frameHasher is a transport.Conn that folds every frame it sends —
+// exact bit count, then payload bytes — into a running SHA-256 before
+// handing an identical frame to the wrapped conn, and counts the frames.
+type frameHasher struct {
+	transport.Conn
+	sum    hash.Hash
+	frames int
+}
+
+func (c *frameHasher) Send(e *transport.Encoder) error {
+	data, bits := e.Pack()
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(bits))
+	c.sum.Write(n[:])
+	c.sum.Write(data)
+	c.frames++
+	fwd := transport.NewEncoder()
+	fwd.WriteBitString(data, bits)
+	return c.Conn.Send(fwd)
+}
+
+// wirePin is one exchange's pinned traffic: the SHA-256 of every frame
+// each side sent, and how many frames the responder sent (one IBLT per
+// attempt, plus repair's point batch).
+type wirePin struct {
+	a2b, b2a  string
+	bobFrames int
+}
+
+// runHashed runs an initiator/responder pair directly over a pipe (no
+// session header) and returns both directions' frame hashes.
+func runHashed(t *testing.T, init, resp Handler) wirePin {
+	t.Helper()
+	aPipe, bPipe := transport.NewPipe()
+	alice := &frameHasher{Conn: aPipe, sum: sha256.New()}
+	bob := &frameHasher{Conn: bPipe, sum: sha256.New()}
+	var (
+		wg   sync.WaitGroup
+		bErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		bErr = resp.Run(bob)
+		bPipe.Close()
+	}()
+	aErr := init.Run(alice)
+	aPipe.Close()
+	wg.Wait()
+	if aErr != nil || bErr != nil {
+		t.Fatalf("initiator err %v, responder err %v", aErr, bErr)
+	}
+	return wirePin{
+		a2b:       hex.EncodeToString(alice.sum.Sum(nil)),
+		b2a:       hex.EncodeToString(bob.sum.Sum(nil)),
+		bobFrames: bob.frames,
+	}
+}
+
+func checkPin(t *testing.T, got, want wirePin) {
+	t.Helper()
+	if got.a2b != want.a2b {
+		t.Errorf("initiator→responder frames SHA-256 %s, pinned %s", got.a2b, want.a2b)
+	}
+	if got.b2a != want.b2a {
+		t.Errorf("responder→initiator frames SHA-256 %s, pinned %s", got.b2a, want.b2a)
+	}
+	if got.bobFrames != want.bobFrames {
+		t.Errorf("responder sent %d frames, pinned %d", got.bobFrames, want.bobFrames)
+	}
+}
+
+// TestSyncWirePinned pins the SHA-256 of every frame a sync exchange
+// (proto 3) sends in each direction, against both the frozen and the
+// live responder, which must speak identical bytes. IDs are point
+// fingerprints, so one point set feeds both. The stall case is a set
+// pair whose first IBLT does not peel, so the doubling path is pinned
+// too. The values were captured once and must never change without a
+// protocol bump.
+func TestSyncWirePinned(t *testing.T) {
+	space := metric.HammingCube(32)
+	for _, c := range []struct {
+		name                 string
+		seed                 uint64
+		shared, onlyA, onlyB int
+		want                 wirePin
+	}{
+		{"diff", 0x5a, 300, 14, 9, wirePin{
+			a2b:       "fb0a5ff3e3a81b8f79bf8a15d88dada0426ed5f671145f811564dd3e8850b188",
+			b2a:       "b7ff81b366e1475a32b1412c3e38d715b23586eddeba1c0442f014500d9af89f",
+			bobFrames: 1,
+		}},
+		{"stall", 39, 64, 40, 30, wirePin{
+			a2b:       "bda85482de0e5ee1a8c3b6cf67e2b4ff509e3e67640608cdf504cad93f8df04a",
+			b2a:       "dabf54922e2505b197c27d7a7b10b90ab258fafd73fe4692e1a07b6fc5ac572b",
+			bobFrames: 2,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := SyncParams{Seed: c.seed}
+			base := clusterPoints(space, c.shared, c.seed+1)
+			ptsA := append(base.Clone(), clusterPoints(space, c.onlyA, c.seed+2)...)
+			ptsB := append(base.Clone(), clusterPoints(space, c.onlyB, c.seed+3)...)
+			mine, theirs := live.IDsOf(p.Seed, ptsA), live.IDsOf(p.Seed, ptsB)
+			ls := newSyncSet(t, space, ptsB, p.Seed)
+			liveFactory, err := NewLiveSyncResponderFactory(p, ls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, resp := range []Handler{NewSyncResponder(p, theirs), liveFactory()} {
+				init := NewSyncInitiator(p, mine)
+				checkPin(t, runHashed(t, init, resp), c.want)
+				if len(init.TheirsOnly) != c.onlyB || len(init.MinesOnly) != c.onlyA {
+					t.Errorf("%T: learned %d/%d, want %d/%d",
+						resp, len(init.TheirsOnly), len(init.MinesOnly), c.onlyB, c.onlyA)
+				}
+			}
+		})
+	}
+}
+
+// TestRepairWirePinned pins the SHA-256 of every frame a repair
+// exchange (proto 7) sends in each direction: opened with a strata,
+// opened with a hint, and opened with a hint of 1 against 200 differing
+// IDs, whose first table stalls so the doubling path is pinned.
+func TestRepairWirePinned(t *testing.T) {
+	space := metric.HammingCube(32)
+	for _, c := range []struct {
+		name         string
+		hint         int
+		onlyA, onlyB int
+		want         wirePin
+	}{
+		{"strata", 0, 11, 7, wirePin{
+			a2b:       "62f8591c45c5dfaf1256f909659698c88a222e728d927dc974f0d0320dfc1c5a",
+			b2a:       "5b03d6200cc641827b0f49e21d2a175f139cf42f5b7e36399a8d6359fa5f6680",
+			bobFrames: 2,
+		}},
+		{"hint", 24, 11, 7, wirePin{
+			a2b:       "65d90b78d72bb23a5f48d4cff118f244e2223bab5686375ba01dba69167cc9fb",
+			b2a:       "2885813089195b75354a5768768e3244560f3b5f61b28dba7a298fe8937fa38b",
+			bobFrames: 2,
+		}},
+		{"stall", 1, 110, 90, wirePin{
+			a2b:       "e5b6e172273baae3ed639de27002759ade6e3396ce3fbae69a7e7b93cef2b64e",
+			b2a:       "4be3a5e15f7475b801af7dbbe12c41d660c270f473ecca946a5cbe2281b29bce",
+			bobFrames: 6,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 0x7e
+			base := clusterPoints(space, 120, 0x71)
+			a := newSyncSet(t, space, append(base.Clone(), clusterPoints(space, c.onlyA, 0x72)...), seed)
+			b := newSyncSet(t, space, append(base.Clone(), clusterPoints(space, c.onlyB, 0x73)...), seed)
+			init, err := NewRepairInitiator(a, c.hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			factory, err := NewRepairResponderFactory(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPin(t, runHashed(t, init, factory()), c.want)
+			if init.Sent != c.onlyA || init.Received != c.onlyB {
+				t.Errorf("sent %d / received %d points, want %d / %d", init.Sent, init.Received, c.onlyA, c.onlyB)
+			}
+		})
+	}
+}

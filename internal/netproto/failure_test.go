@@ -11,11 +11,10 @@ import (
 	"repro/internal/emd"
 	"repro/internal/gap"
 	"repro/internal/metric"
-	"repro/internal/setsets"
 )
 
 // failureHandlers returns one handler per (protocol, role) across all
-// four registered protocols, bound to small valid fixtures — the matrix
+// frozen-set protocols, bound to small valid fixtures — the matrix
 // the disconnect and truncation tests run over.
 func failureHandlers(t *testing.T) map[string]Handler {
 	t.Helper()
@@ -28,16 +27,13 @@ func failureHandlers(t *testing.T) map[string]Handler {
 		pt[i] = 1
 		pts[i] = pt
 	}
-	kids := []setsets.Child{{Payload: []byte{1, 2, 3, 4}}}
 	return map[string]Handler{
-		"emd/alice":     NewEMDSender(emdP, pts),
-		"emd/bob":       NewEMDReceiver(emdP, pts),
-		"gap/alice":     NewGapSender(gapP, pts),
-		"gap/bob":       NewGapReceiver(gapP, pts),
-		"sync/alice":    NewSyncInitiator(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
-		"sync/bob":      NewSyncResponder(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
-		"setsets/alice": NewSetSetsInitiator(setsets.Params{PayloadBytes: 4, Seed: 6}, kids),
-		"setsets/bob":   NewSetSetsResponder(setsets.Params{PayloadBytes: 4, Seed: 6}, kids),
+		"emd/alice":  NewEMDSender(emdP, pts),
+		"emd/bob":    NewEMDReceiver(emdP, pts),
+		"gap/alice":  NewGapSender(gapP, pts),
+		"gap/bob":    NewGapReceiver(gapP, pts),
+		"sync/alice": NewSyncInitiator(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
+		"sync/bob":   NewSyncResponder(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
 	}
 }
 

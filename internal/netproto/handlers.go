@@ -6,7 +6,6 @@ import (
 	"repro/internal/hashx"
 	"repro/internal/iblt"
 	"repro/internal/metric"
-	"repro/internal/setsets"
 	"repro/internal/transport"
 )
 
@@ -14,7 +13,6 @@ func init() {
 	RegisterProto(ProtoEMD, "emd")
 	RegisterProto(ProtoGap, "gap")
 	RegisterProto(ProtoSync, "sync")
-	RegisterProto(ProtoSetSets, "setsets")
 }
 
 // ---------------------------------------------------------------------------
@@ -78,20 +76,6 @@ func DigestSync(p SyncParams) uint64 {
 	h := m.Hash(p.Seed)
 	h = m.Hash(h ^ iblt.StrataCells)
 	h = m.Hash(h ^ maxRetries)
-	return h
-}
-
-// DigestSetSets folds setsets.Params both parties must agree on (after
-// defaulting, so a zero and an explicit default configuration agree).
-func DigestSetSets(p setsets.Params) uint64 {
-	p.ApplyDefaults()
-	m := hashx.MixerFromSeed(0xe55e75)
-	h := m.Hash(uint64(p.PayloadBytes))
-	h = m.Hash(h ^ p.Seed)
-	h = m.Hash(h ^ uint64(p.StrataCells))
-	h = m.Hash(h ^ uint64(p.Q))
-	h = m.Hash(h ^ uint64(p.MaxRetries))
-	h = m.Hash(h ^ uint64(int64(p.SafetyFactor*1000)))
 	return h
 }
 
@@ -266,7 +250,13 @@ func (h *GapReceiver) Run(conn transport.Conn) error {
 }
 
 // ---------------------------------------------------------------------------
-// Classic exact ID reconciliation (strata + IBLT + repair).
+// Classic exact ID reconciliation (strata + IBLT + repair): the
+// difference exchange of protocols.go, opened with a strata estimator
+// and acked with the IDs only the initiator holds.
+//
+//	initiator → responder: strata of the initiator's IDs
+//	                       the difference exchange, salt syncSalt
+//	initiator → responder: ack: true, uvarint n, n 64-bit IDs
 
 // SyncInitiator is the initiating Sync handler; TheirsOnly and MinesOnly
 // are populated by Run.
@@ -291,10 +281,22 @@ func (h *SyncInitiator) Role() Role { return RoleAlice }
 // Digest implements Handler.
 func (h *SyncInitiator) Digest() uint64 { return DigestSync(h.Params) }
 
-// Run implements Handler.
+// Run implements Handler: open with a strata estimator of the IDs, run
+// the difference exchange, and ack with the IDs only this side holds.
 func (h *SyncInitiator) Run(conn transport.Conn) error {
-	theirs, mine, err := runSyncInitiator(conn, h.Params, h.IDs)
+	e := transport.NewEncoder()
+	iblt.NewStrataFromKeys(iblt.StrataCells, h.Params.Seed, h.IDs).Encode(e)
+	if err := conn.Send(e); err != nil {
+		return err
+	}
+	theirs, mine, err := diffInitiate(conn, h.Params.Seed, syncSalt, h.IDs)
 	if err != nil {
+		return err
+	}
+	ack := transport.NewEncoder()
+	ack.WriteBool(true)
+	writeIDList(ack, mine)
+	if err := conn.Send(ack); err != nil {
 		return err
 	}
 	h.TheirsOnly, h.MinesOnly = theirs, mine
@@ -325,7 +327,8 @@ func (h *SyncResponder) Digest() uint64 { return DigestSync(h.Params) }
 
 // Run implements Handler.
 func (h *SyncResponder) Run(conn transport.Conn) error {
-	theirs, err := runSyncResponder(conn, h.Params, h.IDs)
+	local := iblt.NewStrataFromKeys(iblt.StrataCells, h.Params.Seed, h.IDs)
+	theirs, err := respondSync(conn, h.Params.Seed, h.IDs, local)
 	if err != nil {
 		return err
 	}
@@ -333,65 +336,22 @@ func (h *SyncResponder) Run(conn transport.Conn) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Multiset-of-sets reconciliation (Theorem E.1).
-
-// SetSetsInitiator is the setsets Alice: after Run, Result holds the
-// child-level difference.
-type SetSetsInitiator struct {
-	Params   setsets.Params
-	Children []setsets.Child
-	Result   setsets.Result
-}
-
-// NewSetSetsInitiator binds the recovering side of multiset-of-sets
-// reconciliation to its children.
-func NewSetSetsInitiator(p setsets.Params, children []setsets.Child) *SetSetsInitiator {
-	return &SetSetsInitiator{Params: p, Children: children}
-}
-
-// Proto implements Handler.
-func (h *SetSetsInitiator) Proto() Proto { return ProtoSetSets }
-
-// Role implements Handler.
-func (h *SetSetsInitiator) Role() Role { return RoleAlice }
-
-// Digest implements Handler.
-func (h *SetSetsInitiator) Digest() uint64 { return DigestSetSets(h.Params) }
-
-// Run implements Handler.
-func (h *SetSetsInitiator) Run(conn transport.Conn) error {
-	res, err := setsets.RunAlice(h.Params, conn, h.Children)
+// respondSync answers one sync session for ids, whose strata estimator
+// (geometry iblt.StrataCells, seed) is local: it reads the initiator's
+// estimator, serves the difference exchange, and returns the IDs only
+// the initiator holds, read from its ack.
+func respondSync(conn transport.Conn, seed uint64, ids []uint64, local *iblt.Strata) ([]uint64, error) {
+	d, err := conn.Recv()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h.Result = res
-	return nil
-}
-
-// SetSetsResponder is the setsets Bob: it serves its multiset so the
-// initiator can recover the difference.
-type SetSetsResponder struct {
-	Params   setsets.Params
-	Children []setsets.Child
-}
-
-// NewSetSetsResponder binds the serving side of multiset-of-sets
-// reconciliation to its children.
-func NewSetSetsResponder(p setsets.Params, children []setsets.Child) *SetSetsResponder {
-	return &SetSetsResponder{Params: p, Children: children}
-}
-
-// Proto implements Handler.
-func (h *SetSetsResponder) Proto() Proto { return ProtoSetSets }
-
-// Role implements Handler.
-func (h *SetSetsResponder) Role() Role { return RoleBob }
-
-// Digest implements Handler.
-func (h *SetSetsResponder) Digest() uint64 { return DigestSetSets(h.Params) }
-
-// Run implements Handler.
-func (h *SetSetsResponder) Run(conn transport.Conn) error {
-	return setsets.RunBob(h.Params, conn, h.Children)
+	est, err := diffEstimate(d, seed, local)
+	if err != nil {
+		return nil, err
+	}
+	ack, _, err := diffRespond(conn, seed, syncSalt, ids, est)
+	if err != nil {
+		return nil, err
+	}
+	return readIDList(ack)
 }

@@ -325,6 +325,6 @@ func (h *LiveSyncResponder) Digest() uint64 { return DigestSync(h.params) }
 // Run implements Handler.
 func (h *LiveSyncResponder) Run(conn transport.Conn) error {
 	h.Epoch = h.snap.Epoch
-	_, err := runSyncResponderWith(conn, h.params, h.snap.IDs, h.snap.Strata)
+	_, err := respondSync(conn, h.params.Seed, h.snap.IDs, h.snap.Strata)
 	return err
 }

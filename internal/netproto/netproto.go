@@ -13,6 +13,12 @@
 // header (header.go) carries a parameter digest that both ends validate
 // before any protocol traffic flows, failing fast on mismatch instead of
 // producing garbage.
+//
+// Sync (ProtoSync) and repair (ProtoRepair) share one exact-ID
+// difference exchange (protocols.go): a strata-sized IBLT that the
+// responder doubles on every stall. Each protocol adds only its opening
+// and its ack. The exchange's wire diagram is in protocols.go, sync's in
+// handlers.go, repair's in cluster.go.
 package netproto
 
 import (

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"sort"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/metric"
 	"repro/internal/rng"
-	"repro/internal/setsets"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -104,6 +104,20 @@ func TestHeaderDigestMismatch(t *testing.T) {
 	}
 }
 
+// TestRegisteredProtos pins the protocol table. No ID moves, and ID 4,
+// once multiset-of-sets reconciliation as a peer protocol, stays unused.
+func TestRegisteredProtos(t *testing.T) {
+	got := fmt.Sprint(Protos())
+	if want := "[emd gap sync live-emd probe repair gossip]"; got != want {
+		t.Errorf("registered protocols %s, want %s", got, want)
+	}
+	for id, name := range map[Proto]string{1: "emd", 3: "sync", 4: "proto(4)", 7: "repair"} {
+		if id.String() != name {
+			t.Errorf("proto %d is %q, want %q", uint8(id), id.String(), name)
+		}
+	}
+}
+
 func TestHeaderProtoMismatch(t *testing.T) {
 	a, b := duplex()
 	defer a.Close()
@@ -113,7 +127,7 @@ func TestHeaderProtoMismatch(t *testing.T) {
 		_, err := RunInitiator(a, NewSyncInitiator(SyncParams{Seed: 1}, nil))
 		errc <- err
 	}()
-	_, err2 := RunResponder(b, NewSetSetsResponder(setsets.Params{PayloadBytes: 4, Seed: 1}, nil))
+	_, err2 := RunResponder(b, NewEMDReceiver(emd.DefaultParams(emdSpace(), 8, 2, 1), nil))
 	err1 := <-errc
 	if err1 == nil || err2 == nil {
 		t.Errorf("protocol mismatch accepted: %v / %v", err1, err2)

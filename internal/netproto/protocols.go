@@ -64,9 +64,6 @@ type SyncParams struct {
 	Seed uint64
 }
 
-// maxRetries bounds the IBLT doubling rounds of sync and repair.
-const maxRetries = 6
-
 // SyncInitiatorFunc reconciles its ID set against a responder: afterwards
 // both sides know the full symmetric difference. theirsOnly holds IDs
 // only the responder has; minesOnly those only the initiator has.
@@ -89,18 +86,52 @@ func SyncResponderFunc(rw io.ReadWriter, p SyncParams, ids []uint64) (theirsOnly
 	return h.TheirsOnly, nil
 }
 
-// runSyncInitiator is the initiator state machine, driven by the session
-// engine over any transport.Conn.
+// ---------------------------------------------------------------------------
+// The exact-ID difference exchange. Sync (ProtoSync) and repair
+// (ProtoRepair) differ only in how they open and what their ack carries;
+// between the two, both run this one exchange, each with its own
+// table-seed salt:
 //
-// Wire: [strata] → ; ← [IBLT, attempt i] ; [ack + minesOnly] → (repeat
-// on nack with doubled size).
-func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly, minesOnly []uint64, err error) {
-	st := iblt.NewStrataFromKeys(iblt.StrataCells, p.Seed, ids)
-	e := transport.NewEncoder()
-	st.Encode(e)
-	if err := conn.Send(e); err != nil {
-		return nil, nil, err
+//	initiator → responder: the protocol's opening (a strata estimator)
+//	responder → initiator: uvarint attempt, IBLT of responder's IDs ─┐ repeat on
+//	initiator → responder: false                                    ─┘ a stall
+//	initiator → responder: true, then the protocol's ack
+//
+// The responder sizes its first table for 2·estimate+8 differences and
+// doubles the bound on every stall, at most maxRetries times; attempt
+// i's table is seeded seed+salt+i·0x9e37, so each retry draws a fresh
+// hypergraph. The initiator deletes its own IDs from the table and
+// peels it into the IDs only the peer holds and those only it holds.
+
+const (
+	// syncSalt and repairSalt offset the table seeds of sync and repair.
+	syncSalt   = 0x51ab
+	repairSalt = 0x4e9a
+
+	// maxRetries bounds the IBLT doublings of the difference exchange.
+	maxRetries = 6
+)
+
+// diffSeed is the table seed of one attempt.
+func diffSeed(seed, salt uint64, attempt int) uint64 {
+	return seed + salt + uint64(attempt)*0x9e37
+}
+
+// diffEstimate reads a peer's strata estimator from d and estimates the
+// difference against local, which it only reads (Estimate clones).
+func diffEstimate(d *transport.Decoder, seed uint64, local *iblt.Strata) (int, error) {
+	remote, err := iblt.DecodeStrata(d, seed)
+	if err != nil {
+		return 0, err
 	}
+	return local.Estimate(remote)
+}
+
+// diffInitiate answers the responder's tables with ids until one peels,
+// and returns the IDs only the peer holds and those only ids holds. It
+// sends nothing for the table that peeled: the caller's ack, which
+// begins with true, answers it.
+func diffInitiate(conn transport.Conn, seed, salt uint64, ids []uint64) (peerOnly, mineOnly []uint64, err error) {
 	for attempt := 0; ; attempt++ {
 		d, err := conn.Recv()
 		if err != nil {
@@ -109,8 +140,7 @@ func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOn
 		if _, err := d.ReadUvarint(); err != nil {
 			return nil, nil, err
 		}
-		seed := p.Seed + 0x51ab + uint64(attempt)*0x9e37
-		tbl, err := iblt.DecodeFrom(d, seed)
+		tbl, err := iblt.DecodeFrom(d, diffSeed(seed, salt, attempt))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -118,94 +148,55 @@ func runSyncInitiator(conn transport.Conn, p SyncParams, ids []uint64) (theirsOn
 			tbl.Delete(id)
 		}
 		added, removed, decErr := tbl.Decode()
-		e := transport.NewEncoder()
-		e.WriteBool(decErr == nil)
-		if decErr == nil {
-			e.WriteUvarint(uint64(len(removed)))
-			for _, id := range removed {
-				e.WriteUint64(id)
-			}
-		}
-		if err := conn.Send(e); err != nil {
-			return nil, nil, err
-		}
 		if decErr == nil {
 			return added, removed, nil
 		}
+		e := transport.NewEncoder()
+		e.WriteBool(false)
+		if err := conn.Send(e); err != nil {
+			return nil, nil, err
+		}
 		if attempt >= maxRetries {
-			return nil, nil, fmt.Errorf("netproto: sync failed after %d attempts", attempt+1)
+			return nil, nil, fmt.Errorf("netproto: ID difference failed after %d attempts", attempt+1)
 		}
 	}
 }
 
-// runSyncResponder is the responder state machine.
-func runSyncResponder(conn transport.Conn, p SyncParams, ids []uint64) (theirsOnly []uint64, err error) {
-	return runSyncResponderWith(conn, p, ids,
-		iblt.NewStrataFromKeys(iblt.StrataCells, p.Seed, ids))
-}
-
-// runSyncResponderWith is runSyncResponder with the local strata
-// estimator supplied by the caller — the live serving path, where a Set
-// maintains the estimator incrementally instead of rebuilding it from
-// every ID each session. local must cover exactly ids with geometry
-// (iblt.StrataCells, p.Seed); it is only read (Estimate clones). A
-// peer's estimator that asks for more than iblt.MaxDiff differences is
-// refused before any table is allocated.
-func runSyncResponderWith(conn transport.Conn, p SyncParams, ids []uint64, local *iblt.Strata) (theirsOnly []uint64, err error) {
-	d, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	remote, err := iblt.DecodeStrata(d, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	est, err := local.Estimate(remote)
-	if err != nil {
-		return nil, err
-	}
+// diffRespond serves tables of ids, the first sized from the difference
+// estimate est, until the initiator peels one. It returns the ack frame
+// positioned after its true, and the difference bound of the table that
+// peeled: an honest ack names no more IDs than that. An estimate or a
+// doubled bound above iblt.MaxDiff is refused before any table is
+// built.
+func diffRespond(conn transport.Conn, seed, salt uint64, ids []uint64, est int) (ack *transport.Decoder, diffBound int, err error) {
 	if est > iblt.MaxDiff {
-		return nil, fmt.Errorf("netproto: sync difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
+		return nil, 0, fmt.Errorf("netproto: difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
 	}
-	diffBound := est*2 + 8
+	diffBound = est*2 + 8
 	for attempt := 0; ; attempt++ {
 		if diffBound > iblt.MaxDiff {
-			return nil, fmt.Errorf("netproto: sync IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
+			return nil, 0, fmt.Errorf("netproto: IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
 		}
-		seed := p.Seed + 0x51ab + uint64(attempt)*0x9e37
-		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, seed, ids)
+		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, diffSeed(seed, salt, attempt), ids)
 		e := transport.NewEncoder()
 		e.WriteUvarint(uint64(attempt))
 		tbl.Encode(e)
 		if err := conn.Send(e); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		d, err := conn.Recv()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		ok, err := d.ReadBool()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ok {
-			n, err := d.ReadUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > uint64(maxFrame/8) {
-				return nil, fmt.Errorf("netproto: implausible repair size %d", n)
-			}
-			out := make([]uint64, n)
-			for i := range out {
-				if out[i], err = d.ReadUint64(); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
+			return d, diffBound, nil
 		}
 		if attempt >= maxRetries {
-			return nil, fmt.Errorf("netproto: sync failed after %d attempts", attempt+1)
+			return nil, 0, fmt.Errorf("netproto: ID difference failed after %d attempts", attempt+1)
 		}
 		diffBound *= 2
 	}

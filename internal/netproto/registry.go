@@ -21,12 +21,13 @@ const (
 	ProtoGap Proto = 2
 	// ProtoSync is classic exact ID reconciliation (strata + IBLT).
 	ProtoSync Proto = 3
-	// ProtoSetSets is multiset-of-sets reconciliation (Theorem E.1).
-	ProtoSetSets Proto = 4
+	// ID 4 was multiset-of-sets reconciliation as a peer protocol; it
+	// stays unused, so an old peer's hello for it is refused as
+	// unknown rather than misread.
 )
 
 // Role is the side of a protocol an endpoint plays. Alice is the side
-// that speaks first (the EMD/Gap sender, the Sync/SetSets initiator),
+// that speaks first (the EMD/Gap sender, the Sync/Repair initiator),
 // Bob the side that answers.
 type Role uint8
 

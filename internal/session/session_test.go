@@ -14,7 +14,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/netproto"
 	"repro/internal/rng"
-	"repro/internal/setsets"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -31,15 +30,11 @@ type testFixture struct {
 	gapSB     metric.PointSet
 	gapSpace  metric.Space
 
-	syncParams    netproto.SyncParams
-	serverIDs     []uint64
-	clientIDs     []uint64
-	wantTheirs    int // IDs only the server has
-	wantMine      int // IDs only the client has
-	ssParams      setsets.Params
-	serverKids    []setsets.Child
-	clientKids    []setsets.Child
-	wantKidsDelta int
+	syncParams netproto.SyncParams
+	serverIDs  []uint64
+	clientIDs  []uint64
+	wantTheirs int // IDs only the server has
+	wantMine   int // IDs only the client has
 }
 
 func newFixture(t *testing.T) *testFixture {
@@ -71,41 +66,21 @@ func newFixture(t *testing.T) *testFixture {
 	f.clientIDs = append(append([]uint64{}, shared...), 100, 200, 300)
 	f.wantTheirs = 7
 	f.wantMine = 3
-
-	f.ssParams = setsets.Params{PayloadBytes: 8, Seed: 47}
-	mkChild := func(tag uint64) setsets.Child {
-		p := make([]byte, 8)
-		for i := range p {
-			p[i] = byte(tag >> (8 * i))
-		}
-		return setsets.Child{Payload: p}
-	}
-	for i := uint64(0); i < 60; i++ {
-		c := mkChild(i)
-		f.serverKids = append(f.serverKids, c)
-		f.clientKids = append(f.clientKids, c)
-	}
-	for i := uint64(0); i < 4; i++ {
-		f.serverKids = append(f.serverKids, mkChild(1000+i))
-		f.clientKids = append(f.clientKids, mkChild(2000+i))
-	}
-	f.wantKidsDelta = 4
 	return f
 }
 
-// newTestServer builds a server exposing all four protocols over the
-// fixture's data, mirroring what cmd/reconciled serves.
+// newTestServer builds a server exposing the frozen-set protocols over
+// the fixture's data.
 func newTestServer(f *testFixture, cfg Config) *Server {
 	srv := NewServer(cfg)
 	srv.Handle(func() netproto.Handler { return netproto.NewEMDSender(f.emdParams, f.emdSA) })
 	srv.Handle(func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
 	srv.Handle(func() netproto.Handler { return netproto.NewSyncResponder(f.syncParams, f.serverIDs) })
-	srv.Handle(func() netproto.Handler { return netproto.NewSetSetsResponder(f.ssParams, f.serverKids) })
 	return srv
 }
 
 // TestServerConcurrentSessions is the acceptance test for the session
-// engine: one server, 12 simultaneous client sessions across all four
+// engine: one server, 9 simultaneous client sessions across three
 // protocols over real TCP sockets, all results verified, aggregate
 // stats consistent. Run with -race in CI.
 func TestServerConcurrentSessions(t *testing.T) {
@@ -158,19 +133,8 @@ func TestServerConcurrentSessions(t *testing.T) {
 		}
 		return nil
 	}
-	ssJob := func() error {
-		h := netproto.NewSetSetsInitiator(f.ssParams, f.clientKids)
-		if _, err := d.Do(h); err != nil {
-			return err
-		}
-		if len(h.Result.BobOnly) != f.wantKidsDelta || len(h.Result.AliceOnly) != f.wantKidsDelta {
-			return fmt.Errorf("setsets: got %d/%d differing children, want %d/%d",
-				len(h.Result.BobOnly), len(h.Result.AliceOnly), f.wantKidsDelta, f.wantKidsDelta)
-		}
-		return nil
-	}
 
-	jobs := []job{emdJob, gapJob, syncJob, ssJob, emdJob, gapJob, syncJob, ssJob, emdJob, gapJob, syncJob, ssJob}
+	jobs := []job{emdJob, gapJob, syncJob, emdJob, gapJob, syncJob, emdJob, gapJob, syncJob}
 	if len(jobs) < 8 {
 		t.Fatal("need at least 8 simultaneous sessions")
 	}

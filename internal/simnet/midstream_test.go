@@ -11,7 +11,6 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/rng"
 	"repro/internal/session"
-	"repro/internal/setsets"
 	"repro/internal/simnet"
 	"repro/internal/simnet/scenario"
 	"repro/internal/workload"
@@ -62,7 +61,6 @@ func matrixCases() []protoCase {
 	emdP := emd.Params{Space: space, N: 16, K: 2, D1: 2, D2: 64, Seed: 3}
 	gapSpace := metric.HammingCube(128)
 	gapP := gap.Params{Space: gapSpace, N: 12, R1: 2, R2: 32, Seed: 4}
-	ssP := setsets.Params{PayloadBytes: 8, Seed: 6}
 
 	pts := func(space metric.Space, n int, seed uint64) metric.PointSet {
 		return workload.RandomSet(space, n, rng.New(seed))
@@ -74,17 +72,6 @@ func matrixCases() []protoCase {
 			out[i] = src.Uint64()
 		}
 		return append(out, extra...)
-	}
-	kids := func(tags ...uint64) []setsets.Child {
-		out := make([]setsets.Child, len(tags))
-		for i, tag := range tags {
-			p := make([]byte, 8)
-			for j := range p {
-				p[j] = byte(tag >> (8 * j))
-			}
-			out[i] = setsets.Child{Payload: p}
-		}
-		return out
 	}
 
 	return []protoCase{
@@ -103,10 +90,6 @@ func matrixCases() []protoCase {
 			p := netproto.SyncParams{Seed: 5}
 			return func() netproto.Handler { return netproto.NewSyncResponder(p, ids(31, 50, 1, 2, 3)) },
 				netproto.NewSyncInitiator(p, ids(31, 50, 7, 8))
-		}},
-		{"setsets", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
-			return func() netproto.Handler { return netproto.NewSetSetsResponder(ssP, kids(1, 2, 3, 4)) },
-				netproto.NewSetSetsInitiator(ssP, kids(1, 2, 5))
 		}},
 		{"live-emd", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
 			srvLS, cliLS := liveSets(t, true)

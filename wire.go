@@ -77,10 +77,9 @@ type Proto = netproto.Proto
 
 // The negotiable protocols.
 const (
-	ProtoEMD     = netproto.ProtoEMD
-	ProtoGap     = netproto.ProtoGap
-	ProtoSync    = netproto.ProtoSync
-	ProtoSetSets = netproto.ProtoSetSets
+	ProtoEMD  = netproto.ProtoEMD
+	ProtoGap  = netproto.ProtoGap
+	ProtoSync = netproto.ProtoSync
 )
 
 // Role is the side of a protocol an endpoint plays.
