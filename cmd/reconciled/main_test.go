@@ -199,10 +199,12 @@ func TestCrashKillRecovery(t *testing.T) {
 		t.Fatalf("recovered ID fingerprint %016x != journal ground truth %016x",
 			ls.IDFingerprint(), truth.IDFingerprint())
 	}
-	truthSnap, recoveredSnap := truth.Snapshot(), ls.Snapshot()
-	if truthSnap.EMDFingerprint != recoveredSnap.EMDFingerprint {
+	truthSnap := truth.Snapshot()
+	_, truthFP := truthSnap.EMDWire()
+	_, recoveredFP := ls.Snapshot().EMDWire()
+	if truthFP != recoveredFP {
 		t.Fatalf("recovered EMD sketch fingerprint %016x != journal ground truth %016x",
-			recoveredSnap.EMDFingerprint, truthSnap.EMDFingerprint)
+			recoveredFP, truthFP)
 	}
 
 	// Re-convergence: a peer holds the same converged content plus a

@@ -277,9 +277,11 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 			want = snap
 			continue
 		}
-		if snap.IDFingerprint != want.IDFingerprint || snap.EMDFingerprint != want.EMDFingerprint {
+		_, fp := snap.EMDWire()
+		_, wantFP := want.EMDWire()
+		if snap.IDFingerprint != want.IDFingerprint || fp != wantFP {
 			t.Fatalf("node %d alpha fingerprints id=%#x emd=%#x, node 0 has id=%#x emd=%#x",
-				i, snap.IDFingerprint, snap.EMDFingerprint, want.IDFingerprint, want.EMDFingerprint)
+				i, snap.IDFingerprint, fp, want.IDFingerprint, wantFP)
 		}
 	}
 }

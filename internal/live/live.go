@@ -10,9 +10,10 @@
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
 // started mid-churn serves one consistent generation while new sessions
-// see the latest. Encodings derive from the snapshot once: the full EMD
-// message when it is built, the strata estimator's wire bits
-// (StrataWire) on first use. A bounded journal records which EMD cells
+// see the latest. Encodings derive from the snapshot once, on first
+// use: the full EMD message (EMDWire; built up front for sets without
+// Sync, whose probe reads its fingerprint) and the strata estimator's
+// wire bits (StrataWire). A bounded journal records which EMD cells
 // each epoch churned; DeltaCells answers "what changed since epoch e"
 // for the delta-sync fast path in internal/netproto, falling back to a
 // full transfer when e has aged out of the journal.
@@ -119,9 +120,11 @@ type Snapshot struct {
 	Points metric.PointSet
 	// EMD is the sketch (nil when disabled); treat as read-only.
 	EMD *emd.Sketch
-	// EMDMessage is the encoded full protocol message.
-	EMDMessage []byte
-	// EMDFingerprint hashes EMDMessage for divergence detection.
+	// EMDMessage is the encoded full protocol message, and
+	// EMDFingerprint hashes it for divergence detection. Both are set at
+	// construction only on sets without Sync, whose probe compares EMD
+	// fingerprints; EMDWire returns them for any set.
+	EMDMessage     []byte
 	EMDFingerprint uint64
 	// GapPayloads are the cached key payloads, aligned with Points.
 	GapPayloads [][]byte
@@ -140,6 +143,26 @@ type Snapshot struct {
 	strataOnce sync.Once
 	strataWire []byte
 	strataBits int64
+
+	emdOnce sync.Once
+	emdWire []byte
+	emdFP   uint64
+}
+
+// EMDWire returns the encoded full EMD message and its fingerprint, or
+// nil and 0 when EMD is disabled. It is encoded on first use and shared
+// by every later caller: a set with Sync is probed by ID fingerprint, so
+// an epoch nobody pulls a sketch from never pays for the encode. Safe
+// for concurrent use; the returned bytes must not be modified.
+func (snap *Snapshot) EMDWire() ([]byte, uint64) {
+	snap.emdOnce.Do(func() {
+		if snap.EMD == nil {
+			return
+		}
+		snap.emdWire = snap.EMD.Encode()
+		snap.emdFP = emd.FingerprintMessage(snap.emdWire)
+	})
+	return snap.emdWire, snap.emdFP
 }
 
 // StrataWire returns Strata's wire encoding — the bits Strata.Encode
@@ -522,8 +545,9 @@ func (s *Set) Snapshot() *Snapshot {
 	}
 	if s.sketch != nil {
 		snap.EMD = s.sketch.Clone()
-		snap.EMDMessage = snap.EMD.Encode()
-		snap.EMDFingerprint = emd.FingerprintMessage(snap.EMDMessage)
+		if s.strata == nil {
+			snap.EMDMessage, snap.EMDFingerprint = snap.EMDWire()
+		}
 	}
 	if s.strata != nil {
 		snap.IDs = make([]uint64, 0, len(s.entries))

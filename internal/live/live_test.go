@@ -92,7 +92,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(snap.EMDMessage, ref.Encode()) {
+		if msg, _ := snap.EMDWire(); !bytes.Equal(msg, ref.Encode()) {
 			t.Fatalf("op %d (size %d): incremental EMD sketch not wire-identical to from-scratch build",
 				op, len(mirror))
 		}
@@ -126,7 +126,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ls.Snapshot().EMDMessage, msg) {
+	if got, _ := ls.Snapshot().EMDWire(); !bytes.Equal(got, msg) {
 		t.Fatal("live sketch at capacity differs from BuildMessage wire bytes")
 	}
 }
@@ -325,5 +325,59 @@ func TestSnapshotStrataWireConcurrent(t *testing.T) {
 	}
 	if wire, bits := noSync.Snapshot().StrataWire(); wire != nil || bits != 0 {
 		t.Fatalf("set without Sync has a strata encoding of %d bits", bits)
+	}
+}
+
+// TestSnapshotEMDWire: a set with Sync encodes no EMD message until one
+// is asked for, and then every concurrent caller shares one encoding,
+// equal to encoding the sketch directly; a set without Sync encodes it
+// up front into EMDMessage and EMDFingerprint, which EMDWire returns.
+func TestSnapshotEMDWire(t *testing.T) {
+	cfg := testConfig()
+	emdP := *cfg.EMD
+	src := rng.New(6)
+	var pts metric.PointSet
+	for i := 0; i < 12; i++ {
+		pts = append(pts, randomPoint(emdP.Space, src))
+	}
+	withSync, err := NewSet(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := withSync.Snapshot()
+	if snap.EMDMessage != nil || snap.EMDFingerprint != 0 {
+		t.Fatal("a set with Sync encoded its EMD message up front")
+	}
+	want := snap.EMD.Encode()
+	const callers = 8
+	msgs := make([][]byte, callers)
+	fps := make([]uint64, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msgs[i], fps[i] = snap.EMDWire()
+		}(i)
+	}
+	wg.Wait()
+	for i := range msgs {
+		if !bytes.Equal(msgs[i], want) || fps[i] != emd.FingerprintMessage(want) {
+			t.Fatalf("caller %d: EMD wire differs from the sketch's encoding", i)
+		}
+		if &msgs[i][0] != &msgs[0][0] {
+			t.Fatalf("caller %d: encoding not shared", i)
+		}
+	}
+
+	cfg.Gap, cfg.Sync = nil, nil
+	emdOnly, err := NewSet(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := emdOnly.Snapshot()
+	msg, fp := eager.EMDWire()
+	if !bytes.Equal(eager.EMDMessage, want) || eager.EMDFingerprint != fp || !bytes.Equal(msg, want) {
+		t.Fatal("set without Sync: EMDMessage/EMDFingerprint disagree with EMDWire")
 	}
 }

@@ -90,7 +90,10 @@ type ProbeSummary struct {
 	Distinct int
 	// IDFingerprint is live.Snapshot.IDFingerprint (0 when Sync is off).
 	IDFingerprint uint64
-	// EMDFingerprint hashes the full EMD message (0 when EMD is off).
+	// EMDFingerprint hashes the full EMD message. It is 0 when EMD is
+	// off, and on a set with Sync, whose snapshot encodes no EMD message
+	// for a probe: Match compares ID fingerprints whenever both sides
+	// have Sync, and a side without it never matches one with it.
 	EMDFingerprint uint64
 	// Strata is the ID-difference estimator (nil when Sync is off).
 	// After a probe it is the local estimator itself when the peer's
@@ -622,6 +625,11 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	e := transport.NewEncoder()
 	writePointList(e, pts)
 	if err := conn.Send(e); err != nil {
+		return err
+	}
+	// The initiator is waiting for these points; it should not also
+	// wait for the merge.
+	if err := Flush(conn); err != nil {
 		return err
 	}
 	h.Sent = len(pts)

@@ -257,9 +257,10 @@ func InitiateMux(w *Wire) error {
 
 // PendingSession is a session whose hello has been sent but whose
 // accept has not yet been read: the initiator's opening protocol
-// frames travel in the same flight as the hello, saving one round trip
-// per session on a multiplexed carrier. The accept is validated lazily
-// — immediately before the first protocol frame is read via Conn, or
+// frames follow the hello without waiting, saving one round trip per
+// session on a multiplexed carrier, where the stream stages them all
+// and they share one socket write. The accept is validated lazily —
+// immediately before the first protocol frame is read via Conn, or
 // explicitly via Complete.
 type PendingSession struct {
 	w       *Wire
@@ -269,7 +270,9 @@ type PendingSession struct {
 }
 
 // InitiateSetPipelined sends the hello for h against the named set
-// without waiting for the peer's accept.
+// without waiting for the peer's accept. On a mux stream the hello is
+// staged, and leaves with the stream's open frame and the handler's
+// first protocol frames in one write when the handler first reads.
 func InitiateSetPipelined(w *Wire, h Handler, set string) (*PendingSession, error) {
 	if err := SendHello(w, Hello{Proto: h.Proto(), Role: h.Role(), Digest: h.Digest(), Set: set}); err != nil {
 		return nil, err
@@ -305,6 +308,8 @@ func (p *PendingSession) Conn() transport.Conn { return pendingConn{p} }
 type pendingConn struct{ p *PendingSession }
 
 func (c pendingConn) Send(e *transport.Encoder) error { return c.p.w.Send(e) }
+
+func (c pendingConn) Flush() error { return c.p.w.Flush() }
 
 func (c pendingConn) Recv() (*transport.Decoder, error) {
 	if err := c.p.Complete(); err != nil {

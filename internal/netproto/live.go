@@ -97,10 +97,11 @@ func (h *LiveEMDSender) Run(conn transport.Conn) error {
 	}
 	snap := h.snap
 	h.Epoch = snap.Epoch
-	mode, payload := liveModeFull, snap.EMDMessage
+	full, fp := snap.EMDWire()
+	mode, payload := liveModeFull, full
 	if peerEpoch > 0 {
 		if refs, ok := h.set.DeltaCells(peerEpoch, snap.Epoch); ok {
-			if delta := snap.EMD.EncodeCells(refs); len(delta) < len(snap.EMDMessage) {
+			if delta := snap.EMD.EncodeCells(refs); len(delta) < len(full) {
 				mode, payload = liveModeDelta, delta
 			}
 		}
@@ -110,7 +111,7 @@ func (h *LiveEMDSender) Run(conn transport.Conn) error {
 	e := transport.NewEncoder()
 	e.WriteUvarint(snap.Epoch)
 	e.WriteUvarint(uint64(mode))
-	e.WriteUint64(snap.EMDFingerprint)
+	e.WriteUint64(fp)
 	e.WriteBytes(payload)
 	return conn.Send(e)
 }

@@ -49,8 +49,10 @@ var wireMemPool = sync.Pool{New: func() any { return new(wireMem) }}
 // Wire adapts an io.ReadWriter to transport.Conn with length-prefixed
 // frames and local traffic accounting. The tallies are atomic, so a
 // server may snapshot Stats while the session is mid-protocol; Send and
-// Recv themselves may each be used by at most one goroutine at a time
-// (full-duplex use — one sender, one receiver — is fine).
+// Recv themselves may each be used by at most one goroutine at a time.
+// Full-duplex use — one sender, one receiver — is fine over a plain
+// byte stream, but not over a session's mux stream, whose receive
+// flushes the sends it staged: there one goroutine runs the session.
 //
 // Buffer ownership: a Decoder returned by Recv (and any bytes borrowed
 // from it via ReadBytesBorrow) is valid only until the next Recv or
@@ -113,8 +115,9 @@ func (w *Wire) Release() {
 }
 
 // Send implements transport.Conn: one frame = 4-byte big-endian length +
-// payload, coalesced into a single Write (the flush point is the frame
-// boundary). The encoder is consumed and recycled; the caller must not
+// payload, coalesced into a single Write. A stream that stages writes
+// (a session's mux stream) holds the frame until its owner's turn ends;
+// see Flush. The encoder is consumed and recycled; the caller must not
 // use it again.
 func (w *Wire) Send(e *transport.Encoder) error {
 	data, bits := e.Pack()
@@ -130,6 +133,27 @@ func (w *Wire) Send(e *transport.Encoder) error {
 	w.sent.Add(bits)
 	w.msgsSent.Add(1)
 	observeMax(&w.maxPayload, bits)
+	return nil
+}
+
+// Flush writes out the frames the underlying stream has staged, when it
+// stages them: a mux stream holds its owner's frames until the owner
+// reads or closes. On any other stream it does nothing.
+func (w *Wire) Flush() error {
+	if f, ok := w.rw.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
+// Flush flushes conn when it is a Wire, or a session's view of one; no
+// other connection stages frames. A handler that sends and then waits
+// on something other than its own stream — a merge, another session, a
+// channel — calls it first, or its peer waits too.
+func Flush(conn transport.Conn) error {
+	if f, ok := conn.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
 	return nil
 }
 

@@ -26,19 +26,30 @@ import (
 // A stream's concatenated data chunks are byte-identical to the byte
 // stream of a dedicated session connection: the session hello,
 // accept, and every protocol frame, in netproto.Wire's framing. Each
-// inner wire frame is written as exactly one mux data frame, so frame
-// boundaries — the flush points fault injection keys on — survive
-// multiplexing.
+// inner wire frame becomes exactly one mux data frame, so frame
+// boundaries survive multiplexing.
+//
+// Writes follow turns, not frames. A stream stages its outgoing frames
+// and writes them in one conn write when its owner's turn ends: when
+// the owner is about to block in Read with nothing buffered, when it
+// closes the stream, when a handler calls Flush, or once maxMuxStaged
+// bytes are staged. So one protocol turn is one socket write, and a
+// latency-priced link charges a session per round trip, not per frame.
+// The flush points depend only on the session's own frames, never on
+// timers, so a seed's byte offsets stay reproducible.
 //
 // Stream lifecycle: the dialer announces a fresh ID with an empty open
-// frame, written atomically with the ID assignment so open frames hit
-// the wire in strictly increasing ID order even when streams open
-// concurrently (the accepting demux distinguishes "new stream" from
-// "late frame for a forgotten stream" purely by that monotonicity);
-// the session hello follows as the stream's first data frame. Each
-// side sends one close frame when its half of the session is done and
-// forgets the stream as soon as it has closed locally — late frames
-// for a forgotten ID are dropped. Protocol violations (stream ID 0, a
+// frame, queued in pend atomically with the ID assignment so open
+// frames hit the wire in strictly increasing ID order even when
+// streams open concurrently (the accepting demux distinguishes "new
+// stream" from "late frame for a forgotten stream" purely by that
+// monotonicity); the session hello follows as the stream's first data
+// frame, in the same write. Each side sends at most one close frame
+// and forgets the stream as soon as it has closed locally — late frames
+// for a forgotten ID are dropped. A clean initiator's close rides its
+// last staged frames, or waits in pend for the carrier's next write; a
+// clean responder sends none (closeQuiet); an error exit announces its
+// close at once. Protocol violations (stream ID 0, a
 // server-side frame on an ID the dialer never opened, a data frame for
 // an ID never announced by an open frame, a non-monotonic open, an
 // unknown kind, a data length that overruns its frame, too many live
@@ -62,7 +73,16 @@ const (
 	maxMuxBuffer = 1 << 28
 	// maxMuxStreams caps concurrently live streams per carrier.
 	maxMuxStreams = 1024
+	// maxMuxStaged is the staged outbound size at which a stream writes
+	// without waiting for its turn to end, so a long turn streams out
+	// instead of piling up in memory.
+	maxMuxStaged = 64 << 10
 )
+
+// stagedPool recycles streams' outbound staging buffers: most streams
+// live for one short session, and a fresh buffer each would be a
+// steady allocation per session.
+var stagedPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // errMuxStreamClosed is returned by operations on a locally closed
 // stream.
@@ -88,14 +108,14 @@ type muxConn struct {
 	// per-stream deadlines cannot cover a shared connection.
 	writeTimeout time.Duration
 
-	wmu  sync.Mutex
-	wbuf []byte // reusable outbound frame staging
-	// pend holds encoded open frames staged by OpenStream and not yet
-	// flushed: they piggyback in front of the carrier's next outbound
-	// frame in the same conn write. An open is always followed at once
-	// by the new stream's hello (same goroutine), so staging adds no
-	// latency — it removes one wire flush per stream, which is exactly
-	// one round-trip charge on a latency-priced link.
+	wmu sync.Mutex
+	// pend holds frames that belong to no stream's turn: open frames
+	// queued by OpenStream, and the close frames of clean initiator
+	// exits that had nothing left to send. They ride in front of the
+	// carrier's next write. An open is followed by its own stream's
+	// first flush, so it adds no latency; a deferred close is read by a
+	// responder that has already finished, so delaying it costs
+	// nothing, and it saves the write that would carry it alone.
 	pend []byte
 
 	mu       sync.Mutex
@@ -174,9 +194,9 @@ func (m *muxConn) drain() {
 // assignment and the staging so open frames reach the wire in ID
 // order — otherwise two streams opening concurrently could deliver the
 // higher ID first and the peer's monotonicity check would silently
-// discard the lower stream as a late frame. The open frame is staged,
-// not flushed: it rides in front of the carrier's next outbound frame
-// (normally this stream's own hello) in a single write.
+// discard the lower stream as a late frame. The open frame waits in
+// pend: it rides in front of the carrier's next write, normally this
+// stream's first flush of its hello and opening protocol frames.
 func (m *muxConn) OpenStream() (*muxStream, error) {
 	m.wmu.Lock()
 	m.mu.Lock()
@@ -228,35 +248,34 @@ func appendMuxFrame(b []byte, id uint64, kind uint64, data []byte) []byte {
 	return b
 }
 
-// writeFrame sends one carrier frame — preceded by any staged open
-// frames — in a single conn write (the frame boundary is the flush
-// point, as for inner wire frames). The staging buffer is reused
-// across frames, so the steady state allocates nothing.
-func (m *muxConn) writeFrame(id uint64, kind uint64, data []byte) error {
+// deferClose queues a close frame in pend, to ride the carrier's next
+// write.
+func (m *muxConn) deferClose(id uint64) {
 	m.wmu.Lock()
-	err := m.writeFrameLocked(id, kind, data)
+	m.pend = appendMuxFrame(m.pend, id, muxFrameClose, nil)
+	m.wmu.Unlock()
+}
+
+// write sends encoded carrier frames, behind whatever waits in pend, in
+// one conn write. It is the carrier's only write path; wmu keeps each
+// write whole on the shared connection.
+func (m *muxConn) write(frames []byte) error {
+	m.wmu.Lock()
+	b := frames
+	if len(m.pend) > 0 {
+		m.pend = append(m.pend, frames...)
+		b = m.pend
+	}
+	if m.writeTimeout > 0 {
+		m.conn.SetWriteDeadline(time.Now().Add(m.writeTimeout)) //nolint:errcheck
+	}
+	_, err := m.conn.Write(b)
+	m.pend = m.pend[:0]
 	m.wmu.Unlock()
 	if err != nil {
 		return m.sealWriteError(err)
 	}
 	return nil
-}
-
-// writeFrameLocked stages and writes one frame plus any pending open
-// frames; the caller holds wmu.
-func (m *muxConn) writeFrameLocked(id uint64, kind uint64, data []byte) error {
-	b := m.wbuf[:0]
-	if len(m.pend) > 0 {
-		b = append(b, m.pend...)
-		m.pend = m.pend[:0]
-	}
-	b = appendMuxFrame(b, id, kind, data)
-	m.wbuf = b
-	if m.writeTimeout > 0 {
-		m.conn.SetWriteDeadline(time.Now().Add(m.writeTimeout)) //nolint:errcheck
-	}
-	_, err := m.conn.Write(b)
-	return err
 }
 
 // sealWriteError kills the carrier over a failed write and returns the
@@ -434,6 +453,17 @@ func (m *muxConn) remoteClose(id uint64) {
 type muxStream struct {
 	m  *muxConn
 	id uint64
+	// out holds the owner's encoded outbound frames until its turn ends
+	// (Flush). Only the owner goroutine touches it, so it needs no lock;
+	// nil until the first frame, and returned to stagedPool on close.
+	out *[]byte
+	// held keeps Read from flushing until the owner next writes. A
+	// responder holds its accept (holdAccept): the initiator pipelines
+	// its opening frames behind the hello and never waits on the accept
+	// alone, so the accept can always leave with the first reply — and
+	// does, whether or not the opening flight has fully arrived when the
+	// responder first reads. Owner-only, like out.
+	held bool
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -508,7 +538,10 @@ func (st *muxStream) closeRemote() {
 	st.mu.Unlock()
 }
 
-// Read implements io.Reader over the stream's inbound buffer.
+// Read implements io.Reader over the stream's inbound buffer. An
+// owner about to block has ended its turn, so Read first flushes the
+// staged frames the peer is waiting for; with inbound data already
+// buffered it keeps them staged.
 func (st *muxStream) Read(p []byte) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -522,6 +555,15 @@ func (st *muxStream) Read(p []byte) (int, error) {
 		if st.localClosed {
 			return 0, errMuxStreamClosed
 		}
+		if st.staged() && !st.held {
+			st.mu.Unlock()
+			err := st.Flush()
+			st.mu.Lock()
+			if err != nil {
+				return 0, err
+			}
+			continue
+		}
 		if st.remoteClosed {
 			return 0, io.EOF
 		}
@@ -531,40 +573,99 @@ func (st *muxStream) Read(p []byte) (int, error) {
 
 // Write implements io.Writer: one call becomes one carrier data frame
 // (netproto.Wire writes exactly one frame per call, preserving frame
-// boundaries through the mux).
+// boundaries through the mux), staged until the turn ends.
 func (st *muxStream) Write(p []byte) (int, error) {
 	st.mu.Lock()
-	if st.err != nil {
-		err := st.err
-		st.mu.Unlock()
-		return 0, err
-	}
-	if st.localClosed {
-		st.mu.Unlock()
-		return 0, errMuxStreamClosed
+	err := st.err
+	if err == nil && st.localClosed {
+		err = errMuxStreamClosed
 	}
 	st.mu.Unlock()
-	if err := st.m.writeFrame(st.id, muxFrameData, p); err != nil {
+	if err != nil {
 		return 0, err
+	}
+	st.held = false
+	st.stage(muxFrameData, p)
+	if len(*st.out) >= maxMuxStaged {
+		if err := st.Flush(); err != nil {
+			return 0, err
+		}
 	}
 	return len(p), nil
 }
 
-// Close ends the local half of the stream: a close frame tells the
-// peer (best effort — a dead carrier already told it), the deadline
-// timer stops, and the carrier forgets the stream. Idempotent.
-func (st *muxStream) Close() error { return st.close(true) }
+// holdAccept keeps the staged accept from ending the responder's turn
+// on its own (see held).
+func (st *muxStream) holdAccept() { st.held = true }
 
-// closeQuiet ends the local half without announcing it. Responders use
-// it on clean session exits: their protocol's terminal frame has
-// already been read by the initiator, who closes its own half — while a
-// spontaneous close frame here would race the initiator's next stream's
-// traffic on the shared connection, perturbing the byte-offset ordering
-// deterministic fault injection keys on. Error exits still announce, so
-// a blocked initiator is released immediately instead of by timeout.
-func (st *muxStream) closeQuiet() { st.close(false) } //nolint:errcheck
+// staged reports whether the owner has frames waiting to be written.
+func (st *muxStream) staged() bool { return st.out != nil && len(*st.out) > 0 }
 
-func (st *muxStream) close(announce bool) error {
+// stage appends one carrier frame to the owner's outbound buffer.
+func (st *muxStream) stage(kind uint64, data []byte) {
+	if st.out == nil {
+		st.out = stagedPool.Get().(*[]byte)
+	}
+	*st.out = appendMuxFrame(*st.out, st.id, kind, data)
+}
+
+// Flush writes the staged frames in one carrier write; netproto.Wire's
+// Flush reaches it, for a handler that sends and then waits on
+// something other than this stream. A failed stream drops them. Only
+// the owner goroutine may call it.
+func (st *muxStream) Flush() error {
+	if !st.staged() {
+		return nil
+	}
+	st.mu.Lock()
+	err := st.err
+	st.mu.Unlock()
+	if err == nil {
+		err = st.m.write(*st.out)
+	}
+	*st.out = (*st.out)[:0]
+	return err
+}
+
+// closeMode says how a stream's local close reaches the peer.
+type closeMode int
+
+const (
+	// closeNow writes a close frame at once, behind any staged frames.
+	closeNow closeMode = iota
+	// closeDeferred sends the close frame with the staged frames, or,
+	// when none are staged, leaves it in pend for the carrier's next
+	// write.
+	closeDeferred
+	// closeSilent flushes the staged frames and sends no close frame.
+	closeSilent
+)
+
+// Close ends the local half of the stream: staged frames and a close
+// frame go out in one write (best effort — a dead carrier already told
+// the peer), the deadline timer stops, and the carrier forgets the
+// stream. Error exits use it, so a peer blocked mid-protocol is
+// released now rather than at its deadline. Idempotent.
+func (st *muxStream) Close() error { return st.close(closeNow) }
+
+// closeClean ends a clean initiator exit. Its close frame rides the
+// last staged frames; when nothing is staged — the session ended on a
+// read — the responder has already sent its terminal frame and needs
+// no close, so the frame waits for the carrier's next write instead of
+// costing one of its own. The error is the flush's: a final frame that
+// never left fails the session.
+func (st *muxStream) closeClean() error { return st.close(closeDeferred) }
+
+// closeQuiet ends the local half without announcing it, after flushing
+// whatever is staged. Responders use it on clean session exits: their
+// protocol's terminal frame has been sent, and the initiator closes its
+// own half — a spontaneous close frame here would be the carrier's only
+// responder write outside a turn, racing the initiator's next stream's
+// traffic on the shared connection and perturbing the byte-offset
+// ordering deterministic fault injection keys on.
+func (st *muxStream) closeQuiet() { st.close(closeSilent) } //nolint:errcheck
+
+func (st *muxStream) close(mode closeMode) error {
 	st.mu.Lock()
 	if st.localClosed {
 		st.mu.Unlock()
@@ -577,9 +678,22 @@ func (st *muxStream) close(announce bool) error {
 	dead := st.err != nil
 	st.cond.Broadcast()
 	st.mu.Unlock()
-	if announce && !dead {
-		st.m.writeFrame(st.id, muxFrameClose, nil) //nolint:errcheck // carrier death is surfaced elsewhere
+	var err error
+	if !dead {
+		switch {
+		case mode == closeSilent:
+		case mode == closeDeferred && !st.staged():
+			st.m.deferClose(st.id)
+		default:
+			st.stage(muxFrameClose, nil)
+		}
+		err = st.Flush()
+	}
+	if st.out != nil {
+		*st.out = (*st.out)[:0]
+		stagedPool.Put(st.out)
+		st.out = nil
 	}
 	st.m.forget(st)
-	return nil
+	return err
 }

@@ -31,7 +31,7 @@ func (c fuzzCarrierConn) SetDeadline(time.Time) error      { return nil }
 func (c fuzzCarrierConn) SetReadDeadline(time.Time) error  { return nil }
 func (c fuzzCarrierConn) SetWriteDeadline(time.Time) error { return nil }
 
-// muxFrame encodes one carrier frame the way writeFrame does, for
+// muxFrame encodes one carrier frame the way appendMuxFrame does, for
 // seeding the fuzz corpus with well-formed and near-well-formed inputs.
 func muxFrame(id, kind uint64, data []byte) []byte {
 	b := []byte{0, 0, 0, 0}

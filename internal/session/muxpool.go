@@ -207,15 +207,15 @@ func (p *MuxPool) dialCarrier(addr string) (*muxConn, error) {
 }
 
 // runStream runs one session on a fresh stream of a live carrier. The
-// hello and the handler's first protocol frames go out immediately; the
-// accept is verified on the session's first read (netproto's pipelined
-// initiation), collapsing the opening exchange into one round trip.
+// open, the hello and the handler's first protocol frames leave in one
+// write, at the session's first read; the accept is verified on that
+// read (netproto's pipelined initiation), collapsing the opening
+// exchange into one round trip.
 func (p *MuxPool) runStream(m *muxConn, set string, h netproto.Handler, timeout time.Duration) (transport.Stats, error) {
 	st, err := m.OpenStream()
 	if err != nil {
 		return transport.Stats{}, err
 	}
-	defer st.Close()
 	if timeout == 0 {
 		timeout = p.sessionTimeout()
 	}
@@ -224,20 +224,26 @@ func (p *MuxPool) runStream(m *muxConn, set string, h netproto.Handler, timeout 
 	}
 	w := netproto.NewWire(st)
 	defer w.Release()
-	pend, err := netproto.InitiateSetPipelined(w, h, set)
-	if err != nil {
+	if err := initiateStream(w, set, h); err != nil {
+		st.Close() //nolint:errcheck // the session's error is the one to report
 		return w.Stats(), err
 	}
+	return w.Stats(), st.closeClean()
+}
+
+// initiateStream runs the initiator's half of a session over w.
+func initiateStream(w *netproto.Wire, set string, h netproto.Handler) error {
+	pend, err := netproto.InitiateSetPipelined(w, h, set)
+	if err != nil {
+		return err
+	}
 	if err := h.Run(pend.Conn()); err != nil {
-		return w.Stats(), err
+		return err
 	}
 	// Every protocol reads at least one response, so the accept has
 	// normally been verified by now; this covers degenerate handlers
 	// that never read.
-	if err := pend.Complete(); err != nil {
-		return w.Stats(), err
-	}
-	return w.Stats(), nil
+	return pend.Complete()
 }
 
 // errPoolReset fails whatever streams are still live on a carrier the

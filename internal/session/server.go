@@ -384,13 +384,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.cfg.Logf("session: mux carrier down for %s", sess.peer)
 		return
 	}
-	s.runHello(w, hello, sess)
+	s.runHello(w, hello, sess, nil)
 }
 
 // runHello dispatches and runs one session whose session hello has
-// been read from w; it always routes through finish, and returns
-// the session's terminal error for the caller's teardown decisions.
-func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session) error {
+// been read from w, which rides st when the session is a mux stream
+// (nil on a dedicated connection); it always routes through finish, and
+// returns the session's terminal error for the caller's teardown
+// decisions.
+func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session, st *muxStream) error {
 	sess.proto = hello.Proto
 	sess.set = hello.Set
 	factory, setKnown := s.factoryFor(hello.Set, hello.Proto, hello.Role)
@@ -430,9 +432,17 @@ func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session)
 		s.finish(sess, err)
 		return err
 	}
+	if st != nil {
+		st.holdAccept()
+	}
 	s.active.Add(1)
 	err := h.Run(w)
 	s.active.Add(-1)
+	// A mux stream may still hold the handler's last frames: send them
+	// before accounting, logging and OnSession, not after.
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
 	s.finish(sess, err)
 	return err
 }
@@ -532,7 +542,7 @@ func (s *Server) serveStream(m *muxConn, st *muxStream) {
 		s.finish(sess, sessErr)
 		return
 	}
-	sessErr = s.runHello(w, hello, sess)
+	sessErr = s.runHello(w, hello, sess, st)
 }
 
 // unbillLocked retires one in-flight session unit, waking Quiesce when

@@ -1,6 +1,8 @@
 package simnet_test
 
 import (
+	"encoding/binary"
+	gonet "net"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +17,10 @@ import (
 
 // The mid-stream failure matrix, ported to pooled RSYN v3 carriers: a
 // shared multiplexed connection is severed at every carrier frame
-// boundary (and mid-frame) via simnet's drop-at-offset fault. The
+// boundary (and mid-frame) via simnet's drop-at-offset fault. A mux
+// stream writes a whole turn's frames at once, so the boundaries come
+// from the bytes of each write, split at their length prefixes, not
+// from the write sizes alone. The
 // session riding the carrier at the cut must fail with the canonical
 // cut error (never a hang, a false success, or an unrelated EOF), a cut
 // during carrier negotiation included; the pool must re-dial a carrier
@@ -33,14 +38,104 @@ func muxMatrixIDs(seed uint64, n int, extra ...uint64) []uint64 {
 	return append(out, extra...)
 }
 
+// writeLog records the bytes of every write made on the connections
+// of the transports it wraps, in call order.
+type writeLog struct {
+	mu     sync.Mutex
+	chunks [][]byte
+}
+
+type loggedTransport struct {
+	session.Transport
+	log *writeLog
+}
+
+func (t loggedTransport) Listen(network, addr string) (gonet.Listener, error) {
+	l, err := t.Transport.Listen(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return loggedListener{l, t.log}, nil
+}
+
+func (t loggedTransport) DialTimeout(network, addr string, timeout time.Duration) (gonet.Conn, error) {
+	c, err := t.Transport.DialTimeout(network, addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return loggedConn{c, t.log}, nil
+}
+
+type loggedListener struct {
+	gonet.Listener
+	log *writeLog
+}
+
+func (l loggedListener) Accept() (gonet.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return loggedConn{c, l.log}, nil
+}
+
+type loggedConn struct {
+	gonet.Conn
+	log *writeLog
+}
+
+// Write logs p before passing it on: in the alternating sessions the
+// matrix runs, the peer cannot answer a write it has not read, so call
+// order is simnet's accounting order (muxFrameSizes checks it).
+func (c loggedConn) Write(p []byte) (int, error) {
+	c.log.mu.Lock()
+	c.log.chunks = append(c.log.chunks, append([]byte(nil), p...))
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// muxFrameSizes splits the logged writes into their length-prefixed
+// frames — carrier negotiation frames, then mux frames — and returns
+// the frame sizes in wire order. The logged write sizes must equal
+// simnet's recorded chunks, or the log is not the wire order.
+func muxFrameSizes(t *testing.T, log *writeLog, chunks []int) []int {
+	t.Helper()
+	if len(log.chunks) != len(chunks) {
+		t.Fatalf("logged %d writes, simnet recorded %d chunks", len(log.chunks), len(chunks))
+	}
+	var frames []int
+	for i, c := range log.chunks {
+		if len(c) != chunks[i] {
+			t.Fatalf("write %d: logged %d bytes, simnet recorded %d", i, len(c), chunks[i])
+		}
+		for len(c) > 0 {
+			if len(c) < 4 {
+				t.Fatalf("write %d ends in a %d-byte fragment", i, len(c))
+			}
+			n := 4 + int(binary.BigEndian.Uint32(c))
+			if n > len(c) {
+				t.Fatalf("write %d: frame of %d bytes overruns the write's %d", i, n, len(c))
+			}
+			frames = append(frames, n)
+			c = c[n:]
+		}
+	}
+	return frames
+}
+
 // muxMatrixRun drives count sequential sync sessions through one pool
 // over net, then a recovery session; it returns the per-session errors
-// (recovery excluded), the pool, and the server.
-func muxMatrixRun(t *testing.T, net *simnet.Network, count int) ([]error, *session.MuxPool, *session.Server) {
+// (recovery excluded), the pool, and the server. A non-nil log records
+// every write on both ends.
+func muxMatrixRun(t *testing.T, net *simnet.Network, count int, log *writeLog) ([]error, *session.MuxPool, *session.Server) {
 	t.Helper()
+	var srvT, cliT session.Transport = net.Host("srv"), net.Host("cli")
+	if log != nil {
+		srvT, cliT = loggedTransport{srvT, log}, loggedTransport{cliT, log}
+	}
 	p := netproto.SyncParams{Seed: 5}
 	srv := session.NewServer(session.Config{
-		Transport:      net.Host("srv"),
+		Transport:      srvT,
 		SessionTimeout: 20 * time.Second,
 	})
 	srv.Handle(func() netproto.Handler { return netproto.NewSyncResponder(p, muxMatrixIDs(31, 50, 1, 2, 3)) })
@@ -49,7 +144,7 @@ func muxMatrixRun(t *testing.T, net *simnet.Network, count int) ([]error, *sessi
 	}
 	pool := &session.MuxPool{
 		Network:        "sim",
-		Transport:      net.Host("cli"),
+		Transport:      cliT,
 		DialTimeout:    5 * time.Second,
 		SessionTimeout: 20 * time.Second,
 	}
@@ -78,10 +173,11 @@ func muxMatrixTeardown(t *testing.T, net *simnet.Network, pool *session.MuxPool,
 
 func TestMidStreamMuxFailureMatrix(t *testing.T) {
 	// Clean run: discover the carrier's frame boundaries. Two sequential
-	// sessions share one carrier, so the chunk list covers negotiation,
+	// sessions share one carrier, so the frame list covers negotiation,
 	// both sessions' streams, and the inter-session idle boundary.
 	cleanNet := simnet.New(1)
-	errs, pool, srv := muxMatrixRun(t, cleanNet, 2)
+	log := &writeLog{}
+	errs, pool, srv := muxMatrixRun(t, cleanNet, 2, log)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("clean session %d failed: %v", i, err)
@@ -95,13 +191,14 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 	if len(conns) != 1 || len(conns[0]) < 4 {
 		t.Fatalf("clean run recorded %d conns (chunks: %v)", len(conns), conns)
 	}
-	offsets := cutOffsets(conns[0])
-	t.Logf("mux carrier: %d frames over one conn, cutting at %v", len(conns[0]), offsets)
+	frames := muxFrameSizes(t, log, conns[0])
+	offsets := cutOffsets(frames)
+	t.Logf("mux carrier: %d frames in %d writes over one conn, cutting at %d offsets %v", len(frames), len(conns[0]), len(offsets), offsets)
 
 	for _, off := range offsets {
 		net := simnet.New(uint64(2 + off))
 		net.DropAfter("cli", "srv", off)
-		errs, pool, srv := muxMatrixRun(t, net, 2)
+		errs, pool, srv := muxMatrixRun(t, net, 2, nil)
 		failed := 0
 		for i, err := range errs {
 			if err == nil {
@@ -137,7 +234,7 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 		// pooled buffers instead of retaining or double-recycling them.
 		release := scenario.PoisonPool(8, 2048)
 		verifyNet := simnet.New(uint64(3 + off))
-		verrs, vpool, vsrv := muxMatrixRun(t, verifyNet, 1)
+		verrs, vpool, vsrv := muxMatrixRun(t, verifyNet, 1, nil)
 		if verrs[0] != nil {
 			t.Fatalf("cut at offset %d: clean session after poisoned pool failed: %v", off, verrs[0])
 		}
@@ -154,7 +251,7 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 func TestMuxCutFailsInFlightStreams(t *testing.T) {
 	// Discover the carrier length from a sequential clean run.
 	cleanNet := simnet.New(1)
-	errs, pool, srv := muxMatrixRun(t, cleanNet, 2)
+	errs, pool, srv := muxMatrixRun(t, cleanNet, 2, nil)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("clean session %d failed: %v", i, err)

@@ -307,9 +307,10 @@ func (n *Network) OpenConns() int {
 
 // ConnWrites returns, for each connection ever opened between a and b
 // (in dial order), the sizes of the chunks delivered across it in
-// delivery order. Cumulative sums are exactly the frame boundaries of
-// the alternating protocols above, which is how the mid-stream failure
-// matrix discovers the offsets to cut at.
+// delivery order. On a dedicated session connection each chunk is one
+// frame, so cumulative sums are the frame boundaries the mid-stream
+// failure matrix cuts at; a mux carrier writes a whole turn's frames as
+// one chunk.
 func (n *Network) ConnWrites(a, b string) [][]int {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -101,11 +101,13 @@ func requireWireIdentical(t *testing.T, want, got *live.Set) {
 	if ws.Epoch != gs.Epoch {
 		t.Fatalf("epoch: recovered %d, want %d", gs.Epoch, ws.Epoch)
 	}
-	if !bytes.Equal(ws.EMDMessage, gs.EMDMessage) {
-		t.Fatalf("EMD message diverged (%d vs %d bytes)", len(gs.EMDMessage), len(ws.EMDMessage))
+	wMsg, wFP := ws.EMDWire()
+	gMsg, gFP := gs.EMDWire()
+	if !bytes.Equal(wMsg, gMsg) {
+		t.Fatalf("EMD message diverged (%d vs %d bytes)", len(gMsg), len(wMsg))
 	}
-	if ws.EMDFingerprint != gs.EMDFingerprint {
-		t.Fatalf("EMD fingerprint: %016x, want %016x", gs.EMDFingerprint, ws.EMDFingerprint)
+	if wFP != gFP {
+		t.Fatalf("EMD fingerprint: %016x, want %016x", gFP, wFP)
 	}
 	if ws.IDFingerprint != gs.IDFingerprint {
 		t.Fatalf("ID fingerprint: %016x, want %016x", gs.IDFingerprint, ws.IDFingerprint)
