@@ -104,6 +104,7 @@ func TestConfigFileErrors(t *testing.T) {
 	cases := []struct{ name, body string }{
 		{"unknown flag", "bogus: 1\n"},
 		{"retired -workers flag", "workers: 4\n"},
+		{"retired -pprof flag", "pprof: localhost:6060\n"},
 		{"config self-reference", "config: other.yaml\n"},
 		{"bad value for typed flag", "n: not-a-number\n"},
 		{"structure line", "cluster:\n  peers: a\n"},

@@ -96,7 +96,6 @@ import (
 	"hash/fnv"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -283,7 +282,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
 	quarantine := flag.Int("quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	adminAddr := flag.String("admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
 	configPath := flag.String("config", "", "config file of flat \"flag: value\" lines; explicit flags win")
 	flag.Parse()
@@ -295,30 +293,6 @@ func main() {
 			fail("%v", err)
 		}
 	}
-
-	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		// Production profiling endpoint: confirms the hot-path numbers
-		// (allocs, CPU) on a live daemon instead of only in benchmarks.
-		// The handlers live on a dedicated mux — not the process-global
-		// http.DefaultServeMux — and the server is shut down with the
-		// rest of the daemon instead of holding its listener until the
-		// process dies.
-		mux := http.NewServeMux()
-		admin.RegisterPprof(mux)
-		pprofSrv = &http.Server{
-			Addr:              *pprofAddr,
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			log.Printf("pprof: http://%s/debug/pprof/", *pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-	ops := opsServers{adminAddr: *adminAddr, pprof: pprofSrv}
 
 	cfg := config{
 		d: *d, n: *n, k: *k, noise: *noise, r1: *r1, r2: *r2,
@@ -336,9 +310,9 @@ func main() {
 
 	switch {
 	case *listen != "" && (*clusterPeers != "" || *join != ""):
-		runCluster(cfg, f, *listen, *clusterPeers, *join, *advertise, *setNames, *interval, *drain, *dataDir, *fsyncPolicy, *replication, ops)
+		runCluster(cfg, f, *listen, *clusterPeers, *join, *advertise, *setNames, *interval, *drain, *dataDir, *fsyncPolicy, *replication, *adminAddr)
 	case *listen != "":
-		runServer(cfg, f, *listen, *drain, ops)
+		runServer(cfg, f, *listen, *drain, *adminAddr)
 	case *connect != "":
 		network, host := splitAddr(*connect)
 		if err := runClient(cfg, f, network, host, *proto); err != nil {
@@ -350,28 +324,16 @@ func main() {
 	}
 }
 
-// opsServers carries the operator-facing HTTP pieces the serving modes
-// wire up: where to bind the admin control plane, and the standalone
-// pprof server (already running) that graceful shutdown must stop.
-type opsServers struct {
-	adminAddr string
-	pprof     *http.Server
-}
-
-// stop shuts the operator servers down within the drain deadline, so a
-// clean exit leaves no listener behind.
-func (o opsServers) stop(adm *admin.Server, drain time.Duration, logf func(string, ...any)) {
+// stopAdmin shuts the admin server, if one runs, down within the drain
+// deadline, so a clean exit leaves no listener behind.
+func stopAdmin(adm *admin.Server, drain time.Duration, logf func(string, ...any)) {
+	if adm == nil {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	if adm != nil {
-		if err := adm.Shutdown(ctx); err != nil {
-			logf("admin shutdown: %v", err)
-		}
-	}
-	if o.pprof != nil {
-		if err := o.pprof.Shutdown(ctx); err != nil {
-			logf("pprof shutdown: %v", err)
-		}
+	if err := adm.Shutdown(ctx); err != nil {
+		logf("admin shutdown: %v", err)
 	}
 }
 
@@ -436,7 +398,7 @@ func shutdown(srv *session.Server, drain time.Duration, logger *log.Logger) {
 		srv.Served(), srv.Failed(), total, float64(total.TotalBytes())/1e6, total.MaxPayload())
 }
 
-func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops opsServers) {
+func runServer(cfg config, f *fixture, addr string, drain time.Duration, adminAddr string) {
 	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
 	srv, st := newServer(cfg, f, logger.Printf)
 	network, host := splitAddr(addr)
@@ -446,7 +408,7 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 	}
 	drainCh := make(chan struct{})
 	var adm *admin.Server
-	if ops.adminAddr != "" {
+	if adminAddr != "" {
 		// Single-set server mode hosts no multi-tenant store, so the set
 		// endpoints answer 503; session stats and /metrics still work.
 		adm = admin.New(admin.Config{
@@ -454,7 +416,7 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 			Drain:   func() { close(drainCh) },
 			Logf:    logger.Printf,
 		})
-		aaddr, err := adm.Start(ops.adminAddr)
+		aaddr, err := adm.Start(adminAddr)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -488,7 +450,7 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, ops ops
 		logger.Printf("drain requested via admin API")
 		shutdown(srv, drain, logger)
 	}
-	ops.stop(adm, drain, logger.Printf)
+	stopAdmin(adm, drain, logger.Printf)
 }
 
 // hashAddr derives a node-unique seed from its advertised address, so
@@ -665,7 +627,7 @@ func parseSets(csv string) []string {
 	return names
 }
 
-func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, setsCSV string, interval, drain time.Duration, dataDir, fsyncPolicy string, replication int, ops opsServers) {
+func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, setsCSV string, interval, drain time.Duration, dataDir, fsyncPolicy string, replication int, adminAddr string) {
 	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
 	peers := parseSets(peersCSV)
 	names := parseSets(setsCSV)
@@ -744,7 +706,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 	}
 	drainCh := make(chan struct{})
 	var adm *admin.Server
-	if ops.adminAddr != "" {
+	if adminAddr != "" {
 		self := advertise
 		if self == "" {
 			self = addr
@@ -769,7 +731,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 			Drain: func() { close(drainCh) },
 			Logf:  logger.Printf,
 		})
-		aaddr, err := adm.Start(ops.adminAddr)
+		aaddr, err := adm.Start(adminAddr)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -852,7 +814,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 	logger.Printf("health: %s", node.HealthSummary())
 	logger.Printf("final: %d sessions ok, %d failed; %s; max payload %d bits; store %s",
 		node.Server().Served(), node.Server().Failed(), total, total.MaxPayload(), st.Stats())
-	ops.stop(adm, drain, logger.Printf)
+	stopAdmin(adm, drain, logger.Printf)
 }
 
 // runClient runs one session of the named protocol and reports the

@@ -103,7 +103,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /api/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("POST /api/v1/drain", s.handleDrain)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	RegisterPprof(s.mux)
+	registerPprof(s.mux)
 	s.http = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -111,11 +111,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// RegisterPprof installs the net/http/pprof handlers on mux. The
+// registerPprof installs the net/http/pprof handlers on mux. The
 // handlers are registered explicitly — never via the package's side
 // effect on http.DefaultServeMux — so profiling is only reachable on
 // muxes that asked for it.
-func RegisterPprof(mux *http.ServeMux) {
+func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
