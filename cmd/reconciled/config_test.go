@@ -100,6 +100,20 @@ func TestConfigFileRejectsJSON(t *testing.T) {
 	}
 }
 
+// daemonFlagSet is the daemon's own flag set, parsed from an empty
+// command line.
+func daemonFlagSet(t *testing.T) (*flag.FlagSet, *options) {
+	t.Helper()
+	fs := flag.NewFlagSet("reconciled", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	return fs, o
+}
+
+// TestConfigFileErrors loads bad files against the daemon's real flags,
+// so a retired flag that comes back makes its input load.
 func TestConfigFileErrors(t *testing.T) {
 	cases := []struct{ name, body string }{
 		{"unknown flag", "bogus: 1\n"},
@@ -111,19 +125,26 @@ func TestConfigFileErrors(t *testing.T) {
 		{"duplicate key", "n: 1\nn: 2\n"},
 	}
 	for _, tc := range cases {
-		fs, _ := testFlagSet()
-		if err := fs.Parse(nil); err != nil {
-			t.Fatal(err)
-		}
+		fs, _ := daemonFlagSet(t)
 		if err := applyConfigFile(writeConfig(t, tc.body), fs); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
-	fs, _ := testFlagSet()
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
+	fs, _ := daemonFlagSet(t)
 	if err := applyConfigFile(filepath.Join(t.TempDir(), "absent"), fs); err == nil {
 		t.Error("missing file: no error")
+	}
+}
+
+// TestDeployConfigLoads loads the shipped mesh config against the
+// daemon's flags: every key must name a flag and every value parse.
+func TestDeployConfigLoads(t *testing.T) {
+	fs, o := daemonFlagSet(t)
+	if err := applyConfigFile(filepath.Join("..", "..", "deploy", "reconciled.yaml"), fs); err != nil {
+		t.Fatal(err)
+	}
+	if o.sets != "alpha,beta,gamma" || o.replication != 2 || o.cfg.seed != 7 || o.cfg.diff != 16 ||
+		o.interval != time.Second || o.dataDir != "/data" || o.fsync != "batch" || o.drain != 8*time.Second {
+		t.Errorf("deploy config loaded as %+v", *o)
 	}
 }

@@ -1,7 +1,7 @@
 // Command reconciled is the reconciliation daemon: it serves the
-// paper's protocols (EMD, Gap, exact ID sync) to many concurrent peers
-// over TCP or unix sockets through the session engine, and doubles as
-// the matching client.
+// paper's protocols (EMD, Gap) to many concurrent peers over TCP or
+// unix sockets through the session engine, and doubles as the matching
+// client.
 //
 // Server and client derive their synthetic two-party workload — and,
 // critically, their protocol Params — from the same flags, standing in
@@ -9,16 +9,15 @@
 // header's parameter digest enforces the agreement on every connection.
 //
 // The server holds its sets as live sets (robustsync epoch-tagged
-// mutable state): an EMD+Sync set and a Gap set. It serves EMD over the
+// mutable state): an EMD set and a Gap set. It serves EMD over the
 // live-emd protocol, so returning peers that announce their last synced
-// epoch receive only the churned cells, Gap from the set's cached key
-// payloads, and exact ID sync from the EMD set's point fingerprints.
-// With -mutate M the server churns M point replacements per second; the
-// sketch, key payloads and fingerprints follow incrementally.
+// epoch receive only the churned cells, and Gap from the set's cached
+// key payloads. With -mutate M the server churns M point replacements
+// per second; the sketch and key payloads follow incrementally.
 //
 // Usage:
 //
-//	reconciled -listen :7444                      # serve live-emd, gap, sync
+//	reconciled -listen :7444                      # serve live-emd, gap
 //	reconciled -listen unix:/tmp/reconciled.sock  # same, unix socket
 //	reconciled -listen :7444 -mutate 10           # churn 10 point
 //	                                              # replacements per second
@@ -34,8 +33,7 @@
 // internal/cluster). Every member must run the same workload flags and
 // the same -sets list; each member's sets start with divergent extra
 // points derived from its own -listen address, so a fresh mesh visibly
-// converges. The default namespace stays a plain Sync set, so
-// single-set clients (-connect ... -proto sync) reconcile against it.
+// converges.
 //
 //	reconciled -listen :7441 -cluster :7442,:7443 -sets alpha,beta
 //
@@ -154,7 +152,9 @@ type fixture struct {
 	gapSA     metric.PointSet
 	gapSB     metric.PointSet
 
-	syncParams netproto.SyncParams
+	// syncSeed seeds the point fingerprints of every cluster set (the
+	// exact-ID state probe and repair read).
+	syncSeed uint64
 }
 
 func newFixture(c config) (*fixture, error) {
@@ -178,7 +178,7 @@ func newFixture(c config) (*fixture, error) {
 	}
 	f.gapSA, f.gapSB = ginst.SA, ginst.SB
 
-	f.syncParams = netproto.SyncParams{Seed: c.seed + 4}
+	f.syncSeed = c.seed + 4
 	return f, nil
 }
 
@@ -196,11 +196,7 @@ type liveState struct {
 }
 
 func newLiveState(cfg config, f *fixture) (*liveState, error) {
-	emdCfg := live.Config{
-		EMD:  &f.emdParams,
-		Sync: &live.SyncConfig{Seed: f.syncParams.Seed},
-	}
-	emdSet, err := live.NewSet(emdCfg, f.emdSA)
+	emdSet, err := live.NewSet(live.Config{EMD: &f.emdParams}, f.emdSA)
 	if err != nil {
 		return nil, fmt.Errorf("live emd set: %w", err)
 	}
@@ -255,51 +251,66 @@ func (st *liveState) churn(n int) error {
 	return nil
 }
 
+// options is the daemon's command line: the modes' addresses and
+// tuning, and the workload config every mode derives its sets from.
+type options struct {
+	listen, connect, proto            string
+	peers, join, advertise, sets      string
+	dataDir, fsync, admin, configPath string
+	replication                       int
+	interval, drain                   time.Duration
+	cfg                               config
+}
+
+// defineFlags defines every daemon flag on fs, bound to the returned
+// options.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "", "serve on this address (host:port, or unix:/path)")
+	fs.StringVar(&o.connect, "connect", "", "run one client session against this address")
+	fs.StringVar(&o.proto, "proto", "live-emd", "client protocol: live-emd | gap")
+	fs.StringVar(&o.peers, "cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
+	fs.StringVar(&o.join, "join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
+	fs.StringVar(&o.advertise, "advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
+	fs.IntVar(&o.replication, "replication", 3, "owners per shard on the placement ring (gossip mode)")
+	fs.StringVar(&o.sets, "sets", "alpha,beta", "named sets hosted in cluster mode (comma-separated)")
+	fs.DurationVar(&o.interval, "interval", time.Second, "anti-entropy round period (cluster mode)")
+	fs.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (cluster modes): WAL + snapshots, recovery on startup")
+	fs.StringVar(&o.fsync, "fsync", "batch", "journal fsync policy with -data-dir: always | batch | off")
+
+	c := &o.cfg
+	fs.IntVar(&c.d, "d", 128, "EMD dimension (gap uses 4d)")
+	fs.IntVar(&c.n, "n", 64, "points / children per party")
+	fs.IntVar(&c.k, "k", 4, "outlier budget")
+	fs.Float64Var(&c.noise, "noise", 2, "per-point noise radius (emd)")
+	fs.Float64Var(&c.r1, "r1", 8, "close radius (gap)")
+	fs.Float64Var(&c.r2, "r2", 0, "far radius (gap; default d)")
+	fs.IntVar(&c.diff, "diff", 16, "divergent extra points per member in each cluster set")
+	fs.Uint64Var(&c.seed, "seed", 1, "shared public-coin seed")
+	fs.IntVar(&c.mutate, "mutate", 0, "live-set churn in mutations/sec (server and cluster modes; a client passes nonzero against a churning server)")
+
+	fs.IntVar(&c.maxSessions, "max-sessions", 64, "concurrent session cap (server)")
+	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-session deadline")
+	fs.IntVar(&c.quarantine, "quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
+	fs.StringVar(&o.admin, "admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
+	fs.StringVar(&o.configPath, "config", "", "config file of flat \"flag: value\" lines; explicit flags win")
+	return o
+}
+
 func main() {
-	listen := flag.String("listen", "", "serve on this address (host:port, or unix:/path)")
-	connect := flag.String("connect", "", "run one client session against this address")
-	proto := flag.String("proto", "live-emd", "client protocol: live-emd | gap | sync")
-	clusterPeers := flag.String("cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
-	join := flag.String("join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
-	advertise := flag.String("advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
-	replication := flag.Int("replication", 3, "owners per shard on the placement ring (gossip mode)")
-	setNames := flag.String("sets", "alpha,beta", "named sets hosted in cluster mode (comma-separated)")
-	interval := flag.Duration("interval", time.Second, "anti-entropy round period (cluster mode)")
-	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
-	dataDir := flag.String("data-dir", "", "durable state directory (cluster modes): WAL + snapshots, recovery on startup")
-	fsyncPolicy := flag.String("fsync", "batch", "journal fsync policy with -data-dir: always | batch | off")
-
-	d := flag.Int("d", 128, "EMD dimension (gap uses 4d)")
-	n := flag.Int("n", 64, "points / children per party")
-	k := flag.Int("k", 4, "outlier budget")
-	noise := flag.Float64("noise", 2, "per-point noise radius (emd)")
-	r1 := flag.Float64("r1", 8, "close radius (gap)")
-	r2 := flag.Float64("r2", 0, "far radius (gap; default d)")
-	diff := flag.Int("diff", 16, "divergent extra points per member in each cluster set")
-	seed := flag.Uint64("seed", 1, "shared public-coin seed")
-	mutate := flag.Int("mutate", 0, "live-set churn in mutations/sec (server and cluster modes; a client passes nonzero against a churning server)")
-
-	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (server)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
-	quarantine := flag.Int("quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
-	adminAddr := flag.String("admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
-	configPath := flag.String("config", "", "config file of flat \"flag: value\" lines; explicit flags win")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *configPath != "" {
+	if o.configPath != "" {
 		// File values fill in whatever the command line left at its
 		// default; explicitly passed flags always win.
-		if err := applyConfigFile(*configPath, flag.CommandLine); err != nil {
+		if err := applyConfigFile(o.configPath, flag.CommandLine); err != nil {
 			fail("%v", err)
 		}
 	}
 
-	cfg := config{
-		d: *d, n: *n, k: *k, noise: *noise, r1: *r1, r2: *r2,
-		diff: *diff, seed: *seed, mutate: *mutate,
-		maxSessions: *maxSessions, timeout: *timeout,
-		quarantine: *quarantine,
-	}
+	cfg := o.cfg
 	if cfg.r2 == 0 {
 		cfg.r2 = float64(cfg.d)
 	}
@@ -309,13 +320,13 @@ func main() {
 	}
 
 	switch {
-	case *listen != "" && (*clusterPeers != "" || *join != ""):
-		runCluster(cfg, f, *listen, *clusterPeers, *join, *advertise, *setNames, *interval, *drain, *dataDir, *fsyncPolicy, *replication, *adminAddr)
-	case *listen != "":
-		runServer(cfg, f, *listen, *drain, *adminAddr)
-	case *connect != "":
-		network, host := splitAddr(*connect)
-		if err := runClient(cfg, f, network, host, *proto); err != nil {
+	case o.listen != "" && (o.peers != "" || o.join != ""):
+		runCluster(cfg, f, o.listen, o.peers, o.join, o.advertise, o.sets, o.interval, o.drain, o.dataDir, o.fsync, o.replication, o.admin)
+	case o.listen != "":
+		runServer(cfg, f, o.listen, o.drain, o.admin)
+	case o.connect != "":
+		network, host := splitAddr(o.connect)
+		if err := runClient(cfg, f, network, host, o.proto); err != nil {
 			fail("%v", err)
 		}
 	default:
@@ -338,11 +349,9 @@ func stopAdmin(adm *admin.Server, drain time.Duration, logf func(string, ...any)
 }
 
 // newServer builds the daemon's session server over its live sets: it
-// plays Alice for the point-set protocols (it owns the canonical set and
-// ships sketches) and the responder for sync. EMD is served as live-emd
-// (epoch tagging plus delta sync), Gap from cached key payloads, and
-// sync from incrementally maintained point fingerprints; the returned
-// liveState drives churn.
+// plays Alice (it owns the canonical sets and ships sketches). EMD is
+// served as live-emd (epoch tagging plus delta sync) and Gap from cached
+// key payloads; the returned liveState drives churn.
 func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Server, *liveState) {
 	srv := session.NewServer(session.Config{
 		MaxSessions:    cfg.maxSessions,
@@ -361,13 +370,8 @@ func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Serv
 	if err != nil {
 		fail("live gap: %v", err)
 	}
-	syncFactory, err := netproto.NewLiveSyncResponderFactory(f.syncParams, st.emdSet)
-	if err != nil {
-		fail("live sync: %v", err)
-	}
 	srv.Handle(emdFactory)
 	srv.Handle(gapFactory)
-	srv.Handle(syncFactory)
 	return srv, st
 }
 
@@ -422,7 +426,7 @@ func runServer(cfg config, f *fixture, addr string, drain time.Duration, adminAd
 		}
 		logger.Printf("admin API on http://%s/ (Prometheus on /metrics)", aaddr)
 	}
-	logger.Printf("serving live-emd, gap, sync on %s %s (max %d sessions, %d mutations/s)",
+	logger.Printf("serving live-emd, gap on %s %s (max %d sessions, %d mutations/s)",
 		network, l.Addr(), cfg.maxSessions, cfg.mutate)
 	if cfg.mutate > 0 {
 		go func() {
@@ -495,7 +499,7 @@ func churnBudget(cfg config) int {
 // via emd.Params.N — so it must derive from flags and an agreed
 // budget, never from a member's local view of the topology.
 func clusterCatalog(cfg config, f *fixture, names []string, nodes int) []cluster.CatalogSet {
-	sync := &live.SyncConfig{Seed: f.syncParams.Seed}
+	sync := &live.SyncConfig{Seed: f.syncSeed}
 	space := metric.HammingCube(cfg.d)
 	capacity := cfg.n + nodes*(cfg.diff+churnBudget(cfg)) + 64
 	out := make([]cluster.CatalogSet, len(names))
@@ -525,11 +529,6 @@ func setContent(cfg config, i int, nodeTag uint64) metric.PointSet {
 // disk first, and only the ones its previous life never created get
 // the fresh-start content.
 func populateClusterStore(cfg config, f *fixture, names []string, nodes int, nodeTag uint64, st *store.Store) error {
-	if _, ok := st.Get(""); !ok {
-		if _, err := st.Create("", live.Config{Sync: &live.SyncConfig{Seed: f.syncParams.Seed}}, f.emdSA); err != nil {
-			return err
-		}
-	}
 	for i, cs := range clusterCatalog(cfg, f, names, nodes) {
 		if _, ok := st.Get(cs.Name); ok {
 			continue
@@ -550,21 +549,16 @@ func populateClusterStore(cfg config, f *fixture, names []string, nodes int, nod
 // plant fresh-start extras into one set over its lifetime.
 const gossipCapacityNodes = 64
 
-// populateGossipStore seeds a gossip-mode member's store: the default
-// set always (skipped if durable recovery restored it), plus
-// fresh-start content for the named sets the bootstrap ring — self
-// plus the seed members — assigns to this member. The authoritative
+// populateGossipStore seeds a gossip-mode member's store with
+// fresh-start content for the named sets the bootstrap ring — self plus
+// the seed members — assigns to this member (skipping any durable
+// recovery restored). The authoritative
 // hosted roster follows the gossiped membership once rounds run:
 // ApplyPlacement creates missing owned sets empty and the repair path
 // fills them, and anything planted here that ownership moves away
 // from reaches its owners through handoff before the local copy
 // drops.
 func populateGossipStore(cfg config, f *fixture, names []string, self string, seeds []string, replication int, st *store.Store) error {
-	if _, ok := st.Get(""); !ok {
-		if _, err := st.Create("", live.Config{Sync: &live.SyncConfig{Seed: f.syncParams.Seed}}, f.emdSA); err != nil {
-			return err
-		}
-	}
 	members := []string{self}
 	seen := map[string]bool{self: true}
 	for _, s := range seeds {
@@ -701,7 +695,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 		logger.Printf("gossip member on %s %s: %d seeds, %d-shard catalog at R=%d, round every %v; %s",
 			network, l.Addr(), len(parseSets(joinCSV))+len(peers), len(names), replication, interval, st.Stats())
 	} else {
-		logger.Printf("cluster member on %s %s: %d peers, sets %v + default, round every %v; %s",
+		logger.Printf("cluster member on %s %s: %d peers, sets %v, round every %v; %s",
 			network, l.Addr(), len(peers), names, interval, st.Stats())
 	}
 	drainCh := make(chan struct{})
@@ -720,7 +714,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 			// this member's deterministic divergent seed content, exactly
 			// like a flag-declared set's fresh start.
 			SetConfig: func(name string, seedPoints int) (live.Config, metric.PointSet, error) {
-				c := live.Config{Sync: &live.SyncConfig{Seed: f.syncParams.Seed}}
+				c := live.Config{Sync: &live.SyncConfig{Seed: f.syncSeed}}
 				var pts metric.PointSet
 				if seedPoints > 0 {
 					pts = clusterPoints(metric.HammingCube(cfg.d), seedPoints,
@@ -862,18 +856,8 @@ func runClient(cfg config, f *fixture, network, addr, proto string) error {
 		}
 		fmt.Printf("gap: received %d elements in %v; %s\n",
 			len(h.Result.TA), time.Since(start).Round(time.Millisecond), h.Result.Stats)
-	case netproto.ProtoSync:
-		// The server reconciles its EMD set's point fingerprints;
-		// derive ours the same way.
-		h := netproto.NewSyncInitiator(f.syncParams, live.IDsOf(f.syncParams.Seed, f.emdSB))
-		st, err := dial.Do(h)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sync: learned %d server-only and reported %d client-only IDs in %v; %s\n",
-			len(h.TheirsOnly), len(h.MinesOnly), time.Since(start).Round(time.Millisecond), st)
 	default:
-		return fmt.Errorf("unknown protocol %q (the daemon serves live-emd | gap | sync)", proto)
+		return fmt.Errorf("unknown protocol %q (the daemon serves live-emd | gap)", proto)
 	}
 	return nil
 }

@@ -265,9 +265,10 @@ func TestCrashKillRecovery(t *testing.T) {
 
 // TestServeEveryProtocol drives the daemon's paired server/client
 // fixture over loopback TCP: every served protocol against a server
-// that does not churn and against one churning between sessions, and a
+// that does not churn and against one churning between sessions, a
 // client configured with another -seed, whose hello must fail the
-// parameter-digest check before any protocol traffic.
+// parameter-digest check before any protocol traffic, and a client
+// naming a protocol the daemon does not serve.
 func TestServeEveryProtocol(t *testing.T) {
 	base := config{
 		d: 64, n: 32, k: 2, noise: 2, r1: 8, r2: 64, diff: 8, seed: 1,
@@ -287,7 +288,7 @@ func TestServeEveryProtocol(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		return srv, f, st, l.Addr().String()
 	}
-	protos := []string{"live-emd", "gap", "sync"}
+	protos := []string{"live-emd", "gap"}
 
 	srv, f, _, addr := serve(base)
 	for _, proto := range protos {
@@ -307,11 +308,14 @@ func TestServeEveryProtocol(t *testing.T) {
 			t.Errorf("%s with -seed 2: err = %v, want a digest mismatch", proto, err)
 		}
 	}
+	if err := runClient(base, f, "tcp", addr, "sync"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Errorf("-proto sync: err = %v, want an unknown protocol", err)
+	}
 	srv.Close()
 	// live-emd runs two sessions (full, then delta) on one cache; with
 	// -seed 2 it stops at its first refused hello.
-	if ok, bad := srv.Served(), srv.Failed(); ok != 4 || bad != 3 {
-		t.Errorf("still server: %d ok / %d failed sessions, want 4 / 3", ok, bad)
+	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 2 {
+		t.Errorf("still server: %d ok / %d failed sessions, want 3 / 2", ok, bad)
 	}
 
 	churning := base
@@ -326,7 +330,7 @@ func TestServeEveryProtocol(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if ok, bad := srv.Served(), srv.Failed(); ok != 4 || bad != 0 {
-		t.Errorf("churning server: %d ok / %d failed sessions, want 4 / 0", ok, bad)
+	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 0 {
+		t.Errorf("churning server: %d ok / %d failed sessions, want 3 / 0", ok, bad)
 	}
 }

@@ -672,7 +672,7 @@ func pointKey(pt metric.Point) string {
 
 // idMixer derives the fingerprint mixer from the sync seed; both
 // parties of an exact-ID session must use the same derivation, which
-// IDsOf provides for the client side.
+// PointID provides for a peer checking what it received.
 func idMixer(seed uint64) hashx.Mixer {
 	return hashx.MixerFromSeed(seed ^ 0x11dfeed)
 }
@@ -688,23 +688,7 @@ func pointIDWith(m hashx.Mixer, pt metric.Point) uint64 {
 }
 
 // PointID is the fingerprint a Set with SyncConfig.Seed == seed assigns
-// to pt; clients derive their own ID lists with it.
+// to pt; a repair initiator checks the points it receives with it.
 func PointID(seed uint64, pt metric.Point) uint64 {
 	return pointIDWith(idMixer(seed), pt)
-}
-
-// IDsOf fingerprints every distinct point of pts (duplicates collapse,
-// as exact-ID reconciliation is over sets).
-func IDsOf(seed uint64, pts metric.PointSet) []uint64 {
-	m := idMixer(seed)
-	seen := make(map[uint64]bool, len(pts))
-	out := make([]uint64, 0, len(pts))
-	for _, pt := range pts {
-		id := pointIDWith(m, pt)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

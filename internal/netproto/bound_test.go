@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -32,16 +31,12 @@ func writeHostileStrata(e *transport.Encoder, seed uint64) {
 	}
 }
 
-// TestRespondersRefuseHostileStrata feeds the live sync responder and
-// the repair responder a strata estimate far above iblt.MaxDiff: each
-// must fail with the limit error before it allocates a table.
+// TestRespondersRefuseHostileStrata feeds the repair responder a
+// strata estimate far above iblt.MaxDiff: it must fail with the limit
+// error before it allocates a table.
 func TestRespondersRefuseHostileStrata(t *testing.T) {
 	const seed = 9
 	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: seed}}, liveRandomSet(metric.HammingCube(64), 8, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncFactory, err := NewLiveSyncResponderFactory(SyncParams{Seed: seed}, ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +47,12 @@ func TestRespondersRefuseHostileStrata(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		handler Handler
-		hint    bool // repair's first frame leads with a zero hint
 	}{
-		{"sync", syncFactory(), false},
-		{"repair", repairFactory(), true},
+		{"repair", repairFactory()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := transport.NewEncoder()
-			if c.hint {
-				e.WriteUvarint(0)
-			}
+			e.WriteUvarint(0) // no hint: the strata follows
 			writeHostileStrata(e, seed)
 			peer, conn := transport.NewPipe()
 			if err := peer.Send(e); err != nil {
@@ -70,57 +61,6 @@ func TestRespondersRefuseHostileStrata(t *testing.T) {
 			err := c.handler.Run(conn)
 			if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 				t.Fatalf("err = %v, want the difference limit", err)
-			}
-		})
-	}
-}
-
-// TestSyncResponderRefusesAckBomb answers a sync responder's first
-// table with a 6-byte ack: true, then an ID count of 2²⁵−1 and no IDs.
-// The responder must fail on the count the frame cannot back, before
-// it allocates the list (256 MiB at 8 bytes per ID), whether it serves
-// frozen IDs or a live set.
-func TestSyncResponderRefusesAckBomb(t *testing.T) {
-	const seed = 9
-	pts := liveRandomSet(metric.HammingCube(64), 8, 3)
-	ids := live.IDsOf(seed, pts)
-	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: seed}}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveFactory, err := NewLiveSyncResponderFactory(SyncParams{Seed: seed}, ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name    string
-		handler Handler
-	}{
-		{"frozen", NewSyncResponder(SyncParams{Seed: seed}, ids)},
-		{"live", liveFactory()},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			peer, conn := transport.NewPipe()
-			opening := transport.NewEncoder()
-			iblt.NewStrataFromKeys(iblt.StrataCells, seed, ids).Encode(opening)
-			ack := transport.NewEncoder()
-			ack.WriteBool(true)
-			ack.WriteUvarint(1<<25 - 1)
-			if err := peer.Send(opening); err != nil {
-				t.Fatal(err)
-			}
-			if err := peer.Send(ack); err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := c.handler.Run(conn)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatal("hostile ack accepted")
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-				t.Fatalf("responder allocated %d bytes before refusing the ack (err %v)", grew, err)
 			}
 		})
 	}

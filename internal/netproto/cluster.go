@@ -35,10 +35,10 @@ import (
 // itself is 0; any other bits are decoded and validated in full. The
 // wire bytes are the same either way.
 //
-// Repair (ProtoRepair) converges the sets exactly: the exact-ID
-// difference exchange it shares with sync (protocols.go), followed by a
-// point-payload exchange, after which both sides hold the union of
-// distinct points (add-wins anti-entropy merge; MergeAbsent makes
+// Repair (ProtoRepair) converges the sets exactly: an exact-ID
+// difference exchange (strata-sized IBLTs, doubled on a stall, below),
+// then a point-payload exchange, after which both sides hold the union
+// of distinct points (add-wins anti-entropy merge; MergeAbsent makes
 // application idempotent). A probe's estimate can be passed as a hint,
 // skipping the strata estimator entirely — power-of-two-choices probing
 // already paid for it.
@@ -50,14 +50,10 @@ import (
 const (
 	// ProtoProbe is the divergence-estimate exchange.
 	ProtoProbe Proto = 6
-	// ProtoRepair is exact set convergence (ID sync + point payloads).
+	// ProtoRepair is exact set convergence (ID difference + point
+	// payloads).
 	ProtoRepair Proto = 7
 )
-
-func init() {
-	RegisterProto(ProtoProbe, "probe")
-	RegisterProto(ProtoRepair, "repair")
-}
 
 // DigestLiveSet folds the wire-relevant configuration of a live set:
 // which structures it maintains and their parameter digests. Two nodes
@@ -430,6 +426,118 @@ func readIDList(d *transport.Decoder) ([]uint64, error) {
 	return out, nil
 }
 
+// The exact-ID difference exchange, between repair's opening and its
+// ack:
+//
+//	responder → initiator: uvarint attempt, IBLT of responder's IDs ─┐ repeat on
+//	initiator → responder: false                                    ─┘ a stall
+//	initiator → responder: true, then the ack
+//
+// The responder sizes its first table for 2·estimate+8 differences and
+// doubles the bound on every stall, at most maxRetries times; attempt
+// i's table is seeded seed+repairSalt+i·0x9e37, so each retry draws a
+// fresh hypergraph. The initiator deletes its own IDs from the table
+// and peels it into the IDs only the peer holds and those only it
+// holds.
+
+const (
+	// repairSalt offsets the table seeds from the set's sync seed.
+	repairSalt = 0x4e9a
+
+	// maxRetries bounds the IBLT doublings of the difference exchange.
+	maxRetries = 6
+)
+
+// diffSeed is the table seed of one attempt.
+func diffSeed(seed uint64, attempt int) uint64 {
+	return seed + repairSalt + uint64(attempt)*0x9e37
+}
+
+// diffEstimate reads a peer's strata estimator from d and estimates the
+// difference against local, which it only reads (Estimate clones).
+func diffEstimate(d *transport.Decoder, seed uint64, local *iblt.Strata) (int, error) {
+	remote, err := iblt.DecodeStrata(d, seed)
+	if err != nil {
+		return 0, err
+	}
+	return local.Estimate(remote)
+}
+
+// diffInitiate answers the responder's tables with ids until one peels,
+// and returns the IDs only the peer holds and those only ids holds. It
+// sends nothing for the table that peeled: the caller's ack, which
+// begins with true, answers it.
+func diffInitiate(conn transport.Conn, seed uint64, ids []uint64) (peerOnly, mineOnly []uint64, err error) {
+	for attempt := 0; ; attempt++ {
+		d, err := conn.Recv()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := d.ReadUvarint(); err != nil {
+			return nil, nil, err
+		}
+		tbl, err := iblt.DecodeFrom(d, diffSeed(seed, attempt))
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, id := range ids {
+			tbl.Delete(id)
+		}
+		added, removed, decErr := tbl.Decode()
+		if decErr == nil {
+			return added, removed, nil
+		}
+		e := transport.NewEncoder()
+		e.WriteBool(false)
+		if err := conn.Send(e); err != nil {
+			return nil, nil, err
+		}
+		if attempt >= maxRetries {
+			return nil, nil, fmt.Errorf("netproto: ID difference failed after %d attempts", attempt+1)
+		}
+	}
+}
+
+// diffRespond serves tables of ids, the first sized from the difference
+// estimate est, until the initiator peels one. It returns the ack frame
+// positioned after its true, and the difference bound of the table that
+// peeled: an honest ack names no more IDs than that. An estimate or a
+// doubled bound above iblt.MaxDiff is refused before any table is
+// built.
+func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *transport.Decoder, diffBound int, err error) {
+	if est > iblt.MaxDiff {
+		return nil, 0, fmt.Errorf("netproto: difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
+	}
+	diffBound = est*2 + 8
+	for attempt := 0; ; attempt++ {
+		if diffBound > iblt.MaxDiff {
+			return nil, 0, fmt.Errorf("netproto: IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
+		}
+		tbl := iblt.NewFromKeys(iblt.CellsForDiff(diffBound, 3), 3, diffSeed(seed, attempt), ids)
+		e := transport.NewEncoder()
+		e.WriteUvarint(uint64(attempt))
+		tbl.Encode(e)
+		if err := conn.Send(e); err != nil {
+			return nil, 0, err
+		}
+		d, err := conn.Recv()
+		if err != nil {
+			return nil, 0, err
+		}
+		ok, err := d.ReadBool()
+		if err != nil {
+			return nil, 0, err
+		}
+		if ok {
+			return d, diffBound, nil
+		}
+		if attempt >= maxRetries {
+			return nil, 0, fmt.Errorf("netproto: ID difference failed after %d attempts", attempt+1)
+		}
+		diffBound *= 2
+	}
+}
+
 // RepairInitiator drives one repair session for a live set. Hint, when
 // positive, is a difference estimate already in hand (from a probe) and
 // elides the strata round. After Run both sides hold the union of their
@@ -482,7 +590,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 	if err := conn.Send(e); err != nil {
 		return err
 	}
-	peerOnly, mineOnly, err := diffInitiate(conn, sc.Seed, repairSalt, snap.IDs)
+	peerOnly, mineOnly, err := diffInitiate(conn, sc.Seed, snap.IDs)
 	if err != nil {
 		return err
 	}
@@ -595,7 +703,7 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	} else if hint > iblt.MaxDiff {
 		return fmt.Errorf("netproto: repair hint %d exceeds limit %d", hint, iblt.MaxDiff)
 	}
-	ack, diffBound, err := diffRespond(conn, sc.Seed, repairSalt, snap.IDs, est)
+	ack, diffBound, err := diffRespond(conn, sc.Seed, snap.IDs, est)
 	if err != nil {
 		return err
 	}

@@ -123,10 +123,9 @@ func fuzzRepairAckBytes(ids []uint64, pts metric.PointSet) []byte {
 }
 
 // FuzzRepairFrames hardens the ack readers, readIDList and
-// readPointList, driven in the order the repair responder consumes them;
-// the sync responder reads its ack with readIDList alone. Accepted
-// payloads must round-trip: re-encoding the decoded IDs and points must
-// reproduce a parseable, value-identical payload.
+// readPointList, driven in the order the repair responder consumes them.
+// Accepted payloads must round-trip: re-encoding the decoded IDs and
+// points must reproduce a parseable, value-identical payload.
 func FuzzRepairFrames(f *testing.F) {
 	f.Add(fuzzRepairAckBytes([]uint64{1, 2, 3}, metric.PointSet{{1, 2}, {3, 4}}))
 	f.Add(fuzzRepairAckBytes(nil, nil))
@@ -135,8 +134,8 @@ func FuzzRepairFrames(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{0x00, 0x01, 0xff, 0xff, 0xff, 0x7f})
-	// The sync-ack bomb: an ID count of 2²⁵−1 (256 MiB of IDs) and no
-	// IDs behind it.
+	// The ack bomb: an ID count of 2²⁵−1 (256 MiB of IDs) and no IDs
+	// behind it.
 	bomb := transport.NewEncoder()
 	bomb.WriteUvarint(1<<25 - 1)
 	bombBytes, _ := bomb.Pack()

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/transport"
 )
@@ -36,7 +35,7 @@ func (c *frameHasher) Send(e *transport.Encoder) error {
 
 // wirePin is one exchange's pinned traffic: the SHA-256 of every frame
 // each side sent, and how many frames the responder sent (one IBLT per
-// attempt, plus repair's point batch).
+// attempt, plus the point batch).
 type wirePin struct {
 	a2b, b2a  string
 	bobFrames int
@@ -82,55 +81,6 @@ func checkPin(t *testing.T, got, want wirePin) {
 	}
 	if got.bobFrames != want.bobFrames {
 		t.Errorf("responder sent %d frames, pinned %d", got.bobFrames, want.bobFrames)
-	}
-}
-
-// TestSyncWirePinned pins the SHA-256 of every frame a sync exchange
-// (proto 3) sends in each direction, against both the frozen and the
-// live responder, which must speak identical bytes. IDs are point
-// fingerprints, so one point set feeds both. The stall case is a set
-// pair whose first IBLT does not peel, so the doubling path is pinned
-// too. The values were captured once and must never change without a
-// protocol bump.
-func TestSyncWirePinned(t *testing.T) {
-	space := metric.HammingCube(32)
-	for _, c := range []struct {
-		name                 string
-		seed                 uint64
-		shared, onlyA, onlyB int
-		want                 wirePin
-	}{
-		{"diff", 0x5a, 300, 14, 9, wirePin{
-			a2b:       "fb0a5ff3e3a81b8f79bf8a15d88dada0426ed5f671145f811564dd3e8850b188",
-			b2a:       "b7ff81b366e1475a32b1412c3e38d715b23586eddeba1c0442f014500d9af89f",
-			bobFrames: 1,
-		}},
-		{"stall", 39, 64, 40, 30, wirePin{
-			a2b:       "bda85482de0e5ee1a8c3b6cf67e2b4ff509e3e67640608cdf504cad93f8df04a",
-			b2a:       "dabf54922e2505b197c27d7a7b10b90ab258fafd73fe4692e1a07b6fc5ac572b",
-			bobFrames: 2,
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			p := SyncParams{Seed: c.seed}
-			base := clusterPoints(space, c.shared, c.seed+1)
-			ptsA := append(base.Clone(), clusterPoints(space, c.onlyA, c.seed+2)...)
-			ptsB := append(base.Clone(), clusterPoints(space, c.onlyB, c.seed+3)...)
-			mine, theirs := live.IDsOf(p.Seed, ptsA), live.IDsOf(p.Seed, ptsB)
-			ls := newSyncSet(t, space, ptsB, p.Seed)
-			liveFactory, err := NewLiveSyncResponderFactory(p, ls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, resp := range []Handler{NewSyncResponder(p, theirs), liveFactory()} {
-				init := NewSyncInitiator(p, mine)
-				checkPin(t, runHashed(t, init, resp), c.want)
-				if len(init.TheirsOnly) != c.onlyB || len(init.MinesOnly) != c.onlyA {
-					t.Errorf("%T: learned %d/%d, want %d/%d",
-						resp, len(init.TheirsOnly), len(init.MinesOnly), c.onlyB, c.onlyA)
-				}
-			}
-		})
 	}
 }
 

@@ -39,7 +39,6 @@ func TestDigestPins(t *testing.T) {
 	}{
 		{"daemon emd", DigestEMD(daemonEMD), 0x50a4da4c64a55904},
 		{"daemon gap", DigestGap(daemonGap), 0x57d3bbe51fc0c93},
-		{"daemon sync", DigestSync(SyncParams{Seed: daemonSeed + 4}), 0x44f46c8afbb0ee90},
 		{"daemon live emd+sync", liveDigest(live.Config{EMD: &daemonEMD, Sync: &daemonSync}), 0xb6d9e83fe925f4b7},
 		{"daemon live gap", liveDigest(live.Config{Gap: &daemonGap}), 0xc35953f6c00df1e0},
 		{"bench gap", DigestGap(benchGap), 0x3a6424783607e1d4},

@@ -13,9 +13,9 @@ import (
 	"repro/internal/metric"
 )
 
-// failureHandlers returns one handler per (protocol, role) across all
-// frozen-set protocols, bound to small valid fixtures — the matrix
-// the disconnect and truncation tests run over.
+// failureHandlers returns one handler per (protocol, role) across the
+// frozen-set protocols and repair, bound to small valid fixtures — the
+// matrix the disconnect and truncation tests run over.
 func failureHandlers(t *testing.T) map[string]Handler {
 	t.Helper()
 	space := metric.HammingCube(64)
@@ -27,13 +27,22 @@ func failureHandlers(t *testing.T) map[string]Handler {
 		pt[i] = 1
 		pts[i] = pt
 	}
+	ls := newSyncSet(t, space, pts, 5)
+	repairInit, err := NewRepairInitiator(ls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repairResp, err := NewRepairResponderFactory(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]Handler{
-		"emd/alice":  NewEMDSender(emdP, pts),
-		"emd/bob":    NewEMDReceiver(emdP, pts),
-		"gap/alice":  NewGapSender(gapP, pts),
-		"gap/bob":    NewGapReceiver(gapP, pts),
-		"sync/alice": NewSyncInitiator(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
-		"sync/bob":   NewSyncResponder(SyncParams{Seed: 5}, []uint64{1, 2, 3}),
+		"emd/alice":    NewEMDSender(emdP, pts),
+		"emd/bob":      NewEMDReceiver(emdP, pts),
+		"gap/alice":    NewGapSender(gapP, pts),
+		"gap/bob":      NewGapReceiver(gapP, pts),
+		"repair/alice": repairInit,
+		"repair/bob":   repairResp(),
 	}
 }
 

@@ -11,7 +11,3 @@ package netproto
 //	initiator → peer: member table
 //	peer → initiator: member table (after merging the initiator's)
 const ProtoGossip Proto = 8
-
-func init() {
-	RegisterProto(ProtoGossip, "gossip")
-}

@@ -4,16 +4,9 @@ import (
 	"repro/internal/emd"
 	"repro/internal/gap"
 	"repro/internal/hashx"
-	"repro/internal/iblt"
 	"repro/internal/metric"
 	"repro/internal/transport"
 )
-
-func init() {
-	RegisterProto(ProtoEMD, "emd")
-	RegisterProto(ProtoGap, "gap")
-	RegisterProto(ProtoSync, "sync")
-}
 
 // ---------------------------------------------------------------------------
 // Parameter digests. Each folds exactly the fields both parties must
@@ -66,16 +59,6 @@ func DigestGap(p gap.Params) uint64 {
 	h = m.Hash(h ^ uint64(ss.Q))
 	h = m.Hash(h ^ uint64(ss.MaxRetries))
 	h = m.Hash(h ^ uint64(int64(ss.SafetyFactor*1000)))
-	return h
-}
-
-// DigestSync folds SyncParams with the strata geometry and retry bound
-// every sync session runs.
-func DigestSync(p SyncParams) uint64 {
-	m := hashx.MixerFromSeed(0x51ab)
-	h := m.Hash(p.Seed)
-	h = m.Hash(h ^ iblt.StrataCells)
-	h = m.Hash(h ^ maxRetries)
 	return h
 }
 
@@ -247,111 +230,4 @@ func (h *GapReceiver) Run(conn transport.Conn) error {
 	}
 	h.Result = res
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Classic exact ID reconciliation (strata + IBLT + repair): the
-// difference exchange of protocols.go, opened with a strata estimator
-// and acked with the IDs only the initiator holds.
-//
-//	initiator → responder: strata of the initiator's IDs
-//	                       the difference exchange, salt syncSalt
-//	initiator → responder: ack: true, uvarint n, n 64-bit IDs
-
-// SyncInitiator is the initiating Sync handler; TheirsOnly and MinesOnly
-// are populated by Run.
-type SyncInitiator struct {
-	Params     SyncParams
-	IDs        []uint64
-	TheirsOnly []uint64
-	MinesOnly  []uint64
-}
-
-// NewSyncInitiator binds the initiating side of ID reconciliation.
-func NewSyncInitiator(p SyncParams, ids []uint64) *SyncInitiator {
-	return &SyncInitiator{Params: p, IDs: ids}
-}
-
-// Proto implements Handler.
-func (h *SyncInitiator) Proto() Proto { return ProtoSync }
-
-// Role implements Handler.
-func (h *SyncInitiator) Role() Role { return RoleAlice }
-
-// Digest implements Handler.
-func (h *SyncInitiator) Digest() uint64 { return DigestSync(h.Params) }
-
-// Run implements Handler: open with a strata estimator of the IDs, run
-// the difference exchange, and ack with the IDs only this side holds.
-func (h *SyncInitiator) Run(conn transport.Conn) error {
-	e := transport.NewEncoder()
-	iblt.NewStrataFromKeys(iblt.StrataCells, h.Params.Seed, h.IDs).Encode(e)
-	if err := conn.Send(e); err != nil {
-		return err
-	}
-	theirs, mine, err := diffInitiate(conn, h.Params.Seed, syncSalt, h.IDs)
-	if err != nil {
-		return err
-	}
-	ack := transport.NewEncoder()
-	ack.WriteBool(true)
-	writeIDList(ack, mine)
-	if err := conn.Send(ack); err != nil {
-		return err
-	}
-	h.TheirsOnly, h.MinesOnly = theirs, mine
-	return nil
-}
-
-// SyncResponder is the answering Sync handler; TheirsOnly is populated
-// by Run.
-type SyncResponder struct {
-	Params     SyncParams
-	IDs        []uint64
-	TheirsOnly []uint64
-}
-
-// NewSyncResponder binds the answering side of ID reconciliation.
-func NewSyncResponder(p SyncParams, ids []uint64) *SyncResponder {
-	return &SyncResponder{Params: p, IDs: ids}
-}
-
-// Proto implements Handler.
-func (h *SyncResponder) Proto() Proto { return ProtoSync }
-
-// Role implements Handler.
-func (h *SyncResponder) Role() Role { return RoleBob }
-
-// Digest implements Handler.
-func (h *SyncResponder) Digest() uint64 { return DigestSync(h.Params) }
-
-// Run implements Handler.
-func (h *SyncResponder) Run(conn transport.Conn) error {
-	local := iblt.NewStrataFromKeys(iblt.StrataCells, h.Params.Seed, h.IDs)
-	theirs, err := respondSync(conn, h.Params.Seed, h.IDs, local)
-	if err != nil {
-		return err
-	}
-	h.TheirsOnly = theirs
-	return nil
-}
-
-// respondSync answers one sync session for ids, whose strata estimator
-// (geometry iblt.StrataCells, seed) is local: it reads the initiator's
-// estimator, serves the difference exchange, and returns the IDs only
-// the initiator holds, read from its ack.
-func respondSync(conn transport.Conn, seed uint64, ids []uint64, local *iblt.Strata) ([]uint64, error) {
-	d, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	est, err := diffEstimate(d, seed, local)
-	if err != nil {
-		return nil, err
-	}
-	ack, _, err := diffRespond(conn, seed, syncSalt, ids, est)
-	if err != nil {
-		return nil, err
-	}
-	return readIDList(ack)
 }

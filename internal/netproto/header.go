@@ -311,6 +311,10 @@ func (c pendingConn) Send(e *transport.Encoder) error { return c.p.w.Send(e) }
 
 func (c pendingConn) Flush() error { return c.p.w.Flush() }
 
+// Stats forwards the wire's tally, so a handler reads its session's
+// traffic through transport.ConnStats as it would on the bare wire.
+func (c pendingConn) Stats() transport.Stats { return c.p.w.Stats() }
+
 func (c pendingConn) Recv() (*transport.Decoder, error) {
 	if err := c.p.Complete(); err != nil {
 		return nil, err

@@ -40,7 +40,7 @@ func (readOnly) Write(p []byte) (int, error) { return len(p), nil }
 func FuzzReadHello(f *testing.F) {
 	// Valid default-set hellos.
 	f.Add(frameHello(Hello{Proto: ProtoEMD, Role: RoleAlice, Digest: 0xdeadbeef}))
-	f.Add(frameHello(Hello{Proto: ProtoSync, Role: RoleBob, Digest: 0}))
+	f.Add(frameHello(Hello{Proto: ProtoProbe, Role: RoleBob, Digest: 0}))
 	// Valid named-set hellos.
 	f.Add(frameHello(Hello{Proto: ProtoLiveEMD, Role: RoleAlice, Digest: 1, Set: "tenant-a"}))
 	f.Add(frameHello(Hello{Proto: ProtoRepair, Role: RoleAlice, Digest: 42, Set: strings.Repeat("n", 255)}))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/emd"
 )
 
 // TestHelloByteGolden pins the wire bytes of a session hello: magic,
@@ -46,7 +48,7 @@ func TestHelloV2RoundTrip(t *testing.T) {
 func TestHelloRejectsBadSetNames(t *testing.T) {
 	var buf bytes.Buffer
 	for _, set := range []string{"with\nnewline", strings.Repeat("x", 256)} {
-		err := SendHello(NewWire(&buf), Hello{Proto: ProtoSync, Role: RoleAlice, Set: set})
+		err := SendHello(NewWire(&buf), Hello{Proto: ProtoRepair, Role: RoleAlice, Set: set})
 		if err == nil {
 			t.Fatalf("SendHello accepted set %q", set)
 		}
@@ -57,7 +59,7 @@ func TestHelloRejectsBadSetNames(t *testing.T) {
 		0x00, 0x00, 0x00, 0x0f, // frame length 15
 		0x52, 0x53, 0x59, 0x4e, // "RSYN"
 		0x01,                   // version 1
-		0x03,                   // proto sync
+		0x03,                   // proto 3
 		0x00,                   // role alice
 		0, 0, 0, 0, 0, 0, 0, 0, // digest
 	}
@@ -74,9 +76,9 @@ func TestTwoPartyAcceptRejectsNamedSet(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		w := NewWire(a)
-		errc <- InitiateSet(w, NewSyncInitiator(SyncParams{Seed: 1}, nil), "tenant")
+		errc <- InitiateSet(w, NewEMDReceiver(emd.DefaultParams(emdSpace(), 8, 2, 1), nil), "tenant")
 	}()
-	err2 := Accept(NewWire(b), NewSyncResponder(SyncParams{Seed: 1}, nil))
+	err2 := Accept(NewWire(b), NewEMDSender(emd.DefaultParams(emdSpace(), 8, 2, 1), nil))
 	err1 := <-errc
 	if err1 == nil || !strings.Contains(err1.Error(), "unknown set") {
 		t.Fatalf("initiator error = %v, want unknown-set rejection", err1)

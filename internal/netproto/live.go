@@ -17,10 +17,9 @@ import (
 // one consistent epoch end to end while later sessions see later
 // epochs.
 //
-// Gap and exact-ID sync speak their existing protocols unchanged — the
-// live set only amortizes the per-session precomputation (key payloads,
-// strata estimator). EMD gets a dedicated protocol, ProtoLiveEMD, with
-// a delta-sync fast path:
+// Gap speaks its existing protocol unchanged — the live set only
+// amortizes the per-session key payloads. EMD gets a dedicated
+// protocol, ProtoLiveEMD, with a delta-sync fast path:
 //
 //	Bob → Alice: uvarint lastEpoch   (0 = no cached sketch)
 //	Alice → Bob: uvarint epoch, uvarint mode (0 full / 1 delta),
@@ -37,10 +36,6 @@ import (
 // ProtoLiveEMD is the EMD protocol with epoch-tagged sketches and
 // delta synchronization for returning peers.
 const ProtoLiveEMD Proto = 5
-
-func init() {
-	RegisterProto(ProtoLiveEMD, "live-emd")
-}
 
 const (
 	liveModeFull  = 0
@@ -285,47 +280,4 @@ func (h *LiveGapSender) Run(conn transport.Conn) error {
 	}
 	h.Report = rep
 	return nil
-}
-
-// LiveSyncResponder serves exact-ID reconciliation (ordinary
-// ProtoSync) from a live snapshot: the ID list and the strata
-// estimator come from the set instead of a per-session rebuild.
-type LiveSyncResponder struct {
-	params SyncParams
-	snap   *live.Snapshot
-
-	// Epoch is the generation this session served.
-	Epoch uint64
-}
-
-// NewLiveSyncResponderFactory returns a factory serving sync sessions
-// from the set's fingerprint state. p must agree with the set's
-// SyncConfig (same seed) — the estimator is part of the wire protocol.
-func NewLiveSyncResponderFactory(p SyncParams, ls *live.Set) (func() Handler, error) {
-	sc, ok := ls.SyncConfig()
-	if !ok {
-		return nil, fmt.Errorf("netproto: live set maintains no sync state")
-	}
-	if p.Seed != sc.Seed {
-		return nil, fmt.Errorf("netproto: sync params (seed %#x) disagree with live set (seed %#x)", p.Seed, sc.Seed)
-	}
-	return func() Handler {
-		return &LiveSyncResponder{params: p, snap: ls.Snapshot()}
-	}, nil
-}
-
-// Proto implements Handler.
-func (h *LiveSyncResponder) Proto() Proto { return ProtoSync }
-
-// Role implements Handler.
-func (h *LiveSyncResponder) Role() Role { return RoleBob }
-
-// Digest implements Handler.
-func (h *LiveSyncResponder) Digest() uint64 { return DigestSync(h.params) }
-
-// Run implements Handler.
-func (h *LiveSyncResponder) Run(conn transport.Conn) error {
-	h.Epoch = h.snap.Epoch
-	_, err := respondSync(conn, h.params.Seed, h.snap.IDs, h.snap.Strata)
-	return err
 }

@@ -13,13 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-func liveFixtureParams() (emd.Params, gap.Params, SyncParams, live.Config) {
+func liveFixtureParams() (emd.Params, gap.Params, live.Config) {
 	space := metric.HammingCube(64)
 	emdP := emd.Params{Space: space, N: 32, K: 3, D1: 2, D2: 64, Seed: 7}
 	gapP := gap.Params{Space: space, N: 32, R1: 2, R2: 16, Seed: 8}
-	syncP := SyncParams{Seed: 9}
 	cfg := live.Config{EMD: &emdP, Gap: &gapP, Sync: &live.SyncConfig{Seed: 9}}
-	return emdP, gapP, syncP, cfg
+	return emdP, gapP, cfg
 }
 
 func liveRandomSet(space metric.Space, n int, seed uint64) metric.PointSet {
@@ -65,7 +64,7 @@ func runLiveEMDSession(t *testing.T, factory func() Handler, h *LiveEMDReceiver)
 // churn, a returning peer announcing its epoch receives only churned
 // cells, reconciles identically, and the payload is smaller.
 func TestLiveEMDDeltaSync(t *testing.T) {
-	emdP, _, _, cfg := liveFixtureParams()
+	emdP, _, cfg := liveFixtureParams()
 	cfg.Gap, cfg.Sync = nil, nil
 	sa := liveRandomSet(emdP.Space, emdP.N, 41)
 	ls, err := live.NewSet(cfg, sa)
@@ -132,7 +131,7 @@ func TestLiveEMDDeltaSync(t *testing.T) {
 // TestLiveEMDJournalAgedOut: a peer whose epoch fell off the journal
 // gets a clean full transfer.
 func TestLiveEMDJournalAgedOut(t *testing.T) {
-	emdP, _, _, cfg := liveFixtureParams()
+	emdP, _, cfg := liveFixtureParams()
 	cfg.Gap, cfg.Sync = nil, nil
 	sa := liveRandomSet(emdP.Space, emdP.N, 51)
 	ls, err := live.NewSet(cfg, sa)
@@ -168,11 +167,10 @@ func TestLiveEMDJournalAgedOut(t *testing.T) {
 	}
 }
 
-// TestLiveGapAndSyncServing: the ordinary Gap and Sync protocols served
-// from a live snapshot behave like their rebuilt-per-session
-// counterparts.
-func TestLiveGapAndSyncServing(t *testing.T) {
-	_, gapP, syncP, cfg := liveFixtureParams()
+// TestLiveGapServing: the ordinary Gap protocol served from a live
+// snapshot behaves like its rebuilt-per-session counterpart.
+func TestLiveGapServing(t *testing.T) {
+	_, gapP, cfg := liveFixtureParams()
 	cfg.EMD = nil
 	ginst, err := workload.NewGapInstance(gapP.Space, 24, 2, 1, 2, 16, 43)
 	if err != nil {
@@ -186,11 +184,6 @@ func TestLiveGapAndSyncServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncFactory, err := NewLiveSyncResponderFactory(syncP, ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Gap session against a plain receiver.
 	a, b := duplex()
 	var wg sync.WaitGroup
@@ -216,33 +209,6 @@ func TestLiveGapAndSyncServing(t *testing.T) {
 		}
 	}
 
-	// Sync session: client IDs derived with the shared fingerprint
-	// seed; the symmetric difference is the planted instance's.
-	clientIDs := live.IDsOf(9, ginst.SB)
-	a2, b2 := duplex()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, srvErr = RunResponder(a2, syncFactory())
-		a2.Close()
-	}()
-	sh := NewSyncInitiator(syncP, clientIDs)
-	if _, err := RunInitiator(b2, sh); err != nil {
-		t.Fatalf("sync client: %v", err)
-	}
-	b2.Close()
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatalf("sync server: %v", srvErr)
-	}
-	serverIDs := ls.Snapshot().IDs
-	wantTheirs := diffCount(serverIDs, clientIDs)
-	wantMine := diffCount(clientIDs, serverIDs)
-	if len(sh.TheirsOnly) != wantTheirs || len(sh.MinesOnly) != wantMine {
-		t.Errorf("sync got %d/%d, want %d/%d",
-			len(sh.TheirsOnly), len(sh.MinesOnly), wantTheirs, wantMine)
-	}
-
 	// Churn invalidates the served snapshot for *new* sessions only:
 	// a session built before the mutation still serves its epoch.
 	pre := gapFactory().(*LiveGapSender)
@@ -256,20 +222,6 @@ func TestLiveGapAndSyncServing(t *testing.T) {
 	if !bytes.Equal(encodePoints(pre.snap.Points), encodePoints(pre.snap.Points)) {
 		t.Error("snapshot mutated")
 	}
-}
-
-func diffCount(a, b []uint64) int {
-	in := make(map[uint64]bool, len(b))
-	for _, x := range b {
-		in[x] = true
-	}
-	n := 0
-	for _, x := range a {
-		if !in[x] {
-			n++
-		}
-	}
-	return n
 }
 
 func encodePoints(pts metric.PointSet) []byte {

@@ -14,11 +14,11 @@
 // before any protocol traffic flows, failing fast on mismatch instead of
 // producing garbage.
 //
-// Sync (ProtoSync) and repair (ProtoRepair) share one exact-ID
-// difference exchange (protocols.go): a strata-sized IBLT that the
-// responder doubles on every stall. Each protocol adds only its opening
-// and its ack. The exchange's wire diagram is in protocols.go, sync's in
-// handlers.go, repair's in cluster.go.
+// Exact-ID reconciliation on the wire is repair (ProtoRepair,
+// cluster.go): a strata-sized IBLT difference exchange that the
+// responder doubles on every stall, then the points behind the
+// differing IDs. Bare uint64 ID sets reconcile in process only (the
+// root package's SyncIDs).
 package netproto
 
 import (

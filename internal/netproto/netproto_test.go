@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"testing"
 
 	"repro/internal/emd"
 	"repro/internal/gap"
 	"repro/internal/matching"
 	"repro/internal/metric"
-	"repro/internal/rng"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -94,27 +92,36 @@ func TestHeaderDigestMismatch(t *testing.T) {
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunInitiator(a, NewSyncInitiator(SyncParams{Seed: 111}, nil))
+		_, err := RunInitiator(a, NewEMDReceiver(emd.DefaultParams(emdSpace(), 8, 2, 111), nil))
 		errc <- err
 	}()
-	_, err2 := RunResponder(b, NewSyncResponder(SyncParams{Seed: 222}, nil))
+	_, err2 := RunResponder(b, NewEMDSender(emd.DefaultParams(emdSpace(), 8, 2, 222), nil))
 	err1 := <-errc
 	if err1 == nil || err2 == nil {
 		t.Errorf("digest mismatch accepted: %v / %v", err1, err2)
 	}
 }
 
-// TestRegisteredProtos pins the protocol table. No ID moves, and ID 4,
-// once multiset-of-sets reconciliation as a peer protocol, stays unused.
+// TestRegisteredProtos pins the protocol table. No ID moves, and IDs 3
+// and 4, once exact-ID sync and multiset-of-sets reconciliation as peer
+// protocols, stay unused.
 func TestRegisteredProtos(t *testing.T) {
 	got := fmt.Sprint(Protos())
-	if want := "[emd gap sync live-emd probe repair gossip]"; got != want {
+	if want := "[emd gap live-emd probe repair gossip]"; got != want {
 		t.Errorf("registered protocols %s, want %s", got, want)
 	}
-	for id, name := range map[Proto]string{1: "emd", 3: "sync", 4: "proto(4)", 7: "repair"} {
+	for id, name := range map[Proto]string{1: "emd", 3: "proto(3)", 4: "proto(4)", 7: "repair", 8: "gossip", 9: "proto(9)"} {
 		if id.String() != name {
 			t.Errorf("proto %d is %q, want %q", uint8(id), id.String(), name)
 		}
+	}
+	for _, name := range []string{"sync", "setsets", ""} {
+		if p, ok := ProtoByName(name); ok {
+			t.Errorf("ProtoByName(%q) = %v, want no protocol", name, p)
+		}
+	}
+	if p, ok := ProtoByName("live-emd"); !ok || p != ProtoLiveEMD {
+		t.Errorf("ProtoByName(live-emd) = %v, %v", p, ok)
 	}
 }
 
@@ -124,7 +131,7 @@ func TestHeaderProtoMismatch(t *testing.T) {
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunInitiator(a, NewSyncInitiator(SyncParams{Seed: 1}, nil))
+		_, err := RunInitiator(a, NewGapSender(gap.Params{Space: gapSpace(), N: 8, R1: 8, R2: 128, Seed: 1}, nil))
 		errc <- err
 	}()
 	_, err2 := RunResponder(b, NewEMDReceiver(emd.DefaultParams(emdSpace(), 8, 2, 1), nil))
@@ -227,97 +234,6 @@ func TestGapOverWire(t *testing.T) {
 	if len(res.TA) != len(arep.rep.TA) {
 		t.Errorf("Alice sent %d, Bob received %d", len(arep.rep.TA), len(res.TA))
 	}
-}
-
-func TestSyncOverWire(t *testing.T) {
-	src := rng.New(9)
-	var shared []uint64
-	for i := 0; i < 5000; i++ {
-		shared = append(shared, src.Uint64())
-	}
-	initiator := append([]uint64{}, shared...)
-	responder := append([]uint64{}, shared...)
-	wantTheirs := []uint64{1, 2, 3, 4, 5}
-	wantMine := []uint64{100, 200}
-	responder = append(responder, wantTheirs...)
-	initiator = append(initiator, wantMine...)
-
-	a, b := duplex()
-	defer a.Close()
-	defer b.Close()
-	type out struct {
-		theirs, mine []uint64
-		err          error
-	}
-	ic := make(chan out, 1)
-	go func() {
-		th, mn, err := SyncInitiatorFunc(a, SyncParams{Seed: 31}, initiator)
-		ic <- out{th, mn, err}
-	}()
-	gotAtResponder, err := SyncResponderFunc(b, SyncParams{Seed: 31}, responder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := <-ic
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
-	if !sameIDs(got.theirs, wantTheirs) {
-		t.Errorf("initiator theirsOnly = %v", got.theirs)
-	}
-	if !sameIDs(got.mine, wantMine) {
-		t.Errorf("initiator minesOnly = %v", got.mine)
-	}
-	if !sameIDs(gotAtResponder, wantMine) {
-		t.Errorf("responder learned %v", gotAtResponder)
-	}
-}
-
-func TestSyncOverWireEmptyDiff(t *testing.T) {
-	ids := []uint64{10, 20, 30}
-	a, b := duplex()
-	defer a.Close()
-	defer b.Close()
-	ic := make(chan error, 1)
-	go func() {
-		th, mn, err := SyncInitiatorFunc(a, SyncParams{Seed: 37}, ids)
-		if err == nil && (len(th) != 0 || len(mn) != 0) {
-			err = errMismatch
-		}
-		ic <- err
-	}()
-	got, err := SyncResponderFunc(b, SyncParams{Seed: 37}, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ic; err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("responder learned %v from identical sets", got)
-	}
-}
-
-var errMismatch = &mismatchError{}
-
-type mismatchError struct{}
-
-func (*mismatchError) Error() string { return "unexpected difference" }
-
-func sameIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]uint64{}, a...)
-	bs := append([]uint64{}, b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func emdSpace() metric.Space { return metric.HammingCube(128) }

@@ -2,8 +2,6 @@ package netproto
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/transport"
 )
@@ -19,15 +17,15 @@ const (
 	ProtoEMD Proto = 1
 	// ProtoGap is the 4-round Gap Guarantee protocol (Theorem 4.2).
 	ProtoGap Proto = 2
-	// ProtoSync is classic exact ID reconciliation (strata + IBLT).
-	ProtoSync Proto = 3
-	// ID 4 was multiset-of-sets reconciliation as a peer protocol; it
-	// stays unused, so an old peer's hello for it is refused as
-	// unknown rather than misread.
+	// IDs 3 and 4 were exact-ID sync over bare uint64 sets and
+	// multiset-of-sets reconciliation as peer protocols. Both stay
+	// unused, so an old peer's hello for either is refused as unknown
+	// rather than misread; repair (ProtoRepair) is the exact-ID
+	// exchange on the wire.
 )
 
 // Role is the side of a protocol an endpoint plays. Alice is the side
-// that speaks first (the EMD/Gap sender, the Sync/Repair initiator),
+// that speaks first (the EMD/Gap sender, the probe/repair initiator),
 // Bob the side that answers.
 type Role uint8
 
@@ -71,29 +69,22 @@ type Handler interface {
 	Run(conn transport.Conn) error
 }
 
-var (
-	regMu      sync.RWMutex
-	protoNames = map[Proto]string{}
-)
-
-// RegisterProto names a protocol ID. Handler implementations register
-// themselves at init time; duplicate registrations panic, since they
-// indicate two protocols claiming one wire ID.
-func RegisterProto(p Proto, name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := protoNames[p]; ok {
-		panic(fmt.Sprintf("netproto: proto %d registered twice (%q, %q)", p, prev, name))
-	}
-	protoNames[p] = name
+// protoNames names every protocol on the wire, indexed by ID; an empty
+// entry is an unused ID. The table is the whole registry: a protocol
+// exists when it has a name here.
+var protoNames = [...]string{
+	ProtoEMD:     "emd",
+	ProtoGap:     "gap",
+	ProtoLiveEMD: "live-emd",
+	ProtoProbe:   "probe",
+	ProtoRepair:  "repair",
+	ProtoGossip:  "gossip",
 }
 
 // String names the protocol, or formats the raw ID when unregistered.
 func (p Proto) String() string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if n, ok := protoNames[p]; ok {
-		return n
+	if int(p) < len(protoNames) && protoNames[p] != "" {
+		return protoNames[p]
 	}
 	return fmt.Sprintf("proto(%d)", uint8(p))
 }
@@ -101,11 +92,9 @@ func (p Proto) String() string {
 // ProtoByName resolves a registered protocol name (as used by CLI
 // flags).
 func ProtoByName(name string) (Proto, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	for p, n := range protoNames {
-		if n == name {
-			return p, true
+		if n != "" && n == name {
+			return Proto(p), true
 		}
 	}
 	return 0, false
@@ -113,12 +102,11 @@ func ProtoByName(name string) (Proto, bool) {
 
 // Protos lists the registered protocol IDs in ascending order.
 func Protos() []Proto {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Proto, 0, len(protoNames))
-	for p := range protoNames {
-		out = append(out, p)
+	var out []Proto
+	for p, n := range protoNames {
+		if n != "" {
+			out = append(out, Proto(p))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

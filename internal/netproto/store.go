@@ -23,7 +23,6 @@ type Resolver func(set string, proto Proto, peerRole Role) (factory func() Handl
 //
 //	live-emd  (as Alice)  when EMD is enabled
 //	gap       (as Alice)  when Gap is enabled
-//	sync      (as Bob)    when Sync is enabled
 //	probe     (as Bob)    always
 //	repair    (as Bob)    when Sync is enabled
 func StoreResolver(st *store.Store) Resolver {
@@ -48,16 +47,6 @@ func liveFactory(ls *live.Set, proto Proto, localRole Role) func() Handler {
 		return f
 	case proto == ProtoGap && localRole == RoleAlice:
 		f, err := NewLiveGapSenderFactory(ls)
-		if err != nil {
-			return nil
-		}
-		return f
-	case proto == ProtoSync && localRole == RoleBob:
-		sc, ok := ls.SyncConfig()
-		if !ok {
-			return nil
-		}
-		f, err := NewLiveSyncResponderFactory(SyncParams{Seed: sc.Seed}, ls)
 		if err != nil {
 			return nil
 		}

@@ -99,7 +99,7 @@ func TestQuiesceWaitsForSessionTeardown(t *testing.T) {
 		},
 	})
 	srv.Handle(func() netproto.Handler {
-		return netproto.NewSyncResponder(f.syncParams, f.serverIDs)
+		return netproto.NewGapSender(f.gapParams, f.gapSA)
 	})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -107,7 +107,7 @@ func TestQuiesceWaitsForSessionTeardown(t *testing.T) {
 	}
 	defer srv.Close()
 	d := Dialer{Addr: l.Addr().String()}
-	if _, err := d.Do(netproto.NewSyncInitiator(f.syncParams, f.clientIDs)); err != nil {
+	if _, err := d.Do(gapHandler(f)); err != nil {
 		t.Fatal(err)
 	}
 	srv.Quiesce()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -87,19 +86,6 @@ func TestMuxCarrierHelloGolden(t *testing.T) {
 	}
 }
 
-// syncHandler builds a fresh sync initiator for the shared fixture.
-func syncHandler(f *testFixture) *netproto.SyncInitiator {
-	return netproto.NewSyncInitiator(f.syncParams, f.clientIDs)
-}
-
-func checkSync(f *testFixture, h *netproto.SyncInitiator) error {
-	if len(h.TheirsOnly) != f.wantTheirs || len(h.MinesOnly) != f.wantMine {
-		return fmt.Errorf("sync: got %d/%d, want %d/%d",
-			len(h.TheirsOnly), len(h.MinesOnly), f.wantTheirs, f.wantMine)
-	}
-	return nil
-}
-
 // muxDataPayloads parses a recorded carrier byte stream (carrier hello
 // frame, then mux frames) and returns the concatenated data payloads of
 // the given stream.
@@ -156,11 +142,11 @@ func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 
 	// Dedicated-connection session, recorded.
 	plainTr := &recTransport{}
-	h1 := syncHandler(f)
+	h1 := gapHandler(f)
 	if _, err := (Dialer{Addr: addr, Transport: plainTr}).Do(h1); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkSync(f, h1); err != nil {
+	if err := checkGap(f, h1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,11 +154,11 @@ func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 	muxTr := &recTransport{}
 	pool := &MuxPool{Transport: muxTr}
 	defer pool.Close()
-	h2 := syncHandler(f)
+	h2 := gapHandler(f)
 	if _, err := pool.Do(addr, "", h2); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkSync(f, h2); err != nil {
+	if err := checkGap(f, h2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,6 +172,39 @@ func TestMuxStreamBytesMatchPlainSession(t *testing.T) {
 	if !bytes.Equal(streamBytes, plainBytes) {
 		t.Fatalf("stream payload (%d bytes) != plain session stream (%d bytes)",
 			len(streamBytes), len(plainBytes))
+	}
+}
+
+// TestMuxResultStatsMatchSession: a handler run through the pool reads
+// its session's traffic through transport.ConnStats, as it does over a
+// dedicated connection, so the stats in its result equal the session
+// tally Do returns.
+func TestMuxResultStatsMatchSession(t *testing.T) {
+	f := newFixture(t)
+	srv := newTestServer(f, Config{})
+	l, err := srv.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := l.Addr().String()
+	pool := &MuxPool{}
+	defer pool.Close()
+
+	eh := netproto.NewEMDReceiver(f.emdParams, f.emdSB)
+	st, err := pool.Do(addr, "", eh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eh.Result.Stats != st {
+		t.Errorf("emd result stats %v, session %v", eh.Result.Stats, st)
+	}
+	gh := gapHandler(f)
+	if st, err = pool.Do(addr, "", gh); err != nil {
+		t.Fatal(err)
+	}
+	if gh.Result.Stats != st {
+		t.Errorf("gap result stats %v, session %v", gh.Result.Stats, st)
 	}
 }
 
@@ -226,14 +245,14 @@ func TestMuxFailedNegotiationRedials(t *testing.T) {
 	tr := &recTransport{}
 	pool := &MuxPool{Transport: tr}
 	defer pool.Close()
-	if _, err := pool.Do(addr, "", syncHandler(f)); err == nil {
+	if _, err := pool.Do(addr, "", gapHandler(f)); err == nil {
 		t.Fatal("session over a refused carrier negotiation succeeded")
 	}
-	h := syncHandler(f)
+	h := gapHandler(f)
 	if _, err := pool.Do(addr, "", h); err != nil {
 		t.Fatalf("session after the refused negotiation: %v", err)
 	}
-	if err := checkSync(f, h); err != nil {
+	if err := checkGap(f, h); err != nil {
 		t.Fatal(err)
 	}
 	if st := pool.Stats(); st.Dials != 2 || st.Sessions != 2 || st.Reuses != 0 {
@@ -275,11 +294,11 @@ func TestMuxPoolReuseAndRedial(t *testing.T) {
 	pool := &MuxPool{}
 	defer pool.Close()
 	for i := 0; i < 4; i++ {
-		h := syncHandler(f)
+		h := gapHandler(f)
 		if _, err := pool.Do(addr, "", h); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
-		if err := checkSync(f, h); err != nil {
+		if err := checkGap(f, h); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
@@ -297,11 +316,11 @@ func TestMuxPoolReuseAndRedial(t *testing.T) {
 	}
 	pool.mu.Unlock()
 
-	h := syncHandler(f)
+	h := gapHandler(f)
 	if _, err := pool.Do(addr, "", h); err != nil {
 		t.Fatalf("post-cut session: %v", err)
 	}
-	if err := checkSync(f, h); err != nil {
+	if err := checkGap(f, h); err != nil {
 		t.Fatal(err)
 	}
 	if st := pool.Stats(); st.Dials != 2 || st.Sessions != 5 {
@@ -331,12 +350,12 @@ func TestMuxConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h := syncHandler(f)
+			h := gapHandler(f)
 			if _, err := pool.Do(addr, "", h); err != nil {
 				errs[i] = err
 				return
 			}
-			errs[i] = checkSync(f, h)
+			errs[i] = checkGap(f, h)
 		}(i)
 	}
 	wg.Wait()

@@ -487,6 +487,10 @@ func (s *Server) serveMux(conn net.Conn) {
 	close(watch)
 }
 
+// errStreamAborted is a served stream's outcome until its session
+// negotiates; one shared value, so serving a stream allocates no error.
+var errStreamAborted = errors.New("session: stream aborted before negotiation")
+
 // serveStream runs one multiplexed session: the stream carries exactly
 // the byte stream a dedicated session connection would.
 func (s *Server) serveStream(m *muxConn, st *muxStream) {
@@ -498,7 +502,7 @@ func (s *Server) serveStream(m *muxConn, st *muxStream) {
 	// announce, so an initiator blocked mid-protocol fails now rather
 	// than at its session deadline (the mux analogue of the dedicated
 	// connection's teardown close).
-	sessErr := errors.New("session: stream aborted before negotiation")
+	sessErr := errStreamAborted
 	defer func() {
 		if sessErr != nil {
 			st.Close()

@@ -13,7 +13,6 @@ import (
 	"repro/internal/gap"
 	"repro/internal/metric"
 	"repro/internal/netproto"
-	"repro/internal/rng"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -29,12 +28,6 @@ type testFixture struct {
 	gapSA     metric.PointSet
 	gapSB     metric.PointSet
 	gapSpace  metric.Space
-
-	syncParams netproto.SyncParams
-	serverIDs  []uint64
-	clientIDs  []uint64
-	wantTheirs int // IDs only the server has
-	wantMine   int // IDs only the client has
 }
 
 func newFixture(t *testing.T) *testFixture {
@@ -55,17 +48,6 @@ func newFixture(t *testing.T) *testFixture {
 	}
 	f.gapParams = gap.Params{Space: f.gapSpace, N: 27, R1: 6, R2: 64, Seed: 44}
 	f.gapSA, f.gapSB = ginst.SA, ginst.SB
-
-	src := rng.New(45)
-	shared := make([]uint64, 2000)
-	for i := range shared {
-		shared[i] = src.Uint64()
-	}
-	f.syncParams = netproto.SyncParams{Seed: 46}
-	f.serverIDs = append(append([]uint64{}, shared...), 1, 2, 3, 4, 5, 6, 7)
-	f.clientIDs = append(append([]uint64{}, shared...), 100, 200, 300)
-	f.wantTheirs = 7
-	f.wantMine = 3
 	return f
 }
 
@@ -75,12 +57,27 @@ func newTestServer(f *testFixture, cfg Config) *Server {
 	srv := NewServer(cfg)
 	srv.Handle(func() netproto.Handler { return netproto.NewEMDSender(f.emdParams, f.emdSA) })
 	srv.Handle(func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
-	srv.Handle(func() netproto.Handler { return netproto.NewSyncResponder(f.syncParams, f.serverIDs) })
 	return srv
 }
 
+// gapHandler builds a fresh gap receiver for the shared fixture.
+func gapHandler(f *testFixture) *netproto.GapReceiver {
+	return netproto.NewGapReceiver(f.gapParams, f.gapSB)
+}
+
+// checkGap reports a server point the receiver's set does not cover
+// within r2: the guarantee of Theorem 4.2.
+func checkGap(f *testFixture, h *netproto.GapReceiver) error {
+	for _, pt := range f.gapSA {
+		if dist, _ := h.Result.SPrime.MinDistanceTo(f.gapSpace, pt); dist > f.gapParams.R2 {
+			return fmt.Errorf("gap: uncovered point at distance %v", dist)
+		}
+	}
+	return nil
+}
+
 // TestServerConcurrentSessions is the acceptance test for the session
-// engine: one server, 9 simultaneous client sessions across three
+// engine: one server, 9 simultaneous client sessions across two
 // protocols over real TCP sockets, all results verified, aggregate
 // stats consistent. Run with -race in CI.
 func TestServerConcurrentSessions(t *testing.T) {
@@ -111,30 +108,14 @@ func TestServerConcurrentSessions(t *testing.T) {
 		return nil
 	}
 	gapJob := func() error {
-		h := netproto.NewGapReceiver(f.gapParams, f.gapSB)
+		h := gapHandler(f)
 		if _, err := d.Do(h); err != nil {
 			return err
 		}
-		for _, pt := range f.gapSA {
-			if dist, _ := h.Result.SPrime.MinDistanceTo(f.gapSpace, pt); dist > f.gapParams.R2 {
-				return fmt.Errorf("gap: uncovered point at distance %v", dist)
-			}
-		}
-		return nil
-	}
-	syncJob := func() error {
-		h := netproto.NewSyncInitiator(f.syncParams, f.clientIDs)
-		if _, err := d.Do(h); err != nil {
-			return err
-		}
-		if len(h.TheirsOnly) != f.wantTheirs || len(h.MinesOnly) != f.wantMine {
-			return fmt.Errorf("sync: got %d/%d, want %d/%d",
-				len(h.TheirsOnly), len(h.MinesOnly), f.wantTheirs, f.wantMine)
-		}
-		return nil
+		return checkGap(f, h)
 	}
 
-	jobs := []job{emdJob, gapJob, syncJob, emdJob, gapJob, syncJob, emdJob, gapJob, syncJob}
+	jobs := []job{emdJob, gapJob, gapJob, emdJob, gapJob, gapJob, emdJob, gapJob, gapJob}
 	if len(jobs) < 8 {
 		t.Fatal("need at least 8 simultaneous sessions")
 	}
@@ -191,8 +172,7 @@ func TestServerSessionLimit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h := netproto.NewSyncInitiator(f.syncParams, f.clientIDs)
-			_, errs[i] = d.Do(h)
+			_, errs[i] = d.Do(gapHandler(f))
 		}(i)
 	}
 	wg.Wait()
@@ -238,9 +218,9 @@ func TestServerRejectsDigestMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	bad := f.syncParams
+	bad := f.gapParams
 	bad.Seed++
-	h := netproto.NewSyncInitiator(bad, f.clientIDs)
+	h := netproto.NewGapReceiver(bad, f.gapSB)
 	_, err = (Dialer{Addr: l.Addr().String()}).Do(h)
 	if err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("mismatched params accepted: %v", err)

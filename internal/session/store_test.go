@@ -107,29 +107,53 @@ func TestUnknownSetRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredProtosRefused: a hello for a retired protocol ID (3 was
+// exact-ID sync, 4 multiset-of-sets reconciliation) names no protocol a
+// store serves, even for a set whose Sync state repair reads.
+func TestRetiredProtosRefused(t *testing.T) {
+	_, _, l := newStoreServer(t, Config{})
+	for _, p := range []netproto.Proto{3, 4} {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := netproto.NewWire(conn)
+		if err := netproto.SendHello(w, netproto.Hello{Proto: p, Role: netproto.RoleAlice, Set: "tenant-a"}); err != nil {
+			t.Fatal(err)
+		}
+		status, _, err := netproto.ReadAccept(w)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != netproto.StatusUnknownProto {
+			t.Errorf("proto %d hello: status %v, want %v", uint8(p), status, netproto.StatusUnknownProto)
+		}
+	}
+}
+
 func TestHandleSetStaticDispatch(t *testing.T) {
 	f := newFixture(t)
 	srv := NewServer(Config{})
-	// The sync responder is registered ONLY under a namespace; the
-	// default set stays empty.
-	srv.HandleSet("ns", func() netproto.Handler { return netproto.NewSyncResponder(f.syncParams, f.serverIDs) })
+	// The gap sender is registered ONLY under a namespace; the default
+	// set stays empty.
+	srv.HandleSet("ns", func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	h := netproto.NewSyncInitiator(f.syncParams, f.clientIDs)
+	h := gapHandler(f)
 	if _, err := (Dialer{Addr: l.Addr().String(), Set: "ns"}).Do(h); err != nil {
-		t.Fatalf("namespaced sync: %v", err)
+		t.Fatalf("namespaced gap: %v", err)
 	}
-	if len(h.TheirsOnly) != f.wantTheirs || len(h.MinesOnly) != f.wantMine {
-		t.Fatalf("diff = %d/%d, want %d/%d", len(h.TheirsOnly), len(h.MinesOnly), f.wantTheirs, f.wantMine)
+	if err := checkGap(f, h); err != nil {
+		t.Fatal(err)
 	}
 	// The same protocol against the default set is an unknown set: the
 	// server has no default registrations at all.
-	h2 := netproto.NewSyncInitiator(f.syncParams, f.clientIDs)
-	if _, err := (Dialer{Addr: l.Addr().String()}).Do(h2); err == nil {
+	if _, err := (Dialer{Addr: l.Addr().String()}).Do(gapHandler(f)); err == nil {
 		t.Fatal("default-set dial served despite no default registrations")
 	}
 }
@@ -140,7 +164,7 @@ type slowHandler struct {
 	started chan struct{}
 }
 
-func (h *slowHandler) Proto() netproto.Proto { return netproto.ProtoSync }
+func (h *slowHandler) Proto() netproto.Proto { return netproto.ProtoRepair }
 func (h *slowHandler) Role() netproto.Role   { return netproto.RoleBob }
 func (h *slowHandler) Digest() uint64        { return 0xfeed }
 func (h *slowHandler) Run(conn transport.Conn) error {
@@ -165,7 +189,7 @@ type slowClient struct {
 	send chan struct{}
 }
 
-func (h *slowClient) Proto() netproto.Proto { return netproto.ProtoSync }
+func (h *slowClient) Proto() netproto.Proto { return netproto.ProtoRepair }
 func (h *slowClient) Role() netproto.Role   { return netproto.RoleAlice }
 func (h *slowClient) Digest() uint64        { return 0xfeed }
 func (h *slowClient) Run(conn transport.Conn) error {

@@ -114,8 +114,8 @@ func muxFrameHeads(t *testing.T, w []byte) [][2]uint64 {
 
 // TestMuxWritesPerTurn pins the carrier's socket writes to protocol
 // turns: a probe (one request, one reply) is one write each way, its
-// clean close rides the carrier's next write, and a sync session is one
-// write per turn however many IBLT attempts it takes.
+// clean close rides the carrier's next write, and a repair session is
+// one write per turn however many IBLT attempts it takes.
 func TestMuxWritesPerTurn(t *testing.T) {
 	f := newFixture(t)
 	log := &writeLog{}
@@ -132,6 +132,11 @@ func TestMuxWritesPerTurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Handle(netproto.NewProbeResponderFactory(served))
+	repairFactory, err := netproto.NewRepairResponderFactory(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Handle(repairFactory)
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -163,29 +168,33 @@ func TestMuxWritesPerTurn(t *testing.T) {
 		}
 	}
 
-	sh := syncHandler(f)
-	st, err := pool.Do(addr, "", sh)
+	rh, err := netproto.NewRepairInitiator(local, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkSync(f, sh); err != nil {
+	st, err := pool.Do(addr, "", rh)
+	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Quiesce()
+	if rh.Sent != 9 || rh.Received != 12 || local.IDFingerprint() != served.IDFingerprint() {
+		t.Fatalf("repair sent %d and received %d points (want 9 and 12); converged %v",
+			rh.Sent, rh.Received, local.IDFingerprint() == served.IDFingerprint())
+	}
 	cli, resp = log.take("cli"), log.take("srv")
 	heads := muxFrameHeads(t, cli[0])
 	if len(heads) < 2 || heads[0] != [2]uint64{1, muxFrameClose} || heads[1] != [2]uint64{2, muxFrameOpen} {
-		t.Fatalf("sync's first write opens with frames %v, want the probe's close (1,%d) then its own open (2,%d)",
+		t.Fatalf("repair's first write opens with frames %v, want the probe's close (1,%d) then its own open (2,%d)",
 			heads, muxFrameClose, muxFrameOpen)
 	}
-	// Turns: the initiator's opening (hello, strata), one responder
-	// table per attempt, an initiator answer to each — false for a
-	// stall, the ack for the table that peeled. The accept rides the
-	// first table.
-	tables := st.MsgsBtoA - 1
-	t.Logf("sync: %d tables, %d initiator writes, %d responder writes", tables, len(cli), len(resp))
-	if len(cli) != tables+1 || len(resp) != tables {
-		t.Fatalf("sync with %d tables took %d initiator and %d responder writes, want %d and %d",
-			tables, len(cli), len(resp), tables+1, tables)
+	// Turns: the initiator's opening (hello, hint, strata), one
+	// responder table per attempt, an initiator answer to each — false
+	// for a stall, the ack for the table that peeled — and the
+	// responder's points. The accept rides the first table.
+	tables := st.MsgsBtoA - 2
+	t.Logf("repair: %d tables, %d initiator writes, %d responder writes", tables, len(cli), len(resp))
+	if len(cli) != tables+1 || len(resp) != tables+1 {
+		t.Fatalf("repair with %d tables took %d initiator and %d responder writes, want %d and %d",
+			tables, len(cli), len(resp), tables+1, tables+1)
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gap"
+	"repro/internal/metric"
 	"repro/internal/netproto"
 	"repro/internal/rng"
 	"repro/internal/session"
 	"repro/internal/simnet"
 	"repro/internal/simnet/scenario"
+	"repro/internal/workload"
 )
 
 // The mid-stream failure matrix, ported to pooled RSYN v3 carriers: a
@@ -27,15 +30,30 @@ import (
 // so a follow-up session always succeeds, the virtual network must end
 // with zero leaked endpoints, and the poisoned-pool canary must pass.
 
-// muxMatrixIDs builds the diverged sync workload shared by the server
-// and every client session.
-func muxMatrixIDs(seed uint64, n int, extra ...uint64) []uint64 {
-	src := rng.New(seed)
-	out := make([]uint64, n, n+len(extra))
-	for i := range out {
-		out[i] = src.Uint64()
+// The gap workload every matrix session runs: the server sends its
+// points, and each client receives against its own.
+var muxGapParams = gap.Params{Space: metric.HammingCube(128), N: 12, R1: 2, R2: 32, Seed: 4}
+
+func muxGapPoints(seed uint64) metric.PointSet {
+	return workload.RandomSet(muxGapParams.Space, 12, rng.New(seed))
+}
+
+func muxGapSender() netproto.Handler { return netproto.NewGapSender(muxGapParams, muxGapPoints(23)) }
+
+func muxGapReceiver() *netproto.GapReceiver {
+	return netproto.NewGapReceiver(muxGapParams, muxGapPoints(24))
+}
+
+// muxGapUncovered counts the server points a receiver's reconciled set
+// does not cover within r2 (Theorem 4.2 allows none).
+func muxGapUncovered(h *netproto.GapReceiver) int {
+	n := 0
+	for _, pt := range muxGapPoints(23) {
+		if dist, _ := h.Result.SPrime.MinDistanceTo(muxGapParams.Space, pt); dist > muxGapParams.R2 {
+			n++
+		}
 	}
-	return append(out, extra...)
+	return n
 }
 
 // writeLog records the bytes of every write made on the connections
@@ -123,7 +141,7 @@ func muxFrameSizes(t *testing.T, log *writeLog, chunks []int) []int {
 	return frames
 }
 
-// muxMatrixRun drives count sequential sync sessions through one pool
+// muxMatrixRun drives count sequential gap sessions through one pool
 // over net, then a recovery session; it returns the per-session errors
 // (recovery excluded), the pool, and the server. A non-nil log records
 // every write on both ends.
@@ -133,12 +151,11 @@ func muxMatrixRun(t *testing.T, net *simnet.Network, count int, log *writeLog) (
 	if log != nil {
 		srvT, cliT = loggedTransport{srvT, log}, loggedTransport{cliT, log}
 	}
-	p := netproto.SyncParams{Seed: 5}
 	srv := session.NewServer(session.Config{
 		Transport:      srvT,
 		SessionTimeout: 20 * time.Second,
 	})
-	srv.Handle(func() netproto.Handler { return netproto.NewSyncResponder(p, muxMatrixIDs(31, 50, 1, 2, 3)) })
+	srv.Handle(muxGapSender)
 	if _, err := srv.Listen("sim", "srv:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +167,7 @@ func muxMatrixRun(t *testing.T, net *simnet.Network, count int, log *writeLog) (
 	}
 	errs := make([]error, count)
 	for i := range errs {
-		h := netproto.NewSyncInitiator(p, muxMatrixIDs(31, 50, 7, 8))
-		_, errs[i] = pool.Do("srv:1", "", h)
+		_, errs[i] = pool.Do("srv:1", "", muxGapReceiver())
 	}
 	return errs, pool, srv
 }
@@ -214,12 +230,12 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 		}
 		// Recovery: the fault is spent, so one more session through the
 		// same pool must succeed over a re-dialed carrier.
-		h := netproto.NewSyncInitiator(netproto.SyncParams{Seed: 5}, muxMatrixIDs(31, 50, 7, 8))
+		h := muxGapReceiver()
 		if _, err := pool.Do("srv:1", "", h); err != nil {
 			t.Fatalf("cut at offset %d: recovery session failed: %v", off, err)
 		}
-		if len(h.TheirsOnly) != 3 || len(h.MinesOnly) != 2 {
-			t.Fatalf("cut at offset %d: recovery session returned %d/%d IDs, want 3/2", off, len(h.TheirsOnly), len(h.MinesOnly))
+		if n := muxGapUncovered(h); n != 0 {
+			t.Fatalf("cut at offset %d: recovery session left %d server points uncovered", off, n)
 		}
 		if st := pool.Stats(); failed == 0 && st.Dials < 2 {
 			// No session failed: legal only when the cut landed on an
@@ -265,12 +281,11 @@ func TestMuxCutFailsInFlightStreams(t *testing.T) {
 
 	net := simnet.New(7)
 	net.DropAfter("cli", "srv", total/2)
-	p := netproto.SyncParams{Seed: 5}
 	srv2 := session.NewServer(session.Config{
 		Transport:      net.Host("srv"),
 		SessionTimeout: 20 * time.Second,
 	})
-	srv2.Handle(func() netproto.Handler { return netproto.NewSyncResponder(p, muxMatrixIDs(31, 50, 1, 2, 3)) })
+	srv2.Handle(muxGapSender)
 	if _, err := srv2.Listen("sim", "srv:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +305,7 @@ func TestMuxCutFailsInFlightStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h := netproto.NewSyncInitiator(p, muxMatrixIDs(31, 50, 7, 8))
-			_, serrs[i] = pool2.Do("srv:1", "", h)
+			_, serrs[i] = pool2.Do("srv:1", "", muxGapReceiver())
 		}(i)
 	}
 	wg.Wait()
@@ -308,9 +322,12 @@ func TestMuxCutFailsInFlightStreams(t *testing.T) {
 	if failed == 0 && pool2.Stats().Dials < 2 {
 		t.Fatalf("carrier cut mid-flight, yet no session failed and no re-dial happened (%v)", pool2.Stats())
 	}
-	h := netproto.NewSyncInitiator(p, muxMatrixIDs(31, 50, 7, 8))
+	h := muxGapReceiver()
 	if _, err := pool2.Do("srv:1", "", h); err != nil {
 		t.Fatalf("recovery session failed: %v", err)
+	}
+	if n := muxGapUncovered(h); n != 0 {
+		t.Fatalf("recovery session left %d server points uncovered", n)
 	}
 	muxMatrixTeardown(t, net, pool2, srv2, "concurrent cut")
 }

@@ -65,14 +65,6 @@ func matrixCases() []protoCase {
 	pts := func(space metric.Space, n int, seed uint64) metric.PointSet {
 		return workload.RandomSet(space, n, rng.New(seed))
 	}
-	ids := func(seed uint64, n int, extra ...uint64) []uint64 {
-		src := rng.New(seed)
-		out := make([]uint64, n, n+len(extra))
-		for i := range out {
-			out[i] = src.Uint64()
-		}
-		return append(out, extra...)
-	}
 
 	return []protoCase{
 		{"emd", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
@@ -85,11 +77,6 @@ func matrixCases() []protoCase {
 		{"gap", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
 			return func() netproto.Handler { return netproto.NewGapSender(gapP, pts(gapSpace, 12, 23)) },
 				netproto.NewGapReceiver(gapP, pts(gapSpace, 12, 24))
-		}},
-		{"sync", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
-			p := netproto.SyncParams{Seed: 5}
-			return func() netproto.Handler { return netproto.NewSyncResponder(p, ids(31, 50, 1, 2, 3)) },
-				netproto.NewSyncInitiator(p, ids(31, 50, 7, 8))
 		}},
 		{"live-emd", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
 			srvLS, cliLS := liveSets(t, true)

@@ -54,20 +54,6 @@ func GapReceive(rw io.ReadWriter, p GapParams, sb PointSet) (GapResult, error) {
 	return netproto.GapBob(rw, p, sb)
 }
 
-// SyncWireParams tunes networked exact-ID synchronization.
-type SyncWireParams = netproto.SyncParams
-
-// SyncIDsInitiator reconciles an ID set against a remote responder; both
-// ends finish knowing the full symmetric difference.
-func SyncIDsInitiator(rw io.ReadWriter, p SyncWireParams, ids []uint64) (theirsOnly, minesOnly []uint64, err error) {
-	return netproto.SyncInitiatorFunc(rw, p, ids)
-}
-
-// SyncIDsResponder is the peer of SyncIDsInitiator.
-func SyncIDsResponder(rw io.ReadWriter, p SyncWireParams, ids []uint64) (theirsOnly []uint64, err error) {
-	return netproto.SyncResponderFunc(rw, p, ids)
-}
-
 // ---------------------------------------------------------------------------
 // Session engine: the multi-peer server and client (internal/session),
 // re-exported for deployments that serve many concurrent peers.
@@ -77,17 +63,16 @@ type Proto = netproto.Proto
 
 // The negotiable protocols.
 const (
-	ProtoEMD  = netproto.ProtoEMD
-	ProtoGap  = netproto.ProtoGap
-	ProtoSync = netproto.ProtoSync
+	ProtoEMD = netproto.ProtoEMD
+	ProtoGap = netproto.ProtoGap
 )
 
 // Role is the side of a protocol an endpoint plays.
 type Role = netproto.Role
 
 // SessionHandler is one party's protocol state machine bound to its
-// parameters and local data; construct with the New*Sender/Receiver and
-// New*Initiator/Responder helpers.
+// parameters and local data; construct with the New*Sender/Receiver
+// helpers.
 type SessionHandler = netproto.Handler
 
 // Server accepts TCP or unix connections and runs many concurrent
@@ -128,18 +113,6 @@ func NewGapReceiver(p GapParams, sb PointSet) *netproto.GapReceiver {
 	return netproto.NewGapReceiver(p, sb)
 }
 
-// NewSyncInitiator binds the initiating side of exact ID
-// reconciliation; after the session, TheirsOnly and MinesOnly hold the
-// symmetric difference.
-func NewSyncInitiator(p SyncWireParams, ids []uint64) *netproto.SyncInitiator {
-	return netproto.NewSyncInitiator(p, ids)
-}
-
-// NewSyncResponder binds the answering side of exact ID reconciliation.
-func NewSyncResponder(p SyncWireParams, ids []uint64) *netproto.SyncResponder {
-	return netproto.NewSyncResponder(p, ids)
-}
-
 // ---------------------------------------------------------------------------
 // Live sets: mutable reconciliation state with epoch-tagged snapshots
 // and delta synchronization (internal/live), for deployments whose sets
@@ -171,11 +144,6 @@ func NewLiveSet(cfg LiveConfig, initial PointSet) (*LiveSet, error) {
 	return live.NewSet(cfg, initial)
 }
 
-// LivePointIDs fingerprints every distinct point the way a LiveSet with
-// LiveSyncConfig.Seed == seed does; sync clients derive their ID lists
-// with it.
-func LivePointIDs(seed uint64, pts PointSet) []uint64 { return live.IDsOf(seed, pts) }
-
 // ProtoLiveEMD is the epoch-tagged EMD protocol with a delta-sync fast
 // path for returning peers.
 const ProtoLiveEMD = netproto.ProtoLiveEMD
@@ -205,13 +173,6 @@ func NewLiveGapSenderFactory(ls *LiveSet) (func() SessionHandler, error) {
 	return netproto.NewLiveGapSenderFactory(ls)
 }
 
-// NewLiveSyncResponderFactory serves ordinary exact-ID sync sessions
-// from the set's fingerprint state; p must agree with the set's
-// LiveSyncConfig.
-func NewLiveSyncResponderFactory(p SyncWireParams, ls *LiveSet) (func() SessionHandler, error) {
-	return netproto.NewLiveSyncResponderFactory(p, ls)
-}
-
 // ---------------------------------------------------------------------------
 // Multi-tenant set store and the anti-entropy cluster (internal/store,
 // internal/cluster): one server hosting many named live sets under
@@ -230,12 +191,13 @@ func NewSetStore() *SetStore { return store.New() }
 type StoreStats = store.Stats
 
 // NewStoreResolver makes a session server serve every store set under
-// its namespace: live-emd/gap/sync per the set's LiveConfig, plus the
+// its namespace: live-emd/gap per the set's LiveConfig, plus the
 // cluster probe and repair protocols.
 func NewStoreResolver(st *SetStore) netproto.Resolver { return netproto.StoreResolver(st) }
 
 // ProtoProbe is the cluster divergence-estimate exchange; ProtoRepair
-// converges two live sets exactly (ID sync + point payloads).
+// converges two live sets exactly (ID difference + point payloads),
+// and is the only exact-ID protocol on the wire.
 const (
 	ProtoProbe  = netproto.ProtoProbe
 	ProtoRepair = netproto.ProtoRepair
