@@ -89,9 +89,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"log"
 	"net"
 	"os"
@@ -594,6 +596,9 @@ func populateGossipStore(cfg config, f *fixture, names []string, self string, se
 // a previous life persisted into st, and attaches the persister so
 // every set created from here on is journaled too.
 func openDurable(dir, policy string, st *store.Store, logf func(string, ...any)) *durable.Store {
+	if err := checkDataDir(dir); err != nil {
+		fail("%v", err)
+	}
 	pol, err := durable.ParseFsyncPolicy(policy)
 	if err != nil {
 		fail("%v", err)
@@ -609,6 +614,23 @@ func openDurable(dir, policy string, st *store.Store, logf func(string, ...any))
 	st.SetPersister(d)
 	logf("durable state in %s (fsync %s): recovered %s", dir, pol, stats)
 	return d
+}
+
+// checkDataDir refuses a data dir that still holds the default "" set.
+// Cluster daemons created that set while they served the since-retired
+// sync protocol; nothing serves it now and the admin API cannot drop
+// it, so recovering it would probe and repair it every round for
+// nothing. Deleting its journal directory is the remedy.
+func checkDataDir(dir string) error {
+	old := durable.SetDir(dir, "")
+	_, err := os.Stat(old)
+	switch {
+	case err == nil:
+		return fmt.Errorf("data dir %s holds the retired default set \"\": delete its journal directory %s to start", dir, old)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	}
+	return err
 }
 
 func parseSets(csv string) []string {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -332,5 +333,52 @@ func TestServeEveryProtocol(t *testing.T) {
 	srv.Close()
 	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 0 {
 		t.Errorf("churning server: %d ok / %d failed sessions, want 3 / 0", ok, bad)
+	}
+}
+
+// TestDataDirWithDefaultSetRefused: a data dir that still holds the
+// default "" set, as cluster daemons left it while they served sync,
+// is refused with an error naming that set's journal directory;
+// deleting the directory is enough to start, and the other sets stay.
+func TestDataDirWithDefaultSetRefused(t *testing.T) {
+	dir := t.TempDir()
+	d, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New()
+	st.SetPersister(d)
+	cfg := live.Config{Sync: &live.SyncConfig{Seed: 5}}
+	for _, name := range []string{"", "alpha"} {
+		if _, err := st.Create(name, cfg, crashInitial(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	journal := filepath.Join(dir, "sets", "set-")
+	err = checkDataDir(dir)
+	if err == nil || !strings.Contains(err.Error(), journal) {
+		t.Fatalf("data dir with the default set: err = %v, want a refusal naming %s", err, journal)
+	}
+	if err := os.RemoveAll(journal); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDataDir(dir); err != nil {
+		t.Fatalf("after deleting %s: %v", journal, err)
+	}
+	d, err = durable.Open(dir, durable.Options{Fsync: durable.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	recovered := store.New()
+	if _, err := d.Recover(recovered); err != nil {
+		t.Fatal(err)
+	}
+	if names := recovered.Names(); fmt.Sprint(names) != "[alpha]" {
+		t.Fatalf("recovered sets %q, want only alpha", names)
 	}
 }

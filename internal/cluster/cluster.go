@@ -6,9 +6,9 @@
 // Peer selection uses the power-of-choices trick (cf. Walzer, "What if
 // we tried Less Power?", arXiv:2307.00644): each round, for each set,
 // the node probes d (default 2) random peers with the cheap divergence
-// exchange (ProtoProbe: epoch, distinct count, ID fingerprint, EMD
-// fingerprint, strata estimator) and reconciles with the MORE divergent
-// one. Probing two and repairing the worse concentrates repair where
+// exchange (ProtoProbe: epoch, distinct count, ID and EMD fingerprints;
+// the peer adds its strata estimator only when they differ) and
+// reconciles with the MORE divergent one. Probing two and repairing the worse concentrates repair where
 // drift is largest for almost no extra probing cost; repairing a random
 // single peer instead wastes whole sessions on already-converged pairs.
 //

@@ -170,10 +170,8 @@ func (snap *Snapshot) EMDWire() ([]byte, uint64) {
 // nil and 0 when Sync is disabled. It is encoded on first use and
 // shared by every later caller, so an epoch's estimator is packed at
 // most once however many probe and repair frames carry it: senders
-// splice it with transport.Encoder.WriteBitString, and a receiver can
-// recognise a peer estimator equal to this one with
-// transport.Decoder.ConsumeIfEqual instead of decoding it. Safe for
-// concurrent use; the returned bytes must not be modified.
+// splice it with transport.Encoder.WriteBitString. Safe for concurrent
+// use; the returned bytes must not be modified.
 func (snap *Snapshot) StrataWire() ([]byte, int64) {
 	snap.strataOnce.Do(func() {
 		if snap.Strata == nil {

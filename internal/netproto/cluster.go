@@ -14,26 +14,21 @@ import (
 // and exist for the mesh in internal/cluster, though they are ordinary
 // registered protocols any peer may speak.
 //
-// Probe (ProtoProbe) is the cheap divergence estimate behind
-// power-of-two-choices peer selection: one frame each way carrying the
-// set's epoch, distinct-point count, order-independent ID fingerprint,
-// EMD sketch fingerprint (when maintained), and strata estimator (when
-// maintained). Each side can then decide locally whether the sets are
-// fingerprint-identical and, if not, estimate the difference size —
-// without shipping a single point.
+// Probe (ProtoProbe) is the cheap divergence check behind
+// power-of-two-choices peer selection. The initiator sends its set's
+// epoch, distinct-point count, order-independent ID fingerprint, EMD
+// sketch fingerprint and a has-Sync flag; the peer answers with the
+// same fields for its own snapshot, and appends its strata estimator
+// only when the two summaries do not match (Match) and it maintains
+// one. Both sides evaluate Match on the same fields, so each knows
+// whether the strata follows. A matched probe, the common case, moves
+// a few dozen bytes each way and does no strata codec work; a
+// mismatched one carries one strata, from peer to initiator, which the
+// initiator estimates against its own — without shipping a single
+// point.
 //
 //	initiator → peer: summary
-//	peer → initiator: summary
-//
-// Most probes find the sets identical, and then the two strata
-// estimators are identical bits: the session digest pins their seed and
-// geometry, so equal cells encode to equal bytes. Neither side does
-// strata codec work for that case. Each writes its snapshot's cached
-// encoding (live.Snapshot.StrataWire), and each compares the peer's
-// strata bits with that encoding before decoding them. Equal bits stand
-// for the local estimator itself, whose difference estimate against
-// itself is 0; any other bits are decoded and validated in full. The
-// wire bytes are the same either way.
+//	peer → initiator: summary [strata, when Sync and not matched]
 //
 // Repair (ProtoRepair) converges the sets exactly: an exact-ID
 // difference exchange (strata-sized IBLTs, doubled on a stall, below),
@@ -58,8 +53,8 @@ const (
 // DigestLiveSet folds the wire-relevant configuration of a live set:
 // which structures it maintains and their parameter digests. Two nodes
 // hosting one named set must configure it identically for probe
-// fingerprints and repair IDs to be comparable; this digest is what the
-// session header checks.
+// fingerprints and repair IDs to be comparable; this digest is what
+// repair's session header checks, and DigestProbe extends it for probe.
 func DigestLiveSet(ls *live.Set) uint64 {
 	m := hashx.MixerFromSeed(0x9306e)
 	h := m.Hash(0x1)
@@ -74,6 +69,20 @@ func DigestLiveSet(ls *live.Set) uint64 {
 		h = m.Hash(h ^ iblt.StrataCells)
 	}
 	return h
+}
+
+// probeWireVersion names the probe's frame layout in its hello digest:
+// layout 2 is the fingerprint-first one above. Layout 1, which carried
+// a strata estimator both ways, has no version of its own; a peer
+// speaking it computes a plain DigestLiveSet and fails the hello.
+const probeWireVersion = 2
+
+// DigestProbe is the probe's hello digest: DigestLiveSet with the probe
+// wire version folded in, so peers on different probe layouts fail the
+// hello with StatusDigestMismatch instead of misreading each other's
+// frames. Repair keeps DigestLiveSet.
+func DigestProbe(ls *live.Set) uint64 {
+	return hashx.MixerFromSeed(0x9306e).Hash(DigestLiveSet(ls) ^ probeWireVersion)
 }
 
 // ProbeSummary is one side's divergence summary.
@@ -91,49 +100,39 @@ type ProbeSummary struct {
 	// for a probe: Match compares ID fingerprints whenever both sides
 	// have Sync, and a side without it never matches one with it.
 	EMDFingerprint uint64
-	// Strata is the ID-difference estimator (nil when Sync is off).
-	// After a probe it is the local estimator itself when the peer's
-	// strata bits equalled ours.
+	// Sync reports whether the set maintains Sync state: an ID
+	// fingerprint and a strata estimator.
+	Sync bool
+	// Strata is the ID-difference estimator: a local summary's own
+	// (nil when Sync is off), and a peer's only when its reply carried
+	// one (Sync, and the summaries did not match).
 	Strata *iblt.Strata
-
-	// strataWire/strataBits are Strata's cached encoding when the
-	// summary describes a local snapshot (nil for a decoded one).
-	strataWire []byte
-	strataBits int64
 }
 
 func summaryOf(snap *live.Snapshot) ProbeSummary {
-	wire, bits := snap.StrataWire()
 	return ProbeSummary{
 		Epoch:          snap.Epoch,
 		Distinct:       len(snap.IDs),
 		IDFingerprint:  snap.IDFingerprint,
 		EMDFingerprint: snap.EMDFingerprint,
+		Sync:           snap.Strata != nil,
 		Strata:         snap.Strata,
-		strataWire:     wire,
-		strataBits:     bits,
 	}
 }
 
+// encodeSummary writes the summary's fixed fields. A reply that carries
+// the strata appends its snapshot's cached encoding
+// (live.Snapshot.StrataWire) after them.
 func encodeSummary(e *transport.Encoder, s ProbeSummary) {
 	e.WriteUvarint(s.Epoch)
 	e.WriteUvarint(uint64(s.Distinct))
 	e.WriteUint64(s.IDFingerprint)
 	e.WriteUint64(s.EMDFingerprint)
-	e.WriteBool(s.Strata != nil)
-	switch {
-	case s.Strata != nil && s.strataWire != nil:
-		e.WriteBitString(s.strataWire, s.strataBits)
-	case s.Strata != nil:
-		s.Strata.Encode(e)
-	}
+	e.WriteBool(s.Sync)
 }
 
-// decodeSummary reads a peer's summary. local is this side's summary
-// (the zero value when there is none): a peer strata whose bits equal
-// local's cached encoding is not decoded, and the result's Strata is
-// local.Strata, read-only.
-func decodeSummary(d *transport.Decoder, strataSeed uint64, local ProbeSummary) (ProbeSummary, error) {
+// decodeSummary reads the fixed fields encodeSummary wrote.
+func decodeSummary(d *transport.Decoder) (ProbeSummary, error) {
 	var s ProbeSummary
 	var err error
 	if s.Epoch, err = d.ReadUvarint(); err != nil {
@@ -153,26 +152,17 @@ func decodeSummary(d *transport.Decoder, strataSeed uint64, local ProbeSummary) 
 	if s.EMDFingerprint, err = d.ReadUint64(); err != nil {
 		return s, err
 	}
-	hasStrata, err := d.ReadBool()
-	if err != nil {
-		return s, err
-	}
-	if hasStrata {
-		if local.strataWire != nil && d.ConsumeIfEqual(local.strataWire, local.strataBits) {
-			s.Strata = local.Strata
-		} else if s.Strata, err = iblt.DecodeStrata(d, strataSeed); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
+	s.Sync, err = d.ReadBool()
+	return s, err
 }
 
 // Match reports whether the summaries describe provably-converged sets:
 // equal ID fingerprints and counts when both maintain Sync state, equal
 // EMD fingerprints otherwise. Summaries with no comparable structure
-// never match.
+// never match. It reads only the fixed fields, and is symmetric, so
+// both ends of a probe reach the same verdict.
 func (s ProbeSummary) Match(o ProbeSummary) bool {
-	if s.Strata != nil && o.Strata != nil {
+	if s.Sync && o.Sync {
 		return s.IDFingerprint == o.IDFingerprint && s.Distinct == o.Distinct
 	}
 	if s.EMDFingerprint != 0 && o.EMDFingerprint != 0 {
@@ -182,9 +172,10 @@ func (s ProbeSummary) Match(o ProbeSummary) bool {
 }
 
 // ProbeInitiator dials one probe session for a live set; after Run,
-// Local and Remote hold the two summaries, Estimate the strata estimate
-// of the ID difference (-1 when either side lacks an estimator), and
-// Matched whether the sets are fingerprint-identical.
+// Local and Remote hold the two summaries, Matched whether the sets are
+// fingerprint-identical, and Estimate the ID difference: 0 on a match
+// with Sync, the strata estimate on a mismatch, and -1 when either side
+// lacks Sync state.
 type ProbeInitiator struct {
 	set *live.Set
 
@@ -204,12 +195,11 @@ func (h *ProbeInitiator) Proto() Proto { return ProtoProbe }
 func (h *ProbeInitiator) Role() Role { return RoleAlice }
 
 // Digest implements Handler.
-func (h *ProbeInitiator) Digest() uint64 { return DigestLiveSet(h.set) }
+func (h *ProbeInitiator) Digest() uint64 { return DigestProbe(h.set) }
 
 // Run implements Handler.
 func (h *ProbeInitiator) Run(conn transport.Conn) error {
-	snap := h.set.Snapshot()
-	h.Local = summaryOf(snap)
+	h.Local = summaryOf(h.set.Snapshot())
 	e := transport.NewEncoder()
 	encodeSummary(e, h.Local)
 	if err := conn.Send(e); err != nil {
@@ -220,24 +210,31 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 		return err
 	}
 	sc, _ := h.set.SyncConfig()
-	if h.Remote, err = decodeSummary(d, sc.Seed, h.Local); err != nil {
+	if h.Remote, err = readReply(d, h.Local, sc.Seed); err != nil {
 		return err
 	}
 	h.Matched = h.Local.Match(h.Remote)
-	h.Estimate = -1
 	switch {
-	case h.Local.Strata != nil && h.Remote.Strata == h.Local.Strata:
-		// The peer's strata bits equalled ours; an estimator minus
-		// itself peels to nothing.
-		h.Estimate = 0
-	case h.Local.Strata != nil && h.Remote.Strata != nil:
-		est, err := h.Local.Strata.Estimate(h.Remote.Strata)
-		if err != nil {
+	case h.Remote.Strata != nil:
+		if h.Estimate, err = h.Local.Strata.Estimate(h.Remote.Strata); err != nil {
 			return fmt.Errorf("netproto: probe estimate: %w", err)
 		}
-		h.Estimate = est
+	case h.Local.Sync && h.Remote.Sync:
+		h.Estimate = 0
+	default:
+		h.Estimate = -1
 	}
 	return nil
+}
+
+// readReply reads a responder's answer to local: its summary, then its
+// strata when both sides have Sync and the summaries do not match.
+func readReply(d *transport.Decoder, local ProbeSummary, strataSeed uint64) (ProbeSummary, error) {
+	remote, err := decodeSummary(d)
+	if err == nil && local.Sync && remote.Sync && !local.Match(remote) {
+		remote.Strata, err = iblt.DecodeStrata(d, strataSeed)
+	}
+	return remote, err
 }
 
 // ProbeResponder answers probe sessions from a live set's snapshot.
@@ -261,25 +258,27 @@ func (h *ProbeResponder) Proto() Proto { return ProtoProbe }
 func (h *ProbeResponder) Role() Role { return RoleBob }
 
 // Digest implements Handler.
-func (h *ProbeResponder) Digest() uint64 { return DigestLiveSet(h.set) }
+func (h *ProbeResponder) Digest() uint64 { return DigestProbe(h.set) }
 
-// Run implements Handler: read the prober's summary, answer with our
-// own. The prober's summary is not used server-side, but it is still
-// parsed and validated. Its strata is compared with ours before it is
-// decoded, so on the common identical-sets probe the check is a byte
-// comparison rather than a strata decode.
+// Run implements Handler: read the prober's summary and answer with our
+// own, followed by our cached strata bits when the summaries do not
+// match.
 func (h *ProbeResponder) Run(conn transport.Conn) error {
 	d, err := conn.Recv()
 	if err != nil {
 		return err
 	}
-	h.Served = summaryOf(h.set.Snapshot())
-	sc, _ := h.set.SyncConfig()
-	if _, err := decodeSummary(d, sc.Seed, h.Served); err != nil {
+	req, err := decodeSummary(d)
+	if err != nil {
 		return err
 	}
+	snap := h.set.Snapshot()
+	h.Served = summaryOf(snap)
 	e := transport.NewEncoder()
 	encodeSummary(e, h.Served)
+	if h.Served.Sync && req.Sync && !h.Served.Match(req) {
+		e.WriteBitString(snap.StrataWire())
+	}
 	return conn.Send(e)
 }
 

@@ -23,87 +23,135 @@ import (
 
 const fuzzStrataSeed = 0xf00d
 
-// fuzzLocalSummary is the local side's summary the probe decoders
-// compare peer strata against.
-func fuzzLocalSummary() ProbeSummary {
-	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: fuzzStrataSeed}},
-		metric.PointSet{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+// fuzzSnapshot is a snapshot of a Sync set over pts.
+func fuzzSnapshot(pts metric.PointSet) *live.Snapshot {
+	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: fuzzStrataSeed}}, pts)
 	if err != nil {
 		panic(err)
 	}
-	return summaryOf(ls.Snapshot())
+	return ls.Snapshot()
 }
 
-// fuzzSummaryBytes encodes a valid probe summary frame payload; with
-// strata, its strata bits equal fuzzLocalSummary's.
-func fuzzSummaryBytes(withStrata bool) []byte {
-	s := fuzzLocalSummary()
-	if !withStrata {
-		s.Strata = nil
-	}
-	return reencodeSummary(s)
+// fuzzLocal is the initiator's snapshot the probe reply reader runs
+// against; fuzzLarger holds one point more.
+func fuzzLocal() *live.Snapshot {
+	return fuzzSnapshot(metric.PointSet{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 }
 
-// fuzzSummaryFlippedStrata is fuzzSummaryBytes(true) with the low bit
-// of the strata's last byte flipped: the last checksum's final uvarint
-// group changes value, so the strata still decodes, but no longer
-// equals the local one.
-func fuzzSummaryFlippedStrata() []byte {
-	s := fuzzLocalSummary()
-	s.strataWire = append([]byte(nil), s.strataWire...)
-	s.strataWire[len(s.strataWire)-1] ^= 0x01
-	return reencodeSummary(s)
+func fuzzLarger() *live.Snapshot {
+	return fuzzSnapshot(metric.PointSet{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}})
 }
 
-// reencodeSummary packs a summary back to wire bytes.
-func reencodeSummary(s ProbeSummary) []byte {
+// fuzzRequestBytes is an initiator's frame, from fuzzLarger: the fixed
+// fields alone.
+func fuzzRequestBytes() []byte { return encodeReply(summaryOf(fuzzLarger()), nil, 0) }
+
+// fuzzMatchedReply answers fuzzLocal from an identical set: the fixed
+// fields alone.
+func fuzzMatchedReply() []byte { return encodeReply(summaryOf(fuzzLocal()), nil, 0) }
+
+// fuzzMismatchedReply answers fuzzLocal from fuzzLarger: the fixed
+// fields, then the responder's strata bits.
+func fuzzMismatchedReply() []byte {
+	snap := fuzzLarger()
+	wire, bits := snap.StrataWire()
+	return encodeReply(summaryOf(snap), wire, bits)
+}
+
+// fuzzReplyStrataEqualsLocal is a mismatched reply whose strata bits
+// equal fuzzLocal's own estimator (a distinct count that disagrees
+// while the IDs agree): it decodes, and estimates 0.
+func fuzzReplyStrataEqualsLocal() []byte {
+	snap := fuzzLocal()
+	s := summaryOf(snap)
+	s.Distinct++
+	wire, bits := snap.StrataWire()
+	return encodeReply(s, wire, bits)
+}
+
+// fuzzReplyFlippedStrata is fuzzMismatchedReply with the low bit of the
+// strata's last byte flipped: the last checksum's final uvarint group
+// changes value, so the strata still decodes.
+func fuzzReplyFlippedStrata() []byte {
+	snap := fuzzLarger()
+	wire, bits := snap.StrataWire()
+	wire = append([]byte(nil), wire...)
+	wire[len(wire)-1] ^= 0x01
+	return encodeReply(summaryOf(snap), wire, bits)
+}
+
+// encodeReply packs a summary's fixed fields, followed by the first
+// bits of strata.
+func encodeReply(s ProbeSummary, strata []byte, bits int64) []byte {
 	e := transport.NewEncoder()
 	encodeSummary(e, s)
+	e.WriteBitString(strata, bits)
 	data, _ := e.Pack()
 	return append([]byte(nil), data...)
 }
 
-// FuzzProbeSummary hardens the probe-frame reader: arbitrary bytes must
-// either fail cleanly or decode to a summary that survives an
-// encode/decode round trip bit-identically (strata cells included).
-// Every input is decoded twice, against a real local summary (so strata
-// bits equal to it take the no-decode shortcut) and against none (a
-// full decode); both must accept or reject alike and re-encode to the
-// same bytes.
+// reencodeReply packs a decoded reply back to wire bytes, with its
+// strata re-encoded when it carried one.
+func reencodeReply(s ProbeSummary) []byte {
+	e := transport.NewEncoder()
+	encodeSummary(e, s)
+	if s.Strata != nil {
+		s.Strata.Encode(e)
+	}
+	data, _ := e.Pack()
+	return append([]byte(nil), data...)
+}
+
+// FuzzProbeSummary hardens the probe-frame readers: arbitrary bytes are
+// read as the responder reads an initiator's frame (decodeSummary), and
+// as the initiator reads a reply (readReply) against a Sync summary —
+// where a mismatched reply carries a strata — and against a Sync-less
+// one. Each reader either fails cleanly or returns a summary that
+// survives an encode/decode round trip bit-identically (strata cells
+// included), and a reply carries a strata exactly when both sides have
+// Sync and the summaries do not match.
 func FuzzProbeSummary(f *testing.F) {
-	local := fuzzLocalSummary()
-	f.Add(fuzzSummaryBytes(true))
-	f.Add(fuzzSummaryBytes(false))
-	f.Add(fuzzSummaryFlippedStrata())
+	f.Add(fuzzRequestBytes())
+	f.Add(fuzzMatchedReply())
+	f.Add(fuzzMismatchedReply())
+	f.Add(fuzzReplyFlippedStrata())
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	// Uvarint distinct-count bomb: epoch 0 then 2^60.
 	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10})
-	f.Add(fuzzSummaryBytes(true)[:9])
+	f.Add(fuzzMismatchedReply()[:9])
 
+	locals := []ProbeSummary{summaryOf(fuzzLocal()), {EMDFingerprint: 0x5eed}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeSummary(transport.NewDecoder(data), fuzzStrataSeed, local)
-		full, fullErr := decodeSummary(transport.NewDecoder(data), fuzzStrataSeed, ProbeSummary{})
-		if (err == nil) != (fullErr == nil) {
-			t.Fatalf("shortcut decode err = %v, full decode err = %v", err, fullErr)
+		if s, err := decodeSummary(transport.NewDecoder(data)); err == nil {
+			if s.Distinct < 0 {
+				t.Fatalf("accepted negative distinct count: %+v", s)
+			}
+			enc1 := encodeReply(s, nil, 0)
+			s2, err := decodeSummary(transport.NewDecoder(enc1))
+			if err != nil {
+				t.Fatalf("re-decode of accepted request failed: %v", err)
+			}
+			if enc2 := encodeReply(s2, nil, 0); !bytes.Equal(enc1, enc2) {
+				t.Fatalf("request round trip not stable:\n%x\n%x", enc1, enc2)
+			}
 		}
-		if err != nil {
-			return // rejected cleanly
-		}
-		if s.Distinct < 0 {
-			t.Fatalf("accepted negative distinct count: %+v", s)
-		}
-		enc1 := reencodeSummary(s)
-		if encFull := reencodeSummary(full); !bytes.Equal(enc1, encFull) {
-			t.Fatalf("shortcut and full decodes re-encode differently:\n%x\n%x", enc1, encFull)
-		}
-		s2, err := decodeSummary(transport.NewDecoder(enc1), fuzzStrataSeed, local)
-		if err != nil {
-			t.Fatalf("re-decode of accepted summary failed: %v", err)
-		}
-		enc2 := reencodeSummary(s2)
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("summary round trip not stable:\n%x\n%x", enc1, enc2)
+		for _, local := range locals {
+			r, err := readReply(transport.NewDecoder(data), local, fuzzStrataSeed)
+			if err != nil {
+				continue // rejected cleanly
+			}
+			if carried, want := r.Strata != nil, local.Sync && r.Sync && !local.Match(r); carried != want {
+				t.Fatalf("reply carried a strata: %v, want %v (%+v)", carried, want, r)
+			}
+			enc1 := reencodeReply(r)
+			r2, err := readReply(transport.NewDecoder(enc1), local, fuzzStrataSeed)
+			if err != nil {
+				t.Fatalf("re-decode of accepted reply failed: %v", err)
+			}
+			if enc2 := reencodeReply(r2); !bytes.Equal(enc1, enc2) {
+				t.Fatalf("reply round trip not stable:\n%x\n%x", enc1, enc2)
+			}
 		}
 	})
 }
@@ -299,11 +347,12 @@ func TestGenerateClusterFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("FuzzProbeSummary", "valid-with-strata", fuzzSummaryBytes(true))
-	write("FuzzProbeSummary", "valid-no-strata", fuzzSummaryBytes(false))
-	write("FuzzProbeSummary", "strata-equals-local", fuzzSummaryBytes(true))
-	write("FuzzProbeSummary", "strata-last-byte-flipped", fuzzSummaryFlippedStrata())
-	write("FuzzProbeSummary", "truncated", fuzzSummaryBytes(true)[:9])
+	write("FuzzProbeSummary", "request", fuzzRequestBytes())
+	write("FuzzProbeSummary", "valid-no-strata", fuzzMatchedReply())
+	write("FuzzProbeSummary", "valid-with-strata", fuzzMismatchedReply())
+	write("FuzzProbeSummary", "strata-equals-local", fuzzReplyStrataEqualsLocal())
+	write("FuzzProbeSummary", "strata-last-byte-flipped", fuzzReplyFlippedStrata())
+	write("FuzzProbeSummary", "truncated", fuzzMismatchedReply()[:9])
 	write("FuzzProbeSummary", "distinct-bomb", []byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10})
 	write("FuzzRepairFrames", "valid", fuzzRepairAckBytes([]uint64{1, 2, 3}, metric.PointSet{{1, 2}, {3, 4}}))
 	write("FuzzRepairFrames", "empty-lists", fuzzRepairAckBytes(nil, nil))

@@ -2,7 +2,10 @@ package netproto
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/emd"
@@ -94,62 +97,146 @@ func TestProbeMatchAndEstimate(t *testing.T) {
 	}
 }
 
-// TestProbeIdenticalSetsSkipsStrataCodec pins the identical-sets probe
-// to a byte comparison: each side splices its snapshot's cached strata
-// encoding and recognises the peer's equal bits without decoding them,
-// so the remote estimator is the local one and a probe allocates far
-// less than two 32-table strata decodes would. Diverged sets still
-// decode, and their estimate is the one a full decode gives.
-func TestProbeIdenticalSetsSkipsStrataCodec(t *testing.T) {
+// countingConn counts the bytes written through a connection end.
+type countingConn struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestProbeMatchedMovesFewBytes: a probe between identical sets moves
+// its hello, accept and fixed summary fields and nothing else — under
+// 64 bytes each way on the connection, frame headers included.
+func TestProbeMatchedMovesFewBytes(t *testing.T) {
 	space := metric.HammingCube(64)
 	shared := clusterPoints(space, 64, 3)
 	a := newSyncSet(t, space, shared, 9)
 	b := newSyncSet(t, space, shared, 9)
 
+	pa, pb := duplex()
+	defer pa.Close()
+	defer pb.Close()
+	ca, cb := &countingConn{Conn: pa}, &countingConn{Conn: pb}
 	probe := NewProbeInitiator(a)
-	runPair(t, probe, NewProbeResponderFactory(b)())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunResponder(cb, NewProbeResponderFactory(b)())
+		errc <- err
+	}()
+	if _, err := RunInitiator(ca, probe); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
 	if !probe.Matched || probe.Estimate != 0 {
 		t.Fatalf("identical sets: matched %v, estimate %d; want true, 0", probe.Matched, probe.Estimate)
 	}
-	if probe.Remote.Strata != probe.Local.Strata {
-		t.Fatal("identical sets: remote strata was decoded instead of recognised as the local one")
+	if up, down := ca.n.Load(), cb.n.Load(); up >= 64 || down >= 64 {
+		t.Fatalf("matched probe moved %d bytes out and %d back, want < 64 each", up, down)
 	}
-	// A strata decode allocates a table per level, so even one of them
-	// would exceed this bound; the pipe, frames and summaries take
-	// about half of it.
-	const maxAllocs = 2 * iblt.StrataLevels
-	allocs := testing.AllocsPerRun(20, func() {
-		runPair(t, NewProbeInitiator(a), NewProbeResponderFactory(b)())
-	})
-	if allocs > maxAllocs {
-		t.Fatalf("identical-sets probe allocates %.0f times, want ≤ %d", allocs, maxAllocs)
-	}
+}
 
-	for seed := uint64(10); seed < 15; seed++ {
-		c := newSyncSet(t, space, shared, 9)
-		for _, pt := range clusterPoints(space, int(seed), seed) {
-			if err := c.Add(pt); err != nil {
+// TestProbeMismatchCarriesOneStrata: when the sets differ, the
+// prober's frame is still the fixed fields alone, and the reply is the
+// fixed fields followed by exactly one strata, the responder's cached
+// encoding. One frame goes each way.
+func TestProbeMismatchCarriesOneStrata(t *testing.T) {
+	space := metric.HammingCube(64)
+	shared := clusterPoints(space, 64, 3)
+	a := newSyncSet(t, space, shared, 9)
+	b := newSyncSet(t, space, append(shared.Clone(), clusterPoints(space, 5, 4)...), 9)
+
+	alice, bob := transport.NewPipe()
+	probe := NewProbeInitiator(a)
+	resp := NewProbeResponderFactory(b)().(*ProbeResponder)
+	errc := make(chan error, 1)
+	go func() { errc <- resp.Run(bob) }()
+	if err := probe.Run(alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if probe.Matched || probe.Remote.Strata == nil {
+		t.Fatalf("diverged sets: matched %v, remote strata %v; want a mismatch carrying one", probe.Matched, probe.Remote.Strata)
+	}
+	fixedBits := func(s ProbeSummary) int64 {
+		e := transport.NewEncoder()
+		encodeSummary(e, s)
+		return e.Bits()
+	}
+	_, strataBits := b.Snapshot().StrataWire()
+	st := alice.Stats()
+	if st.MsgsAtoB != 1 || st.MsgsBtoA != 1 {
+		t.Fatalf("frames %d out, %d back; want 1 each", st.MsgsAtoB, st.MsgsBtoA)
+	}
+	if want := fixedBits(probe.Local); st.BitsAtoB != want {
+		t.Fatalf("prober sent %d bits, want %d (the fixed fields only)", st.BitsAtoB, want)
+	}
+	if want := fixedBits(resp.Served) + strataBits; st.BitsBtoA != want {
+		t.Fatalf("responder sent %d bits, want %d (fixed fields + one %d-bit strata)", st.BitsBtoA, want, strataBits)
+	}
+}
+
+// TestProbeVerdictsMatchSnapshots: across identical, k-apart and
+// Sync-less pairs, a probe's Matched and Estimate are what the two
+// snapshots give directly — Match on their summaries, and the local
+// strata's estimate against the peer's — and the reply carried a
+// strata exactly when both sides have Sync and the sets differ.
+func TestProbeVerdictsMatchSnapshots(t *testing.T) {
+	space := metric.HammingCube(64)
+	shared := clusterPoints(space, 64, 3)
+	emdP := emd.DefaultParams(space, 128, 2, 5)
+	emdSet := func(pts metric.PointSet) *live.Set {
+		ls, err := live.NewSet(live.Config{EMD: &emdP}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ls
+	}
+	type pair struct {
+		name string
+		a, b *live.Set
+	}
+	pairs := []pair{{"identical", newSyncSet(t, space, shared, 9), newSyncSet(t, space, shared, 9)}}
+	for _, k := range []int{1, 5, 20} {
+		pairs = append(pairs, pair{fmt.Sprintf("%d-apart", k),
+			newSyncSet(t, space, shared, 9),
+			newSyncSet(t, space, append(shared.Clone(), clusterPoints(space, k, uint64(100+k))...), 9)})
+	}
+	pairs = append(pairs,
+		pair{"no-sync identical", emdSet(shared), emdSet(shared)},
+		pair{"no-sync 5-apart", emdSet(shared), emdSet(append(shared.Clone(), clusterPoints(space, 5, 7)...))})
+
+	for _, p := range pairs {
+		sa, sb := p.a.Snapshot(), p.b.Snapshot()
+		wantMatch := summaryOf(sa).Match(summaryOf(sb))
+		wantEst := -1
+		switch {
+		case sa.Strata == nil || sb.Strata == nil:
+		case wantMatch:
+			wantEst = 0
+		default:
+			est, err := sa.Strata.Estimate(sb.Strata)
+			if err != nil {
 				t.Fatal(err)
 			}
+			wantEst = est
 		}
-		probe := NewProbeInitiator(a)
-		runPair(t, probe, NewProbeResponderFactory(c)())
-		if probe.Matched || probe.Remote.Strata == probe.Local.Strata {
-			t.Fatalf("seed %d: diverged sets matched or shared the local strata", seed)
+		probe := NewProbeInitiator(p.a)
+		runPair(t, probe, NewProbeResponderFactory(p.b)())
+		if probe.Matched != wantMatch || probe.Estimate != wantEst {
+			t.Errorf("%s: probe matched %v, estimate %d; snapshots give %v, %d",
+				p.name, probe.Matched, probe.Estimate, wantMatch, wantEst)
 		}
-		e := transport.NewEncoder()
-		c.Snapshot().Strata.Encode(e)
-		data, _ := e.Pack()
-		remote, err := iblt.DecodeStrata(transport.NewDecoder(data), 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := a.Snapshot().Strata.Estimate(remote)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probe.Estimate != want {
-			t.Fatalf("seed %d: probe estimate %d, full decode gives %d", seed, probe.Estimate, want)
+		if carried, want := probe.Remote.Strata != nil, sa.Strata != nil && !wantMatch; carried != want {
+			t.Errorf("%s: reply carried a strata: %v, want %v", p.name, carried, want)
 		}
 	}
 }

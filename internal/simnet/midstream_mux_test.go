@@ -20,7 +20,8 @@ import (
 
 // The mid-stream failure matrix, ported to pooled RSYN v3 carriers: a
 // shared multiplexed connection is severed at every carrier frame
-// boundary (and mid-frame) via simnet's drop-at-offset fault. A mux
+// boundary (and mid-frame) of either direction's stream via simnet's
+// drop-at-offset fault. A mux
 // stream writes a whole turn's frames at once, so the boundaries come
 // from the bytes of each write, split at their length prefixes, not
 // from the write sizes alone. The
@@ -57,10 +58,11 @@ func muxGapUncovered(h *netproto.GapReceiver) int {
 }
 
 // writeLog records the bytes of every write made on the connections
-// of the transports it wraps, in call order.
+// of the transports it wraps, in call order per direction: chunks[0]
+// holds the dialer's writes, chunks[1] the listener's.
 type writeLog struct {
 	mu     sync.Mutex
-	chunks [][]byte
+	chunks [2][][]byte
 }
 
 type loggedTransport struct {
@@ -81,7 +83,7 @@ func (t loggedTransport) DialTimeout(network, addr string, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	return loggedConn{c, t.log}, nil
+	return loggedConn{c, t.log, 0}, nil
 }
 
 type loggedListener struct {
@@ -94,35 +96,37 @@ func (l loggedListener) Accept() (gonet.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loggedConn{c, l.log}, nil
+	return loggedConn{c, l.log, 1}, nil
 }
 
 type loggedConn struct {
 	gonet.Conn
 	log *writeLog
+	dir int // index into writeLog.chunks
 }
 
-// Write logs p before passing it on: in the alternating sessions the
-// matrix runs, the peer cannot answer a write it has not read, so call
-// order is simnet's accounting order (muxFrameSizes checks it).
+// Write logs p before passing it on: one end's writes are sequential,
+// so call order is simnet's accounting order for that direction
+// (muxFrameSizes checks it).
 func (c loggedConn) Write(p []byte) (int, error) {
 	c.log.mu.Lock()
-	c.log.chunks = append(c.log.chunks, append([]byte(nil), p...))
+	c.log.chunks[c.dir] = append(c.log.chunks[c.dir], append([]byte(nil), p...))
 	c.log.mu.Unlock()
 	return c.Conn.Write(p)
 }
 
-// muxFrameSizes splits the logged writes into their length-prefixed
-// frames — carrier negotiation frames, then mux frames — and returns
-// the frame sizes in wire order. The logged write sizes must equal
-// simnet's recorded chunks, or the log is not the wire order.
-func muxFrameSizes(t *testing.T, log *writeLog, chunks []int) []int {
+// muxFrameSizes splits one direction's logged writes into their
+// length-prefixed frames — carrier negotiation frames, then mux frames
+// — and returns the frame sizes in wire order. The logged write sizes
+// must equal simnet's recorded chunks, or the log is not the wire
+// order.
+func muxFrameSizes(t *testing.T, logged [][]byte, chunks []int) []int {
 	t.Helper()
-	if len(log.chunks) != len(chunks) {
-		t.Fatalf("logged %d writes, simnet recorded %d chunks", len(log.chunks), len(chunks))
+	if len(logged) != len(chunks) {
+		t.Fatalf("logged %d writes, simnet recorded %d chunks", len(logged), len(chunks))
 	}
 	var frames []int
-	for i, c := range log.chunks {
+	for i, c := range logged {
 		if len(c) != chunks[i] {
 			t.Fatalf("write %d: logged %d bytes, simnet recorded %d", i, len(c), chunks[i])
 		}
@@ -203,60 +207,71 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 		t.Fatalf("clean run: pool stats %v, want 1 dial, 2 sessions", st.String())
 	}
 	muxMatrixTeardown(t, cleanNet, pool, srv, "clean run")
-	conns := cleanNet.ConnWrites("cli", "srv")
-	if len(conns) != 1 || len(conns[0]) < 4 {
-		t.Fatalf("clean run recorded %d conns (chunks: %v)", len(conns), conns)
+	for dir, hosts := range [2][2]string{{"cli", "srv"}, {"srv", "cli"}} {
+		from, to := hosts[0], hosts[1]
+		conns := cleanNet.ConnWrites(from, to)
+		if len(conns) != 1 || len(conns[0]) < 2 {
+			t.Fatalf("clean run recorded %d conns (%s->%s chunks: %v)", len(conns), from, to, conns)
+		}
+		frames := muxFrameSizes(t, log.chunks[dir], conns[0])
+		offsets := cutOffsets(frames)
+		t.Logf("mux carrier %s->%s: %d frames in %d writes, cutting at %d offsets %v", from, to, len(frames), len(conns[0]), len(offsets), offsets)
+		for _, off := range offsets {
+			muxMatrixCut(t, from, to, off)
+		}
 	}
-	frames := muxFrameSizes(t, log, conns[0])
-	offsets := cutOffsets(frames)
-	t.Logf("mux carrier: %d frames in %d writes over one conn, cutting at %d offsets %v", len(frames), len(conns[0]), len(offsets), offsets)
+}
 
-	for _, off := range offsets {
-		net := simnet.New(uint64(2 + off))
-		net.DropAfter("cli", "srv", off)
-		errs, pool, srv := muxMatrixRun(t, net, 2, nil)
-		failed := 0
-		for i, err := range errs {
-			if err == nil {
-				continue
-			}
-			failed++
-			// Whatever layer surfaces the failure, the root cause must be
-			// simnet's canonical cut error — not a bare EOF or a pipe
-			// error that would make a replayed trace ambiguous.
-			if !strings.Contains(err.Error(), "drop-at-offset") {
-				t.Fatalf("cut at offset %d: session %d failed without the canonical cut error: %v", off, i, err)
-			}
+// muxMatrixCut runs two pooled sessions with from's carrier stream to
+// to severed at off, then requires canonical cut errors, a recovery
+// session over a re-dialed carrier, no leaked endpoints, and a clean
+// pooled session on poisoned buffer pools.
+func muxMatrixCut(t *testing.T, from, to string, off int64) {
+	t.Helper()
+	net := simnet.New(uint64(2 + off))
+	net.DropAfter(from, to, off)
+	errs, pool, srv := muxMatrixRun(t, net, 2, nil)
+	failed := 0
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
-		// Recovery: the fault is spent, so one more session through the
-		// same pool must succeed over a re-dialed carrier.
-		h := muxGapReceiver()
-		if _, err := pool.Do("srv:1", "", h); err != nil {
-			t.Fatalf("cut at offset %d: recovery session failed: %v", off, err)
+		failed++
+		// Whatever layer surfaces the failure, the root cause must be
+		// simnet's canonical cut error — not a bare EOF or a pipe
+		// error that would make a replayed trace ambiguous.
+		if !strings.Contains(err.Error(), "drop-at-offset") {
+			t.Fatalf("cut %s->%s at offset %d: session %d failed without the canonical cut error: %v", from, to, off, i, err)
 		}
-		if n := muxGapUncovered(h); n != 0 {
-			t.Fatalf("cut at offset %d: recovery session left %d server points uncovered", off, n)
-		}
-		if st := pool.Stats(); failed == 0 && st.Dials < 2 {
-			// No session failed: legal only when the cut landed on an
-			// idle carrier or its final close frame, in which case the
-			// recovery session must have re-dialed a fresh carrier.
-			t.Fatalf("cut at offset %d: no session failed, yet the pool did not re-dial (%v)", off, st)
-		}
-		muxMatrixTeardown(t, net, pool, srv, "post-cut")
-
-		// Canary: poison pooled encoders and require a clean pooled
-		// session to still succeed — the failed streams released their
-		// pooled buffers instead of retaining or double-recycling them.
-		release := scenario.PoisonPool(8, 2048)
-		verifyNet := simnet.New(uint64(3 + off))
-		verrs, vpool, vsrv := muxMatrixRun(t, verifyNet, 1, nil)
-		if verrs[0] != nil {
-			t.Fatalf("cut at offset %d: clean session after poisoned pool failed: %v", off, verrs[0])
-		}
-		muxMatrixTeardown(t, verifyNet, vpool, vsrv, "canary")
-		release()
 	}
+	// Recovery: the fault is spent, so one more session through the
+	// same pool must succeed over a re-dialed carrier.
+	h := muxGapReceiver()
+	if _, err := pool.Do("srv:1", "", h); err != nil {
+		t.Fatalf("cut %s->%s at offset %d: recovery session failed: %v", from, to, off, err)
+	}
+	if n := muxGapUncovered(h); n != 0 {
+		t.Fatalf("cut %s->%s at offset %d: recovery session left %d server points uncovered", from, to, off, n)
+	}
+	if st := pool.Stats(); failed == 0 && st.Dials < 2 {
+		// No session failed: legal only when the cut landed on an idle
+		// carrier or its final close frame, in which case the recovery
+		// session must have re-dialed a fresh carrier.
+		t.Fatalf("cut %s->%s at offset %d: no session failed, yet the pool did not re-dial (%v)", from, to, off, st)
+	}
+	muxMatrixTeardown(t, net, pool, srv, "post-cut")
+
+	// Canary: poison pooled encoders and require a clean pooled session
+	// to still succeed — the failed streams released their pooled
+	// buffers instead of retaining or double-recycling them.
+	release := scenario.PoisonPool(8, 2048)
+	verifyNet := simnet.New(uint64(3 + off))
+	verrs, vpool, vsrv := muxMatrixRun(t, verifyNet, 1, nil)
+	if verrs[0] != nil {
+		t.Fatalf("cut %s->%s at offset %d: clean session after poisoned pool failed: %v", from, to, off, verrs[0])
+	}
+	muxMatrixTeardown(t, verifyNet, vpool, vsrv, "canary")
+	release()
 }
 
 // TestMuxCutFailsInFlightStreams cuts a carrier while several sessions
@@ -265,7 +280,8 @@ func TestMidStreamMuxFailureMatrix(t *testing.T) {
 // offset lands mid-carrier, past negotiation), and the pool must still
 // serve a recovery session afterwards.
 func TestMuxCutFailsInFlightStreams(t *testing.T) {
-	// Discover the carrier length from a sequential clean run.
+	// Discover the length of the client's carrier stream from a
+	// sequential clean run.
 	cleanNet := simnet.New(1)
 	errs, pool, srv := muxMatrixRun(t, cleanNet, 2, nil)
 	for i, err := range errs {

@@ -17,8 +17,8 @@ import (
 )
 
 // The mid-stream failure matrix: every registered protocol, with the
-// connection severed at every frame boundary (and mid-frame), via
-// simnet's drop-at-offset fault. The server must surface an error for
+// connection severed at every frame boundary (and mid-frame) of either
+// direction's stream, via simnet's drop-at-offset fault. The server must surface an error for
 // the broken session (never a hang, a false success, or a panic), the
 // virtual network must end with zero leaked connections, and a
 // poisoned-pool verification session must still succeed afterwards —
@@ -130,9 +130,9 @@ func runMatrixSession(t *testing.T, net *simnet.Network, factory func() netproto
 	return err, srv
 }
 
-// cutOffsets derives the offsets to test from a clean run's chunk
-// sizes: every frame boundary (0 = reset before the hello) plus the
-// midpoint of every frame.
+// cutOffsets derives the offsets to test in one direction's stream
+// from a clean run's chunk sizes: every frame boundary (0 = a cut
+// before the stream's first byte) plus the midpoint of every frame.
 func cutOffsets(writes []int) []int64 {
 	var total int64
 	for _, w := range writes {
@@ -169,58 +169,67 @@ func TestMidStreamFailureMatrix(t *testing.T) {
 			} else if srv.Served() != 1 || srv.Failed() != 0 {
 				t.Fatalf("clean session: served=%d failed=%d", srv.Served(), srv.Failed())
 			}
-			conns := cleanNet.ConnWrites("cli", "srv")
-			if len(conns) != 1 || len(conns[0]) < 2 {
-				t.Fatalf("clean run recorded %d conns (chunks: %v)", len(conns), conns)
-			}
-			offsets := cutOffsets(conns[0])
-			t.Logf("%s: %d frames, cutting at %v", pc.name, len(conns[0]), offsets)
-
-			for _, off := range offsets {
-				net := simnet.New(uint64(2 + off))
-				net.DropAfter("cli", "srv", off)
-				factory, client := pc.build(t)
-				err, srv := runMatrixSession(t, net, factory, client)
-				if err == nil {
-					t.Fatalf("cut at offset %d: client session succeeded", off)
+			for _, dir := range [2][2]string{{"cli", "srv"}, {"srv", "cli"}} {
+				from, to := dir[0], dir[1]
+				conns := cleanNet.ConnWrites(from, to)
+				if len(conns) != 1 || len(conns[0]) < 1 {
+					t.Fatalf("clean run recorded %d conns (%s->%s chunks: %v)", len(conns), from, to, conns)
 				}
-				if srv.Served() != 0 {
-					t.Fatalf("cut at offset %d: server recorded a successful session", off)
+				offsets := cutOffsets(conns[0])
+				t.Logf("%s: %d frames %s->%s, cutting at %v", pc.name, len(conns[0]), from, to, offsets)
+				for _, off := range offsets {
+					matrixCut(t, pc, from, to, off)
 				}
-				// At offset 0 not a single byte flows, so the server may
-				// tear the connection down before ever starting a session;
-				// any delivered prefix forces the server to engage (the
-				// synchronous pipe means the client's write only completed
-				// because the server was reading) and the session must be
-				// surfaced as a failure.
-				if off > 0 && srv.Failed() != 1 {
-					t.Fatalf("cut at offset %d: server failed=%d, want the session surfaced as an error",
-						off, srv.Failed())
-				}
-				// The server's background accept goroutine may still be
-				// tearing down a connection the cut killed before any
-				// session started; give it a bounded moment before calling
-				// a remaining endpoint a leak.
-				deadline := time.Now().Add(2 * time.Second)
-				for net.OpenConns() != 0 && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if open := net.OpenConns(); open != 0 {
-					t.Fatalf("cut at offset %d: %d connection endpoints leaked", off, open)
-				}
-
-				// Canary: poison pooled encoders (their backing arrays are
-				// the recycled buffers of the failed session) and require a
-				// clean session to still succeed — the failed session must
-				// have released, not retained, its pooled memory.
-				release := scenario.PoisonPool(8, 2048)
-				verifyNet := simnet.New(uint64(3 + off))
-				factory, client = pc.build(t)
-				if err, _ := runMatrixSession(t, verifyNet, factory, client); err != nil {
-					t.Fatalf("cut at offset %d: clean session after poisoned pool failed: %v", off, err)
-				}
-				release()
 			}
 		})
 	}
+}
+
+// matrixCut runs one session of pc with from's stream to to severed
+// at off, and checks that it fails cleanly, leaks nothing, and leaves
+// the buffer pools fit for a clean session.
+func matrixCut(t *testing.T, pc protoCase, from, to string, off int64) {
+	t.Helper()
+	net := simnet.New(uint64(2 + off))
+	net.DropAfter(from, to, off)
+	factory, client := pc.build(t)
+	err, srv := runMatrixSession(t, net, factory, client)
+	if err == nil {
+		t.Fatalf("cut %s->%s at offset %d: client session succeeded", from, to, off)
+	}
+	if srv.Served() != 0 {
+		t.Fatalf("cut %s->%s at offset %d: server recorded a successful session", from, to, off)
+	}
+	// At the client's offset 0 not a single byte flows, so the server
+	// may tear the connection down before ever starting a session; any
+	// delivered prefix forces the server to engage (the synchronous
+	// pipe means the client's write only completed because the server
+	// was reading) and the session must be surfaced as a failure. A
+	// cut in the server's stream comes after the whole hello.
+	if (off > 0 || from == "srv") && srv.Failed() != 1 {
+		t.Fatalf("cut %s->%s at offset %d: server failed=%d, want the session surfaced as an error",
+			from, to, off, srv.Failed())
+	}
+	// The server's background accept goroutine may still be tearing
+	// down a connection the cut killed before any session started; give
+	// it a bounded moment before calling a remaining endpoint a leak.
+	deadline := time.Now().Add(2 * time.Second)
+	for net.OpenConns() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if open := net.OpenConns(); open != 0 {
+		t.Fatalf("cut %s->%s at offset %d: %d connection endpoints leaked", from, to, off, open)
+	}
+
+	// Canary: poison pooled encoders (their backing arrays are the
+	// recycled buffers of the failed session) and require a clean
+	// session to still succeed — the failed session must have released,
+	// not retained, its pooled memory.
+	release := scenario.PoisonPool(8, 2048)
+	verifyNet := simnet.New(uint64(3 + off))
+	factory, client = pc.build(t)
+	if err, _ := runMatrixSession(t, verifyNet, factory, client); err != nil {
+		t.Fatalf("cut %s->%s at offset %d: clean session after poisoned pool failed: %v", from, to, off, err)
+	}
+	release()
 }

@@ -73,9 +73,13 @@ func keyOf(h1, h2 string) linkKey {
 type Event struct {
 	// Kind is "dial", "refused", "cut", or "flip".
 	Kind string
-	// From and To are the host names (dialer first for dial events).
+	// From and To are the host names: dialer first for dial events,
+	// the faulted stream's writer first for drop-at-offset cuts and
+	// flips, the link's hosts in name order for other cuts.
 	From, To string
-	// Detail is the refusal reason or the cut byte offset.
+	// Detail is the refusal reason, or the fault and its byte offset:
+	// in the faulted stream for drop-at-offset cuts and flips, over
+	// both directions for other cuts.
 	Detail string
 }
 
@@ -93,9 +97,11 @@ type link struct {
 	latMin, latMax time.Duration
 	bps            int64 // bytes/second, 0 = unlimited
 	down           bool
-	dropAt         int64 // armed cut offset for the NEXT conn; -1 = none
-	flipAt         int64 // armed corruption offset for the NEXT conn; -1 = none
-	flipLen        int   // corruption window length in bytes
+	dropAt         int64  // armed cut offset for the NEXT conn; -1 = none
+	dropFrom       string // the host whose outgoing stream dropAt counts
+	flipAt         int64  // armed corruption offset for the NEXT conn; -1 = none
+	flipFrom       string // the host whose outgoing stream flipAt counts
+	flipLen        int    // corruption window length in bytes
 	connSeq        uint64
 	pairs          []*pair // every conn ever opened on the link, dial order
 }
@@ -183,28 +189,34 @@ func (n *Network) SetBandwidth(a, b string, bps int64) {
 }
 
 // DropAfter arms a one-shot fault on the a—b link: the next connection
-// opened between the hosts is severed as soon as offset cumulative
-// bytes (both directions combined) have crossed it. Offset 0 cuts
-// before the first byte — a reset in the middle of the dial handshake.
+// opened between the hosts is severed as soon as offset bytes of its
+// a→b stream have crossed it. Bytes b sends back do not count, so the
+// cut lands at the same point of a's stream however the two directions
+// interleave. Offset 0 cuts before a's first byte (a reset in the
+// middle of the dial handshake when a dials). On a host's link to
+// itself the dialer's stream counts.
 func (n *Network) DropAfter(a, b string, offset int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.linkLocked(keyOf(a, b)).dropAt = offset
+	l := n.linkLocked(keyOf(a, b))
+	l.dropAt = offset
+	l.dropFrom = a
 }
 
 // FlipAfter arms a one-shot corruption fault on the a—b link (the
 // sibling of DropAfter): on the next connection opened between the
-// hosts, the count bytes starting at cumulative offset (both directions
-// combined) are delivered bitwise-inverted instead of severed. The
-// connection stays up — corruption is silent at the transport layer;
-// only an integrity check above (frame checksums, verify-before-merge)
-// can notice. A "flip" event is emitted per delivered chunk the window
-// touches, before any byte of that chunk is delivered.
+// hosts, the count bytes of its a→b stream starting at offset are
+// delivered bitwise-inverted instead of severed. The connection stays
+// up — corruption is silent at the transport layer; only an integrity
+// check above (frame checksums, verify-before-merge) can notice. A
+// "flip" event is emitted per delivered chunk the window touches,
+// before any byte of that chunk is delivered.
 func (n *Network) FlipAfter(a, b string, offset int64, count int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	l := n.linkLocked(keyOf(a, b))
 	l.flipAt = offset
+	l.flipFrom = a
 	l.flipLen = count
 }
 
@@ -306,11 +318,11 @@ func (n *Network) OpenConns() int {
 }
 
 // ConnWrites returns, for each connection ever opened between a and b
-// (in dial order), the sizes of the chunks delivered across it in
-// delivery order. On a dedicated session connection each chunk is one
-// frame, so cumulative sums are the frame boundaries the mid-stream
-// failure matrix cuts at; a mux carrier writes a whole turn's frames as
-// one chunk.
+// (in dial order), the sizes of the chunks a delivered across it to b,
+// in delivery order. On a dedicated session connection each chunk is
+// one frame, so cumulative sums are the offsets of a's frame
+// boundaries, which DropAfter(a, b, ·) and FlipAfter(a, b, ·, ·) count
+// in; a mux carrier writes a whole turn's frames as one chunk.
 func (n *Network) ConnWrites(a, b string) [][]int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -321,7 +333,7 @@ func (n *Network) ConnWrites(a, b string) [][]int {
 	out := make([][]int, len(l.pairs))
 	for i, p := range l.pairs {
 		p.mu.Lock()
-		out[i] = append([]int(nil), p.writes...)
+		out[i] = append([]int(nil), p.writes[p.dirFrom(a)]...)
 		p.mu.Unlock()
 	}
 	return out
@@ -383,6 +395,7 @@ func (h *Host) DialTimeout(network, addr string, timeout time.Duration) (net.Con
 		n:        n,
 		key:      key,
 		id:       lk.connSeq,
+		hosts:    [2]string{h.name, to},
 		dropAt:   lk.dropAt,
 		flipAt:   lk.flipAt,
 		flipLen:  lk.flipLen,
@@ -392,12 +405,14 @@ func (h *Host) DialTimeout(network, addr string, timeout time.Duration) (net.Con
 		openEnds: 2,
 		latSrc:   rng.New(n.seed ^ hashLink(key) ^ (lk.connSeq * 0x9e3779b97f4a7c15)),
 	}
+	p.dropDir = p.dirFrom(lk.dropFrom)
+	p.flipDir = p.dirFrom(lk.flipFrom)
 	lk.dropAt = -1 // one-shot: the armed faults belong to this conn
 	lk.flipAt = -1
 	r1, r2 := net.Pipe()
 	local := Addr(fmt.Sprintf("%s:c%d", h.name, p.id))
-	cl := &Conn{p: p, raw: r1, local: local, remote: Addr(addr)}
-	sv := &Conn{p: p, raw: r2, local: Addr(addr), remote: local}
+	cl := &Conn{p: p, dir: 0, raw: r1, local: local, remote: Addr(addr)}
+	sv := &Conn{p: p, dir: 1, raw: r2, local: Addr(addr), remote: local}
 	p.c1, p.c2 = r1, r2
 	lk.pairs = append(lk.pairs, p)
 	n.open += 2
@@ -513,25 +528,40 @@ func (l *listener) Addr() net.Addr { return l.addr }
 // pair is the state shared by a connection's two endpoints: the fault
 // configuration frozen at dial time, the byte/chunk accounting, and the
 // cut flag that makes fault-severed connections fail deterministically.
+// Per-direction state is indexed by the writing end: 0 for the dialer,
+// 1 for the listener.
 type pair struct {
-	n   *Network
-	key linkKey
-	id  uint64
+	n     *Network
+	key   linkKey
+	id    uint64
+	hosts [2]string // dialer, listener
 
 	latMin, latMax time.Duration
 	bps            int64
 	latSrc         *rng.Source
 
 	mu       sync.Mutex
-	bytes    int64
-	writes   []int
-	dropAt   int64 // cut when bytes crosses this; -1 = none
-	flipAt   int64 // invert [flipAt, flipAt+flipLen) on delivery; -1 = none
+	bytes    int64    // both directions, for cut offsets not tied to one stream
+	sent     [2]int64 // per direction
+	writes   [2][]int // chunk sizes per direction
+	dropAt   int64    // cut when sent[dropDir] crosses this; -1 = none
+	dropDir  int
+	flipAt   int64 // invert [flipAt, flipAt+flipLen) of stream flipDir on delivery; -1 = none
+	flipDir  int
 	flipLen  int
 	isCut    bool
 	cutErr   error
 	openEnds int // endpoints not yet closed; 0 = dead, exempt from link faults
 	c1, c2   net.Conn
+}
+
+// dirFrom returns the direction a host writes in: the listener's when
+// it is the listener and not also the dialer, the dialer's otherwise.
+func (p *pair) dirFrom(host string) int {
+	if host == p.hosts[1] && host != p.hosts[0] {
+		return 1
+	}
+	return 0
 }
 
 // alive reports whether either endpoint is still open.
@@ -581,6 +611,7 @@ func hashLink(k linkKey) uint64 {
 // deadlines are delegated to the underlying synchronous pipe.
 type Conn struct {
 	p             *pair
+	dir           int // the direction this end writes in (see pair)
 	raw           net.Conn
 	local, remote Addr
 	closeOnce     sync.Once
@@ -602,10 +633,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 // Write implements net.Conn: it applies the sampled latency and
 // bandwidth delay, delivers to the peer (synchronously — the write
 // returns once the peer has consumed the chunk), accounts the bytes,
-// and triggers an armed drop-at-offset fault when the cumulative count
-// crosses it. A write that crosses the offset delivers the bytes up to
-// the boundary, then severs the connection and reports a short write
-// with the canonical cut error.
+// and triggers an armed drop-at-offset fault when this direction's
+// count crosses it. A write that crosses the offset delivers the bytes
+// up to the boundary, then severs the connection and reports a short
+// write with the canonical cut error.
 func (c *Conn) Write(b []byte) (int, error) {
 	p := c.p
 	p.mu.Lock()
@@ -614,11 +645,12 @@ func (c *Conn) Write(b []byte) (int, error) {
 		p.mu.Unlock()
 		return 0, err
 	}
-	chunkStart := p.bytes
+	from, to := p.hosts[c.dir], p.hosts[1-c.dir]
+	chunkStart := p.sent[c.dir]
 	allowed := len(b)
 	willCut := false
-	if p.dropAt >= 0 {
-		rem := p.dropAt - p.bytes
+	if p.dropAt >= 0 && p.dropDir == c.dir {
+		rem := p.dropAt - chunkStart
 		if rem <= int64(len(b)) {
 			willCut = true
 			if rem < 0 {
@@ -633,7 +665,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	// been crossed; until then it keeps flipping every chunk it
 	// touches.
 	flipLo, flipHi := 0, 0
-	if p.flipAt >= 0 && allowed > 0 {
+	if p.flipAt >= 0 && p.flipDir == c.dir && allowed > 0 {
 		lo := p.flipAt - chunkStart
 		hi := p.flipAt + int64(p.flipLen) - chunkStart
 		if lo < int64(allowed) && hi > 0 {
@@ -649,17 +681,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 			p.flipAt = -1
 		}
 	}
-	// Reserve the chunk's bytes NOW, atomically with the fault check.
-	// Delivery blocks until the peer consumes the chunk, and for the
-	// alternating protocols above the peer's next write begins only
-	// after that — so reservation order equals delivery order, and the
-	// peer's fault check is guaranteed to see this chunk accounted.
-	// (Accounting after delivery instead would race: the writer's
-	// post-write bookkeeping runs concurrently with the reader's next
-	// send.)
+	// Reserve the chunk's bytes NOW, atomically with the fault check,
+	// so the direction's next write sees this one accounted. Fault
+	// offsets count one direction only, so a peer's writes, whenever
+	// they land, never move where a fault strikes.
 	p.bytes += int64(allowed)
+	p.sent[c.dir] += int64(allowed)
 	if allowed > 0 {
-		p.writes = append(p.writes, allowed)
+		p.writes[c.dir] = append(p.writes[c.dir], allowed)
 	}
 	if willCut {
 		// The connection is cut as of this reservation: mark it and put
@@ -669,11 +698,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 		// before anything downstream of that frame can be. (Emitting
 		// after delivery would race the driver's own trace lines.)
 		p.isCut = true
-		offset := p.bytes
-		p.cutErr = fmt.Errorf("simnet: connection %s--%s cut (drop-at-offset) at byte offset %d", p.key.a, p.key.b, offset)
+		offset := p.sent[c.dir]
+		p.cutErr = fmt.Errorf("simnet: connection %s--%s cut (drop-at-offset) at byte offset %d of %s's stream", p.key.a, p.key.b, offset, from)
 		p.mu.Unlock()
 		p.n.mu.Lock()
-		p.n.emitLocked(Event{Kind: "cut", From: p.key.a, To: p.key.b, Detail: fmt.Sprintf("drop-at-offset @%dB", offset)})
+		p.n.emitLocked(Event{Kind: "cut", From: from, To: to, Detail: fmt.Sprintf("drop-at-offset @%dB", offset)})
 		p.n.mu.Unlock()
 		p.mu.Lock()
 	}
@@ -684,7 +713,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		lo, hi := chunkStart+int64(flipLo), chunkStart+int64(flipHi)
 		p.mu.Unlock()
 		p.n.mu.Lock()
-		p.n.emitLocked(Event{Kind: "flip", From: p.key.a, To: p.key.b, Detail: fmt.Sprintf("@%dB+%d", lo, hi-lo)})
+		p.n.emitLocked(Event{Kind: "flip", From: from, To: to, Detail: fmt.Sprintf("@%dB+%d", lo, hi-lo)})
 		p.n.mu.Unlock()
 		p.mu.Lock()
 	}

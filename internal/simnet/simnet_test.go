@@ -269,6 +269,72 @@ func TestFlipAtOffset(t *testing.T) {
 	}
 }
 
+// TestFlipAndDropCountOwnDirection: a fault armed for a→b counts only the
+// bytes a sends. The listener speaks first here, so a fault counted
+// over both directions would strike its banner; a→b faults must leave
+// the banner whole and strike the dialer's bytes at their own offsets,
+// and b→a faults the reverse.
+func TestFlipAndDropCountOwnDirection(t *testing.T) {
+	const banner, msg = "HELLO", "abcdefghij"
+	invert := func(s string, lo, hi int) string {
+		b := []byte(s)
+		for i := lo; i < hi; i++ {
+			b[i] ^= 0xff
+		}
+		return string(b)
+	}
+	// exchange runs one connection on a fresh network armed by arm:
+	// the listener writes the banner, the dialer reads it and writes
+	// msg. It returns what each side received and the dialer's write
+	// error.
+	exchange := func(arm func(n *Network)) (gotBanner, gotMsg string, werr error) {
+		n := New(1)
+		l, err := n.Host("srv").Listen("sim", "srv:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		recvd := make(chan string, 1)
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				recvd <- ""
+				return
+			}
+			defer c.Close()
+			c.Write([]byte(banner)) //nolint:errcheck // a cut surfaces on the dialer's side
+			buf := make([]byte, len(msg))
+			k, _ := io.ReadFull(c, buf)
+			recvd <- string(buf[:k])
+		}()
+		arm(n)
+		c, err := n.Host("cli").DialTimeout("sim", "srv:1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		buf := make([]byte, len(banner))
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Fatalf("read banner: %v", err)
+		}
+		_, werr = c.Write([]byte(msg))
+		return string(buf), <-recvd, werr
+	}
+
+	b, m, err := exchange(func(n *Network) { n.FlipAfter("cli", "srv", 3, 4) })
+	if b != banner || m != invert(msg, 3, 7) || err != nil {
+		t.Errorf("flip cli->srv [3,7): banner %q, message %q, write error %v; want %q, %q, nil", b, m, err, banner, invert(msg, 3, 7))
+	}
+	b, m, err = exchange(func(n *Network) { n.FlipAfter("srv", "cli", 1, 2) })
+	if b != invert(banner, 1, 3) || m != msg || err != nil {
+		t.Errorf("flip srv->cli [1,3): banner %q, message %q, write error %v; want %q, %q, nil", b, m, err, invert(banner, 1, 3), msg)
+	}
+	b, m, err = exchange(func(n *Network) { n.DropAfter("cli", "srv", 4) })
+	if b != banner || m != msg[:4] || err == nil || !strings.Contains(err.Error(), "drop-at-offset) at byte offset 4 of cli's stream") {
+		t.Errorf("drop cli->srv at 4: banner %q, message %q, write error %v; want %q, %q, a cut at cli's byte 4", b, m, err, banner, msg[:4])
+	}
+}
+
 // TestFlipSpansChunks verifies a flip range that straddles two writes:
 // each delivery inverts its overlap and the fault disarms only once the
 // whole range has passed.
@@ -355,8 +421,8 @@ func TestDeadlines(t *testing.T) {
 }
 
 // TestConnWritesRecordsChunks pins the accounting the mid-stream matrix
-// relies on: chunk sizes in delivery order, per connection in dial
-// order.
+// relies on: chunk sizes in delivery order, per direction, per
+// connection in dial order.
 func TestConnWritesRecordsChunks(t *testing.T) {
 	n := New(1)
 	l, err := n.Host("srv").Listen("sim", "srv:1")
@@ -387,13 +453,17 @@ func TestConnWritesRecordsChunks(t *testing.T) {
 	c.Write([]byte("89"))  //nolint:errcheck
 	<-ready
 	c.Close()
-	writes := n.ConnWrites("cli", "srv")
-	if len(writes) != 1 {
-		t.Fatalf("conn count = %d, want 1", len(writes))
-	}
-	want := []int{7, 3, 2}
-	if fmt.Sprint(writes[0]) != fmt.Sprint(want) {
-		t.Fatalf("writes = %v, want %v", writes[0], want)
+	for _, c := range []struct {
+		from, to string
+		want     []int
+	}{{"cli", "srv", []int{7, 2}}, {"srv", "cli", []int{3}}} {
+		writes := n.ConnWrites(c.from, c.to)
+		if len(writes) != 1 {
+			t.Fatalf("%s->%s: conn count = %d, want 1", c.from, c.to, len(writes))
+		}
+		if fmt.Sprint(writes[0]) != fmt.Sprint(c.want) {
+			t.Fatalf("%s->%s: writes = %v, want %v", c.from, c.to, writes[0], c.want)
+		}
 	}
 }
 

@@ -171,6 +171,12 @@ func Open(dir string, opt Options) (*Store, error) {
 	return &Store{dir: sets, opt: opt, sets: make(map[string]*setFiles)}, nil
 }
 
+// SetDir returns the directory under the data directory dataDir that
+// holds the named set's config, snapshots and journal.
+func SetDir(dataDir, name string) string {
+	return filepath.Join(dataDir, "sets", setDirName(name))
+}
+
 // setDirName encodes a set name into a filesystem-safe directory name.
 func setDirName(name string) string { return "set-" + hex.EncodeToString([]byte(name)) }
 

@@ -443,10 +443,10 @@ func bitStringCase(t testing.TB, prefixBits uint, prefix uint64, p []byte, n int
 
 // TestBitStringMatchesReference pins WriteBitString to the bitwise
 // reference at every prefix alignment and at lengths from 0 bits to
-// more than 64 bytes, and checks that ConsumeIfEqual accepts exactly
-// the spliced string: it consumes it on a match, rejects a copy with
-// any single bit flipped (trailing partial byte included) or a
-// truncated stream, and leaves the position unchanged on a reject.
+// more than 64 bytes, and checks that ReadBitString reads exactly the
+// spliced string back: the string's own bits, its padding zeroed, the
+// trailer after it intact, and a truncated stream rejected without
+// moving.
 func TestBitStringMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lengths := []int64{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 511, 512, 520, 64*8 + 13, 1000}
@@ -457,54 +457,23 @@ func TestBitStringMatchesReference(t *testing.T) {
 			prefix := rng.Uint64() & (1<<prefixBits - 1)
 			data, off := bitStringCase(t, prefixBits, prefix, p, n)
 
-			consume := func(q []byte, buf []byte) (bool, int64) {
-				d := NewDecoder(buf)
-				if _, err := d.ReadBits(prefixBits); err != nil {
-					t.Fatal(err)
-				}
-				ok := d.ConsumeIfEqual(q, n)
-				return ok, d.pos
-			}
-			if ok, pos := consume(p, data); !ok || pos != off+n {
-				t.Fatalf("prefix %d, %d bits: ConsumeIfEqual = %v at pos %d, want match at %d", prefixBits, n, ok, pos, off+n)
-			}
 			d := NewDecoder(data)
-			d.ReadBits(prefixBits)
-			d.ConsumeIfEqual(p, n)
-			if v, err := d.ReadBits(3); err != nil || v != 0x5 {
-				t.Fatalf("prefix %d, %d bits: trailer after match = %d, %v", prefixBits, n, v, err)
+			if _, err := d.ReadBits(prefixBits); err != nil {
+				t.Fatal(err)
 			}
-
-			// One flipped bit anywhere in the string, in the local copy
-			// or in the stream, is a mismatch that consumes nothing.
-			flips := []int64{0, n - 1, n / 2}
-			if n > 8 {
-				flips = append(flips, n&^7) // first bit of a trailing partial byte
+			q := make([]byte, len(p))
+			if err := d.ReadBitString(q, n); err != nil || d.pos != off+n {
+				t.Fatalf("prefix %d, %d bits: ReadBitString err %v at pos %d, want %d", prefixBits, n, err, d.pos, off+n)
 			}
-			for _, f := range flips {
-				if f < 0 || f >= n {
-					continue
-				}
-				q := append([]byte(nil), p...)
-				q[f/8] ^= 1 << (7 - uint(f%8))
-				if ok, pos := consume(q, data); ok || pos != off {
-					t.Fatalf("prefix %d, %d bits, flip %d: ConsumeIfEqual = %v at pos %d, want reject at %d", prefixBits, n, f, ok, pos, off)
-				}
-				bad := append([]byte(nil), data...)
-				bit := off + f
-				bad[bit/8] ^= 1 << (7 - uint(bit%8))
-				if ok, pos := consume(p, bad); ok || pos != off {
-					t.Fatalf("prefix %d, %d bits, stream flip %d: ConsumeIfEqual = %v at pos %d, want reject at %d", prefixBits, n, f, ok, pos, off)
-				}
-			}
-
-			// Bits of p past n are not part of the string.
+			want := append([]byte(nil), p...)
 			if n%8 != 0 {
-				q := append([]byte(nil), p...)
-				q[len(q)-1] ^= 1
-				if ok, _ := consume(q, data); !ok {
-					t.Fatalf("prefix %d, %d bits: padding bit changed the comparison", prefixBits, n)
-				}
+				want[len(want)-1] &^= 0xff >> uint(n%8)
+			}
+			if !bytes.Equal(q, want) {
+				t.Fatalf("prefix %d, %d bits: read back %x, want %x", prefixBits, n, q, want)
+			}
+			if v, err := d.ReadBits(3); err != nil || v != 0x5 {
+				t.Fatalf("prefix %d, %d bits: trailer after the string = %d, %v", prefixBits, n, v, err)
 			}
 
 			// Truncation: a stream that ends inside the string is
@@ -515,8 +484,8 @@ func TestBitStringMatchesReference(t *testing.T) {
 				if _, err := d.ReadBits(prefixBits); err != nil {
 					continue // the prefix itself no longer fits
 				}
-				if d.ConsumeIfEqual(p, n) || d.pos != off {
-					t.Fatalf("prefix %d, %d bits: truncated stream accepted or moved to %d", prefixBits, n, d.pos)
+				if err := d.ReadBitString(q, n); err != ErrShortMessage || d.pos != off {
+					t.Fatalf("prefix %d, %d bits: truncated stream gave %v at pos %d", prefixBits, n, err, d.pos)
 				}
 			}
 		}
@@ -524,34 +493,35 @@ func TestBitStringMatchesReference(t *testing.T) {
 }
 
 // FuzzBitString round-trips a random bit string through WriteBitString
-// and ConsumeIfEqual behind a prefix of random width, and requires a
-// single flipped bit to be rejected without consuming anything.
+// and ReadBitString behind a prefix of random width, and requires the
+// bit at a random index to read back as written.
 func FuzzBitString(f *testing.F) {
 	f.Add(uint8(1), uint64(1), []byte("strata cells spliced at bit offset one"), uint16(300), uint16(17))
 	f.Add(uint8(0), uint64(0), []byte{}, uint16(0), uint16(0))
 	f.Add(uint8(7), uint64(0x55), bytes.Repeat([]byte{0xa5}, 70), uint16(560), uint16(559))
-	f.Fuzz(func(t *testing.T, prefixBits uint8, prefix uint64, p []byte, n, flip uint16) {
+	f.Fuzz(func(t *testing.T, prefixBits uint8, prefix uint64, p []byte, n, probe uint16) {
 		pw := uint(prefixBits % 65)
 		prefix &= 1<<pw - 1
 		nbits := int64(n) % (int64(len(p))*8 + 1)
 		data, off := bitStringCase(t, pw, prefix, p, nbits)
 		d := NewDecoder(data)
-		if _, err := d.ReadBits(pw); err != nil {
-			t.Fatal(err)
+		if v, err := d.ReadBits(pw); err != nil || v != prefix {
+			t.Fatalf("prefix read %x, %v; want %x", v, err, prefix)
 		}
-		if !d.ConsumeIfEqual(p, nbits) || d.pos != off+nbits {
-			t.Fatalf("round trip of %d bits at offset %d not consumed (pos %d)", nbits, off, d.pos)
+		q := make([]byte, len(p))
+		if err := d.ReadBitString(q, nbits); err != nil || d.pos != off+nbits {
+			t.Fatalf("round trip of %d bits at offset %d: err %v, pos %d", nbits, off, err, d.pos)
 		}
 		if nbits == 0 {
 			return
 		}
-		q := append([]byte(nil), p...)
-		fb := int64(flip) % nbits
-		q[fb/8] ^= 1 << (7 - uint(fb%8))
-		d = NewDecoder(data)
-		d.ReadBits(pw)
-		if d.ConsumeIfEqual(q, nbits) || d.pos != off {
-			t.Fatalf("bit %d of %d flipped: accepted or moved to %d", fb, nbits, d.pos)
+		b := int64(probe) % nbits
+		bit := func(x []byte) byte { return x[b/8] >> (7 - uint(b%8)) & 1 }
+		if bit(q) != bit(p) {
+			t.Fatalf("bit %d of %d read back %d, wrote %d", b, nbits, bit(q), bit(p))
+		}
+		if !bytes.Equal(q[:nbits/8], p[:nbits/8]) {
+			t.Fatalf("whole bytes of the %d-bit string differ:\n%x\n%x", nbits, q[:nbits/8], p[:nbits/8])
 		}
 	})
 }

@@ -359,36 +359,6 @@ func (d *Decoder) ReadBitString(p []byte, nbits int64) error {
 	return nil
 }
 
-// ConsumeIfEqual reports whether the next nbits of the stream equal the
-// first nbits of the packed bit string p (as WriteBitString takes it).
-// On a match it consumes them; otherwise, and when fewer than nbits
-// remain, the position is left unchanged. A receiver uses it to
-// recognise a peer structure whose encoding equals one it already
-// holds, without decoding it.
-func (d *Decoder) ConsumeIfEqual(p []byte, nbits int64) bool {
-	if nbits < 0 || nbits > int64(len(p))*8 {
-		panic("transport: ConsumeIfEqual length out of range")
-	}
-	if nbits > d.remainingBits() {
-		return false
-	}
-	start := d.pos
-	for ; nbits >= 64; nbits -= 64 {
-		if d.window() != binary.BigEndian.Uint64(p) {
-			d.pos = start
-			return false
-		}
-		d.pos += 64
-		p = p[8:]
-	}
-	if nbits > 0 && d.window()>>(64-nbits) != leadingBits(p, uint(nbits)) {
-		d.pos = start
-		return false
-	}
-	d.pos += nbits
-	return true
-}
-
 // ReadBool reads one bit.
 func (d *Decoder) ReadBool() (bool, error) {
 	v, err := d.ReadBits(1)
