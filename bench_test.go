@@ -135,8 +135,7 @@ func BenchmarkLiveDeltaSession(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := session.NewServer(session.Config{MaxSessions: 4})
-	srv.Handle(factory)
+	srv := session.NewServer(session.Config{MaxSessions: 4, Resolver: netproto.Handlers(factory)})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -182,12 +181,11 @@ func serveEMD(tb testing.TB, maxSessions int) (*session.Server, session.Dialer, 
 	params := DefaultEMDParams(space, n, k, 77)
 	params.D1 = maxf(1, emdK/4)
 	params.D2 = maxf(emdK*4, params.D1*2)
-	srv := session.NewServer(session.Config{MaxSessions: maxSessions})
 	emdFactory, err := netproto.NewEMDSenderFactory(params, inst.SA)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv.Handle(emdFactory)
+	srv := session.NewServer(session.Config{MaxSessions: maxSessions, Resolver: netproto.Handlers(emdFactory)})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)

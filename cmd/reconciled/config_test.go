@@ -119,6 +119,7 @@ func TestConfigFileErrors(t *testing.T) {
 		{"unknown flag", "bogus: 1\n"},
 		{"retired -workers flag", "workers: 4\n"},
 		{"retired -pprof flag", "pprof: localhost:6060\n"},
+		{"retired -quarantine flag", "quarantine: 16\n"},
 		{"config self-reference", "config: other.yaml\n"},
 		{"bad value for typed flag", "n: not-a-number\n"},
 		{"structure line", "cluster:\n  peers: a\n"},

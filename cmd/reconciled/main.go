@@ -136,10 +136,6 @@ type config struct {
 	// local tuning
 	maxSessions int
 	timeout     time.Duration
-	// quarantine is the health ledger's base quarantine span in
-	// anti-entropy rounds (cluster modes); 0 disables eligibility
-	// filtering while still tracking per-peer scores and RTTs.
-	quarantine int
 }
 
 // fixture is the deterministic two-party state both endpoints derive
@@ -294,7 +290,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 
 	fs.IntVar(&c.maxSessions, "max-sessions", 64, "concurrent session cap (server)")
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-session deadline")
-	fs.IntVar(&c.quarantine, "quarantine", 16, "peer quarantine span in rounds (cluster modes); 0 observes health without skipping peers")
 	fs.StringVar(&o.admin, "admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
 	fs.StringVar(&o.configPath, "config", "", "config file of flat \"flag: value\" lines; explicit flags win")
 	return o
@@ -355,11 +350,6 @@ func stopAdmin(adm *admin.Server, drain time.Duration, logf func(string, ...any)
 // served as live-emd (epoch tagging plus delta sync) and Gap from cached
 // key payloads; the returned liveState drives churn.
 func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Server, *liveState) {
-	srv := session.NewServer(session.Config{
-		MaxSessions:    cfg.maxSessions,
-		SessionTimeout: cfg.timeout,
-		Logf:           logf,
-	})
 	st, err := newLiveState(cfg, f)
 	if err != nil {
 		fail("%v", err)
@@ -372,8 +362,12 @@ func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Serv
 	if err != nil {
 		fail("live gap: %v", err)
 	}
-	srv.Handle(emdFactory)
-	srv.Handle(gapFactory)
+	srv := session.NewServer(session.Config{
+		MaxSessions:    cfg.maxSessions,
+		SessionTimeout: cfg.timeout,
+		Resolver:       netproto.Handlers(emdFactory, gapFactory),
+		Logf:           logf,
+	})
 	return srv, st
 }
 
@@ -668,9 +662,7 @@ func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, sets
 			SessionTimeout: cfg.timeout,
 			Logf:           logger.Printf,
 		},
-		SessionTimeout:    cfg.timeout,
-		QuarantineRounds:  cfg.quarantine,
-		DisableQuarantine: cfg.quarantine == 0,
+		SessionTimeout: cfg.timeout,
 	}
 	gossiping := joinCSV != ""
 	if gossiping {

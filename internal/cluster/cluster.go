@@ -72,8 +72,8 @@ type Config struct {
 	// Seed feeds the peer-selection RNG (default 1).
 	Seed uint64
 	// Session configures the embedded server (MaxSessions, timeouts,
-	// Logf). Its Resolver is overwritten with this node's store
-	// resolver.
+	// Logf). Its Resolver is overwritten with this node's: the store's
+	// sets, plus the gossip responder with Membership.
 	Session session.Config
 	// DialTimeout / SessionTimeout bound outbound reconciliation
 	// sessions (defaults as in session.Dialer). Outbound sessions share
@@ -90,19 +90,11 @@ type Config struct {
 	// sequentially in set order before any session starts, so the
 	// probe schedule for a given seed is Pipeline-independent.
 	Pipeline int
-	// QuarantineRounds is the peer health ledger's base quarantine
-	// span, in reconciliation rounds (default 16; see health.go). A
-	// quarantined peer is skipped by peer selection until the span
-	// expires, then probed half-open.
-	QuarantineRounds int
-	// DisableQuarantine keeps the health ledger observing (scores,
-	// RTTs, counters) but never filters quarantined peers out of peer
-	// selection.
-	DisableQuarantine bool
 	// WrapResolver, when set, wraps the node's store resolver before it
-	// is installed on the embedded server. Fault-injection harnesses
-	// use it to substitute byzantine responder factories; production
-	// nodes leave it nil.
+	// is installed on the embedded server (the gossip responder is
+	// composed outside it). Fault-injection harnesses use it to
+	// substitute byzantine responder factories; production nodes leave
+	// it nil.
 	WrapResolver func(netproto.Resolver) netproto.Resolver
 	// Transport supplies the node's listeners and outbound connections
 	// (nil = the real network). A simnet host here moves the whole node
@@ -114,8 +106,8 @@ type Config struct {
 	// Membership, when set, switches the node to gossip-fed placement
 	// mode (see membership.go): the peer list follows the member table,
 	// and — with a Catalog — the hosted-set roster follows the
-	// consistent-hash ring. The node registers the gossip responder on
-	// its server and drives exchanges from its reconciler loop; the
+	// consistent-hash ring. The node serves the gossip responder on the
+	// default set and drives exchanges from its reconciler loop; the
 	// instance's Self address is this node's identity.
 	Membership *gossip.Gossip
 	// Catalog is the full set universe every member agrees on: names
@@ -126,12 +118,6 @@ type Config struct {
 	// Replication is the ring's owner count R per set (default 3,
 	// clamped to the member count).
 	Replication int
-	// VNodes is the ring's virtual-node count per member (default
-	// placement.DefaultVNodes).
-	VNodes int
-	// PlacementSlack is the bounded-loads headroom ε (default
-	// placement.DefaultSlack).
-	PlacementSlack float64
 	// PlacementSeed selects the ring's hash family. Every member must
 	// use the same value, or two nodes would compute different owner
 	// sets from one member list.
@@ -253,6 +239,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.WrapResolver != nil {
 		res = cfg.WrapResolver(res)
 	}
+	if cfg.Membership != nil {
+		res = withGossip(res, cfg.Membership.ResponderFactory())
+	}
 	cfg.Session.Resolver = res
 	// The node and its embedded server must agree on one network, or
 	// anti-entropy would dial a different fabric than it serves. Either
@@ -271,7 +260,7 @@ func New(cfg Config) (*Node, error) {
 			SessionTimeout: cfg.SessionTimeout,
 			Transport:      cfg.Transport,
 		},
-		health:     newLedger(cfg.QuarantineRounds, cfg.DisableQuarantine),
+		health:     newLedger(defaultQuarantineRounds),
 		peers:      append([]string(nil), cfg.Peers...),
 		src:        rng.New(cfg.Seed),
 		metrics:    make(map[string]*SetMetrics),
@@ -279,7 +268,6 @@ func New(cfg Config) (*Node, error) {
 		relinquish: make(map[string]bool),
 	}
 	if cfg.Membership != nil {
-		n.srv.Handle(cfg.Membership.ResponderFactory())
 		n.catalog = make(map[string]live.Config, len(cfg.Catalog))
 		for _, cs := range cfg.Catalog {
 			if _, dup := n.catalog[cs.Name]; dup {
@@ -293,8 +281,7 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Server exposes the embedded session server (stats, extra Handle
-// registrations).
+// Server exposes the embedded session server (stats).
 func (n *Node) Server() *session.Server { return n.srv }
 
 // Store exposes the node's set store (the simulation harness reads

@@ -42,8 +42,8 @@ const (
 	healthProbationScore = 0.75
 	// healthQuarantineScore enters quarantine at or above.
 	healthQuarantineScore = 1.25
-	// defaultQuarantineRounds is the base quarantine span, in
-	// reconciliation rounds (Config.QuarantineRounds overrides).
+	// defaultQuarantineRounds is the node's base quarantine span, in
+	// reconciliation rounds.
 	defaultQuarantineRounds = 16
 	// quarantineSpanCap bounds repeat-offender span doubling, as a
 	// multiple of the base span.
@@ -122,22 +122,12 @@ type peerEntry struct {
 type ledger struct {
 	mu sync.Mutex
 	// base is the quarantine span in rounds.
-	base int
-	// skipDisabled disables eligibility filtering (scores and RTT are
-	// still tracked, so operators can observe without enforcement).
-	skipDisabled bool
-	peers        map[string]*peerEntry
+	base  int
+	peers map[string]*peerEntry
 }
 
-func newLedger(baseRounds int, disabled bool) *ledger {
-	if baseRounds <= 0 {
-		baseRounds = defaultQuarantineRounds
-	}
-	return &ledger{
-		base:         baseRounds,
-		skipDisabled: disabled,
-		peers:        make(map[string]*peerEntry),
-	}
+func newLedger(baseRounds int) *ledger {
+	return &ledger{base: baseRounds, peers: make(map[string]*peerEntry)}
 }
 
 func (l *ledger) entry(addr string) *peerEntry {
@@ -248,7 +238,7 @@ func (l *ledger) tick() {
 // is returned: total exclusion would isolate this node on exactly the
 // rounds where it most needs a peer.
 func (l *ledger) eligible(pool []string) []string {
-	if l.skipDisabled || len(pool) == 0 {
+	if len(pool) == 0 {
 		return pool
 	}
 	l.mu.Lock()

@@ -10,7 +10,7 @@ import (
 // session — a corrupting peer cannot stay eligible by also serving
 // honest traffic.
 func TestLedgerCorruptionConvictsFast(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	l.reportCorruption("p")
 	if st := l.snapshot()["p"]; st.State != PeerProbation {
 		t.Fatalf("after 1 corruption state = %v, want probation", st.State)
@@ -29,7 +29,7 @@ func TestLedgerCorruptionConvictsFast(t *testing.T) {
 // Transient failures need four in a row: a flaky link reaches probation
 // quickly but quarantine only if it keeps failing.
 func TestLedgerFailuresConvictSlower(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	for i := 0; i < 3; i++ {
 		l.reportFailure("p")
 	}
@@ -46,7 +46,7 @@ func TestLedgerFailuresConvictSlower(t *testing.T) {
 // the peer back through probation to healthy, a failed probe
 // re-quarantines with the span doubled (capped).
 func TestLedgerHalfOpenProbe(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	l.reportCorruption("p")
 	l.reportCorruption("p")
 	for i := 0; i < 4; i++ {
@@ -91,7 +91,7 @@ func TestLedgerHalfOpenProbe(t *testing.T) {
 // quarantined peers otherwise, and fall back to the full pool rather
 // than isolate the node when everything is quarantined.
 func TestLedgerEligible(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	pool := []string{"a", "b", "c"}
 	if got := l.eligible(pool); len(got) != 3 || &got[0] != &pool[0] {
 		t.Fatalf("clean pool was copied or filtered: %v", got)
@@ -117,19 +117,12 @@ func TestLedgerEligible(t *testing.T) {
 	if got := l.eligible(pool); len(got) != 3 {
 		t.Fatalf("fully-quarantined pool collapsed to %v", got)
 	}
-	// Disabled ledger never filters.
-	ld := newLedger(4, true)
-	ld.reportCorruption("a")
-	ld.reportCorruption("a")
-	if got := ld.eligible(pool); len(got) != 3 || &got[0] != &pool[0] {
-		t.Fatalf("disabled ledger filtered: %v", got)
-	}
 }
 
 // deadline: fallback before any sample, then mult x EWMA RTT, floored
 // for fast links and capped at the configured fallback.
 func TestLedgerDeadline(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	if d := l.deadline("p", time.Minute); d != time.Minute {
 		t.Fatalf("no-sample deadline = %v, want fallback", d)
 	}
@@ -137,7 +130,7 @@ func TestLedgerDeadline(t *testing.T) {
 	if d := l.deadline("p", time.Minute); d != rttDeadlineFloor {
 		t.Fatalf("fast-link deadline = %v, want floor %v", d, rttDeadlineFloor)
 	}
-	l2 := newLedger(4, false)
+	l2 := newLedger(4)
 	l2.reportSuccess("q", 2*time.Second)
 	if d := l2.deadline("q", time.Minute); d != 16*time.Second {
 		t.Fatalf("deadline = %v, want 8x 2s", d)
@@ -148,7 +141,7 @@ func TestLedgerDeadline(t *testing.T) {
 }
 
 func TestLedgerSummary(t *testing.T) {
-	l := newLedger(4, false)
+	l := newLedger(4)
 	l.reportSuccess("a", time.Millisecond)
 	l.reportCorruption("b")
 	l.reportCorruption("b")

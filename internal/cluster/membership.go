@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/gossip"
+	"repro/internal/netproto"
 	"repro/internal/placement"
 )
 
@@ -25,6 +26,21 @@ import (
 // fingerprint equality proves the owners hold everything this node
 // holds). An empty relinquished set drops at once; there is nothing to
 // hand off.
+
+// withGossip composes the gossip responder into the node's resolver: the
+// member-table exchange is node-wide, so it is served on the default
+// set, which therefore exists whether or not the store hosts a "" set.
+// Every other hello resolves through stores.
+func withGossip(stores netproto.Resolver, responder func() netproto.Handler) netproto.Resolver {
+	exchange := netproto.Handlers(responder)
+	return func(set string, proto netproto.Proto, peerRole netproto.Role) (func() netproto.Handler, bool) {
+		if f, _ := exchange(set, proto, peerRole); f != nil {
+			return f, true
+		}
+		f, ok := stores(set, proto, peerRole)
+		return f, ok || set == ""
+	}
+}
 
 // GossipStats reports one GossipOnce round.
 type GossipStats struct {
@@ -91,8 +107,8 @@ func (n *Node) ApplyPlacement() {
 
 	active := g.Active()
 	self := g.Self()
-	ring := placement.New(active, n.cfg.VNodes, n.cfg.PlacementSeed)
-	asn := ring.Assign(n.catalogNames, n.cfg.Replication, n.cfg.PlacementSlack)
+	ring := placement.New(active, placement.DefaultVNodes, n.cfg.PlacementSeed)
+	asn := ring.Assign(n.catalogNames, n.cfg.Replication, placement.DefaultSlack)
 
 	selfActive := false
 	peers := make([]string, 0, len(active))

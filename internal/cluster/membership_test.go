@@ -2,14 +2,17 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gossip"
 	"repro/internal/live"
+	"repro/internal/netproto"
 	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/session"
 	"repro/internal/simnet"
 	"repro/internal/store"
 )
@@ -83,6 +86,40 @@ func startGossipMesh(t *testing.T, count, nSets, rf int) ([]*Node, []string, *si
 		}
 	})
 	return nodes, addrs, net
+}
+
+// TestGossipNodeResolver dials a gossip node from outside the mesh: its
+// one resolver answers the member-table exchange on the default set and
+// the store's protocols on each hosted set, and the default set, which
+// this store does not hold, serves gossip and nothing else.
+func TestGossipNodeResolver(t *testing.T) {
+	nodes, addrs, net := startGossipMesh(t, 2, 2, 2)
+	if _, ok := nodes[0].Store().Get("shard-00"); !ok {
+		t.Fatal("node 0 does not host shard-00 at R=2 over two nodes")
+	}
+	g, err := gossip.New(gossip.Config{Self: "client:1", Seeds: addrs, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := session.Dialer{Network: "sim", Addr: addrs[0], Transport: net.Host("client")}
+	if _, err := d.Do(g.Initiator()); err != nil {
+		t.Fatalf("gossip on the default set: %v", err)
+	}
+	if got := len(g.Active()); got != 3 {
+		t.Fatalf("client sees %d active members after one exchange, want 3", got)
+	}
+	local, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: testSyncSeed}}, testPoints(4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Set = "shard-00"
+	if _, err := d.Do(netproto.NewProbeInitiator(local)); err != nil {
+		t.Fatalf("probe on a hosted set: %v", err)
+	}
+	d.Set = ""
+	if _, err := d.Do(netproto.NewProbeInitiator(local)); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Fatalf("probe on the gossip-only default set: %v, want unknown protocol", err)
+	}
 }
 
 // driveGossipRounds runs full rounds (gossip, then reconcile, with

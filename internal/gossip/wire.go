@@ -111,8 +111,8 @@ func (g *Gossip) Initiator() *Exchange {
 	return &Exchange{g: g, role: netproto.RoleAlice}
 }
 
-// ResponderFactory returns a server-registerable factory answering
-// exchanges against this table.
+// ResponderFactory returns a factory, for a server's Resolver,
+// answering exchanges against this table.
 func (g *Gossip) ResponderFactory() func() netproto.Handler {
 	return func() netproto.Handler { return &Exchange{g: g, role: netproto.RoleBob} }
 }

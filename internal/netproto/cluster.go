@@ -245,7 +245,7 @@ type ProbeResponder struct {
 	Served ProbeSummary
 }
 
-// NewProbeResponderFactory returns a server-registerable factory
+// NewProbeResponderFactory returns a factory, for a server's Resolver,
 // answering probes for the set.
 func NewProbeResponderFactory(ls *live.Set) func() Handler {
 	return func() Handler { return &ProbeResponder{set: ls} }
@@ -642,7 +642,7 @@ type RepairResponder struct {
 	Applied  int
 }
 
-// NewRepairResponderFactory returns a server-registerable factory
+// NewRepairResponderFactory returns a factory, for a server's Resolver,
 // answering repairs for the set; the set must maintain Sync state.
 func NewRepairResponderFactory(ls *live.Set) (func() Handler, error) {
 	if _, ok := ls.SyncConfig(); !ok {

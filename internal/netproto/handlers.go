@@ -80,9 +80,8 @@ func NewEMDSender(p emd.Params, sa metric.PointSet) *EMDSender {
 }
 
 // NewEMDSenderFactory precomputes Alice's message once — it is
-// deterministic for a fixed (Params, Set) — and returns a
-// server-registerable factory whose handlers all serve the cached
-// bytes. This is the "reuse sketches" path: each additional peer costs
+// deterministic for a fixed (Params, Set) — and returns a factory,
+// for a server's Resolver, whose handlers all serve the cached bytes. This is the "reuse sketches" path: each additional peer costs
 // a write instead of a full LSH + RIBLT rebuild.
 func NewEMDSenderFactory(p emd.Params, sa metric.PointSet) (func() Handler, error) {
 	p.ApplyDefaults()

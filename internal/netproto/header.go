@@ -322,41 +322,68 @@ func (c pendingConn) Recv() (*transport.Decoder, error) {
 	return c.p.w.Recv()
 }
 
-// Accept answers an initiator's hello on behalf of the bound handler h:
-// the hello must name h's protocol, the complementary role, and an equal
-// digest. On any mismatch the rejecting status is sent before the error
-// returns, so the initiator fails with a reason rather than a dead
-// stream. This is the two-party path; session.Server performs the same
-// validation against its handler registry.
+// AnswerHello answers a hello already read from w with the handler res
+// resolves for it, sending the accept frame. It is the one place a
+// hello's status is decided, in this order:
+//
+//	carrier hello                       StatusMuxUnavailable
+//	set unknown to res                  StatusUnknownSet
+//	only the hello's own role served    StatusRoleUnavailable
+//	no handler for the protocol         StatusUnknownProto
+//	handler digest differs              StatusDigestMismatch
+//	otherwise                           StatusOK
+//
+// A rejection is sent before the error returns, so the initiator fails
+// with a reason rather than a dead stream; it echoes digest 0, except a
+// digest mismatch, which echoes the local handler's. On StatusOK the
+// handler is returned ready to Run. A nil res hosts no set. A carrier
+// hello is refused here because it only opens a connection that
+// multiplexes sessions: session.Server accepts it before calling this.
+func AnswerHello(w *Wire, hello Hello, res Resolver) (Handler, error) {
+	if hello.Mux {
+		SendAccept(w, StatusMuxUnavailable, 0) //nolint:errcheck // the rejection is the error
+		return nil, fmt.Errorf("netproto: carrier hello where a session hello belongs: %v", StatusMuxUnavailable)
+	}
+	var factory func() Handler
+	exists := false
+	if res != nil {
+		factory, exists = res(hello.Set, hello.Proto, hello.Role)
+	}
+	if factory == nil {
+		st := StatusUnknownSet
+		if exists {
+			st = StatusUnknownProto
+			// A Resolver cannot be enumerated; asking it for the
+			// handler of the hello's own role detects a role clash.
+			if f, _ := res(hello.Set, hello.Proto, hello.Role.Peer()); f != nil {
+				st = StatusRoleUnavailable
+			}
+		}
+		SendAccept(w, st, 0) //nolint:errcheck // the rejection is the error
+		return nil, fmt.Errorf("netproto: no handler in set %q for %v as peer of %v: %v", hello.Set, hello.Proto, hello.Role, st)
+	}
+	h := factory()
+	digest := h.Digest()
+	if digest != hello.Digest {
+		SendAccept(w, StatusDigestMismatch, digest) //nolint:errcheck // the rejection is the error
+		return nil, fmt.Errorf("netproto: %v %v (local %#x, peer %#x)", hello.Proto, StatusDigestMismatch, digest, hello.Digest)
+	}
+	if err := SendAccept(w, StatusOK, digest); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Accept answers an initiator's hello on behalf of the bound handler h,
+// which serves the default set only: the two-party path, answered by
+// AnswerHello like every session.Server hello.
 func Accept(w *Wire, h Handler) error {
 	hello, err := ReadHello(w)
 	if err != nil {
 		return err
 	}
-	if hello.Mux {
-		SendAccept(w, StatusMuxUnavailable, h.Digest())
-		return fmt.Errorf("netproto: peer wants a multiplexed carrier, two-party handler runs one session per connection")
-	}
-	if hello.Set != "" {
-		// The two-party path serves exactly one handler and no named
-		// sets; multi-tenant serving is session.Server's job.
-		SendAccept(w, StatusUnknownSet, h.Digest())
-		return fmt.Errorf("netproto: peer wants set %q, two-party handler serves only the default set", hello.Set)
-	}
-	if hello.Proto != h.Proto() {
-		SendAccept(w, StatusUnknownProto, h.Digest())
-		return fmt.Errorf("netproto: peer wants %v, handler speaks %v", hello.Proto, h.Proto())
-	}
-	if hello.Role != h.Role().Peer() {
-		SendAccept(w, StatusRoleUnavailable, h.Digest())
-		return fmt.Errorf("netproto: peer plays %v, handler also plays %v", hello.Role, h.Role())
-	}
-	if hello.Digest != h.Digest() {
-		SendAccept(w, StatusDigestMismatch, h.Digest())
-		return fmt.Errorf("netproto: parameter digest mismatch (local %#x, peer %#x)",
-			h.Digest(), hello.Digest)
-	}
-	return SendAccept(w, StatusOK, h.Digest())
+	_, err = AnswerHello(w, hello, Handlers(func() Handler { return h }))
+	return err
 }
 
 // RunInitiator negotiates a session for h over rw and runs its state

@@ -56,8 +56,8 @@ type LiveEMDSender struct {
 	PayloadBytes int
 }
 
-// NewLiveEMDSenderFactory returns a server-registerable factory whose
-// handlers serve the set's EMD sketch with delta sync. The set must
+// NewLiveEMDSenderFactory returns a factory, for a server's Resolver,
+// whose handlers serve the set's EMD sketch with delta sync. The set must
 // maintain EMD state.
 func NewLiveEMDSenderFactory(ls *live.Set) (func() Handler, error) {
 	p, ok := ls.EMDParams()

@@ -125,7 +125,48 @@ func TestRegisteredProtos(t *testing.T) {
 	}
 }
 
+// TestHeaderProtoMismatch runs every rung of the hello ladder against
+// the two-party path: the initiator reads the status and echoed digest
+// Accept answers with, and Accept fails on every status but OK. A
+// handler-level protocol mismatch fails both RunInitiator and
+// RunResponder.
 func TestHeaderProtoMismatch(t *testing.T) {
+	sender := NewEMDSender(emd.DefaultParams(emdSpace(), 8, 2, 1), nil)
+	d := sender.Digest()
+	for _, tc := range []struct {
+		name  string
+		hello Hello
+		want  Status
+		echo  uint64
+	}{
+		{"carrier", Hello{Mux: true}, StatusMuxUnavailable, 0},
+		{"named set", Hello{Proto: ProtoEMD, Role: RoleBob, Digest: d, Set: "tenant"}, StatusUnknownSet, 0},
+		{"same role", Hello{Proto: ProtoEMD, Role: RoleAlice, Digest: d}, StatusRoleUnavailable, 0},
+		{"other proto", Hello{Proto: ProtoGap, Role: RoleBob, Digest: d}, StatusUnknownProto, 0},
+		{"other digest", Hello{Proto: ProtoEMD, Role: RoleBob, Digest: d + 1}, StatusDigestMismatch, d},
+		{"match", Hello{Proto: ProtoEMD, Role: RoleBob, Digest: d}, StatusOK, d},
+	} {
+		a, b := duplex()
+		errc := make(chan error, 1)
+		go func() { errc <- Accept(NewWire(b), sender) }()
+		w := NewWire(a)
+		if err := SendHello(w, tc.hello); err != nil {
+			t.Fatal(err)
+		}
+		st, echo, err := ReadAccept(w)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st != tc.want || echo != tc.echo {
+			t.Errorf("%s: status %v echo %#x, want %v echo %#x", tc.name, st, echo, tc.want, tc.echo)
+		}
+		if err := <-errc; (err == nil) != (tc.want == StatusOK) {
+			t.Errorf("%s: Accept returned %v", tc.name, err)
+		}
+		a.Close()
+		b.Close()
+	}
+
 	a, b := duplex()
 	defer a.Close()
 	defer b.Close()

@@ -47,8 +47,10 @@ func turnServer(t *testing.T, respond func(transport.Conn) error) (*MuxPool, str
 	srv := NewServer(Config{
 		SessionTimeout: budget,
 		OnSession:      func(s *Session) { ended <- s.Err() },
+		Resolver: netproto.Handlers(func() netproto.Handler {
+			return &turnHandler{role: netproto.RoleBob, run: respond}
+		}),
 	})
-	srv.Handle(func() netproto.Handler { return &turnHandler{role: netproto.RoleBob, run: respond} })
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

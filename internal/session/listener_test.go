@@ -97,9 +97,9 @@ func TestQuiesceWaitsForSessionTeardown(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 			torndown.Store(true)
 		},
-	})
-	srv.Handle(func() netproto.Handler {
-		return netproto.NewGapSender(f.gapParams, f.gapSA)
+		Resolver: netproto.Handlers(func() netproto.Handler {
+			return netproto.NewGapSender(f.gapParams, f.gapSA)
+		}),
 	})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

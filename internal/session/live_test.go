@@ -40,8 +40,7 @@ func TestServerLiveChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(Config{MaxSessions: 8})
-	srv.Handle(factory)
+	srv := NewServer(Config{MaxSessions: 8, Resolver: netproto.Handlers(factory)})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

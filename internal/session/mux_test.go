@@ -445,4 +445,20 @@ func TestMuxNestedCarrierHelloRejected(t *testing.T) {
 	if status != netproto.StatusMuxUnavailable {
 		t.Fatalf("nested carrier hello: status %v, want %v", status, netproto.StatusMuxUnavailable)
 	}
+	// The refusal ends that stream only: the carrier's next stream is
+	// answered as any session is.
+	st2, err := m.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	sw2 := netproto.NewWire(st2)
+	defer sw2.Release()
+	h := gapHandler(f)
+	if err := netproto.SendHello(sw2, netproto.Hello{Proto: h.Proto(), Role: h.Role(), Digest: h.Digest()}); err != nil {
+		t.Fatal(err)
+	}
+	if status, echo, err := netproto.ReadAccept(sw2); err != nil || status != netproto.StatusOK || echo != h.Digest() {
+		t.Fatalf("session hello after the refusal: status %v echo %#x err %v, want %v echo %#x", status, echo, err, netproto.StatusOK, h.Digest())
+	}
 }

@@ -17,12 +17,11 @@ import (
 // a protocol error or a diverging result. Run under -race in CI.
 func TestPooledCodecsNoCrossSessionAliasing(t *testing.T) {
 	f := newFixture(t)
-	srv := NewServer(Config{MaxSessions: 8})
 	factory, err := netproto.NewEMDSenderFactory(f.emdParams, f.emdSA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Handle(factory)
+	srv := NewServer(Config{MaxSessions: 8, Resolver: netproto.Handlers(factory)})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -39,11 +39,11 @@ type Config struct {
 	// (successfully or not), from the session's goroutine. Use it to
 	// harvest typed results from the session's Handler.
 	OnSession func(*Session)
-	// Resolver, when set, resolves set hellos that no statically
-	// registered factory covers — typically netproto.StoreResolver over
-	// a multi-tenant store. It is consulted for the default set too, so
-	// a store's "" set is served. Static registrations win when both
-	// exist.
+	// Resolver names the handler factory for each session hello:
+	// netproto.StoreResolver serves every set of a multi-tenant store,
+	// the default ("") set included; netproto.Handlers serves fixed
+	// factories on the default set. Nil serves nothing: every session
+	// hello is refused as an unknown set.
 	Resolver netproto.Resolver
 	// Logf, when set, receives one line per session and per accept
 	// error (e.g. log.Printf).
@@ -54,15 +54,14 @@ type Config struct {
 	Transport Transport
 }
 
-// Server accepts connections and runs each as a Session against a
-// registered handler factory. Handlers carry per-session state, so the
-// server is configured with factories: one fresh handler per peer.
+// Server accepts connections and runs each as a Session against the
+// handler factory its Config.Resolver names. Handlers carry per-session
+// state, so the resolver names factories: one fresh handler per peer.
 type Server struct {
 	cfg Config
 	sem chan struct{}
 
 	mu        sync.Mutex
-	factories map[factoryKey]func() netproto.Handler
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{} // in-flight session and carrier connections
 	busy      int                   // in-flight session units (plain conns + mux streams)
@@ -79,14 +78,8 @@ type Server struct {
 	traffic transport.Collector
 }
 
-type factoryKey struct {
-	set   string // namespace ("" = default set)
-	proto netproto.Proto
-	role  netproto.Role
-}
-
-// NewServer builds a server; register handlers with Handle before
-// serving.
+// NewServer builds a server that answers each hello through
+// cfg.Resolver.
 func NewServer(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
@@ -103,77 +96,10 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxSessions),
-		factories: make(map[factoryKey]func() netproto.Handler),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
 	}
-}
-
-// Handle registers a handler factory for the default set. The factory
-// is probed once to learn which (protocol, role) it serves; peers whose
-// hello names the complementary role are dispatched to it. Registering
-// the same (protocol, role) twice replaces the earlier factory.
-func (s *Server) Handle(factory func() netproto.Handler) {
-	s.HandleSet("", factory)
-}
-
-// HandleSet registers a handler factory under a set namespace: only
-// hellos naming that set (the empty name is the default set) are
-// dispatched to it. For serving a whole store of named sets,
-// Config.Resolver scales better than enumerating registrations.
-func (s *Server) HandleSet(set string, factory func() netproto.Handler) {
-	probe := factory()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.factories[factoryKey{set, probe.Proto(), probe.Role()}] = factory
-}
-
-// factoryFor returns the factory whose handler complements the peer's
-// declared role within the named set: static registrations first, then
-// the resolver. setKnown reports whether the set exists at all (for the
-// unknown-set rejection).
-func (s *Server) factoryFor(set string, proto netproto.Proto, peerRole netproto.Role) (factory func() netproto.Handler, setKnown bool) {
-	s.mu.Lock()
-	f := s.factories[factoryKey{set, proto, peerRole.Peer()}]
-	if f == nil && set == "" && len(s.factories) > 0 {
-		// The default set exists whenever anything is statically
-		// registered (the pre-namespace server shape).
-		setKnown = true
-	}
-	if !setKnown {
-		for k := range s.factories {
-			if k.set == set {
-				setKnown = true
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	if f != nil {
-		return f, true
-	}
-	if s.cfg.Resolver != nil {
-		rf, exists := s.cfg.Resolver(set, proto, peerRole)
-		if rf != nil {
-			return rf, true
-		}
-		setKnown = setKnown || exists
-	}
-	return nil, setKnown
-}
-
-// servesProto reports whether any role of the protocol is statically
-// registered in the set.
-func (s *Server) servesProto(set string, proto netproto.Proto) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.factories {
-		if k.set == set && k.proto == proto {
-			return true
-		}
-	}
-	return false
 }
 
 // Listen announces on the network (tcp/unix) address and serves in the
@@ -387,56 +313,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.runHello(w, hello, sess, nil)
 }
 
-// runHello dispatches and runs one session whose session hello has
-// been read from w, which rides st when the session is a mux stream
-// (nil on a dedicated connection); it always routes through finish, and
-// returns the session's terminal error for the caller's teardown
-// decisions.
+// runHello answers and runs one session whose hello has been read from
+// w, which rides st when the session is a mux stream (nil on a
+// dedicated connection); it always routes through finish, and returns
+// the session's terminal error for the caller's teardown decisions.
 func (s *Server) runHello(w *netproto.Wire, hello netproto.Hello, sess *Session, st *muxStream) error {
 	sess.proto = hello.Proto
 	sess.set = hello.Set
-	factory, setKnown := s.factoryFor(hello.Set, hello.Proto, hello.Role)
-	if factory == nil {
-		// Distinguish, in order: a namespace this server does not host
-		// at all; a hosted namespace that does not serve the protocol;
-		// and a served protocol whose matching role is taken.
-		st := netproto.StatusUnknownSet
-		if setKnown {
-			st = netproto.StatusUnknownProto
-			if s.servesProto(hello.Set, hello.Proto) {
-				st = netproto.StatusRoleUnavailable
-			} else if s.cfg.Resolver != nil {
-				// The resolver cannot be enumerated; probing the
-				// complementary peer role detects a role clash there.
-				if f, _ := s.cfg.Resolver(hello.Set, hello.Proto, hello.Role.Peer()); f != nil {
-					st = netproto.StatusRoleUnavailable
-				}
-			}
-		}
-		netproto.SendAccept(w, st, 0) //nolint:errcheck
-		err := fmt.Errorf("session: no handler in set %q for %v as peer of %v: %v", hello.Set, hello.Proto, hello.Role, st)
+	h, err := netproto.AnswerHello(w, hello, s.cfg.Resolver)
+	if err != nil {
 		s.finish(sess, err)
 		return err
 	}
-	h := factory()
 	sess.handler = h
 	sess.role = h.Role()
-	if h.Digest() != hello.Digest {
-		netproto.SendAccept(w, netproto.StatusDigestMismatch, h.Digest()) //nolint:errcheck
-		err := fmt.Errorf("session: %v digest mismatch (local %#x, peer %#x)",
-			hello.Proto, h.Digest(), hello.Digest)
-		s.finish(sess, err)
-		return err
-	}
-	if err := netproto.SendAccept(w, netproto.StatusOK, h.Digest()); err != nil {
-		s.finish(sess, err)
-		return err
-	}
 	if st != nil {
 		st.holdAccept()
 	}
 	s.active.Add(1)
-	err := h.Run(w)
+	err = h.Run(w)
 	s.active.Add(-1)
 	// A mux stream may still hold the handler's last frames: send them
 	// before accounting, logging and OnSession, not after.
@@ -492,7 +387,8 @@ func (s *Server) serveMux(conn net.Conn) {
 var errStreamAborted = errors.New("session: stream aborted before negotiation")
 
 // serveStream runs one multiplexed session: the stream carries exactly
-// the byte stream a dedicated session connection would.
+// the byte stream a dedicated session connection would, so a carrier
+// hello on it is refused like any hello no session can answer.
 func (s *Server) serveStream(m *muxConn, st *muxStream) {
 	defer s.wg.Done()
 	// Clean exits close quietly: the protocol's terminal frame already
@@ -537,12 +433,6 @@ func (s *Server) serveStream(m *muxConn, st *muxStream) {
 	hello, err := netproto.ReadHello(w)
 	if err != nil {
 		sessErr = fmt.Errorf("session: bad hello: %w", err)
-		s.finish(sess, sessErr)
-		return
-	}
-	if hello.Mux {
-		netproto.SendAccept(w, netproto.StatusMuxUnavailable, 0) //nolint:errcheck
-		sessErr = fmt.Errorf("session: nested carrier hello on mux stream")
 		s.finish(sess, sessErr)
 		return
 	}

@@ -52,12 +52,13 @@ func newFixture(t *testing.T) *testFixture {
 }
 
 // newTestServer builds a server exposing the frozen-set protocols over
-// the fixture's data.
-func newTestServer(f *testFixture, cfg Config) *Server {
-	srv := NewServer(cfg)
-	srv.Handle(func() netproto.Handler { return netproto.NewEMDSender(f.emdParams, f.emdSA) })
-	srv.Handle(func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
-	return srv
+// the fixture's data, plus any extra factories, on the default set.
+func newTestServer(f *testFixture, cfg Config, extra ...func() netproto.Handler) *Server {
+	cfg.Resolver = netproto.Handlers(append([]func() netproto.Handler{
+		func() netproto.Handler { return netproto.NewEMDSender(f.emdParams, f.emdSA) },
+		func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) },
+	}, extra...)...)
+	return NewServer(cfg)
 }
 
 // gapHandler builds a fresh gap receiver for the shared fixture.

@@ -109,52 +109,41 @@ func TestUnknownSetRejected(t *testing.T) {
 
 // TestRetiredProtosRefused: a hello for a retired protocol ID (3 was
 // exact-ID sync, 4 multiset-of-sets reconciliation) names no protocol a
-// store serves, even for a set whose Sync state repair reads.
+// store serves, even for a set whose Sync state repair reads. Beside
+// them runs every other rung of the hello ladder a store server answers,
+// with the digest each status echoes.
 func TestRetiredProtosRefused(t *testing.T) {
-	_, _, l := newStoreServer(t, Config{})
-	for _, p := range []netproto.Proto{3, 4} {
+	_, st, l := newStoreServer(t, Config{})
+	ls, _ := st.Get("tenant-a")
+	probe := netproto.DigestProbe(ls)
+	for _, tc := range []struct {
+		hello netproto.Hello
+		want  netproto.Status
+		echo  uint64
+	}{
+		{netproto.Hello{Proto: 3, Role: netproto.RoleAlice, Set: "tenant-a"}, netproto.StatusUnknownProto, 0},
+		{netproto.Hello{Proto: 4, Role: netproto.RoleAlice, Set: "tenant-a"}, netproto.StatusUnknownProto, 0},
+		{netproto.Hello{Proto: netproto.ProtoProbe, Role: netproto.RoleAlice, Digest: probe, Set: "no-such-tenant"}, netproto.StatusUnknownSet, 0},
+		{netproto.Hello{Proto: netproto.ProtoProbe, Role: netproto.RoleBob, Digest: probe, Set: "tenant-a"}, netproto.StatusRoleUnavailable, 0},
+		{netproto.Hello{Proto: netproto.ProtoProbe, Role: netproto.RoleAlice, Digest: probe + 1, Set: "tenant-a"}, netproto.StatusDigestMismatch, probe},
+		{netproto.Hello{Proto: netproto.ProtoProbe, Role: netproto.RoleAlice, Digest: probe, Set: "tenant-a"}, netproto.StatusOK, probe},
+	} {
 		conn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := netproto.NewWire(conn)
-		if err := netproto.SendHello(w, netproto.Hello{Proto: p, Role: netproto.RoleAlice, Set: "tenant-a"}); err != nil {
+		if err := netproto.SendHello(w, tc.hello); err != nil {
 			t.Fatal(err)
 		}
-		status, _, err := netproto.ReadAccept(w)
+		status, echo, err := netproto.ReadAccept(w)
 		conn.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if status != netproto.StatusUnknownProto {
-			t.Errorf("proto %d hello: status %v, want %v", uint8(p), status, netproto.StatusUnknownProto)
+		if status != tc.want || echo != tc.echo {
+			t.Errorf("%+v: status %v echo %#x, want %v echo %#x", tc.hello, status, echo, tc.want, tc.echo)
 		}
-	}
-}
-
-func TestHandleSetStaticDispatch(t *testing.T) {
-	f := newFixture(t)
-	srv := NewServer(Config{})
-	// The gap sender is registered ONLY under a namespace; the default
-	// set stays empty.
-	srv.HandleSet("ns", func() netproto.Handler { return netproto.NewGapSender(f.gapParams, f.gapSA) })
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	h := gapHandler(f)
-	if _, err := (Dialer{Addr: l.Addr().String(), Set: "ns"}).Do(h); err != nil {
-		t.Fatalf("namespaced gap: %v", err)
-	}
-	if err := checkGap(f, h); err != nil {
-		t.Fatal(err)
-	}
-	// The same protocol against the default set is an unknown set: the
-	// server has no default registrations at all.
-	if _, err := (Dialer{Addr: l.Addr().String()}).Do(gapHandler(f)); err == nil {
-		t.Fatal("default-set dial served despite no default registrations")
 	}
 }
 
@@ -202,8 +191,9 @@ func (h *slowClient) Run(conn transport.Conn) error {
 func TestShutdownDrainsCleanly(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv := NewServer(Config{})
-	srv.Handle(func() netproto.Handler { return &slowHandler{release: release, started: started} })
+	srv := NewServer(Config{Resolver: netproto.Handlers(func() netproto.Handler {
+		return &slowHandler{release: release, started: started}
+	})})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +222,9 @@ func TestShutdownDrainsCleanly(t *testing.T) {
 
 func TestShutdownForceClosesStragglers(t *testing.T) {
 	started := make(chan struct{}, 1)
-	srv := NewServer(Config{})
-	srv.Handle(func() netproto.Handler { return &slowHandler{release: make(chan struct{}), started: started} })
+	srv := NewServer(Config{Resolver: netproto.Handlers(func() netproto.Handler {
+		return &slowHandler{release: make(chan struct{}), started: started}
+	})})
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,6 @@ func TestMuxWritesPerTurn(t *testing.T) {
 	f := newFixture(t)
 	log := &writeLog{}
 	tr := loggingTransport{log}
-	srv := newTestServer(f, Config{Transport: tr})
 	cfg := live.Config{Sync: &live.SyncConfig{Seed: 99}}
 	space := metric.HammingCube(32)
 	served, err := live.NewSet(cfg, randomPoints(space, 12, 1))
@@ -131,12 +130,11 @@ func TestMuxWritesPerTurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Handle(netproto.NewProbeResponderFactory(served))
 	repairFactory, err := netproto.NewRepairResponderFactory(served)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Handle(repairFactory)
+	srv := newTestServer(f, Config{Transport: tr}, netproto.NewProbeResponderFactory(served), repairFactory)
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

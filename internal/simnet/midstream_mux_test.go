@@ -158,8 +158,8 @@ func muxMatrixRun(t *testing.T, net *simnet.Network, count int, log *writeLog) (
 	srv := session.NewServer(session.Config{
 		Transport:      srvT,
 		SessionTimeout: 20 * time.Second,
+		Resolver:       netproto.Handlers(muxGapSender),
 	})
-	srv.Handle(muxGapSender)
 	if _, err := srv.Listen("sim", "srv:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +300,8 @@ func TestMuxCutFailsInFlightStreams(t *testing.T) {
 	srv2 := session.NewServer(session.Config{
 		Transport:      net.Host("srv"),
 		SessionTimeout: 20 * time.Second,
+		Resolver:       netproto.Handlers(muxGapSender),
 	})
-	srv2.Handle(muxGapSender)
 	if _, err := srv2.Listen("sim", "srv:1"); err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,8 @@ func runMatrixSession(t *testing.T, net *simnet.Network, factory func() netproto
 	srv := session.NewServer(session.Config{
 		Transport:      net.Host("srv"),
 		SessionTimeout: 20 * time.Second,
+		Resolver:       netproto.Handlers(factory),
 	})
-	srv.Handle(factory)
 	if _, err := srv.Listen("sim", "srv:1"); err != nil {
 		t.Fatal(err)
 	}

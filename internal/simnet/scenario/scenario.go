@@ -85,7 +85,9 @@ type Fault struct {
 
 // Flaky schedules programmatic link flaps: every round below Rounds,
 // one random link is armed to drop its next connection at a random
-// byte offset in [1, MaxOffset] — both sampled from the run seed.
+// byte offset in [1, MaxOffset] — both sampled from the run seed — and
+// both endpoints drop their pooled carriers, so the link's next session
+// dials that connection.
 type Flaky struct {
 	Rounds    int
 	MaxOffset int64
@@ -145,12 +147,6 @@ type Scenario struct {
 	Gossip bool
 	// Replication is the ring replication factor R (default 3).
 	Replication int
-	// VNodes is the ring's virtual-node count per member (default
-	// placement.DefaultVNodes).
-	VNodes int
-	// PlacementSlack is the bounded-loads headroom ε (default
-	// placement.DefaultSlack).
-	PlacementSlack float64
 	// GossipFanout is the push-pull partners per gossip round
 	// (default 2).
 	GossipFanout int
@@ -460,7 +456,7 @@ func (r *run) catalog() []cluster.CatalogSet {
 // use — same inputs as every node's own ApplyPlacement, so the
 // assignments agree.
 func (r *run) ringOver(members []string) *placement.Ring {
-	return placement.New(members, r.sc.VNodes, r.seed)
+	return placement.New(members, placement.DefaultVNodes, r.seed)
 }
 
 // buildMesh plants the stores and starts one cluster node per host.
@@ -534,7 +530,7 @@ func (r *run) buildMesh() error {
 // wires owner pools before the first round.
 func (r *run) buildGossipMesh() error {
 	addrs := r.allAddrs()
-	asn := r.ringOver(addrs).Assign(r.setNames(), r.sc.Replication, r.sc.PlacementSlack)
+	asn := r.ringOver(addrs).Assign(r.setNames(), r.sc.Replication, placement.DefaultSlack)
 	r.nodes = make([]*cluster.Node, r.sc.Nodes)
 	for i := 0; i < r.sc.Nodes; i++ {
 		st := store.New()
@@ -567,7 +563,7 @@ func (r *run) buildGossipMesh() error {
 	for _, n := range r.nodes {
 		n.ApplyPlacement()
 	}
-	budget := r.ringOver(addrs).Capacity(len(r.sc.Sets), r.sc.Replication, r.sc.PlacementSlack)
+	budget := r.ringOver(addrs).Capacity(len(r.sc.Sets), r.sc.Replication, placement.DefaultSlack)
 	r.tracef("placement: %d sets over %d nodes, R=%d, per-node budget %d",
 		len(r.sc.Sets), r.sc.Nodes, r.sc.Replication, budget)
 	return nil
@@ -624,8 +620,6 @@ func (r *run) startNode(i int, st *store.Store, seeds []string) error {
 		cfg.Membership = g
 		cfg.Catalog = r.catalog()
 		cfg.Replication = r.sc.Replication
-		cfg.VNodes = r.sc.VNodes
-		cfg.PlacementSlack = r.sc.PlacementSlack
 		cfg.PlacementSeed = r.seed
 	}
 	n, err := cluster.New(cfg)
@@ -725,6 +719,14 @@ func (r *run) applyFaults(round int) {
 		off := 1 + int64(r.flakySrc.Uint64n(uint64(fl.MaxOffset)))
 		r.tracef("fault: flaky drop %s--%s at offset %d", host(a), host(b), off)
 		r.net.DropAfter(host(a), host(b), off)
+		// The drop arms the link's next connection, and pooled carriers
+		// dialed in earlier rounds would carry every later a--b session:
+		// reset both endpoints' pools so their next session dials it.
+		for _, n := range []*cluster.Node{r.nodes[a], r.nodes[b]} {
+			if n != nil {
+				n.ResetPool()
+			}
+		}
 	}
 }
 
@@ -1327,7 +1329,7 @@ func (r *run) checkPlacement() {
 		}
 	}
 	ring := r.ringOver(liveAddrs)
-	asn := ring.Assign(r.setNames(), r.sc.Replication, r.sc.PlacementSlack)
+	asn := ring.Assign(r.setNames(), r.sc.Replication, placement.DefaultSlack)
 	for _, spec := range r.sc.Sets {
 		ownerOf := map[string]bool{}
 		for _, o := range asn[spec.Name] {
@@ -1350,7 +1352,7 @@ func (r *run) checkPlacement() {
 	if rf > len(liveAddrs) {
 		rf = len(liveAddrs)
 	}
-	budget := ring.Capacity(len(r.sc.Sets), rf, r.sc.PlacementSlack)
+	budget := ring.Capacity(len(r.sc.Sets), rf, placement.DefaultSlack)
 	maxLoad := 0
 	for i, n := range r.nodes {
 		if n == nil {

@@ -24,8 +24,8 @@ import (
 //   - Two-party: the Send/Receive function pairs below run one protocol
 //     over one byte stream, for symmetric peers.
 //   - Client/server: a Server accepts TCP or unix connections and runs
-//     many concurrent sessions against registered handlers; a Dialer is
-//     the matching client. Handlers bind a protocol side to parameters
+//     many concurrent sessions against the handlers its Resolver
+//     names; a Dialer is the matching client. Handlers bind a protocol side to parameters
 //     and local data, and carry the typed result after the session.
 
 // EMDSend runs Alice's side of the EMD protocol over rw: the session
@@ -76,10 +76,13 @@ type Role = netproto.Role
 type SessionHandler = netproto.Handler
 
 // Server accepts TCP or unix connections and runs many concurrent
-// reconciliation sessions against registered handler factories.
+// reconciliation sessions against the handler factories its
+// ServerConfig.Resolver names.
 type Server = session.Server
 
-// ServerConfig tunes a Server (session caps, deadlines, callbacks).
+// ServerConfig tunes a Server: the Resolver that names each session's
+// handler (NewHandlerResolver, NewStoreResolver), session caps,
+// deadlines, callbacks.
 type ServerConfig = session.Config
 
 // Session owns one served peer's negotiated protocol state machine.
@@ -88,9 +91,16 @@ type Session = session.Session
 // Dialer opens client sessions against a Server.
 type Dialer = session.Dialer
 
-// NewServer builds a reconciliation server; register handler factories
-// with its Handle method, then Listen or Serve.
+// NewServer builds a reconciliation server answering every session
+// through cfg.Resolver; then Listen or Serve.
 func NewServer(cfg ServerConfig) *Server { return session.NewServer(cfg) }
+
+// NewHandlerResolver serves fixed handler factories on the default set:
+// each factory is probed once for its protocol and role, and a peer
+// playing the complementary role is served a fresh handler from it.
+func NewHandlerResolver(factories ...func() SessionHandler) netproto.Resolver {
+	return netproto.Handlers(factories...)
+}
 
 // NewEMDSender binds Alice's side of the EMD protocol to her point set.
 func NewEMDSender(p EMDParams, sa PointSet) SessionHandler { return netproto.NewEMDSender(p, sa) }
@@ -153,7 +163,7 @@ const ProtoLiveEMD = netproto.ProtoLiveEMD
 // delta path.
 type EMDSketchCache = netproto.EMDCache
 
-// NewLiveEMDSenderFactory registers the live EMD protocol: each session
+// NewLiveEMDSenderFactory serves the live EMD protocol: each session
 // serves the set's current epoch, shipping only churned cells to peers
 // that announce a journal-covered epoch.
 func NewLiveEMDSenderFactory(ls *LiveSet) (func() SessionHandler, error) {
