@@ -18,7 +18,6 @@ package emd
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/hashx"
@@ -139,11 +138,11 @@ type plan struct {
 	s      int   // total MLSH functions drawn
 	prefix []int // prefix[i] = number of g functions used at level i (0-based)
 	cfgs   []riblt.Config
-	// active holds, in draw order, the MLSH draws that read the point.
-	// The others are constant (padding draws of coordinate sampling —
-	// all but a handful under DefaultParams on Hamming sets), and keyHash
-	// folds their terms into per-level constants at plan build.
-	active  []lsh.Func
+	// kern evaluates the s MLSH draws that read the point. The others
+	// are constant (padding draws of coordinate sampling — all but a
+	// handful under DefaultParams on Hamming sets), and keyHash folds
+	// their terms into per-level constants at plan build.
+	kern    *lsh.Kernel
 	keyHash hashx.PrefixHasher
 }
 
@@ -195,24 +194,10 @@ func newPlan(p Params) (*plan, error) {
 	famSrc := src.Split()
 	keySrc := src.Split()
 	tblSrc := src.Split()
-	// Draw all s functions in order, exactly as lsh.DrawVector does, so
-	// the public coins are those of the dense vector. The key hasher folds
-	// in the constant draws; the plan keeps only the draws that read the
-	// point, in an array of their own when that drops any.
-	funcs := make([]lsh.Func, s)
-	for j := range funcs {
-		funcs[j] = m.Family.Draw(famSrc)
-	}
-	keyHash := hashx.NewKeyHasher(keySrc, p.KeyBits).Compile(prefix, func(j int) (uint64, bool) {
-		return lsh.Constant(funcs[j])
-	})
-	active := slices.DeleteFunc(funcs, func(f lsh.Func) bool {
-		_, ok := lsh.Constant(f)
-		return ok
-	})
-	if len(active) < s {
-		active = slices.Clone(active)
-	}
+	// The kernel draws the s functions of the dense lsh.Vector from the
+	// same coins; the key hasher folds in the constant ones.
+	kern := lsh.DrawKernel(m.Family, famSrc, s)
+	keyHash := hashx.NewKeyHasher(keySrc, p.KeyBits).Compile(prefix, kern.Constant)
 	cfgs := make([]riblt.Config, t)
 	for i := range cfgs {
 		cfgs[i] = riblt.Config{
@@ -231,24 +216,20 @@ func newPlan(p Params) (*plan, error) {
 		s:       s,
 		prefix:  prefix,
 		cfgs:    cfgs,
-		active:  active,
+		kern:    kern,
 		keyHash: keyHash,
 	}, nil
 }
 
 // keysInto computes a point's key at every level into dst (length >=
-// levels): the active MLSH draws are evaluated into scratch (length >=
-// len(active)), then one pass over the nondecreasing level prefixes
-// adds their terms to the folded constants of the rest. The cost is
-// O(active draws), not O(s), and the keys are exactly those of the
-// dense evaluation (lsh.Vector.HashPrefixInto, then
+// levels): the kernel evaluates the active MLSH draws into scratch
+// (length >= kern.Active()), then one pass over the nondecreasing level
+// prefixes adds their terms to the folded constants of the rest. The
+// cost is O(active draws), not O(s), and the keys are exactly those of
+// the dense evaluation (lsh.Vector.HashPrefixInto, then
 // hashx.KeyHasher.HashPrefixes). No allocation.
 func (pl *plan) keysInto(dst []uint64, pt metric.Point, scratch []uint64) []uint64 {
-	vals := scratch[:len(pl.active)]
-	for i, f := range pl.active {
-		vals[i] = f.Hash(pt)
-	}
-	return pl.keyHash.HashPrefixes(dst, vals)
+	return pl.keyHash.HashPrefixes(dst, pl.kern.HashInto(scratch, pt))
 }
 
 // ---------------------------------------------------------------------------

@@ -75,12 +75,28 @@ func TestPlanSharedBetweenParties(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := metric.Point{17, 900}
-	ka := pa.keysInto(make([]uint64, pa.levels), pt, make([]uint64, len(pa.active)))
-	kb := pb.keysInto(make([]uint64, pb.levels), pt, make([]uint64, len(pb.active)))
+	ka := pa.keysInto(make([]uint64, pa.levels), pt, make([]uint64, pa.kern.Active()))
+	kb := pb.keysInto(make([]uint64, pb.levels), pt, make([]uint64, pb.kern.Active()))
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Fatalf("parties disagree on key at level %d", i)
 		}
+	}
+}
+
+// TestNewPlanAllocs: a plan at the benchmark's emd-oneshot shape (s = 97
+// p-stable draws at d = 16) keeps its draws in one matrix, so building
+// one costs a handful of allocations, not two per draw. Sessions that
+// miss the plan cache pay this per op.
+func TestNewPlanAllocs(t *testing.T) {
+	p := Params{Space: metric.Grid(4095, 16, metric.L2), N: 512, K: 8, D1: 512, D2: 16384, Seed: 5}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := newPlan(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 16 {
+		t.Fatalf("newPlan allocates %v times, want <= 16", n)
 	}
 }
 
@@ -139,13 +155,13 @@ func TestSparseKeysMatchDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh.noConst && len(pl.active) != pl.s {
-				t.Fatalf("%s: %d of %d draws active, want all", sh.name, len(pl.active), pl.s)
+			if sh.noConst && pl.kern.Active() != pl.s {
+				t.Fatalf("%s: %d of %d draws active, want all", sh.name, pl.kern.Active(), pl.s)
 			}
 			ref := newDenseKeys(t, pl)
 			src := rng.New(seed + 100)
 			dst := make([]uint64, pl.levels)
-			scratch := make([]uint64, len(pl.active))
+			scratch := make([]uint64, pl.kern.Active())
 			for i := 0; i < points; i++ {
 				pt := randomPoint(pl.params.Space, src)
 				want := ref.keys(pl, pt)
@@ -192,7 +208,7 @@ func TestSparseKeysConstantLevels(t *testing.T) {
 	}
 	src := rng.New(6)
 	dst := make([]uint64, pl.levels)
-	scratch := make([]uint64, len(pl.active))
+	scratch := make([]uint64, pl.kern.Active())
 	for i := 0; i < 300; i++ {
 		keys := pl.keysInto(dst, randomPoint(pl.params.Space, src), scratch)
 		for l := 0; l < coarse; l++ {

@@ -60,13 +60,13 @@ func shard(n, w int, fn func(b, lo, hi int)) {
 // point i's key per level — sharding the MLSH evaluation by point block.
 // The layout is positionally deterministic regardless of block count,
 // and the whole batch costs the flat output plus one scratch per block.
-// The drawn Funcs and the key hasher are immutable after plan
-// construction, so concurrent evaluation is safe.
+// The kernel and the key hasher are immutable after plan construction,
+// so concurrent evaluation is safe.
 func (pl *plan) levelKeys(pts metric.PointSet) []uint64 {
 	t := pl.levels
 	out := make([]uint64, len(pts)*t)
 	shard(len(pts), shardCount(len(pts)), func(_, lo, hi int) {
-		scratch := make([]uint64, len(pl.active))
+		scratch := make([]uint64, pl.kern.Active())
 		for i := lo; i < hi; i++ {
 			pl.keysInto(out[i*t:(i+1)*t], pts[i], scratch)
 		}
@@ -84,7 +84,7 @@ func (pl *plan) buildTables(sa metric.PointSet) ([]*riblt.Table, error) {
 		for i := range ts {
 			ts[i] = riblt.New(pl.cfgs[i])
 		}
-		scratch := make([]uint64, len(pl.active))
+		scratch := make([]uint64, pl.kern.Active())
 		keys := make([]uint64, pl.levels)
 		for _, a := range sa[lo:hi] {
 			pl.keysInto(keys, a, scratch)

@@ -35,7 +35,7 @@ func newSketch(pl *plan, tables []*riblt.Table) *Sketch {
 	return &Sketch{
 		pl:      pl,
 		tables:  tables,
-		scratch: make([]uint64, len(pl.active)),
+		scratch: make([]uint64, pl.kern.Active()),
 		keys:    make([]uint64, pl.levels),
 	}
 }

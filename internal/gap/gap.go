@@ -129,34 +129,35 @@ type Result struct {
 }
 
 // keyer builds one element's key: h entries, each a pairwise hash of m
-// LSH values.
+// LSH values. The kernel holds the h·m draws, batch-major (the gap
+// families are unpadded, so every draw reads the point), and pows each
+// entry's m polynomial weights, precomputed.
 type keyer struct {
 	h, m    int
-	funcs   []lsh.Func // h·m functions, batch-major
+	kern    *lsh.Kernel
 	entryKH []hashx.KeyHasher
+	pows    []uint64 // entry j's weights are pows[j·m:(j+1)·m]
 	bits    uint
 }
 
 func newKeyer(family lsh.Family, h, m int, bits uint, src *rng.Source) *keyer {
-	funcs := make([]lsh.Func, h*m)
-	for i := range funcs {
-		funcs[i] = family.Draw(src)
-	}
+	kern := lsh.DrawKernel(family, src, h*m)
 	khs := make([]hashx.KeyHasher, h)
+	pows := make([]uint64, 0, h*m)
 	for j := range khs {
 		khs[j] = hashx.NewKeyHasher(src, bits)
+		pows = khs[j].AppendPowers(pows, m)
 	}
-	return &keyer{h: h, m: m, funcs: funcs, entryKH: khs, bits: bits}
+	return &keyer{h: h, m: m, kern: kern, entryKH: khs, pows: pows, bits: bits}
 }
 
 // keyInto writes p's key (h entries) into dst, using batch (m entries)
 // as scratch.
 func (k *keyer) keyInto(dst, batch []uint64, p metric.Point) {
 	for j := range dst {
-		for i := range batch {
-			batch[i] = k.funcs[j*k.m+i].Hash(p)
-		}
-		dst[j] = k.entryKH[j].Hash(batch)
+		lo, hi := j*k.m, (j+1)*k.m
+		vals := k.kern.HashRangeInto(batch, p, lo, hi)
+		dst[j] = k.entryKH[j].HashPowers(vals, k.pows[lo:hi])
 	}
 }
 

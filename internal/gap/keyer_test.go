@@ -147,3 +147,18 @@ func TestKeyerPayloadAllocs(t *testing.T) {
 		t.Fatalf("Keyer.Payload allocates %v times, want <= 2", n)
 	}
 }
+
+// TestNewPlanAllocs: a plan at the benchmark's gap-oneshot shape (h·m =
+// 180 coordinate samples) stores its draws flat, so building one costs
+// a handful of allocations, not one per draw.
+func TestNewPlanAllocs(t *testing.T) {
+	p := Params{Space: metric.HammingCube(1024), N: 512, R1: 8, R2: 256, Seed: 5}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := newPlan(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 16 {
+		t.Fatalf("newPlan allocates %v times, want <= 16", n)
+	}
+}

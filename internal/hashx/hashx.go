@@ -20,14 +20,15 @@ import (
 // mersenne61 is the Mersenne prime 2^61 − 1 used as the field modulus.
 const mersenne61 = (1 << 61) - 1
 
-// mulMod61 returns a·b mod 2^61−1 using the standard Mersenne folding
-// trick on the 128-bit product.
+// mulMod61 returns a·b mod p for a, b <= p = 2^61−1 (every caller's
+// operands are field elements, or p itself) using the standard Mersenne
+// folding trick on the 128-bit product.
 func mulMod61(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
-	// product = hi·2^64 + lo. With p = 2^61−1, 2^61 ≡ 1 (mod p), so fold
-	// the high bits down in chunks of 61.
-	sum := (lo & mersenne61) + (lo>>61 | hi<<3&mersenne61) + (hi >> 58)
-	sum = (sum & mersenne61) + (sum >> 61)
+	// a·b = hi·2^64 + lo <= p², so hi < 2^58. As 2^61 ≡ 1 (mod p), a·b is
+	// congruent to its low 61 bits plus the bits above them, and that sum
+	// is below 2p: a·b would have to be p·2^61 + p > p² to reach it.
+	sum := (lo & mersenne61) + (lo>>61 | hi<<3)
 	if sum >= mersenne61 {
 		sum -= mersenne61
 	}
@@ -65,11 +66,7 @@ func NewPairwise(src *rng.Source, outBits uint) Pairwise {
 // first reduced mod p; distinct inputs below p stay distinct before
 // hashing, which is all the pairwise analysis needs.
 func (h Pairwise) Hash(x uint64) uint64 {
-	x = (x & mersenne61) + (x >> 61)
-	if x >= mersenne61 {
-		x -= mersenne61
-	}
-	v := addMod61(mulMod61(h.a, x), h.b)
+	v := addMod61(mulMod61(h.a, x%mersenne61), h.b)
 	// Take the high-order bits: for multiply-add over a prime field any
 	// fixed bit window is fine; high bits mix best.
 	return v >> (61 - h.bits)
@@ -170,6 +167,29 @@ func (k KeyHasher) Hash(vs []uint64) uint64 {
 	for _, v := range vs {
 		acc = addMod61(acc, mulMod61(k.coeff.Hash(v)|1, pow))
 		pow = mulMod61(pow, k.alpha)
+	}
+	return k.outer.Hash(acc)
+}
+
+// AppendPowers appends α^0, …, α^(n−1) to dst: the weights Hash gives
+// the positions of an n-value vector.
+func (k KeyHasher) AppendPowers(dst []uint64, n int) []uint64 {
+	pow := uint64(1)
+	for i := 0; i < n; i++ {
+		dst = append(dst, pow)
+		pow = mulMod61(pow, k.alpha)
+	}
+	return dst
+}
+
+// HashPowers equals Hash(vs) given pows = AppendPowers(nil, len(vs)),
+// without re-deriving the powers on every call: one field step per value
+// instead of two.
+func (k KeyHasher) HashPowers(vs, pows []uint64) uint64 {
+	pows = pows[:len(vs)]
+	var acc uint64
+	for i, v := range vs {
+		acc = addMod61(acc, mulMod61(k.coeff.Hash(v)|1, pows[i]))
 	}
 	return k.outer.Hash(acc)
 }

@@ -32,7 +32,7 @@ func TestMulMod61AgainstBigIntFree(t *testing.T) {
 		}
 	}
 	// Boundary values.
-	edges := []uint64{0, 1, 2, mersenne61 - 1, mersenne61 - 2, 1 << 60}
+	edges := []uint64{0, 1, 2, mersenne61, mersenne61 - 1, mersenne61 - 2, 1 << 60}
 	for _, a := range edges {
 		for _, b := range edges {
 			if got, want := mulMod61(a, b), naive(a, b); got != want {
@@ -245,6 +245,26 @@ func TestPrefixHasherMatchesHashPrefixes(t *testing.T) {
 		got := h.HashPrefixes(make([]uint64, len(ns)), vals)
 		if !equalVec(got, want) {
 			t.Fatalf("trial %d (n=%d, free %v, ns %v): compiled %v, dense %v", trial, n, free, ns, got, want)
+		}
+	}
+}
+
+// TestHashPowersMatchesHash: with its powers precomputed, a vector
+// hashes to the key Hash gives it, at every length from 0; a shared
+// power table serves every shorter vector too.
+func TestHashPowersMatchesHash(t *testing.T) {
+	src := rng.New(41)
+	for trial := 0; trial < 50; trial++ {
+		k := NewKeyHasher(src, 40)
+		pows := k.AppendPowers(nil, 24)
+		for n := 0; n <= len(pows); n++ {
+			vs := make([]uint64, n)
+			for i := range vs {
+				vs[i] = src.Uint64()
+			}
+			if got, want := k.HashPowers(vs, pows), k.Hash(vs); got != want {
+				t.Fatalf("trial %d n=%d: HashPowers %#x, Hash %#x", trial, n, got, want)
+			}
 		}
 	}
 }

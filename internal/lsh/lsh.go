@@ -6,6 +6,12 @@
 // grids for ℓ1 (Lemma 2.4), p-stable Gaussian projections for ℓ2
 // (Lemma 2.5), and the one-sided grid family with p2 = 0 used by the
 // low-dimension Gap protocol (Appendix E.1).
+//
+// A Family draws one Func at a time; DrawVector draws a dense Vector of
+// them, the reference every evaluation is tested against. The protocols
+// key points through a Kernel instead: the same draws from the same
+// coins, stored flat per family and evaluated without an interface call
+// per function.
 package lsh
 
 import (
@@ -147,21 +153,19 @@ func NewCoordSampling(space metric.Space, w float64) Family {
 var padDraw Func = coordSampleFunc{idx: -1}
 
 func (c coordSample) Draw(src *rng.Source) Func {
-	if src.Float64() < float64(c.dim)/c.w {
-		return coordSampleFunc{idx: src.Intn(c.dim)}
+	if i := c.drawIndex(src); i >= 0 {
+		return coordSampleFunc{idx: i}
 	}
 	return padDraw
 }
 
-// Constant reports whether the drawn function f ignores its input and,
-// if so, the value it returns for every point. Only the padding draws of
-// coordinate sampling do; callers that hash many points with one vector
-// of draws can evaluate those once instead of once per point.
-func Constant(f Func) (uint64, bool) {
-	if c, ok := f.(coordSampleFunc); ok && c.idx < 0 {
-		return 0, true
+// drawIndex draws one function's coordinate, or −1 for the constant
+// function: the coins of Draw, shared with DrawKernel.
+func (c coordSample) drawIndex(src *rng.Source) int {
+	if src.Float64() < float64(c.dim)/c.w {
+		return src.Intn(c.dim)
 	}
-	return 0, false
+	return -1
 }
 
 func (c coordSample) String() string {
@@ -199,12 +203,27 @@ type gridL1Func struct {
 }
 
 func (f gridL1Func) Hash(p metric.Point) uint64 {
-	h := f.mix.Hash(uint64(len(p)))
+	return gridCell(f.shifts, f.w, f.mix, p)
+}
+
+// gridCell names p's cell in the grid of width w shifted by shifts.
+func gridCell(shifts []float64, w float64, mix hashx.Mixer, p metric.Point) uint64 {
+	h := mix.Hash(uint64(len(p)))
 	for i, x := range p {
-		cell := int64(math.Floor((float64(x) + f.shifts[i]) / f.w))
-		h = f.mix.Hash(h ^ uint64(cell) ^ uint64(i)<<48)
+		cell := int64(math.Floor((float64(x) + shifts[i]) / w))
+		h = mix.Hash(h ^ uint64(cell) ^ uint64(i)<<48)
 	}
 	return h
+}
+
+// drawShifts draws one grid function's shifts (len(shifts) of them, each
+// uniform in [0, w)) and then its mixer: the coins of the grid families'
+// Draw, shared with DrawKernel.
+func drawShifts(shifts []float64, w float64, src *rng.Source) hashx.Mixer {
+	for i := range shifts {
+		shifts[i] = src.Float64() * w
+	}
+	return hashx.NewMixer(src)
 }
 
 // NewGridL1 returns the randomly-shifted-grid family with cell width w.
@@ -217,10 +236,8 @@ func NewGridL1(space metric.Space, w float64) Family {
 
 func (g gridL1) Draw(src *rng.Source) Func {
 	shifts := make([]float64, g.dim)
-	for i := range shifts {
-		shifts[i] = src.Float64() * g.w
-	}
-	return gridL1Func{shifts: shifts, w: g.w, mix: hashx.NewMixer(src)}
+	mix := drawShifts(shifts, g.w, src)
+	return gridL1Func{shifts: shifts, w: g.w, mix: mix}
 }
 
 func (g gridL1) String() string {
@@ -254,12 +271,23 @@ type pStableL2Func struct {
 }
 
 func (f pStableL2Func) Hash(p metric.Point) uint64 {
+	return zigzag(int64(math.Floor(f.dot(p) / f.w)))
+}
+
+// dot is a + Σ dir_i·x_i, summed in index order. Each product is
+// rounded before it is added (the explicit conversion forbids a fused
+// multiply-add), so every architecture computes the same sum, and so the
+// same cell.
+func (f pStableL2Func) dot(p metric.Point) float64 {
 	dot := f.a
 	for i, x := range p {
-		dot += f.dirs[i] * float64(x)
+		dot += float64(f.dirs[i] * float64(x))
 	}
-	cell := int64(math.Floor(dot / f.w))
-	// Zigzag so negative cells map to distinct uint64 values.
+	return dot
+}
+
+// zigzag maps a cell to a uint64 so negative cells stay distinct.
+func zigzag(cell int64) uint64 {
 	return uint64(cell<<1) ^ uint64(cell>>63)
 }
 
@@ -275,10 +303,17 @@ func NewPStableL2(space metric.Space, w float64) Family {
 
 func (g pStableL2) Draw(src *rng.Source) Func {
 	dirs := make([]float64, g.dim)
+	a := g.drawInto(dirs, src)
+	return pStableL2Func{dirs: dirs, a: a, w: g.w}
+}
+
+// drawInto draws one function's direction into dirs and returns its
+// offset a: the coins of Draw, shared with DrawKernel.
+func (g pStableL2) drawInto(dirs []float64, src *rng.Source) float64 {
 	for i := range dirs {
 		dirs[i] = src.NormFloat64()
 	}
-	return pStableL2Func{dirs: dirs, a: src.Float64() * g.w, w: g.w}
+	return src.Float64() * g.w
 }
 
 func (g pStableL2) String() string {
@@ -328,10 +363,8 @@ func NewOneSidedGrid(space metric.Space, r1, r2, pExp float64) OneSidedGrid {
 // Draw implements Family.
 func (g OneSidedGrid) Draw(src *rng.Source) Func {
 	shifts := make([]float64, g.dim)
-	for i := range shifts {
-		shifts[i] = src.Float64() * g.width
-	}
-	return gridL1Func{shifts: shifts, w: g.width, mix: hashx.NewMixer(src)}
+	mix := drawShifts(shifts, g.width, src)
+	return gridL1Func{shifts: shifts, w: g.width, mix: mix}
 }
 
 // String implements Family.
@@ -362,12 +395,11 @@ func GridL1Params(space metric.Space, r1, r2, w float64) Params {
 // Vectors of drawn functions.
 
 // Vector is an ordered list of functions drawn from one family,
-// evaluated densely: every function on every point. The EMD protocol
-// hashes each point with a *prefix* of the vector whose length grows
-// with the resolution level; its plan draws the same functions but
-// evaluates only the non-Constant ones, so for EMD a Vector is the
-// reference its sparse keys are tested against and the path the
-// benchmark's per-layer replay times.
+// evaluated densely: every function on every point, one interface call
+// each. It is the reference only. The protocols key points through a
+// Kernel, which draws the same functions from the same coins; tests
+// check the Kernel, and the protocols' keys, against a Vector, and the
+// benchmark's per-layer replays still time it.
 //
 // A Vector is immutable after DrawVector, and drawn Funcs are pure, so
 // concurrent evaluation from many goroutines is safe.

@@ -284,44 +284,6 @@ func TestVectorPrefix(t *testing.T) {
 	assertPanics(t, "prefix too long", func() { v.HashPrefix(p, 11) })
 }
 
-// TestConstant: only coordinate sampling's padding draws report
-// themselves constant, and they do return the reported value.
-func TestConstant(t *testing.T) {
-	hamming := metric.HammingCube(8)
-	grid := metric.Grid(100, 3, metric.L2)
-	families := []struct {
-		fam       Family
-		wantConst bool // some draws are constant
-	}{
-		{NewCoordSampling(hamming, 64), true},
-		{NewCoordSampling(hamming, 8), false},
-		{NewGridL1(grid, 10), false},
-		{NewPStableL2(grid, 10), false},
-		{NewOneSidedGrid(grid, 1, 10, 2), false},
-	}
-	pts := []metric.Point{make(metric.Point, 8), {1, 1, 1, 1, 1, 1, 1, 1}, {0, 1, 0, 1, 0, 1, 0, 1}}
-	for _, c := range families {
-		src := rng.New(5)
-		consts := 0
-		for i := 0; i < 200; i++ {
-			f := c.fam.Draw(src)
-			v, ok := Constant(f)
-			if !ok {
-				continue
-			}
-			consts++
-			for _, p := range pts {
-				if got := f.Hash(p); got != v {
-					t.Fatalf("%s: constant draw returns %d, reported %d", c.fam, got, v)
-				}
-			}
-		}
-		if (consts > 0) != c.wantConst {
-			t.Errorf("%s: %d of 200 draws constant", c.fam, consts)
-		}
-	}
-}
-
 func TestVectorSharedSeedAgreement(t *testing.T) {
 	// The whole point of public coins: two parties drawing from the same
 	// seed must produce identical functions.
