@@ -100,13 +100,12 @@ func TestConfigFileRejectsJSON(t *testing.T) {
 	}
 }
 
-// daemonFlagSet is the daemon's own flag set, parsed from an empty
-// command line.
-func daemonFlagSet(t *testing.T) (*flag.FlagSet, *options) {
+// daemonFlagSet is the daemon's own flag set, parsed from args.
+func daemonFlagSet(t *testing.T, args ...string) (*flag.FlagSet, *options) {
 	t.Helper()
 	fs := flag.NewFlagSet("reconciled", flag.ContinueOnError)
 	o := defineFlags(fs)
-	if err := fs.Parse(nil); err != nil {
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return fs, o

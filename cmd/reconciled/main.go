@@ -3,17 +3,21 @@
 // unix sockets through the session engine, and doubles as the matching
 // client.
 //
-// Server and client derive their synthetic two-party workload — and,
-// critically, their protocol Params — from the same flags, standing in
-// for two deployments that share configuration out of band. The session
-// header's parameter digest enforces the agreement on every connection.
+// Every serving mode runs one cluster node (internal/cluster): a store
+// of named live sets (robustsync epoch-tagged mutable state) behind a
+// session server. With -listen alone the node has no peers and hosts
+// two sets, each named after the protocol it serves: live-emd, an EMD
+// set served with epoch tagging, so returning peers that announce their
+// last synced epoch receive only the churned cells, and gap, served
+// from the set's cached key payloads. With -mutate M the daemon churns
+// M point replacements per second in each; the sketch and key payloads
+// follow incrementally.
 //
-// The server holds its sets as live sets (robustsync epoch-tagged
-// mutable state): an EMD set and a Gap set. It serves EMD over the
-// live-emd protocol, so returning peers that announce their last synced
-// epoch receive only the churned cells, and Gap from the set's cached
-// key payloads. With -mutate M the server churns M point replacements
-// per second; the sketch and key payloads follow incrementally.
+// Server and client derive these two sets' synthetic two-party workload
+// — and, critically, their protocol Params — from the same flags,
+// standing in for two deployments that share configuration out of
+// band. The client dials the set its -proto names, and the session
+// header's parameter digest enforces the agreement on every connection.
 //
 // Usage:
 //
@@ -26,9 +30,9 @@
 //	reconciled -connect :7444 -proto gap -mutate 1  # against a churning
 //	                                              # server: no coverage check
 //
-// With -cluster the daemon becomes an anti-entropy mesh member: a
-// multi-tenant store of named sets (-sets), served under their
-// namespaces, converging continuously with the listed peers via
+// With -cluster the node becomes an anti-entropy mesh member: it hosts
+// the named sets of -sets instead, served under their namespaces and
+// converging continuously with the listed peers via
 // power-of-two-choices probing and escalating repair (see
 // internal/cluster). Every member must run the same workload flags and
 // the same -sets list; each member's sets start with divergent extra
@@ -37,8 +41,8 @@
 //
 //	reconciled -listen :7441 -cluster :7442,:7443 -sets alpha,beta
 //
-// With -data-dir the cluster modes become crash-recoverable: every
-// named set keeps a write-ahead journal plus epoch snapshots under the
+// With -data-dir every serving mode is crash-recoverable: each named
+// set keeps a write-ahead journal plus epoch snapshots under the
 // directory (see internal/store/durable), -fsync picks the journal
 // sync policy (always | batch | off), startup recovers whatever state
 // a previous life left behind, and graceful shutdown drains into a
@@ -66,13 +70,13 @@
 //	reconciled -listen :7441 -advertise h1:7441 -join h2:7442,h3:7443
 //	reconciled -listen :7442 -advertise h2:7442 -join h1:7441 -replication 2
 //
-// With -admin the daemon serves its operator surface on a dedicated
-// localhost HTTP listener: set create/drop/list with live
-// reconciliation stats, cluster membership/placement/health views, a
-// graceful-drain trigger, a Prometheus /metrics endpoint, and pprof —
-// see internal/admin and the README's Operations section. -config
-// loads any flag from a file of flat "flag: value" lines; explicit
-// flags win over file values.
+// With -admin, in any serving mode, the daemon serves its operator
+// surface on a dedicated localhost HTTP listener: set create/drop/list
+// with live reconciliation stats, cluster membership/placement/health
+// views, a graceful-drain trigger, a Prometheus /metrics endpoint, and
+// pprof — see internal/admin and the README's Operations section.
+// -config loads any flag from a file of flat "flag: value" lines;
+// explicit flags win over file values.
 //
 //	reconciled -listen :7441 -cluster h2:7441 -admin localhost:7470
 //	reconciled -config /etc/reconciled.yaml -listen :7441
@@ -98,6 +102,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -157,6 +162,9 @@ type fixture struct {
 
 func newFixture(c config) (*fixture, error) {
 	f := &fixture{}
+	if c.r2 == 0 {
+		c.r2 = float64(c.d)
+	}
 
 	emdSpace := metric.HammingCube(c.d)
 	inst := workload.NewEMDInstance(emdSpace, c.n, c.k, c.noise, c.seed)
@@ -180,37 +188,29 @@ func newFixture(c config) (*fixture, error) {
 	return f, nil
 }
 
-// liveState owns the server's live sets and the mirrors the churner
-// replaces points through.
+// liveState replaces points in the one-member node's live sets through
+// mirrors seeded from each set's current points, so it churns a set
+// recovered from -data-dir as readily as a fresh one.
 type liveState struct {
-	mu        sync.Mutex
-	src       *rng.Source
-	emdSet    *live.Set
-	gapSet    *live.Set
-	emdSpace  metric.Space
-	gapSpace  metric.Space
-	emdMirror metric.PointSet
-	gapMirror metric.PointSet
+	mu      sync.Mutex
+	src     *rng.Source
+	sets    []*live.Set
+	spaces  []metric.Space
+	mirrors []metric.PointSet
 }
 
-func newLiveState(cfg config, f *fixture) (*liveState, error) {
-	emdSet, err := live.NewSet(live.Config{EMD: &f.emdParams}, f.emdSA)
-	if err != nil {
-		return nil, fmt.Errorf("live emd set: %w", err)
+func newLiveState(seed uint64, sets []*live.Set, spaces []metric.Space) *liveState {
+	st := &liveState{sets: sets, spaces: spaces}
+	// A recovered set is past epoch 1: folding the epochs into the seed
+	// keeps a restarted churner from redrawing the points its previous
+	// life added.
+	seed ^= 0xc4a12
+	for _, ls := range sets {
+		seed += ls.Epoch() - 1
+		st.mirrors = append(st.mirrors, ls.Snapshot().Points.Clone())
 	}
-	gapSet, err := live.NewSet(live.Config{Gap: &f.gapParams}, f.gapSA)
-	if err != nil {
-		return nil, fmt.Errorf("live gap set: %w", err)
-	}
-	return &liveState{
-		src:       rng.New(cfg.seed ^ 0xc4a12),
-		emdSet:    emdSet,
-		gapSet:    gapSet,
-		emdSpace:  f.emdParams.Space,
-		gapSpace:  f.gapSpace,
-		emdMirror: f.emdSA.Clone(),
-		gapMirror: f.gapSA.Clone(),
-	}, nil
+	st.src = rng.New(seed)
+	return st
 }
 
 func randomPoint(space metric.Space, src *rng.Source) metric.Point {
@@ -227,24 +227,18 @@ func (st *liveState) churn(n int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := 0; i < n; i++ {
-		ei := int(st.src.Uint64() % uint64(len(st.emdMirror)))
-		ept := randomPoint(st.emdSpace, st.src)
-		if err := st.emdSet.ApplyBatch([]live.Op{
-			{Remove: true, Point: st.emdMirror[ei]},
-			{Point: ept},
-		}); err != nil {
-			return err
+		for j, ls := range st.sets {
+			mirror := st.mirrors[j]
+			k := int(st.src.Uint64() % uint64(len(mirror)))
+			pt := randomPoint(st.spaces[j], st.src)
+			if err := ls.ApplyBatch([]live.Op{
+				{Remove: true, Point: mirror[k]},
+				{Point: pt},
+			}); err != nil {
+				return err
+			}
+			mirror[k] = pt
 		}
-		st.emdMirror[ei] = ept
-		gi := int(st.src.Uint64() % uint64(len(st.gapMirror)))
-		gpt := randomPoint(st.gapSpace, st.src)
-		if err := st.gapSet.ApplyBatch([]live.Op{
-			{Remove: true, Point: st.gapMirror[gi]},
-			{Point: gpt},
-		}); err != nil {
-			return err
-		}
-		st.gapMirror[gi] = gpt
 	}
 	return nil
 }
@@ -266,7 +260,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", "", "serve on this address (host:port, or unix:/path)")
 	fs.StringVar(&o.connect, "connect", "", "run one client session against this address")
-	fs.StringVar(&o.proto, "proto", "live-emd", "client protocol: live-emd | gap")
+	fs.StringVar(&o.proto, "proto", "live-emd", "client protocol, and the set it dials: live-emd | gap")
 	fs.StringVar(&o.peers, "cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
 	fs.StringVar(&o.join, "join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
 	fs.StringVar(&o.advertise, "advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
@@ -274,7 +268,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.sets, "sets", "alpha,beta", "named sets hosted in cluster mode (comma-separated)")
 	fs.DurationVar(&o.interval, "interval", time.Second, "anti-entropy round period (cluster mode)")
 	fs.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline")
-	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (cluster modes): WAL + snapshots, recovery on startup")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (any serving mode): WAL + snapshots, recovery on startup")
 	fs.StringVar(&o.fsync, "fsync", "batch", "journal fsync policy with -data-dir: always | batch | off")
 
 	c := &o.cfg
@@ -286,13 +280,30 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&c.r2, "r2", 0, "far radius (gap; default d)")
 	fs.IntVar(&c.diff, "diff", 16, "divergent extra points per member in each cluster set")
 	fs.Uint64Var(&c.seed, "seed", 1, "shared public-coin seed")
-	fs.IntVar(&c.mutate, "mutate", 0, "live-set churn in mutations/sec (server and cluster modes; a client passes nonzero against a churning server)")
+	fs.IntVar(&c.mutate, "mutate", 0, "live-set churn in mutations/sec (serving modes; a client passes nonzero against a churning server)")
 
 	fs.IntVar(&c.maxSessions, "max-sessions", 64, "concurrent session cap (server)")
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-session deadline")
 	fs.StringVar(&o.admin, "admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
 	fs.StringVar(&o.configPath, "config", "", "config file of flat \"flag: value\" lines; explicit flags win")
 	return o
+}
+
+// maxMutate is the fastest churn -mutate may ask for: the churn
+// ticker's period, time.Second/mutate, must stay at least 1ns.
+const maxMutate = int(time.Second)
+
+// checkOptions rejects a command line no mode can run.
+func checkOptions(o *options) error {
+	switch {
+	case o.listen == "" && o.connect == "":
+		return errors.New("need -listen or -connect (see -help)")
+	case o.cfg.mutate > maxMutate:
+		return fmt.Errorf("-mutate %d: at most %d mutations per second", o.cfg.mutate, maxMutate)
+	case o.listen != "" && (o.peers != "" || o.join != "") && len(parseSets(o.sets)) == 0:
+		return errors.New("cluster modes need at least one set in -sets")
+	}
+	return nil
 }
 
 func main() {
@@ -306,69 +317,303 @@ func main() {
 			fail("%v", err)
 		}
 	}
-
-	cfg := o.cfg
-	if cfg.r2 == 0 {
-		cfg.r2 = float64(cfg.d)
+	if err := checkOptions(o); err != nil {
+		fail("%v", err)
 	}
-	f, err := newFixture(cfg)
+	f, err := newFixture(o.cfg)
 	if err != nil {
 		fail("%v", err)
 	}
-
-	switch {
-	case o.listen != "" && (o.peers != "" || o.join != ""):
-		runCluster(cfg, f, o.listen, o.peers, o.join, o.advertise, o.sets, o.interval, o.drain, o.dataDir, o.fsync, o.replication, o.admin)
-	case o.listen != "":
-		runServer(cfg, f, o.listen, o.drain, o.admin)
-	case o.connect != "":
-		network, host := splitAddr(o.connect)
-		if err := runClient(cfg, f, network, host, o.proto); err != nil {
-			fail("%v", err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "reconciled: need -listen or -connect (see -help)")
-		os.Exit(2)
-	}
-}
-
-// stopAdmin shuts the admin server, if one runs, down within the drain
-// deadline, so a clean exit leaves no listener behind.
-func stopAdmin(adm *admin.Server, drain time.Duration, logf func(string, ...any)) {
-	if adm == nil {
+	if o.listen != "" {
+		serve(o, f)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := adm.Shutdown(ctx); err != nil {
-		logf("admin shutdown: %v", err)
+	network, host := splitAddr(o.connect)
+	if err := runClient(o.cfg, f, network, host, o.proto); err != nil {
+		fail("%v", err)
 	}
 }
 
-// newServer builds the daemon's session server over its live sets: it
-// plays Alice (it owns the canonical sets and ships sketches). EMD is
-// served as live-emd (epoch tagging plus delta sync) and Gap from cached
-// key payloads; the returned liveState drives churn.
-func newServer(cfg config, f *fixture, logf func(string, ...any)) (*session.Server, *liveState) {
-	st, err := newLiveState(cfg, f)
+// daemon is one serving reconciled: a cluster node over its store, with
+// the durable layer and the admin server around it when configured.
+type daemon struct {
+	o    *options
+	logf func(string, ...any)
+
+	store *store.Store
+	node  *cluster.Node
+	dur   *durable.Store // nil without -data-dir
+	adm   *admin.Server  // nil without -admin
+	// addr is the bound -listen address.
+	addr   net.Addr
+	gossip bool
+	// live churns the one-member node's two fixture sets; nil in the
+	// mesh modes.
+	live *liveState
+	// churn applies one -mutate tick and reports whether churn goes on:
+	// point replacements on a one-member node, bounded adds in a mesh.
+	churn func() bool
+	// drained is closed by the admin API's drain request.
+	drained chan struct{}
+}
+
+// newDaemon builds what every -listen mode serves — one store and one
+// cluster node, with or without peers — and binds -listen and -admin.
+// The mode decides the sets: -listen alone hosts the two fixture sets,
+// live-emd and gap; -cluster hosts every -sets name; -join the names
+// the bootstrap ring assigns here. A set -data-dir recovered is kept as
+// it is.
+func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, error) {
+	cfg := o.cfg
+	network, host := splitAddr(o.listen)
+	d := &daemon{o: o, logf: logf, store: store.New(), gossip: o.join != "", drained: make(chan struct{})}
+	self := o.advertise
+	if self == "" {
+		self = o.listen
+	}
+	if o.dataDir != "" {
+		var err error
+		if d.dur, err = openDurable(o.dataDir, o.fsync, d.store, logf); err != nil {
+			return nil, err
+		}
+	}
+	// A member's identity seeds its peer choices and its sets'
+	// divergent fresh-start extras.
+	tag := hashAddr(o.listen)
+	if d.gossip {
+		tag = hashAddr(self)
+	}
+	content := func(i int) metric.PointSet { return setContent(cfg, i, tag) }
+	ccfg := cluster.Config{
+		Store:    d.store,
+		Peers:    parseSets(o.peers),
+		Network:  network,
+		Interval: o.interval,
+		Seed:     cfg.seed ^ tag,
+		Logf:     logf,
+		Session: session.Config{
+			MaxSessions:    cfg.maxSessions,
+			SessionTimeout: cfg.timeout,
+			Logf:           logf,
+		},
+		SessionTimeout: cfg.timeout,
+	}
+	names := parseSets(o.sets)
+	d.churn = d.meshChurn(names)
+	var mode string
+	switch {
+	case d.gossip:
+		// The static -cluster list doubles as extra gossip seeds: a
+		// mixed invocation bootstraps from both.
+		seeds := append(parseSets(o.join), ccfg.Peers...)
+		catalog := clusterCatalog(cfg, f, names, gossipCapacityNodes)
+		// Fresh-start content goes to the sets the bootstrap ring — self
+		// plus the seed members — assigns here. The hosted roster follows
+		// the gossiped membership once rounds run: ApplyPlacement creates
+		// missing owned sets empty and the repair path fills them, and
+		// anything planted here that ownership moves away from reaches
+		// its owners through handoff before the local copy drops.
+		assign := placement.New(append([]string{self}, seeds...), 0, cfg.seed).Assign(names, o.replication, 0)
+		owns := func(name string) bool { return slices.Contains(assign[name], self) }
+		if err := createMissing(d.store, catalog, content, owns); err != nil {
+			return nil, fmt.Errorf("cluster store: %w", err)
+		}
+		g, err := gossip.New(gossip.Config{Self: self, Seeds: seeds, Seed: cfg.seed ^ tag, Logf: logf})
+		if err != nil {
+			return nil, fmt.Errorf("gossip: %w", err)
+		}
+		// Peer list and hosted roster are gossip-fed from here on; the
+		// ring's hash family (PlacementSeed) is the shared -seed flag, so
+		// every member computes identical owner sets.
+		ccfg.Peers = nil
+		ccfg.Membership = g
+		ccfg.Catalog = catalog
+		ccfg.Replication = o.replication
+		ccfg.PlacementSeed = cfg.seed
+		mode = fmt.Sprintf("gossip member (%d seeds, %d-shard catalog at R=%d, round every %v)", len(seeds), len(names), o.replication, o.interval)
+	case o.peers != "":
+		if err := createMissing(d.store, clusterCatalog(cfg, f, names, len(ccfg.Peers)+1), content, nil); err != nil {
+			return nil, fmt.Errorf("cluster store: %w", err)
+		}
+		mode = fmt.Sprintf("cluster member (%d peers, round every %v)", len(ccfg.Peers), o.interval)
+	default:
+		fixtureSets := []cluster.CatalogSet{
+			{Name: netproto.ProtoLiveEMD.String(), Config: live.Config{EMD: &f.emdParams}},
+			{Name: netproto.ProtoGap.String(), Config: live.Config{Gap: &f.gapParams}},
+		}
+		points := []metric.PointSet{f.emdSA, f.gapSA}
+		if err := createMissing(d.store, fixtureSets, func(i int) metric.PointSet { return points[i] }, nil); err != nil {
+			return nil, err
+		}
+		var sets []*live.Set
+		for _, cs := range fixtureSets {
+			ls, _ := d.store.Get(cs.Name)
+			sets = append(sets, ls)
+		}
+		d.live = newLiveState(cfg.seed, sets, []metric.Space{f.emdParams.Space, f.gapSpace})
+		// With no peers there is no round to run.
+		ccfg.Interval = -1
+		d.churn = func() bool {
+			if err := d.live.churn(1); err != nil {
+				logf("churn: %v", err)
+				return false
+			}
+			return true
+		}
+		mode = "one-member node"
+	}
+
+	var err error
+	if d.node, err = cluster.New(ccfg); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	l, err := d.node.Start(host)
+	if err != nil {
+		return nil, fmt.Errorf("listen: %w", err)
+	}
+	d.addr = l.Addr()
+	logf("%s on %s %s: sets %v, max %d sessions, %d mutations/s; %s",
+		mode, network, d.addr, d.store.Names(), cfg.maxSessions, cfg.mutate, d.store.Stats())
+	if o.admin == "" {
+		return d, nil
+	}
+	d.adm = admin.New(admin.Config{
+		Node:    d.node,
+		Durable: d.dur,
+		// Admin-created sets get the catalog's shared Sync parameters
+		// (identical digest on every member that creates them) plus
+		// this member's deterministic divergent seed content, exactly
+		// like a flag-declared set's fresh start.
+		SetConfig: func(name string, seedPoints int) (live.Config, metric.PointSet, error) {
+			c := live.Config{Sync: &live.SyncConfig{Seed: f.syncSeed}}
+			var pts metric.PointSet
+			if seedPoints > 0 {
+				pts = clusterPoints(metric.HammingCube(cfg.d), seedPoints,
+					cfg.seed^hashAddr(self)^hashAddr(name))
+			}
+			return c, pts, nil
+		},
+		Drain: func() { close(d.drained) },
+		Logf:  logf,
+	})
+	aaddr, err := d.adm.Start(o.admin)
+	if err != nil {
+		return nil, err
+	}
+	logf("admin API on http://%s/ (Prometheus on /metrics)", aaddr)
+	return d, nil
+}
+
+// meshChurn is a mesh member's -mutate tick: one fresh point added to
+// each named set it hosts, within a bounded budget. Anti-entropy
+// convergence is add-wins: every add spreads to the whole mesh and
+// nothing un-spreads, so unbounded churn would grow every member past
+// the (digest-relevant, hence fixed) EMD capacity and poison repairs
+// mesh-wide. Each member therefore churns a bounded budget the shared
+// capacity formula accounts for.
+func (d *daemon) meshChurn(names []string) func() bool {
+	cfg := d.o.cfg
+	src := rng.New(cfg.seed ^ hashAddr(d.o.listen) ^ 0xc4a12)
+	space := metric.HammingCube(cfg.d)
+	budget := churnBudget(cfg)
+	return func() bool {
+		if budget <= 0 {
+			d.logf("churn budget exhausted (%d adds per set); store %s", churnBudget(cfg), d.store.Stats())
+			return false
+		}
+		budget--
+		for _, name := range names {
+			ls, ok := d.store.Get(name)
+			if !ok {
+				continue
+			}
+			if err := ls.Add(randomPoint(space, src)); err != nil {
+				d.logf("churn %q: %v", name, err)
+			}
+		}
+		return true
+	}
+}
+
+// close drains the daemon: the node stops serving (a gossip member
+// announces its leave first), the durable journals seal, the final
+// tallies are logged, and the admin listener shuts.
+func (d *daemon) close() {
+	drain := d.o.drain
+	if d.gossip {
+		// Graceful departure: final push to co-owners, Left announcement
+		// to every active member, then close — shards move immediately
+		// instead of after a suspicion timeout.
+		d.logf("leaving mesh (drain %v)", drain)
+		if err := d.node.Leave(drain); err != nil {
+			d.logf("leave: %v", err)
+		}
+	} else {
+		d.logf("closing node (drain %v)", drain)
+		if err := d.node.Close(drain); err != nil {
+			d.logf("close: %v", err)
+		}
+	}
+	if d.dur != nil {
+		// Snapshot-on-drain: seal every journal at its final epoch so the
+		// next boot replays nothing.
+		if err := d.dur.Close(); err != nil {
+			d.logf("durable close: %v", err)
+		} else {
+			d.logf("durable state drained: final snapshots written to %s", d.o.dataDir)
+		}
+	}
+	if d.gossip {
+		p := d.node.Placement()
+		d.logf("placement: %d acquired, %d dropped after handoff, %d still relinquishing",
+			p.Acquired, p.Dropped, p.Relinquishing)
+	}
+	for name, m := range d.node.Metrics() {
+		d.logf("set %s: %v", name, m)
+	}
+	srv := d.node.Server()
+	total, _ := srv.Stats()
+	d.logf("net: %s", d.node.NetStats())
+	d.logf("health: %s", d.node.HealthSummary())
+	d.logf("final: %d sessions ok, %d failed; %s; max payload %d bits; store %s",
+		srv.Served(), srv.Failed(), total, total.MaxPayload(), d.store.Stats())
+	if d.adm != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		if err := d.adm.Shutdown(ctx); err != nil {
+			d.logf("admin shutdown: %v", err)
+		}
+	}
+}
+
+// serve runs the daemon until SIGINT/SIGTERM or an admin drain request,
+// churning its sets at -mutate meanwhile, then drains it.
+func serve(o *options, f *fixture) {
+	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
+	d, err := newDaemon(o, f, logger.Printf)
 	if err != nil {
 		fail("%v", err)
 	}
-	emdFactory, err := netproto.NewLiveEMDSenderFactory(st.emdSet)
-	if err != nil {
-		fail("live emd: %v", err)
+	if o.cfg.mutate > 0 {
+		go func() {
+			tick := time.NewTicker(time.Second / time.Duration(o.cfg.mutate))
+			defer tick.Stop()
+			for range tick.C {
+				if !d.churn() {
+					return
+				}
+			}
+		}()
 	}
-	gapFactory, err := netproto.NewLiveGapSenderFactory(st.gapSet)
-	if err != nil {
-		fail("live gap: %v", err)
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	select {
+	case sig := <-sigs:
+		logger.Printf("received %v", sig)
+	case <-d.drained:
+		logger.Printf("drain requested via admin API")
 	}
-	srv := session.NewServer(session.Config{
-		MaxSessions:    cfg.maxSessions,
-		SessionTimeout: cfg.timeout,
-		Resolver:       netproto.Handlers(emdFactory, gapFactory),
-		Logf:           logf,
-	})
-	return srv, st
+	d.close()
 }
 
 func splitAddr(addr string) (network, host string) {
@@ -376,81 +621,6 @@ func splitAddr(addr string) (network, host string) {
 		return "unix", strings.TrimPrefix(addr, "unix:")
 	}
 	return "tcp", addr
-}
-
-// signalChan subscribes to SIGINT/SIGTERM.
-func signalChan() <-chan os.Signal {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	return ch
-}
-
-// shutdown drains the server gracefully and prints the final tallies —
-// the daemon's answer to SIGINT/SIGTERM in every serving mode, instead
-// of dying mid-frame.
-func shutdown(srv *session.Server, drain time.Duration, logger *log.Logger) {
-	logger.Printf("shutting down: draining in-flight sessions (up to %v)", drain)
-	if err := srv.Shutdown(drain); err != nil {
-		logger.Printf("shutdown: %v", err)
-	}
-	total, _ := srv.Stats()
-	logger.Printf("final: %d sessions ok, %d failed; %s (%.2f MB); max payload %d bits",
-		srv.Served(), srv.Failed(), total, float64(total.TotalBytes())/1e6, total.MaxPayload())
-}
-
-func runServer(cfg config, f *fixture, addr string, drain time.Duration, adminAddr string) {
-	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
-	srv, st := newServer(cfg, f, logger.Printf)
-	network, host := splitAddr(addr)
-	l, err := net.Listen(network, host)
-	if err != nil {
-		fail("listen: %v", err)
-	}
-	drainCh := make(chan struct{})
-	var adm *admin.Server
-	if adminAddr != "" {
-		// Single-set server mode hosts no multi-tenant store, so the set
-		// endpoints answer 503; session stats and /metrics still work.
-		adm = admin.New(admin.Config{
-			Session: srv,
-			Drain:   func() { close(drainCh) },
-			Logf:    logger.Printf,
-		})
-		aaddr, err := adm.Start(adminAddr)
-		if err != nil {
-			fail("%v", err)
-		}
-		logger.Printf("admin API on http://%s/ (Prometheus on /metrics)", aaddr)
-	}
-	logger.Printf("serving live-emd, gap on %s %s (max %d sessions, %d mutations/s)",
-		network, l.Addr(), cfg.maxSessions, cfg.mutate)
-	if cfg.mutate > 0 {
-		go func() {
-			tick := time.NewTicker(time.Second / time.Duration(cfg.mutate))
-			defer tick.Stop()
-			for range tick.C {
-				if err := st.churn(1); err != nil {
-					logger.Printf("churn: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if err != session.ErrServerClosed {
-			fail("serve: %v", err)
-		}
-	case sig := <-signalChan():
-		logger.Printf("received %v", sig)
-		shutdown(srv, drain, logger)
-	case <-drainCh:
-		logger.Printf("drain requested via admin API")
-		shutdown(srv, drain, logger)
-	}
-	stopAdmin(adm, drain, logger.Printf)
 }
 
 // hashAddr derives a node-unique seed from its advertised address, so
@@ -485,15 +655,15 @@ func churnBudget(cfg config) int {
 
 // clusterCatalog is the mesh-wide set catalog every member derives
 // from the shared flags: each named set's exact live configuration.
-// The static mesh (populateClusterStore) and the gossip placement
-// path (-join) both build set configs here, so a set hosted by any
-// member carries an identical parameter digest — two owners with
-// different configs would never fingerprint-match. nodes is the
-// member budget the capacity formula absorbs: capacity must hold the
-// union of the shared base, every member's extras, and every member's
-// bounded churn budget (see churnBudget), and it is digest-relevant
-// via emd.Params.N — so it must derive from flags and an agreed
-// budget, never from a member's local view of the topology.
+// The static mesh (-cluster) and the gossip placement path (-join)
+// both build set configs here, so a set hosted by any member carries
+// an identical parameter digest — two owners with different configs
+// would never fingerprint-match. nodes is the member budget the
+// capacity formula absorbs: capacity must hold the union of the shared
+// base, every member's extras, and every member's bounded churn budget
+// (see churnBudget), and it is digest-relevant via emd.Params.N — so
+// it must derive from flags and an agreed budget, never from a
+// member's local view of the topology.
 func clusterCatalog(cfg config, f *fixture, names []string, nodes int) []cluster.CatalogSet {
 	sync := &live.SyncConfig{Seed: f.syncSeed}
 	space := metric.HammingCube(cfg.d)
@@ -520,22 +690,6 @@ func setContent(cfg config, i int, nodeTag uint64) metric.PointSet {
 	return append(base, extras...)
 }
 
-// populateClusterStore creates the member's sets in st, skipping any
-// that are already present — a durable member recovers its sets from
-// disk first, and only the ones its previous life never created get
-// the fresh-start content.
-func populateClusterStore(cfg config, f *fixture, names []string, nodes int, nodeTag uint64, st *store.Store) error {
-	for i, cs := range clusterCatalog(cfg, f, names, nodes) {
-		if _, ok := st.Get(cs.Name); ok {
-			continue
-		}
-		if _, err := st.Create(cs.Name, cs.Config, setContent(cfg, i, nodeTag)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // gossipCapacityNodes is the agreed member budget gossip-mode
 // capacity assumes. Members may pass different -join seed lists and
 // the membership grows at runtime, so — unlike the static mesh, where
@@ -545,41 +699,16 @@ func populateClusterStore(cfg config, f *fixture, names []string, nodes int, nod
 // plant fresh-start extras into one set over its lifetime.
 const gossipCapacityNodes = 64
 
-// populateGossipStore seeds a gossip-mode member's store with
-// fresh-start content for the named sets the bootstrap ring — self plus
-// the seed members — assigns to this member (skipping any durable
-// recovery restored). The authoritative
-// hosted roster follows the gossiped membership once rounds run:
-// ApplyPlacement creates missing owned sets empty and the repair path
-// fills them, and anything planted here that ownership moves away
-// from reaches its owners through handoff before the local copy
-// drops.
-func populateGossipStore(cfg config, f *fixture, names []string, self string, seeds []string, replication int, st *store.Store) error {
-	members := []string{self}
-	seen := map[string]bool{self: true}
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			members = append(members, s)
-		}
-	}
-	ring := placement.New(members, 0, cfg.seed)
-	assign := ring.Assign(names, replication, 0)
-	for i, cs := range clusterCatalog(cfg, f, names, gossipCapacityNodes) {
-		owned := false
-		for _, o := range assign[cs.Name] {
-			if o == self {
-				owned = true
-				break
-			}
-		}
-		if !owned {
+// createMissing creates every catalog set that owns accepts (nil
+// accepts all) and st does not hold yet, with content(i) as set i's
+// fresh-start points. A durable daemon recovers its sets from disk
+// first, so only the ones its previous life never created start fresh.
+func createMissing(st *store.Store, sets []cluster.CatalogSet, content func(i int) metric.PointSet, owns func(name string) bool) error {
+	for i, cs := range sets {
+		if _, ok := st.Get(cs.Name); ok || (owns != nil && !owns(cs.Name)) {
 			continue
 		}
-		if _, ok := st.Get(cs.Name); ok {
-			continue
-		}
-		if _, err := st.Create(cs.Name, cs.Config, setContent(cfg, i, hashAddr(self))); err != nil {
+		if _, err := st.Create(cs.Name, cs.Config, content(i)); err != nil {
 			return err
 		}
 	}
@@ -589,25 +718,25 @@ func populateGossipStore(cfg config, f *fixture, names []string, self string, se
 // openDurable opens the durability layer under dir, recovers whatever
 // a previous life persisted into st, and attaches the persister so
 // every set created from here on is journaled too.
-func openDurable(dir, policy string, st *store.Store, logf func(string, ...any)) *durable.Store {
+func openDurable(dir, policy string, st *store.Store, logf func(string, ...any)) (*durable.Store, error) {
 	if err := checkDataDir(dir); err != nil {
-		fail("%v", err)
+		return nil, err
 	}
 	pol, err := durable.ParseFsyncPolicy(policy)
 	if err != nil {
-		fail("%v", err)
+		return nil, err
 	}
 	d, err := durable.Open(dir, durable.Options{Fsync: pol, Logf: logf})
 	if err != nil {
-		fail("durable: %v", err)
+		return nil, fmt.Errorf("durable: %w", err)
 	}
 	stats, err := d.Recover(st)
 	if err != nil {
-		fail("recovery: %v", err)
+		return nil, fmt.Errorf("recovery: %w", err)
 	}
 	st.SetPersister(d)
 	logf("durable state in %s (fsync %s): recovered %s", dir, pol, stats)
-	return d
+	return d, nil
 }
 
 // checkDataDir refuses a data dir that still holds the default "" set.
@@ -637,202 +766,14 @@ func parseSets(csv string) []string {
 	return names
 }
 
-func runCluster(cfg config, f *fixture, addr, peersCSV, joinCSV, advertise, setsCSV string, interval, drain time.Duration, dataDir, fsyncPolicy string, replication int, adminAddr string) {
-	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
-	peers := parseSets(peersCSV)
-	names := parseSets(setsCSV)
-	if len(names) == 0 {
-		fail("cluster modes need at least one set in -sets")
-	}
-	network, host := splitAddr(addr)
-	st := store.New()
-	var dur *durable.Store
-	if dataDir != "" {
-		dur = openDurable(dataDir, fsyncPolicy, st, logger.Printf)
-	}
-	ccfg := cluster.Config{
-		Store:    st,
-		Peers:    peers,
-		Network:  network,
-		Interval: interval,
-		Seed:     cfg.seed ^ hashAddr(addr),
-		Logf:     logger.Printf,
-		Session: session.Config{
-			MaxSessions:    cfg.maxSessions,
-			SessionTimeout: cfg.timeout,
-			Logf:           logger.Printf,
-		},
-		SessionTimeout: cfg.timeout,
-	}
-	gossiping := joinCSV != ""
-	if gossiping {
-		self := advertise
-		if self == "" {
-			self = addr
-		}
-		// The static -cluster list doubles as extra gossip seeds: a
-		// mixed invocation bootstraps from both.
-		seeds := append(parseSets(joinCSV), peers...)
-		if err := populateGossipStore(cfg, f, names, self, seeds, replication, st); err != nil {
-			fail("cluster store: %v", err)
-		}
-		g, err := gossip.New(gossip.Config{
-			Self:  self,
-			Seeds: seeds,
-			Seed:  cfg.seed ^ hashAddr(self),
-			Logf:  logger.Printf,
-		})
-		if err != nil {
-			fail("gossip: %v", err)
-		}
-		// Peer list and hosted roster are gossip-fed from here on; the
-		// ring's hash family (PlacementSeed) is the shared -seed flag, so
-		// every member computes identical owner sets.
-		ccfg.Peers = nil
-		ccfg.Seed = cfg.seed ^ hashAddr(self)
-		ccfg.Membership = g
-		ccfg.Catalog = clusterCatalog(cfg, f, names, gossipCapacityNodes)
-		ccfg.Replication = replication
-		ccfg.PlacementSeed = cfg.seed
-	} else if err := populateClusterStore(cfg, f, names, len(peers)+1, hashAddr(addr), st); err != nil {
-		fail("cluster store: %v", err)
-	}
-	node, err := cluster.New(ccfg)
-	if err != nil {
-		fail("cluster: %v", err)
-	}
-	l, err := node.Start(host)
-	if err != nil {
-		fail("cluster listen: %v", err)
-	}
-	if gossiping {
-		logger.Printf("gossip member on %s %s: %d seeds, %d-shard catalog at R=%d, round every %v; %s",
-			network, l.Addr(), len(parseSets(joinCSV))+len(peers), len(names), replication, interval, st.Stats())
-	} else {
-		logger.Printf("cluster member on %s %s: %d peers, sets %v, round every %v; %s",
-			network, l.Addr(), len(peers), names, interval, st.Stats())
-	}
-	drainCh := make(chan struct{})
-	var adm *admin.Server
-	if adminAddr != "" {
-		self := advertise
-		if self == "" {
-			self = addr
-		}
-		adm = admin.New(admin.Config{
-			Store:   st,
-			Node:    node,
-			Durable: dur,
-			// Admin-created sets get the catalog's shared Sync parameters
-			// (identical digest on every member that creates them) plus
-			// this member's deterministic divergent seed content, exactly
-			// like a flag-declared set's fresh start.
-			SetConfig: func(name string, seedPoints int) (live.Config, metric.PointSet, error) {
-				c := live.Config{Sync: &live.SyncConfig{Seed: f.syncSeed}}
-				var pts metric.PointSet
-				if seedPoints > 0 {
-					pts = clusterPoints(metric.HammingCube(cfg.d), seedPoints,
-						cfg.seed^hashAddr(self)^hashAddr(name))
-				}
-				return c, pts, nil
-			},
-			Drain: func() { close(drainCh) },
-			Logf:  logger.Printf,
-		})
-		aaddr, err := adm.Start(adminAddr)
-		if err != nil {
-			fail("%v", err)
-		}
-		logger.Printf("admin API on http://%s/ (Prometheus on /metrics)", aaddr)
-	}
-	if cfg.mutate > 0 {
-		go func() {
-			tick := time.NewTicker(time.Second / time.Duration(cfg.mutate))
-			defer tick.Stop()
-			src := rng.New(cfg.seed ^ hashAddr(addr) ^ 0xc4a12)
-			space := metric.HammingCube(cfg.d)
-			// Anti-entropy convergence is add-wins: every add spreads to
-			// the whole mesh and nothing un-spreads, so unbounded churn
-			// would grow every member past the (digest-relevant, hence
-			// fixed) EMD capacity and poison repairs mesh-wide. Each
-			// member therefore churns a bounded budget the shared
-			// capacity formula accounts for.
-			budget := churnBudget(cfg)
-			for range tick.C {
-				if budget <= 0 {
-					logger.Printf("churn budget exhausted (%d adds per set); store %s", churnBudget(cfg), st.Stats())
-					return
-				}
-				budget--
-				for _, name := range names {
-					ls, ok := st.Get(name)
-					if !ok {
-						continue
-					}
-					fresh := randomPoint(space, src)
-					if err := ls.Add(fresh); err != nil {
-						logger.Printf("churn %q: %v", name, err)
-					}
-				}
-			}
-		}()
-	}
-	select {
-	case sig := <-signalChan():
-		logger.Printf("received %v", sig)
-	case <-drainCh:
-		logger.Printf("drain requested via admin API")
-	}
-	if gossiping {
-		// Graceful departure: final push to co-owners, Left announcement
-		// to every active member, then close — shards move immediately
-		// instead of after a suspicion timeout.
-		logger.Printf("leaving mesh (drain %v)", drain)
-		if err := node.Leave(drain); err != nil {
-			logger.Printf("leave: %v", err)
-		}
-	} else {
-		logger.Printf("closing cluster node (drain %v)", drain)
-		if err := node.Close(drain); err != nil {
-			logger.Printf("close: %v", err)
-		}
-	}
-	if dur != nil {
-		// Snapshot-on-drain: seal every journal at its final epoch so the
-		// next boot replays nothing.
-		if err := dur.Close(); err != nil {
-			logger.Printf("durable close: %v", err)
-		} else {
-			logger.Printf("durable state drained: final snapshots written to %s", dataDir)
-		}
-	}
-	if gossiping {
-		p := node.Placement()
-		logger.Printf("placement: %d acquired, %d dropped after handoff, %d still relinquishing",
-			p.Acquired, p.Dropped, p.Relinquishing)
-	}
-	for name, m := range node.Metrics() {
-		if name == "" {
-			name = "<default>"
-		}
-		logger.Printf("set %s: %v", name, m)
-	}
-	total, _ := node.Server().Stats()
-	logger.Printf("net: %s", node.NetStats())
-	logger.Printf("health: %s", node.HealthSummary())
-	logger.Printf("final: %d sessions ok, %d failed; %s; max payload %d bits; store %s",
-		node.Server().Served(), node.Server().Failed(), total, total.MaxPayload(), st.Stats())
-	stopAdmin(adm, drain, logger.Printf)
-}
-
-// runClient runs one session of the named protocol and reports the
-// outcome. It returns an error both on transport failure and on a
-// result that violates the protocol's guarantee, so the exit status is
-// an end-to-end check. live-emd runs two sessions on one sketch cache,
-// so the second takes the delta path (an empty delta if the server did
-// not churn in between).
+// runClient runs one session of the named protocol against the set of
+// the same name and reports the outcome. It returns an error both on
+// transport failure and on a result that violates the protocol's
+// guarantee, so the exit status is an end-to-end check. live-emd runs
+// two sessions on one sketch cache, so the second takes the delta path
+// (an empty delta if the server did not churn in between).
 func runClient(cfg config, f *fixture, network, addr, proto string) error {
-	dial := session.Dialer{Network: network, Addr: addr}
+	dial := session.Dialer{Network: network, Addr: addr, Set: proto}
 	id, _ := netproto.ProtoByName(proto)
 	start := time.Now()
 	switch id {

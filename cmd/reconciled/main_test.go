@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +22,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/rng"
-	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/store/durable"
 )
@@ -264,40 +266,74 @@ func TestCrashKillRecovery(t *testing.T) {
 	t.Logf("re-converged: %v", m)
 }
 
-// TestServeEveryProtocol drives the daemon's paired server/client
-// fixture over loopback TCP: every served protocol against a server
-// that does not churn and against one churning between sessions, a
-// client configured with another -seed, whose hello must fail the
+// startDaemon builds and binds the daemon main serves for a -listen
+// command line, on loopback ports, with its admin API.
+func startDaemon(t *testing.T, args ...string) (*daemon, *fixture) {
+	t.Helper()
+	_, o := daemonFlagSet(t, append([]string{
+		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
+		"-d", "64", "-n", "32", "-k", "2", "-r2", "64", "-diff", "8",
+		"-max-sessions", "8", "-timeout", "30s",
+	}, args...)...)
+	f, err := newFixture(o.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon(o, f, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, f
+}
+
+// adminSets lists the set names the daemon's admin API reports.
+func adminSets(t *testing.T, d *daemon) []string {
+	t.Helper()
+	resp, err := http.Get("http://" + d.adm.Addr().String() + "/api/v1/sets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/sets: %s", resp.Status)
+	}
+	var list struct {
+		Sets []struct {
+			Name string `json:"name"`
+		} `json:"sets"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range list.Sets {
+		names = append(names, s.Name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestServeEveryProtocol drives the daemon main serves for -listen
+// alone over loopback TCP: every served protocol against a server that
+// does not churn and against one churning between sessions, a client
+// configured with another -seed, whose hello must fail the
 // parameter-digest check before any protocol traffic, and a client
-// naming a protocol the daemon does not serve.
+// naming a protocol the daemon does not serve. The admin API lists the
+// two sets, named after their protocols.
 func TestServeEveryProtocol(t *testing.T) {
-	base := config{
-		d: 64, n: 32, k: 2, noise: 2, r1: 8, r2: 64, diff: 8, seed: 1,
-		maxSessions: 8, timeout: 30 * time.Second,
-	}
-	serve := func(cfg config) (*session.Server, *fixture, *liveState, string) {
-		t.Helper()
-		f, err := newFixture(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, st := newServer(cfg, f, t.Logf)
-		l, err := srv.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv, f, st, l.Addr().String()
-	}
 	protos := []string{"live-emd", "gap"}
 
-	srv, f, _, addr := serve(base)
+	d, f := startDaemon(t)
+	if got := adminSets(t, d); fmt.Sprint(got) != "[gap live-emd]" {
+		t.Errorf("admin lists sets %q, want [gap live-emd]", got)
+	}
+	cfg, addr := d.o.cfg, d.addr.String()
 	for _, proto := range protos {
-		if err := runClient(base, f, "tcp", addr, proto); err != nil {
+		if err := runClient(cfg, f, "tcp", addr, proto); err != nil {
 			t.Errorf("still %s: %v", proto, err)
 		}
 	}
-	other := base
+	other := cfg
 	other.seed = 2
 	of, err := newFixture(other)
 	if err != nil {
@@ -309,30 +345,91 @@ func TestServeEveryProtocol(t *testing.T) {
 			t.Errorf("%s with -seed 2: err = %v, want a digest mismatch", proto, err)
 		}
 	}
-	if err := runClient(base, f, "tcp", addr, "sync"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+	if err := runClient(cfg, f, "tcp", addr, "sync"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("-proto sync: err = %v, want an unknown protocol", err)
 	}
-	srv.Close()
+	d.close()
 	// live-emd runs two sessions (full, then delta) on one cache; with
 	// -seed 2 it stops at its first refused hello.
+	srv := d.node.Server()
 	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 2 {
 		t.Errorf("still server: %d ok / %d failed sessions, want 3 / 2", ok, bad)
 	}
 
-	churning := base
-	churning.mutate = 10
-	srv, f, st, addr := serve(churning)
+	d, f = startDaemon(t, "-mutate", "10")
+	cfg, addr = d.o.cfg, d.addr.String()
 	for _, proto := range protos {
-		if err := runClient(churning, f, "tcp", addr, proto); err != nil {
+		if err := runClient(cfg, f, "tcp", addr, proto); err != nil {
 			t.Errorf("churning %s: %v", proto, err)
 		}
-		if err := st.churn(churning.mutate); err != nil {
+		if err := d.live.churn(cfg.mutate); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.Close()
+	d.close()
+	srv = d.node.Server()
 	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 0 {
 		t.Errorf("churning server: %d ok / %d failed sessions, want 3 / 0", ok, bad)
+	}
+}
+
+// TestListenRecoversChurnedSets: with -data-dir, -listen alone journals
+// its two sets; a restart recovers them at their churned epochs, and
+// the churner, seeded from the recovered points, keeps replacing them
+// while clients reconcile against them.
+func TestListenRecoversChurnedSets(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := startDaemon(t, "-mutate", "1", "-data-dir", dir, "-fsync", "off")
+	if err := d.live.churn(5); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]uint64)
+	for _, name := range d.store.Names() {
+		ls, _ := d.store.Get(name)
+		want[name] = ls.Epoch()
+	}
+	d.close()
+
+	d, f := startDaemon(t, "-mutate", "1", "-data-dir", dir, "-fsync", "off")
+	defer d.close()
+	for name, epoch := range want {
+		ls, ok := d.store.Get(name)
+		if !ok || ls.Epoch() != epoch {
+			t.Fatalf("set %s not recovered at epoch %d (present=%v)", name, epoch, ok)
+		}
+	}
+	if err := d.live.churn(5); err != nil {
+		t.Fatalf("churn on recovered sets: %v", err)
+	}
+	for _, proto := range []string{"live-emd", "gap"} {
+		if err := runClient(d.o.cfg, f, "tcp", d.addr.String(), proto); err != nil {
+			t.Errorf("%s against recovered sets: %v", proto, err)
+		}
+	}
+}
+
+// TestCheckOptions: command lines no mode can run are refused before
+// startup, among them a -mutate whose churn period would round to 0.
+func TestCheckOptions(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{nil, "need -listen or -connect"},
+		{[]string{"-listen", ":0", "-mutate", "1000000001"}, "-mutate 1000000001"},
+		{[]string{"-listen", ":0", "-cluster", "a:1", "-sets", " , "}, "at least one set"},
+		{[]string{"-listen", ":0", "-mutate", "1000000000"}, ""},
+		{[]string{"-connect", ":0"}, ""},
+	}
+	for _, tc := range cases {
+		_, o := daemonFlagSet(t, tc.args...)
+		err := checkOptions(o)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
 	}
 }
 

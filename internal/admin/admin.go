@@ -41,23 +41,18 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/live"
 	"repro/internal/metric"
-	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/store/durable"
 )
 
-// Config wires the admin server to the daemon's subsystems. Store is
-// required for set management (without it the set endpoints answer
-// 503); everything else is optional and widens the view when present.
+// Config wires the admin server to the daemon's subsystems. Node is
+// required by every endpoint but /healthz and /api/v1/drain; everything
+// else is optional and widens the view when present.
 type Config struct {
-	// Store is the set registry the set endpoints manage.
-	Store *store.Store
-	// Node supplies cluster views and per-set reconciliation metrics.
+	// Node is the daemon's cluster node: its store is the set registry
+	// the set endpoints manage, and it supplies the session stats, the
+	// per-set reconciliation metrics and the cluster views.
 	Node *cluster.Node
-	// Session supplies session-engine stats when there is no Node
-	// (plain -listen mode). With a Node, the node's embedded server is
-	// used and this field is ignored.
-	Session *session.Server
 	// Durable supplies the WAL/snapshot counters (nil without
 	// -data-dir).
 	Durable *durable.Store
@@ -235,13 +230,6 @@ func (s *Server) setInfoFor(name string, ls *live.Set, recon map[string]cluster.
 	return info
 }
 
-func (s *Server) reconMetrics() map[string]cluster.SetMetrics {
-	if s.cfg.Node == nil {
-		return nil
-	}
-	return s.cfg.Node.Metrics()
-}
-
 // --- handlers ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -250,14 +238,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleListSets(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.Store == nil {
-		writeErr(w, http.StatusServiceUnavailable, "this mode hosts no set store")
-		return
-	}
-	recon := s.reconMetrics()
+	st := s.cfg.Node.Store()
+	recon := s.cfg.Node.Metrics()
 	sets := make([]setInfo, 0, 8)
-	for _, name := range s.cfg.Store.Names() {
-		ls, ok := s.cfg.Store.Get(name)
+	for _, name := range st.Names() {
+		ls, ok := st.Get(name)
 		if !ok {
 			continue // dropped mid-listing
 		}
@@ -277,7 +262,7 @@ type createRequest struct {
 }
 
 func (s *Server) handleCreateSet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil || s.cfg.SetConfig == nil {
+	if s.cfg.SetConfig == nil {
 		writeErr(w, http.StatusServiceUnavailable, "set creation is not available in this mode")
 		return
 	}
@@ -305,7 +290,7 @@ func (s *Server) handleCreateSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "set config: %v", err)
 		return
 	}
-	ls, err := s.cfg.Store.Create(req.Name, cfg, initial)
+	ls, err := s.cfg.Node.Store().Create(req.Name, cfg, initial)
 	if err != nil {
 		if strings.Contains(err.Error(), "already exists") {
 			writeErr(w, http.StatusConflict, "%v", err)
@@ -314,34 +299,26 @@ func (s *Server) handleCreateSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.setInfoFor(req.Name, ls, s.reconMetrics()))
+	writeJSON(w, http.StatusCreated, s.setInfoFor(req.Name, ls, s.cfg.Node.Metrics()))
 }
 
 func (s *Server) handleGetSet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		writeErr(w, http.StatusServiceUnavailable, "this mode hosts no set store")
-		return
-	}
 	name := r.PathValue("name")
-	ls, ok := s.cfg.Store.Get(name)
+	ls, ok := s.cfg.Node.Store().Get(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no set %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.setInfoFor(name, ls, s.reconMetrics()))
+	writeJSON(w, http.StatusOK, s.setInfoFor(name, ls, s.cfg.Node.Metrics()))
 }
 
 func (s *Server) handleDropSet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		writeErr(w, http.StatusServiceUnavailable, "this mode hosts no set store")
-		return
-	}
 	name := r.PathValue("name")
 	if name == "" {
 		writeErr(w, http.StatusBadRequest, "the default set is not managed via the admin API")
 		return
 	}
-	if !s.cfg.Store.Drop(name) {
+	if !s.cfg.Node.Store().Drop(name) {
 		writeErr(w, http.StatusNotFound, "no set %q", name)
 		return
 	}
@@ -394,10 +371,6 @@ type netInfo struct {
 
 func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	n := s.cfg.Node
-	if n == nil {
-		writeErr(w, http.StatusNotFound, "not a cluster member")
-		return
-	}
 	view := clusterView{
 		Peers:  n.Peers(),
 		Health: make(map[string]peerHealthInfo),

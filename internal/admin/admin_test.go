@@ -52,6 +52,17 @@ func newTestStore(t *testing.T) *store.Store {
 	return st
 }
 
+// testNode wraps st in a cluster node that runs no rounds and serves
+// nothing: the admin server reads the store and the stats through it.
+func testNode(t *testing.T, st *store.Store) *cluster.Node {
+	t.Helper()
+	n, err := cluster.New(cluster.Config{Store: st, Interval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // do drives one request through the admin mux without a listener.
 func do(t *testing.T, s *admin.Server, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -78,7 +89,7 @@ func decodeJSON(t *testing.T, rec *httptest.ResponseRecorder, v any) {
 
 func TestSetLifecycleRoundTrip(t *testing.T) {
 	st := newTestStore(t)
-	s := admin.New(admin.Config{Store: st, SetConfig: testSetConfig, Logf: t.Logf})
+	s := admin.New(admin.Config{Node: testNode(t, st), SetConfig: testSetConfig, Logf: t.Logf})
 
 	var list struct {
 		Sets []struct {
@@ -131,7 +142,7 @@ func TestSetLifecycleRoundTrip(t *testing.T) {
 
 func TestCreateErrorPaths(t *testing.T) {
 	st := newTestStore(t)
-	s := admin.New(admin.Config{Store: st, SetConfig: testSetConfig, Logf: t.Logf})
+	s := admin.New(admin.Config{Node: testNode(t, st), SetConfig: testSetConfig, Logf: t.Logf})
 
 	cases := []struct {
 		name, body string
@@ -160,33 +171,23 @@ func TestCreateErrorPaths(t *testing.T) {
 }
 
 func TestModesWithoutSubsystems(t *testing.T) {
-	// A bare server (no store, no node, no drain hook) must answer
-	// every endpoint deliberately rather than panic.
-	s := admin.New(admin.Config{Logf: t.Logf})
-	if rec := do(t, s, "GET", "/healthz", ""); rec.Code != http.StatusOK {
-		t.Fatalf("healthz: %d", rec.Code)
-	}
-	for path, want := range map[string]int{
-		"/api/v1/sets":    http.StatusServiceUnavailable,
-		"/api/v1/cluster": http.StatusNotFound,
-	} {
-		if rec := do(t, s, "GET", path, ""); rec.Code != want {
-			t.Errorf("GET %s: %d, want %d", path, rec.Code, want)
+	// A node without the optional hooks (no SetConfig, no drain hook,
+	// no durable store) must answer every endpoint deliberately rather
+	// than panic.
+	s := admin.New(admin.Config{Node: testNode(t, newTestStore(t)), Logf: t.Logf})
+	for _, path := range []string{"/healthz", "/api/v1/sets", "/api/v1/sets/alpha", "/api/v1/cluster", "/metrics"} {
+		if rec := do(t, s, "GET", path, ""); rec.Code != http.StatusOK {
+			t.Errorf("GET %s: %d, want 200", path, rec.Code)
 		}
 	}
 	if rec := do(t, s, "POST", "/api/v1/sets", `{"name":"x"}`); rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("create without store: %d, want 503", rec.Code)
+		t.Errorf("create without SetConfig: %d, want 503", rec.Code)
 	}
 	if rec := do(t, s, "POST", "/api/v1/drain", ""); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("drain without hook: %d, want 503", rec.Code)
 	}
-	// A store without a SetConfig hook lists but refuses creation.
-	s = admin.New(admin.Config{Store: newTestStore(t), Logf: t.Logf})
-	if rec := do(t, s, "GET", "/api/v1/sets", ""); rec.Code != http.StatusOK {
-		t.Errorf("list with store: %d, want 200", rec.Code)
-	}
-	if rec := do(t, s, "POST", "/api/v1/sets", `{"name":"x"}`); rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("create without SetConfig: %d, want 503", rec.Code)
+	if body := do(t, s, "GET", "/metrics", "").Body.String(); strings.Contains(body, "rsyn_wal_") {
+		t.Errorf("scrape without a durable store shows WAL families:\n%s", body)
 	}
 }
 
@@ -266,7 +267,7 @@ func TestClusterView(t *testing.T) {
 		}
 	}
 
-	s := admin.New(admin.Config{Store: nodes[0].Store(), Node: nodes[0], Logf: t.Logf})
+	s := admin.New(admin.Config{Node: nodes[0], Logf: t.Logf})
 
 	rec := do(t, s, "GET", "/api/v1/cluster", "")
 	if rec.Code != http.StatusOK {
@@ -324,7 +325,7 @@ func TestAdminMutationsPersist(t *testing.T) {
 	}
 	st := store.New()
 	st.SetPersister(d)
-	s := admin.New(admin.Config{Store: st, Durable: d, SetConfig: testSetConfig, Logf: t.Logf})
+	s := admin.New(admin.Config{Node: testNode(t, st), Durable: d, SetConfig: testSetConfig, Logf: t.Logf})
 
 	if rec := do(t, s, "POST", "/api/v1/sets", `{"name":"ops","seed_points":16}`); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
@@ -362,7 +363,7 @@ func TestAdminMutationsPersist(t *testing.T) {
 }
 
 func TestStartShutdown(t *testing.T) {
-	s := admin.New(admin.Config{Store: newTestStore(t), Logf: t.Logf})
+	s := admin.New(admin.Config{Node: testNode(t, newTestStore(t)), Logf: t.Logf})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -89,13 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // and the largest single payload — the paper's max-message-size
 // figure of merit).
 func (s *Server) writeSessionMetrics(e *expo) {
-	srv := s.cfg.Session
-	if s.cfg.Node != nil {
-		srv = s.cfg.Node.Server()
-	}
-	if srv == nil {
-		return
-	}
+	srv := s.cfg.Node.Server()
 	e.family("rsyn_sessions_total", "counter", "Reconciliation sessions served, by result.")
 	e.sample("rsyn_sessions_total", float64(srv.Served()), "result", "ok")
 	e.sample("rsyn_sessions_total", float64(srv.Failed()), "result", "failed")
@@ -116,10 +110,8 @@ func (s *Server) writeSessionMetrics(e *expo) {
 }
 
 func (s *Server) writeStoreMetrics(e *expo) {
-	if s.cfg.Store == nil {
-		return
-	}
-	st := s.cfg.Store.Stats()
+	sets := s.cfg.Node.Store()
+	st := sets.Stats()
 	e.family("rsyn_store_sets", "gauge", "Sets currently hosted.")
 	e.sample("rsyn_store_sets", float64(st.Sets))
 	e.family("rsyn_store_points", "gauge", "Points across all hosted sets (with multiplicity).")
@@ -129,17 +121,17 @@ func (s *Server) writeStoreMetrics(e *expo) {
 	e.family("rsyn_store_epochs_total", "counter", "Mutation epochs summed over hosted sets.")
 	e.sample("rsyn_store_epochs_total", float64(st.Epochs))
 
-	names := s.cfg.Store.Names()
+	names := sets.Names()
 	sort.Strings(names)
 	e.family("rsyn_set_points", "gauge", "Points in one hosted set.")
 	for _, name := range names {
-		if ls, ok := s.cfg.Store.Get(name); ok {
+		if ls, ok := sets.Get(name); ok {
 			e.sample("rsyn_set_points", float64(ls.Size()), "set", setLabel(name))
 		}
 	}
 	e.family("rsyn_set_epoch", "gauge", "Mutation epoch of one hosted set.")
 	for _, name := range names {
-		if ls, ok := s.cfg.Store.Get(name); ok {
+		if ls, ok := sets.Get(name); ok {
 			e.sample("rsyn_set_epoch", float64(ls.Epoch()), "set", setLabel(name))
 		}
 	}
@@ -156,9 +148,6 @@ func setLabel(name string) string {
 // probe economy, the repair-tier histogram, transfer volume, and the
 // convergence gauges (streak, backoff, last divergence estimate).
 func (s *Server) writeReconMetrics(e *expo) {
-	if s.cfg.Node == nil {
-		return
-	}
 	metrics := s.cfg.Node.Metrics()
 	names := make([]string, 0, len(metrics))
 	for name := range metrics {
@@ -223,9 +212,6 @@ func (s *Server) writeReconMetrics(e *expo) {
 // states, gossip membership, and placement churn.
 func (s *Server) writeClusterMetrics(e *expo) {
 	n := s.cfg.Node
-	if n == nil {
-		return
-	}
 	ns := n.NetStats()
 	e.family("rsyn_pool_dials_total", "counter", "New carrier connections dialed.")
 	e.sample("rsyn_pool_dials_total", float64(ns.Dials))

@@ -178,7 +178,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	s := admin.New(admin.Config{
-		Store:   nodes[0].Store(),
 		Node:    nodes[0],
 		Durable: d,
 		Logf:    t.Logf,
@@ -271,7 +270,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	if _, err := st.Create("", testConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
-	s := admin.New(admin.Config{Store: st, Logf: t.Logf})
+	s := admin.New(admin.Config{Node: testNode(t, st), Logf: t.Logf})
 	rec := do(t, s, "GET", "/metrics", "")
 	body := rec.Body.String()
 	if !strings.Contains(body, `rsyn_set_points{set="we\"ird\\name"} 3`) {

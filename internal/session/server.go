@@ -12,7 +12,7 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrServerClosed is returned by Serve and ListenAndServe after Close.
+// ErrServerClosed is returned by Serve and Listen after Close.
 var ErrServerClosed = errors.New("session: server closed")
 
 // ErrListenerClosed is returned by Serve when the listener it was given
@@ -214,15 +214,6 @@ func (s *Server) Serve(l net.Listener) error {
 		s.mu.Unlock()
 		go s.serveConn(conn)
 	}
-}
-
-// ListenAndServe announces on the network address and blocks serving it.
-func (s *Server) ListenAndServe(network, addr string) error {
-	l, err := s.cfg.Transport.Listen(network, addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // serveConn negotiates and runs one connection: a session hello is one
