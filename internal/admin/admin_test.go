@@ -314,6 +314,21 @@ func TestClusterView(t *testing.T) {
 	}
 }
 
+// TestClusterViewOneMember: a node with no peers lists them as an empty
+// array, like every other list field, not as null.
+func TestClusterViewOneMember(t *testing.T) {
+	s := admin.New(admin.Config{Node: testNode(t, newTestStore(t)), Logf: t.Logf})
+	rec := do(t, s, "GET", "/api/v1/cluster", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cluster view: %d %s", rec.Code, rec.Body.String())
+	}
+	var view map[string]json.RawMessage
+	decodeJSON(t, rec, &view)
+	if got := string(view["peers"]); got != "[]" {
+		t.Fatalf(`cluster view answers "peers":%s, want "peers":[]`, got)
+	}
+}
+
 // TestAdminMutationsPersist is the durability contract for API-driven
 // mutations: create, drop, recreate over the handlers, kill the
 // process, and the restart recovers exactly the final generation.

@@ -304,11 +304,12 @@ func (n *Node) SetPeers(peers []string) {
 	n.peers = append([]string(nil), peers...)
 }
 
-// Peers returns a copy of the member list.
+// Peers returns a copy of the member list, empty but not nil when there
+// are no peers (it is served as a JSON array).
 func (n *Node) Peers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]string(nil), n.peers...)
+	return append([]string{}, n.peers...)
 }
 
 // Start binds the server to addr and, when Interval > 0, starts the
@@ -329,18 +330,20 @@ func (n *Node) Start(addr string) (net.Listener, error) {
 	if n.cfg.Interval > 0 {
 		n.loopCancel = make(chan struct{})
 		n.loopDone = make(chan struct{})
-		go n.loop()
+		go n.loop(n.loopCancel, n.loopDone)
 	}
 	return l, nil
 }
 
-func (n *Node) loop() {
-	defer close(n.loopDone)
+// loop runs reconciler rounds until cancel closes, then closes done. It
+// takes its channels as arguments because Close clears the fields.
+func (n *Node) loop(cancel <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	tick := time.NewTicker(n.cfg.Interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-n.loopCancel:
+		case <-cancel:
 			return
 		case <-tick.C:
 			n.GossipOnce()

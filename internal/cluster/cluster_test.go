@@ -550,3 +550,40 @@ func TestReconcileRespectsDroppedSets(t *testing.T) {
 		t.Fatal("empty error")
 	}
 }
+
+// TestCloseRightAfterStart: Close stops the reconciler loop whether the
+// loop's goroutine has not run yet or is in the middle of a round, and
+// returns promptly either way.
+func TestCloseRightAfterStart(t *testing.T) {
+	st := testStore(t, 0)
+	net := simnet.New(5)
+	for i := 0; i < 200; i++ {
+		addr := fmt.Sprintf("node0:%d", i+1)
+		n, err := New(Config{
+			Store:     st,
+			Network:   "sim",
+			Interval:  time.Millisecond,
+			Peers:     []string{addr}, // itself, so rounds do real work
+			Transport: net.Host("node0"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			time.Sleep(time.Duration(i%3) * time.Millisecond) // let rounds start
+		}
+		closed := make(chan struct{})
+		go func() {
+			n.Close(time.Second) //nolint:errcheck
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: Close did not return within 5s", i)
+		}
+	}
+}

@@ -14,12 +14,20 @@
 //
 // Alice applies that rule exactly without scanning all of Bob's keys. A
 // pair agreeing in at least T of h entries disagrees in at most h−T, so
-// it agrees in at least one of any P = h−T+1 fixed positions
-// (pigeonhole). She indexes Bob's keys by their entries in positions
-// 0..P−1 and checks in full only the keys sharing one of those entries
-// with hers; every other key agrees in fewer than T entries, so the
-// verdict is the scan's. Because T > h/2, P < h/2 + 1; for the one-sided
-// plan (T = 1) every position is indexed.
+// if the h positions are split into P = h−T+1 groups, the pair agrees
+// on every entry of at least one group (pigeonhole). She splits them
+// into P contiguous groups, group g = [g·h/P, (g+1)·h/P), indexes Bob's
+// keys by (group, the group's entries), and checks in full only the
+// keys that share a whole group with hers; every other key agrees in
+// fewer than T entries, so the verdict is the scan's. A whole group is
+// a far more selective bucket than one entry when entries carry few
+// bits; for the one-sided plan (T = 1) every group is one position.
+//
+// On the Hamming cube an LSH value is one sampled coordinate, so an
+// entry takes at most (Δ+1)^m values however wide its hash. When that
+// is at most 256 the keyer tabulates every entry's values at plan time
+// and keys a point by table lookups (see keyer); the keys, and so the
+// wire, are the same as hashing each entry afresh.
 //
 // Theorem 4.5's low-dimension variant uses the one-sided grid family
 // (p2 = 0): keys shrink to h = Θ(log n / log(1/ρ̂)) entries and a single
@@ -132,15 +140,30 @@ type Result struct {
 // LSH values. The kernel holds the h·m draws, batch-major (the gap
 // families are unpadded, so every draw reads the point), and pows each
 // entry's m polynomial weights, precomputed.
+//
+// When every draw samples a coordinate of a space with a small alphabet
+// [0, Δ] (the Hamming cube: Δ = 1), an entry takes at most (Δ+1)^m
+// values, and if that is at most maxEntryTable the keyer tabulates them:
+// entry j's value for digits c_0 … c_{m−1} is
+// table[j·size + Σ c_t·(Δ+1)^t], the hash the general path computes from
+// the LSH values c_t + 1. Keying a point is then m coordinate reads and
+// one lookup per entry. A point with a coordinate outside [0, Δ] takes
+// the general path, so keys are the same for every input.
 type keyer struct {
 	h, m    int
 	kern    *lsh.Kernel
 	entryKH []hashx.KeyHasher
 	pows    []uint64 // entry j's weights are pows[j·m:(j+1)·m]
 	bits    uint
+	delta   uint32   // with table: the largest tabulated coordinate
+	size    int      // with table: (Δ+1)^m, one entry's table length
+	table   []uint64 // entry tables, or nil for the general path alone
 }
 
-func newKeyer(family lsh.Family, h, m int, bits uint, src *rng.Source) *keyer {
+// maxEntryTable caps (Δ+1)^m, the values one entry's table holds.
+const maxEntryTable = 256
+
+func newKeyer(family lsh.Family, delta int32, h, m int, bits uint, src *rng.Source) *keyer {
 	kern := lsh.DrawKernel(family, src, h*m)
 	khs := make([]hashx.KeyHasher, h)
 	pows := make([]uint64, 0, h*m)
@@ -148,17 +171,65 @@ func newKeyer(family lsh.Family, h, m int, bits uint, src *rng.Source) *keyer {
 		khs[j] = hashx.NewKeyHasher(src, bits)
 		pows = khs[j].AppendPowers(pows, m)
 	}
-	return &keyer{h: h, m: m, kern: kern, entryKH: khs, pows: pows, bits: bits}
+	k := &keyer{h: h, m: m, kern: kern, entryKH: khs, pows: pows, bits: bits}
+	if kern.Coords() != nil {
+		k.tabulate(delta)
+	}
+	return k
+}
+
+// tabulate builds the entry tables over the alphabet [0, delta] when an
+// entry's table would hold at most maxEntryTable values.
+func (k *keyer) tabulate(delta int32) {
+	base, size := int(delta)+1, 1
+	for t := 0; t < k.m; t++ {
+		if size *= base; size > maxEntryTable {
+			return
+		}
+	}
+	k.delta, k.size = uint32(delta), size
+	k.table = make([]uint64, k.h*size)
+	var vals [8]uint64 // base >= 2 and size <= 256, so m <= 8
+	for j := 0; j < k.h; j++ {
+		for d := 0; d < size; d++ {
+			for t, r := 0, d; t < k.m; t, r = t+1, r/base {
+				vals[t] = uint64(r%base) + 1
+			}
+			k.table[j*size+d] = k.entryKH[j].HashPowers(vals[:k.m], k.pows[j*k.m:(j+1)*k.m])
+		}
+	}
 }
 
 // keyInto writes p's key (h entries) into dst, using batch (m entries)
 // as scratch.
 func (k *keyer) keyInto(dst, batch []uint64, p metric.Point) {
+	if k.table != nil && k.tableKeyInto(dst, p) {
+		return
+	}
 	for j := range dst {
 		lo, hi := j*k.m, (j+1)*k.m
 		vals := k.kern.HashRangeInto(batch, p, lo, hi)
 		dst[j] = k.entryKH[j].HashPowers(vals, k.pows[lo:hi])
 	}
+}
+
+// tableKeyInto writes p's key from the entry tables. It reports false,
+// leaving dst partly written, if p has a coordinate outside [0, Δ].
+func (k *keyer) tableKeyInto(dst []uint64, p metric.Point) bool {
+	coords, base := k.kern.Coords(), k.delta+1
+	for j := range dst {
+		cs := coords[j*k.m : (j+1)*k.m]
+		var d uint32
+		for t := len(cs) - 1; t >= 0; t-- {
+			c := uint32(p[cs[t]])
+			if c > k.delta {
+				return false
+			}
+			d = d*base + c
+		}
+		dst[j] = k.table[j*k.size+int(d)]
+	}
+	return true
 }
 
 // keyBatch computes every element's key into one flat slice: element
@@ -275,7 +346,7 @@ func newPlan(p Params) (*plan, error) {
 	src := rng.New(p.Seed)
 	return &plan{
 		params:    p,
-		ky:        newKeyer(family, h, m, EntryBits(p.N), src.Split()),
+		ky:        newKeyer(family, p.Space.Delta, h, m, EntryBits(p.N), src.Split()),
 		threshold: threshold,
 		h:         h,
 		rho:       rho,
@@ -302,7 +373,7 @@ func newOneSidedPlan(p Params, pExp float64) (*plan, error) {
 	src := rng.New(p.Seed)
 	return &plan{
 		params:    p,
-		ky:        newKeyer(g, h, 1, EntryBits(p.N), src.Split()),
+		ky:        newKeyer(g, p.Space.Delta, h, 1, EntryBits(p.N), src.Split()),
 		threshold: 1, // one matching entry certifies closeness (p2 = 0)
 		h:         h,
 		rho:       g.RhoHat,
@@ -347,10 +418,10 @@ func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, e
 // Classification applies §4.1's rule exactly: an element is far when its
 // key agrees with no key of Bob's in T = threshold or more of its h
 // entries. Since such a pair disagrees in at most h−T entries, it must
-// agree in at least one of any P = h−T+1 fixed positions (pigeonhole), so
-// only Bob keys sharing an entry with Alice's in positions 0..P−1 can be
-// close, and checking just those (closeIndex) gives the same verdict as
-// scanning all of Bob's keys.
+// agree on a whole group of any split into P = h−T+1 groups
+// (pigeonhole), so only Bob keys sharing a whole group with Alice's can
+// be close, and checking just those (closeIndex) gives the same verdict
+// as scanning all of Bob's keys.
 func runAliceKeyed(pl *plan, conn transport.Conn, sa metric.PointSet, keys []uint64, payloads [][]byte) (AliceReport, error) {
 	p := pl.params
 	children := make([]setsets.Child, len(payloads))
@@ -446,10 +517,11 @@ func (pl *plan) classify(keys []uint64, payloads [][]byte, rec setsets.Result) (
 
 // closeIndex answers "does some indexed key agree with this one in at
 // least t of h entries?" exactly, by the pigeonhole rule in the package
-// doc: only keys sharing an entry in the first p = h−t+1 positions are
-// candidates. Keys are bucketed by (position, entry) for those p
-// positions in one counting-sorted array, and each candidate is checked
-// in full at most once per query.
+// doc: the h positions are split into p = h−t+1 contiguous groups, and
+// only keys agreeing with the query on a whole group are candidates.
+// Keys are bucketed by (group, the group's entries) in one
+// counting-sorted array, and each candidate is checked in full at most
+// once per query.
 type closeIndex struct {
 	keys    []uint64 // indexed keys, h entries each
 	h, t, p int
@@ -476,16 +548,18 @@ func newCloseIndex(keys []uint64, h, t int) *closeIndex {
 	// ends it; filling backwards moves each start[b] to its bucket's
 	// first slot and keeps ids ascending within a bucket.
 	for k := 0; k < n; k++ {
-		for j := 0; j < p; j++ {
-			x.start[x.bucket(j, keys[k*h+j])]++
+		key := keys[k*h : (k+1)*h]
+		for g := 0; g < p; g++ {
+			x.start[x.bucket(g, key)]++
 		}
 	}
 	for b := 1; b <= nb; b++ {
 		x.start[b] += x.start[b-1]
 	}
 	for k := n - 1; k >= 0; k-- {
-		for j := p - 1; j >= 0; j-- {
-			b := x.bucket(j, keys[k*h+j])
+		key := keys[k*h : (k+1)*h]
+		for g := p - 1; g >= 0; g-- {
+			b := x.bucket(g, key)
 			x.start[b]--
 			x.ids[x.start[b]] = int32(k)
 		}
@@ -493,8 +567,19 @@ func newCloseIndex(keys []uint64, h, t int) *closeIndex {
 	return x
 }
 
-func (x *closeIndex) bucket(j int, v uint64) int {
-	return int((v ^ uint64(j)<<48) * 0x9e3779b97f4a7c15 >> x.shift)
+// group returns the positions [lo, hi) of group g.
+func (x *closeIndex) group(g int) (lo, hi int) {
+	return g * x.h / x.p, (g + 1) * x.h / x.p
+}
+
+// bucket hashes group g of key.
+func (x *closeIndex) bucket(g int, key []uint64) int {
+	lo, hi := x.group(g)
+	v := uint64(g) << 48
+	for _, e := range key[lo:hi] {
+		v = (v ^ e) * 0x9e3779b97f4a7c15
+	}
+	return int(v >> x.shift)
 }
 
 // close reports whether some indexed key agrees with a in at least t
@@ -502,13 +587,13 @@ func (x *closeIndex) bucket(j int, v uint64) int {
 func (x *closeIndex) close(a []uint64) bool {
 	x.query++
 	h := x.h
-	for j := 0; j < x.p; j++ {
-		v := a[j]
-		b := x.bucket(j, v)
+	for g := 0; g < x.p; g++ {
+		lo, hi := x.group(g)
+		b := x.bucket(g, a)
 		for _, k := range x.ids[x.start[b]:x.start[b+1]] {
 			bk := x.keys[int(k)*h : int(k+1)*h]
-			if x.stamp[k] == x.query || bk[j] != v {
-				continue // checked already, or another bucket's entry
+			if x.stamp[k] == x.query || !slices.Equal(bk[lo:hi], a[lo:hi]) {
+				continue // checked already, or another bucket's group
 			}
 			x.stamp[k] = x.query
 			if matches(a, bk) >= x.t {

@@ -367,11 +367,13 @@ func (pl *plan) isClose(aKey []uint64, bobKeys [][]uint64) bool {
 
 // TestCloseIndexMatchesScan checks the pigeonhole index against the
 // reference scan, verdict by verdict, on the benchmark's plan shape, a
-// small-N plan and a one-sided plan (threshold 1, so every position is
-// indexed). Alice's keys are planted at exactly T and T−1 entries from a
-// Bob key, including keys whose only agreement inside the first P =
-// h−T+1 positions is at position P−1, and keys that agree only outside
-// them: an index over too few positions misses the first kind.
+// small-N plan and a one-sided plan (threshold 1, so every group is one
+// position). Alice's keys are planted at exactly T and T−1 entries from
+// a Bob key: anywhere; on the last T positions or the last T−1; and at
+// the grouped index's edges, T agreements with one disagreement in every
+// group of P = h−T+1 but one (the first, a middle or the last group
+// intact) and T−1 agreements with one disagreement in every group. An
+// index over fewer groups misses some of the intact-group keys.
 func TestCloseIndexMatchesScan(t *testing.T) {
 	bench, err := newPlan(Params{Space: metric.HammingCube(1024), N: 512, R1: 8, R2: 256, Seed: 1})
 	if err != nil {
@@ -433,6 +435,25 @@ func TestCloseIndexMatchesScan(t *testing.T) {
 				}
 				return s
 			}
+			// broken keeps every position but one random position in
+			// each group [g·h/P, (g+1)·h/P) other than intact (−1: break
+			// every group).
+			broken := func(intact int) []int {
+				var keep []int
+				for g := 0; g < P; g++ {
+					lo, hi := g*h/P, (g+1)*h/P
+					drop := -1
+					if g != intact {
+						drop = lo + src.Intn(hi-lo)
+					}
+					for j := lo; j < hi; j++ {
+						if j != drop {
+							keep = append(keep, j)
+						}
+					}
+				}
+				return keep
+			}
 			var alice [][]uint64
 			for q := 0; q < 40; q++ {
 				a := make([]uint64, h)
@@ -448,8 +469,12 @@ func TestCloseIndexMatchesScan(t *testing.T) {
 				alice = append(alice,
 					plant(k, perm[:T]),     // exactly T, anywhere
 					plant(k, perm[:T-1]),   // exactly T−1, anywhere
-					plant(k, span(P-1, h)), // T; the window's last position only
-					plant(k, span(P, h)),   // T−1, all outside the window
+					plant(k, span(P-1, h)), // T, the last positions
+					plant(k, span(P, h)),   // T−1, the last positions
+					plant(k, broken(0)),    // T, the first group intact
+					plant(k, broken(P/2)),  // T, a middle group intact
+					plant(k, broken(P-1)),  // T, the last group intact
+					plant(k, broken(-1)),   // T−1, every group broken
 					append([]uint64(nil), bobRows[k]...),
 				)
 			}

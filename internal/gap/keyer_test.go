@@ -2,12 +2,15 @@ package gap
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/lsh"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // TestKeyerPayloadsMatchProtocol: cached payloads equal the keys the
@@ -161,4 +164,70 @@ func TestNewPlanAllocs(t *testing.T) {
 	if n > 16 {
 		t.Fatalf("newPlan allocates %v times, want <= 16", n)
 	}
+}
+
+// TestEntryTableMatchesGeneral: keys read from the entry tables equal
+// the general path's (kernel values hashed per entry) on Hamming spaces
+// with Δ = 1 at m = 1, 3 and 8 and with Δ = 3 at m = 2, and a point with
+// one sampled coordinate outside [0, Δ] (−1, Δ+1 or 2³⁰, in the first
+// or the last entry) takes the general path and gets its key. Past
+// (Δ+1)^m = 256 the keyer keeps the general path alone.
+func TestEntryTableMatchesGeneral(t *testing.T) {
+	const d, h = 97, 21
+	for _, c := range []struct {
+		delta int32
+		m     int
+		table bool
+	}{{1, 1, true}, {1, 3, true}, {1, 8, true}, {3, 2, true}, {1, 9, false}, {3, 5, false}} {
+		space := metric.Grid(c.delta, d, metric.Hamming)
+		src := rng.New(uint64(c.m)*10 + uint64(c.delta))
+		ky := newKeyer(lsh.NewCoordSampling(space, d), c.delta, h, c.m, EntryBits(512), src)
+		if (ky.table != nil) != c.table {
+			t.Fatalf("Δ=%d m=%d: entry tables built %v, want %v", c.delta, c.m, ky.table != nil, c.table)
+		}
+		general := *ky
+		general.table = nil
+
+		pts := workload.RandomSet(space, 40, src)
+		for _, bad := range []int32{-1, c.delta + 1, 1 << 30} {
+			for _, draw := range []int{0, h*c.m - 1} {
+				pt := workload.RandomPoint(space, src)
+				pt[ky.kern.Coords()[draw]] = bad
+				pts = append(pts, pt)
+			}
+		}
+		got, want := make([]uint64, h), make([]uint64, h)
+		batch := make([]uint64, c.m)
+		for i, pt := range pts {
+			if ky.table != nil {
+				inRange := space.Contains(pt)
+				if ok := ky.tableKeyInto(got, pt); ok != inRange {
+					t.Fatalf("Δ=%d m=%d point %d: table path reports %v, coordinates in range %v",
+						c.delta, c.m, i, ok, inRange)
+				}
+			}
+			ky.keyInto(got, batch, pt)
+			general.keyInto(want, batch, pt)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Δ=%d m=%d point %d: table key %v, general key %v", c.delta, c.m, i, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkKeyBatch keys a set at the gap-oneshot benchmark's shape:
+// d = 1024, N = n = 512, r1 = 8, r2 = 256 (h = 60, m = 3).
+func BenchmarkKeyBatch(b *testing.B) {
+	space := metric.HammingCube(1024)
+	pl, err := newPlan(Params{Space: space, N: 512, R1: 8, R2: 256, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := workload.RandomSet(space, 512, rng.New(6))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.keyBatch(pts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }

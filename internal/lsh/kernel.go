@@ -100,6 +100,17 @@ func (k *Kernel) Active() int {
 	return k.n
 }
 
+// Coords returns the coordinate each draw reads, in draw order, when
+// every draw is an unpadded coordinate sample, and nil otherwise. Draw
+// j's value on p is then uint64(uint32(p[Coords()[j]])) + 1. The slice
+// is the kernel's own and must not be modified.
+func (k *Kernel) Coords() []int32 {
+	if k.kind != kernelCoord || k.pos != nil {
+		return nil
+	}
+	return k.idx
+}
+
 // Constant reports whether draw j (in draw order) ignores the point and,
 // if so, the value it returns for every point.
 func (k *Kernel) Constant(j int) (uint64, bool) {

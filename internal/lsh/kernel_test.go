@@ -58,6 +58,8 @@ func TestKernelDotsMatchReference(t *testing.T) {
 // kernel's values are the dense vector's — the evaluated draws in draw
 // order, and each draw it reports constant returns that constant on
 // every point — and a range of them is the same slice of the whole.
+// Coords lists the sampled coordinates exactly for unpadded coordinate
+// sampling.
 func TestKernelMatchesVector(t *testing.T) {
 	for _, d := range kernelDims {
 		hamming := metric.HammingCube(d)
@@ -66,12 +68,13 @@ func TestKernelMatchesVector(t *testing.T) {
 			space  metric.Space
 			fam    Family
 			padded bool
+			coords bool
 		}{
-			{hamming, NewCoordSampling(hamming, float64(4*d)), true},
-			{hamming, NewCoordSampling(hamming, float64(d)), false},
-			{grid, NewGridL1(grid, 50), false},
-			{grid, NewOneSidedGrid(grid, 1, 10*float64(d), 1), false},
-			{metric.Grid(4095, d, metric.L2), NewPStableL2(metric.Grid(4095, d, metric.L2), 300), false},
+			{hamming, NewCoordSampling(hamming, float64(4*d)), true, false},
+			{hamming, NewCoordSampling(hamming, float64(d)), false, true},
+			{grid, NewGridL1(grid, 50), false, false},
+			{grid, NewOneSidedGrid(grid, 1, 10*float64(d), 1), false, false},
+			{metric.Grid(4095, d, metric.L2), NewPStableL2(metric.Grid(4095, d, metric.L2), 300), false, false},
 		}
 		for _, c := range families {
 			name := c.fam.String()
@@ -90,10 +93,19 @@ func TestKernelMatchesVector(t *testing.T) {
 			if (consts > 0) != c.padded {
 				t.Fatalf("%s: %d of %d draws constant", name, consts, n)
 			}
+			coords := k.Coords()
+			if (coords != nil) != c.coords || (coords != nil && len(coords) != n) {
+				t.Fatalf("%s: Coords has %d entries (nil %v), want coordinates %v", name, len(coords), coords == nil, c.coords)
+			}
 			dst := make([]uint64, n)
 			for pi, p := range kernelPoints(c.space, rng.New(13), 20) {
 				got := k.HashInto(dst, p)
 				want := vec.Hash(p)
+				for j, i := range coords {
+					if v := uint64(uint32(p[i])) + 1; v != want[j] {
+						t.Fatalf("%s point %d draw %d: coordinate %d gives %#x, vector %#x", name, pi, j, i, v, want[j])
+					}
+				}
 				a := 0
 				for j, w := range want {
 					if v, ok := k.Constant(j); ok {

@@ -234,11 +234,21 @@ func (s Space) Clamp(p Point) Point {
 // that need determinism sort or hash explicitly.
 type PointSet []Point
 
-// Clone deep-copies the set.
+// Clone deep-copies the set in two allocations: the coordinates of every
+// point share one backing array (alive while any cloned point is), and
+// each cloned point is capacity-capped, so appending to one cannot
+// overwrite the next.
 func (ps PointSet) Clone() PointSet {
+	total := 0
+	for _, p := range ps {
+		total += len(p)
+	}
+	flat := make([]int32, total)
 	out := make(PointSet, len(ps))
 	for i, p := range ps {
-		out[i] = p.Clone()
+		n := copy(flat, p)
+		out[i] = Point(flat[:n:n])
+		flat = flat[n:]
 	}
 	return out
 }

@@ -175,6 +175,40 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestPointSetCloneFlat: a clone costs two allocations, shares no
+// memory with its source, and appending to one cloned point leaves the
+// next unchanged.
+func TestPointSetCloneFlat(t *testing.T) {
+	ps := PointSet{Point{1, 2, 3}, Point{}, Point{4, 5}, Point{6}}
+	if n := testing.AllocsPerRun(20, func() { ps.Clone() }); n != 2 {
+		t.Fatalf("PointSet.Clone allocates %v times, want 2", n)
+	}
+	c := ps.Clone()
+	if len(c) != len(ps) {
+		t.Fatalf("clone has %d points, want %d", len(c), len(ps))
+	}
+	for i := range ps {
+		if !c[i].Equal(ps[i]) {
+			t.Fatalf("point %d: clone %v, source %v", i, c[i], ps[i])
+		}
+		for j := range c[i] {
+			c[i][j] += 100
+			if ps[i][j] == c[i][j] {
+				t.Fatalf("point %d coordinate %d: clone shares memory with its source", i, j)
+			}
+		}
+	}
+	c = ps.Clone()
+	c[0] = append(c[0], 99)
+	c[1] = append(c[1], 98)
+	if !c[2].Equal(Point{4, 5}) || !c[3].Equal(Point{6}) {
+		t.Fatalf("appending to cloned points changed their neighbours: %v", c)
+	}
+	if !ps[0].Equal(Point{1, 2, 3}) || !ps[2].Equal(Point{4, 5}) {
+		t.Fatalf("appending to cloned points changed the source: %v", ps)
+	}
+}
+
 func TestMinDistanceTo(t *testing.T) {
 	s := Grid(100, 1, L1)
 	ps := PointSet{Point{10}, Point{20}, Point{30}}
