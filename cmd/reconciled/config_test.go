@@ -119,6 +119,11 @@ func TestConfigFileErrors(t *testing.T) {
 		{"retired -workers flag", "workers: 4\n"},
 		{"retired -pprof flag", "pprof: localhost:6060\n"},
 		{"retired -quarantine flag", "quarantine: 16\n"},
+		{"retired -connect flag", "connect: :7444\n"},
+		{"retired -proto flag", "proto: gap\n"},
+		{"retired -noise flag", "noise: 2\n"},
+		{"retired -r1 flag", "r1: 8\n"},
+		{"retired -r2 flag", "r2: 128\n"},
 		{"config self-reference", "config: other.yaml\n"},
 		{"bad value for typed flag", "n: not-a-number\n"},
 		{"structure line", "cluster:\n  peers: a\n"},

@@ -1,54 +1,43 @@
-// Command reconciled is the reconciliation daemon: it serves the
-// paper's protocols (EMD, Gap) to many concurrent peers over TCP or
-// unix sockets through the session engine, and doubles as the matching
-// client.
+// Command reconciled is the reconciliation daemon: a member of an
+// anti-entropy mesh that hosts named live sets, serves them to peers
+// over TCP or unix sockets through the session engine, and converges
+// them with those peers. The paper's protocols between two parties run
+// in cmd/reconcile (in process) and examples/netsync (over TCP).
 //
-// Every serving mode runs one cluster node (internal/cluster): a store
-// of named live sets (robustsync epoch-tagged mutable state) behind a
-// session server. With -listen alone the node has no peers and hosts
-// two sets, each named after the protocol it serves: live-emd, an EMD
-// set served with epoch tagging, so returning peers that announce their
-// last synced epoch receive only the churned cells, and gap, served
-// from the set's cached key payloads. With -mutate M the daemon churns
-// M point replacements per second in each; the sketch and key payloads
-// follow incrementally.
+// Every mode runs one cluster node (internal/cluster): a store of the
+// named sets of -sets (robustsync epoch-tagged mutable state) behind a
+// session server. Every set serves probe and repair, the exact-ID
+// protocols anti-entropy runs on; the first set also keeps an EMD
+// sketch (Algorithm 1) and serves live-emd with epoch tagging, so a
+// returning client that announces its last synced epoch receives only
+// the churned cells. Each set starts with a base every member agrees on
+// plus divergent extra points derived from the member's own identity,
+// so a fresh mesh visibly converges. With -mutate M the member adds M
+// points per second to each set it hosts, up to a bounded budget.
 //
-// Server and client derive these two sets' synthetic two-party workload
-// — and, critically, their protocol Params — from the same flags,
-// standing in for two deployments that share configuration out of
-// band. The client dials the set its -proto names, and the session
-// header's parameter digest enforces the agreement on every connection.
+// Every member derives its sets' configuration, and so their parameter
+// digests, from the same workload flags (-d -n -k -diff -mutate -seed)
+// and the same -sets list. A peer whose flags differ is refused at the
+// session hello with a digest mismatch.
 //
-// Usage:
+// -listen alone runs a member with no peers, which serves its sets and
+// runs no rounds. -cluster lists static peers, with which the node
+// converges continuously via power-of-two-choices probing and
+// escalating repair (see internal/cluster).
 //
-//	reconciled -listen :7444                      # serve live-emd, gap
+//	reconciled -listen :7441                      # no peers: alpha, beta
 //	reconciled -listen unix:/tmp/reconciled.sock  # same, unix socket
-//	reconciled -listen :7444 -mutate 10           # churn 10 point
-//	                                              # replacements per second
-//	reconciled -connect :7444 -proto live-emd     # two sessions on one
-//	                                              # cache: full, then delta
-//	reconciled -connect :7444 -proto gap -mutate 1  # against a churning
-//	                                              # server: no coverage check
-//
-// With -cluster the node becomes an anti-entropy mesh member: it hosts
-// the named sets of -sets instead, served under their namespaces and
-// converging continuously with the listed peers via
-// power-of-two-choices probing and escalating repair (see
-// internal/cluster). Every member must run the same workload flags and
-// the same -sets list; each member's sets start with divergent extra
-// points derived from its own -listen address, so a fresh mesh visibly
-// converges.
-//
 //	reconciled -listen :7441 -cluster :7442,:7443 -sets alpha,beta
+//	reconciled -listen :7441 -cluster :7442 -mutate 10
 //
-// With -data-dir every serving mode is crash-recoverable: each named
-// set keeps a write-ahead journal plus epoch snapshots under the
-// directory (see internal/store/durable), -fsync picks the journal
-// sync policy (always | batch | off), startup recovers whatever state
-// a previous life left behind, and graceful shutdown drains into a
-// final snapshot so the next boot replays nothing. A killed process
-// restarts from its journal with bit-identical sketches and catches up
-// with the mesh through the ordinary delta tiers.
+// With -data-dir every mode is crash-recoverable: each named set keeps
+// a write-ahead journal plus epoch snapshots under the directory (see
+// internal/store/durable), -fsync picks the journal sync policy
+// (always | batch | off), startup recovers whatever state a previous
+// life left behind, and graceful shutdown drains into a final snapshot
+// so the next boot replays nothing. A killed process restarts from its
+// journal with bit-identical sketches and catches up with the mesh
+// through the ordinary repair tiers.
 //
 //	reconciled -listen :7441 -cluster :7442 -data-dir /var/lib/reconciled
 //
@@ -61,34 +50,30 @@
 // through the ordinary repair path; one that loses it drops only
 // after handoff confirms every owner holds the content; SIGINT/
 // SIGTERM announces a graceful leave so shards move immediately, not
-// after a suspicion timeout. Every member must run the same workload
-// flags, -sets list, -replication and -seed (the ring's hash family);
-// -advertise (default: the -listen address) is the address other
-// members dial — the node's gossip identity — so give each member a
-// reachable host:port.
+// after a suspicion timeout. Every member must also run the same
+// -replication; -advertise (default: the -listen address) is the
+// address other members dial, the node's gossip identity, so give each
+// member a reachable host:port.
 //
 //	reconciled -listen :7441 -advertise h1:7441 -join h2:7442,h3:7443
 //	reconciled -listen :7442 -advertise h2:7442 -join h1:7441 -replication 2
 //
-// With -admin, in any serving mode, the daemon serves its operator
-// surface on a dedicated localhost HTTP listener: set create/drop/list
-// with live reconciliation stats, cluster membership/placement/health
-// views, a graceful-drain trigger, a Prometheus /metrics endpoint, and
-// pprof — see internal/admin and the README's Operations section.
-// -config loads any flag from a file of flat "flag: value" lines;
-// explicit flags win over file values.
+// With -admin the daemon serves its operator surface on a dedicated
+// localhost HTTP listener: set create/drop/list with live
+// reconciliation stats, cluster membership/placement/health views, a
+// graceful-drain trigger, a Prometheus /metrics endpoint, and pprof;
+// see internal/admin and the README's Operations section. -config
+// loads any flag from a file of flat "flag: value" lines; explicit
+// flags win over file values.
 //
 //	reconciled -listen :7441 -cluster h2:7441 -admin localhost:7470
 //	reconciled -config /etc/reconciled.yaml -listen :7441
 //
-// On SIGINT/SIGTERM — or a POST to the admin API's /api/v1/drain —
-// every serving mode stops accepting, drains in-flight sessions for up
-// to -drain, force-closes stragglers, shuts the operator listeners
-// down, and prints final stats before exiting.
-//
-// Workload flags (-d, -n, -k, -noise, -r1, -r2, -seed) must match
-// between server and client; -max-sessions and timeouts are local
-// tuning.
+// On SIGINT/SIGTERM, or a POST to the admin API's /api/v1/drain, the
+// daemon stops accepting, drains in-flight sessions for up to -drain,
+// force-closes stragglers, shuts the operator listeners down, and
+// prints final stats before exiting. -max-sessions and -timeout are
+// local tuning.
 package main
 
 import (
@@ -104,154 +89,44 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/admin"
 	"repro/internal/cluster"
 	"repro/internal/emd"
-	"repro/internal/gap"
 	"repro/internal/gossip"
 	"repro/internal/live"
 	"repro/internal/metric"
-	"repro/internal/netproto"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/store/durable"
-	"repro/internal/workload"
 )
 
 type config struct {
-	// workload (must agree between server and client)
-	d     int
-	n     int
-	k     int
-	noise float64
-	r1    float64
-	r2    float64
-	diff  int
-	seed  uint64
-	// mutate is the server's churn in mutations per second. A client
-	// passes nonzero against a churning server: Gap coverage against
-	// the fixture is checkable only while the server does not churn.
+	// workload (must agree between members)
+	d    int
+	n    int
+	k    int
+	diff int
+	seed uint64
+	// mutate is the churn in adds per second to each hosted set.
 	mutate int
 	// local tuning
 	maxSessions int
 	timeout     time.Duration
 }
 
-// fixture is the deterministic two-party state both endpoints derive
-// from the shared flags.
-type fixture struct {
-	emdParams emd.Params
-	emdSA     metric.PointSet
-	emdSB     metric.PointSet
-
-	gapParams gap.Params
-	gapSpace  metric.Space
-	gapSA     metric.PointSet
-	gapSB     metric.PointSet
-
-	// syncSeed seeds the point fingerprints of every cluster set (the
-	// exact-ID state probe and repair read).
-	syncSeed uint64
-}
-
-func newFixture(c config) (*fixture, error) {
-	f := &fixture{}
-	if c.r2 == 0 {
-		c.r2 = float64(c.d)
-	}
-
-	emdSpace := metric.HammingCube(c.d)
-	inst := workload.NewEMDInstance(emdSpace, c.n, c.k, c.noise, c.seed)
-	f.emdParams = emd.DefaultParams(emdSpace, c.n, c.k, c.seed+1)
-	f.emdSA, f.emdSB = inst.SA, inst.SB
-
-	f.gapSpace = metric.HammingCube(4 * c.d)
-	ginst, err := workload.NewGapInstance(f.gapSpace, c.n, c.k, 1, c.r1, c.r2, c.seed)
-	if err != nil {
-		return nil, fmt.Errorf("gap instance: %w", err)
-	}
-	// N bounds both parties: Alice holds n+k points, Bob n+1 (the
-	// instance plants one Bob-only point), so budget n+k+1.
-	f.gapParams = gap.Params{
-		Space: f.gapSpace, N: c.n + c.k + 1, R1: c.r1, R2: c.r2,
-		Seed: c.seed + 2,
-	}
-	f.gapSA, f.gapSB = ginst.SA, ginst.SB
-
-	f.syncSeed = c.seed + 4
-	return f, nil
-}
-
-// liveState replaces points in the one-member node's live sets through
-// mirrors seeded from each set's current points, so it churns a set
-// recovered from -data-dir as readily as a fresh one.
-type liveState struct {
-	mu      sync.Mutex
-	src     *rng.Source
-	sets    []*live.Set
-	spaces  []metric.Space
-	mirrors []metric.PointSet
-}
-
-func newLiveState(seed uint64, sets []*live.Set, spaces []metric.Space) *liveState {
-	st := &liveState{sets: sets, spaces: spaces}
-	// A recovered set is past epoch 1: folding the epochs into the seed
-	// keeps a restarted churner from redrawing the points its previous
-	// life added.
-	seed ^= 0xc4a12
-	for _, ls := range sets {
-		seed += ls.Epoch() - 1
-		st.mirrors = append(st.mirrors, ls.Snapshot().Points.Clone())
-	}
-	st.src = rng.New(seed)
-	return st
-}
-
-func randomPoint(space metric.Space, src *rng.Source) metric.Point {
-	pt := make(metric.Point, space.Dim)
-	for i := range pt {
-		pt[i] = int32(src.Uint64() % uint64(space.Delta+1))
-	}
-	return pt
-}
-
-// churn performs n point replacements on each live set
-// (size-preserving — the EMD model wants equal cardinalities).
-func (st *liveState) churn(n int) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := 0; i < n; i++ {
-		for j, ls := range st.sets {
-			mirror := st.mirrors[j]
-			k := int(st.src.Uint64() % uint64(len(mirror)))
-			pt := randomPoint(st.spaces[j], st.src)
-			if err := ls.ApplyBatch([]live.Op{
-				{Remove: true, Point: mirror[k]},
-				{Point: pt},
-			}); err != nil {
-				return err
-			}
-			mirror[k] = pt
-		}
-	}
-	return nil
-}
-
 // options is the daemon's command line: the modes' addresses and
 // tuning, and the workload config every mode derives its sets from.
 type options struct {
-	listen, connect, proto            string
-	peers, join, advertise, sets      string
-	dataDir, fsync, admin, configPath string
-	replication                       int
-	interval, drain                   time.Duration
-	cfg                               config
+	listen, peers, join, advertise, sets string
+	dataDir, fsync, admin, configPath    string
+	replication                          int
+	interval, drain                      time.Duration
+	cfg                                  config
 }
 
 // defineFlags defines every daemon flag on fs, bound to the returned
@@ -259,30 +134,25 @@ type options struct {
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", "", "serve on this address (host:port, or unix:/path)")
-	fs.StringVar(&o.connect, "connect", "", "run one client session against this address")
-	fs.StringVar(&o.proto, "proto", "live-emd", "client protocol, and the set it dials: live-emd | gap")
-	fs.StringVar(&o.peers, "cluster", "", "comma-separated peer addresses: join an anti-entropy mesh (needs -listen)")
-	fs.StringVar(&o.join, "join", "", "comma-separated gossip seed members: self-organising sharded mesh (needs -listen; any -cluster list adds seeds)")
+	fs.StringVar(&o.peers, "cluster", "", "comma-separated static peer addresses to converge with")
+	fs.StringVar(&o.join, "join", "", "comma-separated gossip seed members: self-organising sharded mesh (any -cluster list adds seeds)")
 	fs.StringVar(&o.advertise, "advertise", "", "address other members dial — the gossip identity (default: the -listen address)")
 	fs.IntVar(&o.replication, "replication", 3, "owners per shard on the placement ring (gossip mode)")
-	fs.StringVar(&o.sets, "sets", "alpha,beta", "named sets hosted in cluster mode (comma-separated)")
-	fs.DurationVar(&o.interval, "interval", time.Second, "anti-entropy round period (cluster mode)")
+	fs.StringVar(&o.sets, "sets", "alpha,beta", "named sets every member hosts (comma-separated; the first keeps an EMD sketch)")
+	fs.DurationVar(&o.interval, "interval", time.Second, "anti-entropy round period (with peers)")
 	fs.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline")
-	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (any serving mode): WAL + snapshots, recovery on startup")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory: WAL + snapshots, recovery on startup")
 	fs.StringVar(&o.fsync, "fsync", "batch", "journal fsync policy with -data-dir: always | batch | off")
 
 	c := &o.cfg
-	fs.IntVar(&c.d, "d", 128, "EMD dimension (gap uses 4d)")
-	fs.IntVar(&c.n, "n", 64, "points / children per party")
-	fs.IntVar(&c.k, "k", 4, "outlier budget")
-	fs.Float64Var(&c.noise, "noise", 2, "per-point noise radius (emd)")
-	fs.Float64Var(&c.r1, "r1", 8, "close radius (gap)")
-	fs.Float64Var(&c.r2, "r2", 0, "far radius (gap; default d)")
-	fs.IntVar(&c.diff, "diff", 16, "divergent extra points per member in each cluster set")
+	fs.IntVar(&c.d, "d", 128, "point dimension of every set")
+	fs.IntVar(&c.n, "n", 64, "shared base points per set")
+	fs.IntVar(&c.k, "k", 4, "outlier budget of the EMD set")
+	fs.IntVar(&c.diff, "diff", 16, "divergent extra points per member in each set")
 	fs.Uint64Var(&c.seed, "seed", 1, "shared public-coin seed")
-	fs.IntVar(&c.mutate, "mutate", 0, "live-set churn in mutations/sec (serving modes; a client passes nonzero against a churning server)")
+	fs.IntVar(&c.mutate, "mutate", 0, "churn in adds per second to each hosted set, up to a bounded budget")
 
-	fs.IntVar(&c.maxSessions, "max-sessions", 64, "concurrent session cap (server)")
+	fs.IntVar(&c.maxSessions, "max-sessions", 64, "concurrent session cap")
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-session deadline")
 	fs.StringVar(&o.admin, "admin", "", "serve the admin API and /metrics on this address (e.g. localhost:7470)")
 	fs.StringVar(&o.configPath, "config", "", "config file of flat \"flag: value\" lines; explicit flags win")
@@ -296,12 +166,12 @@ const maxMutate = int(time.Second)
 // checkOptions rejects a command line no mode can run.
 func checkOptions(o *options) error {
 	switch {
-	case o.listen == "" && o.connect == "":
-		return errors.New("need -listen or -connect (see -help)")
+	case o.listen == "":
+		return errors.New("need -listen (see -help)")
 	case o.cfg.mutate > maxMutate:
 		return fmt.Errorf("-mutate %d: at most %d mutations per second", o.cfg.mutate, maxMutate)
-	case o.listen != "" && (o.peers != "" || o.join != "") && len(parseSets(o.sets)) == 0:
-		return errors.New("cluster modes need at least one set in -sets")
+	case len(parseSets(o.sets)) == 0:
+		return errors.New("need at least one set in -sets")
 	}
 	return nil
 }
@@ -320,18 +190,7 @@ func main() {
 	if err := checkOptions(o); err != nil {
 		fail("%v", err)
 	}
-	f, err := newFixture(o.cfg)
-	if err != nil {
-		fail("%v", err)
-	}
-	if o.listen != "" {
-		serve(o, f)
-		return
-	}
-	network, host := splitAddr(o.connect)
-	if err := runClient(o.cfg, f, network, host, o.proto); err != nil {
-		fail("%v", err)
-	}
+	serve(o)
 }
 
 // daemon is one serving reconciled: a cluster node over its store, with
@@ -347,42 +206,47 @@ type daemon struct {
 	// addr is the bound -listen address.
 	addr   net.Addr
 	gossip bool
-	// live churns the one-member node's two fixture sets; nil in the
-	// mesh modes.
-	live *liveState
-	// churn applies one -mutate tick and reports whether churn goes on:
-	// point replacements on a one-member node, bounded adds in a mesh.
+	// churn applies one -mutate tick and reports whether churn goes on.
 	churn func() bool
 	// drained is closed by the admin API's drain request.
 	drained chan struct{}
 }
 
-// newDaemon builds what every -listen mode serves — one store and one
-// cluster node, with or without peers — and binds -listen and -admin.
-// The mode decides the sets: -listen alone hosts the two fixture sets,
-// live-emd and gap; -cluster hosts every -sets name; -join the names
-// the bootstrap ring assigns here. A set -data-dir recovered is kept as
-// it is.
-func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, error) {
+// self is the member's address as other members dial it: -advertise,
+// or the -listen address.
+func (o *options) self() string {
+	if o.advertise != "" {
+		return o.advertise
+	}
+	return o.listen
+}
+
+// memberTag is a member's identity, which seeds its peer choices, its
+// sets' divergent fresh-start extras and its churn: the gossip identity
+// under -join, else the -listen address.
+func memberTag(o *options) uint64 {
+	if o.join != "" {
+		return hashAddr(o.self())
+	}
+	return hashAddr(o.listen)
+}
+
+// newDaemon builds one store and one cluster node and binds -listen and
+// -admin. The mode decides the peers and the hosted sets: -listen alone
+// and -cluster host every -sets name, -join the names the bootstrap
+// ring assigns here. A set -data-dir recovered is kept as it is.
+func newDaemon(o *options, logf func(string, ...any)) (*daemon, error) {
 	cfg := o.cfg
 	network, host := splitAddr(o.listen)
 	d := &daemon{o: o, logf: logf, store: store.New(), gossip: o.join != "", drained: make(chan struct{})}
-	self := o.advertise
-	if self == "" {
-		self = o.listen
-	}
+	self := o.self()
 	if o.dataDir != "" {
 		var err error
 		if d.dur, err = openDurable(o.dataDir, o.fsync, d.store, logf); err != nil {
 			return nil, err
 		}
 	}
-	// A member's identity seeds its peer choices and its sets'
-	// divergent fresh-start extras.
-	tag := hashAddr(o.listen)
-	if d.gossip {
-		tag = hashAddr(self)
-	}
+	tag := memberTag(o)
 	content := func(i int) metric.PointSet { return setContent(cfg, i, tag) }
 	ccfg := cluster.Config{
 		Store:    d.store,
@@ -399,14 +263,13 @@ func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, erro
 		SessionTimeout: cfg.timeout,
 	}
 	names := parseSets(o.sets)
-	d.churn = d.meshChurn(names)
+	d.churn = d.meshChurn(names, tag)
 	var mode string
-	switch {
-	case d.gossip:
+	if d.gossip {
 		// The static -cluster list doubles as extra gossip seeds: a
 		// mixed invocation bootstraps from both.
 		seeds := append(parseSets(o.join), ccfg.Peers...)
-		catalog := clusterCatalog(cfg, f, names, gossipCapacityNodes)
+		catalog := clusterCatalog(cfg, names, gossipCapacityNodes)
 		// Fresh-start content goes to the sets the bootstrap ring — self
 		// plus the seed members — assigns here. The hosted roster follows
 		// the gossiped membership once rounds run: ApplyPlacement creates
@@ -431,36 +294,16 @@ func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, erro
 		ccfg.Replication = o.replication
 		ccfg.PlacementSeed = cfg.seed
 		mode = fmt.Sprintf("gossip member (%d seeds, %d-shard catalog at R=%d, round every %v)", len(seeds), len(names), o.replication, o.interval)
-	case o.peers != "":
-		if err := createMissing(d.store, clusterCatalog(cfg, f, names, len(ccfg.Peers)+1), content, nil); err != nil {
+	} else {
+		if err := createMissing(d.store, clusterCatalog(cfg, names, len(ccfg.Peers)+1), content, nil); err != nil {
 			return nil, fmt.Errorf("cluster store: %w", err)
 		}
 		mode = fmt.Sprintf("cluster member (%d peers, round every %v)", len(ccfg.Peers), o.interval)
-	default:
-		fixtureSets := []cluster.CatalogSet{
-			{Name: netproto.ProtoLiveEMD.String(), Config: live.Config{EMD: &f.emdParams}},
-			{Name: netproto.ProtoGap.String(), Config: live.Config{Gap: &f.gapParams}},
+		if len(ccfg.Peers) == 0 {
+			// A round with no peers has nothing to do.
+			ccfg.Interval = -1
+			mode = "one-member node"
 		}
-		points := []metric.PointSet{f.emdSA, f.gapSA}
-		if err := createMissing(d.store, fixtureSets, func(i int) metric.PointSet { return points[i] }, nil); err != nil {
-			return nil, err
-		}
-		var sets []*live.Set
-		for _, cs := range fixtureSets {
-			ls, _ := d.store.Get(cs.Name)
-			sets = append(sets, ls)
-		}
-		d.live = newLiveState(cfg.seed, sets, []metric.Space{f.emdParams.Space, f.gapSpace})
-		// With no peers there is no round to run.
-		ccfg.Interval = -1
-		d.churn = func() bool {
-			if err := d.live.churn(1); err != nil {
-				logf("churn: %v", err)
-				return false
-			}
-			return true
-		}
-		mode = "one-member node"
 	}
 
 	var err error
@@ -485,7 +328,7 @@ func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, erro
 		// this member's deterministic divergent seed content, exactly
 		// like a flag-declared set's fresh start.
 		SetConfig: func(name string, seedPoints int) (live.Config, metric.PointSet, error) {
-			c := live.Config{Sync: &live.SyncConfig{Seed: f.syncSeed}}
+			c := live.Config{Sync: syncConfig(cfg)}
 			var pts metric.PointSet
 			if seedPoints > 0 {
 				pts = clusterPoints(metric.HammingCube(cfg.d), seedPoints,
@@ -504,16 +347,17 @@ func newDaemon(o *options, f *fixture, logf func(string, ...any)) (*daemon, erro
 	return d, nil
 }
 
-// meshChurn is a mesh member's -mutate tick: one fresh point added to
-// each named set it hosts, within a bounded budget. Anti-entropy
-// convergence is add-wins: every add spreads to the whole mesh and
-// nothing un-spreads, so unbounded churn would grow every member past
-// the (digest-relevant, hence fixed) EMD capacity and poison repairs
-// mesh-wide. Each member therefore churns a bounded budget the shared
-// capacity formula accounts for.
-func (d *daemon) meshChurn(names []string) func() bool {
+// meshChurn is a member's -mutate tick: one fresh point added to each
+// named set it hosts, within a bounded budget. Its draws are seeded
+// from the member's identity tag, so no two members add the same
+// points. Anti-entropy convergence is add-wins: every add spreads to
+// the whole mesh and nothing un-spreads, so unbounded churn would grow
+// every member past the (digest-relevant, hence fixed) EMD capacity and
+// poison repairs mesh-wide. Each member therefore churns a bounded
+// budget the shared capacity formula accounts for.
+func (d *daemon) meshChurn(names []string, tag uint64) func() bool {
 	cfg := d.o.cfg
-	src := rng.New(cfg.seed ^ hashAddr(d.o.listen) ^ 0xc4a12)
+	src := rng.New(cfg.seed ^ tag ^ 0xc4a12)
 	space := metric.HammingCube(cfg.d)
 	budget := churnBudget(cfg)
 	return func() bool {
@@ -588,9 +432,9 @@ func (d *daemon) close() {
 
 // serve runs the daemon until SIGINT/SIGTERM or an admin drain request,
 // churning its sets at -mutate meanwhile, then drains it.
-func serve(o *options, f *fixture) {
+func serve(o *options) {
 	logger := log.New(os.Stderr, "reconciled: ", log.LstdFlags|log.Lmicroseconds)
-	d, err := newDaemon(o, f, logger.Printf)
+	d, err := newDaemon(o, logger.Printf)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -623,13 +467,22 @@ func splitAddr(addr string) (network, host string) {
 	return "tcp", addr
 }
 
-// hashAddr derives a node-unique seed from its advertised address, so
-// cluster members launched with identical workload flags still start
-// with visibly divergent named sets.
+// hashAddr derives a node-unique seed from its address, so members
+// launched with identical workload flags still start with visibly
+// divergent named sets.
 func hashAddr(addr string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(addr)) //nolint:errcheck
 	return h.Sum64()
+}
+
+// randomPoint draws one point of space uniformly.
+func randomPoint(space metric.Space, src *rng.Source) metric.Point {
+	pt := make(metric.Point, space.Dim)
+	for i := range pt {
+		pt[i] = int32(src.Uint64() % uint64(space.Delta+1))
+	}
+	return pt
 }
 
 // clusterPoints draws deterministic points for cluster-set content.
@@ -664,8 +517,8 @@ func churnBudget(cfg config) int {
 // (see churnBudget), and it is digest-relevant via emd.Params.N — so
 // it must derive from flags and an agreed budget, never from a
 // member's local view of the topology.
-func clusterCatalog(cfg config, f *fixture, names []string, nodes int) []cluster.CatalogSet {
-	sync := &live.SyncConfig{Seed: f.syncSeed}
+func clusterCatalog(cfg config, names []string, nodes int) []cluster.CatalogSet {
+	sync := syncConfig(cfg)
 	space := metric.HammingCube(cfg.d)
 	capacity := cfg.n + nodes*(cfg.diff+churnBudget(cfg)) + 64
 	out := make([]cluster.CatalogSet, len(names))
@@ -678,6 +531,12 @@ func clusterCatalog(cfg config, f *fixture, names []string, nodes int) []cluster
 		out[i] = cluster.CatalogSet{Name: name, Config: c}
 	}
 	return out
+}
+
+// syncConfig is the Sync configuration every set shares: its seed
+// derives the point IDs probe and repair compare.
+func syncConfig(cfg config) *live.SyncConfig {
+	return &live.SyncConfig{Seed: cfg.seed + 4}
 }
 
 // setContent is set i's fresh-start points: shared base every member
@@ -764,57 +623,6 @@ func parseSets(csv string) []string {
 		}
 	}
 	return names
-}
-
-// runClient runs one session of the named protocol against the set of
-// the same name and reports the outcome. It returns an error both on
-// transport failure and on a result that violates the protocol's
-// guarantee, so the exit status is an end-to-end check. live-emd runs
-// two sessions on one sketch cache, so the second takes the delta path
-// (an empty delta if the server did not churn in between).
-func runClient(cfg config, f *fixture, network, addr, proto string) error {
-	dial := session.Dialer{Network: network, Addr: addr, Set: proto}
-	id, _ := netproto.ProtoByName(proto)
-	start := time.Now()
-	switch id {
-	case netproto.ProtoLiveEMD:
-		cache := &netproto.EMDCache{}
-		for i := 0; i < 2; i++ {
-			h := netproto.NewLiveEMDReceiver(f.emdParams, f.emdSB, cache)
-			st, err := dial.Do(h)
-			if err != nil {
-				return err
-			}
-			if !h.Result.Failed && len(h.Result.SPrime) != len(f.emdSB) {
-				return fmt.Errorf("live-emd: |S'B| = %d, want %d", len(h.Result.SPrime), len(f.emdSB))
-			}
-			mode := "full"
-			if h.UsedDelta {
-				mode = "delta"
-			}
-			fmt.Printf("live-emd: epoch %d via %s transfer, %d points reconciled in %v; %s\n",
-				h.Epoch, mode, len(h.Result.SPrime), time.Since(start).Round(time.Millisecond), st)
-		}
-	case netproto.ProtoGap:
-		h := netproto.NewGapReceiver(f.gapParams, f.gapSB)
-		if _, err := dial.Do(h); err != nil {
-			return err
-		}
-		if cfg.mutate == 0 {
-			// A churning server's canonical set has moved past the
-			// fixture, so coverage is only checkable against a still one.
-			for _, pt := range f.gapSA {
-				if dist, _ := h.Result.SPrime.MinDistanceTo(f.gapSpace, pt); dist > f.gapParams.R2 {
-					return fmt.Errorf("gap: uncovered point at distance %v > r2=%v", dist, f.gapParams.R2)
-				}
-			}
-		}
-		fmt.Printf("gap: received %d elements in %v; %s\n",
-			len(h.Result.TA), time.Since(start).Round(time.Millisecond), h.Result.Stats)
-	default:
-		return fmt.Errorf("unknown protocol %q (the daemon serves live-emd | gap)", proto)
-	}
-	return nil
 }
 
 func fail(format string, args ...interface{}) {

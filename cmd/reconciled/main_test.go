@@ -21,7 +21,9 @@ import (
 	"repro/internal/emd"
 	"repro/internal/live"
 	"repro/internal/metric"
+	"repro/internal/netproto"
 	"repro/internal/rng"
+	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/store/durable"
 )
@@ -268,22 +270,18 @@ func TestCrashKillRecovery(t *testing.T) {
 
 // startDaemon builds and binds the daemon main serves for a -listen
 // command line, on loopback ports, with its admin API.
-func startDaemon(t *testing.T, args ...string) (*daemon, *fixture) {
+func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
 	_, o := daemonFlagSet(t, append([]string{
 		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
-		"-d", "64", "-n", "32", "-k", "2", "-r2", "64", "-diff", "8",
+		"-d", "64", "-n", "32", "-k", "2", "-diff", "8",
 		"-max-sessions", "8", "-timeout", "30s",
 	}, args...)...)
-	f, err := newFixture(o.cfg)
+	d, err := newDaemon(o, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newDaemon(o, f, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, f
+	return d
 }
 
 // adminSets lists the set names the daemon's admin API reports.
@@ -313,98 +311,188 @@ func adminSets(t *testing.T, d *daemon) []string {
 	return names
 }
 
-// TestServeEveryProtocol drives the daemon main serves for -listen
-// alone over loopback TCP: every served protocol against a server that
-// does not churn and against one churning between sessions, a client
-// configured with another -seed, whose hello must fail the
-// parameter-digest check before any protocol traffic, and a client
-// naming a protocol the daemon does not serve. The admin API lists the
-// two sets, named after their protocols.
-func TestServeEveryProtocol(t *testing.T) {
-	protos := []string{"live-emd", "gap"}
+// pullLiveEMD runs one live-emd session against the daemon's set name
+// on cache, reconciling that set's own points, and reports whether the
+// server sent a delta.
+func pullLiveEMD(d *daemon, name string, p emd.Params, cache *netproto.EMDCache) (delta bool, err error) {
+	ls, _ := d.store.Get(name)
+	snap := ls.Snapshot()
+	h := netproto.NewLiveEMDReceiver(p, snap.Points, cache)
+	dial := session.Dialer{Network: "tcp", Addr: d.addr.String(), Set: name}
+	if _, err := dial.Do(h); err != nil {
+		return false, err
+	}
+	if h.Epoch != snap.Epoch || h.Result.Failed || len(h.Result.SPrime) != len(snap.Points) {
+		return false, fmt.Errorf("epoch %d (want %d), failed=%v, |S'B| = %d (want %d)",
+			h.Epoch, snap.Epoch, h.Result.Failed, len(h.Result.SPrime), len(snap.Points))
+	}
+	return h.UsedDelta, nil
+}
 
-	d, f := startDaemon(t)
-	if got := adminSets(t, d); fmt.Sprint(got) != "[gap live-emd]" {
-		t.Errorf("admin lists sets %q, want [gap live-emd]", got)
+// TestListenServesCatalog drives the daemon main serves for -listen
+// alone over loopback TCP. It hosts the -sets catalog, alpha and beta
+// at the defaults, and lists both in its admin API. A live-emd client
+// on one sketch cache gets a full transfer from alpha and, after one
+// churn tick, a delta; a client whose parameters come from -seed 2 is
+// refused at the hello with a digest mismatch.
+func TestListenServesCatalog(t *testing.T) {
+	d := startDaemon(t)
+	if got := adminSets(t, d); fmt.Sprint(got) != "[alpha beta]" {
+		t.Errorf("admin lists sets %q, want [alpha beta]", got)
 	}
-	cfg, addr := d.o.cfg, d.addr.String()
-	for _, proto := range protos {
-		if err := runClient(cfg, f, "tcp", addr, proto); err != nil {
-			t.Errorf("still %s: %v", proto, err)
-		}
+	ls, _ := d.store.Get("alpha")
+	p, ok := ls.EMDParams()
+	if !ok {
+		t.Fatal("alpha keeps no EMD sketch")
 	}
-	other := cfg
+	cache := &netproto.EMDCache{}
+	if delta, err := pullLiveEMD(d, "alpha", p, cache); err != nil || delta {
+		t.Errorf("first live-emd session: delta=%v, err=%v; want a full transfer", delta, err)
+	}
+	if !d.churn() {
+		t.Fatal("churn budget exhausted on the first tick")
+	}
+	if delta, err := pullLiveEMD(d, "alpha", p, cache); err != nil || !delta {
+		t.Errorf("live-emd session after churn: delta=%v, err=%v; want a delta", delta, err)
+	}
+
+	other := d.o.cfg
 	other.seed = 2
-	of, err := newFixture(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, proto := range protos {
-		err := runClient(other, of, "tcp", addr, proto)
-		if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-			t.Errorf("%s with -seed 2: err = %v, want a digest mismatch", proto, err)
-		}
-	}
-	if err := runClient(cfg, f, "tcp", addr, "sync"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
-		t.Errorf("-proto sync: err = %v, want an unknown protocol", err)
+	op := clusterCatalog(other, []string{"alpha"}, 1)[0].Config.EMD
+	_, err := pullLiveEMD(d, "alpha", *op, &netproto.EMDCache{})
+	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Errorf("live-emd with -seed 2: err = %v, want a digest mismatch", err)
 	}
 	d.close()
-	// live-emd runs two sessions (full, then delta) on one cache; with
-	// -seed 2 it stops at its first refused hello.
 	srv := d.node.Server()
-	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 2 {
-		t.Errorf("still server: %d ok / %d failed sessions, want 3 / 2", ok, bad)
-	}
-
-	d, f = startDaemon(t, "-mutate", "10")
-	cfg, addr = d.o.cfg, d.addr.String()
-	for _, proto := range protos {
-		if err := runClient(cfg, f, "tcp", addr, proto); err != nil {
-			t.Errorf("churning %s: %v", proto, err)
-		}
-		if err := d.live.churn(cfg.mutate); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.close()
-	srv = d.node.Server()
-	if ok, bad := srv.Served(), srv.Failed(); ok != 3 || bad != 0 {
-		t.Errorf("churning server: %d ok / %d failed sessions, want 3 / 0", ok, bad)
+	if ok, bad := srv.Served(), srv.Failed(); ok != 2 || bad != 1 {
+		t.Errorf("server: %d ok / %d failed sessions, want 2 / 1", ok, bad)
 	}
 }
 
 // TestListenRecoversChurnedSets: with -data-dir, -listen alone journals
-// its two sets; a restart recovers them at their churned epochs, and
-// the churner, seeded from the recovered points, keeps replacing them
-// while clients reconcile against them.
+// its sets; a restart recovers them at their churned epochs, the
+// churner keeps adding to them, and a live-emd client reconciles
+// against the recovered EMD set.
 func TestListenRecoversChurnedSets(t *testing.T) {
 	dir := t.TempDir()
-	d, _ := startDaemon(t, "-mutate", "1", "-data-dir", dir, "-fsync", "off")
-	if err := d.live.churn(5); err != nil {
-		t.Fatal(err)
+	args := []string{"-mutate", "1", "-data-dir", dir, "-fsync", "off"}
+	d := startDaemon(t, args...)
+	for i := 0; i < 5; i++ {
+		if !d.churn() {
+			t.Fatalf("churn budget exhausted after %d ticks", i)
+		}
 	}
-	want := make(map[string]uint64)
+	type state struct {
+		epoch uint64
+		fp    uint64
+		size  int
+	}
+	want := make(map[string]state)
 	for _, name := range d.store.Names() {
 		ls, _ := d.store.Get(name)
-		want[name] = ls.Epoch()
+		want[name] = state{ls.Epoch(), ls.IDFingerprint(), ls.Size()}
 	}
 	d.close()
 
-	d, f := startDaemon(t, "-mutate", "1", "-data-dir", dir, "-fsync", "off")
+	d = startDaemon(t, args...)
 	defer d.close()
-	for name, epoch := range want {
-		ls, ok := d.store.Get(name)
-		if !ok || ls.Epoch() != epoch {
-			t.Fatalf("set %s not recovered at epoch %d (present=%v)", name, epoch, ok)
+	if len(want) != 2 || fmt.Sprint(d.store.Names()) != "[alpha beta]" {
+		t.Fatalf("recovered sets %v, want alpha and beta (before restart: %v)", d.store.Names(), want)
+	}
+	for name, w := range want {
+		ls, _ := d.store.Get(name)
+		if got := (state{ls.Epoch(), ls.IDFingerprint(), ls.Size()}); got != w {
+			t.Fatalf("set %s recovered as %+v, want %+v", name, got, w)
 		}
 	}
-	if err := d.live.churn(5); err != nil {
-		t.Fatalf("churn on recovered sets: %v", err)
+	if !d.churn() {
+		t.Fatal("churn on recovered sets: budget exhausted")
 	}
-	for _, proto := range []string{"live-emd", "gap"} {
-		if err := runClient(d.o.cfg, f, "tcp", d.addr.String(), proto); err != nil {
-			t.Errorf("%s against recovered sets: %v", proto, err)
+	for name, w := range want {
+		ls, _ := d.store.Get(name)
+		if ls.Epoch() != w.epoch+1 || ls.Size() != w.size+1 {
+			t.Errorf("set %s after one churn tick: epoch %d, size %d; want %d, %d",
+				name, ls.Epoch(), ls.Size(), w.epoch+1, w.size+1)
 		}
+	}
+	ls, _ := d.store.Get("alpha")
+	p, _ := ls.EMDParams()
+	if _, err := pullLiveEMD(d, "alpha", p, &netproto.EMDCache{}); err != nil {
+		t.Errorf("live-emd against the recovered alpha: %v", err)
+	}
+}
+
+// TestMeshAgreementPinned pins what members must agree on at the
+// default flags: the probe and repair digests of every catalog set, for
+// a static mesh of two and for the gossip member budget, and the ID
+// fingerprints of setContent's fresh-start points. It also pins a
+// static member's first churn adds. A change to any of these values
+// splits a mesh of old and new daemons.
+func TestMeshAgreementPinned(t *testing.T) {
+	_, o := daemonFlagSet(t)
+	names := parseSets(o.sets)
+	tag := hashAddr("127.0.0.1:7441")
+	want := map[string][3]uint64{ // set@nodes: DigestLiveSet, DigestProbe, IDFingerprint
+		"alpha@2":  {0x77d0198a50374fd0, 0x1ce02b5481b89a82, 0x6429b7fc39d8d140},
+		"beta@2":   {0xacacc9a35cba3038, 0xa62100a5d4ee1b26, 0x54924295d532bf80},
+		"alpha@64": {0x00445c55d40d7f7c, 0xf6a7b91ff0c40a00, 0x6429b7fc39d8d140},
+		"beta@64":  {0xacacc9a35cba3038, 0xa62100a5d4ee1b26, 0x54924295d532bf80},
+	}
+	for _, nodes := range []int{2, gossipCapacityNodes} {
+		for i, cs := range clusterCatalog(o.cfg, names, nodes) {
+			ls, err := live.NewSet(cs.Config, setContent(o.cfg, i, tag))
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s@%d", cs.Name, nodes)
+			got := [3]uint64{netproto.DigestLiveSet(ls), netproto.DigestProbe(ls), ls.IDFingerprint()}
+			if got != want[key] {
+				t.Errorf("%s: digests and fingerprint %#x, want %#x", key, got, want[key])
+			}
+		}
+	}
+
+	fps := churnedFingerprints(t, "-listen", "127.0.0.1:7441", "-cluster", "127.0.0.1:7442")
+	if want := [2]uint64{0xf1f23d5aa7125a80, 0x9abb1c93a6a0b3bf}; fps != want {
+		t.Errorf("static member after three churn ticks: ID fingerprints %#x, want %#x", fps, want)
+	}
+}
+
+// churnedFingerprints builds the static mesh's two catalog sets with the
+// same fresh-start content, runs three churn ticks of the member the
+// command line describes, and returns the sets' ID fingerprints.
+func churnedFingerprints(t *testing.T, args ...string) [2]uint64 {
+	t.Helper()
+	_, o := daemonFlagSet(t, args...)
+	names := parseSets(o.sets)
+	st := store.New()
+	for i, cs := range clusterCatalog(o.cfg, names, 2) {
+		if _, err := st.Create(cs.Name, cs.Config, setContent(o.cfg, i, hashAddr("127.0.0.1:7441"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := &daemon{o: o, store: st, logf: t.Logf}
+	tick := d.meshChurn(names, memberTag(o))
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	var out [2]uint64
+	for i, name := range names {
+		ls, _ := st.Get(name)
+		out[i] = ls.IDFingerprint()
+	}
+	return out
+}
+
+// TestGossipChurnersDiffer: gossip members that all listen on :7441, as
+// in deploy/docker-compose.yml, draw their churn from their advertised
+// identities, so they add different points.
+func TestGossipChurnersDiffer(t *testing.T) {
+	a := churnedFingerprints(t, "-listen", ":7441", "-advertise", "a:7441", "-join", "b:7441")
+	b := churnedFingerprints(t, "-listen", ":7441", "-advertise", "b:7441", "-join", "a:7441")
+	if a == b {
+		t.Errorf("members a:7441 and b:7441 churned identical sets %#x", a)
 	}
 }
 
@@ -415,11 +503,14 @@ func TestCheckOptions(t *testing.T) {
 		args []string
 		want string // "" = accepted
 	}{
-		{nil, "need -listen or -connect"},
+		{nil, "need -listen"},
+		{[]string{"-cluster", "a:1"}, "need -listen"},
 		{[]string{"-listen", ":0", "-mutate", "1000000001"}, "-mutate 1000000001"},
+		{[]string{"-listen", ":0", "-sets", " , "}, "at least one set"},
 		{[]string{"-listen", ":0", "-cluster", "a:1", "-sets", " , "}, "at least one set"},
+		{[]string{"-listen", ":0", "-join", "a:1", "-sets", ""}, "at least one set"},
 		{[]string{"-listen", ":0", "-mutate", "1000000000"}, ""},
-		{[]string{"-connect", ":0"}, ""},
+		{[]string{"-listen", ":0"}, ""},
 	}
 	for _, tc := range cases {
 		_, o := daemonFlagSet(t, tc.args...)

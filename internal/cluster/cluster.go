@@ -72,8 +72,9 @@ type Config struct {
 	// Seed feeds the peer-selection RNG (default 1).
 	Seed uint64
 	// Session configures the embedded server (MaxSessions, timeouts,
-	// Logf). Its Resolver is overwritten with this node's: the store's
-	// sets, plus the gossip responder with Membership.
+	// Logf). Its Resolver and Transport are overwritten with this
+	// node's: the store's sets, plus the gossip responder with
+	// Membership, served over Transport.
 	Session session.Config
 	// DialTimeout / SessionTimeout bound outbound reconciliation
 	// sessions (defaults as in session.Dialer). Outbound sessions share
@@ -244,11 +245,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	cfg.Session.Resolver = res
 	// The node and its embedded server must agree on one network, or
-	// anti-entropy would dial a different fabric than it serves. Either
-	// field may name the transport; Config.Transport wins when both set.
-	if cfg.Transport == nil {
-		cfg.Transport = cfg.Session.Transport
-	}
+	// anti-entropy would dial a different fabric than it serves.
 	cfg.Session.Transport = cfg.Transport
 	n := &Node{
 		cfg:   cfg,

@@ -50,10 +50,6 @@ type Config struct {
 	Gap *gap.Params
 	// Sync, when set, maintains the ID list and strata estimator.
 	Sync *SyncConfig
-	// Logger, when set, receives every mutation write-ahead (see
-	// Logger). The initial point set is NOT logged — persistence layers
-	// snapshot it at creation instead.
-	Logger Logger
 }
 
 // Op is one batch mutation.
@@ -192,7 +188,6 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	}
 	s := &Set{
 		cfg:     cfg,
-		logger:  cfg.Logger,
 		byKey:   make(map[string]*entry, len(initial)),
 		journal: make(map[uint64][]emd.CellRef),
 		epoch:   1,

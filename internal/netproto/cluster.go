@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hashx"
 	"repro/internal/iblt"
@@ -384,6 +385,9 @@ func readPointList(d *transport.Decoder) (metric.PointSet, error) {
 			v, err := d.ReadVarint()
 			if err != nil {
 				return nil, err
+			}
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("netproto: coordinate %d out of range in repair", v)
 			}
 			pt[j] = int32(v)
 		}

@@ -375,6 +375,20 @@ func TestVerifyRepairPayload(t *testing.T) {
 	}
 }
 
+// TestReadPointListRejectsWideCoordinate: a repair point list whose
+// coordinate does not fit an int32 is an error, as in the journal's
+// point reader, not a point silently narrowed to another one.
+func TestReadPointListRejectsWideCoordinate(t *testing.T) {
+	e := transport.NewEncoder()
+	e.WriteUvarint(1) // one point
+	e.WriteUvarint(1) // of dimension 1
+	e.WriteVarint(1<<32 + 5)
+	frame, _ := e.Pack()
+	if pts, err := readPointList(transport.NewDecoder(frame)); err == nil {
+		t.Fatalf("coordinate 2^32+5 decoded as %v, want an error", pts)
+	}
+}
+
 // TestRepairRejectsCorruptPayload is the end-to-end verify-before-merge
 // check: a responder serving corrupted point payloads must be detected
 // by the initiator, which returns *CorruptPayloadError, applies

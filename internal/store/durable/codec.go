@@ -254,8 +254,7 @@ func decodeSnapshot(d *transport.Decoder) (epoch uint64, entries []snapEntry, er
 
 // ---- set configuration ----
 
-// encodeConfig persists the wire-relevant live.Config. The Logger hook
-// is runtime state, never persisted.
+// encodeConfig persists the wire-relevant live.Config.
 func encodeConfig(e *transport.Encoder, cfg live.Config) {
 	e.WriteBits(configMagic, 32)
 	e.WriteBool(cfg.EMD != nil)

@@ -116,6 +116,7 @@ func (s *Store) Create(name string, cfg live.Config, initial metric.PointSet) (*
 	if dup {
 		return nil, fmt.Errorf("store: set %q already exists", name)
 	}
+	var logger live.Logger
 	if p != nil {
 		// Serialize persisted creations: the disk state for name must be
 		// created exactly once, and a loser of the registration race must
@@ -129,11 +130,10 @@ func (s *Store) Create(name string, cfg live.Config, initial metric.PointSet) (*
 		if dup {
 			return nil, fmt.Errorf("store: set %q already exists", name)
 		}
-		logger, err := p.OnCreate(name, cfg, initial)
-		if err != nil {
+		var err error
+		if logger, err = p.OnCreate(name, cfg, initial); err != nil {
 			return nil, fmt.Errorf("store: set %q: persist: %w", name, err)
 		}
-		cfg.Logger = logger
 	}
 	ls, err := live.NewSet(cfg, initial)
 	if err != nil {
@@ -142,6 +142,9 @@ func (s *Store) Create(name string, cfg live.Config, initial metric.PointSet) (*
 		}
 		return nil, fmt.Errorf("store: set %q: %w", name, err)
 	}
+	// The initial points were snapshotted by OnCreate; only mutations
+	// from here on are journalled.
+	ls.SetLogger(logger)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.sets[name]; dup {
