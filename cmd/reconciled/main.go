@@ -355,11 +355,24 @@ func newDaemon(o *options, logf func(string, ...any)) (*daemon, error) {
 // every member past the (digest-relevant, hence fixed) EMD capacity and
 // poison repairs mesh-wide. Each member therefore churns a bounded
 // budget the shared capacity formula accounts for.
+//
+// A member restarted from -data-dir resumes its budget rather than
+// starting a fresh one: every epoch past a named set's first counts as
+// a spent add (merges bump epochs too, so the budget errs low), and the
+// spent count is folded into the seed so the draws differ from the
+// previous life's. A fresh set is at epoch 1, so a fresh start has
+// spent nothing.
 func (d *daemon) meshChurn(names []string, tag uint64) func() bool {
 	cfg := d.o.cfg
-	src := rng.New(cfg.seed ^ tag ^ 0xc4a12)
+	var spent uint64
+	for _, name := range names {
+		if ls, ok := d.store.Get(name); ok {
+			spent = max(spent, ls.Epoch()-1)
+		}
+	}
+	src := rng.New(cfg.seed ^ tag ^ 0xc4a12 ^ spent*0x9e3779b97f4a7c15)
 	space := metric.HammingCube(cfg.d)
-	budget := churnBudget(cfg)
+	budget := churnBudget(cfg) - int(min(spent, uint64(churnBudget(cfg))))
 	return func() bool {
 		if budget <= 0 {
 			d.logf("churn budget exhausted (%d adds per set); store %s", churnBudget(cfg), d.store.Stats())

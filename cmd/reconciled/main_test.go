@@ -372,8 +372,8 @@ func TestListenServesCatalog(t *testing.T) {
 
 // TestListenRecoversChurnedSets: with -data-dir, -listen alone journals
 // its sets; a restart recovers them at their churned epochs, the
-// churner keeps adding to them, and a live-emd client reconciles
-// against the recovered EMD set.
+// churner resumes its draws and its budget, and a live-emd client
+// reconciles against the recovered EMD set.
 func TestListenRecoversChurnedSets(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-mutate", "1", "-data-dir", dir, "-fsync", "off"}
@@ -384,14 +384,15 @@ func TestListenRecoversChurnedSets(t *testing.T) {
 		}
 	}
 	type state struct {
-		epoch uint64
-		fp    uint64
-		size  int
+		epoch    uint64
+		fp       uint64
+		size     int
+		distinct int
 	}
 	want := make(map[string]state)
 	for _, name := range d.store.Names() {
 		ls, _ := d.store.Get(name)
-		want[name] = state{ls.Epoch(), ls.IDFingerprint(), ls.Size()}
+		want[name] = state{ls.Epoch(), ls.IDFingerprint(), ls.Size(), ls.Distinct()}
 	}
 	d.close()
 
@@ -402,18 +403,26 @@ func TestListenRecoversChurnedSets(t *testing.T) {
 	}
 	for name, w := range want {
 		ls, _ := d.store.Get(name)
-		if got := (state{ls.Epoch(), ls.IDFingerprint(), ls.Size()}); got != w {
+		if got := (state{ls.Epoch(), ls.IDFingerprint(), ls.Size(), ls.Distinct()}); got != w {
 			t.Fatalf("set %s recovered as %+v, want %+v", name, got, w)
 		}
 	}
+	// The churner resumes: its first tick adds a point its previous life
+	// did not (the distinct count grows too), and the 5 adds spent of
+	// the 8-add budget leave 3.
 	if !d.churn() {
 		t.Fatal("churn on recovered sets: budget exhausted")
 	}
 	for name, w := range want {
 		ls, _ := d.store.Get(name)
-		if ls.Epoch() != w.epoch+1 || ls.Size() != w.size+1 {
-			t.Errorf("set %s after one churn tick: epoch %d, size %d; want %d, %d",
-				name, ls.Epoch(), ls.Size(), w.epoch+1, w.size+1)
+		if ls.Epoch() != w.epoch+1 || ls.Size() != w.size+1 || ls.Distinct() != w.distinct+1 {
+			t.Errorf("set %s after one churn tick: epoch %d, size %d, distinct %d; want %d, %d, %d",
+				name, ls.Epoch(), ls.Size(), ls.Distinct(), w.epoch+1, w.size+1, w.distinct+1)
+		}
+	}
+	for tick := 2; tick <= 4; tick++ {
+		if got, want := d.churn(), tick <= 3; got != want {
+			t.Fatalf("churn tick %d after restart ran %v, want %v (budget 8, 5 spent)", tick, got, want)
 		}
 	}
 	ls, _ := d.store.Get("alpha")
@@ -424,7 +433,7 @@ func TestListenRecoversChurnedSets(t *testing.T) {
 }
 
 // TestMeshAgreementPinned pins what members must agree on at the
-// default flags: the probe and repair digests of every catalog set, for
+// default flags: the probe and repair digest of every catalog set, for
 // a static mesh of two and for the gossip member budget, and the ID
 // fingerprints of setContent's fresh-start points. It also pins a
 // static member's first churn adds. A change to any of these values
@@ -433,11 +442,11 @@ func TestMeshAgreementPinned(t *testing.T) {
 	_, o := daemonFlagSet(t)
 	names := parseSets(o.sets)
 	tag := hashAddr("127.0.0.1:7441")
-	want := map[string][3]uint64{ // set@nodes: DigestLiveSet, DigestProbe, IDFingerprint
-		"alpha@2":  {0x77d0198a50374fd0, 0x1ce02b5481b89a82, 0x6429b7fc39d8d140},
-		"beta@2":   {0xacacc9a35cba3038, 0xa62100a5d4ee1b26, 0x54924295d532bf80},
-		"alpha@64": {0x00445c55d40d7f7c, 0xf6a7b91ff0c40a00, 0x6429b7fc39d8d140},
-		"beta@64":  {0xacacc9a35cba3038, 0xa62100a5d4ee1b26, 0x54924295d532bf80},
+	want := map[string][2]uint64{ // set@nodes: DigestLiveSet, IDFingerprint
+		"alpha@2":  {0xb44c65a61459881c, 0x6429b7fc39d8d140},
+		"beta@2":   {0x73dd0f81ccff5aac, 0x54924295d532bf80},
+		"alpha@64": {0x40c1e71de3870c26, 0x6429b7fc39d8d140},
+		"beta@64":  {0x73dd0f81ccff5aac, 0x54924295d532bf80},
 	}
 	for _, nodes := range []int{2, gossipCapacityNodes} {
 		for i, cs := range clusterCatalog(o.cfg, names, nodes) {
@@ -446,9 +455,9 @@ func TestMeshAgreementPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := fmt.Sprintf("%s@%d", cs.Name, nodes)
-			got := [3]uint64{netproto.DigestLiveSet(ls), netproto.DigestProbe(ls), ls.IDFingerprint()}
+			got := [2]uint64{netproto.DigestLiveSet(ls), ls.IDFingerprint()}
 			if got != want[key] {
-				t.Errorf("%s: digests and fingerprint %#x, want %#x", key, got, want[key])
+				t.Errorf("%s: digest and fingerprint %#x, want %#x", key, got, want[key])
 			}
 		}
 	}

@@ -1,32 +1,33 @@
 // Package cluster is the anti-entropy mesh: a Node wraps a multi-tenant
 // store and a session server, and a reconciler loop keeps every hosted
-// set converging with the other members of a static cluster — not per
-// client request, but continuously.
+// set that maintains Sync state converging with the other members of a
+// static cluster — not per client request, but continuously. Sets
+// without Sync are served (StoreResolver) but never reconciled: probe
+// and repair compare point IDs, which only Sync state derives.
 //
 // Peer selection uses the power-of-choices trick (cf. Walzer, "What if
 // we tried Less Power?", arXiv:2307.00644): each round, for each set,
 // the node probes d (default 2) random peers with the cheap divergence
-// exchange (ProtoProbe: epoch, distinct count, ID and EMD fingerprints;
-// the peer adds its strata estimator only when they differ) and
-// reconciles with the MORE divergent one. Probing two and repairing the worse concentrates repair where
-// drift is largest for almost no extra probing cost; repairing a random
-// single peer instead wastes whole sessions on already-converged pairs.
+// exchange (ProtoProbe: epoch, distinct count and ID fingerprint; the
+// peer adds its strata estimator only when they differ) and reconciles
+// with the MORE divergent one. Probing two and repairing the worse
+// concentrates repair where drift is largest for almost no extra
+// probing cost; repairing a random single peer instead wastes whole
+// sessions on already-converged pairs.
 //
 // Each reconciliation runs the cheapest sufficient protocol:
 //
 //	fingerprints match → no-op (the common steady-state round)
-//	diverged           → exact repair (ProtoRepair): strata-hinted IBLT
-//	                     ID sync plus point payload exchange; both sides
-//	                     converge to the union of their distinct points
+//	diverged           → exact repair (ProtoRepair): IBLT ID sync sized
+//	                     by the probe's strata estimate, plus a point
+//	                     payload exchange; both sides converge to the
+//	                     union of their distinct points
 //
 // The mesh pulls no EMD sketch: repair converges every set, so a
 // decoded sketch would go unused. Live-emd stays a protocol the node
-// serves to clients (StoreResolver).
-//
-// The probe's strata estimate is passed to repair as a sizing hint, so
-// the repair session skips its own strata round. Failures back off
-// per (set, peer-independent) with exponential round-skipping, capped,
-// so one dead member cannot absorb a node's whole anti-entropy budget.
+// serves to clients (StoreResolver). Failures back off per
+// (set, peer-independent) with exponential round-skipping, capped, so
+// one dead member cannot absorb a node's whole anti-entropy budget.
 //
 // Convergence is add-wins: points flow toward the union; removals are
 // local until every member has removed (no tombstones — the semantics a
@@ -113,8 +114,8 @@ type Config struct {
 	Membership *gossip.Gossip
 	// Catalog is the full set universe every member agrees on: names
 	// and the exact live configuration each set uses (two owners with
-	// different configs would never fingerprint-match). Ignored without
-	// Membership.
+	// different configs would never fingerprint-match). Every entry must
+	// maintain Sync state. Ignored without Membership.
 	Catalog []CatalogSet
 	// Replication is the ring's owner count R per set (default 3,
 	// clamped to the member count).
@@ -270,6 +271,9 @@ func New(cfg Config) (*Node, error) {
 			if _, dup := n.catalog[cs.Name]; dup {
 				return nil, fmt.Errorf("cluster: catalog set %q listed twice", cs.Name)
 			}
+			if cs.Config.Sync == nil {
+				return nil, fmt.Errorf("cluster: catalog set %q maintains no Sync state", cs.Name)
+			}
 			n.catalog[cs.Name] = cs.Config
 			n.catalogNames = append(n.catalogNames, cs.Name)
 		}
@@ -375,12 +379,12 @@ func (n *Node) Metrics() map[string]SetMetrics {
 	return out
 }
 
-// Converged reports whether every hosted set's last round found all
-// probed peers fingerprint-identical, sustained for at least streak
+// Converged reports whether every hosted Sync set's last round found
+// all probed peers fingerprint-identical, sustained for at least streak
 // consecutive rounds. Sets that have not completed a round yet report
-// false.
+// false, and so does a node hosting no Sync set.
 func (n *Node) Converged(streak uint64) bool {
-	names := n.store.Names()
+	names := n.syncSets()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, name := range names {
@@ -392,7 +396,22 @@ func (n *Node) Converged(streak uint64) bool {
 	return len(names) > 0
 }
 
-// ReconcileOnce runs one full anti-entropy round: every hosted set
+// syncSets returns the names of the hosted sets that maintain Sync
+// state, the ones the reconciler converges.
+func (n *Node) syncSets() []string {
+	names := n.store.Names()
+	out := names[:0]
+	for _, name := range names {
+		if ls, ok := n.store.Get(name); ok {
+			if _, sync := ls.SyncConfig(); sync {
+				out = append(out, name)
+			}
+		}
+	}
+	return out
+}
+
+// ReconcileOnce runs one full anti-entropy round: every hosted Sync set
 // probes Choices random peers and reconciles with the most divergent
 // non-matching one. It returns the number of sets that exchanged state
 // (0 when the whole mesh round was no-ops) and the first error
@@ -414,7 +433,7 @@ func (n *Node) ReconcileOnce() (repaired int, err error) {
 		handoff bool
 	}
 	var jobs []setJob
-	for _, name := range n.store.Names() {
+	for _, name := range n.syncSets() {
 		ls, ok := n.store.Get(name)
 		if !ok {
 			continue // dropped mid-round
@@ -527,7 +546,8 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 		failures   int
 	)
 	for _, addr := range peers {
-		probe := netproto.NewProbeInitiator(ls)
+		// ReconcileOnce picks Sync sets only, which a probe accepts.
+		probe, _ := netproto.NewProbeInitiator(ls)
 		start := time.Now()
 		perr := n.do(addr, name, probe)
 		n.mu.Lock()
@@ -548,12 +568,9 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 		if probe.Matched {
 			continue
 		}
-		score := probe.Estimate
-		if score < 1 {
-			// Fingerprints differ but the estimator sees nothing (or
-			// is absent): still divergent, minimally scored.
-			score = 1
-		}
+		// Fingerprints that differ while the estimator sees nothing
+		// are still divergent, minimally scored.
+		score := max(probe.Estimate, 1)
 		if score > worstScore {
 			worstScore = score
 			worst = &candidate{addr: addr, probe: probe}
@@ -623,14 +640,9 @@ func (m *SetMetrics) applyBackoff() {
 }
 
 // reconcile converges the set with one diverged peer: the exact
-// repair, hinted with the probe's estimate so it skips its own strata
-// round.
+// repair, its first table sized from the probe's estimate.
 func (n *Node) reconcile(name string, ls *live.Set, m *SetMetrics, addr string, probe *netproto.ProbeInitiator) error {
-	hint := probe.Estimate
-	if hint < 0 {
-		hint = 0
-	}
-	init, err := netproto.NewRepairInitiator(ls, hint)
+	init, err := netproto.NewRepairInitiator(ls, probe.Estimate)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/emd"
+	"repro/internal/gap"
 	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/netproto"
@@ -37,9 +38,9 @@ func testPoints(n int, seed uint64) metric.PointSet {
 }
 
 // testStore hosts three sets with identical cross-node configs but
-// node-specific extra points: "alpha" maintains EMD+Sync (so the mesh
-// must converge a set whose live-emd protocol it serves but never
-// pulls), "beta" and the default set Sync only.
+// node-specific extra points: "alpha" maintains EMD+Sync (a set the
+// mesh converges by repair while it serves live-emd to clients), "beta"
+// and the default set Sync only.
 func testStore(t *testing.T, node int) *store.Store {
 	t.Helper()
 	st := store.New()
@@ -104,13 +105,24 @@ func startMesh(t *testing.T, count int) ([]*Node, *simnet.Network) {
 // tallied in served (nil counts nothing).
 func startCountedMesh(t *testing.T, count int, served *servedCounter) ([]*Node, *simnet.Network) {
 	t.Helper()
+	stores := make([]*store.Store, count)
+	for i := range stores {
+		stores[i] = testStore(t, i)
+	}
+	return startMeshOver(t, stores, served)
+}
+
+// startMeshOver is startCountedMesh with one node over each given store.
+func startMeshOver(t *testing.T, stores []*store.Store, served *servedCounter) ([]*Node, *simnet.Network) {
+	t.Helper()
+	count := len(stores)
 	net := simnet.New(uint64(7 + count))
 	nodes := make([]*Node, count)
 	addrs := make([]string, count)
 	for i := range nodes {
 		host := fmt.Sprintf("node%d", i)
 		cfg := Config{
-			Store:     testStore(t, i),
+			Store:     stores[i],
 			Network:   "sim",
 			Interval:  -1, // manual rounds
 			Seed:      uint64(1000 + i),
@@ -338,6 +350,73 @@ func TestClusterServesLiveEMD(t *testing.T) {
 	}
 }
 
+// TestNodeSkipsSetsWithoutSync: probe and repair compare point IDs, so
+// a node reconciles only its Sync sets. Two nodes each hold a diverged
+// Sync set, EMD-only set and Gap-only set; after three rounds no probe
+// or repair has failed, only the Sync set has metrics, the nodes report
+// convergence, and the EMD-only set still serves live-emd.
+func TestNodeSkipsSetsWithoutSync(t *testing.T) {
+	space := metric.HammingCube(testDim)
+	emdP := emd.DefaultParams(space, testCapacity, 4, 7)
+	gapP := gap.Params{Space: space, N: testCapacity, R1: 2, R2: 16, Seed: 8}
+	configs := map[string]live.Config{
+		"sync":     {Sync: &live.SyncConfig{Seed: testSyncSeed}},
+		"emd-only": {EMD: &emdP},
+		"gap-only": {Gap: &gapP},
+	}
+	stores := make([]*store.Store, 2)
+	for node := range stores {
+		stores[node] = store.New()
+		for name, cfg := range configs {
+			pts := append(testPoints(20, 1), testPoints(5, uint64(100+node))...)
+			if _, err := stores[node].Create(name, cfg, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	served := newServedCounter()
+	nodes, net := startMeshOver(t, stores, served)
+	for round := 0; round < 3; round++ {
+		for i, n := range nodes {
+			if _, err := n.ReconcileOnce(); err != nil {
+				t.Fatalf("round %d node %d: %v", round, i, err)
+			}
+		}
+		settle(nodes)
+	}
+	for i, n := range nodes {
+		metrics := n.Metrics()
+		for name, m := range metrics {
+			if m.ProbeFailures != 0 || m.RepairFailures != 0 {
+				t.Errorf("node %d set %q: %d probe and %d repair failures", i, name, m.ProbeFailures, m.RepairFailures)
+			}
+		}
+		for _, name := range []string{"emd-only", "gap-only"} {
+			if m, ok := metrics[name]; ok {
+				t.Errorf("node %d reconciled set %q without Sync: %v", i, name, m)
+			}
+		}
+		if !n.Converged(1) {
+			t.Errorf("node %d does not report convergence: %v", i, metrics)
+		}
+	}
+	if got := served.get(netproto.ProtoRepair); got == 0 {
+		t.Error("the diverged Sync set converged without a repair")
+	}
+
+	ls, _ := nodes[0].store.Get("emd-only")
+	snap := ls.Snapshot()
+	recv := netproto.NewLiveEMDReceiver(emdP, snap.Points, nil)
+	d := session.Dialer{Network: "sim", Addr: "node0:1", Set: "emd-only", Transport: net.Host("client")}
+	if _, err := d.Do(recv); err != nil {
+		t.Fatalf("live-emd from the EMD-only set: %v", err)
+	}
+	if recv.Epoch != snap.Epoch || recv.Result.Failed || len(recv.Result.SPrime) != len(snap.Points) {
+		t.Fatalf("live-emd served epoch %d, failed %v, %d points; want %d, false, %d",
+			recv.Epoch, recv.Result.Failed, len(recv.Result.SPrime), snap.Epoch, len(snap.Points))
+	}
+}
+
 // TestClusterPartitionRejoin: one node leaves, the survivors keep
 // churning and converge among themselves; the node rejoins (fresh
 // address, same store) and catches up.
@@ -548,6 +627,28 @@ func TestReconcileRespectsDroppedSets(t *testing.T) {
 	}
 	if fmt.Sprint(lastErr) == "" {
 		t.Fatal("empty error")
+	}
+}
+
+// TestCloseReleasesCarriers: Close hangs up the node's pooled outbound
+// carriers itself instead of leaving them to its peers' shutdown: once
+// node 0 has closed, no connection stays open while node 1 still runs.
+func TestCloseReleasesCarriers(t *testing.T) {
+	nodes, net := startMesh(t, 2)
+	if _, err := nodes[0].ReconcileOnce(); err != nil {
+		t.Fatal(err)
+	}
+	settle(nodes)
+	if net.OpenConns() == 0 {
+		t.Fatal("no carrier open after a round")
+	}
+	if err := nodes[0].Close(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); net.OpenConns() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection ends still open 5s after node 0 closed", net.OpenConns())
+		}
 	}
 }
 

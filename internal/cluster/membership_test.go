@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gap"
 	"repro/internal/gossip"
 	"repro/internal/live"
+	"repro/internal/metric"
 	"repro/internal/netproto"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -88,6 +90,29 @@ func startGossipMesh(t *testing.T, count, nSets, rf int) ([]*Node, []string, *si
 	return nodes, addrs, net
 }
 
+// TestCatalogNeedsSync: New refuses a catalog entry without Sync state,
+// which the reconciler could never converge, and one listed twice.
+func TestCatalogNeedsSync(t *testing.T) {
+	g, err := gossip.New(gossip.Config{Self: "node0:1", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gapP := gap.Params{Space: metric.HammingCube(testDim), N: 8, R1: 2, R2: 16, Seed: 8}
+	for _, c := range []struct {
+		name    string
+		catalog []CatalogSet
+		want    string
+	}{
+		{"gap only", append(gossipCatalog(1), CatalogSet{Name: "gap", Config: live.Config{Gap: &gapP}}), "no Sync state"},
+		{"duplicate", append(gossipCatalog(1), gossipCatalog(1)...), "listed twice"},
+	} {
+		_, err := New(Config{Store: store.New(), Interval: -1, Membership: g, Catalog: c.catalog})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestGossipNodeResolver dials a gossip node from outside the mesh: its
 // one resolver answers the member-table exchange on the default set and
 // the store's protocols on each hosted set, and the default set, which
@@ -112,12 +137,16 @@ func TestGossipNodeResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe, err := netproto.NewProbeInitiator(local)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Set = "shard-00"
-	if _, err := d.Do(netproto.NewProbeInitiator(local)); err != nil {
+	if _, err := d.Do(probe); err != nil {
 		t.Fatalf("probe on a hosted set: %v", err)
 	}
 	d.Set = ""
-	if _, err := d.Do(netproto.NewProbeInitiator(local)); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+	if _, err := d.Do(probe); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Fatalf("probe on the gossip-only default set: %v, want unknown protocol", err)
 	}
 }

@@ -106,8 +106,11 @@ type KVPair struct {
 var ErrKVPartial = errors.New("iblt: kv peeling stalled")
 
 // Decode peels the table, returning pairs with positive net presence
-// (added) and negative (removed). The table is consumed.
+// (added) and negative (removed). The table is consumed. Each list's
+// values are capacity-capped windows of one backing array.
 func (t *KVTable) Decode() (added, removed []KVPair, err error) {
+	w := t.valBytes
+	var addedVals, removedVals []byte
 	queue := make([]int, 0, len(t.counts))
 	for i := range t.counts {
 		if t.pure(i) {
@@ -122,14 +125,19 @@ func (t *KVTable) Decode() (added, removed []KVPair, err error) {
 		}
 		key := t.keySums[i]
 		dir := t.counts[i]
-		val := append([]byte(nil), t.valSums[i*t.valBytes:(i+1)*t.valBytes]...)
+		vals := &addedVals
+		if dir < 0 {
+			vals = &removedVals
+		}
+		*vals = append(*vals, t.valSums[i*w:(i+1)*w]...)
+		val := (*vals)[len(*vals)-w:]
 		check := t.check.Hash(key)
 		for j := 0; j < t.q; j++ {
 			ci := t.cellOf(key, j)
 			t.counts[ci] -= dir
 			t.keySums[ci] ^= key
 			t.checkSums[ci] ^= check
-			row := t.valSums[ci*t.valBytes : (ci+1)*t.valBytes]
+			row := t.valSums[ci*w : (ci+1)*w]
 			for b := range val {
 				row[b] ^= val[b]
 			}
@@ -138,17 +146,27 @@ func (t *KVTable) Decode() (added, removed []KVPair, err error) {
 			}
 		}
 		if dir > 0 {
-			added = append(added, KVPair{Key: key, Value: val})
+			added = append(added, KVPair{Key: key})
 		} else {
-			removed = append(removed, KVPair{Key: key, Value: val})
+			removed = append(removed, KVPair{Key: key})
 		}
 	}
+	windows(added, addedVals, w)
+	windows(removed, removedVals, w)
 	for i := range t.counts {
 		if t.counts[i] != 0 || t.keySums[i] != 0 {
 			return added, removed, ErrKVPartial
 		}
 	}
 	return added, removed, nil
+}
+
+// windows hands pair i the i-th w-byte window of vals, capacity-capped
+// so an append to one value cannot overwrite the next.
+func windows(pairs []KVPair, vals []byte, w int) {
+	for i := range pairs {
+		pairs[i].Value = vals[i*w : (i+1)*w : (i+1)*w]
+	}
 }
 
 func (t *KVTable) pure(i int) bool {

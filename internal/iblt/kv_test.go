@@ -203,3 +203,60 @@ func TestKVSubtractSemanticsViaDelete(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKVDecodeAllocs: decoding 200 pairs (150 added, 50 removed) costs
+// a bounded number of allocations, not one per peeled value: each
+// list's values share one growing buffer. The decoded values are the
+// inserted ones, and appending to one never overwrites the next.
+func TestKVDecodeAllocs(t *testing.T) {
+	const pairs, valBytes, runs = 200, 16, 10
+	src := rng.New(5)
+	keys := make([]uint64, pairs)
+	vals := make([][]byte, pairs)
+	for i := range keys {
+		keys[i] = src.Uint64()
+		vals[i] = make([]byte, valBytes)
+		for j := range vals[i] {
+			vals[i][j] = byte(src.Uint64())
+		}
+	}
+	tables := make([]*KVTable, runs+1)
+	for r := range tables {
+		tables[r] = NewKV(2*pairs, 3, valBytes, 9)
+		for i, k := range keys {
+			if i < 150 {
+				tables[r].Insert(k, vals[i])
+			} else {
+				tables[r].Delete(k, vals[i])
+			}
+		}
+	}
+	next := 0
+	var added, removed []KVPair
+	allocs := testing.AllocsPerRun(runs, func() {
+		var err error
+		if added, removed, err = tables[next].Decode(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 50 {
+		t.Errorf("decoding %d pairs took %.0f allocations, want at most 50", pairs, allocs)
+	}
+	want := make(map[uint64][]byte, pairs)
+	for i, k := range keys {
+		want[k] = vals[i]
+	}
+	if len(added) != 150 || len(removed) != 50 {
+		t.Fatalf("decoded %d added and %d removed, want 150 and 50", len(added), len(removed))
+	}
+	for _, kv := range append(added, removed...) {
+		if !bytes.Equal(kv.Value, want[kv.Key]) {
+			t.Fatalf("key %#x: value %x, want %x", kv.Key, kv.Value, want[kv.Key])
+		}
+	}
+	grown := append(added[0].Value, 0xff)
+	if !bytes.Equal(added[1].Value, want[added[1].Key]) || len(grown) != valBytes+1 {
+		t.Fatal("appending to one decoded value overwrote the next")
+	}
+}

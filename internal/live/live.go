@@ -12,8 +12,8 @@
 // started mid-churn serves one consistent generation while new sessions
 // see the latest. Encodings derive from the snapshot once, on first
 // use: the full EMD message (EMDWire; built up front for sets without
-// Sync, whose probe reads its fingerprint) and the strata estimator's
-// wire bits (StrataWire). A bounded journal records which EMD cells
+// Sync, which serve only live-emd and read it there) and the strata
+// estimator's wire bits (StrataWire). A bounded journal records which EMD cells
 // each epoch churned; DeltaCells answers "what changed since epoch e"
 // for the delta-sync fast path in internal/netproto, falling back to a
 // full transfer when e has aged out of the journal.
@@ -117,9 +117,10 @@ type Snapshot struct {
 	// EMD is the sketch (nil when disabled); treat as read-only.
 	EMD *emd.Sketch
 	// EMDMessage is the encoded full protocol message, and
-	// EMDFingerprint hashes it for divergence detection. Both are set at
-	// construction only on sets without Sync, whose probe compares EMD
-	// fingerprints; EMDWire returns them for any set.
+	// EMDFingerprint hashes it; the live-emd sender ships it, and the
+	// receiver checks its sketch against it. Both are set at
+	// construction only on sets without Sync, which serve nothing but
+	// live-emd and gap; EMDWire returns them for any set.
 	EMDMessage     []byte
 	EMDFingerprint uint64
 	// GapPayloads are the cached key payloads, aligned with Points.
@@ -165,7 +166,7 @@ func (snap *Snapshot) EMDWire() ([]byte, uint64) {
 // writes, packed MSB first from bit 0 — and its exact bit length, or
 // nil and 0 when Sync is disabled. It is encoded on first use and
 // shared by every later caller, so an epoch's estimator is packed at
-// most once however many probe and repair frames carry it: senders
+// most once however many mismatched probe replies carry it: senders
 // splice it with transport.Encoder.WriteBitString. Safe for concurrent
 // use; the returned bytes must not be modified.
 func (snap *Snapshot) StrataWire() ([]byte, int64) {

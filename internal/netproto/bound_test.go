@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hashx"
 	"repro/internal/iblt"
-	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/transport"
@@ -31,37 +30,50 @@ func writeHostileStrata(e *transport.Encoder, seed uint64) {
 	}
 }
 
-// TestRespondersRefuseHostileStrata feeds the repair responder a
-// strata estimate far above iblt.MaxDiff: it must fail with the limit
-// error before it allocates a table.
+// TestRespondersRefuseHostileStrata: a strata crosses the wire only in
+// a mismatched probe reply. A hostile one makes the prober's estimate
+// far exceed iblt.MaxDiff; the repair that follows clamps it into the
+// hint range, and the repair responder refuses the first table's bound
+// with the limit error before it allocates the table.
 func TestRespondersRefuseHostileStrata(t *testing.T) {
 	const seed = 9
-	ls, err := live.NewSet(live.Config{Sync: &live.SyncConfig{Seed: seed}}, liveRandomSet(metric.HammingCube(64), 8, 3))
+	space := metric.HammingCube(64)
+	local := newSyncSet(t, space, liveRandomSet(space, 8, 3), seed)
+	peer := newSyncSet(t, space, liveRandomSet(space, 8, 4), seed)
+	repairFactory, err := NewRepairResponderFactory(peer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repairFactory, err := NewRepairResponderFactory(ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name    string
-		handler Handler
-	}{
-		{"repair", repairFactory()},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			e := transport.NewEncoder()
-			e.WriteUvarint(0) // no hint: the strata follows
-			writeHostileStrata(e, seed)
-			peer, conn := transport.NewPipe()
-			if err := peer.Send(e); err != nil {
-				t.Fatal(err)
-			}
-			err := c.handler.Run(conn)
-			if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-				t.Fatalf("err = %v, want the difference limit", err)
-			}
-		})
-	}
+	t.Run("repair", func(t *testing.T) {
+		prober, responder := transport.NewPipe()
+		reply := transport.NewEncoder()
+		encodeSummary(reply, ProbeSummary{Distinct: 8})
+		writeHostileStrata(reply, seed)
+		if err := responder.Send(reply); err != nil {
+			t.Fatal(err)
+		}
+		probe := newProbe(t, local)
+		if err := probe.Run(prober); err != nil {
+			t.Fatal(err)
+		}
+		if probe.Estimate <= iblt.MaxDiff {
+			t.Fatalf("hostile strata estimated %d, want above %d", probe.Estimate, iblt.MaxDiff)
+		}
+		init, err := NewRepairInitiator(local, probe.Estimate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alice, bob := transport.NewPipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			init.Run(alice) //nolint:errcheck // fails once the responder hangs up
+		}()
+		err = repairFactory().Run(bob)
+		bob.Close()
+		<-done
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("err = %v, want the difference limit", err)
+		}
+	})
 }

@@ -11,35 +11,34 @@ import (
 	"repro/internal/transport"
 )
 
-// Cluster anti-entropy protocols. Both bind to a live.Set on each end
-// and exist for the mesh in internal/cluster, though they are ordinary
-// registered protocols any peer may speak.
+// Cluster anti-entropy protocols. Both bind to a live.Set that
+// maintains Sync state on each end and exist for the mesh in
+// internal/cluster, though they are ordinary registered protocols any
+// peer may speak. Their constructors refuse a set without Sync: both
+// compare point IDs, which only Sync state derives.
 //
 // Probe (ProtoProbe) is the cheap divergence check behind
 // power-of-two-choices peer selection. The initiator sends its set's
-// epoch, distinct-point count, order-independent ID fingerprint, EMD
-// sketch fingerprint and a has-Sync flag; the peer answers with the
-// same fields for its own snapshot, and appends its strata estimator
-// only when the two summaries do not match (Match) and it maintains
-// one. Both sides evaluate Match on the same fields, so each knows
-// whether the strata follows. A matched probe, the common case, moves
-// a few dozen bytes each way and does no strata codec work; a
-// mismatched one carries one strata, from peer to initiator, which the
-// initiator estimates against its own — without shipping a single
-// point.
+// epoch, distinct-point count and order-independent ID fingerprint; the
+// peer answers with the same fields for its own snapshot, and appends
+// its strata estimator only when the two summaries do not match
+// (Match). Both sides evaluate Match on the same fields, so each knows
+// whether the strata follows. A matched probe, the common case, moves a
+// few bytes each way and does no strata codec work; a mismatched one
+// carries one strata, from peer to initiator, which the initiator
+// estimates against its own — without shipping a single point. This
+// reply is the one place a strata crosses the wire.
 //
 //	initiator → peer: summary
-//	peer → initiator: summary [strata, when Sync and not matched]
+//	peer → initiator: summary [strata, when not matched]
 //
 // Repair (ProtoRepair) converges the sets exactly: an exact-ID
-// difference exchange (strata-sized IBLTs, doubled on a stall, below),
-// then a point-payload exchange, after which both sides hold the union
-// of distinct points (add-wins anti-entropy merge; MergeAbsent makes
-// application idempotent). A probe's estimate can be passed as a hint,
-// skipping the strata estimator entirely — power-of-two-choices probing
-// already paid for it.
+// difference exchange (IBLTs sized from the probe's estimate, doubled
+// on a stall, below), then a point-payload exchange, after which both
+// sides hold the union of distinct points (add-wins anti-entropy merge;
+// MergeAbsent makes application idempotent).
 //
-//	initiator → peer: uvarint hint (0 = none; strata follows when 0)
+//	initiator → peer: uvarint hint in [1, iblt.MaxDiff]
 //	                  the difference exchange, salt repairSalt
 //	initiator → peer: ack: true, wanted IDs, points for its own IDs
 //	peer → initiator: points for the wanted IDs
@@ -51,11 +50,18 @@ const (
 	ProtoRepair Proto = 7
 )
 
-// DigestLiveSet folds the wire-relevant configuration of a live set:
-// which structures it maintains and their parameter digests. Two nodes
-// hosting one named set must configure it identically for probe
-// fingerprints and repair IDs to be comparable; this digest is what
-// repair's session header checks, and DigestProbe extends it for probe.
+// meshWireVersion names the frame layouts of probe and repair in their
+// hello digest. Layout 3 is the one above: a summary of epoch, distinct
+// count and ID fingerprint, and a repair that always opens with a hint.
+// A peer on an older layout computes another digest and fails the hello
+// with StatusDigestMismatch, so no layout needs a fallback.
+const meshWireVersion = 3
+
+// DigestLiveSet is the hello digest of probe and repair: the mesh wire
+// version and the wire-relevant configuration of a live set — which
+// structures it maintains and their parameter digests. Two nodes
+// hosting one named set must configure it identically for fingerprints
+// and IDs to be comparable.
 func DigestLiveSet(ls *live.Set) uint64 {
 	m := hashx.MixerFromSeed(0x9306e)
 	h := m.Hash(0x1)
@@ -69,21 +75,15 @@ func DigestLiveSet(ls *live.Set) uint64 {
 		h = m.Hash(h ^ sc.Seed)
 		h = m.Hash(h ^ iblt.StrataCells)
 	}
-	return h
+	return m.Hash(h ^ meshWireVersion)
 }
 
-// probeWireVersion names the probe's frame layout in its hello digest:
-// layout 2 is the fingerprint-first one above. Layout 1, which carried
-// a strata estimator both ways, has no version of its own; a peer
-// speaking it computes a plain DigestLiveSet and fails the hello.
-const probeWireVersion = 2
-
-// DigestProbe is the probe's hello digest: DigestLiveSet with the probe
-// wire version folded in, so peers on different probe layouts fail the
-// hello with StatusDigestMismatch instead of misreading each other's
-// frames. Repair keeps DigestLiveSet.
-func DigestProbe(ls *live.Set) uint64 {
-	return hashx.MixerFromSeed(0x9306e).Hash(DigestLiveSet(ls) ^ probeWireVersion)
+// needSync refuses a live set without Sync state for proto.
+func needSync(ls *live.Set, proto Proto) error {
+	if _, ok := ls.SyncConfig(); !ok {
+		return fmt.Errorf("netproto: %v needs a live set with Sync state", proto)
+	}
+	return nil
 }
 
 // ProbeSummary is one side's divergence summary.
@@ -94,30 +94,20 @@ type ProbeSummary struct {
 	Epoch uint64
 	// Distinct is the distinct-point count.
 	Distinct int
-	// IDFingerprint is live.Snapshot.IDFingerprint (0 when Sync is off).
+	// IDFingerprint is live.Snapshot.IDFingerprint.
 	IDFingerprint uint64
-	// EMDFingerprint hashes the full EMD message. It is 0 when EMD is
-	// off, and on a set with Sync, whose snapshot encodes no EMD message
-	// for a probe: Match compares ID fingerprints whenever both sides
-	// have Sync, and a side without it never matches one with it.
-	EMDFingerprint uint64
-	// Sync reports whether the set maintains Sync state: an ID
-	// fingerprint and a strata estimator.
-	Sync bool
-	// Strata is the ID-difference estimator: a local summary's own
-	// (nil when Sync is off), and a peer's only when its reply carried
-	// one (Sync, and the summaries did not match).
+	// Strata is the ID-difference estimator: a local summary's own, and
+	// a peer's only when its reply carried one (the summaries did not
+	// match).
 	Strata *iblt.Strata
 }
 
 func summaryOf(snap *live.Snapshot) ProbeSummary {
 	return ProbeSummary{
-		Epoch:          snap.Epoch,
-		Distinct:       len(snap.IDs),
-		IDFingerprint:  snap.IDFingerprint,
-		EMDFingerprint: snap.EMDFingerprint,
-		Sync:           snap.Strata != nil,
-		Strata:         snap.Strata,
+		Epoch:         snap.Epoch,
+		Distinct:      len(snap.IDs),
+		IDFingerprint: snap.IDFingerprint,
+		Strata:        snap.Strata,
 	}
 }
 
@@ -128,8 +118,6 @@ func encodeSummary(e *transport.Encoder, s ProbeSummary) {
 	e.WriteUvarint(s.Epoch)
 	e.WriteUvarint(uint64(s.Distinct))
 	e.WriteUint64(s.IDFingerprint)
-	e.WriteUint64(s.EMDFingerprint)
-	e.WriteBool(s.Sync)
 }
 
 // decodeSummary reads the fixed fields encodeSummary wrote.
@@ -147,36 +135,22 @@ func decodeSummary(d *transport.Decoder) (ProbeSummary, error) {
 		return s, fmt.Errorf("netproto: implausible distinct count %d in probe", distinct)
 	}
 	s.Distinct = int(distinct)
-	if s.IDFingerprint, err = d.ReadUint64(); err != nil {
-		return s, err
-	}
-	if s.EMDFingerprint, err = d.ReadUint64(); err != nil {
-		return s, err
-	}
-	s.Sync, err = d.ReadBool()
+	s.IDFingerprint, err = d.ReadUint64()
 	return s, err
 }
 
 // Match reports whether the summaries describe provably-converged sets:
-// equal ID fingerprints and counts when both maintain Sync state, equal
-// EMD fingerprints otherwise. Summaries with no comparable structure
-// never match. It reads only the fixed fields, and is symmetric, so
-// both ends of a probe reach the same verdict.
+// equal ID fingerprints and distinct counts. It reads only the fixed
+// fields, and is symmetric, so both ends of a probe reach the same
+// verdict.
 func (s ProbeSummary) Match(o ProbeSummary) bool {
-	if s.Sync && o.Sync {
-		return s.IDFingerprint == o.IDFingerprint && s.Distinct == o.Distinct
-	}
-	if s.EMDFingerprint != 0 && o.EMDFingerprint != 0 {
-		return s.EMDFingerprint == o.EMDFingerprint
-	}
-	return false
+	return s.IDFingerprint == o.IDFingerprint && s.Distinct == o.Distinct
 }
 
 // ProbeInitiator dials one probe session for a live set; after Run,
 // Local and Remote hold the two summaries, Matched whether the sets are
-// fingerprint-identical, and Estimate the ID difference: 0 on a match
-// with Sync, the strata estimate on a mismatch, and -1 when either side
-// lacks Sync state.
+// fingerprint-identical, and Estimate the ID difference: 0 on a match,
+// the strata estimate otherwise.
 type ProbeInitiator struct {
 	set *live.Set
 
@@ -186,8 +160,14 @@ type ProbeInitiator struct {
 	Matched  bool
 }
 
-// NewProbeInitiator binds the probing side to its live set.
-func NewProbeInitiator(ls *live.Set) *ProbeInitiator { return &ProbeInitiator{set: ls} }
+// NewProbeInitiator binds the probing side to its live set, which must
+// maintain Sync state.
+func NewProbeInitiator(ls *live.Set) (*ProbeInitiator, error) {
+	if err := needSync(ls, ProtoProbe); err != nil {
+		return nil, err
+	}
+	return &ProbeInitiator{set: ls}, nil
+}
 
 // Proto implements Handler.
 func (h *ProbeInitiator) Proto() Proto { return ProtoProbe }
@@ -196,7 +176,7 @@ func (h *ProbeInitiator) Proto() Proto { return ProtoProbe }
 func (h *ProbeInitiator) Role() Role { return RoleAlice }
 
 // Digest implements Handler.
-func (h *ProbeInitiator) Digest() uint64 { return DigestProbe(h.set) }
+func (h *ProbeInitiator) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler.
 func (h *ProbeInitiator) Run(conn transport.Conn) error {
@@ -214,25 +194,20 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 	if h.Remote, err = readReply(d, h.Local, sc.Seed); err != nil {
 		return err
 	}
-	h.Matched = h.Local.Match(h.Remote)
-	switch {
-	case h.Remote.Strata != nil:
-		if h.Estimate, err = h.Local.Strata.Estimate(h.Remote.Strata); err != nil {
-			return fmt.Errorf("netproto: probe estimate: %w", err)
-		}
-	case h.Local.Sync && h.Remote.Sync:
-		h.Estimate = 0
-	default:
-		h.Estimate = -1
+	if h.Matched = h.Local.Match(h.Remote); h.Matched {
+		return nil
+	}
+	if h.Estimate, err = h.Local.Strata.Estimate(h.Remote.Strata); err != nil {
+		return fmt.Errorf("netproto: probe estimate: %w", err)
 	}
 	return nil
 }
 
 // readReply reads a responder's answer to local: its summary, then its
-// strata when both sides have Sync and the summaries do not match.
+// strata when the summaries do not match.
 func readReply(d *transport.Decoder, local ProbeSummary, strataSeed uint64) (ProbeSummary, error) {
 	remote, err := decodeSummary(d)
-	if err == nil && local.Sync && remote.Sync && !local.Match(remote) {
+	if err == nil && !local.Match(remote) {
 		remote.Strata, err = iblt.DecodeStrata(d, strataSeed)
 	}
 	return remote, err
@@ -247,9 +222,12 @@ type ProbeResponder struct {
 }
 
 // NewProbeResponderFactory returns a factory, for a server's Resolver,
-// answering probes for the set.
-func NewProbeResponderFactory(ls *live.Set) func() Handler {
-	return func() Handler { return &ProbeResponder{set: ls} }
+// answering probes for the set; the set must maintain Sync state.
+func NewProbeResponderFactory(ls *live.Set) (func() Handler, error) {
+	if err := needSync(ls, ProtoProbe); err != nil {
+		return nil, err
+	}
+	return func() Handler { return &ProbeResponder{set: ls} }, nil
 }
 
 // Proto implements Handler.
@@ -259,7 +237,7 @@ func (h *ProbeResponder) Proto() Proto { return ProtoProbe }
 func (h *ProbeResponder) Role() Role { return RoleBob }
 
 // Digest implements Handler.
-func (h *ProbeResponder) Digest() uint64 { return DigestProbe(h.set) }
+func (h *ProbeResponder) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler: read the prober's summary and answer with our
 // own, followed by our cached strata bits when the summaries do not
@@ -277,7 +255,7 @@ func (h *ProbeResponder) Run(conn transport.Conn) error {
 	h.Served = summaryOf(snap)
 	e := transport.NewEncoder()
 	encodeSummary(e, h.Served)
-	if h.Served.Sync && req.Sync && !h.Served.Match(req) {
+	if !h.Served.Match(req) {
 		e.WriteBitString(snap.StrataWire())
 	}
 	return conn.Send(e)
@@ -456,16 +434,6 @@ func diffSeed(seed uint64, attempt int) uint64 {
 	return seed + repairSalt + uint64(attempt)*0x9e37
 }
 
-// diffEstimate reads a peer's strata estimator from d and estimates the
-// difference against local, which it only reads (Estimate clones).
-func diffEstimate(d *transport.Decoder, seed uint64, local *iblt.Strata) (int, error) {
-	remote, err := iblt.DecodeStrata(d, seed)
-	if err != nil {
-		return 0, err
-	}
-	return local.Estimate(remote)
-}
-
 // diffInitiate answers the responder's tables with ids until one peels,
 // and returns the IDs only the peer holds and those only ids holds. It
 // sends nothing for the table that peeled: the caller's ack, which
@@ -503,15 +471,12 @@ func diffInitiate(conn transport.Conn, seed uint64, ids []uint64) (peerOnly, min
 
 // diffRespond serves tables of ids, the first sized from the difference
 // estimate est, until the initiator peels one. It returns the ack frame
-// positioned after its true, and the difference bound of the table that
-// peeled: an honest ack names no more IDs than that. An estimate or a
-// doubled bound above iblt.MaxDiff is refused before any table is
-// built.
-func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *transport.Decoder, diffBound int, err error) {
-	if est > iblt.MaxDiff {
-		return nil, 0, fmt.Errorf("netproto: difference estimate %d exceeds limit %d", est, iblt.MaxDiff)
-	}
-	diffBound = est*2 + 8
+// positioned after its true, and the cell count of the table that
+// peeled: each peeled key empties a cell for good, so an honest ack
+// names no more IDs than that. A difference bound above iblt.MaxDiff is
+// refused before its table is built.
+func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *transport.Decoder, cells int, err error) {
+	diffBound := est*2 + 8
 	for attempt := 0; ; attempt++ {
 		if diffBound > iblt.MaxDiff {
 			return nil, 0, fmt.Errorf("netproto: IBLT bound %d exceeds limit %d", diffBound, iblt.MaxDiff)
@@ -532,7 +497,7 @@ func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *
 			return nil, 0, err
 		}
 		if ok {
-			return d, diffBound, nil
+			return d, tbl.Cells(), nil
 		}
 		if attempt >= maxRetries {
 			return nil, 0, fmt.Errorf("netproto: ID difference failed after %d attempts", attempt+1)
@@ -541,10 +506,10 @@ func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *
 	}
 }
 
-// RepairInitiator drives one repair session for a live set. Hint, when
-// positive, is a difference estimate already in hand (from a probe) and
-// elides the strata round. After Run both sides hold the union of their
-// distinct points; Sent/Received/Applied count the point payloads.
+// RepairInitiator drives one repair session for a live set. Hint is the
+// difference estimate the responder sizes its first table from (a
+// probe's). After Run both sides hold the union of their distinct
+// points; Sent/Received/Applied count the point payloads.
 type RepairInitiator struct {
 	set  *live.Set
 	Hint int
@@ -561,13 +526,14 @@ type RepairInitiator struct {
 	Rejected int
 }
 
-// NewRepairInitiator binds the initiating side to its live set; the set
-// must maintain Sync state.
+// NewRepairInitiator binds the initiating side to its live set, which
+// must maintain Sync state, with the hint clamped into
+// [1, iblt.MaxDiff]: the range a responder accepts.
 func NewRepairInitiator(ls *live.Set, hint int) (*RepairInitiator, error) {
-	if _, ok := ls.SyncConfig(); !ok {
-		return nil, fmt.Errorf("netproto: repair needs a live set with Sync state")
+	if err := needSync(ls, ProtoRepair); err != nil {
+		return nil, err
 	}
-	return &RepairInitiator{set: ls, Hint: hint}, nil
+	return &RepairInitiator{set: ls, Hint: min(max(hint, 1), iblt.MaxDiff)}, nil
 }
 
 // Proto implements Handler.
@@ -584,12 +550,7 @@ func (h *RepairInitiator) Run(conn transport.Conn) error {
 	sc, _ := h.set.SyncConfig()
 	snap := h.set.Snapshot()
 	e := transport.NewEncoder()
-	if h.Hint > 0 && h.Hint <= iblt.MaxDiff {
-		e.WriteUvarint(uint64(h.Hint))
-	} else {
-		e.WriteUvarint(0)
-		e.WriteBitString(snap.StrataWire())
-	}
+	e.WriteUvarint(uint64(h.Hint))
 	if err := conn.Send(e); err != nil {
 		return err
 	}
@@ -649,8 +610,8 @@ type RepairResponder struct {
 // NewRepairResponderFactory returns a factory, for a server's Resolver,
 // answering repairs for the set; the set must maintain Sync state.
 func NewRepairResponderFactory(ls *live.Set) (func() Handler, error) {
-	if _, ok := ls.SyncConfig(); !ok {
-		return nil, fmt.Errorf("netproto: repair needs a live set with Sync state")
+	if err := needSync(ls, ProtoRepair); err != nil {
+		return nil, err
 	}
 	return func() Handler { return &RepairResponder{set: ls} }, nil
 }
@@ -662,8 +623,8 @@ func NewRepairResponderFactory(ls *live.Set) (func() Handler, error) {
 // disk, hostile build) for simulation scenarios; verify-before-merge on
 // the initiator must reject every batch it serves. Not for production.
 func NewCorruptingRepairResponderFactory(ls *live.Set) (func() Handler, error) {
-	if _, ok := ls.SyncConfig(); !ok {
-		return nil, fmt.Errorf("netproto: repair needs a live set with Sync state")
+	if err := needSync(ls, ProtoRepair); err != nil {
+		return nil, err
 	}
 	corrupt := func(pts metric.PointSet) metric.PointSet {
 		// PointsForIDs returns clones, so in-place mutation is safe.
@@ -698,15 +659,10 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	est := int(hint)
-	if hint == 0 {
-		if est, err = diffEstimate(d, sc.Seed, snap.Strata); err != nil {
-			return err
-		}
-	} else if hint > iblt.MaxDiff {
-		return fmt.Errorf("netproto: repair hint %d exceeds limit %d", hint, iblt.MaxDiff)
+	if hint == 0 || hint > iblt.MaxDiff {
+		return fmt.Errorf("netproto: repair hint %d outside [1, %d]", hint, iblt.MaxDiff)
 	}
-	ack, diffBound, err := diffRespond(conn, sc.Seed, snap.IDs, est)
+	ack, cells, err := diffRespond(conn, sc.Seed, snap.IDs, int(hint))
 	if err != nil {
 		return err
 	}
@@ -714,12 +670,12 @@ func (h *RepairResponder) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	// The IBLT we shipped can decode at most diffBound IDs, so an
-	// honest initiator can never ask for more; a longer list is a
-	// hostile allocation probe and is refused before PointsForIDs
-	// clones a single point.
-	if len(wanted) > diffBound {
-		return fmt.Errorf("netproto: repair wanted-ID count %d exceeds negotiated bound %d", len(wanted), diffBound)
+	// The IBLT we shipped can decode at most cells IDs, so an honest
+	// initiator can never ask for more; a longer list is a hostile
+	// allocation probe and is refused before PointsForIDs clones a
+	// single point.
+	if len(wanted) > cells {
+		return fmt.Errorf("netproto: repair wanted-ID count %d exceeds the %d-cell table", len(wanted), cells)
 	}
 	theirPts, err := readPointList(ack)
 	if err != nil {

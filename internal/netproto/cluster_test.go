@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -38,6 +39,26 @@ func newSyncSet(t *testing.T, space metric.Space, pts metric.PointSet, seed uint
 	return ls
 }
 
+// newProbe returns a probe initiator for the Sync set ls.
+func newProbe(t *testing.T, ls *live.Set) *ProbeInitiator {
+	t.Helper()
+	probe, err := NewProbeInitiator(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probe
+}
+
+// newProbeResponder returns a probe responder for the Sync set ls.
+func newProbeResponder(t *testing.T, ls *live.Set) *ProbeResponder {
+	t.Helper()
+	f, err := NewProbeResponderFactory(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f().(*ProbeResponder)
+}
+
 // runPair drives an initiator/responder handler pair over a duplex pipe.
 func runPair(t *testing.T, init, resp Handler) {
 	t.Helper()
@@ -69,8 +90,8 @@ func TestProbeMatchAndEstimate(t *testing.T) {
 	a := newSyncSet(t, space, shared, 9)
 	b := newSyncSet(t, space, shared, 9)
 
-	probe := NewProbeInitiator(a)
-	runPair(t, probe, NewProbeResponderFactory(b)())
+	probe := newProbe(t, a)
+	runPair(t, probe, newProbeResponder(t, b))
 	if !probe.Matched {
 		t.Fatalf("identical sets did not match: local %+v remote %+v", probe.Local, probe.Remote)
 	}
@@ -84,8 +105,8 @@ func TestProbeMatchAndEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	probe = NewProbeInitiator(a)
-	runPair(t, probe, NewProbeResponderFactory(b)())
+	probe = newProbe(t, a)
+	runPair(t, probe, newProbeResponder(t, b))
 	if probe.Matched {
 		t.Fatal("diverged sets matched")
 	}
@@ -122,10 +143,10 @@ func TestProbeMatchedMovesFewBytes(t *testing.T) {
 	defer pa.Close()
 	defer pb.Close()
 	ca, cb := &countingConn{Conn: pa}, &countingConn{Conn: pb}
-	probe := NewProbeInitiator(a)
+	probe := newProbe(t, a)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunResponder(cb, NewProbeResponderFactory(b)())
+		_, err := RunResponder(cb, newProbeResponder(t, b))
 		errc <- err
 	}()
 	if _, err := RunInitiator(ca, probe); err != nil {
@@ -153,8 +174,8 @@ func TestProbeMismatchCarriesOneStrata(t *testing.T) {
 	b := newSyncSet(t, space, append(shared.Clone(), clusterPoints(space, 5, 4)...), 9)
 
 	alice, bob := transport.NewPipe()
-	probe := NewProbeInitiator(a)
-	resp := NewProbeResponderFactory(b)().(*ProbeResponder)
+	probe := newProbe(t, a)
+	resp := newProbeResponder(t, b)
 	errc := make(chan error, 1)
 	go func() { errc <- resp.Run(bob) }()
 	if err := probe.Run(alice); err != nil {
@@ -184,22 +205,14 @@ func TestProbeMismatchCarriesOneStrata(t *testing.T) {
 	}
 }
 
-// TestProbeVerdictsMatchSnapshots: across identical, k-apart and
-// Sync-less pairs, a probe's Matched and Estimate are what the two
-// snapshots give directly — Match on their summaries, and the local
-// strata's estimate against the peer's — and the reply carried a
-// strata exactly when both sides have Sync and the sets differ.
+// TestProbeVerdictsMatchSnapshots: across identical and k-apart pairs,
+// a probe's Matched and Estimate are what the two snapshots give
+// directly — Match on their summaries, and the local strata's estimate
+// against the peer's — and the reply carried a strata exactly when the
+// sets differ.
 func TestProbeVerdictsMatchSnapshots(t *testing.T) {
 	space := metric.HammingCube(64)
 	shared := clusterPoints(space, 64, 3)
-	emdP := emd.DefaultParams(space, 128, 2, 5)
-	emdSet := func(pts metric.PointSet) *live.Set {
-		ls, err := live.NewSet(live.Config{EMD: &emdP}, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ls
-	}
 	type pair struct {
 		name string
 		a, b *live.Set
@@ -210,33 +223,25 @@ func TestProbeVerdictsMatchSnapshots(t *testing.T) {
 			newSyncSet(t, space, shared, 9),
 			newSyncSet(t, space, append(shared.Clone(), clusterPoints(space, k, uint64(100+k))...), 9)})
 	}
-	pairs = append(pairs,
-		pair{"no-sync identical", emdSet(shared), emdSet(shared)},
-		pair{"no-sync 5-apart", emdSet(shared), emdSet(append(shared.Clone(), clusterPoints(space, 5, 7)...))})
-
 	for _, p := range pairs {
 		sa, sb := p.a.Snapshot(), p.b.Snapshot()
 		wantMatch := summaryOf(sa).Match(summaryOf(sb))
-		wantEst := -1
-		switch {
-		case sa.Strata == nil || sb.Strata == nil:
-		case wantMatch:
-			wantEst = 0
-		default:
+		wantEst := 0
+		if !wantMatch {
 			est, err := sa.Strata.Estimate(sb.Strata)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantEst = est
 		}
-		probe := NewProbeInitiator(p.a)
-		runPair(t, probe, NewProbeResponderFactory(p.b)())
+		probe := newProbe(t, p.a)
+		runPair(t, probe, newProbeResponder(t, p.b))
 		if probe.Matched != wantMatch || probe.Estimate != wantEst {
 			t.Errorf("%s: probe matched %v, estimate %d; snapshots give %v, %d",
 				p.name, probe.Matched, probe.Estimate, wantMatch, wantEst)
 		}
-		if carried, want := probe.Remote.Strata != nil, sa.Strata != nil && !wantMatch; carried != want {
-			t.Errorf("%s: reply carried a strata: %v, want %v", p.name, carried, want)
+		if carried := probe.Remote.Strata != nil; carried == wantMatch {
+			t.Errorf("%s: reply carried a strata: %v, want %v", p.name, carried, !wantMatch)
 		}
 	}
 }
@@ -251,10 +256,10 @@ func TestProbeDigestEnforcesSetConfig(t *testing.T) {
 	defer conn2.Close()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunResponder(conn2, NewProbeResponderFactory(b)())
+		_, err := RunResponder(conn2, newProbeResponder(t, b))
 		errc <- err
 	}()
-	if _, err := RunInitiator(conn1, NewProbeInitiator(a)); err == nil {
+	if _, err := RunInitiator(conn1, newProbe(t, a)); err == nil {
 		t.Fatal("probe across mismatched sync seeds accepted")
 	}
 	if err := <-errc; err == nil {
@@ -301,14 +306,79 @@ func testRepairConverges(t *testing.T, hint int) {
 	}
 }
 
-func TestRepairConvergesWithStrata(t *testing.T) { testRepairConverges(t, 0) }
-
 func TestRepairConvergesWithHint(t *testing.T) { testRepairConverges(t, 12) }
 
-// An absurd hint (beyond the IBLT sizing limit) must not be sent as-is:
-// the initiator falls back to the strata round and the session still
-// converges.
-func TestRepairConvergesWithOversizedHint(t *testing.T) { testRepairConverges(t, iblt.MaxDiff+1) }
+// TestRepairClampsHint: the initiator clamps its hint into
+// [1, iblt.MaxDiff], the range a responder accepts. A hint below it
+// becomes 1, whose first table stalls on 12 differences and doubles
+// until the session converges. A hint above it becomes MaxDiff, whose
+// first table the responder refuses before building it; nothing merges.
+func TestRepairClampsHint(t *testing.T) {
+	space := metric.HammingCube(32)
+	ls := newSyncSet(t, space, clusterPoints(space, 4, 1), 9)
+	for hint, want := range map[int]int{-5: 1, 0: 1, 1: 1, iblt.MaxDiff: iblt.MaxDiff, iblt.MaxDiff + 1: iblt.MaxDiff} {
+		init, err := NewRepairInitiator(ls, hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if init.Hint != want {
+			t.Errorf("hint %d clamped to %d, want %d", hint, init.Hint, want)
+		}
+	}
+	testRepairConverges(t, 0)
+
+	a := newSyncSet(t, space, clusterPoints(space, 10, 2), 9)
+	b := newSyncSet(t, space, clusterPoints(space, 10, 3), 9)
+	fpA, fpB := a.IDFingerprint(), b.IDFingerprint()
+	init, err := NewRepairInitiator(a, iblt.MaxDiff+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewRepairResponderFactory(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob := transport.NewPipe()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- f().Run(bob)
+		bob.Close()
+	}()
+	initErr := init.Run(alice)
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("responder err = %v, want the IBLT bound limit", err)
+	}
+	if initErr == nil {
+		t.Fatal("initiator succeeded against a refusing responder")
+	}
+	if a.IDFingerprint() != fpA || b.IDFingerprint() != fpB {
+		t.Fatal("a refused repair changed a set")
+	}
+}
+
+// TestRepairResponderRefusesHintOutOfRange: an opening hint of 0 (the
+// retired "strata follows" marker) or above iblt.MaxDiff is refused
+// before any table is built.
+func TestRepairResponderRefusesHintOutOfRange(t *testing.T) {
+	space := metric.HammingCube(32)
+	ls := newSyncSet(t, space, clusterPoints(space, 4, 1), 9)
+	f, err := NewRepairResponderFactory(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hint := range []uint64{0, iblt.MaxDiff + 1} {
+		peer, conn := transport.NewPipe()
+		e := transport.NewEncoder()
+		e.WriteUvarint(hint)
+		if err := peer.Send(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := f().Run(conn); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("hint %d: err = %v, want a range refusal", hint, err)
+		}
+		peer.Close()
+	}
+}
 
 func TestRepairIdenticalSetsIsNoop(t *testing.T) {
 	space := metric.HammingCube(32)
@@ -436,6 +506,23 @@ func TestRepairRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
+// TestProbeRequiresSyncState: like repair, probe compares point IDs, so
+// both ends refuse a set without Sync state.
+func TestProbeRequiresSyncState(t *testing.T) {
+	space := metric.HammingCube(32)
+	p := emd.DefaultParams(space, 16, 2, 5)
+	ls, err := live.NewSet(live.Config{EMD: &p}, clusterPoints(space, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProbeInitiator(ls); err == nil {
+		t.Fatal("probe initiator accepted a set without Sync state")
+	}
+	if _, err := NewProbeResponderFactory(ls); err == nil {
+		t.Fatal("probe responder accepted a set without Sync state")
+	}
+}
+
 func TestRepairRequiresSyncState(t *testing.T) {
 	space := metric.HammingCube(32)
 	p := emd.DefaultParams(space, 16, 2, 5)
@@ -448,5 +535,30 @@ func TestRepairRequiresSyncState(t *testing.T) {
 	}
 	if _, err := NewRepairResponderFactory(ls); err == nil {
 		t.Fatal("repair responder accepted a set without Sync state")
+	}
+}
+
+// TestRepairServesTablePeeledPastItsBound: a table sized for 10
+// differences has 39 cells and can peel more than 10 keys. An honest
+// initiator that peels one and asks for the 15 points behind them is
+// served: each peeled key empties a cell for good, so the responder
+// bounds the ack by the table's cells, not by its difference bound.
+func TestRepairServesTablePeeledPastItsBound(t *testing.T) {
+	space := metric.HammingCube(32)
+	a := newSyncSet(t, space, clusterPoints(space, 4, 77), 99)
+	b := newSyncSet(t, space, clusterPoints(space, 15, 2), 99)
+	init, err := NewRepairInitiator(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewRepairResponderFactory(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin := runHashed(t, init, f()); pin.bobFrames != 2 {
+		t.Fatalf("responder sent %d frames, want 2: the first table peels", pin.bobFrames)
+	}
+	if init.Received != 15 || a.IDFingerprint() != b.IDFingerprint() {
+		t.Fatalf("received %d points, want 15; converged %v", init.Received, a.IDFingerprint() == b.IDFingerprint())
 	}
 }

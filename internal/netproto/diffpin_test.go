@@ -85,9 +85,9 @@ func checkPin(t *testing.T, got, want wirePin) {
 }
 
 // TestRepairWirePinned pins the SHA-256 of every frame a repair
-// exchange (proto 7) sends in each direction: opened with a strata,
-// opened with a hint, and opened with a hint of 1 against 200 differing
-// IDs, whose first table stalls so the doubling path is pinned.
+// exchange (proto 7) sends in each direction: opened with a hint, and
+// opened with a hint of 1 against 200 differing IDs, whose first table
+// stalls so the doubling path is pinned.
 func TestRepairWirePinned(t *testing.T) {
 	space := metric.HammingCube(32)
 	for _, c := range []struct {
@@ -96,11 +96,6 @@ func TestRepairWirePinned(t *testing.T) {
 		onlyA, onlyB int
 		want         wirePin
 	}{
-		{"strata", 0, 11, 7, wirePin{
-			a2b:       "62f8591c45c5dfaf1256f909659698c88a222e728d927dc974f0d0320dfc1c5a",
-			b2a:       "5b03d6200cc641827b0f49e21d2a175f139cf42f5b7e36399a8d6359fa5f6680",
-			bobFrames: 2,
-		}},
 		{"hint", 24, 11, 7, wirePin{
 			a2b:       "65d90b78d72bb23a5f48d4cff118f244e2223bab5686375ba01dba69167cc9fb",
 			b2a:       "2885813089195b75354a5768768e3244560f3b5f61b28dba7a298fe8937fa38b",
@@ -128,6 +123,43 @@ func TestRepairWirePinned(t *testing.T) {
 			checkPin(t, runHashed(t, init, factory()), c.want)
 			if init.Sent != c.onlyA || init.Received != c.onlyB {
 				t.Errorf("sent %d / received %d points, want %d / %d", init.Sent, init.Received, c.onlyA, c.onlyB)
+			}
+		})
+	}
+}
+
+// TestProbeWirePinned pins the SHA-256 of both frames a probe exchange
+// (proto 6) sends, at layout meshWireVersion: between identical sets,
+// where each side sends its fixed summary fields alone, and between
+// sets 5 points apart, where the reply appends the responder's strata.
+func TestProbeWirePinned(t *testing.T) {
+	space := metric.HammingCube(32)
+	for _, c := range []struct {
+		name    string
+		extra   int
+		matched bool
+		want    wirePin
+	}{
+		{"matched", 0, true, wirePin{
+			a2b:       "b01b534a3fd1f52383f77f71cafaf438360964b66f21970693ba8af63124dcf4",
+			b2a:       "b01b534a3fd1f52383f77f71cafaf438360964b66f21970693ba8af63124dcf4",
+			bobFrames: 1,
+		}},
+		{"mismatched", 5, false, wirePin{
+			a2b:       "b01b534a3fd1f52383f77f71cafaf438360964b66f21970693ba8af63124dcf4",
+			b2a:       "eec142a137c5d4c1f7837430b6b0282d717116d34e228644433e1633895c591a",
+			bobFrames: 1,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 0x7e
+			base := clusterPoints(space, 120, 0x71)
+			a := newSyncSet(t, space, base, seed)
+			b := newSyncSet(t, space, append(base.Clone(), clusterPoints(space, c.extra, 0x73)...), seed)
+			probe := newProbe(t, a)
+			checkPin(t, runHashed(t, probe, newProbeResponder(t, b)), c.want)
+			if probe.Matched != c.matched {
+				t.Errorf("matched %v, want %v", probe.Matched, c.matched)
 			}
 		})
 	}

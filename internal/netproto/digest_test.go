@@ -8,6 +8,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/metric"
 	"repro/internal/setsets"
+	"repro/internal/store"
 )
 
 // TestDigestPins pins the hello digests of two fixed configurations:
@@ -15,8 +16,8 @@ import (
 // -seed 1, so r2 = d), and the benchmark's sets at its configuration
 // seed 77. Peers compare these digests before any protocol traffic, so
 // a changed value is a wire change and needs a deliberate re-pin. The
-// probe digest folds the probe wire version into the live-set digest,
-// so it must differ from it.
+// live-set digests fold in meshWireVersion, the layout probe and repair
+// share.
 func TestDigestPins(t *testing.T) {
 	const daemonSeed, benchSeed = 1, 77
 	daemonEMD := emd.DefaultParams(metric.HammingCube(128), 64, 4, daemonSeed+1)
@@ -36,9 +37,6 @@ func TestDigestPins(t *testing.T) {
 	}
 	liveDigest := func(cfg live.Config) uint64 { return DigestLiveSet(liveSet(cfg)) }
 	meshSync := live.Config{Sync: &live.SyncConfig{Seed: benchSeed}}
-	if DigestProbe(liveSet(meshSync)) == liveDigest(meshSync) {
-		t.Error("the probe digest equals the live-set digest: a peer on the strata-both-ways probe layout would pass the hello")
-	}
 	for _, c := range []struct {
 		name string
 		got  uint64
@@ -46,17 +44,61 @@ func TestDigestPins(t *testing.T) {
 	}{
 		{"daemon emd", DigestEMD(daemonEMD), 0x50a4da4c64a55904},
 		{"daemon gap", DigestGap(daemonGap), 0x57d3bbe51fc0c93},
-		{"daemon live emd+sync", liveDigest(live.Config{EMD: &daemonEMD, Sync: &daemonSync}), 0xb6d9e83fe925f4b7},
-		{"daemon live gap", liveDigest(live.Config{Gap: &daemonGap}), 0xc35953f6c00df1e0},
+		{"daemon live emd+sync", liveDigest(live.Config{EMD: &daemonEMD, Sync: &daemonSync}), 0xbd6abd81687a9dca},
+		{"daemon live gap", liveDigest(live.Config{Gap: &daemonGap}), 0xfed7d039935846b6},
 		{"bench gap", DigestGap(benchGap), 0x3a6424783607e1d4},
 		{"bench churn emd", DigestEMD(benchChurn), 0x6e3bf171999b4cea},
-		{"bench churn live", liveDigest(live.Config{EMD: &benchChurn}), 0x99f478b5dba06e4b},
-		{"bench mesh live emd+sync", liveDigest(live.Config{EMD: &benchMesh, Sync: &live.SyncConfig{Seed: benchSeed}}), 0x981ca59a32e7b864},
-		{"bench mesh live sync", liveDigest(meshSync), 0xe532ebb7cd640440},
-		{"bench mesh probe sync", DigestProbe(liveSet(meshSync)), 0x946e8cb7003f52d9},
+		{"bench churn live", liveDigest(live.Config{EMD: &benchChurn}), 0x6aef8546369d6e00},
+		{"bench mesh live emd+sync", liveDigest(live.Config{EMD: &benchMesh, Sync: &live.SyncConfig{Seed: benchSeed}}), 0x5ea81eabbbd53d80},
+		{"bench mesh live sync", liveDigest(meshSync), 0x5945a43ea18a8ff7},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: digest %#x, pinned %#x", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestOlderMeshDigestRefused: a peer on the previous probe and repair
+// layouts sends the digests it computed there — DigestLiveSet without a
+// wire version for repair, and that folded with probe version 2 for
+// probe. A store server refuses both hellos with StatusDigestMismatch
+// and accepts the current digest. The old values are pinned for the
+// benchmark's Sync-only mesh set at its configuration seed 77.
+func TestOlderMeshDigestRefused(t *testing.T) {
+	st := store.New()
+	ls, err := st.Create("s", live.Config{Sync: &live.SyncConfig{Seed: 77}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		proto  Proto
+		digest uint64
+		want   Status
+	}{
+		{ProtoRepair, 0xe532ebb7cd640440, StatusDigestMismatch},
+		{ProtoProbe, 0x946e8cb7003f52d9, StatusDigestMismatch},
+		{ProtoRepair, DigestLiveSet(ls), StatusOK},
+		{ProtoProbe, DigestLiveSet(ls), StatusOK},
+	} {
+		a, b := duplex()
+		go func() {
+			defer b.Close()
+			w := NewWire(b)
+			if hello, err := ReadHello(w); err == nil {
+				AnswerHello(w, hello, StoreResolver(st)) //nolint:errcheck // the status is the verdict
+			}
+		}()
+		w := NewWire(a)
+		if err := SendHello(w, Hello{Proto: c.proto, Role: RoleAlice, Digest: c.digest, Set: "s"}); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReadAccept(w)
+		a.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%v hello with digest %#x: status %v, want %v", c.proto, c.digest, got, c.want)
 		}
 	}
 }

@@ -52,10 +52,9 @@ func Handlers(factories ...func() Handler) Resolver {
 // StoreResolver builds a Resolver over a store. For each registered set
 // it serves exactly the protocols the set's live.Config maintains:
 //
-//	live-emd  (as Alice)  when EMD is enabled
-//	gap       (as Alice)  when Gap is enabled
-//	probe     (as Bob)    always
-//	repair    (as Bob)    when Sync is enabled
+//	live-emd      (as Alice)  when EMD is enabled
+//	gap           (as Alice)  when Gap is enabled
+//	probe, repair (as Bob)    when Sync is enabled
 func StoreResolver(st *store.Store) Resolver {
 	return func(set string, proto Proto, peerRole Role) (func() Handler, bool) {
 		ls, ok := st.Get(set)
@@ -69,27 +68,22 @@ func StoreResolver(st *store.Store) Resolver {
 // liveFactory returns the factory serving proto in the given local role
 // from the live set, or nil when the combination is not servable.
 func liveFactory(ls *live.Set, proto Proto, localRole Role) func() Handler {
+	var newFactory func(*live.Set) (func() Handler, error)
 	switch {
 	case proto == ProtoLiveEMD && localRole == RoleAlice:
-		f, err := NewLiveEMDSenderFactory(ls)
-		if err != nil {
-			return nil
-		}
-		return f
+		newFactory = NewLiveEMDSenderFactory
 	case proto == ProtoGap && localRole == RoleAlice:
-		f, err := NewLiveGapSenderFactory(ls)
-		if err != nil {
-			return nil
-		}
-		return f
+		newFactory = NewLiveGapSenderFactory
 	case proto == ProtoProbe && localRole == RoleBob:
-		return NewProbeResponderFactory(ls)
+		newFactory = NewProbeResponderFactory
 	case proto == ProtoRepair && localRole == RoleBob:
-		f, err := NewRepairResponderFactory(ls)
-		if err != nil {
-			return nil
-		}
-		return f
+		newFactory = NewRepairResponderFactory
+	default:
+		return nil
 	}
-	return nil
+	f, err := newFactory(ls)
+	if err != nil {
+		return nil
+	}
+	return f
 }

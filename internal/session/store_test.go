@@ -55,8 +55,11 @@ func newStoreServer(t *testing.T, cfg Config) (*Server, *store.Store, net.Listen
 // session error.
 func probeVia(t *testing.T, addr, set string, local *live.Set) error {
 	t.Helper()
-	d := Dialer{Addr: addr, Set: set}
-	_, err := d.Do(netproto.NewProbeInitiator(local))
+	probe, err := netproto.NewProbeInitiator(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = (Dialer{Addr: addr, Set: set}).Do(probe)
 	return err
 }
 
@@ -115,7 +118,7 @@ func TestUnknownSetRejected(t *testing.T) {
 func TestRetiredProtosRefused(t *testing.T) {
 	_, st, l := newStoreServer(t, Config{})
 	ls, _ := st.Get("tenant-a")
-	probe := netproto.DigestProbe(ls)
+	probe := netproto.DigestLiveSet(ls)
 	for _, tc := range []struct {
 		hello netproto.Hello
 		want  netproto.Status

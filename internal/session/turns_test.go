@@ -134,7 +134,11 @@ func TestMuxWritesPerTurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newTestServer(f, Config{Transport: tr}, netproto.NewProbeResponderFactory(served), repairFactory)
+	probeFactory, err := netproto.NewProbeResponderFactory(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(f, Config{Transport: tr}, probeFactory, repairFactory)
 	l, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +154,10 @@ func TestMuxWritesPerTurn(t *testing.T) {
 		t.Fatalf("carrier negotiation took %d/%d writes, want 1/1", c, s)
 	}
 
-	probe := netproto.NewProbeInitiator(local)
+	probe, err := netproto.NewProbeInitiator(local)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := pool.Do(addr, "", probe); err != nil {
 		t.Fatal(err)
 	}

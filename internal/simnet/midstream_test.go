@@ -89,7 +89,15 @@ func matrixCases() []protoCase {
 		}},
 		{"probe", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
 			srvLS, cliLS := liveSets(t, false)
-			return netproto.NewProbeResponderFactory(srvLS), netproto.NewProbeInitiator(cliLS)
+			f, err := netproto.NewProbeResponderFactory(srvLS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := netproto.NewProbeInitiator(cliLS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f, h
 		}},
 		{"repair", func(t *testing.T) (func() netproto.Handler, netproto.Handler) {
 			srvLS, cliLS := liveSets(t, false)
