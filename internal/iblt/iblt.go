@@ -64,22 +64,24 @@ func New(m, q int, seed uint64) *Table {
 	if q < 2 {
 		panic("iblt: need q >= 2 hash functions")
 	}
-	if m < q {
-		m = q
-	}
-	cellsPerQ := (m + q - 1) / q
+	return new(Table).init(seed, make([]Cell, q*cellsPerPartition(m, q)), make([]hashx.Mixer, q))
+}
+
+// cellsPerPartition is the partition size of a table of at least m
+// cells and q hash functions.
+func cellsPerPartition(m, q int) int { return (max(m, q) + q - 1) / q }
+
+// init lays t out over cells, split into len(idx) partitions, and draws
+// its mixers from seed: one cell-index mixer per partition into idx,
+// then the checksum mixer. New allocates both slices per table; a
+// strata carves them out of one array per estimator.
+func (t *Table) init(seed uint64, cells []Cell, idx []hashx.Mixer) *Table {
 	src := rng.New(seed)
-	idx := make([]hashx.Mixer, q)
 	for i := range idx {
 		idx[i] = hashx.NewMixer(src)
 	}
-	return &Table{
-		q:         q,
-		cellsPerQ: cellsPerQ,
-		cells:     make([]Cell, cellsPerQ*q),
-		idx:       idx,
-		check:     hashx.NewMixer(src),
-	}
+	*t = Table{q: len(idx), cellsPerQ: len(cells) / len(idx), cells: cells, idx: idx, check: hashx.NewMixer(src)}
+	return t
 }
 
 // NewFromKeys builds a table with q hash functions and at least m cells
@@ -149,15 +151,6 @@ func (t *Table) Subtract(other *Table) error {
 	return nil
 }
 
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	c := *t
-	c.cells = make([]Cell, len(t.cells))
-	copy(c.cells, t.cells)
-	c.idx = append([]hashx.Mixer(nil), t.idx...)
-	return &c
-}
-
 // ErrPartial is returned by Decode when peeling stalls before the table
 // empties (the underlying hypergraph has a non-empty 2-core, cf.
 // Theorem 2.6's failure probability).
@@ -224,41 +217,58 @@ func (t *Table) Encode(e *transport.Encoder) {
 // DecodeFrom deserializes a table that must have been built with the same
 // seed as the receiver's reference table; geometry is checked.
 func DecodeFrom(d *transport.Decoder, seed uint64) (*Table, error) {
-	q, err := d.ReadUvarint()
+	q, cellsPerQ, err := readGeometry(d)
 	if err != nil {
 		return nil, err
 	}
-	cellsPerQ, err := d.ReadUvarint()
-	if err != nil {
+	t := New(q*cellsPerQ, q, seed)
+	if err := readCells(d, t.cells); err != nil {
 		return nil, err
 	}
-	if q < 2 || q > 16 || cellsPerQ == 0 || cellsPerQ > 1<<30 {
-		return nil, fmt.Errorf("iblt: implausible geometry q=%d cells/q=%d", q, cellsPerQ)
+	return t, nil
+}
+
+// readGeometry reads the (q, cells/q) header Table.Encode writes.
+func readGeometry(d *transport.Decoder) (q, cellsPerQ int, err error) {
+	uq, err := d.ReadUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	ucells, err := d.ReadUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	if uq < 2 || uq > 16 || ucells == 0 || ucells > 1<<30 {
+		return 0, 0, fmt.Errorf("iblt: implausible geometry q=%d cells/q=%d", uq, ucells)
 	}
 	// Every encoded cell costs at least 3 bytes (count varint, keyXor
 	// uvarint, checkXor uvarint), so a table the rest of the frame
 	// cannot hold is rejected before its cells are allocated: a hostile
 	// header must not reserve memory the payload never backs.
-	if cells := q * cellsPerQ; cells > uint64(d.Remaining())/3 {
-		return nil, fmt.Errorf("iblt: table of %d cells exceeds remaining frame (%d bytes)", cells, d.Remaining())
+	if cells := uq * ucells; cells > uint64(d.Remaining())/3 {
+		return 0, 0, fmt.Errorf("iblt: table of %d cells exceeds remaining frame (%d bytes)", cells, d.Remaining())
 	}
-	t := New(int(q*cellsPerQ), int(q), seed)
-	for i := range t.cells {
+	return int(uq), int(ucells), nil
+}
+
+// readCells reads the cells Table.Encode writes after its header.
+func readCells(d *transport.Decoder, cells []Cell) error {
+	for i := range cells {
 		cnt, err := d.ReadVarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ks, err := d.ReadUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cs, err := d.ReadUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.cells[i] = Cell{Count: cnt, KeySum: ks, CheckSum: cs}
+		cells[i] = Cell{Count: cnt, KeySum: ks, CheckSum: cs}
 	}
-	return t, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

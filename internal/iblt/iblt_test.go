@@ -299,17 +299,13 @@ func TestNewPanicsOnBadQ(t *testing.T) {
 func TestStrataEstimate(t *testing.T) {
 	for _, diff := range []int{0, 4, 40, 400, 4000} {
 		const seed = 5
-		sa := NewStrata(80, seed)
-		sb := NewStrata(80, seed)
 		src := rng.New(uint64(diff) + 1)
-		for i := 0; i < 20000; i++ {
-			k := src.Uint64()
-			sa.Insert(k)
-			sb.Insert(k)
+		keys := make([]uint64, 20000+diff)
+		for i := range keys {
+			keys[i] = src.Uint64()
 		}
-		for i := 0; i < diff; i++ {
-			sa.Insert(src.Uint64())
-		}
+		sa := NewStrataFromKeys(80, seed, keys)
+		sb := NewStrataFromKeys(80, seed, keys[:20000])
 		got, err := sa.Estimate(sb)
 		if err != nil {
 			t.Fatal(err)
@@ -330,14 +326,12 @@ func TestStrataEstimate(t *testing.T) {
 
 func TestStrataEncodeRoundTrip(t *testing.T) {
 	const seed = 17
-	s := NewStrata(40, seed)
 	src := rng.New(3)
-	var ks []uint64
-	for i := 0; i < 500; i++ {
-		k := src.Uint64()
-		ks = append(ks, k)
-		s.Insert(k)
+	ks := make([]uint64, 500)
+	for i := range ks {
+		ks[i] = src.Uint64()
 	}
+	s := NewStrataFromKeys(40, seed, ks)
 	e := transport.NewEncoder()
 	s.Encode(e)
 	var ch transport.Channel
@@ -353,10 +347,7 @@ func TestStrataEncodeRoundTrip(t *testing.T) {
 		t.Errorf("round-trip estimate = %d err=%v", est, err)
 	}
 	// And against an estimator missing 100 keys, it is ~100.
-	s2 := NewStrata(40, seed)
-	for _, k := range ks[:400] {
-		s2.Insert(k)
-	}
+	s2 := NewStrataFromKeys(40, seed, ks[:400])
 	est, err = got.Estimate(s2)
 	if err != nil {
 		t.Fatal(err)
@@ -367,8 +358,8 @@ func TestStrataEncodeRoundTrip(t *testing.T) {
 }
 
 func TestStrataGeometryMismatch(t *testing.T) {
-	a := NewStrata(40, 1)
-	b := NewStrata(80, 1)
+	a := NewStrataFromKeys(40, 1, nil)
+	b := NewStrataFromKeys(80, 1, nil)
 	if _, err := a.Estimate(b); err == nil {
 		t.Error("mismatched strata estimate succeeded")
 	}

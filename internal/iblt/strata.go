@@ -20,10 +20,14 @@ import (
 // counting trailing zeros of a shared hash) and inserted into a small
 // per-stratum IBLT. Subtracting two estimators and peeling strata from
 // the deepest down yields an unbiased difference estimate.
+//
+// An estimator is built once, from its keys (NewStrataFromKeys), or
+// decoded from a peer's bits (DecodeStrata), and is read-only after
+// that. Its levels' cells and index mixers each live in one array.
 type Strata struct {
-	levels []*Table
 	assign hashx.Mixer
 	perLvl int
+	levels [StrataLevels]Table
 }
 
 // StrataLevels is the number of strata; 32 suffices for differences up to
@@ -34,81 +38,60 @@ const StrataLevels = 32
 // protocols ship: the customary 80 cells of [10].
 const StrataCells = 80
 
-// NewStrata builds an estimator whose per-stratum tables have cellsPerLevel
-// cells (StrataCells on every wire protocol).
-func NewStrata(cellsPerLevel int, seed uint64) *Strata {
+// strataQ is the number of hash functions of every stratum's table.
+const strataQ = 3
+
+// newStrata lays out an empty estimator whose per-stratum tables have
+// cellsPerLevel cells. The seed draws the stratum-assignment mixer, then
+// one table seed per level, in level order.
+func newStrata(cellsPerLevel int, seed uint64) *Strata {
 	src := rng.New(seed)
-	assign := hashx.NewMixer(src)
-	s := &Strata{levels: make([]*Table, StrataLevels), assign: assign, perLvl: cellsPerLevel}
+	s := &Strata{assign: hashx.NewMixer(src), perLvl: cellsPerLevel}
+	n := strataQ * cellsPerPartition(cellsPerLevel, strataQ)
+	cells := make([]Cell, StrataLevels*n)
+	idx := make([]hashx.Mixer, StrataLevels*strataQ)
 	for i := range s.levels {
-		s.levels[i] = New(cellsPerLevel, 3, src.Uint64())
+		s.levels[i].init(src.Uint64(), cells[i*n:(i+1)*n:(i+1)*n], idx[i*strataQ:(i+1)*strataQ:(i+1)*strataQ])
 	}
 	return s
 }
 
-// NewStrataFromKeys builds an estimator over every key. Trailing ints
-// are ignored; they keep the benchmark harness's four-argument call
-// (bench/sut.go) compiling.
+// NewStrataFromKeys builds an estimator over every key, batching the
+// stratum-assignment hashing into a fixed scratch block. Cells are XOR
+// and sum folds, so the result depends on the keys, not their order.
+// Trailing ints are ignored; they keep the benchmark harness's
+// four-argument call (bench/sut.go) compiling.
 func NewStrataFromKeys(cellsPerLevel int, seed uint64, keys []uint64, _ ...int) *Strata {
-	s := NewStrata(cellsPerLevel, seed)
-	s.InsertAll(keys)
-	return s
-}
-
-// Insert adds a key to its stratum.
-func (s *Strata) Insert(key uint64) {
-	lvl := bits.TrailingZeros64(s.assign.Hash(key) | 1<<(StrataLevels-1))
-	s.levels[lvl].Insert(key)
-}
-
-// InsertAll adds every key of keys, batching the stratum-assignment
-// hashing into a fixed scratch block. Equivalent to inserting one at a
-// time.
-func (s *Strata) InsertAll(keys []uint64) {
+	s := newStrata(cellsPerLevel, seed)
 	var assigned [256]uint64
 	for len(keys) > 0 {
 		n := min(len(keys), len(assigned))
 		s.assign.HashInto(assigned[:n], keys[:n])
 		for i, key := range keys[:n] {
-			lvl := bits.TrailingZeros64(assigned[i] | 1<<(StrataLevels-1))
-			s.levels[lvl].Insert(key)
+			s.levels[bits.TrailingZeros64(assigned[i]|1<<(StrataLevels-1))].Insert(key)
 		}
 		keys = keys[n:]
 	}
+	return s
 }
 
-// Delete removes a key from its stratum. Because stratum assignment is a
-// pure function of the key and every cell field combines by XOR or
-// addition, deleting a previously inserted key restores the estimator
-// exactly — a live set can therefore maintain one estimator under churn
-// instead of rebuilding it per session.
-func (s *Strata) Delete(key uint64) {
-	lvl := bits.TrailingZeros64(s.assign.Hash(key) | 1<<(StrataLevels-1))
-	s.levels[lvl].Delete(key)
-}
-
-// Clone deep-copies the estimator, for serving a consistent snapshot
-// while the original keeps mutating.
-func (s *Strata) Clone() *Strata {
-	c := &Strata{levels: make([]*Table, len(s.levels)), assign: s.assign, perLvl: s.perLvl}
-	for i, t := range s.levels {
-		c.levels[i] = t.Clone()
-	}
-	return c
-}
-
-// Estimate subtracts other from a copy of s and returns an estimate of
-// |difference| (keys on either side). Peeling proceeds from the deepest
-// stratum; the first stratum that fails to decode determines the scaling
-// factor 2^(i+1) applied to the differences counted so far.
+// Estimate returns an estimate of |difference| (keys on either side)
+// between s and other, leaving both unchanged: each level is subtracted
+// into one reused buffer. Peeling proceeds from the deepest stratum; the
+// first stratum that fails to decode determines the scaling factor
+// 2^(i+1) applied to the differences counted so far.
 func (s *Strata) Estimate(other *Strata) (int, error) {
 	if s.perLvl != other.perLvl {
 		return 0, fmt.Errorf("iblt: strata geometry mismatch")
 	}
+	buf := make([]Cell, len(s.levels[0].cells))
+	var t Table
 	count := 0
 	for i := StrataLevels - 1; i >= 0; i-- {
-		t := s.levels[i].Clone()
-		if err := t.Subtract(other.levels[i]); err != nil {
+		t = s.levels[i]
+		t.cells = buf
+		copy(buf, s.levels[i].cells)
+		if err := t.Subtract(&other.levels[i]); err != nil {
 			return 0, err
 		}
 		add, rem, err := t.Decode()
@@ -124,30 +107,39 @@ func (s *Strata) Estimate(other *Strata) (int, error) {
 // Encode serializes the estimator.
 func (s *Strata) Encode(e *transport.Encoder) {
 	e.WriteUvarint(uint64(s.perLvl))
-	for _, t := range s.levels {
-		t.Encode(e)
+	for i := range s.levels {
+		s.levels[i].Encode(e)
 	}
 }
 
-// DecodeStrata deserializes an estimator built with the given seed.
+// DecodeStrata deserializes an estimator built with the given seed. It
+// refuses a level whose geometry differs from the one its cells-per-level
+// header lays out, and a header whose layout the rest of the frame
+// cannot fill.
 func DecodeStrata(d *transport.Decoder, seed uint64) (*Strata, error) {
 	perLvl, err := d.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
-	if perLvl == 0 || perLvl > 1<<20 {
-		return nil, fmt.Errorf("iblt: implausible strata size %d", perLvl)
+	// Every cell costs at least 3 bytes on the wire (see readGeometry),
+	// so the layout is bounded by the frame before it is allocated.
+	if perLvl == 0 || perLvl > 1<<20 || StrataLevels*perLvl > uint64(d.Remaining())/3 {
+		return nil, fmt.Errorf("iblt: implausible strata size %d for %d remaining bytes", perLvl, d.Remaining())
 	}
-	src := rng.New(seed)
-	assign := hashx.NewMixer(src)
-	s := &Strata{levels: make([]*Table, StrataLevels), assign: assign, perLvl: int(perLvl)}
+	s := newStrata(int(perLvl), seed)
 	for i := range s.levels {
-		lvlSeed := src.Uint64()
-		t, err := DecodeFrom(d, lvlSeed)
+		t := &s.levels[i]
+		q, cellsPerQ, err := readGeometry(d)
 		if err != nil {
 			return nil, err
 		}
-		s.levels[i] = t
+		if q != t.q || cellsPerQ != t.cellsPerQ {
+			return nil, fmt.Errorf("iblt: strata level %d has geometry q=%d cells/q=%d, want q=%d cells/q=%d",
+				i, q, cellsPerQ, t.q, t.cellsPerQ)
+		}
+		if err := readCells(d, t.cells); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

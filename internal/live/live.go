@@ -4,19 +4,20 @@
 // cells are sums, so a point mutation is one evaluation of the plan's
 // active MLSH draws plus O(q·levels) cell updates), the Gap protocol's
 // per-element key payloads (each depends only on its point and the
-// public coins), and the exact-ID state (a strata estimator over point
-// fingerprints, whose cells XOR and therefore delete exactly).
+// public coins), and the exact-ID state (point fingerprints, their IDs'
+// index and an order-independent fold over them).
 //
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
 // started mid-churn serves one consistent generation while new sessions
 // see the latest. Encodings derive from the snapshot once, on first
 // use: the full EMD message (EMDWire; built up front for sets without
-// Sync, which serve only live-emd and read it there) and the strata
-// estimator's wire bits (StrataWire). A bounded journal records which EMD cells
-// each epoch churned; DeltaCells answers "what changed since epoch e"
-// for the delta-sync fast path in internal/netproto, falling back to a
-// full transfer when e has aged out of the journal.
+// Sync, which serve only live-emd and read it there), the strata
+// estimator over its IDs (Strata; no set keeps one under churn) and its
+// wire bits (StrataWire). A bounded journal records which EMD cells each
+// epoch churned; DeltaCells answers "what changed since epoch e" for the
+// delta-sync fast path in internal/netproto, falling back to a full
+// transfer when e has aged out of the journal.
 package live
 
 import (
@@ -32,7 +33,8 @@ import (
 )
 
 // SyncConfig enables exact-ID reconciliation state over point
-// fingerprints: an estimator of iblt.StrataCells cells per stratum.
+// fingerprints (IDs); a snapshot builds a strata estimator of
+// iblt.StrataCells cells per stratum from its IDs on demand.
 type SyncConfig struct {
 	// Seed is the shared public-coin seed; point fingerprints derive
 	// from it too, so both parties map equal points to equal IDs.
@@ -48,7 +50,7 @@ type Config struct {
 	// Gap, when set, maintains per-element Gap key payloads. Params.N
 	// bounds the set size.
 	Gap *gap.Params
-	// Sync, when set, maintains the ID list and strata estimator.
+	// Sync, when set, maintains point IDs and their fingerprint fold.
 	Sync *SyncConfig
 }
 
@@ -92,7 +94,6 @@ type Set struct {
 	keyer  *gap.Keyer
 	idMix  hashx.Mixer
 	sketch *emd.Sketch
-	strata *iblt.Strata
 
 	mu      sync.RWMutex
 	logger  Logger // write-ahead hook, called under mu before applying
@@ -133,11 +134,11 @@ type Snapshot struct {
 	// probes compare whole sets without shipping them. Zero when Sync is
 	// disabled (or the set is empty).
 	IDFingerprint uint64
-	// Strata is the estimator over IDs (nil when Sync disabled);
-	// treat as read-only (Estimate clones internally).
-	Strata *iblt.Strata
 
+	syncCfg    *SyncConfig // nil when Sync is disabled
 	strataOnce sync.Once
+	strata     *iblt.Strata
+	wireOnce   sync.Once
 	strataWire []byte
 	strataBits int64
 
@@ -162,6 +163,18 @@ func (snap *Snapshot) EMDWire() ([]byte, uint64) {
 	return snap.emdWire, snap.emdFP
 }
 
+// Strata returns the estimator over IDs, built on first use and shared
+// by later callers: nil when Sync is disabled, empty for an empty set.
+// Safe for concurrent use; the estimator is read-only.
+func (snap *Snapshot) Strata() *iblt.Strata {
+	snap.strataOnce.Do(func() {
+		if snap.syncCfg != nil {
+			snap.strata = iblt.NewStrataFromKeys(iblt.StrataCells, snap.syncCfg.Seed, snap.IDs)
+		}
+	})
+	return snap.strata
+}
+
 // StrataWire returns Strata's wire encoding — the bits Strata.Encode
 // writes, packed MSB first from bit 0 — and its exact bit length, or
 // nil and 0 when Sync is disabled. It is encoded on first use and
@@ -170,13 +183,12 @@ func (snap *Snapshot) EMDWire() ([]byte, uint64) {
 // splice it with transport.Encoder.WriteBitString. Safe for concurrent
 // use; the returned bytes must not be modified.
 func (snap *Snapshot) StrataWire() ([]byte, int64) {
-	snap.strataOnce.Do(func() {
-		if snap.Strata == nil {
-			return
+	snap.wireOnce.Do(func() {
+		if st := snap.Strata(); st != nil {
+			var e transport.Encoder
+			st.Encode(&e)
+			snap.strataWire, snap.strataBits = e.Pack()
 		}
-		var e transport.Encoder
-		snap.Strata.Encode(&e)
-		snap.strataWire, snap.strataBits = e.Pack()
 	})
 	return snap.strataWire, snap.strataBits
 }
@@ -214,7 +226,6 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if cfg.Sync != nil {
 		sync := *cfg.Sync // defensive copy, like the EMD/Gap params
 		s.cfg.Sync = &sync
-		s.strata = iblt.NewStrata(iblt.StrataCells, sync.Seed)
 		s.idMix = idMixer(sync.Seed)
 		s.byID = make(map[uint64]*entry, len(initial))
 	}
@@ -235,9 +246,8 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 			if payloads != nil {
 				e.payload = payloads[i]
 			}
-			if s.strata != nil {
+			if s.cfg.Sync != nil {
 				e.id = s.pointID(pt)
-				s.strata.Insert(e.id)
 				s.byID[e.id] = e
 				s.idFP ^= s.idMix.Hash(e.id)
 			}
@@ -443,9 +453,8 @@ func (s *Set) add(pt metric.Point) []emd.CellRef {
 		if s.keyer != nil {
 			e.payload = s.keyer.Payload(e.pt)
 		}
-		if s.strata != nil {
+		if s.cfg.Sync != nil {
 			e.id = s.pointID(e.pt)
-			s.strata.Insert(e.id)
 			s.byID[e.id] = e
 			s.idFP ^= s.idMix.Hash(e.id)
 		}
@@ -471,8 +480,7 @@ func (s *Set) remove(pt metric.Point) []emd.CellRef {
 		refs = s.sketch.Remove(e.pt)
 	}
 	if e.count == 0 {
-		if s.strata != nil {
-			s.strata.Delete(e.id)
+		if s.cfg.Sync != nil {
 			delete(s.byID, e.id)
 			s.idFP ^= s.idMix.Hash(e.id)
 		}
@@ -539,17 +547,17 @@ func (s *Set) Snapshot() *Snapshot {
 	}
 	if s.sketch != nil {
 		snap.EMD = s.sketch.Clone()
-		if s.strata == nil {
+		if s.cfg.Sync == nil {
 			snap.EMDMessage, snap.EMDFingerprint = snap.EMDWire()
 		}
 	}
-	if s.strata != nil {
+	if s.cfg.Sync != nil {
 		snap.IDs = make([]uint64, 0, len(s.entries))
 		for _, e := range s.entries {
 			snap.IDs = append(snap.IDs, e.id)
 		}
-		snap.Strata = s.strata.Clone()
 		snap.IDFingerprint = s.idFP
+		snap.syncCfg = s.cfg.Sync
 	}
 	s.snap = snap
 	return snap

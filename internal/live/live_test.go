@@ -45,8 +45,8 @@ func encodeStrata(s *iblt.Strata) []byte {
 // 1000 random Add/Remove operations, the incrementally maintained EMD
 // sketch stays wire-bit-identical to a from-scratch build over the
 // current multiset, the cached Gap payloads match fresh key
-// construction, and the strata estimator matches a rebuild over the
-// live fingerprints.
+// construction, and the snapshot's strata estimator matches a build over
+// the live fingerprints.
 func TestLiveSetGoldenIncremental(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
@@ -106,7 +106,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 			t.Fatal("sync state not enabled")
 		}
 		wantStrata := iblt.NewStrataFromKeys(iblt.StrataCells, sc.Seed, snap.IDs)
-		if !bytes.Equal(encodeStrata(snap.Strata), encodeStrata(wantStrata)) {
+		if !bytes.Equal(encodeStrata(snap.Strata()), encodeStrata(wantStrata)) {
 			t.Fatalf("op %d: live strata differs from rebuild over %d ids", op, len(snap.IDs))
 		}
 	}
@@ -279,8 +279,8 @@ func TestLiveSetDuplicates(t *testing.T) {
 // TestSnapshotStrataWireConcurrent has many goroutines ask one fresh
 // snapshot for its strata encoding at once: every caller must get the
 // same bytes, equal to encoding the estimator directly, and later
-// epochs get their own. Run under -race, it also checks the lazy
-// memoization is properly synchronized.
+// epochs get their own. Run under -race, it also checks the lazy build
+// and encoding are properly synchronized.
 func TestSnapshotStrataWireConcurrent(t *testing.T) {
 	space := metric.HammingCube(64)
 	src := rng.New(5)
@@ -294,7 +294,6 @@ func TestSnapshotStrataWireConcurrent(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		snap := s.Snapshot()
-		want := encodeStrata(snap.Strata)
 		const callers = 16
 		wires := make([][]byte, callers)
 		bits := make([]int64, callers)
@@ -307,6 +306,7 @@ func TestSnapshotStrataWireConcurrent(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		want := encodeStrata(snap.Strata())
 		for i := range wires {
 			if !bytes.Equal(wires[i], want) || bits[i] != int64(len(want))*8 {
 				t.Fatalf("round %d caller %d: %d-bit wire differs from Strata.Encode (%d bytes)", round, i, bits[i], len(want))
@@ -325,6 +325,107 @@ func TestSnapshotStrataWireConcurrent(t *testing.T) {
 	}
 	if wire, bits := noSync.Snapshot().StrataWire(); wire != nil || bits != 0 {
 		t.Fatalf("set without Sync has a strata encoding of %d bits", bits)
+	}
+	if noSync.Snapshot().Strata() != nil {
+		t.Fatal("set without Sync has a strata estimator")
+	}
+}
+
+// TestSnapshotBuildsStrataOnDemand: a snapshot builds no estimator until
+// Strata or StrataWire asks for one, and both return the same one.
+func TestSnapshotBuildsStrataOnDemand(t *testing.T) {
+	space := metric.HammingCube(64)
+	src := rng.New(8)
+	var pts metric.PointSet
+	for i := 0; i < 16; i++ {
+		pts = append(pts, randomPoint(space, src))
+	}
+	s, err := NewSet(Config{Sync: &SyncConfig{Seed: 9}}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []string{"Strata", "StrataWire"} {
+		snap := s.Snapshot()
+		if snap.strata != nil {
+			t.Fatalf("%s first: snapshot built an estimator up front", first)
+		}
+		if first == "Strata" {
+			snap.Strata()
+		} else {
+			snap.StrataWire()
+		}
+		if snap.strata == nil {
+			t.Fatalf("%s built no estimator", first)
+		}
+		wire, _ := snap.StrataWire()
+		if snap.Strata() != snap.strata || !bytes.Equal(wire, encodeStrata(snap.strata)) {
+			t.Fatalf("%s first: Strata and StrataWire disagree", first)
+		}
+		if err := s.Add(randomPoint(space, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEmptySetStrata: an empty Sync set has an empty estimator, not
+// nil, and it estimates a small difference against a non-empty set
+// exactly.
+func TestEmptySetStrata(t *testing.T) {
+	space := metric.HammingCube(64)
+	src := rng.New(9)
+	var pts metric.PointSet
+	for i := 0; i < 5; i++ {
+		pts = append(pts, randomPoint(space, src))
+	}
+	empty, err := NewSet(Config{Sync: &SyncConfig{Seed: 9}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewSet(Config{Sync: &SyncConfig{Seed: 9}}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := empty.Snapshot().Strata()
+	if st == nil {
+		t.Fatal("empty Sync set has no estimator")
+	}
+	for _, c := range []struct {
+		name string
+		a, b *iblt.Strata
+	}{{"empty vs full", st, full.Snapshot().Strata()}, {"full vs empty", full.Snapshot().Strata(), st}} {
+		est, err := c.a.Estimate(c.b)
+		if err != nil || est != len(pts) {
+			t.Fatalf("%s: estimate %d (err %v), want %d", c.name, est, err, len(pts))
+		}
+	}
+}
+
+// TestSyncAddSnapshotAllocs: an Add plus a Snapshot of a 64-point Sync
+// set costs the point's own entry and the snapshot's point and ID lists,
+// not an estimator update and a deep copy of one.
+func TestSyncAddSnapshotAllocs(t *testing.T) {
+	const runs = 50
+	space := metric.HammingCube(128)
+	src := rng.New(10)
+	var pts metric.PointSet
+	for i := 0; i < 64+runs+1; i++ {
+		pts = append(pts, randomPoint(space, src))
+	}
+	s, err := NewSet(Config{Sync: &SyncConfig{Seed: 9}}, pts[:64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 64
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.Add(pts[next]); err != nil {
+			t.Fatal(err)
+		}
+		s.Snapshot()
+		next++
+	})
+	t.Logf("%.1f allocations per Add plus Snapshot", allocs)
+	if allocs > 16 {
+		t.Fatalf("Add plus Snapshot took %.1f allocations, want at most 16", allocs)
 	}
 }
 

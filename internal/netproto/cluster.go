@@ -24,10 +24,11 @@ import (
 // its strata estimator only when the two summaries do not match
 // (Match). Both sides evaluate Match on the same fields, so each knows
 // whether the strata follows. A matched probe, the common case, moves a
-// few bytes each way and does no strata codec work; a mismatched one
-// carries one strata, from peer to initiator, which the initiator
-// estimates against its own — without shipping a single point. This
-// reply is the one place a strata crosses the wire.
+// few bytes each way and builds no strata on either side; a mismatched
+// one carries one strata, from peer to initiator, which the initiator
+// estimates against its own (each snapshot builds its estimator from its
+// IDs on first use) — without shipping a single point. This reply is the
+// one place a strata crosses the wire.
 //
 //	initiator → peer: summary
 //	peer → initiator: summary [strata, when not matched]
@@ -96,9 +97,9 @@ type ProbeSummary struct {
 	Distinct int
 	// IDFingerprint is live.Snapshot.IDFingerprint.
 	IDFingerprint uint64
-	// Strata is the ID-difference estimator: a local summary's own, and
-	// a peer's only when its reply carried one (the summaries did not
-	// match).
+	// Strata is the peer's ID-difference estimator, decoded from a reply
+	// that carried one (the summaries did not match); nil otherwise, and
+	// always nil in a local summary.
 	Strata *iblt.Strata
 }
 
@@ -107,7 +108,6 @@ func summaryOf(snap *live.Snapshot) ProbeSummary {
 		Epoch:         snap.Epoch,
 		Distinct:      len(snap.IDs),
 		IDFingerprint: snap.IDFingerprint,
-		Strata:        snap.Strata,
 	}
 }
 
@@ -180,7 +180,8 @@ func (h *ProbeInitiator) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler.
 func (h *ProbeInitiator) Run(conn transport.Conn) error {
-	h.Local = summaryOf(h.set.Snapshot())
+	snap := h.set.Snapshot()
+	h.Local = summaryOf(snap)
 	e := transport.NewEncoder()
 	encodeSummary(e, h.Local)
 	if err := conn.Send(e); err != nil {
@@ -197,7 +198,7 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 	if h.Matched = h.Local.Match(h.Remote); h.Matched {
 		return nil
 	}
-	if h.Estimate, err = h.Local.Strata.Estimate(h.Remote.Strata); err != nil {
+	if h.Estimate, err = snap.Strata().Estimate(h.Remote.Strata); err != nil {
 		return fmt.Errorf("netproto: probe estimate: %w", err)
 	}
 	return nil
@@ -240,7 +241,7 @@ func (h *ProbeResponder) Role() Role { return RoleBob }
 func (h *ProbeResponder) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler: read the prober's summary and answer with our
-// own, followed by our cached strata bits when the summaries do not
+// own, followed by our snapshot's strata bits when the summaries do not
 // match.
 func (h *ProbeResponder) Run(conn transport.Conn) error {
 	d, err := conn.Recv()

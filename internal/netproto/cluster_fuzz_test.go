@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/hashx"
 	"repro/internal/iblt"
 	"repro/internal/live"
 	"repro/internal/metric"
+	"repro/internal/rng"
 	"repro/internal/transport"
 )
 
@@ -229,6 +231,24 @@ func FuzzRepairFrames(f *testing.F) {
 	})
 }
 
+// fuzzMixedGeometryStrata is a strata for fuzzStrataSeed whose level 5
+// has twice the cells its header lays out; DecodeStrata refuses it.
+func fuzzMixedGeometryStrata() []byte {
+	src := rng.New(fuzzStrataSeed)
+	hashx.NewMixer(src) // the stratum-assignment hash
+	e := transport.NewEncoder()
+	e.WriteUvarint(iblt.StrataCells)
+	for lvl := range iblt.StrataLevels {
+		cells := iblt.StrataCells
+		if lvl == 5 {
+			cells *= 2
+		}
+		iblt.New(cells, 3, src.Uint64()).Encode(e)
+	}
+	data, _ := e.Pack()
+	return append([]byte(nil), data...)
+}
+
 // FuzzDecodeStrata drives the standalone strata decoder the probe and
 // repair paths share (a malformed estimator must not panic the
 // Estimate call either).
@@ -240,11 +260,14 @@ func FuzzDecodeStrata(f *testing.F) {
 	}
 	snap := ls.Snapshot()
 	e := transport.NewEncoder()
-	snap.Strata.Encode(e)
+	snap.Strata().Encode(e)
 	valid, _ := e.Pack()
 	f.Add(append([]byte(nil), valid...))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add(fuzzMixedGeometryStrata())
+	empty, _ := fuzzSnapshot(nil).StrataWire()
+	f.Add(append([]byte(nil), empty...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		remote, err := iblt.DecodeStrata(transport.NewDecoder(data), fuzzStrataSeed)
 		if err != nil {
@@ -252,7 +275,7 @@ func FuzzDecodeStrata(f *testing.F) {
 		}
 		// A decoded estimator must be usable: Estimate against a real
 		// local one returns a value or a clean error, never a panic.
-		if est, err := snap.Strata.Estimate(remote); err == nil && est < 0 {
+		if est, err := snap.Strata().Estimate(remote); err == nil && est < 0 {
 			t.Fatalf("negative difference estimate %d", est)
 		}
 	})
@@ -380,7 +403,7 @@ func TestGenerateClusterFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := transport.NewEncoder()
-	ls.Snapshot().Strata.Encode(e)
+	ls.Snapshot().Strata().Encode(e)
 	valid, _ := e.Pack()
 	write("FuzzDecodeStrata", "valid", valid)
 	write("FuzzDecodeStrata", "cell-bomb", []byte{0xff, 0xff, 0xff, 0x7f})

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/emd"
 	"repro/internal/iblt"
@@ -59,22 +60,71 @@ func newProbeResponder(t *testing.T, ls *live.Set) *ProbeResponder {
 	return f().(*ProbeResponder)
 }
 
-// runPair drives an initiator/responder handler pair over a duplex pipe.
+// runPair drives an initiator/responder handler pair over a duplex pipe
+// and fails the test if either side fails.
 func runPair(t *testing.T, init, resp Handler) {
 	t.Helper()
+	initErr, respErr := pairErrors(init, resp)
+	if initErr != nil {
+		t.Fatalf("initiator: %v", initErr)
+	}
+	if respErr != nil {
+		t.Fatalf("responder: %v", respErr)
+	}
+}
+
+// pairErrors drives an initiator/responder handler pair over a duplex
+// pipe and returns both sides' errors. Each side closes its end as soon
+// as it returns, so a peer still waiting for a frame fails instead of
+// blocking.
+func pairErrors(init, resp Handler) (initErr, respErr error) {
 	a, b := duplex()
-	defer a.Close()
-	defer b.Close()
 	errc := make(chan error, 1)
 	go func() {
 		_, err := RunResponder(b, resp)
+		b.Close()
 		errc <- err
 	}()
-	if _, err := RunInitiator(a, init); err != nil {
-		t.Fatalf("initiator: %v", err)
+	_, initErr = RunInitiator(a, init)
+	a.Close()
+	return initErr, <-errc
+}
+
+// failAfterRecv speaks its Handler's hello, then reads one frame and
+// fails without answering.
+type failAfterRecv struct {
+	Handler
+	err error
+}
+
+func (h failAfterRecv) Run(conn transport.Conn) error {
+	if _, err := conn.Recv(); err != nil {
+		return err
 	}
-	if err := <-errc; err != nil {
-		t.Fatalf("responder: %v", err)
+	return h.err
+}
+
+// TestPairErrorsReturnsWhenResponderFails: a responder that fails after
+// the initiator's last send closes its end, so the initiator waiting for
+// the reply fails, and pairErrors returns both errors within seconds
+// instead of hanging.
+func TestPairErrorsReturnsWhenResponderFails(t *testing.T) {
+	space := metric.HammingCube(64)
+	probe := newProbe(t, newSyncSet(t, space, clusterPoints(space, 8, 1), 9))
+	refused := errors.New("refused")
+	resp := failAfterRecv{newProbeResponder(t, newSyncSet(t, space, clusterPoints(space, 8, 2), 9)), refused}
+	done := make(chan [2]error, 1)
+	go func() {
+		initErr, respErr := pairErrors(probe, resp)
+		done <- [2]error{initErr, respErr}
+	}()
+	select {
+	case errs := <-done:
+		if errs[0] == nil || !errors.Is(errs[1], refused) {
+			t.Fatalf("initiator error %v, responder error %v; want a failed initiator and %v", errs[0], errs[1], refused)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pairErrors still blocked 5 s after the responder failed")
 	}
 }
 
@@ -228,7 +278,7 @@ func TestProbeVerdictsMatchSnapshots(t *testing.T) {
 		wantMatch := summaryOf(sa).Match(summaryOf(sb))
 		wantEst := 0
 		if !wantMatch {
-			est, err := sa.Strata.Estimate(sb.Strata)
+			est, err := sa.Strata().Estimate(sb.Strata())
 			if err != nil {
 				t.Fatal(err)
 			}

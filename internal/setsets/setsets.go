@@ -148,12 +148,8 @@ func RunAlice(p Params, conn transport.Conn, aliceChildren []Child) (Result, err
 	}
 
 	// Round 1: strata estimator over Alice's fingerprints.
-	aStrata := iblt.NewStrata(p.StrataCells, sh.strataSeed)
-	for _, k := range aKeys {
-		aStrata.Insert(k)
-	}
 	e := transport.NewEncoder()
-	aStrata.Encode(e)
+	iblt.NewStrataFromKeys(p.StrataCells, sh.strataSeed, aKeys).Encode(e)
 	if err := conn.Send(e); err != nil {
 		return Result{}, err
 	}
@@ -226,11 +222,7 @@ func RunBob(p Params, conn transport.Conn, bobChildren []Child) error {
 	if err != nil {
 		return err
 	}
-	bStrata := iblt.NewStrata(p.StrataCells, sh.strataSeed)
-	for _, k := range bKeys {
-		bStrata.Insert(k)
-	}
-	est, err := bStrata.Estimate(remoteStrata)
+	est, err := iblt.NewStrataFromKeys(p.StrataCells, sh.strataSeed, bKeys).Estimate(remoteStrata)
 	if err != nil {
 		return err
 	}

@@ -131,13 +131,6 @@ func SyncIDs(bob, alice []uint64, diffBound int, seed uint64) (onlyBob, onlyAlic
 // EstimateDiff estimates |bob △ alice| without prior context using strata
 // estimators ([10]), the standard way to choose SyncIDs' diffBound.
 func EstimateDiff(bob, alice []uint64, seed uint64) (int, error) {
-	sb := iblt.NewStrata(iblt.StrataCells, seed)
-	for _, k := range bob {
-		sb.Insert(k)
-	}
-	sa := iblt.NewStrata(iblt.StrataCells, seed)
-	for _, k := range alice {
-		sa.Insert(k)
-	}
-	return sb.Estimate(sa)
+	sb := iblt.NewStrataFromKeys(iblt.StrataCells, seed, bob)
+	return sb.Estimate(iblt.NewStrataFromKeys(iblt.StrataCells, seed, alice))
 }
