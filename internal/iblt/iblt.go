@@ -10,14 +10,20 @@
 // This is both a substrate of the paper's protocols (the Gap Guarantee
 // protocol reconciles keys through IBLT-based set reconciliation) and the
 // classic set-reconciliation baseline the robust protocols generalize.
+//
+// Table and KVTable are one structure, a KVTable's cells carrying value
+// bytes beside the fields a Table's carry. Their layout and peel loop
+// are package peel's, shared with the RIBLT; peel also bounds every
+// decode at one peel per cell, so hostile cells end in ErrPartial.
 package iblt
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hashx"
-	"repro/internal/rng"
+	"repro/internal/peel"
 	"repro/internal/transport"
 )
 
@@ -39,49 +45,111 @@ func (c *Cell) add(key, check uint64, dir int64) {
 // pure reports whether the cell provably holds exactly one key (count ±1
 // and matching checksum). The checksum guards against the count-1-but-
 // multiple-keys case described in §2.2.
-func (c *Cell) pure(check func(uint64) uint64) bool {
-	if c.Count != 1 && c.Count != -1 {
-		return false
+func (c *Cell) pure(check hashx.Mixer) bool {
+	return (c.Count == 1 || c.Count == -1) && check.Hash(c.KeySum) == c.CheckSum
+}
+
+// exact is the state of the two exact tables: a layout, its cells, and
+// w bytes of XOR-folded value per cell. A Table is the w = 0 case.
+type exact struct {
+	lay   peel.Layout
+	cells []Cell
+	w     int
+	vals  []byte // len(cells) × w
+}
+
+func newExact(m, q, w int, seed uint64) exact {
+	if q < 2 {
+		panic("iblt: need q >= 2 hash functions")
 	}
-	return check(c.KeySum) == c.CheckSum
+	lay := peel.NewLayout(m, seed, make([]hashx.Mixer, q))
+	return exact{lay: lay, cells: make([]Cell, lay.Cells()), w: w, vals: make([]byte, lay.Cells()*w)}
+}
+
+// Cells returns the total number of cells.
+func (t *exact) Cells() int { return len(t.cells) }
+
+func (t *exact) row(i int) []byte { return t.vals[i*t.w : (i+1)*t.w] }
+
+// update adds (dir 1) or removes (dir −1) a key whose checksum is check
+// and whose value is val.
+func (t *exact) update(key, check uint64, val []byte, dir int64) {
+	for j := range t.lay.Q() {
+		ci := t.lay.CellOf(key, j)
+		t.cells[ci].add(key, check, dir)
+		xorInto(t.row(ci), val)
+	}
+}
+
+func xorInto(dst, src []byte) {
+	for b := range src {
+		dst[b] ^= src[b]
+	}
+}
+
+// peeler lends an exact table, a copy sharing its cells, to peel.Run.
+// Each peel takes one key and its value, listed by sign: added, then
+// removed. Keys are listed only with list set.
+type peeler struct {
+	exact
+	s      peel.Scratch
+	list   bool
+	taken  Cell
+	val    []byte // the taken cell's value, the last window of values[side]
+	keys   [2][]uint64
+	values [2][]byte
+}
+
+func (p *peeler) Pure(i int) (uint64, bool) {
+	return p.cells[i].KeySum, p.cells[i].pure(p.lay.Check)
+}
+
+func (p *peeler) Take(i int) (uint64, bool) {
+	if _, ok := p.Pure(i); !ok {
+		return 0, false
+	}
+	p.taken = p.cells[i]
+	side := 0
+	if p.taken.Count < 0 {
+		side = 1
+	}
+	if p.list {
+		p.keys[side] = append(p.keys[side], p.taken.KeySum)
+	}
+	if p.w > 0 {
+		p.values[side] = append(p.values[side], p.row(i)...)
+		p.val = p.values[side][len(p.values[side])-p.w:]
+	}
+	return p.taken.KeySum, true
+}
+
+func (p *peeler) Subtract(ci int) bool {
+	c := &p.cells[ci]
+	c.add(p.taken.KeySum, p.taken.CheckSum, -p.taken.Count)
+	if p.w > 0 {
+		xorInto(p.row(ci), p.val)
+	}
+	return c.pure(p.lay.Check)
+}
+
+// decode peels t, consuming it, and reports the number of peels and
+// whether t emptied.
+func (p *peeler) decode(t *exact) (peels int, ok bool) {
+	p.exact = *t
+	peels = peel.Run(&t.lay, &p.s, p)
+	return peels, !slices.ContainsFunc(t.cells, func(c Cell) bool { return c.Count != 0 || c.KeySum != 0 })
 }
 
 // Table is an IBLT over uint64 keys. Keys are partitioned across q
 // sub-tables of m/q cells each (the partitioned layout §2.2 suggests so
 // a key's q cells are distinct).
-type Table struct {
-	q         int
-	cellsPerQ int
-	cells     []Cell
-	idx       []hashx.Mixer // one cell-index hash per partition
-	check     hashx.Mixer   // per-key checksum
-}
+type Table struct{ exact }
 
 // New creates a table with q hash functions and at least m cells (rounded
 // up to a multiple of q). Both parties must pass the same seed so their
 // tables align cell-for-cell; this is the public-coins assumption.
 func New(m, q int, seed uint64) *Table {
-	if q < 2 {
-		panic("iblt: need q >= 2 hash functions")
-	}
-	return new(Table).init(seed, make([]Cell, q*cellsPerPartition(m, q)), make([]hashx.Mixer, q))
-}
-
-// cellsPerPartition is the partition size of a table of at least m
-// cells and q hash functions.
-func cellsPerPartition(m, q int) int { return (max(m, q) + q - 1) / q }
-
-// init lays t out over cells, split into len(idx) partitions, and draws
-// its mixers from seed: one cell-index mixer per partition into idx,
-// then the checksum mixer. New allocates both slices per table; a
-// strata carves them out of one array per estimator.
-func (t *Table) init(seed uint64, cells []Cell, idx []hashx.Mixer) *Table {
-	src := rng.New(seed)
-	for i := range idx {
-		idx[i] = hashx.NewMixer(src)
-	}
-	*t = Table{q: len(idx), cellsPerQ: len(cells) / len(idx), cells: cells, idx: idx, check: hashx.NewMixer(src)}
-	return t
+	return &Table{newExact(m, q, 0, seed)}
 }
 
 // NewFromKeys builds a table with q hash functions and at least m cells
@@ -92,19 +160,11 @@ func NewFromKeys(m, q int, seed uint64, keys []uint64) *Table {
 	return t
 }
 
-// Cells returns the total number of cells.
-func (t *Table) Cells() int { return len(t.cells) }
-
 // Q returns the number of hash functions.
-func (t *Table) Q() int { return t.q }
-
-// cellOf returns the cell index of key in partition j.
-func (t *Table) cellOf(key uint64, j int) int {
-	return j*t.cellsPerQ + int(t.idx[j].Hash(key)%uint64(t.cellsPerQ))
-}
+func (t *Table) Q() int { return t.lay.Q() }
 
 // Insert adds a key.
-func (t *Table) Insert(key uint64) { t.update(key, 1) }
+func (t *Table) Insert(key uint64) { t.update(key, t.lay.Check.Hash(key), nil, 1) }
 
 // InsertAll adds every key of keys, batching the per-key checksum
 // hashing through hashx.Mixer.HashInto over a fixed scratch block — the
@@ -114,11 +174,9 @@ func (t *Table) InsertAll(keys []uint64) {
 	var checks [256]uint64
 	for len(keys) > 0 {
 		n := min(len(keys), len(checks))
-		t.check.HashInto(checks[:n], keys[:n])
+		t.lay.Check.HashInto(checks[:n], keys[:n])
 		for i, key := range keys[:n] {
-			for j := 0; j < t.q; j++ {
-				t.cells[t.cellOf(key, j)].add(key, checks[i], 1)
-			}
+			t.update(key, checks[i], nil, 1)
 		}
 		keys = keys[n:]
 	}
@@ -126,34 +184,27 @@ func (t *Table) InsertAll(keys []uint64) {
 
 // Delete removes a key (which need not have been inserted: deletion of a
 // foreign key leaves a count of −1, which is how set differences appear).
-func (t *Table) Delete(key uint64) { t.update(key, -1) }
-
-func (t *Table) update(key uint64, dir int64) {
-	check := t.check.Hash(key)
-	for j := 0; j < t.q; j++ {
-		t.cells[t.cellOf(key, j)].add(key, check, dir)
-	}
-}
+func (t *Table) Delete(key uint64) { t.update(key, t.lay.Check.Hash(key), nil, -1) }
 
 // Subtract replaces t with the cell-wise difference t − other. The two
 // tables must have identical geometry and seed; the result encodes the
 // multiset difference of their contents.
 func (t *Table) Subtract(other *Table) error {
-	if t.q != other.q || len(t.cells) != len(other.cells) {
+	if t.Q() != other.Q() || len(t.cells) != len(other.cells) {
 		return fmt.Errorf("iblt: geometry mismatch: %d/%d cells, q %d/%d",
-			len(t.cells), len(other.cells), t.q, other.q)
+			len(t.cells), len(other.cells), t.Q(), other.Q())
 	}
 	for i := range t.cells {
-		t.cells[i].Count -= other.cells[i].Count
-		t.cells[i].KeySum ^= other.cells[i].KeySum
-		t.cells[i].CheckSum ^= other.cells[i].CheckSum
+		o := &other.cells[i]
+		t.cells[i].add(o.KeySum, o.CheckSum, -o.Count)
 	}
 	return nil
 }
 
 // ErrPartial is returned by Decode when peeling stalls before the table
 // empties (the underlying hypergraph has a non-empty 2-core, cf.
-// Theorem 2.6's failure probability).
+// Theorem 2.6's failure probability), or when hostile cells would peel
+// without end (see package peel).
 var ErrPartial = errors.New("iblt: peeling stalled; table not fully decodable")
 
 // Decode recovers the table's contents by peeling. Added holds keys with
@@ -161,43 +212,11 @@ var ErrPartial = errors.New("iblt: peeling stalled; table not fully decodable")
 // negative multiplicity. Decode consumes the table: on return (even with
 // ErrPartial) cells reflect whatever could not be peeled.
 func (t *Table) Decode() (added, removed []uint64, err error) {
-	// Queue of candidate pure cells; re-scan lazily.
-	queue := make([]int, 0, len(t.cells))
-	for i := range t.cells {
-		if t.cells[i].pure(t.check.Hash) {
-			queue = append(queue, i)
-		}
+	p := peeler{list: true}
+	if _, ok := p.decode(&t.exact); !ok {
+		err = ErrPartial
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		c := &t.cells[i]
-		if !c.pure(t.check.Hash) {
-			continue // stale entry; cell changed since enqueued
-		}
-		key := c.KeySum
-		dir := c.Count // ±1
-		// Remove the key once; its other cells may become pure.
-		check := t.check.Hash(key)
-		for j := 0; j < t.q; j++ {
-			ci := t.cellOf(key, j)
-			t.cells[ci].add(key, check, -dir)
-			if t.cells[ci].pure(t.check.Hash) {
-				queue = append(queue, ci)
-			}
-		}
-		if dir > 0 {
-			added = append(added, key)
-		} else {
-			removed = append(removed, key)
-		}
-	}
-	for i := range t.cells {
-		if t.cells[i].Count != 0 || t.cells[i].KeySum != 0 {
-			return added, removed, ErrPartial
-		}
-	}
-	return added, removed, nil
+	return p.keys[0], p.keys[1], err
 }
 
 // Encode serializes the table. All cell fields are varint-coded: empty
@@ -205,8 +224,8 @@ func (t *Table) Decode() (added, removed []uint64, err error) {
 // cost a few bits each, so the wire size tracks occupancy rather than
 // geometry.
 func (t *Table) Encode(e *transport.Encoder) {
-	e.WriteUvarint(uint64(t.q))
-	e.WriteUvarint(uint64(t.cellsPerQ))
+	e.WriteUvarint(uint64(t.Q()))
+	e.WriteUvarint(uint64(t.lay.Cells() / t.lay.Q()))
 	for i := range t.cells {
 		e.WriteVarint(t.cells[i].Count)
 		e.WriteUvarint(t.cells[i].KeySum)
@@ -217,7 +236,7 @@ func (t *Table) Encode(e *transport.Encoder) {
 // DecodeFrom deserializes a table that must have been built with the same
 // seed as the receiver's reference table; geometry is checked.
 func DecodeFrom(d *transport.Decoder, seed uint64) (*Table, error) {
-	q, cellsPerQ, err := readGeometry(d)
+	q, cellsPerQ, _, err := readGeometry(d, false)
 	if err != nil {
 		return nil, err
 	}
@@ -228,27 +247,41 @@ func DecodeFrom(d *transport.Decoder, seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// readGeometry reads the (q, cells/q) header Table.Encode writes.
-func readGeometry(d *transport.Decoder) (q, cellsPerQ int, err error) {
+// readGeometry reads the (q, cells/q) header Table.Encode writes, and
+// with kv the value width KVTable.Encode writes after it.
+func readGeometry(d *transport.Decoder, kv bool) (q, cellsPerQ, w int, err error) {
 	uq, err := d.ReadUvarint()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	ucells, err := d.ReadUvarint()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	if uq < 2 || uq > 16 || ucells == 0 || ucells > 1<<30 {
-		return 0, 0, fmt.Errorf("iblt: implausible geometry q=%d cells/q=%d", uq, ucells)
+	var uw uint64
+	if kv {
+		if uw, err = d.ReadUvarint(); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	if uq < 2 || uq > 16 || ucells == 0 || ucells > 1<<30 || uw > 1<<20 {
+		return 0, 0, 0, fmt.Errorf("iblt: implausible geometry q=%d cells/q=%d val=%dB", uq, ucells, uw)
 	}
 	// Every encoded cell costs at least 3 bytes (count varint, keyXor
-	// uvarint, checkXor uvarint), so a table the rest of the frame
+	// uvarint, checkXor uvarint), or 17 + w in a KVTable (count varint,
+	// two 64-bit sums, the value), so a table the rest of the frame
 	// cannot hold is rejected before its cells are allocated: a hostile
-	// header must not reserve memory the payload never backs.
-	if cells := uq * ucells; cells > uint64(d.Remaining())/3 {
-		return 0, 0, fmt.Errorf("iblt: table of %d cells exceeds remaining frame (%d bytes)", cells, d.Remaining())
+	// header must not reserve memory the payload never backs. The
+	// product stays below 2^55: no overflow.
+	minCell := uint64(3)
+	if kv {
+		minCell = 17 + uw
 	}
-	return int(uq), int(ucells), nil
+	if cells := uq * ucells; cells*minCell > uint64(d.Remaining()) {
+		return 0, 0, 0, fmt.Errorf("iblt: table of %d cells of %dB values exceeds remaining frame (%d bytes)",
+			cells, uw, d.Remaining())
+	}
+	return int(uq), int(ucells), int(uw), nil
 }
 
 // readCells reads the cells Table.Encode writes after its header.

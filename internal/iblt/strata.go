@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/hashx"
+	"repro/internal/peel"
 	"repro/internal/rng"
 	"repro/internal/transport"
 )
@@ -47,11 +48,14 @@ const strataQ = 3
 func newStrata(cellsPerLevel int, seed uint64) *Strata {
 	src := rng.New(seed)
 	s := &Strata{assign: hashx.NewMixer(src), perLvl: cellsPerLevel}
-	n := strataQ * cellsPerPartition(cellsPerLevel, strataQ)
-	cells := make([]Cell, StrataLevels*n)
 	idx := make([]hashx.Mixer, StrataLevels*strataQ)
 	for i := range s.levels {
-		s.levels[i].init(src.Uint64(), cells[i*n:(i+1)*n:(i+1)*n], idx[i*strataQ:(i+1)*strataQ:(i+1)*strataQ])
+		s.levels[i].lay = peel.NewLayout(cellsPerLevel, src.Uint64(), idx[i*strataQ:(i+1)*strataQ:(i+1)*strataQ])
+	}
+	n := s.levels[0].lay.Cells()
+	cells := make([]Cell, StrataLevels*n)
+	for i := range s.levels {
+		s.levels[i].cells = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	return s
 }
@@ -77,29 +81,29 @@ func NewStrataFromKeys(cellsPerLevel int, seed uint64, keys []uint64, _ ...int) 
 
 // Estimate returns an estimate of |difference| (keys on either side)
 // between s and other, leaving both unchanged: each level is subtracted
-// into one reused buffer. Peeling proceeds from the deepest stratum; the
-// first stratum that fails to decode determines the scaling factor
+// into one reused table and peeled by one peeler, counting peels
+// rather than listing keys. Peeling proceeds from the deepest stratum;
+// the first stratum that fails to decode determines the scaling factor
 // 2^(i+1) applied to the differences counted so far.
 func (s *Strata) Estimate(other *Strata) (int, error) {
 	if s.perLvl != other.perLvl {
 		return 0, fmt.Errorf("iblt: strata geometry mismatch")
 	}
-	buf := make([]Cell, len(s.levels[0].cells))
-	var t Table
+	var p peeler
+	t := Table{exact{cells: make([]Cell, len(s.levels[0].cells))}}
 	count := 0
 	for i := StrataLevels - 1; i >= 0; i-- {
-		t = s.levels[i]
-		t.cells = buf
-		copy(buf, s.levels[i].cells)
+		t.lay = s.levels[i].lay
+		copy(t.cells, s.levels[i].cells)
 		if err := t.Subtract(&other.levels[i]); err != nil {
 			return 0, err
 		}
-		add, rem, err := t.Decode()
-		if err != nil {
+		peels, ok := p.decode(&t.exact)
+		if !ok {
 			// Stratum i failed: scale up what deeper strata recovered.
 			return count << uint(i+1), nil
 		}
-		count += len(add) + len(rem)
+		count += peels
 	}
 	return count, nil
 }
@@ -129,13 +133,13 @@ func DecodeStrata(d *transport.Decoder, seed uint64) (*Strata, error) {
 	s := newStrata(int(perLvl), seed)
 	for i := range s.levels {
 		t := &s.levels[i]
-		q, cellsPerQ, err := readGeometry(d)
+		q, cellsPerQ, _, err := readGeometry(d, false)
 		if err != nil {
 			return nil, err
 		}
-		if q != t.q || cellsPerQ != t.cellsPerQ {
+		if q != t.Q() || cellsPerQ != t.Cells()/t.Q() {
 			return nil, fmt.Errorf("iblt: strata level %d has geometry q=%d cells/q=%d, want q=%d cells/q=%d",
-				i, q, cellsPerQ, t.q, t.cellsPerQ)
+				i, q, cellsPerQ, t.Q(), t.Cells()/t.Q())
 		}
 		if err := readCells(d, t.cells); err != nil {
 			return nil, err

@@ -474,8 +474,9 @@ func diffInitiate(conn transport.Conn, seed uint64, ids []uint64) (peerOnly, min
 // estimate est, until the initiator peels one. It returns the ack frame
 // positioned after its true, and the cell count of the table that
 // peeled: each peeled key empties a cell for good, so an honest ack
-// names no more IDs than that. A difference bound above iblt.MaxDiff is
-// refused before its table is built.
+// names no more IDs than that, and the peel itself stops at that many
+// (package peel), so no decode runs past it either. A difference bound
+// above iblt.MaxDiff is refused before its table is built.
 func diffRespond(conn transport.Conn, seed uint64, ids []uint64, est int) (ack *transport.Decoder, cells int, err error) {
 	diffBound := est*2 + 8
 	for attempt := 0; ; attempt++ {

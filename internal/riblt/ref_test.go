@@ -73,7 +73,7 @@ func refPeel(tb *Table, src *rng.Source, lifo bool) (Result, error) {
 			}
 		}
 		for j := 0; j < tb.cfg.Q; j++ {
-			ci := tb.cellOf(key, j)
+			ci := tb.lay.CellOf(key, j)
 			o := &tb.cells[ci]
 			o.count -= c.count
 			o.keySum -= c.keySum

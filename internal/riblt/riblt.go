@@ -23,15 +23,24 @@
 // of the paper's Lemma 3.10 analysis) is that with the sparsity of
 // item 2 and the order of item 1, each error is added to O(1) extracted
 // values in expectation.
+//
+// The layout and the breadth-first loop of item 1 are package peel's,
+// shared with the exact tables of package iblt; this package supplies
+// the purity test of item 5 and the extraction and subtraction above.
+// Peel is bounded twice against hostile bytes: at one peel per cell
+// (package peel), and at MaxItems extracted copies in all.
 package riblt
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/hashx"
 	"repro/internal/metric"
+	"repro/internal/peel"
 	"repro/internal/rng"
 	"repro/internal/transport"
 )
@@ -73,23 +82,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("riblt: MaxItems = %d", c.MaxItems)
 	}
 	// Key sums: MaxItems · 2^KeyBits must stay below 2^62 (sign + slack).
-	if bitsOf(uint64(c.MaxItems))+int(c.KeyBits) > 62 {
+	if bits.Len64(uint64(c.MaxItems))+int(c.KeyBits) > 62 {
 		return fmt.Errorf("riblt: MaxItems %d with %d-bit keys can overflow key sums", c.MaxItems, c.KeyBits)
 	}
 	// Value sums: MaxItems · Delta must stay below 2^62.
-	if bitsOf(uint64(c.MaxItems))+bitsOf(uint64(c.Delta)) > 62 {
+	if bits.Len64(uint64(c.MaxItems))+bits.Len64(uint64(c.Delta)) > 62 {
 		return fmt.Errorf("riblt: MaxItems %d with Delta %d can overflow value sums", c.MaxItems, c.Delta)
 	}
 	return nil
-}
-
-func bitsOf(v uint64) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // checkBits is the width of summed checksums. 40 bits keeps false
@@ -121,14 +121,12 @@ func (c *cell) empty() bool {
 // per table rather than one per cell, and cache-friendly cell-wise
 // merges.
 type Table struct {
-	cfg       Config
-	cellsPerQ int
-	cells     []cell
-	vals      []int64   // flat backing of all valSum views
-	mem       *tableMem // pool ticket for cells/vals
-	idx       []hashx.Mixer
-	check     hashx.Mixer
-	items     int // inserts + deletes, for the overflow guard
+	cfg   Config
+	lay   peel.Layout
+	cells []cell
+	vals  []int64   // flat backing of all valSum views
+	mem   *tableMem // pool ticket for cells/vals
+	items int       // inserts + deletes, for the overflow guard
 }
 
 // tableMem is the poolable bulk memory of a table. Shard builders and
@@ -179,26 +177,13 @@ func New(cfg Config) *Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	src := rng.New(cfg.Seed)
-	idx := make([]hashx.Mixer, cfg.Q)
-	for i := range idx {
-		idx[i] = hashx.NewMixer(src)
-	}
-	cellsPerQ := (cfg.Cells + cfg.Q - 1) / cfg.Q
-	n := cellsPerQ * cfg.Q
+	lay := peel.NewLayout(cfg.Cells, cfg.Seed, make([]hashx.Mixer, cfg.Q))
+	n := lay.Cells()
 	cells, vals, mem := newArrays(n, n*cfg.Dim)
 	for i := range cells {
 		cells[i].valSum = vals[i*cfg.Dim : (i+1)*cfg.Dim : (i+1)*cfg.Dim]
 	}
-	return &Table{
-		cfg:       cfg,
-		cellsPerQ: cellsPerQ,
-		cells:     cells,
-		vals:      vals,
-		mem:       mem,
-		idx:       idx,
-		check:     hashx.NewMixer(src),
-	}
+	return &Table{cfg: cfg, lay: lay, cells: cells, vals: vals, mem: mem}
 }
 
 // Cells returns the number of cells.
@@ -207,12 +192,8 @@ func (t *Table) Cells() int { return len(t.cells) }
 // Config returns the table's configuration.
 func (t *Table) Config() Config { return t.cfg }
 
-func (t *Table) cellOf(key uint64, j int) int {
-	return j*t.cellsPerQ + int(t.idx[j].Hash(key)%uint64(t.cellsPerQ))
-}
-
 func (t *Table) checksum(key uint64) int64 {
-	return int64(t.check.Hash(key) & (1<<checkBits - 1))
+	return int64(t.lay.Check.Hash(key) & (1<<checkBits - 1))
 }
 
 // Insert adds a key-value pair (Alice's side in Algorithm 1).
@@ -235,7 +216,7 @@ func (t *Table) update(key uint64, val metric.Point, dir int64) {
 		panic(fmt.Sprintf("riblt: %d items exceed MaxItems %d", t.items, t.cfg.MaxItems))
 	}
 	for j := 0; j < t.cfg.Q; j++ {
-		c := &t.cells[t.cellOf(key, j)]
+		c := &t.cells[t.lay.CellOf(key, j)]
 		c.count += dir
 		c.keySum += dir * int64(key)
 		c.checkSum += dir * t.checksum(key)
@@ -273,7 +254,7 @@ func (t *Table) Items() int { return t.items }
 // churned cells for delta synchronization.
 func (t *Table) CellIndices(key uint64, buf []int) []int {
 	for j := 0; j < t.cfg.Q; j++ {
-		buf = append(buf, t.cellOf(key, j))
+		buf = append(buf, t.lay.CellOf(key, j))
 	}
 	return buf
 }
@@ -323,27 +304,6 @@ func (t *Table) Merge(other *Table) error {
 	return nil
 }
 
-// peelable reports whether the cell currently holds C net copies of one
-// key, returning that key and C. This is the §2.2 item 5 test: count
-// nonzero, key sum divisible by count, checksum sum equal to count times
-// the checksum of the quotient.
-func (t *Table) peelable(c *cell) (key uint64, count int64, ok bool) {
-	if c.count == 0 {
-		return 0, 0, false
-	}
-	if c.keySum%c.count != 0 {
-		return 0, 0, false
-	}
-	k := c.keySum / c.count
-	if k < 0 || k >= 1<<t.cfg.KeyBits {
-		return 0, 0, false
-	}
-	if t.checksum(uint64(k))*c.count != c.checkSum {
-		return 0, 0, false
-	}
-	return uint64(k), c.count, true
-}
-
 // Result is the outcome of peeling a table that held Alice-inserted and
 // Bob-deleted pairs.
 type Result struct {
@@ -359,8 +319,9 @@ type Result struct {
 }
 
 // ErrStalled is returned when peeling stops before all counts reach
-// zero: the difference hypergraph has a 2-core, or mixed-key cells never
-// became pure.
+// zero: the difference hypergraph has a 2-core, mixed-key cells never
+// became pure, or hostile cells would peel without end or extract more
+// copies than MaxItems allows.
 var ErrStalled = errors.New("riblt: peeling stalled")
 
 // Peel inverts the table breadth-first, first-come first-served (§2.2
@@ -369,76 +330,83 @@ var ErrStalled = errors.New("riblt: peeling stalled")
 // it does not need to be shared). Peel consumes the table; value-only
 // residue (count 0, key 0, checksum 0, nonzero value sum) is expected
 // and does not count as failure — it is exactly the error left behind by
-// close-but-unequal pairs whose keys canceled (Figure 1).
+// close-but-unequal pairs whose keys canceled (Figure 1). A cell whose
+// copies would take the total extracted past MaxItems is not peelable:
+// MaxItems bounds inserts plus deletes, so only a hostile table gets
+// there.
 func (t *Table) Peel(src *rng.Source) (Result, error) {
-	var res Result
-	queue := make([]int, 0, len(t.cells))
-	inQueue := make([]bool, len(t.cells))
-	for i := range t.cells {
-		if _, _, ok := t.peelable(&t.cells[i]); ok {
-			queue = append(queue, i)
-			inQueue[i] = true
-		}
+	p := peeler{Table: *t, src: src, taken: cell{valSum: make([]int64, t.cfg.Dim)}, avg: make([]float64, t.cfg.Dim)}
+	p.res.Peels = peel.Run(&t.lay, new(peel.Scratch), &p)
+	if slices.ContainsFunc(t.cells, func(c cell) bool { return !c.empty() }) {
+		return p.res, ErrStalled
 	}
-	// Per-peel scratch, reused across extractions: the clamped average
-	// and the snapshot of the extracted cell's contents.
-	avg := make([]float64, t.cfg.Dim)
-	snapVal := make([]int64, t.cfg.Dim)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		inQueue[i] = false
-		c := &t.cells[i]
-		key, count, ok := t.peelable(c)
-		if !ok {
-			continue // cell changed since enqueued
-		}
-		res.Peels++
-		// Extract |count| pairs. Each pair's value is independently the
-		// randomized rounding of the clamped average V/C (§2.2 item 5).
-		n := count
-		if n < 0 {
-			n = -n
-		}
-		for d := 0; d < t.cfg.Dim; d++ {
-			avg[d] = float64(c.valSum[d]) / float64(count)
-		}
-		for copyIdx := int64(0); copyIdx < n; copyIdx++ {
-			val := roundClamped(avg, t.cfg.Delta, src)
-			if count > 0 {
-				res.Inserted = append(res.Inserted, Pair{Key: key, Value: val})
-			} else {
-				res.Deleted = append(res.Deleted, Pair{Key: key, Value: val})
-			}
-		}
-		// Subtract the full cell contents — count, key sum, checksum
-		// sum, AND value sum including any accumulated error — from
-		// every cell the key maps to. Propagating the error is the
-		// paper's mechanism (Figure 1); zeroing only this cell would be
-		// a different (incorrect) data structure.
-		snapCount, snapKey, snapCheck := c.count, c.keySum, c.checkSum
-		copy(snapVal, c.valSum)
-		for j := 0; j < t.cfg.Q; j++ {
-			ci := t.cellOf(key, j)
-			cc := &t.cells[ci]
-			cc.count -= snapCount
-			cc.keySum -= snapKey
-			cc.checkSum -= snapCheck
-			for d := range cc.valSum {
-				cc.valSum[d] -= snapVal[d]
-			}
-			if _, _, ok := t.peelable(cc); ok && !inQueue[ci] {
-				queue = append(queue, ci)
-				inQueue[ci] = true
-			}
-		}
+	return p.res, nil
+}
+
+// peeler lends a table, a copy sharing its cells, to peel.Run.
+type peeler struct {
+	Table
+	src    *rng.Source
+	res    Result
+	copies int       // pairs extracted so far
+	taken  cell      // the cell being peeled, value sum included
+	avg    []float64 // its average value
+}
+
+// Pure reports whether cell i holds C net copies of one key, and which.
+// This is the §2.2 item 5 test: count nonzero, key sum divisible by
+// count, checksum sum equal to count times the checksum of the
+// quotient. A cell whose copies would take the total extracted past
+// MaxItems is not pure.
+func (p *peeler) Pure(i int) (uint64, bool) {
+	c, lim := &p.cells[i], int64(p.cfg.MaxItems-p.copies)
+	if c.count == 0 || c.count < -lim || c.count > lim || c.keySum%c.count != 0 {
+		return 0, false
 	}
-	for i := range t.cells {
-		if !t.cells[i].empty() {
-			return res, ErrStalled
-		}
+	k := c.keySum / c.count
+	return uint64(k), k >= 0 && k < 1<<p.cfg.KeyBits && p.checksum(uint64(k))*c.count == c.checkSum
+}
+
+// Take extracts |count| pairs from pure cell i. Each pair's value is
+// independently the randomized rounding of the clamped average V/C
+// (§2.2 item 5).
+func (p *peeler) Take(i int) (uint64, bool) {
+	key, ok := p.Pure(i)
+	if !ok {
+		return 0, false
 	}
-	return res, nil
+	c := &p.cells[i]
+	for d, v := range c.valSum {
+		p.avg[d] = float64(v) / float64(c.count)
+	}
+	out, n := &p.res.Inserted, c.count
+	if n < 0 {
+		out, n = &p.res.Deleted, -n
+	}
+	for range n {
+		*out = append(*out, Pair{Key: key, Value: roundClamped(p.avg, p.cfg.Delta, p.src)})
+	}
+	p.copies += int(n)
+	p.taken.count, p.taken.keySum, p.taken.checkSum = c.count, c.keySum, c.checkSum
+	copy(p.taken.valSum, c.valSum)
+	return key, true
+}
+
+// Subtract removes the full taken cell — count, key sum, checksum sum,
+// AND value sum including any accumulated error — from cell ci, and
+// reports whether ci is pure now.
+// Propagating the error is the paper's mechanism (Figure 1); zeroing
+// only the taken cell would be a different (incorrect) data structure.
+func (p *peeler) Subtract(ci int) bool {
+	c, v := &p.cells[ci], &p.taken
+	c.count -= v.count
+	c.keySum -= v.keySum
+	c.checkSum -= v.checkSum
+	for d := range c.valSum {
+		c.valSum[d] -= v.valSum[d]
+	}
+	_, pure := p.Pure(ci)
+	return pure
 }
 
 // roundClamped clamps avg into [0, Delta] per coordinate and randomly
@@ -473,13 +441,7 @@ func (t *Table) Encode(e *transport.Encoder) {
 	e.WriteUvarint(uint64(t.cfg.Cells))
 	e.WriteUvarint(uint64(t.cfg.Q))
 	for i := range t.cells {
-		c := &t.cells[i]
-		e.WriteVarint(c.count)
-		e.WriteVarint(c.keySum)
-		e.WriteVarint(c.checkSum)
-		for _, v := range c.valSum {
-			e.WriteVarint(v)
-		}
+		t.EncodeCellAt(i, e)
 	}
 }
 
@@ -500,20 +462,8 @@ func DecodeFrom(d *transport.Decoder, cfg Config) (*Table, error) {
 	}
 	t := New(cfg)
 	for i := range t.cells {
-		c := &t.cells[i]
-		if c.count, err = d.ReadVarint(); err != nil {
+		if err := t.PatchCellAt(i, d); err != nil {
 			return nil, err
-		}
-		if c.keySum, err = d.ReadVarint(); err != nil {
-			return nil, err
-		}
-		if c.checkSum, err = d.ReadVarint(); err != nil {
-			return nil, err
-		}
-		for j := range c.valSum {
-			if c.valSum[j], err = d.ReadVarint(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return t, nil

@@ -36,8 +36,15 @@ type Source struct {
 	s [4]uint64
 }
 
-// New returns a Source seeded deterministically from seed.
+// New returns a Source seeded deterministically from seed. It inlines,
+// so a Source that does not outlive its caller stays on the stack.
 func New(seed uint64) *Source {
+	r := seeded(seed)
+	return &r
+}
+
+// seeded returns the Source New points to.
+func seeded(seed uint64) Source {
 	var r Source
 	sm := seed
 	for i := range r.s {
@@ -48,7 +55,7 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
+	return r
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
