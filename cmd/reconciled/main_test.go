@@ -204,9 +204,16 @@ func TestCrashKillRecovery(t *testing.T) {
 		t.Fatalf("recovered ID fingerprint %016x != journal ground truth %016x",
 			ls.IDFingerprint(), truth.IDFingerprint())
 	}
-	truthSnap := truth.Snapshot()
+	truthSnap, err := truth.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoveredSnap, err := ls.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, truthFP := truthSnap.EMDWire()
-	_, recoveredFP := ls.Snapshot().EMDWire()
+	_, recoveredFP := recoveredSnap.EMDWire()
 	if truthFP != recoveredFP {
 		t.Fatalf("recovered EMD sketch fingerprint %016x != journal ground truth %016x",
 			recoveredFP, truthFP)

@@ -280,11 +280,14 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 	}
 	// The EMD set converged as a whole: equal distinct points give an
 	// equal ID fingerprint and, through the same sketch seed, an equal
-	// EMD fingerprint on every node.
+	// EMD fingerprint on every node once a live-emd serve builds it.
 	var want *live.Snapshot
 	for i, n := range nodes {
 		ls, _ := n.store.Get("alpha")
-		snap := ls.Snapshot()
+		snap, err := ls.EMDSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
 			want = snap
 			continue

@@ -291,6 +291,14 @@ func planFor(p Params) (*plan, error) {
 	return pl, nil
 }
 
+// CheckParams reports whether p can build a sketch, without building
+// one: it derives (and caches) the shared plan, so a set that builds
+// its sketch later refuses unusable params when it is created.
+func CheckParams(p Params) error {
+	_, err := planFor(p)
+	return err
+}
+
 // Result reports one protocol run.
 type Result struct {
 	// SPrime is Bob's output point set S′B (nil when Failed).

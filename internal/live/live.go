@@ -1,11 +1,18 @@
 // Package live maintains mutable reconciliation state: a Set wraps a
-// point multiset with Add/Remove/ApplyBatch and keeps every enabled
-// protocol structure incrementally up to date — the EMD sketch (RIBLT
-// cells are sums, so a point mutation is one evaluation of the plan's
-// active MLSH draws plus O(q·levels) cell updates), the Gap protocol's
-// per-element key payloads (each depends only on its point and the
-// public coins), and the exact-ID state (point fingerprints, their IDs'
-// index and an order-independent fold over them).
+// point multiset with Add/Remove/ApplyBatch and keeps its protocol
+// structures incrementally up to date once they exist — the EMD sketch
+// (RIBLT cells are sums, so a point mutation is one evaluation of the
+// plan's active MLSH draws plus O(q·levels) cell updates), the Gap
+// protocol's per-element key payloads (each depends only on its point
+// and the public coins), and the exact-ID state (point fingerprints,
+// their IDs' index and an order-independent fold over them).
+//
+// A set with Sync builds its EMD sketch only when it is first served
+// (EMDSnapshot): the mesh reconciles such sets by exact IDs, so a
+// replica nobody pulls a sketch from never keys a point into one. A
+// set without Sync serves nothing but live-emd and gap and builds its
+// sketch at creation. Either way the sketch, once built, is maintained
+// under churn and is field-identical to a from-scratch build.
 //
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
@@ -15,9 +22,10 @@
 // Sync, which serve only live-emd and read it there), the strata
 // estimator over its IDs (Strata; no set keeps one under churn) and its
 // wire bits (StrataWire). A bounded journal records which EMD cells each
-// epoch churned; DeltaCells answers "what changed since epoch e" for the
-// delta-sync fast path in internal/netproto, falling back to a full
-// transfer when e has aged out of the journal.
+// epoch churned since the sketch was built; DeltaCells answers "what
+// changed since epoch e" for the delta-sync fast path in
+// internal/netproto, falling back to a full transfer when e has aged
+// out of the journal or predates the sketch.
 package live
 
 import (
@@ -44,8 +52,11 @@ type SyncConfig struct {
 // Config selects which protocol structures a Set maintains. At least
 // one of EMD, Gap or Sync must be set.
 type Config struct {
-	// EMD, when set, maintains the Algorithm 1 sketch. Params.N is the
-	// capacity bound: the live multiset may never exceed N points.
+	// EMD, when set, maintains the Algorithm 1 sketch: from creation
+	// on a set without Sync, from its first EMDSnapshot on a set with
+	// Sync (creation still refuses params that cannot build one).
+	// Params.N is the capacity bound: the live multiset may never
+	// exceed N points.
 	EMD *emd.Params
 	// Gap, when set, maintains per-element Gap key payloads. Params.N
 	// bounds the set size.
@@ -85,26 +96,28 @@ type entry struct {
 // Set is the mutable reconciliation state. All methods are safe for
 // concurrent use; mutations serialize under the write lock, while the
 // read paths a busy server hits per session — Epoch, Size, DeltaCells,
-// and Snapshot once the per-epoch cache is built — share a read lock,
-// so many concurrent sessions never queue behind each other.
+// and Snapshot (and EMDSnapshot once the sketch exists) once the
+// per-epoch cache is built — share a read lock, so many concurrent
+// sessions never queue behind each other.
 type Set struct {
-	cfg    Config
-	emdP   emd.Params // defaulted copy (valid when cfg.EMD != nil)
-	gapP   gap.Params
-	keyer  *gap.Keyer
-	idMix  hashx.Mixer
-	sketch *emd.Sketch
+	cfg   Config
+	emdP  emd.Params // defaulted copy (valid when cfg.EMD != nil)
+	gapP  gap.Params
+	keyer *gap.Keyer
+	idMix hashx.Mixer
 
-	mu      sync.RWMutex
-	logger  Logger // write-ahead hook, called under mu before applying
-	byKey   map[string]*entry
-	byID    map[uint64]*entry // fingerprint → entry (Sync only)
-	idFP    uint64            // XOR of mixed distinct-point fingerprints
-	entries []*entry
-	size    int // multiset cardinality
-	epoch   uint64
-	journal map[uint64][]emd.CellRef // epoch → EMD cells churned by it
-	snap    *Snapshot                // cache for the current epoch
+	mu       sync.RWMutex
+	sketch   *emd.Sketch // nil on a set with Sync until its first EMDSnapshot
+	emdSince uint64      // epoch the sketch was built at; no history before it
+	logger   Logger      // write-ahead hook, called under mu before applying
+	byKey    map[string]*entry
+	byID     map[uint64]*entry // fingerprint → entry (Sync only)
+	idFP     uint64            // XOR of mixed distinct-point fingerprints
+	entries  []*entry
+	size     int // multiset cardinality
+	epoch    uint64
+	journal  map[uint64][]emd.CellRef // epoch → EMD cells churned by it
+	snap     *Snapshot                // cache for the current epoch
 }
 
 // Snapshot is one epoch's immutable serving state. Sessions hold the
@@ -115,7 +128,9 @@ type Snapshot struct {
 	Epoch uint64
 	// Points is the multiset at this epoch.
 	Points metric.PointSet
-	// EMD is the sketch (nil when disabled); treat as read-only.
+	// EMD is the sketch; treat as read-only. It is nil when EMD is
+	// disabled, and on a set with Sync until the set's first
+	// EMDSnapshot builds its sketch.
 	EMD *emd.Sketch
 	// EMDMessage is the encoded full protocol message, and
 	// EMDFingerprint hashes it; the live-emd sender ships it, and the
@@ -148,10 +163,12 @@ type Snapshot struct {
 }
 
 // EMDWire returns the encoded full EMD message and its fingerprint, or
-// nil and 0 when EMD is disabled. It is encoded on first use and shared
-// by every later caller: a set with Sync is probed by ID fingerprint, so
-// an epoch nobody pulls a sketch from never pays for the encode. Safe
-// for concurrent use; the returned bytes must not be modified.
+// nil and 0 when the snapshot carries no sketch (EMD disabled, or a set
+// with Sync not yet served; take the snapshot with Set.EMDSnapshot to
+// get one). It is encoded on first use and shared by every later
+// caller: a set with Sync is probed by ID fingerprint, so an epoch
+// nobody pulls a sketch from never pays for the encode. Safe for
+// concurrent use; the returned bytes must not be modified.
 func (snap *Snapshot) EMDWire() ([]byte, uint64) {
 	snap.emdOnce.Do(func() {
 		if snap.EMD == nil {
@@ -194,25 +211,32 @@ func (snap *Snapshot) StrataWire() ([]byte, int64) {
 }
 
 // NewSet builds a live set over the initial points, using the sharded
-// from-scratch constructions for the enabled structures.
+// from-scratch constructions for the enabled structures. A set with
+// Sync defers its EMD sketch to its first EMDSnapshot but checks here
+// that the params can build one.
 func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if cfg.EMD == nil && cfg.Gap == nil && cfg.Sync == nil {
 		return nil, fmt.Errorf("live: config enables no protocol structure")
 	}
 	s := &Set{
-		cfg:     cfg,
-		byKey:   make(map[string]*entry, len(initial)),
-		journal: make(map[uint64][]emd.CellRef),
-		epoch:   1,
+		cfg:      cfg,
+		byKey:    make(map[string]*entry, len(initial)),
+		journal:  make(map[uint64][]emd.CellRef),
+		epoch:    1,
+		emdSince: 1,
 	}
 	if cfg.EMD != nil {
 		s.emdP = *cfg.EMD
 		s.emdP.ApplyDefaults()
-		sk, err := emd.BuildSketch(s.emdP, initial)
+		var err error
+		if cfg.Sync != nil {
+			err = emd.CheckParams(s.emdP)
+		} else {
+			s.sketch, err = emd.BuildSketch(s.emdP, initial)
+		}
 		if err != nil {
 			return nil, err
 		}
-		s.sketch = sk
 	}
 	if cfg.Gap != nil {
 		s.gapP = *cfg.Gap
@@ -232,8 +256,8 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if limit, ok := s.capacity(); ok && len(initial) > limit {
 		return nil, fmt.Errorf("live: %d initial points exceed capacity %d", len(initial), limit)
 	}
-	// Gap payloads for the initial points in one sharded batch; the
-	// EMD sketch was already built sharded above.
+	// Gap payloads for the initial points in one sharded batch; an
+	// eager EMD sketch was already built sharded above.
 	var payloads [][]byte
 	if s.keyer != nil {
 		payloads = s.keyer.Payloads(initial)
@@ -529,10 +553,42 @@ func (s *Set) Snapshot() *Snapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshotLocked()
+}
+
+// EMDSnapshot returns the current epoch's snapshot with its EMD sketch:
+// the live-emd serve path. On a set with Sync the first call builds the
+// sketch from the current points under the write lock and drops the
+// cached snapshot; from then on mutations maintain the sketch and
+// journal its churned cells, and DeltaCells reports no history before
+// the build epoch, so a peer from before it gets a full transfer. Once
+// the sketch exists this costs what Snapshot costs.
+func (s *Set) EMDSnapshot() (*Snapshot, error) {
+	if s.cfg.EMD == nil {
+		return nil, fmt.Errorf("live: set maintains no EMD sketch")
+	}
+	if snap := s.Snapshot(); snap.EMD != nil {
+		return snap, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sketch == nil {
+		sk, err := emd.BuildSketch(s.emdP, s.snapshotLocked().Points)
+		if err != nil {
+			return nil, err
+		}
+		s.sketch, s.emdSince, s.snap = sk, s.epoch, nil
+	}
+	return s.snapshotLocked(), nil
+}
+
+// snapshotLocked returns the cached snapshot, building it first if a
+// mutation dropped it. Caller holds the write lock.
+func (s *Set) snapshotLocked() *Snapshot {
 	if s.snap != nil {
 		return s.snap
 	}
-	snap = &Snapshot{Epoch: s.epoch}
+	snap := &Snapshot{Epoch: s.epoch}
 	snap.Points = make(metric.PointSet, 0, s.size)
 	if s.keyer != nil {
 		snap.GapPayloads = make([][]byte, 0, s.size)
@@ -565,18 +621,18 @@ func (s *Set) Snapshot() *Snapshot {
 
 // DeltaCells reports which EMD cells changed between epochs from and
 // to (exclusive/inclusive), sorted and deduplicated. ok is false when
-// the range is empty of history — from older than the journal horizon,
-// from > to, or EMD disabled — in which case the caller sends a full
-// transfer.
+// the range is empty of history — from older than the journal horizon
+// or than the epoch the sketch was built at, from > to, or no sketch
+// built — in which case the caller sends a full transfer.
 func (s *Set) DeltaCells(from, to uint64) ([]emd.CellRef, bool) {
-	if s.sketch == nil || from > to {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.sketch == nil || from > to || from < s.emdSince {
 		return nil, false
 	}
 	if from == to {
 		return nil, true
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var refs []emd.CellRef
 	for e := from + 1; e <= to; e++ {
 		r, ok := s.journal[e]

@@ -46,7 +46,8 @@ func encodeStrata(s *iblt.Strata) []byte {
 // sketch stays wire-bit-identical to a from-scratch build over the
 // current multiset, the cached Gap payloads match fresh key
 // construction, and the snapshot's strata estimator matches a build over
-// the live fingerprints.
+// the live fingerprints. The set has Sync, so it is served once up
+// front to build its sketch before the churn starts.
 func TestLiveSetGoldenIncremental(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
@@ -59,6 +60,15 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve := func() *Snapshot {
+		t.Helper()
+		snap, err := ls.EMDSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	serve()
 	keyer, err := gap.NewKeyer(*cfg.Gap)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +94,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		if op%200 != 199 && op != ops-1 {
 			continue
 		}
-		snap := ls.Snapshot()
+		snap := serve()
 		if len(snap.Points) != len(mirror) {
 			t.Fatalf("op %d: snapshot has %d points, mirror %d", op, len(snap.Points), len(mirror))
 		}
@@ -126,7 +136,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ls.Snapshot().EMDWire(); !bytes.Equal(got, msg) {
+	if got, _ := serve().EMDWire(); !bytes.Equal(got, msg) {
 		t.Fatal("live sketch at capacity differs from BuildMessage wire bytes")
 	}
 }
@@ -429,10 +439,11 @@ func TestSyncAddSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotEMDWire: a set with Sync encodes no EMD message until one
-// is asked for, and then every concurrent caller shares one encoding,
-// equal to encoding the sketch directly; a set without Sync encodes it
-// up front into EMDMessage and EMDFingerprint, which EMDWire returns.
+// TestSnapshotEMDWire: a set with Sync has no EMD message to give until
+// it is served, and its served snapshot encodes none until one is asked
+// for; then every concurrent caller shares one encoding, equal to
+// encoding the sketch directly. A set without Sync encodes it up front
+// into EMDMessage and EMDFingerprint, which EMDWire returns.
 func TestSnapshotEMDWire(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
@@ -445,7 +456,13 @@ func TestSnapshotEMDWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := withSync.Snapshot()
+	if msg, fp := withSync.Snapshot().EMDWire(); msg != nil || fp != 0 {
+		t.Fatal("a set with Sync has an EMD message before its first serve")
+	}
+	snap, err := withSync.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snap.EMDMessage != nil || snap.EMDFingerprint != 0 {
 		t.Fatal("a set with Sync encoded its EMD message up front")
 	}
@@ -481,4 +498,216 @@ func TestSnapshotEMDWire(t *testing.T) {
 	if !bytes.Equal(eager.EMDMessage, want) || eager.EMDFingerprint != fp || !bytes.Equal(msg, want) {
 		t.Fatal("set without Sync: EMDMessage/EMDFingerprint disagree with EMDWire")
 	}
+}
+
+// TestSyncSetBuildsEMDOnFirstServe: a set with Sync keys no point into
+// an EMD sketch until it is first served. Before that its snapshots
+// carry none and DeltaCells reports no history; the first serve's
+// message is byte-identical to a from-scratch build over its points;
+// and from the build epoch on it journals exactly the cells of a twin
+// whose sketch existed from creation, so a returning peer gets the same
+// delta while one from before the build gets a full transfer.
+func TestSyncSetBuildsEMDOnFirstServe(t *testing.T) {
+	cfg := testConfig()
+	emdP := *cfg.EMD
+	src := rng.New(41)
+	var initial metric.PointSet
+	for i := 0; i < 16; i++ {
+		initial = append(initial, randomPoint(emdP.Space, src))
+	}
+	lazy, err := NewSet(cfg, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewSet(cfg, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.EMDSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	pool := initial.Clone()
+	step := func() {
+		t.Helper()
+		pt := randomPoint(emdP.Space, src)
+		ops := []Op{{Point: pt}, {Remove: true, Point: pool[0]}}
+		pool = append(pool[1:], pt)
+		for _, s := range []*Set{lazy, twin} {
+			if err := s.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+
+	before := lazy.Snapshot()
+	if before.EMD != nil {
+		t.Fatal("a set with Sync built its EMD sketch before any serve")
+	}
+	if msg, fp := before.EMDWire(); msg != nil || fp != 0 {
+		t.Fatal("an unserved snapshot encoded an EMD message")
+	}
+	if _, ok := lazy.DeltaCells(1, before.Epoch); ok {
+		t.Fatal("DeltaCells reported history before the sketch was built")
+	}
+	if _, ok := lazy.DeltaCells(before.Epoch, before.Epoch); ok {
+		t.Fatal("DeltaCells reported an empty delta before the sketch was built")
+	}
+
+	served, err := lazy.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := served.Epoch
+	if served == before || built != before.Epoch || served.EMD == nil {
+		t.Fatal("the first serve did not replace the cached snapshot with one carrying the sketch at the same epoch")
+	}
+	ref, err := emd.BuildSketch(emdP, served.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, fp := served.EMDWire()
+	if !bytes.Equal(msg, ref.Encode()) || fp != ref.Fingerprint() {
+		t.Fatal("first served EMD message differs from a from-scratch build over its points")
+	}
+	if again, err := lazy.EMDSnapshot(); err != nil || again != served || lazy.Snapshot() != served {
+		t.Fatal("a second serve at the same epoch did not share the cached snapshot")
+	}
+
+	cached := served.EMD.Clone()
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	now, err := lazy.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, ok := lazy.DeltaCells(built, now.Epoch)
+	twinRefs, twinOK := twin.DeltaCells(built, now.Epoch)
+	if !ok || !twinOK || len(refs) != len(twinRefs) {
+		t.Fatalf("delta from the build epoch: %d refs (ok=%v), twin %d (ok=%v)", len(refs), ok, len(twinRefs), twinOK)
+	}
+	for i := range refs {
+		if refs[i] != twinRefs[i] {
+			t.Fatalf("delta ref %d is %v, twin journaled %v", i, refs[i], twinRefs[i])
+		}
+	}
+	if err := cached.ApplyCells(now.EMD.EncodeCells(refs)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, _ := now.EMDWire(); !bytes.Equal(cached.Encode(), msg) {
+		t.Fatal("patching the first served sketch with the delta does not give the current message")
+	}
+	if _, ok := lazy.DeltaCells(built-1, now.Epoch); ok {
+		t.Fatal("a peer from before the build epoch was offered a delta")
+	}
+	if _, ok := lazy.DeltaCells(built-1, built-1); ok {
+		t.Fatal("an empty range before the build epoch reported history")
+	}
+	if _, ok := twin.DeltaCells(built-1, now.Epoch); !ok {
+		t.Fatal("the eager twin should cover the epoch before the build")
+	}
+}
+
+// TestSyncSetRefusesUnbuildableEMD: a set with Sync builds its sketch
+// only when served, yet creation still refuses EMD params that cannot
+// build one (here s, the number of MLSH draws, is far above the cap).
+func TestSyncSetRefusesUnbuildableEMD(t *testing.T) {
+	cfg := testConfig()
+	p := *cfg.EMD
+	p.D1, p.D2 = 1, 1e7
+	cfg.EMD = &p
+	if err := emd.CheckParams(p); err == nil {
+		t.Fatal("emd.CheckParams accepted params whose plan cannot be derived")
+	}
+	if _, err := NewSet(cfg, nil); err == nil {
+		t.Fatal("NewSet accepted a Sync set whose EMD sketch cannot be built")
+	}
+	cfg.Sync = nil
+	if _, err := NewSet(cfg, nil); err == nil {
+		t.Fatal("NewSet accepted a set whose EMD sketch cannot be built")
+	}
+}
+
+// TestConcurrentFirstEMDServe has many goroutines make a set's first
+// live-emd serve while writers churn it. Whichever caller builds the
+// sketch, every snapshot returned must carry the sketch of exactly its
+// own points. Run under -race, it also checks that the build, the
+// snapshot cache and the mutations are properly synchronized.
+func TestConcurrentFirstEMDServe(t *testing.T) {
+	cfg := testConfig()
+	emdP := *cfg.EMD
+	src := rng.New(77)
+	var initial metric.PointSet
+	for i := 0; i < 16; i++ {
+		initial = append(initial, randomPoint(emdP.Space, src))
+	}
+	ls, err := NewSet(cfg, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, readers, rounds = 2, 8, 20
+	extra := make([]metric.PointSet, writers)
+	for w := range extra {
+		for i := 0; i < rounds; i++ {
+			extra[w] = append(extra[w], randomPoint(emdP.Space, src))
+		}
+	}
+	got := make([][]*Snapshot, readers)
+	errs := make(chan error, writers+readers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, pt := range extra[w] {
+				if err := ls.Add(pt); err != nil {
+					errs <- err
+					return
+				}
+				if err := ls.Remove(pt); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				snap, err := ls.EMDSnapshot()
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[r] = append(got[r], snap)
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	checked := make(map[*Snapshot]bool)
+	for _, snaps := range got {
+		for _, snap := range snaps {
+			if checked[snap] {
+				continue
+			}
+			checked[snap] = true
+			ref, err := emd.BuildSketch(emdP, snap.Points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg, _ := snap.EMDWire(); !bytes.Equal(msg, ref.Encode()) {
+				t.Fatalf("snapshot at epoch %d serves a sketch that is not its points'", snap.Epoch)
+			}
+		}
+	}
+	t.Logf("%d distinct served snapshots checked", len(checked))
 }

@@ -47,6 +47,7 @@ type LiveEMDSender struct {
 	params emd.Params
 	set    *live.Set
 	snap   *live.Snapshot
+	err    error // the sketch could not be built; Run fails with it
 
 	// Epoch is the generation this session served.
 	Epoch uint64
@@ -58,14 +59,16 @@ type LiveEMDSender struct {
 
 // NewLiveEMDSenderFactory returns a factory, for a server's Resolver,
 // whose handlers serve the set's EMD sketch with delta sync. The set must
-// maintain EMD state.
+// be configured with EMD; a set with Sync builds its sketch when the
+// first handler takes its snapshot (live.Set.EMDSnapshot).
 func NewLiveEMDSenderFactory(ls *live.Set) (func() Handler, error) {
 	p, ok := ls.EMDParams()
 	if !ok {
 		return nil, fmt.Errorf("netproto: live set maintains no EMD sketch")
 	}
 	return func() Handler {
-		return &LiveEMDSender{params: p, set: ls, snap: ls.Snapshot()}
+		snap, err := ls.EMDSnapshot()
+		return &LiveEMDSender{params: p, set: ls, snap: snap, err: err}
 	}, nil
 }
 
@@ -82,6 +85,9 @@ func (h *LiveEMDSender) Digest() uint64 { return DigestEMD(h.params) }
 // with a delta when the journal covers the gap, a full sketch
 // otherwise.
 func (h *LiveEMDSender) Run(conn transport.Conn) error {
+	if h.err != nil {
+		return h.err
+	}
 	d, err := conn.Recv()
 	if err != nil {
 		return err

@@ -58,8 +58,9 @@ type Config struct {
 // handler factory its Config.Resolver names. Handlers carry per-session
 // state, so the resolver names factories: one fresh handler per peer.
 type Server struct {
-	cfg Config
-	sem chan struct{}
+	cfg     Config
+	sem     chan struct{}
+	logging bool // Config.Logf was given: finish formats its session line
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -90,11 +91,13 @@ func NewServer(cfg Config) *Server {
 	if cfg.SessionTimeout == 0 {
 		cfg.SessionTimeout = 2 * time.Minute
 	}
-	if cfg.Logf == nil {
+	logging := cfg.Logf != nil
+	if !logging {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return &Server{
 		cfg:       cfg,
+		logging:   logging,
 		sem:       make(chan struct{}, cfg.MaxSessions),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -451,6 +454,9 @@ func (s *Server) finish(sess *Session, err error) {
 	}
 	if s.cfg.OnSession != nil {
 		s.cfg.OnSession(sess)
+	}
+	if !s.logging {
+		return
 	}
 	st := sess.wire.Stats()
 	set := sess.set

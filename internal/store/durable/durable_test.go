@@ -93,11 +93,23 @@ func churn(t testing.TB, ls *live.Set, seed uint64, n int) int {
 	return applied
 }
 
+// served returns the set's live-emd snapshot, building its EMD sketch
+// if the set has not been served yet.
+func served(t *testing.T, ls *live.Set) *live.Snapshot {
+	t.Helper()
+	snap, err := ls.EMDSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // requireWireIdentical asserts that two sets serve bit-identical wire
-// state: EMD message bytes, ID fingerprints and lists, and epoch.
+// state: EMD message bytes (as a live-emd serve sends them), ID
+// fingerprints and lists, and epoch.
 func requireWireIdentical(t *testing.T, want, got *live.Set) {
 	t.Helper()
-	ws, gs := want.Snapshot(), got.Snapshot()
+	ws, gs := served(t, want), served(t, got)
 	if ws.Epoch != gs.Epoch {
 		t.Fatalf("epoch: recovered %d, want %d", gs.Epoch, ws.Epoch)
 	}
@@ -195,6 +207,55 @@ func TestRecoveryGolden(t *testing.T) {
 	}
 	requireWireIdentical(t, ref, rec3)
 	d3.Close()
+}
+
+// TestRecoveryServesSameEMDMessage: a set with Sync and EMD replays its
+// journal without keying a point into an EMD sketch, even if it was
+// served before the crash, and its first live-emd serve afterwards is
+// byte-identical to that of a never-crashed set that ran the same op
+// stream with its sketch maintained throughout. A peer that synced
+// before the crash is offered no delta.
+func TestRecoveryServesSameEMDMessage(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(1024)
+	initial := workload.RandomSet(testSpace(), 64, rng.New(4))
+	ref, err := live.NewSet(cfg, initial)
+	if err != nil {
+		t.Fatalf("reference set: %v", err)
+	}
+	served(t, ref) // from creation on, every op keys the reference's sketch
+
+	d := openTestStore(t, dir, 64)
+	st := store.New()
+	st.SetPersister(d)
+	ls, err := st.Create("served", cfg, initial)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	churn(t, ref, 21, 300)
+	churn(t, ls, 21, 300)
+	peerEpoch := served(t, ls).Epoch
+	churn(t, ref, 22, 300)
+	churn(t, ls, 22, 300)
+	d.Crash()
+
+	d2 := openTestStore(t, dir, 64)
+	defer d2.Close()
+	st2 := store.New()
+	if _, err := d2.Recover(st2); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	rec, ok := st2.Get("served")
+	if !ok {
+		t.Fatal("recovered store is missing the set")
+	}
+	if rec.Snapshot().EMD != nil {
+		t.Fatal("recovery keyed the replayed ops into an EMD sketch")
+	}
+	requireWireIdentical(t, ref, rec)
+	if _, ok := rec.DeltaCells(peerEpoch, rec.Epoch()); ok {
+		t.Fatal("a peer synced before the crash was offered a delta")
+	}
 }
 
 // TestRecoveryAfterDrain verifies the snapshot-on-drain path: a closed
