@@ -204,16 +204,15 @@ func TestCrashKillRecovery(t *testing.T) {
 		t.Fatalf("recovered ID fingerprint %016x != journal ground truth %016x",
 			ls.IDFingerprint(), truth.IDFingerprint())
 	}
-	truthSnap, err := truth.EMDSnapshot()
+	truthSnap, _, err := truth.ServeEMD(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recoveredSnap, err := ls.EMDSnapshot()
+	recoveredSnap, _, err := ls.ServeEMD(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, truthFP := truthSnap.EMDWire()
-	_, recoveredFP := recoveredSnap.EMDWire()
+	truthFP, recoveredFP := truthSnap.EMDFingerprint, recoveredSnap.EMDFingerprint
 	if truthFP != recoveredFP {
 		t.Fatalf("recovered EMD sketch fingerprint %016x != journal ground truth %016x",
 			recoveredFP, truthFP)

@@ -10,13 +10,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	robustsync "repro"
 	"repro/internal/rng"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run reconciles the two mempools and prints how many transactions
+// each node learns, which must match the planted differences.
+func run(w io.Writer) error {
 	const (
 		mempool = 20000
 		onlyB   = 180 // transactions node B has that A lacks
@@ -40,24 +50,25 @@ func main() {
 	// Phase 1: estimate the difference size without prior context.
 	est, err := robustsync.EstimateDiff(nodeB, nodeA, 501)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("true difference: %d, strata estimate: %d\n", onlyA+onlyB, est)
+	fmt.Fprintf(w, "true difference: %d, strata estimate: %d\n", onlyA+onlyB, est)
 
 	// Phase 2: reconcile with an IBLT sized to the estimate (with a
 	// safety factor; SyncIDs retries with doubling if it undershoots).
 	missingAtA, missingAtB, err := robustsync.SyncIDs(nodeB, nodeA, est*2, 502)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("node A learns %d missing transactions\n", len(missingAtA))
-	fmt.Printf("node B learns %d missing transactions\n", len(missingAtB))
+	fmt.Fprintf(w, "node A learns %d missing transactions\n", len(missingAtA))
+	fmt.Fprintf(w, "node B learns %d missing transactions\n", len(missingAtB))
 	if len(missingAtA) != onlyB || len(missingAtB) != onlyA {
-		log.Fatalf("reconciliation incomplete: %d/%d", len(missingAtA), len(missingAtB))
+		return fmt.Errorf("reconciliation incomplete: %d/%d", len(missingAtA), len(missingAtB))
 	}
 
 	// Cost comparison: the IBLT carries O(diff) cells of ~17 bytes vs
 	// shipping the full 8-byte-per-ID mempool.
-	fmt.Printf("full mempool dump would be %d bytes; IBLT cost scales with the %d-entry difference\n",
+	fmt.Fprintf(w, "full mempool dump would be %d bytes; IBLT cost scales with the %d-entry difference\n",
 		8*len(nodeB), onlyA+onlyB)
+	return nil
 }

@@ -14,14 +14,25 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	robustsync "repro"
 	"repro/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run reconciles the two stores and prints how many of A's novel
+// images reached B, which must be all of them.
+func run(w io.Writer) error {
 	const (
 		dBits = 4096 // fingerprint length
 		n     = 96   // images per store
@@ -33,7 +44,7 @@ func main() {
 
 	inst, err := workload.NewGapInstance(space, n, kNew, 0, r1, r2, 777)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	storeA, storeB := inst.SA, inst.SB
 
@@ -45,7 +56,7 @@ func main() {
 	}
 	res, err := robustsync.ReconcileGap(params, storeA, storeB)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Which of the transferred fingerprints are the genuinely new images?
@@ -60,13 +71,14 @@ func main() {
 	}
 
 	naive := int64(n * dBits)
-	fmt.Printf("store A: %d fingerprints, %d unknown to B\n", len(storeA), len(inst.Far))
-	fmt.Printf("transferred fingerprints: %d (includes the %d/%d novel images)\n",
+	fmt.Fprintf(w, "store A: %d fingerprints, %d unknown to B\n", len(storeA), len(inst.Far))
+	fmt.Fprintf(w, "transferred fingerprints: %d (includes the %d/%d novel images)\n",
 		len(res.TA), recovered, len(inst.Far))
-	fmt.Printf("communication: %s\n", res.Stats)
-	fmt.Printf("naive transfer: %d bits (%.1fx more)\n", naive,
+	fmt.Fprintf(w, "communication: %s\n", res.Stats)
+	fmt.Fprintf(w, "naive transfer: %d bits (%.1fx more)\n", naive,
 		float64(naive)/float64(res.Stats.TotalBits()))
 	if recovered != len(inst.Far) {
-		log.Fatal("missed a novel image — gap guarantee violated")
+		return errors.New("missed a novel image — gap guarantee violated")
 	}
+	return nil
 }

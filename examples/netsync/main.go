@@ -9,15 +9,26 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 
 	robustsync "repro"
 	"repro/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run reconciles over a localhost TCP connection and prints how many of
+// Alice's points Bob's grown set leaves uncovered, which must be 0.
+func run(w io.Writer) error {
 	space := robustsync.HammingSpace(1024)
 	const (
 		n  = 48
@@ -27,7 +38,7 @@ func main() {
 	)
 	inst, err := workload.NewGapInstance(space, n, k, 1, r1, r2, 4821)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Both endpoints agree on Params out of band.
@@ -37,7 +48,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ln.Close()
 
@@ -61,16 +72,16 @@ func main() {
 	// Alice: dial and run the sending side.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep, err := robustsync.GapSend(conn, params, inst.SA)
 	conn.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
 	bob := <-bobDone
+	if err != nil {
+		return err
+	}
 	if bob.err != nil {
-		log.Fatal(bob.err)
+		return bob.err
 	}
 
 	uncovered := 0
@@ -79,12 +90,13 @@ func main() {
 			uncovered++
 		}
 	}
-	fmt.Printf("TCP gap reconciliation over %s\n", ln.Addr())
-	fmt.Printf("Alice sent %d far elements; Bob's set grew %d -> %d\n",
+	fmt.Fprintf(w, "TCP gap reconciliation over %s\n", ln.Addr())
+	fmt.Fprintf(w, "Alice sent %d far elements; Bob's set grew %d -> %d\n",
 		len(rep.TA), len(inst.SB), len(bob.res.SPrime))
-	fmt.Printf("uncovered points of SA (must be 0): %d\n", uncovered)
-	fmt.Printf("Bob's endpoint traffic: %s\n", bob.res.Stats)
+	fmt.Fprintf(w, "uncovered points of SA (must be 0): %d\n", uncovered)
+	fmt.Fprintf(w, "Bob's endpoint traffic: %s\n", bob.res.Stats)
 	if uncovered > 0 {
-		log.Fatal("gap guarantee violated over the wire")
+		return errors.New("gap guarantee violated over the wire")
 	}
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	robustsync "repro"
 	"repro/internal/matching"
@@ -18,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run reconciles the planted instance and prints the EMD before and
+// after, against the optimum with k exclusions.
+func run(w io.Writer) error {
 	space := robustsync.HammingSpace(64)
 	const n, k = 32, 3
 
@@ -32,17 +42,18 @@ func main() {
 	params := robustsync.DefaultEMDParams(space, n, k, 7)
 	res, err := robustsync.ReconcileEMDScaled(params, alice, bob)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if res.Failed {
-		log.Fatal("protocol failed (allowed with small probability; retry with a new seed)")
+		return fmt.Errorf("protocol failed (allowed with small probability; retry with a new seed)")
 	}
 
 	before := matching.EMD(space, alice, bob)
 	after := matching.EMD(space, alice, res.SPrime)
-	fmt.Printf("EMD(Alice, Bob) before reconciliation: %.0f\n", before)
-	fmt.Printf("EMD(Alice, Bob') after reconciliation: %.0f\n", after)
-	fmt.Printf("optimal with %d exclusions (EMD_k):     %.0f\n", k,
+	fmt.Fprintf(w, "EMD(Alice, Bob) before reconciliation: %.0f\n", before)
+	fmt.Fprintf(w, "EMD(Alice, Bob') after reconciliation: %.0f\n", after)
+	fmt.Fprintf(w, "optimal with %d exclusions (EMD_k):     %.0f\n", k,
 		matching.EMDk(space, alice, bob, k))
-	fmt.Printf("communication: %s\n", res.Stats)
+	fmt.Fprintf(w, "communication: %s\n", res.Stats)
+	return nil
 }

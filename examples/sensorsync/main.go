@@ -11,14 +11,25 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	robustsync "repro"
 	"repro/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run synchronizes the two sensors and prints how many of A's objects
+// B still lacks within r2, which must be 0.
+func run(w io.Writer) error {
 	// 3-D positions with 20-bit coordinates under ℓ1.
 	space := robustsync.GridSpace(1<<20-1, 3, robustsync.L1)
 	const (
@@ -30,7 +41,7 @@ func main() {
 
 	inst, err := workload.NewGapInstance(space, nObjects, kNew, 2, r1, r2, 2024)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sensorA, sensorB := inst.SA, inst.SB
 
@@ -43,7 +54,7 @@ func main() {
 	}
 	res, err := robustsync.ReconcileGap(params, sensorA, sensorB)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Verify the guarantee: every object A knows about is now within r2
@@ -55,20 +66,21 @@ func main() {
 		}
 	}
 
-	fmt.Printf("sensor A objects: %d (of which %d unknown to B)\n", len(sensorA), len(inst.Far))
-	fmt.Printf("sensor B objects: %d -> %d after sync\n", len(sensorB), len(res.SPrime))
-	fmt.Printf("positions transferred: %d\n", len(res.TA))
-	fmt.Printf("objects of A left uncovered (must be 0): %d\n", uncovered)
-	fmt.Printf("communication: %s\n", res.Stats)
+	fmt.Fprintf(w, "sensor A objects: %d (of which %d unknown to B)\n", len(sensorA), len(inst.Far))
+	fmt.Fprintf(w, "sensor B objects: %d -> %d after sync\n", len(sensorB), len(res.SPrime))
+	fmt.Fprintf(w, "positions transferred: %d\n", len(res.TA))
+	fmt.Fprintf(w, "objects of A left uncovered (must be 0): %d\n", uncovered)
+	fmt.Fprintf(w, "communication: %s\n", res.Stats)
 	// At 3 dimensions a full dump is actually cheaper — the protocol's
 	// advantage appears when points are high-dimensional (log|U| large);
 	// see examples/imagedupes. What a dump cannot give is the paper's
 	// guarantee under *noise*: here positions differ between sensors, so
 	// a dump would duplicate every object; the gap protocol transfers
 	// only the genuinely new ones.
-	fmt.Printf("(full dump: %d bits, but it would duplicate all %d shared objects)\n",
+	fmt.Fprintf(w, "(full dump: %d bits, but it would duplicate all %d shared objects)\n",
 		space.BitsPerPoint()*len(sensorA), len(sensorA)-len(inst.Far))
 	if uncovered > 0 {
-		log.Fatal("gap guarantee violated")
+		return errors.New("gap guarantee violated")
 	}
+	return nil
 }

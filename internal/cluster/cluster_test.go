@@ -284,7 +284,7 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 	var want *live.Snapshot
 	for i, n := range nodes {
 		ls, _ := n.store.Get("alpha")
-		snap, err := ls.EMDSnapshot()
+		snap, _, err := ls.ServeEMD(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +292,7 @@ func TestClusterConvergenceUnderChurn(t *testing.T) {
 			want = snap
 			continue
 		}
-		_, fp := snap.EMDWire()
-		_, wantFP := want.EMDWire()
+		fp, wantFP := snap.EMDFingerprint, want.EMDFingerprint
 		if snap.IDFingerprint != want.IDFingerprint || fp != wantFP {
 			t.Fatalf("node %d alpha fingerprints id=%#x emd=%#x, node 0 has id=%#x emd=%#x",
 				i, snap.IDFingerprint, fp, want.IDFingerprint, wantFP)

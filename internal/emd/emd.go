@@ -352,19 +352,19 @@ func alice(pl *plan, sa metric.PointSet) (*transport.Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeTables(pl.levels, tables), nil
+	e := transport.NewEncoder()
+	encodeTables(e, pl.levels, tables)
+	return e, nil
 }
 
 // encodeTables serializes the level tables as the protocol's single
 // message; the incremental Sketch encodes through the same path, so an
 // incrementally maintained sketch is bit-identical on the wire.
-func encodeTables(levels int, tables []*riblt.Table) *transport.Encoder {
-	e := transport.NewEncoder()
+func encodeTables(e *transport.Encoder, levels int, tables []*riblt.Table) {
 	e.WriteUvarint(uint64(levels))
 	for _, t := range tables {
 		t.Encode(e)
 	}
-	return e
 }
 
 // bob receives the tables, deletes his pairs, finds i*, and assembles

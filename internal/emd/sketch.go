@@ -20,8 +20,10 @@ import (
 // from-scratch build over the same multiset (asserted by
 // TestSketchIncrementalGolden).
 //
-// A Sketch is not safe for concurrent use; internal/live serializes
-// mutations and serves immutable clones.
+// A Sketch is not safe for concurrent mutation. Its read-only methods
+// (Encode, EncodeCells, Apply) may run concurrently with each other;
+// internal/live keeps one sketch per set, mutates it under its write
+// lock and encodes from it under its read lock.
 type Sketch struct {
 	pl      *plan
 	tables  []*riblt.Table
@@ -137,9 +139,17 @@ func (s *Sketch) mutate(pt metric.Point, add bool) []CellRef {
 }
 
 // Encode serializes the sketch as the protocol's single message,
-// bit-identical to BuildMessage over the same multiset.
+// bit-identical to BuildMessage over the same multiset, in one
+// allocation of exactly its size.
 func (s *Sketch) Encode() []byte {
-	data, _ := encodeTables(s.pl.levels, s.tables).Pack()
+	size := transport.UvarintBytes(uint64(s.pl.levels))
+	for _, t := range s.tables {
+		size += t.EncodedBytes()
+	}
+	e := transport.NewEncoder()
+	e.Grow(size)
+	encodeTables(e, s.pl.levels, s.tables)
+	data, _ := e.Pack()
 	return data
 }
 
@@ -158,16 +168,6 @@ func FingerprintMessage(msg []byte) uint64 {
 		h = (h ^ uint64(b)) * prime
 	}
 	return h
-}
-
-// Clone deep-copies the sketch (cells included); the clone shares the
-// immutable plan.
-func (s *Sketch) Clone() *Sketch {
-	tables := make([]*riblt.Table, len(s.tables))
-	for i, t := range s.tables {
-		tables[i] = t.Clone()
-	}
-	return newSketch(s.pl, tables)
 }
 
 // SortCellRefs orders refs by (level, cell) and drops duplicates, the
@@ -189,10 +189,16 @@ func SortCellRefs(refs []CellRef) []CellRef {
 }
 
 // EncodeCells serializes the named cells with their absolute current
-// values — the delta-sync payload. refs must be sorted and deduplicated
-// (SortCellRefs).
+// values — the delta-sync payload — in one allocation of exactly its
+// size. refs must be sorted and deduplicated (SortCellRefs).
 func (s *Sketch) EncodeCells(refs []CellRef) []byte {
+	size := transport.UvarintBytes(uint64(len(refs)))
+	for _, r := range refs {
+		size += transport.UvarintBytes(uint64(r.Level)) + transport.UvarintBytes(uint64(r.Cell)) +
+			s.tables[r.Level].EncodedCellBytes(r.Cell)
+	}
 	e := transport.NewEncoder()
+	e.Grow(size)
 	e.WriteUvarint(uint64(len(refs)))
 	for _, r := range refs {
 		e.WriteUvarint(uint64(r.Level))

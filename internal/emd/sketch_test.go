@@ -142,9 +142,9 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestSketchMutationAllocs: at the churn-serve shape a point mutation
-// allocates nothing, and a clone (what every live snapshot takes) costs
-// its tables plus a few level-wide slices — no scratch as wide as the s
-// MLSH draws.
+// allocates nothing, and encoding the message or a delta (what every
+// live snapshot and delta serve does) allocates its bytes once, not a
+// buffer grown by repeated appends.
 func TestSketchMutationAllocs(t *testing.T) {
 	p := pinShapes[0].p
 	src := rng.New(3)
@@ -165,14 +165,21 @@ func TestSketchMutationAllocs(t *testing.T) {
 	}
 
 	const runs = 20
-	clone := bytesPerRun(runs, func() { sk.Clone() })
-	tables := bytesPerRun(runs, func() {
-		for _, tb := range sk.tables {
-			tb.Clone()
+	refs := SortCellRefs(append([]CellRef(nil), sk.Add(extra)...))
+	for name, enc := range map[string]func() []byte{
+		"Encode":      sk.Encode,
+		"EncodeCells": func() []byte { return sk.EncodeCells(refs) },
+	} {
+		// The one allocation is rounded up to its size class (a
+		// whole page for a large one); appending would reallocate a
+		// buffer 1.25 times larger than the last, ≈ 5 times the size
+		// in all.
+		size := uint64(len(enc()))
+		got := bytesPerRun(runs, func() { enc() })
+		t.Logf("%s: %d bytes allocated for a %d-byte encoding", name, got, size)
+		if got > size*5/4+512 {
+			t.Errorf("%s allocates %d bytes for a %d-byte encoding", name, got, size)
 		}
-	})
-	if limit := uint64(8 * sk.pl.s); clone > tables && clone-tables >= limit {
-		t.Errorf("Clone allocates %d bytes beyond its tables' %d; want < 8·s = %d", clone-tables, tables, limit)
 	}
 }
 
@@ -189,7 +196,10 @@ func TestSketchDeltaPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := sk.Clone()
+	stale, err := DecodeSketch(p, sk.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var refs []CellRef
 	for i := 0; i < 5; i++ {

@@ -7,25 +7,26 @@
 // and the public coins), and the exact-ID state (point fingerprints,
 // their IDs' index and an order-independent fold over them).
 //
-// A set with Sync builds its EMD sketch only when it is first served
-// (EMDSnapshot): the mesh reconciles such sets by exact IDs, so a
-// replica nobody pulls a sketch from never keys a point into one. A
-// set without Sync serves nothing but live-emd and gap and builds its
-// sketch at creation. Either way the sketch, once built, is maintained
-// under churn and is field-identical to a from-scratch build.
+// A set keeps one EMD sketch and never copies it. A set with Sync
+// builds it only when it is first served (ServeEMD): the mesh
+// reconciles such sets by exact IDs, so a replica nobody pulls a sketch
+// from never keys a point into one. A set without Sync serves nothing
+// but live-emd and gap and builds its sketch at creation. Either way
+// the sketch, once built, is maintained under churn and is
+// field-identical to a from-scratch build.
 //
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
 // started mid-churn serves one consistent generation while new sessions
-// see the latest. Encodings derive from the snapshot once, on first
-// use: the full EMD message (EMDWire; built up front for sets without
-// Sync, which serve only live-emd and read it there), the strata
+// see the latest. Once the sketch exists, each snapshot carries the
+// encoded EMD message and its fingerprint, not the sketch. The strata
 // estimator over its IDs (Strata; no set keeps one under churn) and its
-// wire bits (StrataWire). A bounded journal records which EMD cells each
-// epoch churned since the sketch was built; DeltaCells answers "what
-// changed since epoch e" for the delta-sync fast path in
-// internal/netproto, falling back to a full transfer when e has aged
-// out of the journal or predates the sketch.
+// wire bits (StrataWire) derive from the snapshot on first use. A
+// bounded journal records which EMD cells each epoch churned since the
+// sketch was built; ServeEMD encodes "what changed since epoch e" from
+// the sketch itself for the delta-sync fast path in internal/netproto,
+// and offers no delta when e has aged out of the journal or predates
+// the sketch.
 package live
 
 import (
@@ -53,7 +54,7 @@ type SyncConfig struct {
 // one of EMD, Gap or Sync must be set.
 type Config struct {
 	// EMD, when set, maintains the Algorithm 1 sketch: from creation
-	// on a set without Sync, from its first EMDSnapshot on a set with
+	// on a set without Sync, from its first ServeEMD on a set with
 	// Sync (creation still refuses params that cannot build one).
 	// Params.N is the capacity bound: the live multiset may never
 	// exceed N points.
@@ -95,10 +96,9 @@ type entry struct {
 
 // Set is the mutable reconciliation state. All methods are safe for
 // concurrent use; mutations serialize under the write lock, while the
-// read paths a busy server hits per session — Epoch, Size, DeltaCells,
-// and Snapshot (and EMDSnapshot once the sketch exists) once the
-// per-epoch cache is built — share a read lock, so many concurrent
-// sessions never queue behind each other.
+// read paths a busy server hits per session — Epoch, Size, and
+// Snapshot and ServeEMD once the per-epoch cache is built — share a
+// read lock, so many concurrent sessions never queue behind each other.
 type Set struct {
 	cfg   Config
 	emdP  emd.Params // defaulted copy (valid when cfg.EMD != nil)
@@ -107,7 +107,7 @@ type Set struct {
 	idMix hashx.Mixer
 
 	mu       sync.RWMutex
-	sketch   *emd.Sketch // nil on a set with Sync until its first EMDSnapshot
+	sketch   *emd.Sketch // nil on a set with Sync until its first ServeEMD
 	emdSince uint64      // epoch the sketch was built at; no history before it
 	logger   Logger      // write-ahead hook, called under mu before applying
 	byKey    map[string]*entry
@@ -128,15 +128,11 @@ type Snapshot struct {
 	Epoch uint64
 	// Points is the multiset at this epoch.
 	Points metric.PointSet
-	// EMD is the sketch; treat as read-only. It is nil when EMD is
-	// disabled, and on a set with Sync until the set's first
-	// EMDSnapshot builds its sketch.
-	EMD *emd.Sketch
 	// EMDMessage is the encoded full protocol message, and
 	// EMDFingerprint hashes it; the live-emd sender ships it, and the
-	// receiver checks its sketch against it. Both are set at
-	// construction only on sets without Sync, which serve nothing but
-	// live-emd and gap; EMDWire returns them for any set.
+	// receiver checks its sketch against it. Both are nil and 0 when EMD
+	// is disabled, and on a set with Sync until the set's first
+	// ServeEMD builds its sketch.
 	EMDMessage     []byte
 	EMDFingerprint uint64
 	// GapPayloads are the cached key payloads, aligned with Points.
@@ -156,28 +152,6 @@ type Snapshot struct {
 	wireOnce   sync.Once
 	strataWire []byte
 	strataBits int64
-
-	emdOnce sync.Once
-	emdWire []byte
-	emdFP   uint64
-}
-
-// EMDWire returns the encoded full EMD message and its fingerprint, or
-// nil and 0 when the snapshot carries no sketch (EMD disabled, or a set
-// with Sync not yet served; take the snapshot with Set.EMDSnapshot to
-// get one). It is encoded on first use and shared by every later
-// caller: a set with Sync is probed by ID fingerprint, so an epoch
-// nobody pulls a sketch from never pays for the encode. Safe for
-// concurrent use; the returned bytes must not be modified.
-func (snap *Snapshot) EMDWire() ([]byte, uint64) {
-	snap.emdOnce.Do(func() {
-		if snap.EMD == nil {
-			return
-		}
-		snap.emdWire = snap.EMD.Encode()
-		snap.emdFP = emd.FingerprintMessage(snap.emdWire)
-	})
-	return snap.emdWire, snap.emdFP
 }
 
 // Strata returns the estimator over IDs, built on first use and shared
@@ -212,7 +186,7 @@ func (snap *Snapshot) StrataWire() ([]byte, int64) {
 
 // NewSet builds a live set over the initial points, using the sharded
 // from-scratch constructions for the enabled structures. A set with
-// Sync defers its EMD sketch to its first EMDSnapshot but checks here
+// Sync defers its EMD sketch to its first ServeEMD but checks here
 // that the params can build one.
 func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if cfg.EMD == nil && cfg.Gap == nil && cfg.Sync == nil {
@@ -263,7 +237,7 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 		payloads = s.keyer.Payloads(initial)
 	}
 	for i, pt := range initial {
-		k := pointKey(pt)
+		k := pt.Key()
 		e := s.byKey[k]
 		if e == nil {
 			e = &entry{pt: pt.Clone(), pos: len(s.entries)}
@@ -364,7 +338,7 @@ func (s *Set) Add(pt metric.Point) error {
 func (s *Set) Remove(pt metric.Point) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.byKey[pointKey(pt)] == nil {
+	if s.byKey[pt.Key()] == nil {
 		return fmt.Errorf("live: remove of absent point %v", pt)
 	}
 	if err := s.log([]Op{{Remove: true, Point: pt}}); err != nil {
@@ -385,7 +359,7 @@ func (s *Set) ApplyBatch(ops []Op) error {
 	limit, bounded := s.capacity()
 	counts := make(map[string]int)
 	for i, op := range ops {
-		k := pointKey(op.Point)
+		k := op.Point.Key()
 		have := counts[k]
 		if e := s.byKey[k]; e != nil {
 			have += e.count
@@ -445,9 +419,9 @@ func (s *Set) SetLogger(l Logger) {
 // e resumes the pre-crash generation numbering (journal replay then
 // continues at e+1, and peers' cached epochs stay monotonic). It fails
 // if e is behind the current epoch. The churned-cell journal is NOT
-// back-filled: DeltaCells for ranges crossing the restore point reports
-// no history, so returning peers take the full-transfer path — the safe
-// answer after a restart.
+// back-filled: ServeEMD offers no delta across the restore point, so
+// returning peers take the full-transfer path — the safe answer after a
+// restart.
 func (s *Set) RestoreEpoch(e uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -470,7 +444,7 @@ func (s *Set) checkAdd(n int) error {
 
 // add applies one insertion (lock held, preconditions checked).
 func (s *Set) add(pt metric.Point) []emd.CellRef {
-	k := pointKey(pt)
+	k := pt.Key()
 	e := s.byKey[k]
 	if e == nil {
 		e = &entry{pt: pt.Clone(), pos: len(s.entries)}
@@ -495,7 +469,7 @@ func (s *Set) add(pt metric.Point) []emd.CellRef {
 
 // remove applies one deletion (lock held, membership checked).
 func (s *Set) remove(pt metric.Point) []emd.CellRef {
-	k := pointKey(pt)
+	k := pt.Key()
 	e := s.byKey[k]
 	e.count--
 	s.size--
@@ -556,30 +530,60 @@ func (s *Set) Snapshot() *Snapshot {
 	return s.snapshotLocked()
 }
 
-// EMDSnapshot returns the current epoch's snapshot with its EMD sketch:
-// the live-emd serve path. On a set with Sync the first call builds the
-// sketch from the current points under the write lock and drops the
-// cached snapshot; from then on mutations maintain the sketch and
-// journal its churned cells, and DeltaCells reports no history before
-// the build epoch, so a peer from before it gets a full transfer. Once
-// the sketch exists this costs what Snapshot costs.
-func (s *Set) EMDSnapshot() (*Snapshot, error) {
+// ServeEMD is the live-emd serve path. It returns the current epoch's
+// snapshot, which carries the full EMD message, and delta: the cells
+// churned after epoch since, encoded with their current values
+// (emd.Sketch.EncodeCells), for a peer whose cache is at since. delta
+// is nil when there is no history to answer from — since is 0, ahead
+// of the current epoch, older than the journal horizon or than the
+// epoch the sketch was built at — and an empty cell list when since is
+// the current epoch.
+//
+// Once the epoch's snapshot is cached this holds only the read lock:
+// the sketch is at the snapshot's epoch for as long as it is held, and
+// encoding cells only reads them. On a set with Sync the first call
+// builds the sketch from the current points under the write lock and
+// drops the cached snapshot; from then on mutations maintain the sketch
+// and journal its churned cells.
+func (s *Set) ServeEMD(since uint64) (snap *Snapshot, delta []byte, err error) {
 	if s.cfg.EMD == nil {
-		return nil, fmt.Errorf("live: set maintains no EMD sketch")
+		return nil, nil, fmt.Errorf("live: set maintains no EMD sketch")
 	}
-	if snap := s.Snapshot(); snap.EMD != nil {
-		return snap, nil
+	s.mu.RLock()
+	if s.snap != nil && s.sketch != nil {
+		snap, delta = s.snap, s.deltaLocked(since)
+		s.mu.RUnlock()
+		return snap, delta, nil
 	}
+	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sketch == nil {
 		sk, err := emd.BuildSketch(s.emdP, s.snapshotLocked().Points)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.sketch, s.emdSince, s.snap = sk, s.epoch, nil
 	}
-	return s.snapshotLocked(), nil
+	return s.snapshotLocked(), s.deltaLocked(since), nil
+}
+
+// deltaLocked encodes the cells churned after epoch since, or returns
+// nil when the journal cannot answer (see ServeEMD). Caller holds the
+// lock, read or write, and the sketch exists.
+func (s *Set) deltaLocked(since uint64) []byte {
+	if since == 0 || since > s.epoch || since < s.emdSince {
+		return nil
+	}
+	var refs []emd.CellRef
+	for e := since + 1; e <= s.epoch; e++ {
+		r, ok := s.journal[e]
+		if !ok {
+			return nil
+		}
+		refs = append(refs, r...)
+	}
+	return s.sketch.EncodeCells(emd.SortCellRefs(refs))
 }
 
 // snapshotLocked returns the cached snapshot, building it first if a
@@ -602,10 +606,8 @@ func (s *Set) snapshotLocked() *Snapshot {
 		}
 	}
 	if s.sketch != nil {
-		snap.EMD = s.sketch.Clone()
-		if s.cfg.Sync == nil {
-			snap.EMDMessage, snap.EMDFingerprint = snap.EMDWire()
-		}
+		snap.EMDMessage = s.sketch.Encode()
+		snap.EMDFingerprint = emd.FingerprintMessage(snap.EMDMessage)
 	}
 	if s.cfg.Sync != nil {
 		snap.IDs = make([]uint64, 0, len(s.entries))
@@ -617,31 +619,6 @@ func (s *Set) snapshotLocked() *Snapshot {
 	}
 	s.snap = snap
 	return snap
-}
-
-// DeltaCells reports which EMD cells changed between epochs from and
-// to (exclusive/inclusive), sorted and deduplicated. ok is false when
-// the range is empty of history — from older than the journal horizon
-// or than the epoch the sketch was built at, from > to, or no sketch
-// built — in which case the caller sends a full transfer.
-func (s *Set) DeltaCells(from, to uint64) ([]emd.CellRef, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.sketch == nil || from > to || from < s.emdSince {
-		return nil, false
-	}
-	if from == to {
-		return nil, true
-	}
-	var refs []emd.CellRef
-	for e := from + 1; e <= to; e++ {
-		r, ok := s.journal[e]
-		if !ok {
-			return nil, false
-		}
-		refs = append(refs, r...)
-	}
-	return emd.SortCellRefs(refs), true
 }
 
 // IDFingerprint returns the order-independent fold over the distinct
@@ -687,7 +664,7 @@ func (s *Set) MergeAbsent(pts metric.PointSet) (int, error) {
 	fresh := make(metric.PointSet, 0, len(pts))
 	seen := make(map[string]bool, len(pts))
 	for _, pt := range pts {
-		k := pointKey(pt)
+		k := pt.Key()
 		if s.byKey[k] != nil || seen[k] {
 			continue
 		}
@@ -713,19 +690,6 @@ func (s *Set) MergeAbsent(pts metric.PointSet) (int, error) {
 	}
 	s.bump(refs)
 	return len(fresh), nil
-}
-
-// pointKey is the membership-map key: the raw little-endian coordinate
-// bytes.
-func pointKey(pt metric.Point) string {
-	b := make([]byte, 4*len(pt))
-	for i, c := range pt {
-		b[4*i] = byte(c)
-		b[4*i+1] = byte(c >> 8)
-		b[4*i+2] = byte(c >> 16)
-		b[4*i+3] = byte(c >> 24)
-	}
-	return string(b)
 }
 
 // idMixer derives the fingerprint mixer from the sync seed; both

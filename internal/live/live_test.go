@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,6 +35,29 @@ func randomPoint(space metric.Space, src *rng.Source) metric.Point {
 	return pt
 }
 
+// serveEMD makes one live-emd serve for a peer at epoch since.
+func serveEMD(t *testing.T, ls *Set, since uint64) (*Snapshot, []byte) {
+	t.Helper()
+	snap, delta, err := ls.ServeEMD(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, delta
+}
+
+// requireBuiltMessage fails unless snap carries the message, and its
+// fingerprint, of a from-scratch build over its own points.
+func requireBuiltMessage(t *testing.T, p emd.Params, snap *Snapshot) {
+	t.Helper()
+	ref, err := emd.BuildSketch(p, snap.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.EMDMessage, ref.Encode()) || snap.EMDFingerprint != ref.Fingerprint() {
+		t.Fatalf("snapshot at epoch %d carries an EMD message that is not its points'", snap.Epoch)
+	}
+}
+
 func encodeStrata(s *iblt.Strata) []byte {
 	e := transport.NewEncoder()
 	s.Encode(e)
@@ -62,10 +86,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 	}
 	serve := func() *Snapshot {
 		t.Helper()
-		snap, err := ls.EMDSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap, _ := serveEMD(t, ls, 0)
 		return snap
 	}
 	serve()
@@ -102,7 +123,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg, _ := snap.EMDWire(); !bytes.Equal(msg, ref.Encode()) {
+		if !bytes.Equal(snap.EMDMessage, ref.Encode()) {
 			t.Fatalf("op %d (size %d): incremental EMD sketch not wire-identical to from-scratch build",
 				op, len(mirror))
 		}
@@ -136,14 +157,15 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := serve().EMDWire(); !bytes.Equal(got, msg) {
+	if !bytes.Equal(serve().EMDMessage, msg) {
 		t.Fatal("live sketch at capacity differs from BuildMessage wire bytes")
 	}
 }
 
-// TestLiveSetDeltaJournal covers the delta-sync bookkeeping: patching a
-// stale epoch's sketch with DeltaCells reproduces the current message;
-// epochs past the journal horizon force a full transfer.
+// TestLiveSetDeltaJournal covers the delta-sync bookkeeping: patching
+// the sketch decoded from a stale epoch's message with ServeEMD's delta
+// reproduces the current message; epochs past the journal horizon, and
+// epochs the set has not reached, get no delta.
 func TestLiveSetDeltaJournal(t *testing.T) {
 	cfg := testConfig()
 	cfg.Gap, cfg.Sync = nil, nil
@@ -158,7 +180,11 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := ls.Snapshot()
-	cached, from := stale.EMD.Clone(), stale.Epoch
+	cached, err := emd.DecodeSketch(emdP, stale.EMDMessage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := stale.Epoch
 
 	live := append(metric.PointSet{}, initial...)
 	for i := 0; i < 3; i++ { // 6 epochs of churn, within the horizon
@@ -171,12 +197,14 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 		}
 		live[i] = pt
 	}
-	now := ls.Snapshot()
-	refs, ok := ls.DeltaCells(from, now.Epoch)
-	if !ok {
+	now, delta := serveEMD(t, ls, from)
+	if delta == nil {
 		t.Fatalf("journal should cover 6 epochs of churn with horizon %d", journalEpochs)
 	}
-	if err := cached.ApplyCells(now.EMD.EncodeCells(refs)); err != nil {
+	if now != ls.Snapshot() {
+		t.Fatal("ServeEMD did not serve the cached snapshot of the current epoch")
+	}
+	if err := cached.ApplyCells(delta); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cached.Encode(), now.EMDMessage) {
@@ -205,15 +233,20 @@ func TestLiveSetDeltaJournal(t *testing.T) {
 	for ls.Epoch()-from < journalEpochs {
 		churn()
 	}
-	if _, ok := ls.DeltaCells(from, ls.Epoch()); !ok {
+	if _, delta := serveEMD(t, ls, from); delta == nil {
 		t.Fatalf("journal should cover a peer %d epochs behind", journalEpochs)
 	}
 	churn()
-	if _, ok := ls.DeltaCells(from, ls.Epoch()); ok {
+	if _, delta := serveEMD(t, ls, from); delta != nil {
 		t.Fatal("journal should have aged out the stale epoch")
 	}
-	if _, ok := ls.DeltaCells(ls.Epoch(), ls.Epoch()); !ok {
+	if _, delta := serveEMD(t, ls, ls.Epoch()); !bytes.Equal(delta, cached.EncodeCells(nil)) {
 		t.Fatal("up-to-date peer should get an empty delta")
+	}
+	for _, since := range []uint64{0, ls.Epoch() + 1} {
+		if _, delta := serveEMD(t, ls, since); delta != nil {
+			t.Fatalf("a peer at epoch %d (set at %d) was offered a delta", since, ls.Epoch())
+		}
 	}
 }
 
@@ -439,11 +472,11 @@ func TestSyncAddSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotEMDWire: a set with Sync has no EMD message to give until
-// it is served, and its served snapshot encodes none until one is asked
-// for; then every concurrent caller shares one encoding, equal to
-// encoding the sketch directly. A set without Sync encodes it up front
-// into EMDMessage and EMDFingerprint, which EMDWire returns.
+// TestSnapshotEMDWire: a snapshot carries the encoded EMD message and
+// its fingerprint, never a sketch. A set with Sync has none until its
+// first serve; from then on every snapshot encodes it, served or not. A
+// set without Sync has it from creation. Each is the message of a
+// from-scratch build over the snapshot's own points.
 func TestSnapshotEMDWire(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
@@ -456,37 +489,15 @@ func TestSnapshotEMDWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, fp := withSync.Snapshot().EMDWire(); msg != nil || fp != 0 {
+	if snap := withSync.Snapshot(); snap.EMDMessage != nil || snap.EMDFingerprint != 0 {
 		t.Fatal("a set with Sync has an EMD message before its first serve")
 	}
-	snap, err := withSync.EMDSnapshot()
-	if err != nil {
+	served, _ := serveEMD(t, withSync, 0)
+	requireBuiltMessage(t, emdP, served)
+	if err := withSync.Add(randomPoint(emdP.Space, src)); err != nil {
 		t.Fatal(err)
 	}
-	if snap.EMDMessage != nil || snap.EMDFingerprint != 0 {
-		t.Fatal("a set with Sync encoded its EMD message up front")
-	}
-	want := snap.EMD.Encode()
-	const callers = 8
-	msgs := make([][]byte, callers)
-	fps := make([]uint64, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			msgs[i], fps[i] = snap.EMDWire()
-		}(i)
-	}
-	wg.Wait()
-	for i := range msgs {
-		if !bytes.Equal(msgs[i], want) || fps[i] != emd.FingerprintMessage(want) {
-			t.Fatalf("caller %d: EMD wire differs from the sketch's encoding", i)
-		}
-		if &msgs[i][0] != &msgs[0][0] {
-			t.Fatalf("caller %d: encoding not shared", i)
-		}
-	}
+	requireBuiltMessage(t, emdP, withSync.Snapshot())
 
 	cfg.Gap, cfg.Sync = nil, nil
 	emdOnly, err := NewSet(cfg, pts)
@@ -494,19 +505,17 @@ func TestSnapshotEMDWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	eager := emdOnly.Snapshot()
-	msg, fp := eager.EMDWire()
-	if !bytes.Equal(eager.EMDMessage, want) || eager.EMDFingerprint != fp || !bytes.Equal(msg, want) {
-		t.Fatal("set without Sync: EMDMessage/EMDFingerprint disagree with EMDWire")
+	if !bytes.Equal(eager.EMDMessage, served.EMDMessage) || eager.EMDFingerprint != served.EMDFingerprint {
+		t.Fatal("a set without Sync does not carry the message of a served set with the same points")
 	}
 }
 
 // TestSyncSetBuildsEMDOnFirstServe: a set with Sync keys no point into
-// an EMD sketch until it is first served. Before that its snapshots
-// carry none and DeltaCells reports no history; the first serve's
-// message is byte-identical to a from-scratch build over its points;
-// and from the build epoch on it journals exactly the cells of a twin
-// whose sketch existed from creation, so a returning peer gets the same
-// delta while one from before the build gets a full transfer.
+// an EMD sketch until it is first served, so its snapshots carry no
+// message before that; the first serve's message is byte-identical to a
+// from-scratch build over its points; and from the build epoch on it
+// serves exactly the deltas of a twin whose sketch existed from
+// creation, while a peer from before the build gets none.
 func TestSyncSetBuildsEMDOnFirstServe(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
@@ -523,9 +532,7 @@ func TestSyncSetBuildsEMDOnFirstServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := twin.EMDSnapshot(); err != nil {
-		t.Fatal(err)
-	}
+	serveEMD(t, twin, 0)
 	pool := initial.Clone()
 	step := func() {
 		t.Helper()
@@ -543,70 +550,44 @@ func TestSyncSetBuildsEMDOnFirstServe(t *testing.T) {
 	}
 
 	before := lazy.Snapshot()
-	if before.EMD != nil {
+	if before.EMDMessage != nil || before.EMDFingerprint != 0 {
 		t.Fatal("a set with Sync built its EMD sketch before any serve")
 	}
-	if msg, fp := before.EMDWire(); msg != nil || fp != 0 {
-		t.Fatal("an unserved snapshot encoded an EMD message")
-	}
-	if _, ok := lazy.DeltaCells(1, before.Epoch); ok {
-		t.Fatal("DeltaCells reported history before the sketch was built")
-	}
-	if _, ok := lazy.DeltaCells(before.Epoch, before.Epoch); ok {
-		t.Fatal("DeltaCells reported an empty delta before the sketch was built")
-	}
-
-	served, err := lazy.EMDSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	served, delta := serveEMD(t, lazy, 1)
 	built := served.Epoch
-	if served == before || built != before.Epoch || served.EMD == nil {
-		t.Fatal("the first serve did not replace the cached snapshot with one carrying the sketch at the same epoch")
+	if served == before || built != before.Epoch || served.EMDMessage == nil {
+		t.Fatal("the first serve did not replace the cached snapshot with one carrying the message at the same epoch")
 	}
-	ref, err := emd.BuildSketch(emdP, served.Points)
+	if delta != nil {
+		t.Fatal("the first serve offered a delta from before the sketch was built")
+	}
+	requireBuiltMessage(t, emdP, served)
+	if again, delta := serveEMD(t, lazy, built); again != served || lazy.Snapshot() != served || delta == nil {
+		t.Fatal("a second serve at the same epoch did not share the cached snapshot with an empty delta")
+	}
+
+	cached, err := emd.DecodeSketch(emdP, served.EMDMessage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, fp := served.EMDWire()
-	if !bytes.Equal(msg, ref.Encode()) || fp != ref.Fingerprint() {
-		t.Fatal("first served EMD message differs from a from-scratch build over its points")
-	}
-	if again, err := lazy.EMDSnapshot(); err != nil || again != served || lazy.Snapshot() != served {
-		t.Fatal("a second serve at the same epoch did not share the cached snapshot")
-	}
-
-	cached := served.EMD.Clone()
 	for i := 0; i < 4; i++ {
 		step()
 	}
-	now, err := lazy.EMDSnapshot()
-	if err != nil {
+	now, delta := serveEMD(t, lazy, built)
+	twinNow, twinDelta := serveEMD(t, twin, built)
+	if delta == nil || !bytes.Equal(delta, twinDelta) || !bytes.Equal(now.EMDMessage, twinNow.EMDMessage) {
+		t.Fatalf("delta from the build epoch: %d bytes, twin's %d bytes", len(delta), len(twinDelta))
+	}
+	if err := cached.ApplyCells(delta); err != nil {
 		t.Fatal(err)
 	}
-	refs, ok := lazy.DeltaCells(built, now.Epoch)
-	twinRefs, twinOK := twin.DeltaCells(built, now.Epoch)
-	if !ok || !twinOK || len(refs) != len(twinRefs) {
-		t.Fatalf("delta from the build epoch: %d refs (ok=%v), twin %d (ok=%v)", len(refs), ok, len(twinRefs), twinOK)
-	}
-	for i := range refs {
-		if refs[i] != twinRefs[i] {
-			t.Fatalf("delta ref %d is %v, twin journaled %v", i, refs[i], twinRefs[i])
-		}
-	}
-	if err := cached.ApplyCells(now.EMD.EncodeCells(refs)); err != nil {
-		t.Fatal(err)
-	}
-	if msg, _ := now.EMDWire(); !bytes.Equal(cached.Encode(), msg) {
+	if !bytes.Equal(cached.Encode(), now.EMDMessage) {
 		t.Fatal("patching the first served sketch with the delta does not give the current message")
 	}
-	if _, ok := lazy.DeltaCells(built-1, now.Epoch); ok {
+	if _, delta := serveEMD(t, lazy, built-1); delta != nil {
 		t.Fatal("a peer from before the build epoch was offered a delta")
 	}
-	if _, ok := lazy.DeltaCells(built-1, built-1); ok {
-		t.Fatal("an empty range before the build epoch reported history")
-	}
-	if _, ok := twin.DeltaCells(built-1, now.Epoch); !ok {
+	if _, delta := serveEMD(t, twin, built-1); delta == nil {
 		t.Fatal("the eager twin should cover the epoch before the build")
 	}
 }
@@ -631,12 +612,16 @@ func TestSyncSetRefusesUnbuildableEMD(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstEMDServe has many goroutines make a set's first
-// live-emd serve while writers churn it. Whichever caller builds the
-// sketch, every snapshot returned must carry the sketch of exactly its
-// own points. Run under -race, it also checks that the build, the
-// snapshot cache and the mutations are properly synchronized.
-func TestConcurrentFirstEMDServe(t *testing.T) {
+// TestConcurrentEMDServe has servers make live-emd serves of a set with
+// Sync until writers have finished churning it: the first serves race
+// to build the sketch, and each later one asks for the delta since the
+// server's own previous serve. Every snapshot served must carry the
+// message of exactly its own points, and every delta, patched into the
+// sketch decoded from the earlier message, must give the served message
+// and fingerprint. Run under -race, it also checks that the build, the
+// snapshot cache, the read-locked delta encoding and the mutations are
+// properly synchronized.
+func TestConcurrentEMDServe(t *testing.T) {
 	cfg := testConfig()
 	emdP := *cfg.EMD
 	src := rng.New(77)
@@ -648,20 +633,28 @@ func TestConcurrentFirstEMDServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, readers, rounds = 2, 8, 20
+	const writers, servers, churns = 2, 4, 16
 	extra := make([]metric.PointSet, writers)
 	for w := range extra {
-		for i := 0; i < rounds; i++ {
+		for i := 0; i < churns; i++ {
 			extra[w] = append(extra[w], randomPoint(emdP.Space, src))
 		}
 	}
-	got := make([][]*Snapshot, readers)
-	errs := make(chan error, writers+readers)
-	var wg sync.WaitGroup
+	type serve struct {
+		prev, snap *Snapshot
+		delta      []byte
+	}
+	got := make([][]serve, servers)
+	errs := make(chan error, writers+servers)
+	start, churned := make(chan struct{}), make(chan struct{})
+	var wg, writing sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer writing.Done()
+			<-start
 			for _, pt := range extra[w] {
 				if err := ls.Add(pt); err != nil {
 					errs <- err
@@ -674,40 +667,121 @@ func TestConcurrentFirstEMDServe(t *testing.T) {
 			}
 		}(w)
 	}
-	for r := 0; r < readers; r++ {
+	for r := 0; r < servers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				snap, err := ls.EMDSnapshot()
+			<-start
+			var prev *Snapshot
+			for last := false; !last; {
+				select {
+				case <-churned:
+					last = true // one serve after the final epoch
+				default:
+				}
+				var since uint64
+				if prev != nil {
+					since = prev.Epoch
+				}
+				snap, delta, err := ls.ServeEMD(since)
 				if err != nil {
 					errs <- err
 					return
 				}
-				got[r] = append(got[r], snap)
+				if prev == nil || snap != prev || last {
+					got[r] = append(got[r], serve{prev: prev, snap: snap, delta: delta})
+				}
+				prev = snap
+				runtime.Gosched()
 			}
 		}(r)
 	}
+	close(start)
+	writing.Wait()
+	close(churned)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 	checked := make(map[*Snapshot]bool)
-	for _, snaps := range got {
-		for _, snap := range snaps {
-			if checked[snap] {
+	patched := make(map[[2]*Snapshot]bool)
+	for _, serves := range got {
+		for _, sv := range serves {
+			if !checked[sv.snap] {
+				checked[sv.snap] = true
+				requireBuiltMessage(t, emdP, sv.snap)
+			}
+			if patched[[2]*Snapshot{sv.prev, sv.snap}] {
 				continue
 			}
-			checked[snap] = true
-			ref, err := emd.BuildSketch(emdP, snap.Points)
+			patched[[2]*Snapshot{sv.prev, sv.snap}] = true
+			if sv.prev == nil {
+				if sv.delta != nil {
+					t.Fatal("a serve for a peer with no cache was offered a delta")
+				}
+				continue
+			}
+			if sv.delta == nil {
+				if sv.snap.Epoch-sv.prev.Epoch <= journalEpochs {
+					t.Fatalf("no delta from epoch %d to %d, within the journal horizon", sv.prev.Epoch, sv.snap.Epoch)
+				}
+				continue
+			}
+			sk, err := emd.DecodeSketch(emdP, sv.prev.EMDMessage)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msg, _ := snap.EMDWire(); !bytes.Equal(msg, ref.Encode()) {
-				t.Fatalf("snapshot at epoch %d serves a sketch that is not its points'", snap.Epoch)
+			if err := sk.ApplyCells(sv.delta); err != nil {
+				t.Fatal(err)
+			}
+			if msg := sk.Encode(); !bytes.Equal(msg, sv.snap.EMDMessage) || emd.FingerprintMessage(msg) != sv.snap.EMDFingerprint {
+				t.Fatalf("delta from epoch %d does not patch to the message of epoch %d", sv.prev.Epoch, sv.snap.Epoch)
 			}
 		}
 	}
-	t.Logf("%d distinct served snapshots checked", len(checked))
+	t.Logf("%d distinct served snapshots and %d (earlier, served) pairs checked", len(checked), len(patched))
+}
+
+// TestAddServeBytes: one Add plus the next live-emd serve allocates the
+// new epoch's message and delta, not a copy of the sketch: at 64 points
+// of d = 128 with capacity 256 and k = 4, the bytes stay within twice
+// the message plus 64 KiB, well below the cells the sketch holds.
+func TestAddServeBytes(t *testing.T) {
+	space := metric.HammingCube(128)
+	p := emd.DefaultParams(space, 256, 4, 11)
+	src := rng.New(12)
+	const runs = 10
+	var pts metric.PointSet
+	for i := 0; i < 64+runs; i++ {
+		pts = append(pts, randomPoint(space, src))
+	}
+	ls, err := NewSet(Config{EMD: &p}, pts[:64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := serveEMD(t, ls, 0)
+	next := 64
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := ls.Add(pts[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		snap, _ = serveEMD(t, ls, snap.Epoch)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	sk, err := emd.DecodeSketch(p, snap.EMDMessage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellBytes := sk.Levels() * sk.Cells() * (3 + space.Dim) * 8
+	limit := uint64(2*len(snap.EMDMessage) + 64<<10)
+	t.Logf("Add plus serve: %d bytes; message %d bytes, sketch cells %d bytes", perRun, len(snap.EMDMessage), cellBytes)
+	if perRun > limit {
+		t.Fatalf("Add plus serve allocated %d bytes, want at most 2·%d + 64 KiB = %d", perRun, len(snap.EMDMessage), limit)
+	}
 }

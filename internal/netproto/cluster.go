@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hashx"
 	"repro/internal/iblt"
@@ -314,21 +313,17 @@ func verifyRepairPayload(seed uint64, wanted []uint64, pts metric.PointSet) *Cor
 	return nil
 }
 
-// writePointList writes a self-describing point list: uvarint count, then
-// per point a uvarint dimension and varint coordinates. Self-describing
-// keeps the repair protocol independent of any one space definition — a
-// sync-only live set has no declared space at all.
+// writePointList writes a uvarint count, then each point in
+// metric.Point's self-describing encoding.
 func writePointList(e *transport.Encoder, pts metric.PointSet) {
 	e.WriteUvarint(uint64(len(pts)))
 	for _, pt := range pts {
-		e.WriteUvarint(uint64(len(pt)))
-		for _, c := range pt {
-			e.WriteVarint(int64(c))
-		}
+		pt.Encode(e)
 	}
 }
 
-// readPointList reads what writePointList wrote, guarding both counts.
+// readPointList reads what writePointList wrote, guarding the count here
+// and each point's dimension in metric.DecodePoint.
 func readPointList(d *transport.Decoder) (metric.PointSet, error) {
 	n, err := d.ReadUvarint()
 	if err != nil {
@@ -346,29 +341,9 @@ func readPointList(d *transport.Decoder) (metric.PointSet, error) {
 	}
 	out := make(metric.PointSet, 0, preallocate)
 	for i := uint64(0); i < n; i++ {
-		dim, err := d.ReadUvarint()
+		pt, err := metric.DecodePoint(d)
 		if err != nil {
-			return nil, err
-		}
-		if dim > 1<<20 {
-			return nil, fmt.Errorf("netproto: implausible point dimension %d in repair", dim)
-		}
-		// Each coordinate costs at least one wire byte; reject a
-		// dimension the rest of the frame cannot back before
-		// allocating the point.
-		if dim > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("netproto: point dimension %d exceeds remaining frame (%d bytes)", dim, d.Remaining())
-		}
-		pt := make(metric.Point, dim)
-		for j := range pt {
-			v, err := d.ReadVarint()
-			if err != nil {
-				return nil, err
-			}
-			if v < math.MinInt32 || v > math.MaxInt32 {
-				return nil, fmt.Errorf("netproto: coordinate %d out of range in repair", v)
-			}
-			pt[j] = int32(v)
+			return nil, fmt.Errorf("netproto: repair point %d: %w", i, err)
 		}
 		out = append(out, pt)
 	}

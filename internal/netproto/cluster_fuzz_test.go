@@ -203,7 +203,7 @@ func FuzzRepairFrames(f *testing.F) {
 			t.Fatalf("accepted implausible sizes: %d ids, %d points", len(ids), len(pts))
 		}
 		for _, pt := range pts {
-			if len(pt) > 1<<20 {
+			if len(pt) > metric.MaxEncodedDim {
 				t.Fatalf("accepted implausible dimension %d", len(pt))
 			}
 		}

@@ -12,10 +12,11 @@ import (
 )
 
 // Live serving: handler factories bound to a live.Set instead of a
-// frozen point set. Each accepted session grabs the set's current
-// snapshot at construction, so a peer that connects mid-churn is served
-// one consistent epoch end to end while later sessions see later
-// epochs.
+// frozen point set, so each session serves one consistent epoch end to
+// end while later sessions see later epochs. Gap takes the set's
+// current snapshot when the session is accepted; live-emd serves the
+// epoch current when the peer's last synced epoch arrives, so its delta
+// is read from the set's one sketch at the epoch it serves.
 //
 // Gap speaks its existing protocol unchanged — the live set only
 // amortizes the per-session key payloads. EMD gets a dedicated
@@ -42,12 +43,10 @@ const (
 	liveModeDelta = 1
 )
 
-// LiveEMDSender serves one session's EMD sketch from a live snapshot.
+// LiveEMDSender serves one session's EMD sketch from a live set.
 type LiveEMDSender struct {
 	params emd.Params
 	set    *live.Set
-	snap   *live.Snapshot
-	err    error // the sketch could not be built; Run fails with it
 
 	// Epoch is the generation this session served.
 	Epoch uint64
@@ -60,16 +59,13 @@ type LiveEMDSender struct {
 // NewLiveEMDSenderFactory returns a factory, for a server's Resolver,
 // whose handlers serve the set's EMD sketch with delta sync. The set must
 // be configured with EMD; a set with Sync builds its sketch when the
-// first handler takes its snapshot (live.Set.EMDSnapshot).
+// first session is served (live.Set.ServeEMD).
 func NewLiveEMDSenderFactory(ls *live.Set) (func() Handler, error) {
 	p, ok := ls.EMDParams()
 	if !ok {
 		return nil, fmt.Errorf("netproto: live set maintains no EMD sketch")
 	}
-	return func() Handler {
-		snap, err := ls.EMDSnapshot()
-		return &LiveEMDSender{params: p, set: ls, snap: snap, err: err}
-	}, nil
+	return func() Handler { return &LiveEMDSender{params: p, set: ls} }, nil
 }
 
 // Proto implements Handler.
@@ -81,13 +77,10 @@ func (h *LiveEMDSender) Role() Role { return RoleAlice }
 // Digest implements Handler.
 func (h *LiveEMDSender) Digest() uint64 { return DigestEMD(h.params) }
 
-// Run implements Handler: read the peer's last synced epoch, answer
-// with a delta when the journal covers the gap, a full sketch
-// otherwise.
+// Run implements Handler: read the peer's last synced epoch, then
+// serve the current epoch with a delta when the journal covers the gap
+// and the delta is smaller, a full sketch otherwise.
 func (h *LiveEMDSender) Run(conn transport.Conn) error {
-	if h.err != nil {
-		return h.err
-	}
 	d, err := conn.Recv()
 	if err != nil {
 		return err
@@ -96,23 +89,21 @@ func (h *LiveEMDSender) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	snap := h.snap
+	snap, delta, err := h.set.ServeEMD(peerEpoch)
+	if err != nil {
+		return err
+	}
 	h.Epoch = snap.Epoch
-	full, fp := snap.EMDWire()
-	mode, payload := liveModeFull, full
-	if peerEpoch > 0 {
-		if refs, ok := h.set.DeltaCells(peerEpoch, snap.Epoch); ok {
-			if delta := snap.EMD.EncodeCells(refs); len(delta) < len(full) {
-				mode, payload = liveModeDelta, delta
-			}
-		}
+	mode, payload := liveModeFull, snap.EMDMessage
+	if delta != nil && len(delta) < len(payload) {
+		mode, payload = liveModeDelta, delta
 	}
 	h.DeltaServed = mode == liveModeDelta
 	h.PayloadBytes = len(payload)
 	e := transport.NewEncoder()
 	e.WriteUvarint(snap.Epoch)
 	e.WriteUvarint(uint64(mode))
-	e.WriteUint64(fp)
+	e.WriteUint64(snap.EMDFingerprint)
 	e.WriteBytes(payload)
 	return conn.Send(e)
 }

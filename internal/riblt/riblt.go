@@ -445,6 +445,15 @@ func (t *Table) Encode(e *transport.Encoder) {
 	}
 }
 
+// EncodedBytes is the number of bytes Encode writes.
+func (t *Table) EncodedBytes() int {
+	n := transport.UvarintBytes(uint64(t.cfg.Cells)) + transport.UvarintBytes(uint64(t.cfg.Q))
+	for i := range t.cells {
+		n += t.EncodedCellBytes(i)
+	}
+	return n
+}
+
 // DecodeFrom reconstructs a table from the wire. cfg must match the
 // sender's config (protocols fix it from shared parameters).
 func DecodeFrom(d *transport.Decoder, cfg Config) (*Table, error) {
@@ -481,6 +490,16 @@ func (t *Table) EncodeCellAt(i int, e *transport.Encoder) {
 	for _, v := range c.valSum {
 		e.WriteVarint(v)
 	}
+}
+
+// EncodedCellBytes is the number of bytes EncodeCellAt writes for cell i.
+func (t *Table) EncodedCellBytes(i int) int {
+	c := &t.cells[i]
+	n := transport.VarintBytes(c.count) + transport.VarintBytes(c.keySum) + transport.VarintBytes(c.checkSum)
+	for _, v := range c.valSum {
+		n += transport.VarintBytes(v)
+	}
+	return n
 }
 
 // PatchCellAt overwrites cell i with fields read from d (the inverse of

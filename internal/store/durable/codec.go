@@ -50,8 +50,6 @@ const (
 	// expand to; a hostile count field is rejected before the rebuild
 	// allocates.
 	maxSnapshotPoints = 1 << 22
-	// maxPointDim bounds a single point's dimensionality.
-	maxPointDim = 1 << 16
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -110,7 +108,7 @@ func encodeRecord(e *transport.Encoder, epoch uint64, ops []live.Op) {
 	e.WriteUvarint(uint64(len(ops)))
 	for _, op := range ops {
 		e.WriteBool(op.Remove)
-		writePoint(e, op.Point)
+		op.Point.Encode(e)
 	}
 }
 
@@ -138,7 +136,7 @@ func decodeRecord(d *transport.Decoder, epoch *uint64, ops []live.Op) ([]live.Op
 		if err != nil {
 			return nil, fmt.Errorf("%w: op %d: %v", errCorrupt, i, err)
 		}
-		pt, err := readPoint(d)
+		pt, err := metric.DecodePoint(d)
 		if err != nil {
 			return nil, fmt.Errorf("%w: op %d: %v", errCorrupt, i, err)
 		}
@@ -146,36 +144,6 @@ func decodeRecord(d *transport.Decoder, epoch *uint64, ops []live.Op) ([]live.Op
 	}
 	*epoch = ep
 	return ops, nil
-}
-
-func writePoint(e *transport.Encoder, pt metric.Point) {
-	e.WriteUvarint(uint64(len(pt)))
-	for _, c := range pt {
-		e.WriteVarint(int64(c))
-	}
-}
-
-func readPoint(d *transport.Decoder) (metric.Point, error) {
-	dim, err := d.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	// One coordinate costs ≥ 1 byte on the wire.
-	if dim > uint64(maxPointDim) || dim > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("dimension %d exceeds payload", dim)
-	}
-	pt := make(metric.Point, dim)
-	for j := range pt {
-		c, err := d.ReadVarint()
-		if err != nil {
-			return nil, err
-		}
-		if c < math.MinInt32 || c > math.MaxInt32 {
-			return nil, fmt.Errorf("coordinate %d out of range", c)
-		}
-		pt[j] = int32(c)
-	}
-	return pt, nil
 }
 
 func expectMagic(d *transport.Decoder, want uint64) error {
@@ -207,7 +175,7 @@ func encodeSnapshot(e *transport.Encoder, epoch uint64, entries []snapEntry) {
 	e.WriteUvarint(uint64(len(entries)))
 	for _, en := range entries {
 		e.WriteUvarint(uint64(en.count))
-		writePoint(e, en.pt)
+		en.pt.Encode(e)
 	}
 }
 
@@ -243,7 +211,7 @@ func decodeSnapshot(d *transport.Decoder) (epoch uint64, entries []snapEntry, er
 		if total > maxSnapshotPoints {
 			return 0, nil, fmt.Errorf("%w: cardinality exceeds %d", errCorrupt, maxSnapshotPoints)
 		}
-		pt, err := readPoint(d)
+		pt, err := metric.DecodePoint(d)
 		if err != nil {
 			return 0, nil, fmt.Errorf("%w: entry %d: %v", errCorrupt, i, err)
 		}

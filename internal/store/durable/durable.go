@@ -264,7 +264,7 @@ func (sf *setFiles) LogOps(epoch uint64, ops []live.Op) error {
 // points in the same order the live set would.
 func (sf *setFiles) applyMirror(ops []live.Op) {
 	for _, op := range ops {
-		k := pointKey(op.Point)
+		k := op.Point.Key()
 		en := sf.byKey[k]
 		if op.Remove {
 			if en == nil {
@@ -287,18 +287,6 @@ func (sf *setFiles) applyMirror(ops []live.Op) {
 		}
 		en.count++
 	}
-}
-
-// pointKey matches live.Set's membership key (little-endian coords).
-func pointKey(pt metric.Point) string {
-	b := make([]byte, 4*len(pt))
-	for i, c := range pt {
-		b[4*i] = byte(c)
-		b[4*i+1] = byte(c >> 8)
-		b[4*i+2] = byte(c >> 16)
-		b[4*i+3] = byte(c >> 24)
-	}
-	return string(b)
 }
 
 func (sf *setFiles) snapPath(epoch uint64) string {
@@ -742,7 +730,7 @@ replay:
 	// flow through the journal again.
 	snap := ls.Snapshot()
 	for _, pt := range snap.Points {
-		k := pointKey(pt)
+		k := pt.Key()
 		if en := sf.byKey[k]; en != nil {
 			en.count++
 		} else {

@@ -97,7 +97,7 @@ func churn(t testing.TB, ls *live.Set, seed uint64, n int) int {
 // if the set has not been served yet.
 func served(t *testing.T, ls *live.Set) *live.Snapshot {
 	t.Helper()
-	snap, err := ls.EMDSnapshot()
+	snap, _, err := ls.ServeEMD(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func requireWireIdentical(t *testing.T, want, got *live.Set) {
 	if ws.Epoch != gs.Epoch {
 		t.Fatalf("epoch: recovered %d, want %d", gs.Epoch, ws.Epoch)
 	}
-	wMsg, wFP := ws.EMDWire()
-	gMsg, gFP := gs.EMDWire()
+	wMsg, wFP := ws.EMDMessage, ws.EMDFingerprint
+	gMsg, gFP := gs.EMDMessage, gs.EMDFingerprint
 	if !bytes.Equal(wMsg, gMsg) {
 		t.Fatalf("EMD message diverged (%d vs %d bytes)", len(gMsg), len(wMsg))
 	}
@@ -249,12 +249,12 @@ func TestRecoveryServesSameEMDMessage(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered store is missing the set")
 	}
-	if rec.Snapshot().EMD != nil {
+	if rec.Snapshot().EMDMessage != nil {
 		t.Fatal("recovery keyed the replayed ops into an EMD sketch")
 	}
 	requireWireIdentical(t, ref, rec)
-	if _, ok := rec.DeltaCells(peerEpoch, rec.Epoch()); ok {
-		t.Fatal("a peer synced before the crash was offered a delta")
+	if _, delta, err := rec.ServeEMD(peerEpoch); err != nil || delta != nil {
+		t.Fatalf("a peer synced before the crash was offered a delta (err %v)", err)
 	}
 }
 

@@ -140,7 +140,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if en.count <= 0 {
 				t.Fatalf("accepted non-positive count %d", en.count)
 			}
-			if len(en.pt) > maxPointDim {
+			if len(en.pt) > metric.MaxEncodedDim {
 				t.Fatalf("accepted dimension %d", len(en.pt))
 			}
 			total += en.count

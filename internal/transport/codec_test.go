@@ -547,3 +547,25 @@ func TestReadBitStringShort(t *testing.T) {
 		t.Fatalf("37-bit read = %x, %v", q, err)
 	}
 }
+
+// TestVarintBytes: UvarintBytes and VarintBytes give exactly the bytes
+// WriteUvarint and WriteVarint write, at every 7-bit boundary and at the
+// extremes.
+func TestVarintBytes(t *testing.T) {
+	for shift := uint(0); shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1, ^uint64(0)} {
+			e := NewEncoder()
+			e.WriteUvarint(u)
+			if _, bits := e.Pack(); UvarintBytes(u) != int(bits/8) {
+				t.Fatalf("UvarintBytes(%d) = %d, WriteUvarint wrote %d bytes", u, UvarintBytes(u), bits/8)
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				e := NewEncoder()
+				e.WriteVarint(v)
+				if _, bits := e.Pack(); VarintBytes(v) != int(bits/8) {
+					t.Fatalf("VarintBytes(%d) = %d, WriteVarint wrote %d bytes", v, VarintBytes(v), bits/8)
+				}
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -190,6 +191,12 @@ func (e *Encoder) WriteUvarint(v uint64) {
 	}
 	e.WriteBits(v, 8)
 }
+
+// UvarintBytes is the number of bytes WriteUvarint writes for v.
+func UvarintBytes(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintBytes is the number of bytes WriteVarint writes for v.
+func VarintBytes(v int64) int { return UvarintBytes(uint64(v<<1) ^ uint64(v>>63)) }
 
 // WriteVarint writes a signed value with zigzag coding.
 func (e *Encoder) WriteVarint(v int64) {

@@ -129,11 +129,13 @@ func NewGapReceiver(p GapParams, sb PointSet) *netproto.GapReceiver {
 // churn while they serve.
 
 // LiveSet wraps a point multiset with Add/Remove/ApplyBatch and
-// incrementally maintains the enabled protocol structures: the EMD
-// sketch (O(hashes) cell updates per mutation, wire-bit-identical to a
-// from-scratch build; a set with Sync builds it on its first live-emd
-// serve), cached Gap key payloads, and exact-ID fingerprint state.
-// Every mutation bumps an epoch; sessions serve consistent snapshots.
+// incrementally maintains the enabled protocol structures: one EMD
+// sketch, never copied (O(hashes) cell updates per mutation,
+// wire-bit-identical to a from-scratch build; a set with Sync builds it
+// on its first live-emd serve), cached Gap key payloads, and exact-ID
+// fingerprint state. Every mutation bumps an epoch; sessions serve
+// consistent snapshots, which carry the encoded EMD message, not a
+// sketch.
 type LiveSet = live.Set
 
 // LiveConfig selects which protocol structures a LiveSet maintains.
