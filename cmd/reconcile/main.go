@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/emd"
@@ -25,17 +27,35 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "emd", "emd | gap | gap1")
-	normName := flag.String("norm", "hamming", "hamming | l1 | l2")
-	d := flag.Int("d", 128, "dimension")
-	delta := flag.Int("delta", 1, "max coordinate value ∆ (1 for binary)")
-	n := flag.Int("n", 64, "points per party")
-	k := flag.Int("k", 4, "outlier budget")
-	noise := flag.Float64("noise", 2, "per-point noise radius (emd model)")
-	r1 := flag.Float64("r1", 8, "close radius (gap models)")
-	r2 := flag.Float64("r2", 0, "far radius (gap models; default d/4 for hamming)")
-	seed := flag.Uint64("seed", 1, "shared public-coin seed")
-	flag.Parse()
+	err := run(os.Stdout, os.Args[1:])
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "reconcile: %v\n", err)
+		if errors.Is(err, errUncovered) {
+			os.Exit(1)
+		}
+		os.Exit(2)
+	}
+}
+
+// errUncovered reports a gap run that left points of SA uncovered.
+var errUncovered = errors.New("gap guarantee violated: points of SA left uncovered")
+
+// run parses args, runs the chosen model and prints its report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("reconcile", flag.ContinueOnError)
+	model := fs.String("model", "emd", "emd | gap | gap1")
+	normName := fs.String("norm", "hamming", "hamming | l1 | l2")
+	d := fs.Int("d", 128, "dimension")
+	delta := fs.Int("delta", 1, "max coordinate value ∆ (1 for binary)")
+	n := fs.Int("n", 64, "points per party")
+	k := fs.Int("k", 4, "outlier budget")
+	noise := fs.Float64("noise", 2, "per-point noise radius (emd model)")
+	r1 := fs.Float64("r1", 8, "close radius (gap models)")
+	r2 := fs.Float64("r2", 0, "far radius (gap models; default d/4 for hamming)")
+	seed := fs.Uint64("seed", 1, "shared public-coin seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var norm metric.Norm
 	switch *normName {
@@ -46,28 +66,28 @@ func main() {
 	case "l2":
 		norm = metric.L2
 	default:
-		fail("unknown norm %q", *normName)
+		return fmt.Errorf("unknown norm %q", *normName)
 	}
 	space := metric.Grid(int32(*delta), *d, norm)
 	if err := space.Validate(); err != nil {
-		fail("bad space: %v", err)
+		return fmt.Errorf("bad space: %v", err)
 	}
 
 	switch *model {
 	case "emd":
-		runEMD(space, *n, *k, *noise, *seed)
+		return runEMD(w, space, *n, *k, *noise, *seed)
 	case "gap", "gap1":
 		rr2 := *r2
 		if rr2 == 0 {
 			rr2 = float64(*d) / 4
 		}
-		runGap(space, *n, *k, *r1, rr2, *seed, *model == "gap1")
+		return runGap(w, space, *n, *k, *r1, rr2, *seed, *model == "gap1")
 	default:
-		fail("unknown model %q", *model)
+		return fmt.Errorf("unknown model %q", *model)
 	}
 }
 
-func runEMD(space metric.Space, n, k int, noise float64, seed uint64) {
+func runEMD(w io.Writer, space metric.Space, n, k int, noise float64, seed uint64) error {
 	inst := workload.NewEMDInstance(space, n, k, noise, seed)
 	emdK := matching.EMDk(space, inst.SA, inst.SB, k)
 	before := matching.EMD(space, inst.SA, inst.SB)
@@ -75,26 +95,27 @@ func runEMD(space metric.Space, n, k int, noise float64, seed uint64) {
 	p := emd.DefaultParams(space, n, k, seed+1)
 	res, err := emd.ReconcileScaled(p, inst.SA, inst.SB)
 	if err != nil {
-		fail("emd: %v", err)
+		return err
 	}
-	fmt.Printf("EMD model on %s, n=%d k=%d noise=%g\n", space, n, k, noise)
-	fmt.Printf("  EMD(SA,SB) before:        %.1f\n", before)
-	fmt.Printf("  EMD_k(SA,SB) (optimum):   %.1f\n", emdK)
+	fmt.Fprintf(w, "EMD model on %s, n=%d k=%d noise=%g\n", space, n, k, noise)
+	fmt.Fprintf(w, "  EMD(SA,SB) before:        %.1f\n", before)
+	fmt.Fprintf(w, "  EMD_k(SA,SB) (optimum):   %.1f\n", emdK)
 	if res.Failed {
-		fmt.Println("  protocol reported failure (Theorem 3.4 allows prob <= 1/8)")
-		return
+		fmt.Fprintln(w, "  protocol reported failure (Theorem 3.4 allows prob <= 1/8)")
+		return nil
 	}
 	after := matching.EMD(space, inst.SA, res.SPrime)
-	fmt.Printf("  EMD(SA,S'B) after:        %.1f  (ratio to EMD_k: %.2f)\n",
-		after, after/maxf(emdK, 1))
-	fmt.Printf("  decoded level i* = %d of %d; |XA| = %d\n", res.Level, res.Levels, len(res.XA))
-	fmt.Printf("  communication: %s (naive: %d bits)\n", res.Stats, emd.NaiveBits(space, n))
+	fmt.Fprintf(w, "  EMD(SA,S'B) after:        %.1f  (ratio to EMD_k: %.2f)\n",
+		after, after/max(emdK, 1))
+	fmt.Fprintf(w, "  decoded level i* = %d of %d; |XA| = %d\n", res.Level, res.Levels, len(res.XA))
+	fmt.Fprintf(w, "  communication: %s (naive: %d bits)\n", res.Stats, emd.NaiveBits(space, n))
+	return nil
 }
 
-func runGap(space metric.Space, n, k int, r1, r2 float64, seed uint64, oneSided bool) {
+func runGap(w io.Writer, space metric.Space, n, k int, r1, r2 float64, seed uint64, oneSided bool) error {
 	inst, err := workload.NewGapInstance(space, n, k, 1, r1, r2, seed)
 	if err != nil {
-		fail("instance: %v", err)
+		return fmt.Errorf("instance: %v", err)
 	}
 	p := gap.Params{Space: space, N: n + k, R1: r1, R2: r2, Seed: seed + 1}
 	var res gap.Result
@@ -108,7 +129,7 @@ func runGap(space metric.Space, n, k int, r1, r2 float64, seed uint64, oneSided 
 		res, err = gap.Reconcile(p, inst.SA, inst.SB)
 	}
 	if err != nil {
-		fail("gap: %v", err)
+		return err
 	}
 	uncovered := 0
 	for _, a := range inst.SA {
@@ -120,24 +141,13 @@ func runGap(space metric.Space, n, k int, r1, r2 float64, seed uint64, oneSided 
 	if oneSided {
 		name = "Gap Guarantee one-sided (Thm 4.5)"
 	}
-	fmt.Printf("%s on %s, n=%d k=%d r1=%g r2=%g\n", name, space, n, k, r1, r2)
-	fmt.Printf("  planted far points: %d, transferred elements: %d\n", len(inst.Far), len(res.TA))
-	fmt.Printf("  uncovered points of SA (must be 0): %d\n", uncovered)
-	fmt.Printf("  key length h=%d, threshold=%d, rho=%.4f\n", res.H, res.Threshold, res.Rho)
-	fmt.Printf("  communication: %s (naive: %d bits)\n", res.Stats, gap.NaiveBits(space, n))
+	fmt.Fprintf(w, "%s on %s, n=%d k=%d r1=%g r2=%g\n", name, space, n, k, r1, r2)
+	fmt.Fprintf(w, "  planted far points: %d, transferred elements: %d\n", len(inst.Far), len(res.TA))
+	fmt.Fprintf(w, "  uncovered points of SA (must be 0): %d\n", uncovered)
+	fmt.Fprintf(w, "  key length h=%d, threshold=%d, rho=%.4f\n", res.H, res.Threshold, res.Rho)
+	fmt.Fprintf(w, "  communication: %s (naive: %d bits)\n", res.Stats, gap.NaiveBits(space, n))
 	if uncovered > 0 {
-		os.Exit(1)
+		return errUncovered
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "reconcile: "+format+"\n", args...)
-	os.Exit(2)
+	return nil
 }

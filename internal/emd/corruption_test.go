@@ -1,10 +1,12 @@
 package emd
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/metric"
 	"repro/internal/rng"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -109,6 +111,73 @@ func TestMessageMatchesReconcile(t *testing.T) {
 		len(viaMsg.SPrime) != len(viaRec.SPrime) {
 		t.Errorf("split-party run diverged: %+v vs %+v",
 			viaMsg.Level, viaRec.Level)
+	}
+}
+
+// TestOneShotStatsAgree: Reconcile, ApplyMessage and the four calls a
+// wire deployment makes (BuildSketch, Encode, DecodeSketch, Apply) send
+// the same message and reach the same output, and the two one-shot
+// calls report the same Stats field by field: one round, the message's
+// bits, and that message as the largest payload. Sketch.Apply carries
+// no Stats (its callers count their own connection), so the four-call
+// form is checked through its message bytes.
+func TestOneShotStatsAgree(t *testing.T) {
+	space := workloadSpace()
+	const n, k = 16, 2
+	inst := workload.NewEMDInstance(space, n, k, 1, 41)
+	p := DefaultParams(space, n, k, 43)
+	p.D1, p.D2 = 2, 64
+	msg, err := BuildMessage(p, inst.SA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaMsg, err := ApplyMessage(p, inst.SB, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRec, err := Reconcile(p, inst.SA, inst.SB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := BuildSketch(p, inst.SA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skMsg := sk.Encode()
+	rk, err := DecodeSketch(p, skMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSketch, err := rk.Apply(inst.SB)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want transport.Stats
+	want.Rounds, want.BitsAtoB, want.MsgsAtoB = 1, int64(len(skMsg))*8, 1
+	want.ObservePayload(want.BitsAtoB)
+	for name, st := range map[string]transport.Stats{"Reconcile": viaRec.Stats, "ApplyMessage": viaMsg.Stats} {
+		if st != want || st.MaxPayload() != want.MaxPayload() {
+			t.Errorf("%s Stats %+v (max payload %d), want %+v (max payload %d)",
+				name, st, st.MaxPayload(), want, want.MaxPayload())
+		}
+	}
+	if want.MaxPayload() != int64(len(msg))*8 {
+		t.Errorf("BuildMessage sent %d bytes, the sketch encodes %d", len(msg), len(skMsg))
+	}
+	viaSketch.Stats = want
+	for name, res := range map[string]Result{"ApplyMessage": viaMsg, "four calls": viaSketch} {
+		if !reflect.DeepEqual(res, viaRec) {
+			t.Errorf("%s result differs from Reconcile's: level %d vs %d", name, res.Level, viaRec.Level)
+		}
+	}
+
+	scaled, err := ReconcileScaled(p, inst.SA, inst.SB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := scaled.Stats; st.Rounds != 1 || st.MaxPayload() <= 0 || st.MaxPayload() > st.TotalBits() {
+		t.Errorf("ReconcileScaled Stats %+v, max payload %d", st, st.MaxPayload())
 	}
 }
 

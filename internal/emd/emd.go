@@ -317,108 +317,23 @@ type Result struct {
 	Levels, Funcs int
 }
 
-// Reconcile runs the full one-round protocol in-process: Alice encodes,
-// the channel counts bits, Bob decodes and assembles S′B.
+// Reconcile runs the full one-round protocol in-process: BuildMessage
+// on Alice's side, then ApplyMessage on Bob's, with the message's exact
+// size as Stats.
 func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
-	pl, err := planFor(p)
+	msg, err := BuildMessage(p, sa)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(sa) != pl.params.N || len(sb) != pl.params.N {
-		return Result{}, fmt.Errorf("emd: |SA|=%d |SB|=%d, params.N=%d", len(sa), len(sb), pl.params.N)
-	}
-	var ch transport.Channel
-	e, err := alice(pl, sa)
-	if err != nil {
-		return Result{}, err
-	}
-	ch.Send(transport.AliceToBob, e)
-	res, err := bob(pl, sb, &ch)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Stats = ch.Stats()
-	res.Levels = pl.levels
-	res.Funcs = pl.s
-	return res, nil
-}
-
-// alice builds the t RIBLTs (sharded by point block, see parallel.go)
-// and encodes them as the protocol's single message. Encoding itself is
-// sequential over the merged cells, so the wire bytes are identical for
-// any block count.
-func alice(pl *plan, sa metric.PointSet) (*transport.Encoder, error) {
-	tables, err := pl.buildTables(sa)
-	if err != nil {
-		return nil, err
-	}
-	e := transport.NewEncoder()
-	encodeTables(e, pl.levels, tables)
-	return e, nil
-}
-
-// encodeTables serializes the level tables as the protocol's single
-// message; the incremental Sketch encodes through the same path, so an
-// incrementally maintained sketch is bit-identical on the wire.
-func encodeTables(e *transport.Encoder, levels int, tables []*riblt.Table) {
-	e.WriteUvarint(uint64(levels))
-	for _, t := range tables {
-		t.Encode(e)
-	}
-}
-
-// bob receives the tables, deletes his pairs, finds i*, and assembles
-// S′B.
-func bob(pl *plan, sb metric.PointSet, ch *transport.Channel) (Result, error) {
-	d, err := ch.Recv(transport.AliceToBob)
-	if err != nil {
-		return Result{}, err
-	}
-	return bobDecode(pl, sb, d)
-}
-
-// bobDecode is bob over an already-positioned decoder — the zero-copy
-// path ApplyMessage and the wire handlers use.
-func bobDecode(pl *plan, sb metric.PointSet, d *transport.Decoder) (Result, error) {
-	tables, err := decodeTables(pl, d)
-	if err != nil {
-		return Result{}, err
-	}
-	return applyTables(pl, sb, tables)
-}
-
-// decodeTables reads a protocol message's level tables. On a decode
-// error the tables already decoded go back to the riblt pool.
-func decodeTables(pl *plan, d *transport.Decoder) ([]*riblt.Table, error) {
-	nLevels, err := d.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if int(nLevels) != pl.levels {
-		return nil, fmt.Errorf("emd: message has %d levels, plan has %d", nLevels, pl.levels)
-	}
-	tables := make([]*riblt.Table, pl.levels)
-	for i := range tables {
-		if tables[i], err = riblt.DecodeFrom(d, pl.cfgs[i]); err != nil {
-			for _, t := range tables[:i] {
-				t.Release()
-			}
-			return nil, err
-		}
-	}
-	return tables, nil
+	return ApplyMessage(p, sb, msg)
 }
 
 // applyTables is Bob's core: delete his pairs from Alice's tables, find
 // i*, assemble S′B. It consumes tables (deletion and peeling mutate
 // them, and their memory returns to the riblt pool on return); callers
 // holding a cached sketch clone first.
-func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table) (Result, error) {
-	defer func() {
-		for _, t := range tables {
-			t.Release()
-		}
-	}()
+func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table) Result {
+	defer riblt.ReleaseAll(tables)
 	t := pl.levels
 	allKeys := pl.levelKeys(sb)
 	for j, b := range sb {
@@ -428,53 +343,15 @@ func applyTables(pl *plan, sb metric.PointSet, tables []*riblt.Table) (Result, e
 	}
 	// Find i*: the largest level that peels fully to at most 4k pairs
 	// (Algorithm 1's decode cap). Bob's rounding randomness is private.
-	round := rng.New(pl.params.Seed ^ 0xb0b)
-	for i := pl.levels - 1; i >= 0; i-- {
-		res, err := tables[i].Peel(round)
-		if err != nil {
-			continue
-		}
-		if len(res.Inserted)+len(res.Deleted) > 4*pl.params.K {
-			continue
-		}
-		xa := make(metric.PointSet, len(res.Inserted))
-		for j, pr := range res.Inserted {
-			xa[j] = pr.Value
-		}
-		xb := make(metric.PointSet, len(res.Deleted))
-		for j, pr := range res.Deleted {
-			xb[j] = pr.Value
-		}
-		sPrime := assemble(pl.params.Space, sb, xa, xb)
-		return Result{SPrime: sPrime, Level: i + 1, XA: xa, XB: xb}, nil
+	res := Result{Levels: pl.levels, Funcs: pl.s}
+	level, xa, xb := riblt.PeelFinest(tables, rng.New(pl.params.Seed^0xb0b), 4*pl.params.K)
+	if level < 0 {
+		res.Failed = true
+		return res
 	}
-	return Result{Failed: true}, nil
-}
-
-// assemble computes S′B = (SB \ YB) ∪ XA, where YB is the subset of SB
-// matched to XB in the min-cost matching (the Hungarian step of
-// Algorithm 1).
-func assemble(space metric.Space, sb, xa, xb metric.PointSet) metric.PointSet {
-	if len(xb) == 0 {
-		return append(sb.Clone(), xa.Clone()...)
-	}
-	rows, _ := matching.Assign(matching.CostMatrix(space, xb, sb))
-	drop := make([]bool, len(sb))
-	dropped := 0
-	for _, j := range rows {
-		if j >= 0 {
-			drop[j] = true
-			dropped++
-		}
-	}
-	out := make(metric.PointSet, 0, len(sb)-dropped+len(xa))
-	for j, b := range sb {
-		if !drop[j] {
-			out = append(out, b.Clone())
-		}
-	}
-	out = append(out, xa.Clone()...)
-	return out
+	res.SPrime = matching.Assemble(pl.params.Space, sb, xa, xb)
+	res.Level, res.XA, res.XB = level+1, xa, xb
+	return res
 }
 
 // NaiveBits returns the communication of the trivial protocol (Alice

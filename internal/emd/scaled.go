@@ -50,10 +50,7 @@ func ReconcileScaled(p Params, sa, sb metric.PointSet) (ScaledResult, error) {
 		if err != nil {
 			return ScaledResult{}, fmt.Errorf("emd: interval %d [%g,%g]: %w", j, lo, hi, err)
 		}
-		merged.BitsAtoB += res.Stats.BitsAtoB
-		merged.BitsBtoA += res.Stats.BitsBtoA
-		merged.MsgsAtoB += res.Stats.MsgsAtoB
-		merged.MsgsBtoA += res.Stats.MsgsBtoA
+		merged = merged.Add(res.Stats)
 		if !res.Failed && best == nil {
 			r := res
 			best, bestIdx = &r, j

@@ -92,7 +92,7 @@ func DecodeSketch(p Params, msg []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables, err := decodeTables(pl, transport.NewDecoder(msg))
+	tables, err := riblt.DecodeLevels(transport.NewDecoder(msg), pl.cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -141,17 +141,7 @@ func (s *Sketch) mutate(pt metric.Point, add bool) []CellRef {
 // Encode serializes the sketch as the protocol's single message,
 // bit-identical to BuildMessage over the same multiset, in one
 // allocation of exactly its size.
-func (s *Sketch) Encode() []byte {
-	size := transport.UvarintBytes(uint64(s.pl.levels))
-	for _, t := range s.tables {
-		size += t.EncodedBytes()
-	}
-	e := transport.NewEncoder()
-	e.Grow(size)
-	encodeTables(e, s.pl.levels, s.tables)
-	data, _ := e.Pack()
-	return data
-}
+func (s *Sketch) Encode() []byte { return riblt.EncodeLevels(s.tables) }
 
 // Fingerprint hashes the encoded sketch (FNV-1a over the wire bytes).
 // Delta-sync replies carry it so a receiver can detect cache divergence
@@ -227,7 +217,7 @@ func (s *Sketch) ApplyCells(patch []byte) error {
 		if err != nil {
 			return err
 		}
-		if int(lvl) >= s.pl.levels {
+		if lvl >= uint64(s.pl.levels) {
 			return fmt.Errorf("emd: delta names level %d of %d", lvl, s.pl.levels)
 		}
 		cell, err := d.ReadUvarint()
@@ -249,11 +239,5 @@ func (s *Sketch) Apply(sb metric.PointSet) (Result, error) {
 	for i, t := range s.tables {
 		tables[i] = t.Clone()
 	}
-	res, err := applyTables(s.pl, sb, tables)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Levels = s.pl.levels
-	res.Funcs = s.pl.s
-	return res, nil
+	return applyTables(s.pl, sb, tables), nil
 }

@@ -141,6 +141,32 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
+// TestBuildMessageBytes bounds what one BuildMessage allocates at the
+// emd-oneshot shape, on one core and with an empty riblt pool (the
+// worst case): its t = 6 tables (≈ 300 KB), the message once at its
+// exact size (54 KB) and the key scratch, 392 KB measured. Growing the
+// message by appends instead cost 546 KB.
+func TestBuildMessageBytes(t *testing.T) {
+	atProcs(t, 1, func(t *testing.T) {
+		p := pinShapes[2].p
+		src := rng.New(5)
+		pts := make(metric.PointSet, p.N)
+		for i := range pts {
+			pts[i] = randomPoint(p.Space, src)
+		}
+		build := func() {
+			if _, err := BuildMessage(p, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // derive and cache the plan
+		const budget = 448 << 10
+		if got := bytesPerRun(1, build); got > budget {
+			t.Errorf("BuildMessage allocates %d bytes, budget %d", got, budget)
+		}
+	})
+}
+
 // TestSketchMutationAllocs: at the churn-serve shape a point mutation
 // allocates nothing, and encoding the message or a delta (what every
 // live snapshot and delta serve does) allocates its bytes once, not a

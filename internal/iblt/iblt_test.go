@@ -245,12 +245,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	e := transport.NewEncoder()
 	tb.Encode(e)
-	var ch transport.Channel
-	ch.Send(transport.AliceToBob, e)
-	d, err := ch.Recv(transport.AliceToBob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _ := e.Pack()
+	d := transport.NewDecoder(data)
 	got, err := DecodeFrom(d, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -270,9 +266,8 @@ func TestDecodeFromRejectsGarbage(t *testing.T) {
 	e := transport.NewEncoder()
 	e.WriteUvarint(1) // q = 1: implausible
 	e.WriteUvarint(10)
-	var ch transport.Channel
-	ch.Send(transport.AliceToBob, e)
-	d, _ := ch.Recv(transport.AliceToBob)
+	data, _ := e.Pack()
+	d := transport.NewDecoder(data)
 	if _, err := DecodeFrom(d, 1); err == nil {
 		t.Error("garbage header accepted")
 	}
@@ -334,9 +329,8 @@ func TestStrataEncodeRoundTrip(t *testing.T) {
 	s := NewStrataFromKeys(40, seed, ks)
 	e := transport.NewEncoder()
 	s.Encode(e)
-	var ch transport.Channel
-	ch.Send(transport.BobToAlice, e)
-	d, _ := ch.Recv(transport.BobToAlice)
+	data, _ := e.Pack()
+	d := transport.NewDecoder(data)
 	got, err := DecodeStrata(d, seed)
 	if err != nil {
 		t.Fatal(err)

@@ -224,6 +224,32 @@ func CostMatrix(s metric.Space, x, y metric.PointSet) [][]float64 {
 	return m
 }
 
+// Assemble is the output step of Algorithm 1 and of the quadtree
+// baseline: S′B = (SB \ YB) ∪ XA, where YB is the subset of SB matched
+// to XB by a min-cost matching. Kept points stay in SB's order, XA
+// follows; every point of the output is a copy.
+func Assemble(s metric.Space, sb, xa, xb metric.PointSet) metric.PointSet {
+	if len(xb) == 0 {
+		return append(sb.Clone(), xa.Clone()...)
+	}
+	rows, _ := Assign(CostMatrix(s, xb, sb))
+	drop := make([]bool, len(sb))
+	dropped := 0
+	for _, j := range rows {
+		if j >= 0 {
+			drop[j] = true
+			dropped++
+		}
+	}
+	out := make(metric.PointSet, 0, len(sb)-dropped+len(xa))
+	for j, b := range sb {
+		if !drop[j] {
+			out = append(out, b.Clone())
+		}
+	}
+	return append(out, xa.Clone()...)
+}
+
 // EMD returns the earth mover's distance between equal-sized point sets
 // (Definition 3.2): the cost of the minimum-cost perfect matching.
 func EMD(s metric.Space, x, y metric.PointSet) float64 {

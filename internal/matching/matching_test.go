@@ -321,3 +321,29 @@ func assertPanics(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestAssemble: the points of SB matched to XB are replaced by XA; the
+// rest keep SB's order and XA follows. With XB empty nothing is dropped.
+func TestAssemble(t *testing.T) {
+	space := metric.Grid(100, 1, metric.L1)
+	sb := metric.PointSet{{10}, {50}, {90}, {30}}
+	xa := metric.PointSet{{60}, {70}}
+	xb := metric.PointSet{{88}, {29}}
+	want := metric.PointSet{{10}, {50}, {60}, {70}}
+	got := Assemble(space, sb, xa, xb)
+	if len(got) != len(want) {
+		t.Fatalf("Assemble = %v, want %v", got, want)
+	}
+	for i := range want {
+		if space.Distance(got[i], want[i]) != 0 {
+			t.Fatalf("Assemble = %v, want %v", got, want)
+		}
+	}
+	got[0][0] = 11
+	if sb[0][0] != 10 {
+		t.Fatal("Assemble's output aliases SB")
+	}
+	if got := Assemble(space, sb, xa, nil); len(got) != len(sb)+len(xa) {
+		t.Fatalf("Assemble with no XB = %v", got)
+	}
+}

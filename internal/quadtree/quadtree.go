@@ -175,7 +175,6 @@ func occurrenceKeysInto(out []uint64, cells []uint64, mix hashx.Mixer, sc *occSc
 // grids, the occurrence-key mixer and the per-level table configs.
 type plan struct {
 	params Params
-	widths []float64
 	grids  []grid
 	occMix hashx.Mixer
 	cfgs   []riblt.Config
@@ -199,37 +198,46 @@ func newPlan(p Params) (*plan, error) {
 			KeyBits: keyBits, MaxItems: 2*p.N + 2, Seed: src.Uint64(),
 		}
 	}
-	return &plan{params: p, widths: widths, grids: grids, occMix: occMix, cfgs: cfgs}, nil
+	return &plan{params: p, grids: grids, occMix: occMix, cfgs: cfgs}, nil
 }
 
-// aliceEncode builds Alice's message: every level's table over sa. The
-// per-level working set — cell ids, centers, occurrence keys, and the
-// table itself — is reused (or pooled) across levels, so the build's
-// allocations are one batch of flat scratch rather than per level per
-// cell.
-func (pl *plan) aliceEncode(sa metric.PointSet) *transport.Encoder {
-	p := pl.params
-	e := transport.NewEncoder()
-	e.WriteUvarint(uint64(len(pl.widths)))
-	cells := make([]uint64, len(sa))
-	keys := make([]uint64, len(sa))
-	centers := newCenters(len(sa), p.Space.Dim)
+// forEachPair calls fn with every (level, key, center) pair of pts: at
+// each level, each point's cell center keyed by its cell and its
+// occurrence among pts' points in that cell. Alice inserts these pairs
+// and Bob deletes his. The working set — cell ids, centers, occurrence
+// keys — is one batch of flat scratch reused across levels, so center is
+// valid only during the call (the tables only read it).
+func (pl *plan) forEachPair(pts metric.PointSet, fn func(lvl int, key uint64, center metric.Point)) {
+	cells := make([]uint64, len(pts))
+	keys := make([]uint64, len(pts))
+	centers := newCenters(len(pts), pl.params.Space.Dim)
 	var sc occScratch
-	for lvl := range pl.widths {
-		tbl := riblt.New(pl.cfgs[lvl])
-		for i, a := range sa {
-			cells[i], _ = pl.grids[lvl].cellAndCenterInto(a, centers[i])
+	for lvl, g := range pl.grids {
+		for i, a := range pts {
+			cells[i], _ = g.cellAndCenterInto(a, centers[i])
 		}
 		for i, key := range occurrenceKeysInto(keys, cells, pl.occMix, &sc) {
-			tbl.Insert(key, centers[i])
+			fn(lvl, key, centers[i])
 		}
-		tbl.Encode(e)
-		tbl.Release()
 	}
-	return e
 }
 
-// Reconcile runs the baseline protocol in-process.
+// buildMessage builds Alice's message: every level's table over sa, in
+// the level-table layout Algorithm 1 sends (riblt.EncodeLevels).
+func (pl *plan) buildMessage(sa metric.PointSet) []byte {
+	tables := make([]*riblt.Table, len(pl.cfgs))
+	for i, cfg := range pl.cfgs {
+		tables[i] = riblt.New(cfg)
+	}
+	defer riblt.ReleaseAll(tables)
+	pl.forEachPair(sa, func(lvl int, key uint64, center metric.Point) { tables[lvl].Insert(key, center) })
+	return riblt.EncodeLevels(tables)
+}
+
+// Reconcile runs the baseline protocol in-process: Alice builds and
+// encodes all levels; Bob decodes them, deletes his rounded points,
+// decodes the finest feasible level and assembles S′B as Algorithm 1
+// does.
 func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 	pl, err := newPlan(p)
 	if err != nil {
@@ -239,92 +247,20 @@ func Reconcile(p Params, sa, sb metric.PointSet) (Result, error) {
 	if len(sa) != p.N || len(sb) != p.N {
 		return Result{}, fmt.Errorf("quadtree: |SA|=%d |SB|=%d, N=%d", len(sa), len(sb), p.N)
 	}
-	widths, grids, cfgs := pl.widths, pl.grids, pl.cfgs
-
-	// Alice: build and send all levels.
-	var ch transport.Channel
-	ch.Send(transport.AliceToBob, pl.aliceEncode(sa))
-
-	// Bob: delete his rounded points, decode finest feasible level.
-	d, err := ch.Recv(transport.AliceToBob)
+	msg := pl.buildMessage(sa)
+	tables, err := riblt.DecodeLevels(transport.NewDecoder(msg), pl.cfgs)
 	if err != nil {
 		return Result{}, err
 	}
-	nLvl, err := d.ReadUvarint()
-	if err != nil {
-		return Result{}, err
+	defer riblt.ReleaseAll(tables)
+	pl.forEachPair(sb, func(lvl int, key uint64, center metric.Point) { tables[lvl].Delete(key, center) })
+	res := Result{Stats: transport.MessageStats(int64(len(msg)) * 8), Levels: len(tables)}
+	level, xa, xb := riblt.PeelFinest(tables, rng.New(p.Seed^0xbead), 4*p.K)
+	if level < 0 {
+		res.Failed = true
+		return res, nil
 	}
-	if int(nLvl) != len(widths) {
-		return Result{}, fmt.Errorf("quadtree: level count mismatch")
-	}
-	tables := make([]*riblt.Table, len(widths))
-	for lvl := range tables {
-		if tables[lvl], err = riblt.DecodeFrom(d, cfgs[lvl]); err != nil {
-			return Result{}, err
-		}
-	}
-	defer func() {
-		for _, t := range tables {
-			t.Release()
-		}
-	}()
-	cells := make([]uint64, len(sb))
-	keys := make([]uint64, len(sb))
-	centers := newCenters(len(sb), p.Space.Dim)
-	var sc occScratch
-	for lvl := range widths {
-		for i, b := range sb {
-			cells[i], _ = grids[lvl].cellAndCenterInto(b, centers[i])
-		}
-		for i, key := range occurrenceKeysInto(keys, cells, pl.occMix, &sc) {
-			tables[lvl].Delete(key, centers[i])
-		}
-	}
-	round := rng.New(p.Seed ^ 0xbead)
-	for lvl := len(widths) - 1; lvl >= 0; lvl-- {
-		res, err := tables[lvl].Peel(round)
-		if err != nil {
-			continue
-		}
-		if len(res.Inserted)+len(res.Deleted) > 4*p.K {
-			continue
-		}
-		xa := make(metric.PointSet, len(res.Inserted))
-		for j, pr := range res.Inserted {
-			xa[j] = pr.Value
-		}
-		xb := make(metric.PointSet, len(res.Deleted))
-		for j, pr := range res.Deleted {
-			xb[j] = pr.Value
-		}
-		sPrime := assemble(p.Space, sb, xa, xb)
-		return Result{
-			SPrime: sPrime, Level: lvl + 1, XA: xa, XB: xb,
-			Stats: ch.Stats(), Levels: len(widths),
-		}, nil
-	}
-	return Result{Failed: true, Stats: ch.Stats(), Levels: len(widths)}, nil
-}
-
-// assemble mirrors the Algorithm 1 output step: S′B = (SB \ YB) ∪ XA with
-// YB the min-cost match of XB into SB.
-func assemble(space metric.Space, sb, xa, xb metric.PointSet) metric.PointSet {
-	if len(xb) == 0 {
-		return append(sb.Clone(), xa.Clone()...)
-	}
-	rows, _ := matching.Assign(matching.CostMatrix(space, xb, sb))
-	drop := make(map[int]bool, len(rows))
-	for _, j := range rows {
-		if j >= 0 {
-			drop[j] = true
-		}
-	}
-	out := make(metric.PointSet, 0, len(sb)-len(drop)+len(xa))
-	for j, b := range sb {
-		if !drop[j] {
-			out = append(out, b.Clone())
-		}
-	}
-	out = append(out, xa.Clone()...)
-	return out
+	res.SPrime = matching.Assemble(p.Space, sb, xa, xb)
+	res.Level, res.XA, res.XB = level+1, xa, xb
+	return res, nil
 }

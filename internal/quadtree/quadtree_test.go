@@ -193,3 +193,27 @@ func TestSizeMismatch(t *testing.T) {
 }
 
 func rngNew(seed uint64) *rng.Source { return rng.New(seed) }
+
+// TestQuadtreeWireBytesPinned pins the baseline's message at two shapes
+// to FNV-1a fingerprints captured once, as emd's
+// TestSketchWireBytesPinned does for Algorithm 1: any change to the
+// grids, the occurrence keys, the tables or the level codec fails it.
+func TestQuadtreeWireBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Params
+		want uint64
+	}{
+		{"l1-d8", Params{Space: metric.Grid(255, 8, metric.L1), N: 64, K: 4, Seed: 3}, 0x3ebda7cdb352ee3d},
+		{"l2-d16", Params{Space: metric.Grid(4095, 16, metric.L2), N: 128, K: 8, Seed: 5}, 0xa2b969eb967ae555},
+	} {
+		pl, err := newPlan(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := pl.buildMessage(workload.RandomSet(c.p.Space, c.p.N, rngNew(c.p.Seed^0x5eed)))
+		if got := emd.FingerprintMessage(msg); got != c.want {
+			t.Errorf("%s: wire fingerprint %#x, pinned %#x (%d bytes)", c.name, got, c.want, len(msg))
+		}
+	}
+}

@@ -455,7 +455,9 @@ func (t *Table) EncodedBytes() int {
 }
 
 // DecodeFrom reconstructs a table from the wire. cfg must match the
-// sender's config (protocols fix it from shared parameters).
+// sender's config (protocols fix it from shared parameters); the wire
+// geometry is checked against it before the table is allocated, and on
+// a later error the table goes back to the pool.
 func DecodeFrom(d *transport.Decoder, cfg Config) (*Table, error) {
 	cells, err := d.ReadUvarint()
 	if err != nil {
@@ -472,10 +474,85 @@ func DecodeFrom(d *transport.Decoder, cfg Config) (*Table, error) {
 	t := New(cfg)
 	for i := range t.cells {
 		if err := t.PatchCellAt(i, d); err != nil {
+			t.Release()
 			return nil, err
 		}
 	}
 	return t, nil
+}
+
+// EncodeLevels serializes level tables as one protocol message — the
+// level count, then each table — in one allocation of exactly its size.
+// Algorithm 1 and the quadtree baseline both send this message.
+func EncodeLevels(tables []*Table) []byte {
+	size := transport.UvarintBytes(uint64(len(tables)))
+	for _, t := range tables {
+		size += t.EncodedBytes()
+	}
+	e := transport.NewEncoder()
+	e.Grow(size)
+	e.WriteUvarint(uint64(len(tables)))
+	for _, t := range tables {
+		t.Encode(e)
+	}
+	data, _ := e.Pack()
+	return data
+}
+
+// DecodeLevels reads a message written by EncodeLevels whose tables
+// have the configs cfgs, one per level. Every table's geometry is
+// checked before it is allocated, so a hostile message allocates no
+// more than cfgs fix. On an error the tables already decoded go back to
+// the pool.
+func DecodeLevels(d *transport.Decoder, cfgs []Config) ([]*Table, error) {
+	n, err := d.ReadUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n != uint64(len(cfgs)) {
+		return nil, fmt.Errorf("riblt: message has %d levels, expected %d", n, len(cfgs))
+	}
+	tables := make([]*Table, len(cfgs))
+	for i, cfg := range cfgs {
+		if tables[i], err = DecodeFrom(d, cfg); err != nil {
+			ReleaseAll(tables[:i])
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// ReleaseAll releases every table (see Release).
+func ReleaseAll(tables []*Table) {
+	for _, t := range tables {
+		t.Release()
+	}
+}
+
+// PeelFinest peels the level tables from the last (finest) down and
+// stops at the first that peels fully to at most limit pairs — the
+// decode rule of Algorithm 1 and of the quadtree baseline. It returns
+// that level's index and its recovered values: xa inserted (Alice's),
+// xb deleted (Bob's). level is −1 when no table decodes. Peeling
+// consumes the tables it tries.
+func PeelFinest(tables []*Table, src *rng.Source, limit int) (level int, xa, xb metric.PointSet) {
+	for i := len(tables) - 1; i >= 0; i-- {
+		res, err := tables[i].Peel(src)
+		if err != nil || len(res.Inserted)+len(res.Deleted) > limit {
+			continue
+		}
+		return i, values(res.Inserted), values(res.Deleted)
+	}
+	return -1, nil, nil
+}
+
+// values returns the pairs' values.
+func values(pairs []Pair) metric.PointSet {
+	out := make(metric.PointSet, len(pairs))
+	for i, pr := range pairs {
+		out[i] = pr.Value
+	}
+	return out
 }
 
 // EncodeCellAt serializes cell i alone (same varint layout as Encode

@@ -241,9 +241,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	e := transport.NewEncoder()
 	tb.Encode(e)
-	var ch transport.Channel
-	ch.Send(transport.AliceToBob, e)
-	d, _ := ch.Recv(transport.AliceToBob)
+	data, _ := e.Pack()
+	d := transport.NewDecoder(data)
 	got, err := DecodeFrom(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,9 +265,8 @@ func TestDecodeFromGeometryMismatch(t *testing.T) {
 	tb := New(cfg)
 	e := transport.NewEncoder()
 	tb.Encode(e)
-	var ch transport.Channel
-	ch.Send(transport.AliceToBob, e)
-	d, _ := ch.Recv(transport.AliceToBob)
+	data, _ := e.Pack()
+	d := transport.NewDecoder(data)
 	other := cfg
 	other.Cells = 60
 	if _, err := DecodeFrom(d, other); err == nil {
@@ -499,6 +497,67 @@ func BenchmarkPeel100(b *testing.B) {
 		b.StartTimer()
 		if _, err := tb.Peel(rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestLevelsRoundTrip: EncodeLevels writes the level count and then the
+// tables; DecodeLevels reads them back against one config per level and
+// rejects a message whose level count, geometry or length differs.
+// PeelFinest then decodes from the finest level down: here the finest
+// level holds more pairs than the limit, so the next one is taken.
+func TestLevelsRoundTrip(t *testing.T) {
+	cfgs := []Config{testCfg(60), testCfg(90), testCfg(120)}
+	for i := range cfgs {
+		cfgs[i].Seed += uint64(i)
+	}
+	tables := make([]*Table, len(cfgs))
+	for i, cfg := range cfgs {
+		tables[i] = New(cfg)
+	}
+	src := rng.New(5)
+	for i := 0; i < 6; i++ {
+		pt := metric.Point{int32(src.Intn(1000)), 1, 2, 3}
+		for _, tb := range tables {
+			tb.Insert(uint64(i+1)*7919, pt)
+		}
+	}
+	tables[2].Insert(99, metric.Point{4, 4, 4, 4})
+	msg := EncodeLevels(tables)
+	e := transport.NewEncoder()
+	e.WriteUvarint(uint64(len(tables)))
+	for _, tb := range tables {
+		tb.Encode(e)
+	}
+	if ref, _ := e.Pack(); string(ref) != string(msg) {
+		t.Fatal("EncodeLevels differs from the level count followed by each table's Encode")
+	}
+
+	got, err := DecodeLevels(transport.NewDecoder(msg), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(EncodeLevels(got)) != string(msg) {
+		t.Fatal("decoded levels re-encode differently")
+	}
+	level, xa, xb := PeelFinest(got, rng.New(1), 6)
+	if level != 1 || len(xa) != 6 || len(xb) != 0 {
+		t.Fatalf("PeelFinest = level %d, %d inserted, %d deleted; want level 1, 6, 0", level, len(xa), len(xb))
+	}
+
+	other := append([]Config(nil), cfgs...)
+	other[2].Cells = 60
+	for name, c := range map[string]struct {
+		msg  []byte
+		cfgs []Config
+	}{
+		"level count": {msg, cfgs[:2]},
+		"geometry":    {msg, other},
+		"truncated":   {msg[:len(msg)-1], cfgs},
+		"empty":       {nil, cfgs},
+	} {
+		if _, err := DecodeLevels(transport.NewDecoder(c.msg), c.cfgs); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

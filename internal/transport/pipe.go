@@ -55,6 +55,7 @@ func (p *PipeConn) Send(e *Encoder) error {
 		p.stats.s.BitsBtoA += bits
 		p.stats.s.MsgsBtoA++
 	}
+	p.stats.s.ObservePayload(bits)
 	p.stats.mu.Unlock()
 	select {
 	case p.out <- data:

@@ -19,17 +19,22 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // ObservePayload records one message of the given size in payload bits,
-// keeping the running maximum. Channel.Send calls it internally; wire
-// adapters in other packages that count traffic themselves use it to
-// feed the same tally.
+// keeping the running maximum. Every Conn that counts its own traffic
+// (PipeConn here, netproto's wires) calls it once per message.
 func (s *Stats) ObservePayload(bits int64) {
 	if bits > s.maxPayload {
 		s.maxPayload = bits
 	}
 }
 
+// MessageStats is the tally of a one-round protocol: a single message
+// of the given size, Alice to Bob.
+func MessageStats(bits int64) Stats {
+	return Stats{Rounds: 1, BitsAtoB: bits, MsgsAtoB: 1, maxPayload: bits}
+}
+
 // MaxPayload returns the largest single message carried, in payload
-// bits (0 before any message). Channels track it per Send; Add folds
+// bits (0 before any message). A Conn tracks it per Send; Add folds
 // tallies together by maximum, so an aggregate's MaxPayload is the
 // largest single message any contributing session carried — the figure
 // that bounds peak frame-buffer memory per connection.

@@ -2,28 +2,31 @@ package transport
 
 import "testing"
 
-// sendBits pushes one message of exactly n bits in dir through c.
-func sendBits(t *testing.T, c *Channel, dir Direction, n int) {
+// sendBits sends one message of exactly n bits from one end of a pipe
+// and receives it at the other.
+func sendBits(t *testing.T, from, to *PipeConn, n int) {
 	t.Helper()
 	e := NewEncoder()
 	for i := 0; i < n; i++ {
 		e.WriteBits(1, 1)
 	}
-	c.Send(dir, e)
-	if _, err := c.Recv(dir); err != nil {
+	if err := from.Send(e); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if _, err := to.Recv(); err != nil {
 		t.Fatalf("recv: %v", err)
 	}
 }
 
 func TestStatsMaxPayloadTracking(t *testing.T) {
-	var c Channel
-	if got := c.Stats().MaxPayload(); got != 0 {
-		t.Fatalf("fresh channel MaxPayload = %d, want 0", got)
+	a, b := NewPipe()
+	if got := a.Stats().MaxPayload(); got != 0 {
+		t.Fatalf("fresh pipe MaxPayload = %d, want 0", got)
 	}
-	sendBits(t, &c, AliceToBob, 17)
-	sendBits(t, &c, BobToAlice, 300)
-	sendBits(t, &c, AliceToBob, 5)
-	st := c.Stats()
+	sendBits(t, a, b, 17)
+	sendBits(t, b, a, 300)
+	sendBits(t, a, b, 5)
+	st := a.Stats()
 	if got := st.MaxPayload(); got != 300 {
 		t.Fatalf("MaxPayload = %d, want 300 (largest single message, not last)", got)
 	}

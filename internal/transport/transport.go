@@ -1,11 +1,12 @@
-// Package transport simulates the communication channel between Alice
-// and Bob and accounts for every bit exchanged.
+// Package transport carries protocol messages between Alice and Bob and
+// accounts for every bit exchanged.
 //
 // The paper's results are communication bounds, so the reproduction must
-// measure communication exactly rather than estimate it. Both parties run
-// in one process, but every protocol message is serialized through an
-// Encoder before the peer may read it, and a Channel tallies message
-// sizes and rounds. A round, following §2, is one message: "the number of
+// measure communication exactly rather than estimate it. Every protocol
+// message is serialized through an Encoder, which counts the exact bits
+// written; a Conn (an in-process Pipe here, a framed network wire in
+// package netproto) carries messages and tallies their sizes and rounds
+// in Stats. A round, following §2, is one message: "the number of
 // rounds of communication a protocol uses ... is equal to the number of
 // messages sent."
 package transport
@@ -36,7 +37,8 @@ func (d Direction) String() string {
 	return "bob→alice"
 }
 
-// Stats summarizes the traffic carried by a Channel.
+// Stats summarizes the traffic of one protocol run or, folded with Add,
+// of many.
 type Stats struct {
 	Rounds     int   // number of messages (the paper's round count)
 	BitsAtoB   int64 // payload bits Alice sent
@@ -57,52 +59,6 @@ func (s Stats) String() string {
 	return fmt.Sprintf("rounds=%d a→b=%dbits b→a=%dbits total=%dB",
 		s.Rounds, s.BitsAtoB, s.BitsBtoA, s.TotalBytes())
 }
-
-// Channel carries serialized messages between the two parties and tallies
-// Stats. The zero value is ready to use.
-type Channel struct {
-	stats   Stats
-	pending []message
-}
-
-type message struct {
-	dir  Direction
-	data []byte
-	bits int64
-}
-
-// Send transmits an encoded message. The encoder is consumed: its
-// contents become the message payload, measured in exact bits written.
-func (c *Channel) Send(dir Direction, enc *Encoder) {
-	data, bits := enc.finish()
-	c.stats.Rounds++
-	switch dir {
-	case AliceToBob:
-		c.stats.BitsAtoB += bits
-		c.stats.MsgsAtoB++
-	case BobToAlice:
-		c.stats.BitsBtoA += bits
-		c.stats.MsgsBtoA++
-	}
-	c.stats.ObservePayload(bits)
-	c.pending = append(c.pending, message{dir: dir, data: data, bits: bits})
-}
-
-// Recv returns a decoder over the oldest undelivered message in the given
-// direction. It returns an error if no such message is queued — protocols
-// must consume messages in order, which catches round-structure bugs.
-func (c *Channel) Recv(dir Direction) (*Decoder, error) {
-	for i, m := range c.pending {
-		if m.dir == dir {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return NewDecoder(m.data), nil
-		}
-	}
-	return nil, fmt.Errorf("transport: no pending message in direction %v", dir)
-}
-
-// Stats returns a snapshot of the traffic so far.
-func (c *Channel) Stats() Stats { return c.stats }
 
 // ErrShortMessage is returned when a Decoder runs out of payload.
 var ErrShortMessage = errors.New("transport: message truncated")
@@ -250,9 +206,7 @@ func leadingBits(p []byte, n uint) uint64 {
 func (e *Encoder) Bits() int64 { return e.bitsUse }
 
 // Pack flushes the accumulator and returns the payload bytes and exact
-// bit count, resetting the encoder. Use it when the encoder serves as a
-// local bit packer rather than a channel message (e.g. serializing LSH
-// keys for hashing); Channel.Send uses the same path.
+// bit count, resetting the encoder. A Conn's Send uses the same path.
 func (e *Encoder) Pack() ([]byte, int64) { return e.finish() }
 
 // finish flushes the accumulator and returns payload and size.

@@ -158,18 +158,19 @@ func TestShortMessage(t *testing.T) {
 }
 
 func TestChannelAccounting(t *testing.T) {
-	var ch Channel
-	e := NewEncoder()
-	e.WriteBits(0, 10)
-	ch.Send(AliceToBob, e)
-	e2 := NewEncoder()
-	e2.WriteBits(0, 20)
-	ch.Send(BobToAlice, e2)
-	e3 := NewEncoder()
-	e3.WriteBits(0, 5)
-	ch.Send(AliceToBob, e3)
+	a, b := NewPipe()
+	for _, m := range []struct {
+		from *PipeConn
+		bits uint
+	}{{a, 10}, {b, 20}, {a, 5}} {
+		e := NewEncoder()
+		e.WriteBits(0, m.bits)
+		if err := m.from.Send(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	s := ch.Stats()
+	s := a.Stats()
 	if s.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3", s.Rounds)
 	}
@@ -185,44 +186,8 @@ func TestChannelAccounting(t *testing.T) {
 	if s.MsgsAtoB != 2 || s.MsgsBtoA != 1 {
 		t.Errorf("message counts = %d/%d", s.MsgsAtoB, s.MsgsBtoA)
 	}
-}
-
-func TestChannelDelivery(t *testing.T) {
-	var ch Channel
-	e := NewEncoder()
-	e.WriteUvarint(42)
-	ch.Send(AliceToBob, e)
-
-	if _, err := ch.Recv(BobToAlice); err == nil {
-		t.Error("Recv in wrong direction succeeded")
-	}
-	d, err := ch.Recv(AliceToBob)
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if v, _ := d.ReadUvarint(); v != 42 {
-		t.Errorf("payload = %d", v)
-	}
-	if _, err := ch.Recv(AliceToBob); err == nil {
-		t.Error("second Recv of single message succeeded")
-	}
-}
-
-func TestChannelFIFO(t *testing.T) {
-	var ch Channel
-	for i := uint64(0); i < 5; i++ {
-		e := NewEncoder()
-		e.WriteUvarint(i)
-		ch.Send(AliceToBob, e)
-	}
-	for i := uint64(0); i < 5; i++ {
-		d, err := ch.Recv(AliceToBob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := d.ReadUvarint(); v != i {
-			t.Fatalf("message %d delivered out of order: %d", i, v)
-		}
+	if s.MaxPayload() != 20 {
+		t.Errorf("max payload = %d, want 20", s.MaxPayload())
 	}
 }
 
