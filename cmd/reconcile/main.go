@@ -81,6 +81,10 @@ func run(w io.Writer, args []string) error {
 		if rr2 == 0 {
 			rr2 = float64(*d) / 4
 		}
+		if *model == "gap1" && rr2 <= *r1*float64(*d) {
+			return fmt.Errorf("-model gap1 needs -r2 > -r1 · -d (Theorem 4.5), got -r2 %g <= %g; "+
+				"the usage line's ℓ2 flags satisfy it: -norm l2 -d 2 -delta 1048575 -r1 50 -r2 30000", rr2, *r1*float64(*d))
+		}
 		return runGap(w, space, *n, *k, *r1, rr2, *seed, *model == "gap1")
 	default:
 		return fmt.Errorf("unknown model %q", *model)

@@ -47,3 +47,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGap1NeedsWideGap: Theorem 4.5 needs r2 > r1·d, which the
+// default flags (r1 = 8, r2 = d/4) violate, so -model gap1 with them is
+// a usage error naming the constraint and its flags, returned before
+// any instance is built; the usage line's ℓ2 flags satisfy it and run.
+func TestRunGap1NeedsWideGap(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, []string{"-model", "gap1"})
+	if err == nil || !strings.Contains(err.Error(), "-r2 > -r1 · -d (Theorem 4.5)") {
+		t.Fatalf("default flags: err = %v, want the Theorem 4.5 usage error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("the usage error came after output:\n%s", out.String())
+	}
+	usage := "-model gap1 -norm l2 -d 2 -delta 1048575 -n 48 -k 3 -r1 50 -r2 30000"
+	if err := run(&out, strings.Fields(usage)); err != nil {
+		t.Fatalf("%s: %v", usage, err)
+	}
+}

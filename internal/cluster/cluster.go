@@ -1,9 +1,8 @@
 // Package cluster is the anti-entropy mesh: a Node wraps a multi-tenant
 // store and a session server, and a reconciler loop keeps every hosted
-// set that maintains Sync state converging with the other members of a
-// static cluster — not per client request, but continuously. Sets
-// without Sync are served (StoreResolver) but never reconciled: probe
-// and repair compare point IDs, which only Sync state derives.
+// set converging with the other members of a static cluster — not per
+// client request, but continuously. Probe and repair compare point IDs,
+// which every live set keeps.
 //
 // Peer selection uses the power-of-choices trick (cf. Walzer, "What if
 // we tried Less Power?", arXiv:2307.00644): each round, for each set,
@@ -114,8 +113,8 @@ type Config struct {
 	Membership *gossip.Gossip
 	// Catalog is the full set universe every member agrees on: names
 	// and the exact live configuration each set uses (two owners with
-	// different configs would never fingerprint-match). Every entry must
-	// maintain Sync state. Ignored without Membership.
+	// different configs would never fingerprint-match). Ignored without
+	// Membership.
 	Catalog []CatalogSet
 	// Replication is the ring's owner count R per set (default 3,
 	// clamped to the member count).
@@ -271,9 +270,6 @@ func New(cfg Config) (*Node, error) {
 			if _, dup := n.catalog[cs.Name]; dup {
 				return nil, fmt.Errorf("cluster: catalog set %q listed twice", cs.Name)
 			}
-			if cs.Config.Sync == nil {
-				return nil, fmt.Errorf("cluster: catalog set %q maintains no Sync state", cs.Name)
-			}
 			n.catalog[cs.Name] = cs.Config
 			n.catalogNames = append(n.catalogNames, cs.Name)
 		}
@@ -379,12 +375,12 @@ func (n *Node) Metrics() map[string]SetMetrics {
 	return out
 }
 
-// Converged reports whether every hosted Sync set's last round found
-// all probed peers fingerprint-identical, sustained for at least streak
+// Converged reports whether every hosted set's last round found all
+// probed peers fingerprint-identical, sustained for at least streak
 // consecutive rounds. Sets that have not completed a round yet report
-// false, and so does a node hosting no Sync set.
+// false, and so does a node hosting no set.
 func (n *Node) Converged(streak uint64) bool {
-	names := n.syncSets()
+	names := n.store.Names()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, name := range names {
@@ -396,22 +392,7 @@ func (n *Node) Converged(streak uint64) bool {
 	return len(names) > 0
 }
 
-// syncSets returns the names of the hosted sets that maintain Sync
-// state, the ones the reconciler converges.
-func (n *Node) syncSets() []string {
-	names := n.store.Names()
-	out := names[:0]
-	for _, name := range names {
-		if ls, ok := n.store.Get(name); ok {
-			if _, sync := ls.SyncConfig(); sync {
-				out = append(out, name)
-			}
-		}
-	}
-	return out
-}
-
-// ReconcileOnce runs one full anti-entropy round: every hosted Sync set
+// ReconcileOnce runs one full anti-entropy round: every hosted set
 // probes Choices random peers and reconciles with the most divergent
 // non-matching one. It returns the number of sets that exchanged state
 // (0 when the whole mesh round was no-ops) and the first error
@@ -433,7 +414,7 @@ func (n *Node) ReconcileOnce() (repaired int, err error) {
 		handoff bool
 	}
 	var jobs []setJob
-	for _, name := range n.syncSets() {
+	for _, name := range n.store.Names() {
 		ls, ok := n.store.Get(name)
 		if !ok {
 			continue // dropped mid-round
@@ -546,8 +527,7 @@ func (n *Node) reconcileSet(name string, ls *live.Set, m *SetMetrics, peers []st
 		failures   int
 	)
 	for _, addr := range peers {
-		// ReconcileOnce picks Sync sets only, which a probe accepts.
-		probe, _ := netproto.NewProbeInitiator(ls)
+		probe, _ := netproto.NewProbeInitiator(ls) // never fails
 		start := time.Now()
 		perr := n.do(addr, name, probe)
 		n.mu.Lock()
@@ -642,10 +622,7 @@ func (m *SetMetrics) applyBackoff() {
 // reconcile converges the set with one diverged peer: the exact
 // repair, its first table sized from the probe's estimate.
 func (n *Node) reconcile(name string, ls *live.Set, m *SetMetrics, addr string, probe *netproto.ProbeInitiator) error {
-	init, err := netproto.NewRepairInitiator(ls, probe.Estimate)
-	if err != nil {
-		return err
-	}
+	init, _ := netproto.NewRepairInitiator(ls, probe.Estimate) // never fails
 	start := time.Now()
 	if err := n.do(addr, name, init); err != nil {
 		// A verify-before-merge rejection is not a transport failure:

@@ -352,12 +352,13 @@ func TestClusterServesLiveEMD(t *testing.T) {
 	}
 }
 
-// TestNodeSkipsSetsWithoutSync: probe and repair compare point IDs, so
-// a node reconciles only its Sync sets. Two nodes each hold a diverged
-// Sync set, EMD-only set and Gap-only set; after three rounds no probe
-// or repair has failed, only the Sync set has metrics, the nodes report
-// convergence, and the EMD-only set still serves live-emd.
-func TestNodeSkipsSetsWithoutSync(t *testing.T) {
+// TestNodeReconcilesEverySet: every live set keeps point IDs, so a node
+// reconciles every set it hosts, whatever its config. Two nodes each
+// hold a diverged Sync set, EMD-only set and Gap-only set; after three
+// rounds no probe or repair has failed, every set holds the union on
+// both nodes, the nodes report convergence, and the EMD-only set still
+// serves live-emd.
+func TestNodeReconcilesEverySet(t *testing.T) {
 	space := metric.HammingCube(testDim)
 	emdP := emd.DefaultParams(space, testCapacity, 4, 7)
 	gapP := gap.Params{Space: space, N: testCapacity, R1: 2, R2: 16, Seed: 8}
@@ -388,22 +389,25 @@ func TestNodeSkipsSetsWithoutSync(t *testing.T) {
 	}
 	for i, n := range nodes {
 		metrics := n.Metrics()
-		for name, m := range metrics {
-			if m.ProbeFailures != 0 || m.RepairFailures != 0 {
-				t.Errorf("node %d set %q: %d probe and %d repair failures", i, name, m.ProbeFailures, m.RepairFailures)
+		for name := range configs {
+			m, ok := metrics[name]
+			if !ok || m.ProbeFailures != 0 || m.RepairFailures != 0 {
+				t.Errorf("node %d set %q: reconciled %v, %d probe and %d repair failures",
+					i, name, ok, m.ProbeFailures, m.RepairFailures)
 			}
-		}
-		for _, name := range []string{"emd-only", "gap-only"} {
-			if m, ok := metrics[name]; ok {
-				t.Errorf("node %d reconciled set %q without Sync: %v", i, name, m)
+			ls, _ := n.store.Get(name)
+			peer, _ := nodes[1-i].store.Get(name)
+			if ls.Distinct() != 30 || ls.IDFingerprint() != peer.IDFingerprint() {
+				t.Errorf("node %d set %q: %d distinct points, fingerprint-identical to its peer %v; want the union of 30",
+					i, name, ls.Distinct(), ls.IDFingerprint() == peer.IDFingerprint())
 			}
 		}
 		if !n.Converged(1) {
 			t.Errorf("node %d does not report convergence: %v", i, metrics)
 		}
 	}
-	if got := served.get(netproto.ProtoRepair); got == 0 {
-		t.Error("the diverged Sync set converged without a repair")
+	if got := served.get(netproto.ProtoRepair); got < len(configs) {
+		t.Errorf("%d repairs served, want one per diverged set at least", got)
 	}
 
 	ls, _ := nodes[0].store.Get("emd-only")

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gap"
 	"repro/internal/gossip"
 	"repro/internal/live"
-	"repro/internal/metric"
 	"repro/internal/netproto"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -90,26 +88,16 @@ func startGossipMesh(t *testing.T, count, nSets, rf int) ([]*Node, []string, *si
 	return nodes, addrs, net
 }
 
-// TestCatalogNeedsSync: New refuses a catalog entry without Sync state,
-// which the reconciler could never converge, and one listed twice.
+// TestCatalogNeedsSync: New refuses a catalog that lists a set twice.
 func TestCatalogNeedsSync(t *testing.T) {
 	g, err := gossip.New(gossip.Config{Self: "node0:1", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gapP := gap.Params{Space: metric.HammingCube(testDim), N: 8, R1: 2, R2: 16, Seed: 8}
-	for _, c := range []struct {
-		name    string
-		catalog []CatalogSet
-		want    string
-	}{
-		{"gap only", append(gossipCatalog(1), CatalogSet{Name: "gap", Config: live.Config{Gap: &gapP}}), "no Sync state"},
-		{"duplicate", append(gossipCatalog(1), gossipCatalog(1)...), "listed twice"},
-	} {
-		_, err := New(Config{Store: store.New(), Interval: -1, Membership: g, Catalog: c.catalog})
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: New err = %v, want %q", c.name, err, c.want)
-		}
+	catalog := append(gossipCatalog(1), gossipCatalog(1)...)
+	_, err = New(Config{Store: store.New(), Interval: -1, Membership: g, Catalog: catalog})
+	if err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Errorf("duplicate: New err = %v, want %q", err, "listed twice")
 	}
 }
 

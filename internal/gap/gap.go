@@ -401,19 +401,6 @@ type AliceReport struct {
 
 // runAlice executes Alice's side: key construction, sets-of-sets (she is
 // the setsets Alice), far-key classification, and the element round.
-func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, error) {
-	if len(sa) > pl.params.N {
-		return AliceReport{}, fmt.Errorf("gap: |SA|=%d exceeds N=%d", len(sa), pl.params.N)
-	}
-	keys := pl.keyBatch(sa)
-	return runAliceKeyed(pl, conn, sa, keys, encodeKeys(keys, pl.h, pl.ky.bits))
-}
-
-// runAliceKeyed is runAlice past key construction, for callers that
-// maintain per-element keys incrementally (live sets): the h·m LSH
-// evaluations per element — the dominant cost of Alice's side — are
-// skipped. keys holds element i's key at [i·h, (i+1)·h) and payloads[i]
-// is its encoding.
 //
 // Classification applies §4.1's rule exactly: an element is far when its
 // key agrees with no key of Bob's in T = threshold or more of its h
@@ -422,8 +409,13 @@ func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, e
 // (pigeonhole), so only Bob keys sharing a whole group with Alice's can
 // be close, and checking just those (closeIndex) gives the same verdict
 // as scanning all of Bob's keys.
-func runAliceKeyed(pl *plan, conn transport.Conn, sa metric.PointSet, keys []uint64, payloads [][]byte) (AliceReport, error) {
+func runAlice(pl *plan, conn transport.Conn, sa metric.PointSet) (AliceReport, error) {
 	p := pl.params
+	if len(sa) > p.N {
+		return AliceReport{}, fmt.Errorf("gap: |SA|=%d exceeds N=%d", len(sa), p.N)
+	}
+	keys := pl.keyBatch(sa)
+	payloads := encodeKeys(keys, pl.h, pl.ky.bits)
 	children := make([]setsets.Child, len(payloads))
 	for i, pay := range payloads {
 		children[i] = setsets.Child{Payload: pay}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestKeyerPayloadsMatchProtocol: cached payloads equal the keys the
-// protocol computes internally, one by one and in batch.
+// TestKeyerPayloadsMatchProtocol: Payload equals the key the protocol
+// computes internally for the element in a batch.
 func TestKeyerPayloadsMatchProtocol(t *testing.T) {
 	p := Params{Space: metric.HammingCube(64), N: 16, R1: 2, R2: 16, Seed: 4}
 	ky, err := NewKeyer(p)
@@ -34,21 +34,17 @@ func TestKeyerPayloadsMatchProtocol(t *testing.T) {
 		}
 		pts = append(pts, pt)
 	}
-	batch := ky.Payloads(pts)
 	keys := pl.keyBatch(pts)
 	for i, pt := range pts {
 		want := encodeKey(keys[i*pl.h:(i+1)*pl.h], pl.ky.bits)
 		if !bytes.Equal(ky.Payload(pt), want) {
 			t.Fatalf("point %d: single payload differs from protocol key", i)
 		}
-		if !bytes.Equal(batch[i], want) {
-			t.Fatalf("point %d: batch payload differs from protocol key", i)
-		}
 	}
 }
 
-// TestKeyerRunAliceMatchesRunAlice: a session served from cached
-// payloads is indistinguishable from one that recomputes keys.
+// TestKeyerRunAliceMatchesRunAlice: a session served through a keyer
+// is indistinguishable from one that derives its own plan.
 func TestKeyerRunAliceMatchesRunAlice(t *testing.T) {
 	p := Params{Space: metric.HammingCube(128), N: 20, R1: 4, R2: 48, Seed: 11}
 	inst := func() (metric.PointSet, metric.PointSet) {
@@ -102,10 +98,10 @@ func TestKeyerRunAliceMatchesRunAlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached, cachedBob := run(func(conn transport.Conn, sa metric.PointSet) (AliceReport, error) {
-		return ky.RunAlice(conn, sa, ky.Payloads(sa))
+		return ky.RunAlice(conn, sa)
 	})
 	if fresh.FarKeys != cached.FarKeys || len(fresh.TA) != len(cached.TA) {
-		t.Fatalf("cached serving diverges: far %d/%d, |TA| %d/%d",
+		t.Fatalf("keyer serving diverges: far %d/%d, |TA| %d/%d",
 			fresh.FarKeys, cached.FarKeys, len(fresh.TA), len(cached.TA))
 	}
 	if len(freshBob.SPrime) != len(cachedBob.SPrime) {
@@ -113,23 +109,21 @@ func TestKeyerRunAliceMatchesRunAlice(t *testing.T) {
 	}
 }
 
-// TestKeyerRunAliceValidates: misaligned payload caches, and cached
-// payloads of the wrong size, are rejected before any message is sent.
+// TestKeyerRunAliceValidates: a set larger than the params' N is
+// rejected before any message is sent.
 func TestKeyerRunAliceValidates(t *testing.T) {
-	p := Params{Space: metric.HammingCube(32), N: 4, R1: 2, R2: 12, Seed: 2}
+	p := Params{Space: metric.HammingCube(32), N: 1, R1: 2, R2: 12, Seed: 2}
 	ky, err := NewKeyer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aConn, _ := transport.NewPipe()
-	sa := metric.PointSet{make(metric.Point, 32)}
-	if _, err := ky.RunAlice(aConn, sa, nil); err == nil {
-		t.Fatal("payload/element count mismatch accepted")
+	sa := metric.PointSet{make(metric.Point, 32), make(metric.Point, 32)}
+	if _, err := ky.RunAlice(aConn, sa); err == nil {
+		t.Fatal("|SA| > N accepted")
 	}
-	short := ky.Payload(sa[0])
-	short = short[:len(short)-1]
-	if _, err := ky.RunAlice(aConn, sa, [][]byte{short}); err == nil {
-		t.Fatal("short cached payload accepted")
+	if rounds := aConn.Stats().Rounds; rounds != 0 {
+		t.Fatalf("a rejected session sent %d messages", rounds)
 	}
 }
 

@@ -1,19 +1,18 @@
 // Package live maintains mutable reconciliation state: a Set wraps a
 // point multiset with Add/Remove/ApplyBatch and keeps its protocol
-// structures incrementally up to date once they exist — the EMD sketch
-// (RIBLT cells are sums, so a point mutation is one evaluation of the
-// plan's active MLSH draws plus O(q·levels) cell updates), the Gap
-// protocol's per-element key payloads (each depends only on its point
-// and the public coins), and the exact-ID state (point fingerprints,
-// their IDs' index and an order-independent fold over them).
+// structures incrementally up to date once they exist — the exact-ID
+// state every set keeps (point fingerprints, their IDs' index and an
+// order-independent fold over them) and the EMD sketch (RIBLT cells are
+// sums, so a point mutation is one evaluation of the plan's active MLSH
+// draws plus O(q·levels) cell updates). A set with Gap keeps only its
+// keyer: a Gap session keys its snapshot's points when it runs.
 //
-// A set keeps one EMD sketch and never copies it. A set with Sync
-// builds it only when it is first served (ServeEMD): the mesh
-// reconciles such sets by exact IDs, so a replica nobody pulls a sketch
-// from never keys a point into one. A set without Sync serves nothing
-// but live-emd and gap and builds its sketch at creation. Either way
-// the sketch, once built, is maintained under churn and is
-// field-identical to a from-scratch build.
+// A set keeps one EMD sketch and never copies it. A set whose config
+// gave Sync builds it only when it is first served (ServeEMD): the mesh
+// reconciles sets by exact IDs, so a replica nobody pulls a sketch from
+// never keys a point into one. A set whose config gave no Sync builds
+// its sketch at creation. Either way the sketch, once built, is
+// maintained under churn and is field-identical to a from-scratch build.
 //
 // Every mutation bumps an epoch. Snapshot returns an immutable view of
 // the current epoch, cached until the next mutation, so a session that
@@ -30,6 +29,7 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -41,8 +41,8 @@ import (
 	"repro/internal/transport"
 )
 
-// SyncConfig enables exact-ID reconciliation state over point
-// fingerprints (IDs); a snapshot builds a strata estimator of
+// SyncConfig seeds the exact-ID state over point fingerprints (IDs)
+// that every set keeps; a snapshot builds a strata estimator of
 // iblt.StrataCells cells per stratum from its IDs on demand.
 type SyncConfig struct {
 	// Seed is the shared public-coin seed; point fingerprints derive
@@ -50,19 +50,19 @@ type SyncConfig struct {
 	Seed uint64
 }
 
-// Config selects which protocol structures a Set maintains. At least
-// one of EMD, Gap or Sync must be set.
+// Config selects which protocol structures a Set maintains besides its
+// point IDs. At least one of EMD, Gap or Sync must be set.
 type Config struct {
 	// EMD, when set, maintains the Algorithm 1 sketch: from creation
-	// on a set without Sync, from its first ServeEMD on a set with
-	// Sync (creation still refuses params that cannot build one).
-	// Params.N is the capacity bound: the live multiset may never
-	// exceed N points.
+	// when Sync is nil, from the first ServeEMD otherwise (creation
+	// still refuses params that cannot build one). Params.N is the
+	// capacity bound: the live multiset may never exceed N points.
 	EMD *emd.Params
-	// Gap, when set, maintains per-element Gap key payloads. Params.N
-	// bounds the set size.
+	// Gap, when set, serves Gap sessions through a keyer of these
+	// params. Params.N bounds the set size.
 	Gap *gap.Params
-	// Sync, when set, maintains point IDs and their fingerprint fold.
+	// Sync seeds the point IDs. When nil, the set derives
+	// SyncConfig{Seed: EMD.Seed | 1}, or Gap.Seed | 1 without EMD.
 	Sync *SyncConfig
 }
 
@@ -87,11 +87,10 @@ type Logger interface {
 
 // entry is one distinct point's live state.
 type entry struct {
-	pt      metric.Point
-	count   int    // multiset multiplicity
-	payload []byte // gap key payload (nil when Gap disabled)
-	id      uint64 // point fingerprint (Sync)
-	pos     int    // index in Set.entries
+	pt    metric.Point
+	count int    // multiset multiplicity
+	id    uint64 // point fingerprint
+	pos   int    // index in Set.entries
 }
 
 // Set is the mutable reconciliation state. All methods are safe for
@@ -100,18 +99,19 @@ type entry struct {
 // Snapshot and ServeEMD once the per-epoch cache is built — share a
 // read lock, so many concurrent sessions never queue behind each other.
 type Set struct {
-	cfg   Config
+	cfg   Config     // as given; only its EMD and Gap are read
 	emdP  emd.Params // defaulted copy (valid when cfg.EMD != nil)
 	gapP  gap.Params
 	keyer *gap.Keyer
+	sync  SyncConfig // given or derived
 	idMix hashx.Mixer
 
 	mu       sync.RWMutex
-	sketch   *emd.Sketch // nil on a set with Sync until its first ServeEMD
+	sketch   *emd.Sketch // nil until built (see NewSet and ServeEMD)
 	emdSince uint64      // epoch the sketch was built at; no history before it
 	logger   Logger      // write-ahead hook, called under mu before applying
 	byKey    map[string]*entry
-	byID     map[uint64]*entry // fingerprint → entry (Sync only)
+	byID     map[uint64]*entry // fingerprint → entry
 	idFP     uint64            // XOR of mixed distinct-point fingerprints
 	entries  []*entry
 	size     int // multiset cardinality
@@ -131,22 +131,19 @@ type Snapshot struct {
 	// EMDMessage is the encoded full protocol message, and
 	// EMDFingerprint hashes it; the live-emd sender ships it, and the
 	// receiver checks its sketch against it. Both are nil and 0 when EMD
-	// is disabled, and on a set with Sync until the set's first
-	// ServeEMD builds its sketch.
+	// is disabled, and until the set's sketch is built.
 	EMDMessage     []byte
 	EMDFingerprint uint64
-	// GapPayloads are the cached key payloads, aligned with Points.
-	GapPayloads [][]byte
 	// IDs are the distinct points' fingerprints.
 	IDs []uint64
 	// IDFingerprint is an order-independent fold (XOR of mixed
 	// fingerprints) over IDs: two sets with equal distinct points have
 	// equal values, and it is maintained O(1) per mutation, so cluster
-	// probes compare whole sets without shipping them. Zero when Sync is
-	// disabled (or the set is empty).
+	// probes compare whole sets without shipping them. Zero for an
+	// empty set.
 	IDFingerprint uint64
 
-	syncCfg    *SyncConfig // nil when Sync is disabled
+	idSeed     uint64 // SyncConfig.Seed, the strata's seed
 	strataOnce sync.Once
 	strata     *iblt.Strata
 	wireOnce   sync.Once
@@ -155,39 +152,36 @@ type Snapshot struct {
 }
 
 // Strata returns the estimator over IDs, built on first use and shared
-// by later callers: nil when Sync is disabled, empty for an empty set.
-// Safe for concurrent use; the estimator is read-only.
+// by later callers; empty for an empty set. Safe for concurrent use;
+// the estimator is read-only.
 func (snap *Snapshot) Strata() *iblt.Strata {
 	snap.strataOnce.Do(func() {
-		if snap.syncCfg != nil {
-			snap.strata = iblt.NewStrataFromKeys(iblt.StrataCells, snap.syncCfg.Seed, snap.IDs)
-		}
+		snap.strata = iblt.NewStrataFromKeys(iblt.StrataCells, snap.idSeed, snap.IDs)
 	})
 	return snap.strata
 }
 
 // StrataWire returns Strata's wire encoding — the bits Strata.Encode
-// writes, packed MSB first from bit 0 — and its exact bit length, or
-// nil and 0 when Sync is disabled. It is encoded on first use and
-// shared by every later caller, so an epoch's estimator is packed at
-// most once however many mismatched probe replies carry it: senders
-// splice it with transport.Encoder.WriteBitString. Safe for concurrent
-// use; the returned bytes must not be modified.
+// writes, packed MSB first from bit 0 — and its exact bit length. It
+// is encoded on first use and shared by every later caller, so an
+// epoch's estimator is packed at most once however many mismatched
+// probe replies carry it: senders splice it with
+// transport.Encoder.WriteBitString. Safe for concurrent use; the
+// returned bytes must not be modified.
 func (snap *Snapshot) StrataWire() ([]byte, int64) {
 	snap.wireOnce.Do(func() {
-		if st := snap.Strata(); st != nil {
-			var e transport.Encoder
-			st.Encode(&e)
-			snap.strataWire, snap.strataBits = e.Pack()
-		}
+		var e transport.Encoder
+		snap.Strata().Encode(&e)
+		snap.strataWire, snap.strataBits = e.Pack()
 	})
 	return snap.strataWire, snap.strataBits
 }
 
-// NewSet builds a live set over the initial points, using the sharded
-// from-scratch constructions for the enabled structures. A set with
-// Sync defers its EMD sketch to its first ServeEMD but checks here
-// that the params can build one.
+// NewSet builds a live set over the initial points. A config with Sync
+// defers its EMD sketch to the first ServeEMD but checks here that the
+// params can build one; a config without Sync gets its sketch built
+// sharded here, and its ID seed derived (see Config.Sync). cfg itself
+// is kept as given, so a journal records what the caller asked for.
 func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	if cfg.EMD == nil && cfg.Gap == nil && cfg.Sync == nil {
 		return nil, fmt.Errorf("live: config enables no protocol structure")
@@ -195,23 +189,12 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 	s := &Set{
 		cfg:      cfg,
 		byKey:    make(map[string]*entry, len(initial)),
+		byID:     make(map[uint64]*entry, len(initial)),
 		journal:  make(map[uint64][]emd.CellRef),
 		epoch:    1,
 		emdSince: 1,
 	}
-	if cfg.EMD != nil {
-		s.emdP = *cfg.EMD
-		s.emdP.ApplyDefaults()
-		var err error
-		if cfg.Sync != nil {
-			err = emd.CheckParams(s.emdP)
-		} else {
-			s.sketch, err = emd.BuildSketch(s.emdP, initial)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	var derived SyncConfig
 	if cfg.Gap != nil {
 		s.gapP = *cfg.Gap
 		s.gapP.ApplyDefaults()
@@ -220,41 +203,32 @@ func NewSet(cfg Config, initial metric.PointSet) (*Set, error) {
 			return nil, err
 		}
 		s.keyer = ky
+		derived.Seed = cfg.Gap.Seed | 1
 	}
-	if cfg.Sync != nil {
-		sync := *cfg.Sync // defensive copy, like the EMD/Gap params
-		s.cfg.Sync = &sync
-		s.idMix = idMixer(sync.Seed)
-		s.byID = make(map[uint64]*entry, len(initial))
+	var sketch *emd.Sketch
+	if cfg.EMD != nil {
+		s.emdP = *cfg.EMD
+		s.emdP.ApplyDefaults()
+		derived.Seed = cfg.EMD.Seed | 1
+		var err error
+		if cfg.Sync != nil {
+			err = emd.CheckParams(s.emdP)
+		} else {
+			sketch, err = emd.BuildSketch(s.emdP, initial)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
+	s.sync = *cmp.Or(cfg.Sync, &derived)
+	s.idMix = idMixer(s.sync.Seed)
 	if limit, ok := s.capacity(); ok && len(initial) > limit {
 		return nil, fmt.Errorf("live: %d initial points exceed capacity %d", len(initial), limit)
 	}
-	// Gap payloads for the initial points in one sharded batch; an
-	// eager EMD sketch was already built sharded above.
-	var payloads [][]byte
-	if s.keyer != nil {
-		payloads = s.keyer.Payloads(initial)
+	for _, pt := range initial {
+		s.add(pt)
 	}
-	for i, pt := range initial {
-		k := pt.Key()
-		e := s.byKey[k]
-		if e == nil {
-			e = &entry{pt: pt.Clone(), pos: len(s.entries)}
-			if payloads != nil {
-				e.payload = payloads[i]
-			}
-			if s.cfg.Sync != nil {
-				e.id = s.pointID(pt)
-				s.byID[e.id] = e
-				s.idFP ^= s.idMix.Hash(e.id)
-			}
-			s.byKey[k] = e
-			s.entries = append(s.entries, e)
-		}
-		e.count++
-		s.size++
-	}
+	s.sketch = sketch
 	return s, nil
 }
 
@@ -289,13 +263,9 @@ func (s *Set) GapParams() (gap.Params, bool) {
 // GapKeyer returns the keyer live Gap sessions serve through.
 func (s *Set) GapKeyer() (*gap.Keyer, bool) { return s.keyer, s.keyer != nil }
 
-// SyncConfig returns the exact-ID configuration when enabled.
-func (s *Set) SyncConfig() (SyncConfig, bool) {
-	if s.cfg.Sync == nil {
-		return SyncConfig{}, false
-	}
-	return *s.cfg.Sync, true
-}
+// SyncConfig returns the exact-ID configuration: the config's Sync, or
+// the one derived for a config without it.
+func (s *Set) SyncConfig() SyncConfig { return s.sync }
 
 // Epoch returns the current generation (1 is the initial state).
 func (s *Set) Epoch() uint64 {
@@ -448,14 +418,9 @@ func (s *Set) add(pt metric.Point) []emd.CellRef {
 	e := s.byKey[k]
 	if e == nil {
 		e = &entry{pt: pt.Clone(), pos: len(s.entries)}
-		if s.keyer != nil {
-			e.payload = s.keyer.Payload(e.pt)
-		}
-		if s.cfg.Sync != nil {
-			e.id = s.pointID(e.pt)
-			s.byID[e.id] = e
-			s.idFP ^= s.idMix.Hash(e.id)
-		}
+		e.id = s.pointID(e.pt)
+		s.byID[e.id] = e
+		s.idFP ^= s.idMix.Hash(e.id)
 		s.byKey[k] = e
 		s.entries = append(s.entries, e)
 	}
@@ -478,10 +443,8 @@ func (s *Set) remove(pt metric.Point) []emd.CellRef {
 		refs = s.sketch.Remove(e.pt)
 	}
 	if e.count == 0 {
-		if s.cfg.Sync != nil {
-			delete(s.byID, e.id)
-			s.idFP ^= s.idMix.Hash(e.id)
-		}
+		delete(s.byID, e.id)
+		s.idFP ^= s.idMix.Hash(e.id)
 		last := len(s.entries) - 1
 		s.entries[e.pos] = s.entries[last]
 		s.entries[e.pos].pos = e.pos
@@ -541,10 +504,10 @@ func (s *Set) Snapshot() *Snapshot {
 //
 // Once the epoch's snapshot is cached this holds only the read lock:
 // the sketch is at the snapshot's epoch for as long as it is held, and
-// encoding cells only reads them. On a set with Sync the first call
-// builds the sketch from the current points under the write lock and
-// drops the cached snapshot; from then on mutations maintain the sketch
-// and journal its churned cells.
+// encoding cells only reads them. On a set without a sketch yet (its
+// config gave Sync) the first call builds the sketch from the current
+// points under the write lock and drops the cached snapshot; from then
+// on mutations maintain the sketch and journal its churned cells.
 func (s *Set) ServeEMD(since uint64) (snap *Snapshot, delta []byte, err error) {
 	if s.cfg.EMD == nil {
 		return nil, nil, fmt.Errorf("live: set maintains no EMD sketch")
@@ -592,38 +555,25 @@ func (s *Set) snapshotLocked() *Snapshot {
 	if s.snap != nil {
 		return s.snap
 	}
-	snap := &Snapshot{Epoch: s.epoch}
+	snap := &Snapshot{Epoch: s.epoch, IDFingerprint: s.idFP, idSeed: s.sync.Seed}
 	snap.Points = make(metric.PointSet, 0, s.size)
-	if s.keyer != nil {
-		snap.GapPayloads = make([][]byte, 0, s.size)
-	}
+	snap.IDs = make([]uint64, 0, len(s.entries))
 	for _, e := range s.entries {
+		snap.IDs = append(snap.IDs, e.id)
 		for i := 0; i < e.count; i++ {
 			snap.Points = append(snap.Points, e.pt)
-			if s.keyer != nil {
-				snap.GapPayloads = append(snap.GapPayloads, e.payload)
-			}
 		}
 	}
 	if s.sketch != nil {
 		snap.EMDMessage = s.sketch.Encode()
 		snap.EMDFingerprint = emd.FingerprintMessage(snap.EMDMessage)
 	}
-	if s.cfg.Sync != nil {
-		snap.IDs = make([]uint64, 0, len(s.entries))
-		for _, e := range s.entries {
-			snap.IDs = append(snap.IDs, e.id)
-		}
-		snap.IDFingerprint = s.idFP
-		snap.syncCfg = s.cfg.Sync
-	}
 	s.snap = snap
 	return snap
 }
 
 // IDFingerprint returns the order-independent fold over the distinct
-// points' fingerprints (see Snapshot.IDFingerprint). Zero when Sync is
-// disabled.
+// points' fingerprints (see Snapshot.IDFingerprint).
 func (s *Set) IDFingerprint() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -632,9 +582,8 @@ func (s *Set) IDFingerprint() uint64 {
 
 // PointsForIDs maps fingerprints back to the points that carry them,
 // returning clones of the found points and the fingerprints this set
-// does not (or no longer) hold. It requires Sync state; without it every
-// ID is missing. The repair protocol uses it to turn a reconciled ID
-// difference into shippable payloads.
+// does not (or no longer) hold. The repair protocol uses it to turn a
+// reconciled ID difference into shippable payloads.
 func (s *Set) PointsForIDs(ids []uint64) (metric.PointSet, []uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -68,9 +68,8 @@ func encodeStrata(s *iblt.Strata) []byte {
 // TestLiveSetGoldenIncremental is the acceptance golden test: over
 // 1000 random Add/Remove operations, the incrementally maintained EMD
 // sketch stays wire-bit-identical to a from-scratch build over the
-// current multiset, the cached Gap payloads match fresh key
-// construction, and the snapshot's strata estimator matches a build over
-// the live fingerprints. The set has Sync, so it is served once up
+// current multiset, and the snapshot's strata estimator matches a build
+// over the live fingerprints. The set has Sync, so it is served once up
 // front to build its sketch before the churn starts.
 func TestLiveSetGoldenIncremental(t *testing.T) {
 	cfg := testConfig()
@@ -90,10 +89,6 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 		return snap
 	}
 	serve()
-	keyer, err := gap.NewKeyer(*cfg.Gap)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	mirror := append(metric.PointSet{}, initial...)
 	const ops = 1000
@@ -127,16 +122,7 @@ func TestLiveSetGoldenIncremental(t *testing.T) {
 			t.Fatalf("op %d (size %d): incremental EMD sketch not wire-identical to from-scratch build",
 				op, len(mirror))
 		}
-		for i, pt := range snap.Points {
-			if !bytes.Equal(snap.GapPayloads[i], keyer.Payload(pt)) {
-				t.Fatalf("op %d: cached gap payload %d differs from fresh key", op, i)
-			}
-		}
-		sc, ok := ls.SyncConfig()
-		if !ok {
-			t.Fatal("sync state not enabled")
-		}
-		wantStrata := iblt.NewStrataFromKeys(iblt.StrataCells, sc.Seed, snap.IDs)
+		wantStrata := iblt.NewStrataFromKeys(iblt.StrataCells, ls.SyncConfig().Seed, snap.IDs)
 		if !bytes.Equal(encodeStrata(snap.Strata()), encodeStrata(wantStrata)) {
 			t.Fatalf("op %d: live strata differs from rebuild over %d ids", op, len(snap.IDs))
 		}
@@ -362,15 +348,42 @@ func TestSnapshotStrataWireConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	noSync, err := NewSet(Config{EMD: testConfig().EMD}, pts)
+	// A config without Sync keys its strata by its derived seed.
+	emdP := testConfig().EMD
+	noSync, err := NewSet(Config{EMD: emdP}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wire, bits := noSync.Snapshot().StrataWire(); wire != nil || bits != 0 {
-		t.Fatalf("set without Sync has a strata encoding of %d bits", bits)
+	derived, err := NewSet(Config{Sync: &SyncConfig{Seed: emdP.Seed | 1}}, pts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if noSync.Snapshot().Strata() != nil {
-		t.Fatal("set without Sync has a strata estimator")
+	if wire, _ := noSync.Snapshot().StrataWire(); !bytes.Equal(wire, encodeStrata(derived.Snapshot().Strata())) {
+		t.Fatal("a set without Sync has another strata than one given Sync{EMD.Seed | 1}")
+	}
+}
+
+// TestDerivedSyncConfig: a config without Sync keys its IDs by its EMD
+// seed | 1, or by its Gap seed | 1 without EMD; a given Sync is kept.
+func TestDerivedSyncConfig(t *testing.T) {
+	base := testConfig()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"emd", Config{EMD: base.EMD}, base.EMD.Seed | 1},
+		{"gap", Config{Gap: base.Gap}, base.Gap.Seed | 1},
+		{"emd+gap", Config{EMD: base.EMD, Gap: base.Gap}, base.EMD.Seed | 1},
+		{"given", base, base.Sync.Seed},
+	} {
+		ls, err := NewSet(c.cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := ls.SyncConfig().Seed; got != c.want {
+			t.Errorf("%s: ID seed %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

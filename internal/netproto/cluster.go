@@ -10,11 +10,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Cluster anti-entropy protocols. Both bind to a live.Set that
-// maintains Sync state on each end and exist for the mesh in
-// internal/cluster, though they are ordinary registered protocols any
-// peer may speak. Their constructors refuse a set without Sync: both
-// compare point IDs, which only Sync state derives.
+// Cluster anti-entropy protocols. Both bind to a live.Set on each end
+// and compare its point IDs, which every set keeps; they exist for the
+// mesh in internal/cluster, though they are ordinary registered
+// protocols any peer may speak.
 //
 // Probe (ProtoProbe) is the cheap divergence check behind
 // power-of-two-choices peer selection. The initiator sends its set's
@@ -59,9 +58,9 @@ const meshWireVersion = 3
 
 // DigestLiveSet is the hello digest of probe and repair: the mesh wire
 // version and the wire-relevant configuration of a live set — which
-// structures it maintains and their parameter digests. Two nodes
-// hosting one named set must configure it identically for fingerprints
-// and IDs to be comparable.
+// structures it maintains, their parameter digests, and its ID seed and
+// strata geometry. Two nodes hosting one named set must configure it
+// identically for fingerprints and IDs to be comparable.
 func DigestLiveSet(ls *live.Set) uint64 {
 	m := hashx.MixerFromSeed(0x9306e)
 	h := m.Hash(0x1)
@@ -71,19 +70,9 @@ func DigestLiveSet(ls *live.Set) uint64 {
 	if p, ok := ls.GapParams(); ok {
 		h = m.Hash(h ^ DigestGap(p))
 	}
-	if sc, ok := ls.SyncConfig(); ok {
-		h = m.Hash(h ^ sc.Seed)
-		h = m.Hash(h ^ iblt.StrataCells)
-	}
+	h = m.Hash(h ^ ls.SyncConfig().Seed)
+	h = m.Hash(h ^ iblt.StrataCells)
 	return m.Hash(h ^ meshWireVersion)
-}
-
-// needSync refuses a live set without Sync state for proto.
-func needSync(ls *live.Set, proto Proto) error {
-	if _, ok := ls.SyncConfig(); !ok {
-		return fmt.Errorf("netproto: %v needs a live set with Sync state", proto)
-	}
-	return nil
 }
 
 // ProbeSummary is one side's divergence summary.
@@ -159,12 +148,9 @@ type ProbeInitiator struct {
 	Matched  bool
 }
 
-// NewProbeInitiator binds the probing side to its live set, which must
-// maintain Sync state.
+// NewProbeInitiator binds the probing side to its live set. The error
+// is always nil: every set keeps the IDs a probe compares.
 func NewProbeInitiator(ls *live.Set) (*ProbeInitiator, error) {
-	if err := needSync(ls, ProtoProbe); err != nil {
-		return nil, err
-	}
 	return &ProbeInitiator{set: ls}, nil
 }
 
@@ -190,8 +176,7 @@ func (h *ProbeInitiator) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	sc, _ := h.set.SyncConfig()
-	if h.Remote, err = readReply(d, h.Local, sc.Seed); err != nil {
+	if h.Remote, err = readReply(d, h.Local, h.set.SyncConfig().Seed); err != nil {
 		return err
 	}
 	if h.Matched = h.Local.Match(h.Remote); h.Matched {
@@ -222,11 +207,9 @@ type ProbeResponder struct {
 }
 
 // NewProbeResponderFactory returns a factory, for a server's Resolver,
-// answering probes for the set; the set must maintain Sync state.
+// answering probes for the set. Like every set's probe initiator, it
+// never fails; the error keeps the signature of the other factories.
 func NewProbeResponderFactory(ls *live.Set) (func() Handler, error) {
-	if err := needSync(ls, ProtoProbe); err != nil {
-		return nil, err
-	}
 	return func() Handler { return &ProbeResponder{set: ls} }, nil
 }
 
@@ -503,13 +486,11 @@ type RepairInitiator struct {
 	Rejected int
 }
 
-// NewRepairInitiator binds the initiating side to its live set, which
-// must maintain Sync state, with the hint clamped into
-// [1, iblt.MaxDiff]: the range a responder accepts.
+// NewRepairInitiator binds the initiating side to its live set, with
+// the hint clamped into [1, iblt.MaxDiff]: the range a responder
+// accepts. The error is always nil: every set keeps the IDs a repair
+// compares.
 func NewRepairInitiator(ls *live.Set, hint int) (*RepairInitiator, error) {
-	if err := needSync(ls, ProtoRepair); err != nil {
-		return nil, err
-	}
 	return &RepairInitiator{set: ls, Hint: min(max(hint, 1), iblt.MaxDiff)}, nil
 }
 
@@ -524,7 +505,7 @@ func (h *RepairInitiator) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler.
 func (h *RepairInitiator) Run(conn transport.Conn) error {
-	sc, _ := h.set.SyncConfig()
+	sc := h.set.SyncConfig()
 	snap := h.set.Snapshot()
 	e := transport.NewEncoder()
 	e.WriteUvarint(uint64(h.Hint))
@@ -585,11 +566,9 @@ type RepairResponder struct {
 }
 
 // NewRepairResponderFactory returns a factory, for a server's Resolver,
-// answering repairs for the set; the set must maintain Sync state.
+// answering repairs for the set. It never fails; the error keeps the
+// signature of the other factories.
 func NewRepairResponderFactory(ls *live.Set) (func() Handler, error) {
-	if err := needSync(ls, ProtoRepair); err != nil {
-		return nil, err
-	}
 	return func() Handler { return &RepairResponder{set: ls} }, nil
 }
 
@@ -600,9 +579,6 @@ func NewRepairResponderFactory(ls *live.Set) (func() Handler, error) {
 // disk, hostile build) for simulation scenarios; verify-before-merge on
 // the initiator must reject every batch it serves. Not for production.
 func NewCorruptingRepairResponderFactory(ls *live.Set) (func() Handler, error) {
-	if err := needSync(ls, ProtoRepair); err != nil {
-		return nil, err
-	}
 	corrupt := func(pts metric.PointSet) metric.PointSet {
 		// PointsForIDs returns clones, so in-place mutation is safe.
 		for _, pt := range pts {
@@ -626,7 +602,7 @@ func (h *RepairResponder) Digest() uint64 { return DigestLiveSet(h.set) }
 
 // Run implements Handler.
 func (h *RepairResponder) Run(conn transport.Conn) error {
-	sc, _ := h.set.SyncConfig()
+	sc := h.set.SyncConfig()
 	snap := h.set.Snapshot()
 	d, err := conn.Recv()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func newSyncSet(t *testing.T, space metric.Space, pts metric.PointSet, seed uint
 	return ls
 }
 
-// newProbe returns a probe initiator for the Sync set ls.
+// newProbe returns a probe initiator for ls.
 func newProbe(t *testing.T, ls *live.Set) *ProbeInitiator {
 	t.Helper()
 	probe, err := NewProbeInitiator(ls)
@@ -50,7 +51,7 @@ func newProbe(t *testing.T, ls *live.Set) *ProbeInitiator {
 	return probe
 }
 
-// newProbeResponder returns a probe responder for the Sync set ls.
+// newProbeResponder returns a probe responder for ls.
 func newProbeResponder(t *testing.T, ls *live.Set) *ProbeResponder {
 	t.Helper()
 	f, err := NewProbeResponderFactory(ls)
@@ -556,35 +557,85 @@ func TestRepairRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestProbeRequiresSyncState: like repair, probe compares point IDs, so
-// both ends refuse a set without Sync state.
-func TestProbeRequiresSyncState(t *testing.T) {
+// newDivergedWithoutSync returns a set whose config gives no Sync, over
+// 20 shared points and one of its own, and a twin given Sync{EMD.Seed | 1}
+// over the shared points and six others. Before the set is diverged, it
+// must keep the IDs, fingerprint and digest of one given that Sync.
+func newDivergedWithoutSync(t *testing.T) (emdOnly, twin *live.Set) {
+	t.Helper()
 	space := metric.HammingCube(32)
-	p := emd.DefaultParams(space, 16, 2, 5)
-	ls, err := live.NewSet(live.Config{EMD: &p}, clusterPoints(space, 8, 1))
+	p := emd.DefaultParams(space, 64, 2, 5)
+	withSync := live.Config{EMD: &p, Sync: &live.SyncConfig{Seed: p.Seed | 1}}
+	shared := clusterPoints(space, 20, 1)
+	emdOnly, err := live.NewSet(live.Config{EMD: &p}, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProbeInitiator(ls); err == nil {
-		t.Fatal("probe initiator accepted a set without Sync state")
+	same, err := live.NewSet(withSync, shared)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewProbeResponderFactory(ls); err == nil {
-		t.Fatal("probe responder accepted a set without Sync state")
+	if emdOnly.IDFingerprint() == 0 || emdOnly.IDFingerprint() != same.IDFingerprint() {
+		t.Fatalf("ID fingerprints %#x and %#x, want equal and nonzero", emdOnly.IDFingerprint(), same.IDFingerprint())
+	}
+	if !slices.Equal(emdOnly.Snapshot().IDs, same.Snapshot().IDs) {
+		t.Fatal("snapshot IDs differ from the set given Sync{EMD.Seed | 1}")
+	}
+	if DigestLiveSet(emdOnly) != DigestLiveSet(same) {
+		t.Fatal("DigestLiveSet differs from the set given Sync{EMD.Seed | 1}")
+	}
+	twin, err = live.NewSet(withSync, append(shared.Clone(), clusterPoints(space, 6, 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := emdOnly.Add(clusterPoints(space, 1, 3)[0]); err != nil {
+		t.Fatal(err)
+	}
+	return emdOnly, twin
+}
+
+// TestProbeServesSetWithoutSync: probe compares point IDs, and a set
+// whose config gives no Sync keeps them, so it probes a diverged twin
+// that was given Sync from either end.
+func TestProbeServesSetWithoutSync(t *testing.T) {
+	emdOnly, twin := newDivergedWithoutSync(t)
+	for _, c := range []struct {
+		name       string
+		init, resp *live.Set
+	}{{"initiator", emdOnly, twin}, {"responder", twin, emdOnly}} {
+		probe := newProbe(t, c.init)
+		runPair(t, probe, newProbeResponder(t, c.resp))
+		if probe.Matched || probe.Estimate == 0 {
+			t.Fatalf("set without Sync as %s: matched %v, estimate %d", c.name, probe.Matched, probe.Estimate)
+		}
 	}
 }
 
-func TestRepairRequiresSyncState(t *testing.T) {
-	space := metric.HammingCube(32)
-	p := emd.DefaultParams(space, 16, 2, 5)
-	ls, err := live.NewSet(live.Config{EMD: &p}, clusterPoints(space, 8, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRepairInitiator(ls, 0); err == nil {
-		t.Fatal("repair initiator accepted a set without Sync state")
-	}
-	if _, err := NewRepairResponderFactory(ls); err == nil {
-		t.Fatal("repair responder accepted a set without Sync state")
+// TestRepairServesSetWithoutSync: a repair converges a set whose config
+// gives no Sync with a diverged twin that was given Sync, with the set
+// at either end.
+func TestRepairServesSetWithoutSync(t *testing.T) {
+	for _, asInitiator := range []bool{true, false} {
+		emdOnly, twin := newDivergedWithoutSync(t)
+		init, resp := emdOnly, twin
+		if !asInitiator {
+			init, resp = twin, emdOnly
+		}
+		probe := newProbe(t, init)
+		runPair(t, probe, newProbeResponder(t, resp))
+		ri, err := NewRepairInitiator(init, probe.Estimate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewRepairResponderFactory(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runPair(t, ri, f())
+		if emdOnly.Distinct() != 27 || emdOnly.IDFingerprint() != twin.IDFingerprint() {
+			t.Fatalf("set without Sync as initiator %v: %d distinct points, converged %v; want 27 and true",
+				asInitiator, emdOnly.Distinct(), emdOnly.IDFingerprint() == twin.IDFingerprint())
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // epoch current when the peer's last synced epoch arrives, so its delta
 // is read from the set's one sketch at the epoch it serves.
 //
-// Gap speaks its existing protocol unchanged — the live set only
-// amortizes the per-session key payloads. EMD gets a dedicated
-// protocol, ProtoLiveEMD, with a delta-sync fast path:
+// Gap speaks its existing protocol unchanged, keyed through the set's
+// keyer (one plan derivation per set, not per session). EMD gets a
+// dedicated protocol, ProtoLiveEMD, with a delta-sync fast path:
 //
 //	Bob → Alice: uvarint lastEpoch   (0 = no cached sketch)
 //	Alice → Bob: uvarint epoch, uvarint mode (0 full / 1 delta),
@@ -58,8 +58,8 @@ type LiveEMDSender struct {
 
 // NewLiveEMDSenderFactory returns a factory, for a server's Resolver,
 // whose handlers serve the set's EMD sketch with delta sync. The set must
-// be configured with EMD; a set with Sync builds its sketch when the
-// first session is served (live.Set.ServeEMD).
+// be configured with EMD; a set without its sketch yet builds it when
+// the first session is served (live.Set.ServeEMD).
 func NewLiveEMDSenderFactory(ls *live.Set) (func() Handler, error) {
 	p, ok := ls.EMDParams()
 	if !ok {
@@ -232,8 +232,8 @@ func (h *LiveEMDReceiver) Run(conn transport.Conn) error {
 }
 
 // LiveGapSender serves Alice's side of the Gap protocol from a live
-// snapshot's cached key payloads — the wire protocol is the ordinary
-// ProtoGap, so any GapReceiver can be the peer.
+// snapshot, keying its points through the set's keyer — the wire
+// protocol is the ordinary ProtoGap, so any GapReceiver can be the peer.
 type LiveGapSender struct {
 	set  *live.Set
 	snap *live.Snapshot
@@ -245,7 +245,7 @@ type LiveGapSender struct {
 }
 
 // NewLiveGapSenderFactory returns a factory serving Gap sessions from
-// the set's cached key payloads. The set must maintain Gap state.
+// the set's snapshots. The set must maintain Gap state.
 func NewLiveGapSenderFactory(ls *live.Set) (func() Handler, error) {
 	if _, ok := ls.GapParams(); !ok {
 		return nil, fmt.Errorf("netproto: live set maintains no gap keys")
@@ -271,7 +271,7 @@ func (h *LiveGapSender) Digest() uint64 {
 func (h *LiveGapSender) Run(conn transport.Conn) error {
 	ky, _ := h.set.GapKeyer()
 	h.Epoch = h.snap.Epoch
-	rep, err := ky.RunAlice(conn, h.snap.Points, h.snap.GapPayloads)
+	rep, err := ky.RunAlice(conn, h.snap.Points)
 	if err != nil {
 		return err
 	}

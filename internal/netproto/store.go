@@ -50,11 +50,11 @@ func Handlers(factories ...func() Handler) Resolver {
 }
 
 // StoreResolver builds a Resolver over a store. For each registered set
-// it serves exactly the protocols the set's live.Config maintains:
+// it serves the protocols the set's live.Config maintains:
 //
 //	live-emd      (as Alice)  when EMD is enabled
 //	gap           (as Alice)  when Gap is enabled
-//	probe, repair (as Bob)    when Sync is enabled
+//	probe, repair (as Bob)    always: every set keeps point IDs
 func StoreResolver(st *store.Store) Resolver {
 	return func(set string, proto Proto, peerRole Role) (func() Handler, bool) {
 		ls, ok := st.Get(set)

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/emd"
 	"repro/internal/live"
 	"repro/internal/metric"
+	"repro/internal/netproto"
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -255,6 +258,54 @@ func TestRecoveryServesSameEMDMessage(t *testing.T) {
 	requireWireIdentical(t, ref, rec)
 	if _, delta, err := rec.ServeEMD(peerEpoch); err != nil || delta != nil {
 		t.Fatalf("a peer synced before the crash was offered a delta (err %v)", err)
+	}
+}
+
+// TestRecoverySetWithoutSync: a set created without Sync journals its
+// config as given, so config.bin writes the Sync flag false and keeps
+// its pinned bytes, and the recovered set derives its ID seed again: it
+// has the pre-crash ID fingerprint, hello digest and EMD fingerprint.
+func TestRecoverySetWithoutSync(t *testing.T) {
+	const wantConfig = "66d77eacd92e0580a6e9a68dd8feeb59ddb126e92683542d21bb5a18bcfb83bb" // captured before every set kept IDs
+	dir := t.TempDir()
+	p := emd.DefaultParams(testSpace(), 512, 4, 7)
+	d := openTestStore(t, dir, 64)
+	st := store.New()
+	st.SetPersister(d)
+	ls, err := st.Create("emd-only", live.Config{EMD: &p}, workload.RandomSet(testSpace(), 64, rng.New(4)))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	churn(t, ls, 31, 200)
+	pre, preDigest := ls.Snapshot(), netproto.DigestLiveSet(ls)
+	d.Crash()
+
+	raw, err := os.ReadFile(filepath.Join(SetDir(dir, "emd-only"), "config.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != wantConfig {
+		t.Errorf("config.bin SHA-256 %x, pinned %s", sum, wantConfig)
+	}
+	d2 := openTestStore(t, dir, 64)
+	defer d2.Close()
+	st2 := store.New()
+	if _, err := d2.Recover(st2); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	rec, ok := st2.Get("emd-only")
+	if !ok {
+		t.Fatal("recovered store is missing the set")
+	}
+	post := rec.Snapshot()
+	if pre.IDFingerprint == 0 || post.IDFingerprint != pre.IDFingerprint {
+		t.Fatalf("ID fingerprint: recovered %#x, pre-crash %#x", post.IDFingerprint, pre.IDFingerprint)
+	}
+	if got := netproto.DigestLiveSet(rec); got != preDigest {
+		t.Fatalf("hello digest: recovered %#x, pre-crash %#x", got, preDigest)
+	}
+	if pre.EMDFingerprint == 0 || post.EMDFingerprint != pre.EMDFingerprint {
+		t.Fatalf("EMD fingerprint: recovered %#x, pre-crash %#x", post.EMDFingerprint, pre.EMDFingerprint)
 	}
 }
 

@@ -129,19 +129,22 @@ func NewGapReceiver(p GapParams, sb PointSet) *netproto.GapReceiver {
 // churn while they serve.
 
 // LiveSet wraps a point multiset with Add/Remove/ApplyBatch and
-// incrementally maintains the enabled protocol structures: one EMD
-// sketch, never copied (O(hashes) cell updates per mutation,
-// wire-bit-identical to a from-scratch build; a set with Sync builds it
-// on its first live-emd serve), cached Gap key payloads, and exact-ID
-// fingerprint state. Every mutation bumps an epoch; sessions serve
-// consistent snapshots, which carry the encoded EMD message, not a
-// sketch.
+// incrementally maintains its exact-ID fingerprint state, which every
+// set keeps, and with EMD one sketch, never copied (O(hashes) cell
+// updates per mutation, wire-bit-identical to a from-scratch build; a
+// set whose config gives Sync builds it on its first live-emd serve).
+// Gap sessions key the served snapshot's points when they run. Every
+// mutation bumps an epoch; sessions serve consistent snapshots, which
+// carry the encoded EMD message, not a sketch.
 type LiveSet = live.Set
 
-// LiveConfig selects which protocol structures a LiveSet maintains.
+// LiveConfig selects which protocol structures a LiveSet maintains
+// besides its point IDs; without Sync, the ID seed is derived from the
+// EMD seed (or the Gap seed) as Seed | 1.
 type LiveConfig = live.Config
 
-// LiveSyncConfig enables exact-ID state over point fingerprints.
+// LiveSyncConfig seeds a LiveSet's exact-ID state over point
+// fingerprints.
 type LiveSyncConfig = live.SyncConfig
 
 // LiveOp is one LiveSet batch mutation.
@@ -180,7 +183,7 @@ func NewLiveEMDReceiver(p EMDParams, sb PointSet, cache *EMDSketchCache) *netpro
 }
 
 // NewLiveGapSenderFactory serves ordinary Gap sessions from the set's
-// cached key payloads (any GapReceiver can be the peer).
+// snapshots, keyed per session (any GapReceiver can be the peer).
 func NewLiveGapSenderFactory(ls *LiveSet) (func() SessionHandler, error) {
 	return netproto.NewLiveGapSenderFactory(ls)
 }
@@ -204,7 +207,7 @@ type StoreStats = store.Stats
 
 // NewStoreResolver makes a session server serve every store set under
 // its namespace: live-emd/gap per the set's LiveConfig, plus the
-// cluster probe and repair protocols.
+// cluster probe and repair protocols for every set.
 func NewStoreResolver(st *SetStore) netproto.Resolver { return netproto.StoreResolver(st) }
 
 // ProtoProbe is the cluster divergence-estimate exchange; ProtoRepair
